@@ -6,7 +6,8 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
 fn batch(n: u64) -> Message {
-    Message::UpdateBatch(
+    Message::hint_batch(
+        MachineId(7),
         (0..n)
             .map(|i| HintUpdate {
                 action: if i % 2 == 0 {

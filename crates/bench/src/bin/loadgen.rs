@@ -9,17 +9,12 @@
 //!
 //! ```text
 //! loadgen [--nodes n] [--clients m] [--requests r]
-//!         [--mode sharded|legacy|both] [--chaos smoke|<plan.json>]
-//!         [--obs] [--seed n] [--out dir]
+//!         [--chaos smoke|<plan.json>] [--obs] [--seed n] [--out dir]
 //! ```
 //!
-//! `--obs` scrapes every node's obs registry over the wire (the `Stats`
-//! operator frame) after each replay, prints a per-node summary, and
-//! writes the full snapshots to `<out>/loadgen_obs.json`.
-//!
-//! `--mode both` (the default) runs the legacy thread-per-connection engine
-//! first and the sharded engine second on identical workloads, printing the
-//! throughput ratio — the before/after for the sharded-engine change.
+//! `--obs` scrapes every node's obs registry through the mesh API
+//! (`Get mesh/nodes/self/metrics`) after the replay, prints a per-node
+//! summary, and writes the full snapshots to `<out>/loadgen_obs.json`.
 //!
 //! `--chaos` switches to fault-injection mode, driven by the
 //! [`bh_bench::chaos`] library: the workload is replayed segment by
@@ -41,7 +36,7 @@
 //! re-homed, and live Plaxton repair matched the analytic churn count.
 //!
 //! `--mesh-sweep n1,n2,...` runs the mesh-scaling experiment as a weak
-//! scaling sweep: each point spawns a fresh sharded mesh of that many
+//! scaling sweep: each point spawns a fresh mesh of that many
 //! nodes — control plane wired as a ring lattice with n-scaled flush
 //! and heartbeat periods ([`mesh_control_plane`]) — and drives
 //! `max(1, clients/nodes)` client threads *per node* through
@@ -70,7 +65,7 @@ use bh_bench::report::MetricValue;
 use bh_bench::scenario::{run_scenario, Scenario};
 use bh_bench::Args;
 use bh_proto::chaos::FaultPlan;
-use bh_proto::node::{CacheNode, NodeConfig, ThreadingMode};
+use bh_proto::node::{CacheNode, NodeConfig};
 use bh_proto::origin::OriginServer;
 use bh_proto::replay::{replay_concurrent, ReplayConfig};
 use bh_trace::{TraceGenerator, TraceRecord, WorkloadSpec};
@@ -83,7 +78,6 @@ struct LoadgenArgs {
     nodes: usize,
     clients: usize,
     requests: u64,
-    mode: String,
     shards: usize,
     workers: usize,
     p_new: f64,
@@ -104,7 +98,6 @@ impl LoadgenArgs {
             nodes: 4,
             clients: 16,
             requests: 50_000,
-            mode: "both".to_string(),
             shards: 1,
             workers: 16,
             p_new: 0.35,
@@ -135,13 +128,6 @@ impl LoadgenArgs {
                 }
                 "--requests" => {
                     args.requests = value("count").parse().expect("--requests takes an integer");
-                }
-                "--mode" => {
-                    args.mode = value("name").to_lowercase();
-                    assert!(
-                        matches!(args.mode.as_str(), "sharded" | "legacy" | "both"),
-                        "--mode must be sharded, legacy, or both"
-                    );
                 }
                 "--shards" => {
                     args.shards = value("count").parse().expect("--shards takes an integer");
@@ -187,7 +173,7 @@ impl LoadgenArgs {
                 "--help" | "-h" => {
                     println!(
                         "usage: loadgen [--nodes n] [--clients m] [--requests r] \
-                         [--mode sharded|legacy|both] [--chaos smoke|<plan.json>] \
+                         [--chaos smoke|<plan.json>] \
                          [--scenario flash-crowd|diurnal-churn|<scenario.json>] \
                          [--mesh-sweep n1,n2,...] [--recovery] [--data-cap-mb mb] \
                          [--origin-delay-ms ms] \
@@ -225,10 +211,9 @@ impl LoadgenArgs {
     }
 }
 
-/// One measured replay run, serialized into the JSON artifact.
+/// The measured replay run: the `loadgen.json` payload.
 #[derive(Debug, Serialize)]
 struct LoadgenRun {
-    mode: String,
     nodes: usize,
     client_threads: usize,
     requests: u64,
@@ -246,27 +231,18 @@ struct LoadgenRun {
     p99_ms: f64,
 }
 
-/// The full artifact: each run plus the sharded/legacy throughput ratio
-/// when both engines were measured.
-#[derive(Debug, Serialize)]
-struct LoadgenResult {
-    runs: Vec<LoadgenRun>,
-    speedup_sharded_over_legacy: Option<f64>,
-}
-
-/// One node's end-of-run registry snapshot, scraped over the wire via
-/// the `Stats` frame (the `--obs` artifact).
+/// One node's end-of-run registry snapshot, scraped through the mesh
+/// API (the `--obs` artifact).
 #[derive(Debug, Serialize)]
 struct ObsNode {
-    mode: String,
     addr: String,
     metrics: Vec<MetricValue>,
 }
 
 /// Scrapes every node through the mesh API namespace
 /// (`Get mesh/nodes/self/metrics` per node — the same operator path
-/// `obs get`/`obs scrape` use) and prints a per-node summary.
-fn scrape_nodes(mode: ThreadingMode, nodes: &[CacheNode]) -> Vec<ObsNode> {
+/// `obs get` uses) and prints a per-node summary.
+fn scrape_nodes(nodes: &[CacheNode]) -> Vec<ObsNode> {
     let mesh = MeshClient::new(nodes.iter().map(CacheNode::addr).collect());
     mesh.get_all("mesh/nodes/self/metrics")
         .expect("scrape node metrics")
@@ -285,7 +261,6 @@ fn scrape_nodes(mode: ThreadingMode, nodes: &[CacheNode]) -> Vec<ObsNode> {
                 pick(&metrics, "pool_live_connections"),
             );
             ObsNode {
-                mode: format!("{mode:?}").to_lowercase(),
                 addr: reply.addr.to_string(),
                 metrics,
             }
@@ -387,7 +362,7 @@ struct MeshSweepResult {
     points: Vec<MeshPoint>,
 }
 
-/// Spawns a fresh sharded `n`-node mesh (ring-lattice control plane,
+/// Spawns a fresh `n`-node mesh (ring-lattice control plane,
 /// see [`mesh_control_plane`]) in the capacity-limited regime and
 /// replays `records` through it.
 fn run_mesh_point(
@@ -403,7 +378,6 @@ fn run_mesh_point(
     let mut nodes = Vec::with_capacity(n);
     for _ in 0..n {
         let config = NodeConfig::new("127.0.0.1:0", origin.addr())
-            .with_mode(ThreadingMode::Sharded)
             .with_shards(args.shards)
             .with_workers(args.workers)
             .with_data_capacity(bh_simcore::ByteSize::from_mb(args.data_cap_mb))
@@ -529,8 +503,9 @@ fn run_mesh_sweep(harness: &Args, args: &LoadgenArgs, points: &[usize]) -> bool 
     clean
 }
 
-fn run_mode(
-    mode: ThreadingMode,
+/// Spawns an origin plus a full mesh of `--nodes` cache nodes and replays
+/// `records` through it from `--clients` closed-loop client threads.
+fn run_replay(
     args: &LoadgenArgs,
     records: &[TraceRecord],
     spec: &WorkloadSpec,
@@ -540,7 +515,6 @@ fn run_mode(
     let mut nodes = Vec::with_capacity(args.nodes);
     for _ in 0..args.nodes {
         let config = NodeConfig::new("127.0.0.1:0", origin.addr())
-            .with_mode(mode)
             .with_shards(args.shards)
             .with_workers(args.workers)
             .with_flush_max(Duration::from_millis(25));
@@ -569,7 +543,6 @@ fn run_mode(
         outcome.latency.p99().unwrap_or(0.0),
     ];
     let run = LoadgenRun {
-        mode: format!("{mode:?}").to_lowercase(),
         nodes: args.nodes,
         client_threads: args.clients,
         requests: outcome.report.requests,
@@ -588,7 +561,7 @@ fn run_mode(
     };
 
     let scrapes = if args.obs {
-        scrape_nodes(mode, &nodes)
+        scrape_nodes(&nodes)
     } else {
         Vec::new()
     };
@@ -602,9 +575,8 @@ fn run_mode(
 
 fn print_run(run: &LoadgenRun) {
     println!(
-        "{:>8}  {:>9.0} req/s  {:>7} req  {:>6} local  {:>6} peer  {:>6} origin  \
+        "{:>9.0} req/s  {:>7} req  {:>6} local  {:>6} peer  {:>6} origin  \
          {:>4} fp  {:>3} err  p50 {:>6.2} ms  p95 {:>6.2} ms  p99 {:>6.2} ms",
-        run.mode,
         run.requests_per_second,
         run.requests,
         run.local_hits,
@@ -694,41 +666,10 @@ fn main() {
         .with_p_new(args.p_new);
     let records: Vec<TraceRecord> = TraceGenerator::new(&spec, args.seed).collect();
 
-    let modes: &[ThreadingMode] = match args.mode.as_str() {
-        "sharded" => &[ThreadingMode::Sharded],
-        "legacy" => &[ThreadingMode::Legacy],
-        _ => &[ThreadingMode::Legacy, ThreadingMode::Sharded],
-    };
+    let (run, scrapes) = run_replay(&args, &records, &spec);
+    print_run(&run);
 
-    let mut runs = Vec::new();
-    let mut scrapes = Vec::new();
-    for &mode in modes {
-        let (run, mode_scrapes) = run_mode(mode, &args, &records, &spec);
-        print_run(&run);
-        runs.push(run);
-        scrapes.extend(mode_scrapes);
-    }
-
-    let speedup = (runs.len() == 2).then(|| {
-        let legacy = runs[0].requests_per_second;
-        let sharded = runs[1].requests_per_second;
-        if legacy > 0.0 {
-            sharded / legacy
-        } else {
-            0.0
-        }
-    });
-    if let Some(s) = speedup {
-        println!("sharded over legacy: {}", bh_bench::fmt_speedup(s));
-    }
-
-    harness.write_json(
-        "loadgen",
-        &LoadgenResult {
-            runs,
-            speedup_sharded_over_legacy: speedup,
-        },
-    );
+    harness.write_json("loadgen", &run);
     if args.obs {
         harness.write_json("loadgen_obs", &scrapes);
     }

@@ -4,7 +4,6 @@
 //! obs ls  <path> --addr <ip:port>           # enumerate a namespace branch
 //! obs get <path> --addr <ip:port>           # read a leaf or dump a branch
 //! obs set <path> <value> --addr <ip:port>   # control-plane write
-//! obs scrape --addr <ip:port> [--trace]     # alias: get mesh/nodes/self/metrics
 //! obs validate <file.json>...               # check Report envelopes
 //! ```
 //!
@@ -15,9 +14,8 @@
 //! one `path  value` line per entry, exactly as the node answered
 //! (sorted; `List` output is byte-identical across seeded runs).
 //!
-//! `scrape` is the compatibility spelling of the old stats scrape: it
-//! reads `mesh/nodes/self/metrics` (and with `--trace` lists
-//! `mesh/nodes/self/trace`) over the same namespace.
+//! A full metrics scrape is `obs get mesh/nodes/self/metrics`; the trace
+//! ring is `obs ls mesh/nodes/self/trace`.
 //!
 //! `validate` parses each file and checks the versioned Report envelope
 //! head (`schema_version`, `artifact`, `payload`) that every harness
@@ -45,7 +43,6 @@ fn usage() -> ! {
     eprintln!("usage: obs ls  <path> --addr <ip:port>");
     eprintln!("       obs get <path> --addr <ip:port>");
     eprintln!("       obs set <path> <value> --addr <ip:port>");
-    eprintln!("       obs scrape --addr <ip:port> [--trace]");
     eprintln!("       obs validate <file.json>...");
     std::process::exit(2);
 }
@@ -132,61 +129,6 @@ fn set_verb(args: &[String]) -> ExitCode {
     }
 }
 
-/// `scrape`: compatibility alias over the namespace — a full metrics
-/// read, plus the trace ring with `--trace`.
-fn scrape(args: &[String]) -> ExitCode {
-    let mut addr: Option<SocketAddr> = None;
-    let mut trace = false;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--addr" => {
-                let v = it.next().unwrap_or_else(|| usage());
-                addr = Some(v.parse().expect("--addr takes ip:port"));
-            }
-            "--trace" => trace = true,
-            _ => usage(),
-        }
-    }
-    let Some(addr) = addr else { usage() };
-
-    let mut conn = match connect(addr) {
-        Ok(c) => c,
-        Err(code) => return code,
-    };
-    match conn.meta_get("mesh/nodes/self/metrics") {
-        Ok(entries) => {
-            out(format_args!("# {addr} — {} metrics", entries.len()));
-            for e in &entries {
-                let name = e.path.rsplit('/').next().unwrap_or(&e.path);
-                out(format_args!("{:<40} {}", name, e.value));
-            }
-        }
-        Err(e) => {
-            eprintln!("obs: stats scrape failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    if trace {
-        match conn.meta_list("mesh/nodes/self/trace") {
-            Ok(events) => {
-                out(format_args!(
-                    "# trace ring — {} events (oldest first)",
-                    events.len()
-                ));
-                for ev in &events {
-                    out(format_args!("{}", ev.value));
-                }
-            }
-            Err(e) => {
-                eprintln!("obs: trace scrape failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    ExitCode::SUCCESS
-}
-
 fn validate(files: &[String]) -> ExitCode {
     if files.is_empty() {
         usage();
@@ -226,7 +168,6 @@ fn main() -> ExitCode {
         Some((cmd, rest)) if cmd == "ls" => read_verb(true, rest),
         Some((cmd, rest)) if cmd == "get" => read_verb(false, rest),
         Some((cmd, rest)) if cmd == "set" => set_verb(rest),
-        Some((cmd, rest)) if cmd == "scrape" => scrape(rest),
         Some((cmd, rest)) if cmd == "validate" => validate(rest),
         _ => usage(),
     }

@@ -28,7 +28,7 @@ use crate::report::{metric_values, write_obs_dump, MetricValue};
 use crate::Args;
 use bh_obs::{Determinism, Registry, Unit};
 use bh_proto::chaos::ChaosMesh;
-use bh_proto::node::{NodeConfig, ThreadingMode};
+use bh_proto::node::NodeConfig;
 use bh_trace::{TraceGenerator, TraceRecord, WorkloadSpec};
 use serde::Serialize;
 use std::time::{Duration, Instant};
@@ -96,8 +96,7 @@ struct RecoveryResult {
 
 fn fast_mesh_config(c: NodeConfig, opts: &RecoveryOptions) -> NodeConfig {
     let _ = opts;
-    c.with_mode(ThreadingMode::Sharded)
-        .with_shards(1)
+    c.with_shards(1)
         .with_workers(8)
         .with_flush_max(Duration::from_millis(25))
         .with_heartbeat_interval(Duration::from_millis(40))

@@ -1,8 +1,8 @@
 //! Blocking client helpers for talking to cache nodes.
 
 use crate::wire::{
-    read_message, write_message, MachineId, Message, MetaEntry, MetaOp, MetaStatus, MetricEntry,
-    ServedBy, Status, TraceEvent,
+    read_message, write_message, MachineId, Message, MetaEntry, MetaOp, MetaStatus, ServedBy,
+    Status,
 };
 use bytes::Bytes;
 use std::io;
@@ -136,42 +136,6 @@ impl Connection {
         }
     }
 
-    /// Scrapes the node's full obs-registry snapshot (the `Stats`
-    /// operator frame pair): every counter, pool gauge, and expanded
-    /// service-latency histogram bucket, sorted by name.
-    ///
-    /// # Errors
-    ///
-    /// Fails on protocol errors.
-    pub fn scrape_stats(&mut self) -> io::Result<Vec<MetricEntry>> {
-        write_message(&mut self.stream, &Message::StatsRequest)?;
-        match read_message(&mut self.reader)? {
-            Message::StatsReply(entries) => Ok(entries),
-            other => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unexpected reply {other:?}"),
-            )),
-        }
-    }
-
-    /// Scrapes the node's event-trace ring (the `Trace` operator frame
-    /// pair): the most recent service/propagation span events, oldest
-    /// first.
-    ///
-    /// # Errors
-    ///
-    /// Fails on protocol errors.
-    pub fn scrape_trace(&mut self) -> io::Result<Vec<TraceEvent>> {
-        write_message(&mut self.stream, &Message::TraceRequest)?;
-        match read_message(&mut self.reader)? {
-            Message::TraceReply(events) => Ok(events),
-            other => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unexpected reply {other:?}"),
-            )),
-        }
-    }
-
     /// One raw mesh-API exchange: status and entries exactly as the node
     /// answered them (no status-to-error mapping).
     ///
@@ -292,33 +256,6 @@ mod tests {
         assert_eq!(s3, Source::Local, "pushed object must be a local hit");
         assert_eq!(&body[..], b"pushed body");
         assert_eq!(node.stats().pushes_received, 1);
-    }
-
-    #[test]
-    fn stats_and_trace_scrape_a_live_node() {
-        let origin = OriginServer::spawn("127.0.0.1:0").expect("origin");
-        let node = CacheNode::spawn(NodeConfig::new("127.0.0.1:0", origin.addr())).expect("node");
-        let mut conn = Connection::open(node.addr()).expect("open");
-
-        conn.fetch("http://t.test/scrape").expect("fetch");
-        let stats = conn.scrape_stats().expect("scrape stats");
-        assert!(
-            stats
-                .iter()
-                .any(|e| e.name == "origin_fetches" && e.value == 1),
-            "origin fetch not visible in scrape: {stats:?}"
-        );
-        assert!(
-            stats
-                .iter()
-                .any(|e| e.name == "request_service_micros.count"),
-            "service histogram missing from scrape"
-        );
-
-        let trace = conn.scrape_trace().expect("scrape trace");
-        assert!(trace.iter().any(|e| e.kind == bh_obs::span::RECV));
-        assert!(trace.iter().any(|e| e.kind == bh_obs::span::ORIGIN_FETCH));
-        assert!(trace.iter().any(|e| e.kind == bh_obs::span::REPLY));
     }
 
     #[test]

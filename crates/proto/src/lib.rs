@@ -18,14 +18,12 @@
 //!   directly to the named peer, and falls back to the origin server on a
 //!   false positive — misses never traverse a hierarchy.
 //!
-//! Threading: on Linux the node runs a sharded epoll engine — a fixed set
-//! of shard threads owns the accepted sockets and a bounded worker pool
+//! Threading: the node runs one sharded epoll engine — a fixed set of
+//! shard threads owns the accepted sockets and a bounded worker pool
 //! services requests that leave the process (peer probes, origin fetches)
-//! through pooled, retrying connections (see `node::engine`). This echoes
-//! the paper's event-driven Squid much more closely than the seed's
-//! thread-per-connection daemon, which survives as the portable fallback
-//! ([`node::ThreadingMode::Legacy`]) and as the baseline the `loadgen` benchmark
-//! measures the sharded engine against.
+//! through pooled, retrying connections (see `node::engine`), echoing the
+//! paper's event-driven Squid. The live prototype therefore requires Linux
+//! epoll; [`CacheNode::spawn`] fails with `ErrorKind::Unsupported` elsewhere.
 //!
 //! # Examples
 //!

@@ -7,7 +7,11 @@
 
 use bh_proto::chaos::{ChaosMesh, FaultKind, Topology};
 use bh_proto::client::Source;
-use bh_proto::node::NodeConfig;
+use bh_proto::node::{CacheNode, NodeConfig};
+use bh_proto::origin::OriginServer;
+use bh_proto::wire::{read_message, write_message, HintAction, HintUpdate, MachineId, Message};
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -191,4 +195,90 @@ fn warm_restart_replays_the_log_instead_of_resyncing() {
 
     mesh.shutdown();
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A hand-written frame on retired tag 4 (the plain update batch, see the
+/// tag table in `wire.rs`) carrying one `Add`:
+/// `u32 len | u8 4 | u32 count | u32 action | u64 object | u64 machine`.
+/// That frame carried no authenticator, so a node that still applied it
+/// let any sender plant hints past the keyed-MD5 check.
+fn tag4_add_frame(object: u64, machine: MachineId) -> Vec<u8> {
+    let mut frame = Vec::new();
+    frame.extend_from_slice(&24u32.to_le_bytes());
+    frame.push(4);
+    frame.extend_from_slice(&1u32.to_le_bytes()); // count
+    frame.extend_from_slice(&1u32.to_le_bytes()); // action: Add
+    frame.extend_from_slice(&object.to_le_bytes());
+    frame.extend_from_slice(&machine.0.to_le_bytes());
+    frame
+}
+
+/// Sends `frame` on a fresh connection and asserts the node hangs up
+/// without answering a single byte (no `Ack`).
+fn assert_closed_without_reply(node: &CacheNode, frame: &[u8]) {
+    let mut stream = TcpStream::connect(node.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    stream.write_all(frame).expect("send frame");
+    let mut reply = [0u8; 5];
+    match stream.read(&mut reply) {
+        Ok(0) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+        other => panic!("node answered a retired frame: {other:?} {reply:?}"),
+    }
+}
+
+#[test]
+fn retired_update_batch_frame_cannot_bypass_hint_authentication() {
+    let origin = OriginServer::spawn("127.0.0.1:0").expect("origin");
+    let node = CacheNode::spawn(fast(NodeConfig::new("127.0.0.1:0", origin.addr()))).expect("node");
+    let add = |object: u64, machine: MachineId| HintUpdate {
+        action: HintAction::Add,
+        object,
+        machine,
+    };
+
+    // One honest, authenticated hint so "unchanged" is not vacuous.
+    let honest = MachineId::from_addr("10.0.0.1:3128".parse().expect("addr")).expect("v4");
+    let forger = MachineId::from_addr("10.0.0.2:3128".parse().expect("addr")).expect("v4");
+    let mut conn = TcpStream::connect(node.addr()).expect("connect");
+    let mut send_acked = |msg: Message| {
+        write_message(&mut conn, &msg).expect("send");
+        assert_eq!(read_message(&mut conn).expect("reply"), Message::Ack);
+    };
+    // A bad-tag batch is still Acked: hints are advisory, the sender
+    // learns nothing from the reply.
+    let forged = |object: u64| Message::HintBatch {
+        sender: forger,
+        updates: vec![add(object, forger)],
+        tag: [0u8; 16],
+    };
+    send_acked(Message::hint_batch(honest, vec![add(1, honest)]));
+    let before = node.hint_entries();
+    assert_eq!(before, vec![(1, honest.0)]);
+    assert_eq!(node.stats().updates_received, 1);
+
+    // A forged Add on the retired unauthenticated tag: the connection is
+    // closed without an Ack and nothing reaches the hint store.
+    assert_closed_without_reply(&node, &tag4_add_frame(2, forger));
+    assert_eq!(node.hint_entries(), before);
+    assert_eq!(node.stats().updates_received, 1);
+
+    // Three bad-tag batches quarantine the forger...
+    for object in 10..13 {
+        send_acked(forged(object));
+    }
+    assert_eq!(node.stats().hint_auth_failures, 3);
+    assert!(
+        node.pool().is_blocked(forger.to_addr()),
+        "forger quarantined"
+    );
+
+    // ...and once quarantined, no tag gets its hints in: not the retired
+    // plain batch, not another unauthenticated HintBatch.
+    assert_closed_without_reply(&node, &tag4_add_frame(3, forger));
+    send_acked(forged(4));
+    assert_eq!(node.hint_entries(), before);
+    assert_eq!(node.stats().updates_received, 1);
 }

@@ -1,9 +1,8 @@
 //! End-to-end tests of the mesh API: a live mesh driven *entirely*
 //! through the path-addressed namespace (`MetaRequest`/`MetaReply`
 //! frames) — metrics scrapes, hint reads, capability discovery, and
-//! control-plane writes. No legacy `StatsRequest`/`TraceRequest` frames
-//! appear anywhere in this file: everything an operator or harness
-//! needs is one namespace.
+//! control-plane writes: everything an operator or harness needs is one
+//! namespace.
 
 use bh_bench::meshapi::{metric_values_from_meta, pick, MeshClient};
 use bh_proto::client::{Connection, Source};
@@ -99,7 +98,7 @@ fn four_node_mesh_driven_entirely_through_the_namespace() {
     );
 
     // Generate traffic through node 0, then scrape every node's metrics
-    // through the namespace (no StatsRequest anywhere).
+    // through the namespace.
     let url = "http://t.test/mesh-api";
     let (source, body) = bh_proto::fetch(addrs[0], url).expect("fetch via node 0");
     assert_eq!(source, Source::Origin);
@@ -115,6 +114,20 @@ fn four_node_mesh_driven_entirely_through_the_namespace() {
     for reply in &scraped[1..] {
         let m = metric_values_from_meta(&reply.entries);
         assert_eq!(pick(&m, "origin_fetches"), 0, "only node 0 saw traffic");
+    }
+
+    // The same request is legible span by span in node 0's trace ring:
+    // received, fetched from the origin, replied.
+    let trace = mesh_client
+        .list(addrs[0], "mesh/nodes/self/trace")
+        .expect("list node 0 trace");
+    for span in ["recv", "origin-fetch", "reply"] {
+        assert!(
+            trace
+                .iter()
+                .any(|e| e.value.contains(&format!("span={span} "))),
+            "span {span} missing from trace: {trace:?}"
+        );
     }
 
     // Propagate node 0's hint over the control plane (`Set
