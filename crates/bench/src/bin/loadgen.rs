@@ -65,7 +65,7 @@ use bh_bench::report::MetricValue;
 use bh_bench::scenario::{run_scenario, Scenario};
 use bh_bench::Args;
 use bh_proto::chaos::FaultPlan;
-use bh_proto::node::{CacheNode, NodeConfig};
+use bh_proto::mesh::{Mesh, Topology};
 use bh_proto::origin::OriginServer;
 use bh_proto::replay::{replay_concurrent, ReplayConfig};
 use bh_trace::{TraceGenerator, TraceRecord, WorkloadSpec};
@@ -242,9 +242,10 @@ struct ObsNode {
 /// Scrapes every node through the mesh API namespace
 /// (`Get mesh/nodes/self/metrics` per node — the same operator path
 /// `obs get` uses) and prints a per-node summary.
-fn scrape_nodes(nodes: &[CacheNode]) -> Vec<ObsNode> {
-    let mesh = MeshClient::new(nodes.iter().map(CacheNode::addr).collect());
-    mesh.get_all("mesh/nodes/self/metrics")
+fn scrape_nodes(mesh: &Mesh) -> Vec<ObsNode> {
+    let client = MeshClient::new(mesh.addrs().to_vec());
+    client
+        .get_all("mesh/nodes/self/metrics")
         .expect("scrape node metrics")
         .into_iter()
         .map(|reply| {
@@ -375,32 +376,24 @@ fn run_mesh_point(
         OriginServer::spawn_with_delay("127.0.0.1:0", Duration::from_millis(args.origin_delay_ms))
             .expect("spawn origin");
     let cp = mesh_control_plane(n);
-    let mut nodes = Vec::with_capacity(n);
-    for _ in 0..n {
-        let config = NodeConfig::new("127.0.0.1:0", origin.addr())
-            .with_shards(args.shards)
+    let topology = Topology::Ring {
+        nodes: n,
+        successors: cp.ring_neighbors,
+    };
+    let mesh = Mesh::spawn(origin, topology, |_, c| {
+        c.with_shards(args.shards)
             .with_workers(args.workers)
             .with_data_capacity(bh_simcore::ByteSize::from_mb(args.data_cap_mb))
             .with_flush_max(Duration::from_millis(cp.flush_max_ms))
             .with_heartbeat_interval(Duration::from_millis(cp.heartbeat_ms))
-            .with_pool_idle_cap(cp.pool_idle_cap);
-        nodes.push(CacheNode::spawn(config).expect("spawn cache node"));
-    }
-    let addrs: Vec<_> = nodes.iter().map(CacheNode::addr).collect();
-    for (i, node) in nodes.iter().enumerate() {
-        // Ring lattice: node i flushes hints to (and heartbeats) its
-        // ring_neighbors successors; see mesh_control_plane.
-        node.set_neighbors(
-            (1..=cp.ring_neighbors)
-                .map(|d| addrs[(i + d) % n])
-                .collect(),
-        );
-    }
+            .with_pool_idle_cap(cp.pool_idle_cap)
+    })
+    .expect("spawn mesh");
 
-    let config = ReplayConfig::flat_out(addrs).with_origin(origin.addr());
+    let config = ReplayConfig::flat_out(mesh.addrs().to_vec()).with_origin(mesh.origin().addr());
     let outcome = replay_concurrent(&config, records, clients).expect("concurrent replay");
 
-    let stats: Vec<_> = nodes.iter().map(|node| node.stats()).collect();
+    let stats: Vec<_> = mesh.stats().into_iter().flatten().collect();
     let sum = |f: fn(&bh_proto::node::NodeStats) -> u64| stats.iter().map(f).sum::<u64>();
     let point = MeshPoint {
         nodes: n,
@@ -422,10 +415,7 @@ fn run_mesh_point(
         wakeups_coalesced: sum(|s| s.wakeups_coalesced),
         writev_batches: sum(|s| s.writev_batches),
     };
-    for node in nodes {
-        node.shutdown();
-    }
-    origin.shutdown();
+    mesh.shutdown();
     point
 }
 
@@ -511,32 +501,24 @@ fn run_replay(
     spec: &WorkloadSpec,
 ) -> (LoadgenRun, Vec<ObsNode>) {
     let origin = OriginServer::spawn("127.0.0.1:0").expect("spawn origin");
-
-    let mut nodes = Vec::with_capacity(args.nodes);
-    for _ in 0..args.nodes {
-        let config = NodeConfig::new("127.0.0.1:0", origin.addr())
-            .with_shards(args.shards)
+    let mesh = Mesh::spawn(origin, Topology::Flat { nodes: args.nodes }, |_, c| {
+        c.with_shards(args.shards)
             .with_workers(args.workers)
-            .with_flush_max(Duration::from_millis(25));
-        nodes.push(CacheNode::spawn(config).expect("spawn cache node"));
-    }
-    let addrs: Vec<_> = nodes.iter().map(CacheNode::addr).collect();
-    for node in &nodes {
-        node.set_neighbors(
-            addrs
-                .iter()
-                .copied()
-                .filter(|a| *a != node.addr())
-                .collect(),
-        );
-    }
+            .with_flush_max(Duration::from_millis(25))
+    })
+    .expect("spawn mesh");
 
-    let mut config = ReplayConfig::flat_out(addrs);
+    let mut config = ReplayConfig::flat_out(mesh.addrs().to_vec());
     config.clients_per_l1 = spec.clients_per_l1;
     config.dynamic_client_ids = spec.dynamic_client_ids;
     let outcome = replay_concurrent(&config, records, args.clients).expect("concurrent replay");
 
-    let false_positives: u64 = nodes.iter().map(|n| n.stats().false_positives).sum();
+    let false_positives: u64 = mesh
+        .stats()
+        .iter()
+        .flatten()
+        .map(|s| s.false_positives)
+        .sum();
     let [p50, p95, p99] = [
         outcome.latency.p50().unwrap_or(0.0),
         outcome.latency.p95().unwrap_or(0.0),
@@ -561,15 +543,12 @@ fn run_replay(
     };
 
     let scrapes = if args.obs {
-        scrape_nodes(&nodes)
+        scrape_nodes(&mesh)
     } else {
         Vec::new()
     };
 
-    for node in nodes {
-        node.shutdown();
-    }
-    origin.shutdown();
+    mesh.shutdown();
     (run, scrapes)
 }
 

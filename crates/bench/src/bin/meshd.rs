@@ -19,10 +19,9 @@
 
 use bh_bench::meshapi::MeshClient;
 use bh_bench::report::Envelope;
-use bh_proto::node::{CacheNode, NodeConfig};
+use bh_proto::mesh::{Mesh, Topology};
 use bh_proto::origin::OriginServer;
 use serde::Serialize;
-use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -59,26 +58,11 @@ fn main() {
     assert!(nodes >= 2, "--nodes must be at least 2 (hints need a peer)");
 
     let origin = OriginServer::spawn("127.0.0.1:0").expect("origin");
-    let mesh: Vec<CacheNode> = (0..nodes)
-        .map(|_| {
-            CacheNode::spawn(
-                NodeConfig::new("127.0.0.1:0", origin.addr())
-                    .with_flush_max(Duration::from_secs(3600)),
-            )
-            .expect("node")
-        })
-        .collect();
-    let addrs: Vec<SocketAddr> = mesh.iter().map(CacheNode::addr).collect();
-    for (i, node) in mesh.iter().enumerate() {
-        node.set_neighbors(
-            addrs
-                .iter()
-                .enumerate()
-                .filter(|(j, _)| *j != i)
-                .map(|(_, a)| *a)
-                .collect(),
-        );
-    }
+    let mesh = Mesh::spawn(origin, Topology::Flat { nodes }, |_, c| {
+        c.with_flush_max(Duration::from_secs(3600))
+    })
+    .expect("mesh");
+    let addrs = mesh.addrs().to_vec();
 
     // Seed one object through node 0 and flush its hint to the mesh via
     // the namespace, then wait until node 1 can serve the hint read.
@@ -103,7 +87,7 @@ fn main() {
     let artifact = MeshdArtifact {
         nodes,
         serve_secs: secs,
-        origin: origin.addr().to_string(),
+        origin: mesh.origin().addr().to_string(),
         addrs: addrs.iter().map(|a| a.to_string()).collect(),
         seeded_url: url.to_string(),
     };
@@ -118,7 +102,5 @@ fn main() {
         out.display()
     );
     std::thread::sleep(Duration::from_secs(secs));
-    for node in mesh {
-        node.shutdown();
-    }
+    mesh.shutdown();
 }

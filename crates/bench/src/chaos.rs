@@ -1,5 +1,6 @@
 //! Library driver for chaos runs: replays a seeded workload segment by
-//! segment under a [`FaultPlan`] against a live [`ChaosMesh`].
+//! segment under a [`FaultPlan`] against a live [`Mesh`]. The window loop
+//! (`run_windows`) is shared with the scenario harness.
 //!
 //! Shared by the `loadgen --chaos` binary and the determinism
 //! integration tests, which run the same plan twice and byte-compare
@@ -21,13 +22,16 @@
 use crate::report::{metric_values, write_obs_dump, MetricValue};
 use crate::Args;
 use bh_obs::{Determinism, Registry, Unit};
-use bh_proto::chaos::{ChaosMesh, FaultKind, FaultPlan};
+use bh_proto::chaos::{FaultKind, FaultPlan};
 use bh_proto::liveness::PeerHealth;
-use bh_proto::node::NodeStats;
+use bh_proto::mesh::{Mesh, Topology};
+use bh_proto::node::{NodeConfig, NodeStats};
+use bh_proto::origin::OriginServer;
 use bh_proto::replay::{replay_concurrent, ConcurrentReplayReport, ReplayConfig};
 use bh_trace::{TraceGenerator, TraceRecord, WorkloadSpec};
 use serde::Serialize;
 use std::net::SocketAddr;
+use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 /// Mesh and client shape for a chaos run.
@@ -156,7 +160,7 @@ pub struct ChaosMetrics {
 /// names a down node, its client groups are rerouted to a live
 /// survivor — the clients reconnect, they don't stall.
 pub(crate) fn replay_segment(
-    mesh: &ChaosMesh,
+    mesh: &Mesh,
     opts: &ChaosOptions,
     spec: &WorkloadSpec,
     records: &[TraceRecord],
@@ -185,7 +189,7 @@ pub(crate) fn replay_segment(
 /// Sums the `(false_positives, degraded_to_origin)` deltas across nodes
 /// between two stats snapshots. A node that crashed mid-interval
 /// contributes nothing; a node that restarted counts from zero.
-pub(crate) fn probe_deltas(prev: &[Option<NodeStats>], cur: &[Option<NodeStats>]) -> (u64, u64) {
+fn probe_deltas(prev: &[Option<NodeStats>], cur: &[Option<NodeStats>]) -> (u64, u64) {
     let mut fp = 0u64;
     let mut degraded = 0u64;
     for (p, c) in prev.iter().zip(cur.iter()) {
@@ -200,7 +204,7 @@ pub(crate) fn probe_deltas(prev: &[Option<NodeStats>], cur: &[Option<NodeStats>]
     (fp, degraded)
 }
 
-pub(crate) fn segment_from(
+fn segment_from(
     window: usize,
     phase: &str,
     fault: &FaultKind,
@@ -232,7 +236,7 @@ pub(crate) fn segment_from(
     }
 }
 
-pub(crate) fn print_segment(seg: &ChaosSegment) {
+fn print_segment(seg: &ChaosSegment) {
     println!(
         "window {} {:>4}  [{}]  {:>5} req  hit {:>5.1}%  fp {:>3}  degraded {:>3}  \
          {:>3} err  p50 {:>6.2} ms  p99 {:>6.2} ms",
@@ -252,7 +256,7 @@ pub(crate) fn print_segment(seg: &ChaosSegment) {
 /// Drives heartbeats until every survivor has confirmed `dead` dead (so
 /// stale-hint GC and Plaxton repair have fired), bounded by a wall-clock
 /// deadline. Returns whether confirmation was reached.
-pub(crate) fn await_confirmed_death(mesh: &ChaosMesh, dead: usize) -> bool {
+fn await_confirmed_death(mesh: &Mesh, dead: usize) -> bool {
     let addr = mesh.addrs()[dead];
     // bh-lint: allow(no-wall-clock, reason = "deadline-bounded wait on a live mesh; failure detection is inherently wall-clock here")
     let deadline = Instant::now() + Duration::from_secs(10);
@@ -271,48 +275,67 @@ pub(crate) fn await_confirmed_death(mesh: &ChaosMesh, dead: usize) -> bool {
     false
 }
 
-/// Runs the fault plan end to end, writing all three artifacts into
-/// `args.out`; returns `false` if any window failed its recovery check.
-///
-/// # Panics
-///
-/// Panics on mesh spawn or artifact I/O failure (harness semantics:
-/// loud failures).
-pub fn run_chaos(args: &Args, opts: &ChaosOptions, plan: FaultPlan) -> bool {
-    println!(
-        "chaos: {} windows over {} nodes, {} requests total",
-        plan.windows.len(),
-        opts.nodes,
-        plan.total_requests()
-    );
+/// Fast failure-detector settings for the fault harnesses: crash windows
+/// must reach confirmed death (suspicion + confirmation window) inside
+/// the run.
+pub(crate) fn fast_mesh_config(c: NodeConfig, opts: &ChaosOptions) -> NodeConfig {
+    c.with_shards(opts.shards)
+        .with_workers(opts.workers)
+        .with_flush_max(Duration::from_millis(25))
+        .with_heartbeat_interval(Duration::from_millis(40))
+        .with_suspicion_threshold(2)
+        .with_confirm_death_after(Duration::from_millis(150))
+        .with_shutdown_deadline(Duration::from_secs(2))
+}
 
-    // The schedule is a pure function of the plan: write it out before
-    // anything runs, so two runs of the same seed can be byte-diffed.
+/// Spawns an origin plus a `topology`-shaped mesh tuned by
+/// [`fast_mesh_config`].
+pub(crate) fn spawn_fast_mesh(topology: Topology, opts: &ChaosOptions) -> Mesh {
+    let origin = OriginServer::spawn("127.0.0.1:0").expect("spawn origin");
+    Mesh::spawn(origin, topology, |_, c| fast_mesh_config(c, opts)).expect("spawn mesh")
+}
+
+/// Writes the plan's event schedule to `<out>/<name>` and echoes it. The
+/// schedule is a pure function of the plan: it is written before
+/// anything runs, so two runs of the same seed can be byte-diffed.
+/// Returns the path and the log's size in bytes.
+pub(crate) fn write_event_log(args: &Args, name: &str, plan: &FaultPlan) -> (PathBuf, usize) {
     let event_log = plan.event_log();
     std::fs::create_dir_all(&args.out).expect("create output dir");
-    let log_path = args.out.join("loadgen_chaos_events.log");
-    std::fs::write(&log_path, &event_log).expect("write chaos event log");
+    let path = args.out.join(name);
+    std::fs::write(&path, &event_log).expect("write event log");
     print!("{event_log}");
+    (path, event_log.len())
+}
 
-    let spec = WorkloadSpec::small()
-        .with_requests(plan.total_requests())
-        .with_clients(opts.nodes as u32 * 256)
-        .with_p_new(opts.p_new);
-    let records: Vec<TraceRecord> = TraceGenerator::new(&spec, plan.seed).collect();
+/// What [`run_windows`] produced: the deterministic per-segment request
+/// counts, the measured per-segment summaries, and the verdict.
+pub(crate) struct WindowsOutcome {
+    /// Issued-request count per segment (pure function of the seed).
+    pub planned: Vec<PlannedSegment>,
+    /// Measured summary per segment, in the same order.
+    pub segments: Vec<ChaosSegment>,
+    /// Hint records rebuilt after each crash window, in window order.
+    pub recovered_hints: Vec<usize>,
+    /// True when every window met the recovery criteria.
+    pub recovered: bool,
+}
 
-    // Fast failure-detector settings: crash windows must reach confirmed
-    // death (suspicion + confirmation window) inside the run.
-    let mut mesh = ChaosMesh::spawn(opts.nodes, |c| {
-        c.with_shards(opts.shards)
-            .with_workers(opts.workers)
-            .with_flush_max(Duration::from_millis(25))
-            .with_heartbeat_interval(Duration::from_millis(40))
-            .with_suspicion_threshold(2)
-            .with_confirm_death_after(Duration::from_millis(150))
-            .with_shutdown_deadline(Duration::from_secs(2))
-    })
-    .expect("spawn chaos mesh");
-
+/// The fault-window loop: for every window of `plan`, replays `pre`
+/// requests, injects the fault, replays `hold` requests, lifts it, and
+/// replays `post` requests, measuring each segment. A window recovers
+/// when its crashed node (if any) is confirmed dead by every survivor,
+/// `death_confirmed(mesh, window, dead, stats at window start)` holds,
+/// and the post segment serves everything again without a hit-rate
+/// collapse relative to the pre segment.
+pub(crate) fn run_windows(
+    mesh: &mut Mesh,
+    plan: &FaultPlan,
+    opts: &ChaosOptions,
+    spec: &WorkloadSpec,
+    records: &[TraceRecord],
+    mut death_confirmed: impl FnMut(&Mesh, usize, usize, &[Option<NodeStats>]) -> bool,
+) -> WindowsOutcome {
     let mut cursor = 0usize;
     let mut planned: Vec<PlannedSegment> = Vec::new();
     let mut segments: Vec<ChaosSegment> = Vec::new();
@@ -320,72 +343,64 @@ pub fn run_chaos(args: &Args, opts: &ChaosOptions, plan: FaultPlan) -> bool {
     let mut recovered = true;
 
     for (i, w) in plan.windows.iter().enumerate() {
-        let mut snapshot = mesh.stats();
+        let baseline = mesh.stats();
+        let mut snapshot = baseline.clone();
+        let mut replay = |mesh: &Mesh, phase: &str, count: u64, crashed: Option<usize>| {
+            let (out, issued) =
+                replay_segment(mesh, opts, spec, records, &mut cursor, count, crashed);
+            planned.push(PlannedSegment {
+                window: i,
+                phase: phase.into(),
+                fault: w.fault.describe(),
+                requests: issued,
+            });
+            out
+        };
+        // Probe counters are attributed to the phase that just ended.
+        let mut measure = |mesh: &Mesh, phase: &str, out: &ConcurrentReplayReport| {
+            let cur = mesh.stats();
+            let seg = segment_from(i, phase, &w.fault, out, probe_deltas(&snapshot, &cur));
+            snapshot = cur;
+            print_segment(&seg);
+            seg
+        };
 
-        let (out, issued) = replay_segment(&mesh, opts, &spec, &records, &mut cursor, w.pre, None);
-        planned.push(PlannedSegment {
-            window: i,
-            phase: "pre".into(),
-            fault: w.fault.describe(),
-            requests: issued,
-        });
-        let cur = mesh.stats();
-        let pre = segment_from(i, "pre", &w.fault, &out, probe_deltas(&snapshot, &cur));
-        snapshot = cur;
-        print_segment(&pre);
+        let out = replay(mesh, "pre", w.pre, None);
+        let pre = measure(mesh, "pre", &out);
 
         mesh.inject(w.fault).expect("inject fault");
-        let crashed = match w.fault {
+        let crashed = match mesh.resolve(w.fault) {
             FaultKind::Crash { node } => Some(node),
             _ => None,
         };
-        let (out, issued) =
-            replay_segment(&mesh, opts, &spec, &records, &mut cursor, w.hold, crashed);
-        planned.push(PlannedSegment {
-            window: i,
-            phase: "hold".into(),
-            fault: w.fault.describe(),
-            requests: issued,
-        });
+        let out = replay(mesh, "hold", w.hold, crashed);
         if let Some(dead) = crashed {
-            if !await_confirmed_death(&mesh, dead) {
+            if !await_confirmed_death(mesh, dead) {
                 eprintln!("window {i}: survivors never confirmed node {dead} dead");
+                recovered = false;
+            } else if !death_confirmed(mesh, i, dead, &baseline) {
                 recovered = false;
             }
         }
-        let cur = mesh.stats();
-        let hold = segment_from(i, "hold", &w.fault, &out, probe_deltas(&snapshot, &cur));
-        snapshot = cur;
-        print_segment(&hold);
+        let hold = measure(mesh, "hold", &out);
 
         // Lift: crash windows restart the node on its old port and rebuild
         // its hint table by anti-entropy; the extra heartbeat/flush round
         // lets survivors mark the revival and re-advertise before the
         // recovery segment is measured.
-        match w.fault {
-            FaultKind::Crash { node } => {
+        match crashed {
+            Some(node) => {
                 let rebuilt = mesh.restart(node).expect("restart crashed node");
                 recovered_hints.push(rebuilt);
                 println!("window {i}: node {node} restarted, {rebuilt} hint records resynced");
                 mesh.heartbeat_all();
                 mesh.flush_all();
             }
-            other => mesh.lift(other).expect("lift fault"),
+            None => mesh.lift(w.fault).expect("lift fault"),
         }
-        let (out, issued) = replay_segment(&mesh, opts, &spec, &records, &mut cursor, w.post, None);
-        planned.push(PlannedSegment {
-            window: i,
-            phase: "post".into(),
-            fault: w.fault.describe(),
-            requests: issued,
-        });
-        let cur = mesh.stats();
-        let post = segment_from(i, "post", &w.fault, &out, probe_deltas(&snapshot, &cur));
-        print_segment(&post);
+        let out = replay(mesh, "post", w.post, None);
+        let post = measure(mesh, "post", &out);
 
-        // Recovery criteria: the mesh must serve everything again (no
-        // client-visible errors) without a hit-rate collapse relative to
-        // the pre-window baseline.
         if post.errors > 0 {
             eprintln!(
                 "window {i}: {} errors after the fault was lifted",
@@ -400,49 +415,88 @@ pub fn run_chaos(args: &Args, opts: &ChaosOptions, plan: FaultPlan) -> bool {
             );
             recovered = false;
         }
-        segments.push(pre);
-        segments.push(hold);
-        segments.push(post);
+        segments.extend([pre, hold, post]);
     }
+    WindowsOutcome {
+        planned,
+        segments,
+        recovered_hints,
+        recovered,
+    }
+}
 
-    // Iterate each node's full registry snapshot into the dump — no
-    // field-by-field plumbing, so new metrics can't silently fall out.
-    let node_reports: Vec<ChaosNodeReport> = mesh
-        .addrs()
+/// Each node's full registry snapshot, iterated into the dump — no
+/// field-by-field plumbing, so new metrics can't silently fall out.
+pub(crate) fn node_reports(mesh: &Mesh) -> Vec<ChaosNodeReport> {
+    mesh.addrs()
         .iter()
         .zip(mesh.metric_snapshots())
         .map(|(addr, snapshot)| ChaosNodeReport {
             addr: addr.to_string(),
             metrics: metric_values(&snapshot.unwrap_or_default()),
         })
-        .collect();
+        .collect()
+}
 
-    // Deterministic obs dump: plan-derived values only, so two runs of
-    // the same seeded plan write byte-identical files (CI diffs them
-    // alongside loadgen_chaos.json).
+/// Writes the deterministic `obs_dump.json` of a window run: plan-derived
+/// values only, so two runs of the same seeded plan write byte-identical
+/// files (CI diffs them alongside the deterministic artifact).
+pub(crate) fn write_windows_obs_dump(
+    args: &Args,
+    prefix: &str,
+    plan: &FaultPlan,
+    planned: &[PlannedSegment],
+) {
     let obs = Registry::new();
-    let windows_m = obs.counter(
-        "chaos.windows",
-        Unit::Count,
+    let counter = |name: &str, help: &str, value: u64| {
+        obs.counter(
+            format!("{prefix}.{name}"),
+            Unit::Count,
+            help,
+            Determinism::Deterministic,
+        )
+        .add(value);
+    };
+    counter(
+        "windows",
         "fault windows executed",
-        Determinism::Deterministic,
+        plan.windows.len() as u64,
     );
-    let segments_m = obs.counter(
-        "chaos.segments",
-        Unit::Count,
-        "replay segments planned",
-        Determinism::Deterministic,
-    );
-    let requests_m = obs.counter(
-        "chaos.requests_planned",
-        Unit::Count,
+    counter("segments", "replay segments planned", planned.len() as u64);
+    counter(
+        "requests_planned",
         "requests issued across all planned segments",
-        Determinism::Deterministic,
+        planned.iter().map(|s| s.requests).sum(),
     );
-    windows_m.add(plan.windows.len() as u64);
-    segments_m.add(planned.len() as u64);
-    requests_m.add(planned.iter().map(|s| s.requests).sum());
     write_obs_dump(args, &obs);
+}
+
+/// Runs the fault plan end to end, writing all three artifacts into
+/// `args.out`; returns `false` if any window failed its recovery check.
+///
+/// # Panics
+///
+/// Panics on mesh spawn or artifact I/O failure (harness semantics:
+/// loud failures).
+pub fn run_chaos(args: &Args, opts: &ChaosOptions, plan: FaultPlan) -> bool {
+    println!(
+        "chaos: {} windows over {} nodes, {} requests total",
+        plan.windows.len(),
+        opts.nodes,
+        plan.total_requests()
+    );
+    let (log_path, log_bytes) = write_event_log(args, "loadgen_chaos_events.log", &plan);
+
+    let spec = WorkloadSpec::small()
+        .with_requests(plan.total_requests())
+        .with_clients(opts.nodes as u32 * 256)
+        .with_p_new(opts.p_new);
+    let records: Vec<TraceRecord> = TraceGenerator::new(&spec, plan.seed).collect();
+
+    let mut mesh = spawn_fast_mesh(Topology::Flat { nodes: opts.nodes }, opts);
+    let run = run_windows(&mut mesh, &plan, opts, &spec, &records, |_, _, _, _| true);
+    let node_reports = node_reports(&mesh);
+    write_windows_obs_dump(args, "chaos", &plan, &run.planned);
 
     args.write_json(
         "loadgen_chaos",
@@ -450,24 +504,23 @@ pub fn run_chaos(args: &Args, opts: &ChaosOptions, plan: FaultPlan) -> bool {
             plan,
             nodes: opts.nodes,
             client_threads: opts.clients,
-            segments: planned,
-            recovered,
+            segments: run.planned,
+            recovered: run.recovered,
         },
     );
     args.write_json(
         "loadgen_chaos_metrics",
         &ChaosMetrics {
-            segments,
-            recovered_hints,
+            segments: run.segments,
+            recovered_hints: run.recovered_hints,
             node_reports,
         },
     );
     println!(
-        "chaos event log: {} ({} bytes)",
-        log_path.display(),
-        event_log.len()
+        "chaos event log: {} ({log_bytes} bytes)",
+        log_path.display()
     );
-    println!("recovered: {recovered}");
+    println!("recovered: {}", run.recovered);
     mesh.shutdown();
-    recovered
+    run.recovered
 }

@@ -4,7 +4,7 @@
 //! Two identical meshes are warmed with the same seeded workload, then
 //! the same node is crashed and restarted in each:
 //!
-//! * **log_replay** — nodes run with [`NodeConfig::durability_dir`]
+//! * **log_replay** — nodes run with [`bh_proto::node::NodeConfig::durability_dir`]
 //!   set, so the restarted node recovers its hint table by replaying
 //!   the crash-safe log at spawn: zero network traffic.
 //! * **resync** — the PR-4 baseline: no durable log, the restarted node
@@ -23,15 +23,15 @@
 //! * `obs_dump.json` — deterministic obs-registry dump of the
 //!   plan-derived values.
 
-use crate::chaos::{replay_segment, ChaosOptions};
+use crate::chaos::{fast_mesh_config, replay_segment, ChaosOptions};
 use crate::report::{metric_values, write_obs_dump, MetricValue};
 use crate::Args;
 use bh_obs::{Determinism, Registry, Unit};
-use bh_proto::chaos::ChaosMesh;
-use bh_proto::node::NodeConfig;
+use bh_proto::mesh::{Mesh, Topology};
+use bh_proto::origin::OriginServer;
 use bh_trace::{TraceGenerator, TraceRecord, WorkloadSpec};
 use serde::Serialize;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Mesh shape and crash target for a recovery run.
 #[derive(Debug, Clone)]
@@ -94,17 +94,6 @@ struct RecoveryResult {
     recovered: bool,
 }
 
-fn fast_mesh_config(c: NodeConfig, opts: &RecoveryOptions) -> NodeConfig {
-    let _ = opts;
-    c.with_shards(1)
-        .with_workers(8)
-        .with_flush_max(Duration::from_millis(25))
-        .with_heartbeat_interval(Duration::from_millis(40))
-        .with_suspicion_threshold(2)
-        .with_confirm_death_after(Duration::from_millis(150))
-        .with_shutdown_deadline(Duration::from_secs(2))
-}
-
 /// Runs the comparison and writes the three artifacts. Returns `true`
 /// when the warm restart measurably recovered hints from the log while
 /// the baseline had to resync.
@@ -143,17 +132,16 @@ pub fn run_recovery(args: &Args, opts: &RecoveryOptions) -> bool {
         if durable {
             let _ = std::fs::remove_dir_all(&log_root);
         }
-        let mut mesh = ChaosMesh::spawn_indexed(
-            bh_proto::chaos::Topology::Flat { nodes: opts.nodes },
-            |i, c| {
-                let c = fast_mesh_config(c, opts);
-                if durable {
-                    c.with_durability_dir(log_root.join(format!("node{i}")))
-                } else {
-                    c
-                }
-            },
-        )
+        let origin = OriginServer::spawn("127.0.0.1:0").expect("spawn origin");
+        let topology = Topology::Flat { nodes: opts.nodes };
+        let mut mesh = Mesh::spawn(origin, topology, |i, c| {
+            let c = fast_mesh_config(c, &replay_opts);
+            if durable {
+                c.with_durability_dir(log_root.join(format!("node{i}")))
+            } else {
+                c
+            }
+        })
         .expect("spawn recovery mesh");
 
         // Warm the mesh, then flush twice: once to propagate hint

@@ -32,13 +32,12 @@
 //! integration tests pin.
 
 use crate::chaos::{
-    await_confirmed_death, print_segment, probe_deltas, replay_segment, segment_from,
+    node_reports, run_windows, spawn_fast_mesh, write_event_log, write_windows_obs_dump,
     ChaosNodeReport, ChaosOptions, ChaosSegment, PlannedSegment,
 };
-use crate::report::{metric_values, write_obs_dump};
 use crate::Args;
-use bh_obs::{Determinism, Registry, Unit};
-use bh_proto::chaos::{analytic_churn_for, ChaosMesh, FaultKind, FaultPlan, FaultWindow, Topology};
+use bh_proto::chaos::{analytic_churn_for, FaultKind, FaultPlan, FaultWindow};
+use bh_proto::mesh::{Mesh, Topology};
 use bh_trace::scenario::{ChurnKind, DiurnalChurnSpec, FlashCrowdSpec};
 use bh_trace::{TraceRecord, WorkloadSpec};
 use serde::{Deserialize, Serialize};
@@ -335,7 +334,8 @@ pub struct ScenarioMetrics {
     pub segments: Vec<ChaosSegment>,
     /// Hint records rebuilt by resync after each crash window.
     pub recovered_hints: Vec<usize>,
-    /// Children that adopted a fallback parent, per crash window.
+    /// Children that adopted a fallback parent, per crash window whose
+    /// death the survivors confirmed.
     pub rehomed_children: Vec<usize>,
     /// Full per-node registry dump.
     pub node_reports: Vec<ChaosNodeReport>,
@@ -353,7 +353,7 @@ pub struct ScenarioMetrics {
 /// deadline instead of reading one racy snapshot; diagnostics are only
 /// printed for the final attempt.
 fn check_hierarchy_recovery(
-    mesh: &ChaosMesh,
+    mesh: &Mesh,
     dead: usize,
     baseline: &[Option<bh_proto::node::NodeStats>],
 ) -> (bool, usize) {
@@ -375,7 +375,7 @@ fn check_hierarchy_recovery(
 /// One snapshot of the hierarchy-recovery invariants; `loud` controls
 /// whether violations are printed.
 fn hierarchy_recovery_once(
-    mesh: &ChaosMesh,
+    mesh: &Mesh,
     dead: usize,
     baseline: &[Option<bh_proto::node::NodeStats>],
     loud: bool,
@@ -442,14 +442,10 @@ pub fn run_scenario(args: &Args, scenario: &Scenario) -> bool {
         plan.total_requests()
     );
 
-    let event_log = plan.event_log();
-    std::fs::create_dir_all(&args.out).expect("create output dir");
-    let log_path = args.out.join(format!("{stem}_events.log"));
-    std::fs::write(&log_path, &event_log).expect("write scenario event log");
-    print!("{event_log}");
+    let (log_path, log_bytes) = write_event_log(args, &format!("{stem}_events.log"), plan);
 
     let records = scenario.workload.records(plan.seed);
-    let base = scenario.workload.base().clone();
+    let base = scenario.workload.base();
     let opts = ChaosOptions {
         nodes: scenario.topology.size(),
         clients: scenario.clients,
@@ -458,152 +454,27 @@ pub fn run_scenario(args: &Args, scenario: &Scenario) -> bool {
         p_new: base.p_new,
     };
 
-    let mut mesh = ChaosMesh::spawn_topology(scenario.topology, |c| {
-        c.with_shards(opts.shards)
-            .with_workers(opts.workers)
-            .with_flush_max(Duration::from_millis(25))
-            .with_heartbeat_interval(Duration::from_millis(40))
-            .with_suspicion_threshold(2)
-            .with_confirm_death_after(Duration::from_millis(150))
-            .with_shutdown_deadline(Duration::from_secs(2))
-    })
-    .expect("spawn scenario mesh");
-
-    let mut cursor = 0usize;
-    let mut planned: Vec<PlannedSegment> = Vec::new();
-    let mut segments: Vec<ChaosSegment> = Vec::new();
-    let mut recovered_hints: Vec<usize> = Vec::new();
+    let mut mesh = spawn_fast_mesh(scenario.topology, &opts);
     let mut rehomed_children: Vec<usize> = Vec::new();
-    let mut recovered = true;
-
-    for (i, w) in plan.windows.iter().enumerate() {
-        let window_baseline = mesh.stats();
-        let mut snapshot = window_baseline.clone();
-
-        let (out, issued) = replay_segment(&mesh, &opts, &base, &records, &mut cursor, w.pre, None);
-        planned.push(PlannedSegment {
-            window: i,
-            phase: "pre".into(),
-            fault: w.fault.describe(),
-            requests: issued,
-        });
-        let cur = mesh.stats();
-        let pre = segment_from(i, "pre", &w.fault, &out, probe_deltas(&snapshot, &cur));
-        snapshot = cur;
-        print_segment(&pre);
-
-        mesh.inject(w.fault).expect("inject fault");
-        let crashed = match mesh.resolve(w.fault) {
-            FaultKind::Crash { node } => Some(node),
-            _ => None,
-        };
-        let (out, issued) =
-            replay_segment(&mesh, &opts, &base, &records, &mut cursor, w.hold, crashed);
-        planned.push(PlannedSegment {
-            window: i,
-            phase: "hold".into(),
-            fault: w.fault.describe(),
-            requests: issued,
-        });
-        if let Some(dead) = crashed {
-            if await_confirmed_death(&mesh, dead) {
-                // The hierarchy invariants the tentpole pins: analytic
-                // churn parity on every survivor, plus re-homed orphans.
-                let (ok, rehomed) = check_hierarchy_recovery(&mesh, dead, &window_baseline);
-                rehomed_children.push(rehomed);
-                if !ok {
-                    recovered = false;
-                }
-                if rehomed > 0 {
-                    println!("window {i}: {rehomed} orphaned children re-homed");
-                }
-            } else {
-                eprintln!("window {i}: survivors never confirmed node {dead} dead");
-                rehomed_children.push(0);
-                recovered = false;
+    // The hierarchy invariants: analytic churn parity on every survivor,
+    // plus re-homed orphans.
+    let run = run_windows(
+        &mut mesh,
+        plan,
+        &opts,
+        base,
+        &records,
+        |mesh, i, dead, baseline| {
+            let (ok, rehomed) = check_hierarchy_recovery(mesh, dead, baseline);
+            rehomed_children.push(rehomed);
+            if rehomed > 0 {
+                println!("window {i}: {rehomed} orphaned children re-homed");
             }
-        }
-        let cur = mesh.stats();
-        let hold = segment_from(i, "hold", &w.fault, &out, probe_deltas(&snapshot, &cur));
-        snapshot = cur;
-        print_segment(&hold);
-
-        match crashed {
-            Some(node) => {
-                let rebuilt = mesh.restart(node).expect("restart crashed node");
-                recovered_hints.push(rebuilt);
-                println!("window {i}: node {node} restarted, {rebuilt} hint records resynced");
-                mesh.heartbeat_all();
-                mesh.flush_all();
-            }
-            None => mesh.lift(w.fault).expect("lift fault"),
-        }
-        let (out, issued) =
-            replay_segment(&mesh, &opts, &base, &records, &mut cursor, w.post, None);
-        planned.push(PlannedSegment {
-            window: i,
-            phase: "post".into(),
-            fault: w.fault.describe(),
-            requests: issued,
-        });
-        let cur = mesh.stats();
-        let post = segment_from(i, "post", &w.fault, &out, probe_deltas(&snapshot, &cur));
-        print_segment(&post);
-
-        if post.errors > 0 {
-            eprintln!(
-                "window {i}: {} errors after the fault was lifted",
-                post.errors
-            );
-            recovered = false;
-        }
-        if post.hit_ratio + 0.25 < pre.hit_ratio {
-            eprintln!(
-                "window {i}: hit ratio collapsed {:.3} -> {:.3} after recovery",
-                pre.hit_ratio, post.hit_ratio
-            );
-            recovered = false;
-        }
-        segments.push(pre);
-        segments.push(hold);
-        segments.push(post);
-    }
-
-    let node_reports: Vec<ChaosNodeReport> = mesh
-        .addrs()
-        .iter()
-        .zip(mesh.metric_snapshots())
-        .map(|(addr, snapshot)| ChaosNodeReport {
-            addr: addr.to_string(),
-            metrics: metric_values(&snapshot.unwrap_or_default()),
-        })
-        .collect();
-
-    // Deterministic obs dump: plan/scenario-derived values only, so two
-    // runs of the same seed write byte-identical files.
-    let obs = Registry::new();
-    let windows_m = obs.counter(
-        "scenario.windows",
-        Unit::Count,
-        "fault windows executed",
-        Determinism::Deterministic,
+            ok
+        },
     );
-    let segments_m = obs.counter(
-        "scenario.segments",
-        Unit::Count,
-        "replay segments planned",
-        Determinism::Deterministic,
-    );
-    let requests_m = obs.counter(
-        "scenario.requests_planned",
-        Unit::Count,
-        "requests issued across all planned segments",
-        Determinism::Deterministic,
-    );
-    windows_m.add(plan.windows.len() as u64);
-    segments_m.add(planned.len() as u64);
-    requests_m.add(planned.iter().map(|s| s.requests).sum());
-    write_obs_dump(args, &obs);
+    let node_reports = node_reports(&mesh);
+    write_windows_obs_dump(args, "scenario", plan, &run.planned);
 
     args.write_json(
         &stem,
@@ -611,27 +482,26 @@ pub fn run_scenario(args: &Args, scenario: &Scenario) -> bool {
             scenario: scenario.clone(),
             workload: scenario.workload.label().to_string(),
             workload_fingerprint: scenario.workload.fingerprint(),
-            segments: planned,
-            recovered,
+            segments: run.planned,
+            recovered: run.recovered,
         },
     );
     args.write_json(
         &format!("{stem}_metrics"),
         &ScenarioMetrics {
-            segments,
-            recovered_hints,
+            segments: run.segments,
+            recovered_hints: run.recovered_hints,
             rehomed_children,
             node_reports,
         },
     );
     println!(
-        "scenario event log: {} ({} bytes)",
-        log_path.display(),
-        event_log.len()
+        "scenario event log: {} ({log_bytes} bytes)",
+        log_path.display()
     );
-    println!("recovered: {recovered}");
+    println!("recovered: {}", run.recovered);
     mesh.shutdown();
-    recovered
+    run.recovered
 }
 
 #[cfg(test)]

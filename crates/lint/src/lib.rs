@@ -78,9 +78,10 @@ pub mod scope {
 
     /// Artifact-writing paths where iteration order reaches JSON files,
     /// stdout tables, or event logs.
-    pub const ARTIFACT_PATHS: [&str; 4] = [
+    pub const ARTIFACT_PATHS: [&str; 5] = [
         "crates/bench/src/",
         "crates/proto/src/chaos.rs",
+        "crates/proto/src/mesh.rs",
         "crates/proto/src/replay.rs",
         "crates/trace/src/scenario.rs",
     ];

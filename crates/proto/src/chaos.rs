@@ -10,7 +10,7 @@
 //! of the plan: the same seed produces a byte-identical event log on
 //! every run, which is what makes chaos regressions diffable in CI.
 //!
-//! [`ChaosMesh`] owns a running origin + node mesh and knows how to apply
+//! A running [`Mesh`] (stood up by [`Mesh::spawn`]) knows how to apply
 //! and lift each [`FaultKind`]. Every live control travels through the
 //! mesh API namespace as a wire-level `Set` (the same remotely
 //! addressable path `obs set` uses), so a chaos window exercises exactly
@@ -34,8 +34,8 @@
 //!   outbound send drops from the switch's seeded drop stream.
 
 use crate::client::Connection;
-use crate::node::{mesh_tree_for, CacheNode, NodeConfig, NodeStats};
-use crate::origin::OriginServer;
+use crate::mesh::{Mesh, Topology};
+use crate::node::{mesh_tree_for, CacheNode};
 use std::io;
 use std::net::SocketAddr;
 
@@ -129,100 +129,6 @@ impl FaultKind {
             FaultKind::Partition { a, b } => a.max(b),
             FaultKind::PartitionOneWay { from, to } => from.max(to),
             FaultKind::CrashParent { .. } => 0,
-        }
-    }
-}
-
-/// The shape of a [`ChaosMesh`]: how many nodes, and how they are wired
-/// for hint propagation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub enum Topology {
-    /// Every node neighbors every other (the PR-3 mesh).
-    Flat {
-        /// Number of nodes.
-        nodes: usize,
-    },
-    /// A two-level metadata hierarchy (§3.1.2): `parents` interior nodes
-    /// neighbor each other; each parent has `children_per_parent` leaf
-    /// children that flush hints only through their parent. Parents are
-    /// spawned first (indices `0..parents`), then children in parent
-    /// order, so index arithmetic is stable.
-    TwoLevel {
-        /// Interior (parent) nodes; at least 2 so orphans can re-home.
-        parents: usize,
-        /// Leaf children under each parent.
-        children_per_parent: usize,
-    },
-}
-
-impl Topology {
-    /// Total node count.
-    pub fn size(&self) -> usize {
-        match *self {
-            Topology::Flat { nodes } => nodes,
-            Topology::TwoLevel {
-                parents,
-                children_per_parent,
-            } => parents * (1 + children_per_parent),
-        }
-    }
-
-    /// The spawn index of the first interior node at hierarchy depth
-    /// `level`, if that depth has interior nodes. A two-level tree has
-    /// exactly one interior depth (0, the parents).
-    pub fn first_parent_at(&self, level: usize) -> Option<usize> {
-        match *self {
-            Topology::Flat { .. } => None,
-            Topology::TwoLevel { parents, .. } => (level == 0 && parents > 0).then_some(0),
-        }
-    }
-
-    /// The parent assigned to `index`, if `index` is a child.
-    pub fn parent_of(&self, index: usize) -> Option<usize> {
-        match *self {
-            Topology::Flat { .. } => None,
-            Topology::TwoLevel {
-                parents,
-                children_per_parent,
-            } => {
-                if index < parents || children_per_parent == 0 {
-                    None
-                } else {
-                    Some((index - parents) / children_per_parent)
-                }
-            }
-        }
-    }
-
-    /// The children assigned to `index`, empty for leaves and flat meshes.
-    pub fn children_of(&self, index: usize) -> Vec<usize> {
-        match *self {
-            Topology::Flat { .. } => Vec::new(),
-            Topology::TwoLevel {
-                parents,
-                children_per_parent,
-            } => {
-                if index >= parents {
-                    return Vec::new();
-                }
-                let first = parents + index * children_per_parent;
-                (first..first + children_per_parent).collect()
-            }
-        }
-    }
-
-    /// Checks the topology itself is well-formed.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the defect.
-    pub fn validate(&self) -> Result<(), String> {
-        match *self {
-            Topology::Flat { nodes: 0 } => Err("flat mesh needs at least 1 node".into()),
-            Topology::TwoLevel { parents, .. } if parents < 2 => {
-                Err("two-level mesh needs at least 2 parents so orphans can re-home".into())
-            }
-            _ => Ok(()),
         }
     }
 }
@@ -365,244 +271,20 @@ impl FaultPlan {
     }
 }
 
-/// A running origin + full-mesh node cluster that a [`FaultPlan`] can be
-/// applied to. Nodes are addressed by spawn index; a crashed slot holds
-/// `None` until the window lifts.
-pub struct ChaosMesh {
-    origin: OriginServer,
-    nodes: Vec<Option<CacheNode>>,
-    /// Respawn configs with the concrete (post-bind) addresses, so a
-    /// restart reclaims the crashed node's port and identity.
-    configs: Vec<NodeConfig>,
-    addrs: Vec<SocketAddr>,
-    topology: Topology,
-}
-
-/// Node `i`'s hint wiring under `topology`:
-/// `(neighbors, parent, children, fallback_parents)`.
-fn wiring_for(
-    topology: &Topology,
-    addrs: &[SocketAddr],
-    i: usize,
-) -> (
-    Vec<SocketAddr>,
-    Option<SocketAddr>,
-    Vec<SocketAddr>,
-    Vec<SocketAddr>,
-) {
-    match *topology {
-        Topology::Flat { .. } => {
-            let neighbors = addrs
-                .iter()
-                .enumerate()
-                .filter(|(j, _)| *j != i)
-                .map(|(_, a)| *a)
-                .collect();
-            (neighbors, None, Vec::new(), Vec::new())
-        }
-        Topology::TwoLevel { parents, .. } => {
-            if i < parents {
-                let neighbors = addrs[..parents]
-                    .iter()
-                    .enumerate()
-                    .filter(|(j, _)| *j != i)
-                    .map(|(_, a)| *a)
-                    .collect();
-                let children = topology
-                    .children_of(i)
-                    .into_iter()
-                    .map(|c| addrs[c])
-                    .collect();
-                (neighbors, None, children, Vec::new())
-            } else {
-                let parent = topology.parent_of(i).map(|p| addrs[p]);
-                (Vec::new(), parent, Vec::new(), addrs[..parents].to_vec())
-            }
-        }
-    }
-}
-
-impl ChaosMesh {
-    /// Spawns an origin and `n` nodes wired as a full mesh (every node
-    /// neighbors every other, all sharing the same Plaxton membership).
-    /// `tune` customizes each node's config after the origin is known —
-    /// timeouts, heartbeat cadence, engine mode.
-    ///
-    /// # Errors
-    ///
-    /// Propagates origin/node spawn failures.
-    pub fn spawn(n: usize, tune: impl Fn(NodeConfig) -> NodeConfig) -> io::Result<ChaosMesh> {
-        Self::spawn_topology(Topology::Flat { nodes: n }, tune)
-    }
-
-    /// Spawns an origin plus a mesh shaped by `topology`. In a
-    /// [`Topology::TwoLevel`] hierarchy, parents neighbor the other
-    /// parents and flush down to their children; children flush only
-    /// through their parent and carry every other parent as a re-homing
-    /// fallback. Every node regardless of role monitors the *full*
-    /// membership for liveness and shares the Plaxton membership, so a
-    /// confirmed death is repaired by every survivor identically.
-    ///
-    /// # Errors
-    ///
-    /// Rejects invalid topologies; propagates origin/node spawn failures.
-    pub fn spawn_topology(
-        topology: Topology,
-        tune: impl Fn(NodeConfig) -> NodeConfig,
-    ) -> io::Result<ChaosMesh> {
-        Self::spawn_indexed(topology, |_, config| tune(config))
-    }
-
-    /// Like [`ChaosMesh::spawn_topology`], but the tuner also receives
-    /// the node's spawn index — needed for per-node state such as a
-    /// [`NodeConfig::durability_dir`], which must be unique per node.
-    ///
-    /// # Errors
-    ///
-    /// Rejects invalid topologies; propagates origin/node spawn failures.
-    pub fn spawn_indexed(
-        topology: Topology,
-        tune: impl Fn(usize, NodeConfig) -> NodeConfig,
-    ) -> io::Result<ChaosMesh> {
-        topology
-            .validate()
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
-        let origin = OriginServer::spawn("127.0.0.1:0")?;
-        let n = topology.size();
-        let mut nodes = Vec::with_capacity(n);
-        for i in 0..n {
-            let config = tune(i, NodeConfig::new("127.0.0.1:0", origin.addr()));
-            nodes.push(CacheNode::spawn(config)?);
-        }
-        let addrs: Vec<SocketAddr> = nodes.iter().map(|node| node.addr()).collect();
-        let mut configs = Vec::with_capacity(n);
-        for i in 0..n {
-            let (neighbors, parent, children, _) = wiring_for(&topology, &addrs, i);
-            let mut config = tune(i, NodeConfig::new(addrs[i].to_string(), origin.addr()));
-            config.neighbors = neighbors;
-            config.parent = parent;
-            config.children = children;
-            configs.push(config);
-        }
-        let mesh = ChaosMesh {
-            origin,
-            nodes: nodes.into_iter().map(Some).collect(),
-            configs,
-            addrs,
-            topology,
-        };
-        for i in 0..n {
-            if let Some(node) = mesh.node(i) {
-                mesh.wire(i, node);
-            }
-        }
-        Ok(mesh)
-    }
-
-    /// Applies node `index`'s full runtime wiring — hint topology,
-    /// re-homing fallbacks, liveness peers, Plaxton membership. Called
-    /// at spawn and again on every restart.
-    fn wire(&self, index: usize, node: &CacheNode) {
-        let (neighbors, parent, children, fallback) =
-            wiring_for(&self.topology, &self.addrs, index);
-        node.set_neighbors(neighbors);
-        node.set_parent(parent);
-        node.set_children(children);
-        node.set_fallback_parents(fallback);
-        match self.topology {
-            Topology::Flat { .. } => node.set_liveness_peers(None),
-            Topology::TwoLevel { .. } => {
-                // Liveness is mesh-wide even though hint flushes follow
-                // the tree: every survivor must confirm a death to keep
-                // the repaired Plaxton trees in agreement.
-                let others = self
-                    .addrs
-                    .iter()
-                    .enumerate()
-                    .filter(|(j, _)| *j != index)
-                    .map(|(_, a)| *a)
-                    .collect();
-                node.set_liveness_peers(Some(others));
-            }
-        }
-        node.set_mesh(&self.addrs);
-    }
-
-    /// The topology this mesh was spawned with.
-    pub fn topology(&self) -> Topology {
-        self.topology
-    }
-
+/// Fault injection on a running mesh.
+impl Mesh {
     /// Resolves a role-targeted fault to the concrete node index it
     /// names under this mesh's topology. Index-targeted faults pass
     /// through unchanged.
     pub fn resolve(&self, fault: FaultKind) -> FaultKind {
         match fault {
-            FaultKind::CrashParent { level } => match self.topology.first_parent_at(level) {
+            FaultKind::CrashParent { level } => match self.topology().first_parent_at(level) {
                 Some(node) => FaultKind::Crash { node },
                 // Rejected by validate_for before any plan runs; resolving
                 // anyway keeps inject/lift total.
                 None => fault,
             },
             other => other,
-        }
-    }
-
-    /// The origin server backing the mesh.
-    pub fn origin(&self) -> &OriginServer {
-        &self.origin
-    }
-
-    /// Every node's bound address, in spawn order (stable across crash
-    /// and restart).
-    pub fn addrs(&self) -> &[SocketAddr] {
-        &self.addrs
-    }
-
-    /// The node at `index`, or `None` while it is crashed.
-    pub fn node(&self, index: usize) -> Option<&CacheNode> {
-        self.nodes.get(index).and_then(|n| n.as_ref())
-    }
-
-    /// Index of a live node, preferring `preferred` — where a crashed
-    /// node's clients reconnect during its window.
-    pub fn live_node(&self, preferred: usize) -> Option<usize> {
-        if self.node(preferred).is_some() {
-            return Some(preferred);
-        }
-        (0..self.nodes.len()).find(|&i| self.node(i).is_some())
-    }
-
-    /// Per-node stats snapshots (`None` for crashed slots).
-    pub fn stats(&self) -> Vec<Option<NodeStats>> {
-        self.nodes
-            .iter()
-            .map(|n| n.as_ref().map(|n| n.stats()))
-            .collect()
-    }
-
-    /// Per-node metrics-registry snapshots (`None` for crashed slots):
-    /// every registered metric as a name-sorted `(name, value)` list.
-    /// The registry-iteration surface dumps are built from — nothing is
-    /// copied field by field.
-    pub fn metric_snapshots(&self) -> Vec<Option<Vec<bh_obs::MetricEntry>>> {
-        self.nodes
-            .iter()
-            .map(|n| n.as_ref().map(|n| n.metrics_snapshot()))
-            .collect()
-    }
-
-    /// Runs one immediate heartbeat round on every live node.
-    pub fn heartbeat_all(&self) {
-        for node in self.nodes.iter().flatten() {
-            node.heartbeat_now();
-        }
-    }
-
-    /// Flushes pending hint updates on every live node.
-    pub fn flush_all(&self) {
-        for node in self.nodes.iter().flatten() {
-            node.flush_updates_now();
         }
     }
 
@@ -615,7 +297,7 @@ impl ChaosMesh {
 
     /// Restarts a crashed node on its original port, rewires it into the
     /// mesh, and rebuilds its hint table: a node with a durable hint log
-    /// ([`NodeConfig::durability_dir`]) recovers by replaying it at
+    /// ([`crate::node::NodeConfig::durability_dir`]) recovers by replaying it at
     /// spawn — no network traffic — and falls back to an anti-entropy
     /// resync driven through the mesh API control plane only when the
     /// replay recovered nothing. Returns the number of hint records
@@ -643,10 +325,10 @@ impl ChaosMesh {
     /// wire. Crashed slots are skipped (there is nothing to configure
     /// and nothing listening).
     fn control_set(&self, index: usize, path: &str, value: &str) -> io::Result<()> {
-        if self.nodes[index].is_none() {
+        if self.node(index).is_none() {
             return Ok(());
         }
-        Connection::open(self.addrs[index])?.meta_set(path, value)?;
+        Connection::open(self.addrs()[index])?.meta_set(path, value)?;
         Ok(())
     }
 
@@ -673,14 +355,14 @@ impl ChaosMesh {
         match self.resolve(fault) {
             FaultKind::Crash { node } => self.crash(node),
             FaultKind::Partition { a, b } => {
-                let (addr_a, addr_b) = (self.addrs[a], self.addrs[b]);
+                let (addr_a, addr_b) = (self.addrs()[a], self.addrs()[b]);
                 self.control_set(a, &format!("mesh/nodes/self/pool/blocked/{addr_b}"), "true")?;
                 self.control_set(b, &format!("mesh/nodes/self/pool/blocked/{addr_a}"), "true")?;
             }
             FaultKind::PartitionOneWay { from, to } => {
                 // Asymmetric: only `from`'s outbound path to `to` is cut;
                 // the reverse direction stays healthy.
-                let addr_to = self.addrs[to];
+                let addr_to = self.addrs()[to];
                 self.control_set(
                     from,
                     &format!("mesh/nodes/self/pool/blocked/{addr_to}"),
@@ -731,7 +413,7 @@ impl ChaosMesh {
             FaultKind::Partition { a, b } => {
                 // `Set blocked = false` also forgives: the next probe
                 // must get through instead of waiting out quarantine.
-                let (addr_a, addr_b) = (self.addrs[a], self.addrs[b]);
+                let (addr_a, addr_b) = (self.addrs()[a], self.addrs()[b]);
                 self.control_set(
                     a,
                     &format!("mesh/nodes/self/pool/blocked/{addr_b}"),
@@ -744,7 +426,7 @@ impl ChaosMesh {
                 )?;
             }
             FaultKind::PartitionOneWay { from, to } => {
-                let addr_to = self.addrs[to];
+                let addr_to = self.addrs()[to];
                 self.control_set(
                     from,
                     &format!("mesh/nodes/self/pool/blocked/{addr_to}"),
@@ -760,8 +442,8 @@ impl ChaosMesh {
                 // the mesh-level lift also unblocks it everywhere so the
                 // post segment starts from restored wiring either way.
                 self.clear_faults(peer)?;
-                let addr = self.addrs[peer];
-                for i in 0..self.nodes.len() {
+                let addr = self.addrs()[peer];
+                for i in 0..self.addrs().len() {
                     if i != peer {
                         self.control_set(
                             i,
@@ -774,15 +456,6 @@ impl ChaosMesh {
             FaultKind::CrashParent { .. } => {}
         }
         Ok(())
-    }
-
-    /// Gracefully shuts the whole mesh down.
-    pub fn shutdown(mut self) {
-        for node in self.nodes.iter_mut() {
-            if let Some(node) = node.take() {
-                node.shutdown();
-            }
-        }
     }
 }
 
@@ -815,22 +488,6 @@ fn read_counter(conn: &mut Connection, path: &str) -> io::Result<u64> {
         .first()
         .and_then(|e| e.value.parse().ok())
         .ok_or_else(|| io::Error::other(format!("non-numeric value at {path}")))
-}
-
-impl std::fmt::Debug for ChaosMesh {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ChaosMesh")
-            .field("addrs", &self.addrs)
-            .field(
-                "live",
-                &self
-                    .nodes
-                    .iter()
-                    .map(|n| n.is_some())
-                    .collect::<Vec<bool>>(),
-            )
-            .finish()
-    }
 }
 
 /// Analytic count of the Plaxton routing-table entries the mesh rewrites

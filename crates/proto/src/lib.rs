@@ -42,6 +42,7 @@
 pub mod chaos;
 pub mod client;
 pub mod liveness;
+pub mod mesh;
 pub mod node;
 pub mod origin;
 pub mod pool;

@@ -179,13 +179,10 @@ pub(super) fn spawn(listener: TcpListener, inner: Arc<Inner>) -> io::Result<Engi
         tx: job_tx,
         depth: Arc::new(AtomicUsize::new(0)),
         saturated: Arc::new(AtomicBool::new(false)),
-        // Default high-water mark: enough queued Gets to keep every worker
-        // busy through a burst, small enough that a stalled origin turns
-        // into redirects instead of unbounded memory.
-        high_water: inner
-            .config
-            .admission_high_water
-            .unwrap_or_else(|| (workers * 64).max(256)),
+        // Enough queued Gets to keep every worker busy through a burst,
+        // small enough that a stalled origin turns into redirects instead
+        // of unbounded memory.
+        high_water: (workers * 64).max(256),
     };
     let mut threads = Vec::with_capacity(workers + shards + 1);
 
@@ -322,9 +319,11 @@ fn worker_loop(
     }
 }
 
-/// Replays parked frames until the backlog drains or another `Get` checks
-/// out. Runs under the connection lock, on whichever thread cleared
-/// `busy` (a worker finishing a `Get`, usually).
+/// Dispatches parked frames until the backlog drains or a `Get` checks
+/// out: a missing `Get` goes to the worker pool, everything else
+/// (including locally-hit `Get`s) is answered inline. Runs under the
+/// connection lock, on the shard delivering a frame or on whichever
+/// thread cleared `busy` (a worker finishing a `Get`, usually).
 fn replay_backlog(
     conn: &Arc<SharedConn>,
     state: &mut ConnState,
@@ -340,6 +339,8 @@ fn replay_backlog(
         };
         match msg {
             Message::Get { url } => {
+                // Drain (mesh API) outranks the local-hit fast path: a
+                // drained node turns every client `Get` away.
                 if inner.drained() {
                     reject_get(inner, &conn.stream, state, scratch, &url, 0);
                 } else if let Some(reply) = local_hit(inner, &url) {
@@ -356,6 +357,7 @@ fn replay_backlog(
                         conn: Arc::clone(conn),
                     };
                     if jobs.send(job).is_err() {
+                        // Engine tearing down; the connection dies with it.
                         state.closed = true;
                         inner.metrics.service_errors.inc();
                     }
@@ -559,10 +561,10 @@ impl Shard {
         }
     }
 
-    /// Routes one frame under the connection lock: parked if a `Get` is in
-    /// flight, a missing `Get` to the worker pool, everything else
-    /// (including locally-hit `Get`s) answered inline. Returns false when
-    /// the connection should be torn down.
+    /// Routes one frame under the connection lock, through the backlog so
+    /// there is one dispatch ladder ([`replay_backlog`]): the frame stays
+    /// parked if a `Get` is in flight and is dispatched at once otherwise.
+    /// Returns false when the connection should be torn down.
     fn deliver(&mut self, token: u64, msg: Message) -> bool {
         let Some(conn) = self.conns.get(&token) else {
             return false;
@@ -573,56 +575,16 @@ impl Shard {
         if state.closed {
             return false;
         }
-        if state.busy {
-            state.backlog.push_back(msg);
-            return true;
-        }
-        match msg {
-            Message::Get { url } => {
-                // Drain (mesh API) outranks the local-hit fast path: a
-                // drained node turns every client `Get` away.
-                if self.inner.drained() {
-                    reject_get(
-                        &self.inner,
-                        &shared.stream,
-                        &mut state,
-                        &mut self.scratch,
-                        &url,
-                        0,
-                    );
-                } else if let Some(reply) = local_hit(&self.inner, &url) {
-                    reply.encode(&mut self.scratch);
-                    send_frame(&shared.stream, &mut state, &self.scratch);
-                } else if let Err(depth) = self.jobs.admit(&self.inner) {
-                    reject_get(
-                        &self.inner,
-                        &shared.stream,
-                        &mut state,
-                        &mut self.scratch,
-                        &url,
-                        depth,
-                    );
-                } else {
-                    state.busy = true;
-                    let job = WorkerJob {
-                        shard: self.id,
-                        token,
-                        url,
-                        conn: Arc::clone(&shared),
-                    };
-                    if self.jobs.send(job).is_err() {
-                        // Engine tearing down; the connection dies with it.
-                        self.inner.metrics.service_errors.inc();
-                        return false;
-                    }
-                }
-            }
-            other => {
-                let reply = local_response(&self.inner, other);
-                reply.encode(&mut self.scratch);
-                send_frame(&shared.stream, &mut state, &self.scratch);
-            }
-        }
+        state.backlog.push_back(msg);
+        replay_backlog(
+            &shared,
+            &mut state,
+            &self.inner,
+            &self.jobs,
+            &mut self.scratch,
+            self.id,
+            token,
+        );
         !state.closed
     }
 
@@ -738,4 +700,45 @@ fn write_some(stream: &TcpStream, state: &mut ConnState, inner: &Inner) -> io::R
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::node::{CacheNode, NodeConfig};
+    use crate::origin::OriginServer;
+
+    /// `queue_saturation_events` counts episodes, not rejects: one per
+    /// rising edge of the mark, re-armed only once the queue has drained
+    /// back to half of it.
+    #[test]
+    fn admit_counts_one_saturation_event_per_episode() {
+        let origin = OriginServer::spawn("127.0.0.1:0").expect("origin");
+        let node = CacheNode::spawn(NodeConfig::new("127.0.0.1:0", origin.addr())).expect("node");
+        let inner = &node.inner;
+        let (tx, _rx) = channel::unbounded();
+        let jobs = JobQueue {
+            tx,
+            depth: Arc::new(AtomicUsize::new(0)),
+            saturated: Arc::new(AtomicBool::new(false)),
+            high_water: 4,
+        };
+        let events = || inner.metrics.queue_saturation_events.get();
+        let at = |depth: usize| {
+            jobs.depth.store(depth, Ordering::Relaxed);
+            jobs.admit(inner)
+        };
+
+        assert_eq!(at(3), Ok(()), "below the mark");
+        assert_eq!(events(), 0);
+        assert_eq!(at(4), Err(4), "at the mark");
+        assert_eq!(at(9), Err(9));
+        assert_eq!(events(), 1, "every reject of one episode counts once");
+        assert_eq!(at(3), Ok(()), "admitted again below the mark");
+        assert_eq!(at(4), Err(4));
+        assert_eq!(events(), 1, "never drained to half: still the same episode");
+        assert_eq!(at(2), Ok(()), "half the mark ends the episode");
+        assert_eq!(at(4), Err(4));
+        assert_eq!(events(), 2, "a new rising edge is a new episode");
+    }
 }

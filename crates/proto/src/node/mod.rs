@@ -76,15 +76,6 @@ pub struct NodeConfig {
     pub shards: usize,
     /// Worker threads servicing `Get` requests (min 1).
     pub workers: usize,
-    /// Digest-partitioned hint-store shards (min 1). Lookups and batch
-    /// applies lock only the owning shard; full iteration (purge,
-    /// `Resync`, scrape) walks shards in index order so artifacts stay
-    /// deterministic.
-    pub hint_shards: usize,
-    /// Worker-queue high-water mark for admission control. `None` sizes
-    /// it from the worker count (`workers * 64`, at least 256); `Some(0)`
-    /// rejects every `Get` that would queue (useful in tests).
-    pub admission_high_water: Option<usize>,
     /// Global cap on idle pooled connections across all remotes. `None`
     /// keeps the pool default (256). Wide meshes run many nodes per
     /// process in the harness, so the per-process fd budget is roughly
@@ -127,8 +118,6 @@ impl NodeConfig {
             io_timeout: Duration::from_secs(5),
             shards: 2,
             workers: 8,
-            hint_shards: 8,
-            admission_high_water: None,
             pool_idle_cap: None,
             heartbeat_interval: Duration::from_secs(1),
             suspicion_threshold: 3,
@@ -180,19 +169,6 @@ impl NodeConfig {
         self
     }
 
-    /// Sets the hint-store shard count.
-    pub fn with_hint_shards(mut self, shards: usize) -> Self {
-        self.hint_shards = shards.max(1);
-        self
-    }
-
-    /// Sets the admission-control high-water mark (`0` rejects every
-    /// queued `Get`).
-    pub fn with_admission_high_water(mut self, mark: usize) -> Self {
-        self.admission_high_water = Some(mark);
-        self
-    }
-
     /// Caps idle pooled connections across all remotes (min 1).
     pub fn with_pool_idle_cap(mut self, cap: usize) -> Self {
         self.pool_idle_cap = Some(cap.max(1));
@@ -238,6 +214,10 @@ struct Store {
     bodies: HashMap<u64, Bytes>,
 }
 
+/// Digest-partitioned hint-store shards per node. Lookups and batch
+/// applies lock only the owning shard.
+const HINT_SHARDS: usize = 8;
+
 /// The hint store partitioned into digest-indexed shards, each behind its
 /// own lock, so worker-thread lookups and batch applies stop contending
 /// on the data-store lock (and on each other). A key lives in shard
@@ -250,14 +230,13 @@ struct HintShards {
 }
 
 impl HintShards {
-    /// Splits `total` capacity evenly across `n` shards (min 1).
+    /// Splits `total` capacity evenly across [`HINT_SHARDS`] shards.
     /// `HintCache::with_capacity` floors each shard at one way-set, so a
     /// tiny capacity still yields usable shards.
-    fn with_capacity(total: ByteSize, n: usize) -> HintShards {
-        let n = n.max(1);
-        let per = ByteSize::from_bytes(total.as_bytes() / n as u64);
+    fn with_capacity(total: ByteSize) -> HintShards {
+        let per = ByteSize::from_bytes(total.as_bytes() / HINT_SHARDS as u64);
         HintShards {
-            shards: (0..n)
+            shards: (0..HINT_SHARDS)
                 .map(|_| Mutex::new(HintCache::with_capacity(per)))
                 .collect(),
         }
@@ -442,7 +421,7 @@ impl CacheNode {
             ..PoolConfig::default()
         });
         let metrics = NodeMetrics::register();
-        let hints = HintShards::with_capacity(config.hint_capacity, config.hint_shards);
+        let hints = HintShards::with_capacity(config.hint_capacity);
         let mut hintlog = None;
         if let Some(dir) = &config.durability_dir {
             // Warm restart: open the durable log and replay snapshot +
@@ -959,17 +938,24 @@ fn verify_hint_batch(
     false
 }
 
+/// Everyone a hint flush reaches: the neighbor set plus the tree edges
+/// (parent, then children).
+fn flush_targets(inner: &Inner) -> Vec<SocketAddr> {
+    let mut targets: Vec<SocketAddr> = inner.neighbors.lock().clone();
+    if let Some(p) = *inner.parent.lock() {
+        targets.push(p);
+    }
+    targets.extend(inner.children.lock().iter().copied());
+    targets
+}
+
 fn flush_once(inner: &Inner) {
     persist_hint_log(inner);
     let batch: Vec<HintUpdate> = std::mem::take(&mut *inner.pending.lock()).into();
     if batch.is_empty() {
         return;
     }
-    let mut targets: Vec<SocketAddr> = inner.neighbors.lock().clone();
-    if let Some(p) = *inner.parent.lock() {
-        targets.push(p);
-    }
-    targets.extend(inner.children.lock().iter().copied());
+    let targets = flush_targets(inner);
     // Coalesce first (an Add shadowed by a Remove never hits the wire),
     // then one versioned HintBatch per target over a warm pooled
     // connection. A dead target fails at most one fast probe and is
@@ -1142,16 +1128,10 @@ fn on_peer_revived(inner: &Inner, addr: SocketAddr) {
 /// Returns the number of hint records learned and advances the
 /// namespace-visible `resync_runs`/`resync_learned` counters.
 fn resync_now(inner: &Inner) -> usize {
-    // Pull from the same peers a flush would reach: neighbors plus
-    // the tree edges, so a restarted leaf recovers through its
-    // parent even with an empty neighbor set.
-    let mut peers: Vec<SocketAddr> = inner.neighbors.lock().clone();
-    if let Some(p) = *inner.parent.lock() {
-        peers.push(p);
-    }
-    peers.extend(inner.children.lock().iter().copied());
+    // Pull from the same peers a flush would reach, so a restarted leaf
+    // recovers through its parent even with an empty neighbor set.
     let mut learned = 0;
-    for addr in peers {
+    for addr in flush_targets(inner) {
         // Two attempts, no quarantine interaction either way: resync
         // runs right after restart, when this node has no basis for
         // judging its peers yet.
@@ -1517,32 +1497,16 @@ fn local_response(inner: &Arc<Inner>, msg: Message) -> Message {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mesh::{Mesh, Topology};
     use crate::origin::OriginServer;
 
     fn cluster(n: usize) -> (OriginServer, Vec<CacheNode>) {
         let origin = OriginServer::spawn("127.0.0.1:0").expect("origin");
-        let nodes: Vec<CacheNode> = (0..n)
-            .map(|_| {
-                CacheNode::spawn(
-                    NodeConfig::new("127.0.0.1:0", origin.addr())
-                        .with_flush_max(Duration::from_secs(3600)),
-                )
-                .expect("node")
-            })
-            .collect();
-        // Wire the full mesh now that every address is known.
-        let addrs: Vec<SocketAddr> = nodes.iter().map(|n| n.addr()).collect();
-        for (i, node) in nodes.iter().enumerate() {
-            node.set_neighbors(
-                addrs
-                    .iter()
-                    .enumerate()
-                    .filter(|(j, _)| *j != i)
-                    .map(|(_, a)| *a)
-                    .collect(),
-            );
-        }
-        (origin, nodes)
+        Mesh::spawn(origin, Topology::Flat { nodes: n }, |_, c| {
+            c.with_flush_max(Duration::from_secs(3600))
+        })
+        .expect("mesh")
+        .into_parts()
     }
 
     #[test]

@@ -338,6 +338,7 @@ pub fn replay_concurrent(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mesh::{Mesh, Topology};
     use crate::node::{CacheNode, NodeConfig};
     use crate::origin::OriginServer;
     use bh_trace::{TraceGenerator, WorkloadSpec};
@@ -345,28 +346,12 @@ mod tests {
 
     fn cluster(n: usize) -> (OriginServer, Vec<CacheNode>) {
         let origin = OriginServer::spawn("127.0.0.1:0").expect("origin");
-        let nodes: Vec<CacheNode> = (0..n)
-            .map(|_| {
-                CacheNode::spawn(
-                    NodeConfig::new("127.0.0.1:0", origin.addr())
-                        .with_flush_max(Duration::from_millis(5))
-                        .with_data_capacity(bh_simcore::ByteSize::from_mb(256)),
-                )
-                .expect("node")
-            })
-            .collect();
-        let addrs: Vec<SocketAddr> = nodes.iter().map(|x| x.addr()).collect();
-        for (i, node) in nodes.iter().enumerate() {
-            node.set_neighbors(
-                addrs
-                    .iter()
-                    .enumerate()
-                    .filter(|(j, _)| *j != i)
-                    .map(|(_, a)| *a)
-                    .collect(),
-            );
-        }
-        (origin, nodes)
+        Mesh::spawn(origin, Topology::Flat { nodes: n }, |_, c| {
+            c.with_flush_max(Duration::from_millis(5))
+                .with_data_capacity(bh_simcore::ByteSize::from_mb(256))
+        })
+        .expect("mesh")
+        .into_parts()
     }
 
     #[test]
@@ -423,14 +408,15 @@ mod tests {
     #[test]
     #[cfg(target_os = "linux")]
     fn saturated_node_redirects_to_origin() {
-        // A zero high-water mark rejects every Get that would queue, so
-        // each miss comes back `Redirect` and the client completes it
+        // A drained node turns every Get away the way a saturated one
+        // does: each comes back `Redirect` and the client completes it
         // against the origin directly — no errors, conservation intact.
         let origin = OriginServer::spawn("127.0.0.1:0").expect("origin");
-        let node = CacheNode::spawn(
-            NodeConfig::new("127.0.0.1:0", origin.addr()).with_admission_high_water(0),
-        )
-        .expect("node");
+        let node = CacheNode::spawn(NodeConfig::new("127.0.0.1:0", origin.addr())).expect("node");
+        Connection::open(node.addr())
+            .expect("control connection")
+            .meta_set("mesh/nodes/self/control/drain", "true")
+            .expect("drain");
         let spec = WorkloadSpec::small().with_requests(200).with_clients(64);
         let records: Vec<TraceRecord> = TraceGenerator::new(&spec, 35).collect();
         let cacheable = records.iter().filter(|r| r.is_cacheable()).count() as u64;
@@ -442,7 +428,7 @@ mod tests {
         assert_eq!(report.errors, 0, "redirects must not surface as errors");
         assert!(
             report.redirects > 0,
-            "zero high-water must reject: {report:?}"
+            "a drained node must reject: {report:?}"
         );
         assert_eq!(
             report.local_hits + report.peer_hits + report.origin_fetches,
@@ -451,7 +437,6 @@ mod tests {
         );
         let stats = node.stats();
         assert_eq!(stats.admission_rejects, report.redirects);
-        assert!(stats.queue_saturation_events >= 1);
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! hint-update batches, so after 1's crash/restart/resync the two tables
 //! must agree record for record.
 
-use bh_proto::chaos::ChaosMesh;
+use bh_proto::mesh::{Mesh, Topology};
 use bh_proto::node::NodeConfig;
+use bh_proto::origin::OriginServer;
 use proptest::prelude::*;
 use std::collections::HashSet;
 use std::time::Duration;
@@ -46,7 +47,9 @@ proptest! {
     /// Crash → restart → resync converges on the witness's hint table.
     #[test]
     fn crash_restart_resync_converges_to_witness(population in arb_population()) {
-        let mut mesh = ChaosMesh::spawn(4, tuned).expect("spawn mesh");
+        let origin = OriginServer::spawn("127.0.0.1:0").expect("spawn origin");
+        let mut mesh = Mesh::spawn(origin, Topology::Flat { nodes: 4 }, |_, c| tuned(c))
+            .expect("spawn mesh");
         for &(owner, id) in &population {
             let addr = mesh.node(owner).expect("owner alive").addr();
             bh_proto::fetch(addr, &format!("http://recovery.test/{id}"))

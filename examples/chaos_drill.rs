@@ -17,13 +17,15 @@
 //! cargo run --release --example chaos_drill
 //! ```
 
-use bh_proto::chaos::{analytic_churn_for, ChaosMesh, FaultKind};
+use bh_proto::chaos::{analytic_churn_for, FaultKind};
 use bh_proto::liveness::PeerHealth;
-use bh_proto::node::NodeConfig;
+use bh_proto::mesh::{Mesh, Topology};
+use bh_proto::origin::OriginServer;
 use std::time::{Duration, Instant};
 
 fn main() {
-    let mut mesh = ChaosMesh::spawn(4, |c: NodeConfig| {
+    let origin = OriginServer::spawn("127.0.0.1:0").expect("spawn origin");
+    let mut mesh = Mesh::spawn(origin, Topology::Flat { nodes: 4 }, |_, c| {
         let mut c = c
             .with_flush_max(Duration::from_secs(3600)) // flushes driven manually
             .with_heartbeat_interval(Duration::from_secs(3600)) // heartbeats too

@@ -8,39 +8,21 @@
 //! ```
 
 use beyond_hierarchies::proto::client::{Connection, Source};
-use beyond_hierarchies::proto::node::{CacheNode, NodeConfig};
+use beyond_hierarchies::proto::mesh::{Mesh, Topology};
 use beyond_hierarchies::proto::origin::OriginServer;
-use std::net::SocketAddr;
 use std::time::Duration;
 
 fn main() -> std::io::Result<()> {
     let origin = OriginServer::spawn("127.0.0.1:0")?;
     println!("origin server at {}", origin.addr());
 
-    // Spawn three caches in two steps so every node knows its neighbors.
-    let provisional: Vec<CacheNode> = (0..3)
-        .map(|_| CacheNode::spawn(NodeConfig::new("127.0.0.1:0", origin.addr())))
-        .collect::<Result<_, _>>()?;
-    let addrs: Vec<SocketAddr> = provisional.iter().map(|n| n.addr()).collect();
-    drop(provisional);
-    let nodes: Vec<CacheNode> = (0..3)
-        .map(|i| {
-            let neighbors = addrs
-                .iter()
-                .enumerate()
-                .filter(|(j, _)| *j != i)
-                .map(|(_, a)| *a)
-                .collect();
-            CacheNode::spawn(
-                NodeConfig::new("127.0.0.1:0", origin.addr())
-                    .with_neighbors(neighbors)
-                    .with_flush_max(Duration::from_millis(10)),
-            )
-        })
-        .collect::<Result<_, _>>()?;
-    // (The provisional nodes only existed to reserve address knowledge; the
-    // real cluster is `nodes`, re-wired as a full mesh.)
-    let addrs: Vec<SocketAddr> = nodes.iter().map(|n| n.addr()).collect();
+    // Three caches wired as a full mesh: every node flushes its hint
+    // updates to the other two.
+    let mesh = Mesh::spawn(origin, Topology::Flat { nodes: 3 }, |_, c| {
+        c.with_flush_max(Duration::from_millis(10))
+    })?;
+    let addrs = mesh.addrs().to_vec();
+    let (origin, nodes) = mesh.into_parts();
     for (i, n) in nodes.iter().enumerate() {
         println!(
             "cache node {i} at {} (machine id {:#018x})",

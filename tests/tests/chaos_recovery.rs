@@ -3,14 +3,22 @@
 //! Plaxton-table repair matching the analytic reconfiguration count.
 
 use bh_plaxton::NodeSpec;
-use bh_proto::chaos::{analytic_churn_for, ChaosMesh, FaultKind};
+use bh_proto::chaos::{analytic_churn_for, FaultKind};
 use bh_proto::client::Source;
 use bh_proto::liveness::PeerHealth;
+use bh_proto::mesh::{Mesh, Topology};
 use bh_proto::node::{mesh_tree_for, NodeConfig};
+use bh_proto::origin::OriginServer;
 use std::time::{Duration, Instant};
 
-/// Fast failure detection, manual flush/heartbeat driving, bounded
-/// teardown — the tuning every test here shares.
+/// A flat mesh of `n` nodes with fast failure detection, manual
+/// flush/heartbeat driving and bounded teardown — the tuning every test
+/// here shares.
+fn tuned_mesh(n: usize) -> Mesh {
+    let origin = OriginServer::spawn("127.0.0.1:0").expect("origin");
+    Mesh::spawn(origin, Topology::Flat { nodes: n }, |_, c| tuned(c)).expect("mesh")
+}
+
 fn tuned(c: NodeConfig) -> NodeConfig {
     let mut c = c
         .with_flush_max(Duration::from_secs(3600))
@@ -24,7 +32,7 @@ fn tuned(c: NodeConfig) -> NodeConfig {
 
 /// Drives heartbeat rounds until every survivor has confirmed `dead`
 /// dead, panicking if that takes more than 10 seconds.
-fn drive_to_death(mesh: &ChaosMesh, dead: usize) {
+fn drive_to_death(mesh: &Mesh, dead: usize) {
     let addr = mesh.addrs()[dead];
     // bh-lint: allow(no-wall-clock, reason = "deadline-bounded wait on a live mesh; failure detection is wall-clock here")
     let deadline = Instant::now() + Duration::from_secs(10);
@@ -51,7 +59,7 @@ fn drive_to_death(mesh: &ChaosMesh, dead: usize) {
 /// converges to a never-crashed witness, entry for entry.
 #[test]
 fn crash_restart_resync_rebuilds_the_hint_table() {
-    let mut mesh = ChaosMesh::spawn(4, tuned).expect("mesh");
+    let mut mesh = tuned_mesh(4);
     // Objects live on nodes 0 and 2; nodes 1 (victim) and 3 (witness)
     // learn of them only through hint batches.
     for i in 0..6 {
@@ -101,7 +109,7 @@ fn crash_restart_resync_rebuilds_the_hint_table() {
 /// heals, fresh hints flow and peer hits resume.
 #[test]
 fn partition_degrades_to_origin_then_heals() {
-    let mut mesh = ChaosMesh::spawn(3, tuned).expect("mesh");
+    let mut mesh = tuned_mesh(3);
     let node0 = mesh.node(0).expect("node 0").addr();
     let node1 = mesh.node(1).expect("node 1").addr();
 
@@ -153,7 +161,7 @@ fn partition_degrades_to_origin_then_heals() {
 /// peer-hitting, and lifting the fault restores hint flow cleanly.
 #[test]
 fn one_way_partition_degrades_only_the_blocked_direction() {
-    let mut mesh = ChaosMesh::spawn(3, tuned).expect("mesh");
+    let mut mesh = tuned_mesh(3);
     let node0 = mesh.node(0).expect("node 0").addr();
     let node1 = mesh.node(1).expect("node 1").addr();
 
@@ -218,7 +226,7 @@ fn one_way_partition_degrades_only_the_blocked_direction() {
 /// fresh tree. Revival repairs are counted the same way.
 #[test]
 fn live_plaxton_repair_matches_analytic_churn() {
-    let mut mesh = ChaosMesh::spawn(4, tuned).expect("mesh");
+    let mut mesh = tuned_mesh(4);
     let addrs = mesh.addrs().to_vec();
     let removed = analytic_churn_for(&addrs, 2);
 

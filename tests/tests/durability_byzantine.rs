@@ -5,8 +5,9 @@
 //! with a durable hint log must recover its hint table on warm restart
 //! by replaying the log instead of pulling a network-wide resync.
 
-use bh_proto::chaos::{ChaosMesh, FaultKind, Topology};
+use bh_proto::chaos::FaultKind;
 use bh_proto::client::Source;
+use bh_proto::mesh::{Mesh, Topology};
 use bh_proto::node::{CacheNode, NodeConfig};
 use bh_proto::origin::OriginServer;
 use bh_proto::wire::{read_message, write_message, HintAction, HintUpdate, MachineId, Message};
@@ -15,6 +16,12 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
+
+/// A flat 3-node mesh; `tune` sees each node's spawn index.
+fn mesh_of_three(tune: impl Fn(usize, NodeConfig) -> NodeConfig) -> Mesh {
+    let origin = OriginServer::spawn("127.0.0.1:0").expect("origin");
+    Mesh::spawn(origin, Topology::Flat { nodes: 3 }, tune).expect("mesh")
+}
 
 /// Fast control-plane knobs so the whole exercise runs in test time.
 fn fast(c: NodeConfig) -> NodeConfig {
@@ -37,7 +44,7 @@ fn scratch(tag: &str) -> PathBuf {
 
 #[test]
 fn corrupt_hints_are_quarantined_and_purged_with_zero_client_errors() {
-    let mut mesh = ChaosMesh::spawn(3, fast).expect("mesh");
+    let mut mesh = mesh_of_three(|_, c| fast(c));
     let byzantine = 2usize;
     let byz_machine = mesh.node(byzantine).expect("node 2").machine_id();
 
@@ -121,7 +128,7 @@ fn corrupt_hints_are_quarantined_and_purged_with_zero_client_errors() {
 
 #[test]
 fn corrupt_resync_replies_are_rejected_mid_replay() {
-    let mut mesh = ChaosMesh::spawn(3, fast).expect("mesh");
+    let mut mesh = mesh_of_three(|_, c| fast(c));
     let honest = 0usize;
     let byzantine = 2usize;
     let honest_machine = mesh.node(honest).expect("live").machine_id();
@@ -155,10 +162,7 @@ fn corrupt_resync_replies_are_rejected_mid_replay() {
 #[test]
 fn warm_restart_replays_the_log_instead_of_resyncing() {
     let root = scratch("warm");
-    let mut mesh = ChaosMesh::spawn_indexed(Topology::Flat { nodes: 3 }, |i, c| {
-        fast(c).with_durability_dir(root.join(format!("node{i}")))
-    })
-    .expect("mesh");
+    let mut mesh = mesh_of_three(|i, c| fast(c).with_durability_dir(root.join(format!("node{i}"))));
     let source_machine = mesh.node(0).expect("live").machine_id();
 
     // Node 0 caches five objects and advertises them; node 1 applies the

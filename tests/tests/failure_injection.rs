@@ -3,33 +3,28 @@
 //! architecture's misses always have the origin as a fallback), and the
 //! Plaxton metadata hierarchy reconfigures around departed nodes.
 
+use bh_proto::mesh::{Mesh, Topology};
 use bh_proto::node::{CacheNode, NodeConfig};
 use bh_proto::origin::OriginServer;
 use std::net::SocketAddr;
 use std::time::Duration;
 
-fn mesh(n: usize) -> (OriginServer, Vec<CacheNode>) {
+/// A flat mesh of `n` nodes plus an origin, flushing hints only on
+/// demand; `tune` adjusts each node's config.
+fn mesh_with(n: usize, tune: impl Fn(NodeConfig) -> NodeConfig) -> (OriginServer, Vec<CacheNode>) {
     let origin = OriginServer::spawn("127.0.0.1:0").expect("origin");
-    let nodes: Vec<CacheNode> = (0..n)
-        .map(|_| {
-            let mut cfg = NodeConfig::new("127.0.0.1:0", origin.addr())
-                .with_flush_max(Duration::from_secs(3600));
-            cfg.io_timeout = Duration::from_millis(500);
-            CacheNode::spawn(cfg).expect("node")
-        })
-        .collect();
-    let addrs: Vec<SocketAddr> = nodes.iter().map(|x| x.addr()).collect();
-    for (i, node) in nodes.iter().enumerate() {
-        node.set_neighbors(
-            addrs
-                .iter()
-                .enumerate()
-                .filter(|(j, _)| *j != i)
-                .map(|(_, a)| *a)
-                .collect(),
-        );
-    }
-    (origin, nodes)
+    Mesh::spawn(origin, Topology::Flat { nodes: n }, |_, c| {
+        tune(c.with_flush_max(Duration::from_secs(3600)))
+    })
+    .expect("mesh")
+    .into_parts()
+}
+
+fn mesh(n: usize) -> (OriginServer, Vec<CacheNode>) {
+    mesh_with(n, |mut c| {
+        c.io_timeout = Duration::from_millis(500);
+        c
+    })
 }
 
 #[test]
@@ -221,23 +216,16 @@ fn confirmed_death_garbage_collects_stale_hints() {
     use bh_proto::liveness::PeerHealth;
     const K: usize = 12;
 
-    let origin = OriginServer::spawn("127.0.0.1:0").expect("origin");
-    let nodes: Vec<CacheNode> = (0..2)
-        .map(|_| {
-            let mut cfg = NodeConfig::new("127.0.0.1:0", origin.addr())
-                .with_flush_max(Duration::from_secs(3600))
-                .with_heartbeat_interval(Duration::from_secs(3600))
-                .with_suspicion_threshold(2)
-                .with_confirm_death_after(Duration::from_millis(100))
-                .with_shutdown_deadline(Duration::from_secs(2));
-            cfg.io_timeout = Duration::from_millis(300);
-            CacheNode::spawn(cfg).expect("node")
-        })
-        .collect();
+    let (_origin, nodes) = mesh_with(2, |c| {
+        let mut c = c
+            .with_heartbeat_interval(Duration::from_secs(3600))
+            .with_suspicion_threshold(2)
+            .with_confirm_death_after(Duration::from_millis(100))
+            .with_shutdown_deadline(Duration::from_secs(2));
+        c.io_timeout = Duration::from_millis(300);
+        c
+    });
     let addrs: Vec<SocketAddr> = nodes.iter().map(|x| x.addr()).collect();
-    for (i, node) in nodes.iter().enumerate() {
-        node.set_neighbors(addrs.iter().copied().filter(|a| *a != addrs[i]).collect());
-    }
 
     // Seed K objects at node 1 and advertise them to node 0.
     let urls: Vec<String> = (0..K).map(|i| format!("http://t.test/gc/{i}")).collect();

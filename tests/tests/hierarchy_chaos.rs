@@ -6,10 +6,12 @@
 //! live-vs-analytic parity the flat-mesh chaos tests pin.
 
 use bh_plaxton::NodeSpec;
-use bh_proto::chaos::{analytic_churn_for, ChaosMesh, FaultKind, Topology};
+use bh_proto::chaos::{analytic_churn_for, FaultKind};
 use bh_proto::client::Source;
 use bh_proto::liveness::PeerHealth;
+use bh_proto::mesh::{Mesh, Topology};
 use bh_proto::node::{mesh_tree_for, NodeConfig};
+use bh_proto::origin::OriginServer;
 use bh_proto::replay::{replay_concurrent, ReplayConfig};
 use bh_trace::scenario::FlashCrowdSpec;
 use bh_trace::{TraceRecord, WorkloadSpec};
@@ -31,7 +33,7 @@ fn tuned(c: NodeConfig) -> NodeConfig {
 
 /// Drives heartbeat rounds until every survivor has confirmed `dead`
 /// dead, panicking if that takes more than 10 seconds.
-fn drive_to_death(mesh: &ChaosMesh, dead: usize) {
+fn drive_to_death(mesh: &Mesh, dead: usize) {
     let addr = mesh.addrs()[dead];
     // bh-lint: allow(no-wall-clock, reason = "deadline-bounded wait on a live mesh; failure detection is wall-clock here")
     let deadline = Instant::now() + Duration::from_secs(10);
@@ -58,7 +60,7 @@ fn drive_to_death(mesh: &ChaosMesh, dead: usize) {
 /// node, its client groups are rerouted to `reroute_to` — the clients
 /// reconnect, they don't stall or error.
 fn replay_slice(
-    mesh: &ChaosMesh,
+    mesh: &Mesh,
     spec: &WorkloadSpec,
     records: &[TraceRecord],
     range: std::ops::Range<usize>,
@@ -87,7 +89,8 @@ fn parent_crash_mid_replay_rehomes_children_and_matches_analytic_churn() {
         parents: 2,
         children_per_parent: 1,
     };
-    let mut mesh = ChaosMesh::spawn_topology(topology, tuned).expect("mesh");
+    let origin = OriginServer::spawn("127.0.0.1:0").expect("origin");
+    let mut mesh = Mesh::spawn(origin, topology, |_, c| tuned(c)).expect("mesh");
     let addrs = mesh.addrs().to_vec();
 
     // A miniature flash crowd whose ramp spans the crash window.

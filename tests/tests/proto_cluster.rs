@@ -2,36 +2,20 @@
 //! localhost exercising the full hint protocol.
 
 use bh_proto::client::{Connection, Source};
+use bh_proto::mesh::{Mesh, Topology};
 use bh_proto::node::{CacheNode, NodeConfig};
 use bh_proto::origin::OriginServer;
-use std::net::SocketAddr;
 use std::time::Duration;
 
 /// Builds a full-mesh cluster of `n` nodes plus an origin: every node
 /// floods its hint-update batches to every other node.
 fn mesh(n: usize) -> (OriginServer, Vec<CacheNode>) {
     let origin = OriginServer::spawn("127.0.0.1:0").expect("origin");
-    let nodes: Vec<CacheNode> = (0..n)
-        .map(|_| {
-            CacheNode::spawn(
-                NodeConfig::new("127.0.0.1:0", origin.addr())
-                    .with_flush_max(Duration::from_secs(3600)),
-            )
-            .expect("node")
-        })
-        .collect();
-    let addrs: Vec<SocketAddr> = nodes.iter().map(|x| x.addr()).collect();
-    for (i, node) in nodes.iter().enumerate() {
-        node.set_neighbors(
-            addrs
-                .iter()
-                .enumerate()
-                .filter(|(j, _)| *j != i)
-                .map(|(_, a)| *a)
-                .collect(),
-        );
-    }
-    (origin, nodes)
+    Mesh::spawn(origin, Topology::Flat { nodes: n }, |_, c| {
+        c.with_flush_max(Duration::from_secs(3600))
+    })
+    .expect("mesh")
+    .into_parts()
 }
 
 #[test]

@@ -1,6 +1,10 @@
 //! Integration tests of the prototype's hierarchical metadata propagation
 //! (§3.1.2): updates climb to a parent with first-copy filtering and
 //! descend to sibling subtrees.
+//!
+//! These trees are wired by hand — `with_parent`/`with_children` and the
+//! `set_*` calls — on purpose: this file is the test of those setters.
+//! Everything else stands its mesh up through `bh_proto::mesh::Mesh::spawn`.
 
 use bh_proto::node::{CacheNode, NodeConfig};
 use bh_proto::origin::OriginServer;

@@ -10,11 +10,10 @@ use bh_core::outcome::AccessPath;
 use bh_core::strategies::{HintConfig, HintHierarchy, RequestCtx, Strategy};
 use bh_core::topology::Topology;
 use bh_proto::client::Source;
-use bh_proto::node::{CacheNode, NodeConfig};
+use bh_proto::mesh::Mesh;
 use bh_proto::origin::OriginServer;
 use bh_simcore::{ByteSize, SimTime};
 use bh_trace::WorkloadSpec;
-use std::net::SocketAddr;
 use std::time::Duration;
 
 /// Outcome classes comparable across the two implementations.
@@ -55,18 +54,14 @@ fn simulator_and_prototype_agree_on_data_paths() {
     let mut sim = HintHierarchy::new(topo, HintConfig::default(), 1);
 
     let origin = OriginServer::spawn("127.0.0.1:0").expect("origin");
-    let nodes: Vec<CacheNode> = (0..2)
-        .map(|_| {
-            CacheNode::spawn(
-                NodeConfig::new("127.0.0.1:0", origin.addr())
-                    .with_flush_max(Duration::from_secs(3600)),
-            )
-            .expect("node")
-        })
-        .collect();
-    let addrs: Vec<SocketAddr> = nodes.iter().map(|n| n.addr()).collect();
-    nodes[0].set_neighbors(vec![addrs[1]]);
-    nodes[1].set_neighbors(vec![addrs[0]]);
+    let mesh = Mesh::spawn(
+        origin,
+        bh_proto::mesh::Topology::Flat { nodes: 2 },
+        |_, c| c.with_flush_max(Duration::from_secs(3600)),
+    )
+    .expect("mesh");
+    let addrs = mesh.addrs().to_vec();
+    let (_origin, nodes) = mesh.into_parts();
 
     // A scripted sequence: (node, url). Covers compulsory miss, local hit,
     // remote hit, and hit-after-remote-copy.
