@@ -45,7 +45,7 @@ pub mod random;
 
 pub use classify::{AccessOutcome, ClassRates, ClassifyingCache, MissClass};
 pub use gds::GdsCache;
-pub use hint::{HintCache, HintRecord, HINT_RECORD_BYTES};
+pub use hint::{HintBank, HintCache, HintRecord, HINT_RECORD_BYTES};
 pub use lru::{Evicted, LruCache};
 pub use random::RandomCache;
 

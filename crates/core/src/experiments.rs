@@ -273,9 +273,9 @@ pub fn hint_delay_point(trace: &MaterializedTrace, delay_min: f64) -> HintSweepP
     // A real (non-oracle) store is required for delay to matter. Size it to
     // comfortably index every distinct object the workload will create
     // (4× slack over the expected distinct count at 16 B/record), so
-    // capacity never confounds the delay effect. The store array is
-    // allocated eagerly per node — sizing to the workload keeps Figure 6
-    // runnable at any scale.
+    // capacity never confounds the delay effect. The hint bank allocates
+    // a row only for a set some hint reached, so the slack costs 4 bytes
+    // of set index per set and no record memory.
     let spec = trace.spec();
     let distinct = (spec.requests as f64 * spec.p_new).max(1024.0);
     let store = ByteSize::from_bytes((distinct * 16.0 * 4.0) as u64);

@@ -128,9 +128,8 @@ impl Simulator {
         kind: StrategyKind,
         models: &[&dyn CostModel],
     ) -> SimReport {
-        let topo = Topology::from_spec(trace.spec());
         let mut strategy = kind.build(
-            topo.clone(),
+            Topology::from_spec(trace.spec()),
             &self.config.space,
             self.config.hint_delay,
             trace.seed(),

@@ -31,7 +31,8 @@ use crate::metrics::Metrics;
 use crate::outcome::AccessPath;
 use crate::push::{PushFraction, PushPolicy};
 use crate::topology::{NodeIdx, Topology};
-use bh_cache::{HintCache, LruCache};
+use bh_cache::{HintBank, LruCache};
+use bh_netmodel::RemoteDistance;
 use bh_simcore::rng::Xoshiro256;
 use bh_simcore::{ByteSize, EventQueue, SimDuration, SimTime};
 use std::collections::{HashMap, HashSet};
@@ -80,9 +81,9 @@ struct HintEvent {
 enum HintStores {
     /// Unbounded stores + zero delay ≡ perfect knowledge of the registry.
     Oracle,
-    /// Real per-node stores with delayed propagation.
+    /// Real per-node stores, all in one bank, with delayed propagation.
     Real {
-        stores: Vec<HintCache>,
+        bank: HintBank,
         pending: EventQueue<HintEvent>,
     },
 }
@@ -93,8 +94,13 @@ pub struct HintHierarchy {
     topo: Topology,
     config: HintConfig,
     caches: Vec<LruCache>,
-    objs: HashMap<u64, ObjState>,
+    /// Index into `objs` of every object seen. A request hashes its key
+    /// here once and reaches the state by index from then on.
+    slots: HashMap<u64, usize>,
+    objs: Vec<ObjState>,
     hints: HintStores,
+    /// Scratch for [`Topology::nearest_holders`], reused across broadcasts.
+    nearest: Vec<NodeIdx>,
     rng: Xoshiro256,
 
     // Counters exported via finalize().
@@ -118,9 +124,7 @@ impl HintHierarchy {
             HintStores::Oracle
         } else {
             HintStores::Real {
-                stores: (0..topo.l1_count())
-                    .map(|_| HintCache::with_capacity(config.store_capacity))
-                    .collect(),
+                bank: HintBank::new(topo.l1_count() as usize, config.store_capacity),
                 pending: EventQueue::new(),
             }
         };
@@ -128,8 +132,10 @@ impl HintHierarchy {
             caches: (0..topo.l1_count())
                 .map(|_| LruCache::new(config.data_capacity))
                 .collect(),
-            objs: HashMap::new(),
+            slots: HashMap::new(),
+            objs: Vec::new(),
             hints,
+            nearest: Vec::new(),
             rng: Xoshiro256::seed_from_u64(seed ^ 0x48494E54_5F505348),
             topo,
             config,
@@ -163,25 +169,32 @@ impl HintHierarchy {
 
     /// Current fresh holders of `key` (for tests and experiments).
     pub fn holders(&self, key: u64) -> &[NodeIdx] {
-        self.objs
+        self.slots
             .get(&key)
-            .map(|s| s.holders.as_slice())
+            .map(|&obj| self.objs[obj].holders.as_slice())
             .unwrap_or(&[])
     }
 
+    /// Record bytes the hint stores have allocated (0 on the oracle path);
+    /// see [`HintBank::allocated_bytes`].
+    pub fn hint_store_bytes(&self) -> u64 {
+        match &self.hints {
+            HintStores::Oracle => 0,
+            HintStores::Real { bank, .. } => bank.allocated_bytes(),
+        }
+    }
+
+    /// Delivers every holder change that has come due: each is resolved
+    /// once into every node's nearest holder, then written in one pass
+    /// over the key's row of the bank.
     fn drain_pending(&mut self, now: SimTime) {
-        let topo = self.topo.clone();
-        if let HintStores::Real { stores, pending } = &mut self.hints {
-            while let Some((_, ev)) = pending.pop_due(now) {
-                for (observer, store) in stores.iter_mut().enumerate() {
-                    match topo.nearest_holder(observer as NodeIdx, ev.holders.iter().copied()) {
-                        Some(loc) => store.insert(ev.key, loc as u64),
-                        None => {
-                            store.remove(ev.key);
-                        }
-                    }
-                }
-            }
+        let HintStores::Real { bank, pending } = &mut self.hints else {
+            return;
+        };
+        while let Some((_, ev)) = pending.pop_due(now) {
+            self.topo.nearest_holders(&ev.holders, &mut self.nearest);
+            let nearest = &self.nearest;
+            bank.broadcast(ev.key, |node| nearest.get(node).map(|&h| h as u64));
         }
     }
 
@@ -190,19 +203,15 @@ impl HintHierarchy {
     /// This models the metadata hierarchy's propagation: each observer
     /// eventually learns the location of its *nearest* copy. With delay 0
     /// in oracle mode this is implicit (lookups consult the registry).
-    fn holders_changed(&mut self, key: u64, at: SimTime) {
-        if matches!(self.hints, HintStores::Oracle) {
+    fn holders_changed(&mut self, key: u64, obj: usize, at: SimTime) {
+        let HintStores::Real { pending, .. } = &mut self.hints else {
             return;
-        }
-        let holders = self
-            .objs
-            .get(&key)
-            .map(|s| s.holders.clone())
-            .unwrap_or_default();
+        };
+        // The event owns a snapshot: the holders may change again before
+        // it comes due.
+        let holders = self.objs[obj].holders.clone();
         let due = at.saturating_add(self.config.delay);
-        if let HintStores::Real { pending, .. } = &mut self.hints {
-            pending.schedule(due, HintEvent { key, holders });
-        }
+        pending.schedule(due, HintEvent { key, holders });
         // Zero delay means "instant propagation": apply now so the oracle
         // equivalence holds even within a single request.
         if self.config.delay == SimDuration::ZERO {
@@ -210,8 +219,8 @@ impl HintHierarchy {
         }
     }
 
-    fn add_holder(&mut self, key: u64, node: NodeIdx, at: SimTime) {
-        let st = self.objs.entry(key).or_default();
+    fn add_holder(&mut self, key: u64, obj: usize, node: NodeIdx, at: SimTime) {
+        let st = &mut self.objs[obj];
         if let Err(pos) = st.holders.binary_search(&node) {
             st.holders.insert(pos, node);
             self.directory_updates += 1;
@@ -219,14 +228,15 @@ impl HintHierarchy {
                 // First copy in the system: the update climbs to the root.
                 self.root_updates += 1;
             }
-            self.holders_changed(key, at);
+            self.holders_changed(key, obj, at);
         }
     }
 
     fn remove_holder(&mut self, key: u64, node: NodeIdx, at: SimTime) {
-        let Some(st) = self.objs.get_mut(&key) else {
+        let Some(&obj) = self.slots.get(&key) else {
             return;
         };
+        let st = &mut self.objs[obj];
         if let Ok(pos) = st.holders.binary_search(&node) {
             st.holders.remove(pos);
             self.directory_updates += 1;
@@ -234,7 +244,7 @@ impl HintHierarchy {
                 // Last copy gone: the non-presence advertisement reaches the root.
                 self.root_updates += 1;
             }
-            self.holders_changed(key, at);
+            self.holders_changed(key, obj, at);
         }
     }
 
@@ -245,16 +255,28 @@ impl HintHierarchy {
         }
     }
 
-    /// Stores a copy at `node`, maintaining holder state and hint traffic.
+    /// A remote hit on `peer`'s copy of `key`: credits the copy if it got
+    /// there by a push.
+    fn note_remote_use(&mut self, peer: NodeIdx, key: u64) {
+        let size = self.caches[peer as usize]
+            .peek(key)
+            .map(|(s, _)| s)
+            .unwrap_or(ByteSize::ZERO);
+        self.note_pushed_use(peer, key, size);
+    }
+
+    /// Stores a copy of `key` (state slot `obj`) in its current version at
+    /// `node`, maintaining holder state and hint traffic.
     fn insert_copy(
         &mut self,
         node: NodeIdx,
         key: u64,
+        obj: usize,
         size: ByteSize,
-        version: u32,
         at: SimTime,
         aged: bool,
     ) {
+        let version = self.objs[obj].version;
         let evicted = self.caches[node as usize].insert(key, size, version);
         for e in evicted {
             self.pushed_pending.remove(&(node, e.key));
@@ -264,91 +286,60 @@ impl HintHierarchy {
             if aged {
                 self.caches[node as usize].demote(key);
             }
-            self.add_holder(key, node, at);
+            self.add_holder(key, obj, node, at);
         }
     }
 
-    /// Consults the requesting node's hints for `key`; returns the outcome
-    /// of the remote/server fetch decision.
-    fn lookup(&mut self, l1: NodeIdx, key: u64, version: u32) -> AccessPath {
-        let fresh_peer_exists = self
-            .objs
-            .get(&key)
-            .is_some_and(|s| s.holders.iter().any(|&h| h != l1));
-
-        if matches!(self.hints, HintStores::Oracle) {
-            let holders = self
-                .objs
-                .get(&key)
-                .map(|s| s.holders.clone())
-                .unwrap_or_default();
-            return match self
-                .topo
-                .nearest_holder(l1, holders.into_iter().filter(|&h| h != l1))
-            {
-                Some(peer) => {
-                    let size = self.caches[peer as usize]
-                        .peek(key)
-                        .map(|(s, _)| s)
-                        .unwrap_or(ByteSize::ZERO);
-                    self.note_pushed_use(peer, key, size);
-                    AccessPath::RemoteHit {
-                        distance: self.topo.distance(l1, peer),
+    /// Consults the requesting node's hints for `key` (state slot `obj`);
+    /// returns the outcome of the remote/server fetch decision.
+    fn lookup(&mut self, l1: NodeIdx, key: u64, obj: usize, version: u32) -> AccessPath {
+        let mut peers = self.objs[obj].holders.iter().copied().filter(|&h| h != l1);
+        let hinted = match &mut self.hints {
+            HintStores::Oracle => {
+                return match self.topo.nearest_holder(l1, peers) {
+                    Some(peer) => {
+                        self.note_remote_use(peer, key);
+                        AccessPath::RemoteHit {
+                            distance: self.topo.distance(l1, peer),
+                        }
                     }
-                }
-                None => AccessPath::ServerFetch {
-                    false_positive: None,
-                },
-            };
-        }
-
-        let hinted = if let HintStores::Real { stores, .. } = &mut self.hints {
-            stores[l1 as usize].lookup(key)
-        } else {
-            unreachable!("oracle handled above")
+                    None => AccessPath::ServerFetch {
+                        false_positive: None,
+                    },
+                };
+            }
+            HintStores::Real { bank, .. } => bank.lookup(l1 as usize, key),
         };
         match hinted {
             Some(loc) if loc != l1 as u64 => {
                 let peer = loc as NodeIdx;
+                let distance = self.topo.distance(l1, peer);
                 if self.caches[peer as usize].contains_fresh(key, version) {
-                    let size = self.caches[peer as usize]
-                        .peek(key)
-                        .map(|(s, _)| s)
-                        .unwrap_or(ByteSize::ZERO);
-                    self.note_pushed_use(peer, key, size);
-                    let distance = self.topo.distance(l1, peer);
                     // Suboptimal positive: a nearer copy existed but the
                     // (stale) hint named a farther one.
-                    if distance == bh_netmodel::RemoteDistance::SameL3 {
-                        let holders = self
-                            .objs
-                            .get(&key)
-                            .map(|s| s.holders.clone())
-                            .unwrap_or_default();
-                        if let Some(best) = self
-                            .topo
-                            .nearest_holder(l1, holders.into_iter().filter(|&h| h != l1))
-                        {
-                            if self.topo.distance(l1, best) == bh_netmodel::RemoteDistance::SameL2 {
-                                self.suboptimal_positives += 1;
-                            }
-                        }
+                    if distance == RemoteDistance::SameL3
+                        && self.topo.nearest_holder(l1, peers).is_some_and(|best| {
+                            self.topo.distance(l1, best) == RemoteDistance::SameL2
+                        })
+                    {
+                        self.suboptimal_positives += 1;
                     }
+                    self.note_remote_use(peer, key);
                     AccessPath::RemoteHit { distance }
                 } else {
                     // False positive: error reply, drop the bad hint, go to
                     // the server. No second lookup — "when the hint cache
                     // fails, it is unlikely a hit will result" (§3.1.1).
-                    if let HintStores::Real { stores, .. } = &mut self.hints {
-                        stores[l1 as usize].remove(key);
+                    if let HintStores::Real { bank, .. } = &mut self.hints {
+                        bank.remove(l1 as usize, key);
                     }
                     AccessPath::ServerFetch {
-                        false_positive: Some(self.topo.distance(l1, peer)),
+                        false_positive: Some(distance),
                     }
                 }
             }
             _ => {
-                if fresh_peer_exists {
+                if peers.next().is_some() {
                     self.false_negatives += 1;
                 }
                 AccessPath::ServerFetch {
@@ -362,29 +353,27 @@ impl HintHierarchy {
     fn hierarchical_push(
         &mut self,
         ctx: &RequestCtx,
-        distance: bh_netmodel::RemoteDistance,
+        obj: usize,
+        distance: RemoteDistance,
         fraction: PushFraction,
     ) {
-        let holders: HashSet<NodeIdx> = self.holders(ctx.key).iter().copied().collect();
+        let holders = &self.objs[obj].holders;
+        let wanted = |n: &NodeIdx| *n != ctx.l1 && holders.binary_search(n).is_err();
         let mut targets: Vec<NodeIdx> = Vec::new();
         match distance {
-            bh_netmodel::RemoteDistance::SameL2 => {
+            RemoteDistance::SameL2 => {
                 // Level-1 subtrees under our L2 parent are single nodes:
                 // push to each of them (Figure 9, object B).
-                for sib in self.topo.l2_siblings(ctx.l1).collect::<Vec<_>>() {
-                    if sib != ctx.l1 && !holders.contains(&sib) {
-                        targets.push(sib);
-                    }
-                }
+                targets.extend(self.topo.l2_siblings(ctx.l1).filter(wanted));
             }
-            bh_netmodel::RemoteDistance::SameL3 => {
+            RemoteDistance::SameL3 => {
                 // One (push-1) / half / all random node(s) in each level-2
                 // subtree under the root (Figure 9, object A).
                 for g in 0..self.topo.l2_count() {
                     let first = g * self.topo.l1s_per_l2();
                     let members: Vec<NodeIdx> = (first
                         ..(first + self.topo.l1s_per_l2()).min(self.topo.l1_count()))
-                        .filter(|n| *n != ctx.l1 && !holders.contains(n))
+                        .filter(wanted)
                         .collect();
                     let want = fraction.targets(members.len());
                     targets.extend(pick_random(&members, want, &mut self.rng));
@@ -392,12 +381,14 @@ impl HintHierarchy {
             }
         }
         for t in targets {
-            self.push_copy(t, ctx);
+            self.push_copy(t, obj, ctx, false);
         }
     }
 
-    fn push_copy(&mut self, target: NodeIdx, ctx: &RequestCtx) {
-        self.insert_copy(target, ctx.key, ctx.size, ctx.version, ctx.time, false);
+    /// Pushes the requested object to `target`, aged to the cold end of
+    /// its LRU list if `aged`.
+    fn push_copy(&mut self, target: NodeIdx, obj: usize, ctx: &RequestCtx, aged: bool) {
+        self.insert_copy(target, ctx.key, obj, ctx.size, ctx.time, aged);
         if self.caches[target as usize].peek(ctx.key).is_some() {
             self.pushes += 1;
             self.pushed_bytes += ctx.size.as_bytes();
@@ -424,56 +415,54 @@ impl Strategy for HintHierarchy {
     fn on_request(&mut self, ctx: &RequestCtx) -> AccessPath {
         self.drain_pending(ctx.time);
 
+        let obj = *self.slots.entry(ctx.key).or_insert_with(|| {
+            self.objs.push(ObjState::default());
+            self.objs.len() - 1
+        });
+
         // Consistency: a version bump invalidates every cached copy
         // (strong consistency, §2.2.1). Remember the old holders — they are
         // the update-push candidate list (§4.1.2).
         let mut update_push_candidates: Vec<NodeIdx> = Vec::new();
-        {
-            let st = self.objs.entry(ctx.key).or_default();
-            if ctx.version > st.version {
-                st.version = ctx.version;
-                let stale = std::mem::take(&mut st.holders);
-                if !stale.is_empty() {
-                    self.directory_updates += stale.len() as u64;
-                    self.root_updates += 1; // last-copy-gone reaches the root
-                    for &h in &stale {
-                        self.caches[h as usize].remove(ctx.key);
-                        self.pushed_pending.remove(&(h, ctx.key));
-                    }
-                    self.holders_changed(ctx.key, ctx.time);
-                    update_push_candidates = stale;
+        let st = &mut self.objs[obj];
+        if ctx.version > st.version {
+            st.version = ctx.version;
+            let stale = std::mem::take(&mut st.holders);
+            if !stale.is_empty() {
+                self.directory_updates += stale.len() as u64;
+                self.root_updates += 1; // last-copy-gone reaches the root
+                for &h in &stale {
+                    self.caches[h as usize].remove(ctx.key);
+                    self.pushed_pending.remove(&(h, ctx.key));
                 }
+                self.holders_changed(ctx.key, obj, ctx.time);
+                update_push_candidates = stale;
             }
         }
 
         // Local hit?
-        let version = self.objs[&ctx.key].version;
+        let version = self.objs[obj].version;
         if self.caches[ctx.l1 as usize].get(ctx.key, version).is_some() {
             self.note_pushed_use(ctx.l1, ctx.key, ctx.size);
             return AccessPath::L1Hit;
         }
 
         // Local miss: consult local hints, fetch remotely or from the server.
-        let outcome = self.lookup(ctx.l1, ctx.key, version);
+        let outcome = self.lookup(ctx.l1, ctx.key, obj, version);
         self.demand_bytes += ctx.size.as_bytes();
-        self.insert_copy(ctx.l1, ctx.key, ctx.size, version, ctx.time, false);
+        self.insert_copy(ctx.l1, ctx.key, obj, ctx.size, ctx.time, false);
 
         // Push hooks.
         match (self.config.push, outcome) {
-            (PushPolicy::Update, _) if !update_push_candidates.is_empty() => {
+            (PushPolicy::Update, _) => {
                 for target in update_push_candidates {
                     if target != ctx.l1 {
-                        self.insert_copy(target, ctx.key, ctx.size, version, ctx.time, true);
-                        if self.caches[target as usize].peek(ctx.key).is_some() {
-                            self.pushes += 1;
-                            self.pushed_bytes += ctx.size.as_bytes();
-                            self.pushed_pending.insert((target, ctx.key));
-                        }
+                        self.push_copy(target, obj, ctx, true);
                     }
                 }
             }
             (PushPolicy::Hierarchical(fr), AccessPath::RemoteHit { distance }) => {
-                self.hierarchical_push(ctx, distance, fr);
+                self.hierarchical_push(ctx, obj, distance, fr);
             }
             _ => {}
         }
@@ -527,6 +516,18 @@ mod tests {
 
     fn ctx(l1: u32, key: u64, version: u32) -> RequestCtx {
         ctx_at(l1, key, version, 0)
+    }
+
+    /// The request a trace record of `spec` presents to a strategy.
+    fn ctx_of(spec: &WorkloadSpec, r: &bh_trace::TraceRecord) -> RequestCtx {
+        RequestCtx {
+            time: r.time,
+            client: r.client,
+            l1: spec.l1_group_of(r.client),
+            key: r.object.key(),
+            size: r.size,
+            version: r.version,
+        }
     }
 
     fn topo() -> Topology {
@@ -598,14 +599,7 @@ mod tests {
             if !r.is_cacheable() {
                 continue;
             }
-            let c = RequestCtx {
-                time: r.time,
-                client: r.client,
-                l1: spec.l1_group_of(r.client),
-                key: r.object.key(),
-                size: r.size,
-                version: r.version,
-            };
+            let c = ctx_of(&spec, &r);
             let pa = a.on_request(&c);
             let pb = b.on_request(&c);
             assert_eq!(pa, pb, "oracle and real-mode outcomes diverged at {c:?}");
@@ -827,6 +821,50 @@ mod tests {
         );
     }
 
+    /// The paper's full geometry — 64 nodes × 512 MB of hints, 32 GB of
+    /// nominal store — must cost what the replay writes, not what it could
+    /// address: one 4 KB row per set a holder change reached (plus the
+    /// unused tail of the last chunk). A bank that allocated
+    /// `nodes × capacity` up front would be refused here.
+    #[test]
+    fn full_scale_geometry_allocates_only_the_rows_written() {
+        let spec = WorkloadSpec::dec().scaled(0.0002); // 4,420 records, 64 L1s
+        let space = crate::space::SpaceConfig::constrained();
+        let mut h = HintHierarchy::new(
+            Topology::from_spec(&spec),
+            HintConfig {
+                data_capacity: space.hint_node_capacity,
+                store_capacity: space.hint_store_capacity,
+                ..HintConfig::default()
+            },
+            7,
+        );
+        assert!(!h.is_oracle());
+        let mut remote = 0u64;
+        for r in bh_trace::TraceGenerator::new(&spec, 11) {
+            if !r.is_cacheable() {
+                continue;
+            }
+            let c = ctx_of(&spec, &r);
+            if matches!(h.on_request(&c), AccessPath::RemoteHit { .. }) {
+                remote += 1;
+            }
+        }
+        assert!(remote > 0, "hints must have been stored and found");
+        let mut m = Metrics::new(&[]);
+        h.finalize(&mut m);
+        let row_bytes = 64 * 4 * bh_cache::HINT_RECORD_BYTES;
+        let chunk_rows = (1 << 20) / row_bytes;
+        let allocated = h.hint_store_bytes();
+        assert!(allocated >= row_bytes, "no row was allocated");
+        // Every holder change writes at most one row.
+        assert!(
+            allocated <= (m.directory_updates + chunk_rows) * row_bytes,
+            "{allocated} bytes for {} holder changes",
+            m.directory_updates
+        );
+    }
+
     #[test]
     fn bounded_hint_store_limits_reach() {
         // A tiny hint store cannot index much beyond the local cache: most
@@ -854,14 +892,7 @@ mod tests {
                 if !r.is_cacheable() {
                     continue;
                 }
-                let c = RequestCtx {
-                    time: r.time,
-                    client: r.client,
-                    l1: spec.l1_group_of(r.client),
-                    key: r.object.key(),
-                    size: r.size,
-                    version: r.version,
-                };
+                let c = ctx_of(&spec, &r);
                 if matches!(h.on_request(&c), AccessPath::RemoteHit { .. }) {
                     remote += 1;
                 }

@@ -16,16 +16,21 @@ pub struct Topology {
     l1s_per_l2: u32,
     clients_per_l1: u32,
     dynamic_client_ids: bool,
+    /// L2 group of every L1 node, so the per-holder distance checks on the
+    /// simulator's hot paths index instead of dividing.
+    l2_of: Vec<u32>,
 }
 
 impl Topology {
     /// Builds the topology a workload spec implies.
     pub fn from_spec(spec: &WorkloadSpec) -> Self {
+        let l1_count = spec.l1_groups();
         Topology {
-            l1_count: spec.l1_groups(),
+            l1_count,
             l1s_per_l2: spec.l1s_per_l2,
             clients_per_l1: spec.clients_per_l1,
             dynamic_client_ids: spec.dynamic_client_ids,
+            l2_of: (0..l1_count).map(|l1| l1 / spec.l1s_per_l2).collect(),
         }
     }
 
@@ -55,7 +60,7 @@ impl Topology {
 
     /// The L2 group an L1 node belongs to.
     pub fn l2_of(&self, l1: NodeIdx) -> u32 {
-        l1 / self.l1s_per_l2
+        self.l2_of[l1 as usize]
     }
 
     /// Hierarchy distance between two *different* L1 nodes.
@@ -101,6 +106,34 @@ impl Topology {
             }
         }
         best.map(|(_, n)| n)
+    }
+
+    /// [`Topology::nearest_holder`] for every node at once: fills
+    /// `nearest[n]` with the holder nearest to node `n`, and leaves
+    /// `nearest` empty when there is no holder.
+    ///
+    /// `holders` must be sorted ascending. An L2 group is a contiguous
+    /// index range, so the first holder overall is every node's same-L3
+    /// fallback, the first holder inside a group is that group's same-L2
+    /// answer, and a holder is its own: O(nodes + holders) instead of
+    /// O(nodes × holders).
+    pub fn nearest_holders(&self, holders: &[NodeIdx], nearest: &mut Vec<NodeIdx>) {
+        nearest.clear();
+        let Some(&first) = holders.first() else {
+            return;
+        };
+        nearest.resize(self.l1_count as usize, first);
+        let mut group = u32::MAX;
+        for &h in holders {
+            let g = self.l2_of(h);
+            if g != group {
+                group = g;
+                let start = group * self.l1s_per_l2;
+                let end = (start + self.l1s_per_l2).min(self.l1_count);
+                nearest[start as usize..end as usize].fill(h);
+            }
+            nearest[h as usize] = h;
+        }
     }
 }
 
@@ -181,5 +214,41 @@ mod tests {
         assert_eq!(t.l2_count(), 3);
         let sibs: Vec<u32> = t.l2_siblings(4).collect();
         assert_eq!(sibs, vec![4]);
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// Resolving a holder change once for all nodes gives every
+            /// node exactly what `nearest_holder` gives it alone — for
+            /// ragged last groups, single-node groups and the empty set.
+            #[test]
+            fn nearest_holders_equals_nearest_holder_per_node(
+                l1s in 1u32..=70,
+                l1s_per_l2 in 1u32..=9,
+                picks in proptest::collection::vec(0u32..70, 0..12),
+            ) {
+                let mut spec = WorkloadSpec::small();
+                spec.clients = spec.clients_per_l1 * l1s;
+                spec.l1s_per_l2 = l1s_per_l2;
+                let t = Topology::from_spec(&spec);
+                prop_assert_eq!(t.l1_count(), l1s);
+                let mut holders: Vec<NodeIdx> = picks.into_iter().map(|p| p % l1s).collect();
+                holders.sort_unstable();
+                holders.dedup();
+                let mut nearest = vec![9; 3]; // stale content must not survive
+                t.nearest_holders(&holders, &mut nearest);
+                let expected_len = if holders.is_empty() { 0 } else { l1s as usize };
+                prop_assert_eq!(nearest.len(), expected_len);
+                for n in 0..l1s {
+                    prop_assert_eq!(
+                        nearest.get(n as usize).copied(),
+                        t.nearest_holder(n, holders.iter().copied())
+                    );
+                }
+            }
+        }
     }
 }

@@ -35,3 +35,26 @@ pub fn persist(inner: &Inner, file: &mut File) {
     // bh-lint: allow(lock-order, reason = "group commit: only the flush tick takes the log lock, so nothing queues behind the fsync")
     file.sync_all();
 }
+
+/// Negative control: a wrapper delegating to a same-named method two
+/// levels down (`Shards::purge` → `Cache::purge` → `Bank::purge`). Name
+/// resolution leads from `Cache::purge` back to `Shards::purge`; that is
+/// the chain seen from below, not the shard lock re-acquired under itself.
+impl Shards {
+    pub fn purge(&self, location: u64) -> usize {
+        let shard = self.shards.lock();
+        shard.purge(location)
+    }
+}
+
+impl Cache {
+    pub fn purge(&mut self, location: u64) -> usize {
+        self.bank.purge(0, location)
+    }
+}
+
+impl Bank {
+    pub fn purge(&mut self, node: usize, location: u64) -> usize {
+        self.rows[node].retain(|r| r.location != location)
+    }
+}

@@ -851,7 +851,18 @@ fn real_held(model: &Model, held: &[HeldLock]) -> Vec<HeldLock> {
 /// each with the call chain (starting at `start`) that first reaches
 /// it. Used to summarize a callee for a caller that invokes it with
 /// locks held.
-fn transitive_acquires(model: &Model, start: usize, depth_cap: usize) -> Vec<(String, String)> {
+///
+/// `caller` is the fn making the call. Calls are resolved by name, so
+/// below a delegating wrapper (`HintShards::purge_location` →
+/// `HintCache::purge_location` → `HintBank::purge_location`) the shared
+/// name resolves back to the wrapper itself; following it would charge
+/// the caller's own locks to its callee.
+fn transitive_acquires(
+    model: &Model,
+    caller: usize,
+    start: usize,
+    depth_cap: usize,
+) -> Vec<(String, String)> {
     let mut out: Vec<(String, String)> = Vec::new();
     let mut seen_locks: BTreeSet<String> = BTreeSet::new();
     let mut seen_fns: BTreeSet<usize> = BTreeSet::new();
@@ -869,6 +880,9 @@ fn transitive_acquires(model: &Model, start: usize, depth_cap: usize) -> Vec<(St
         }
         for c in &model.fns[at].calls {
             for &t in model.resolve(&c.name) {
+                if t == caller && c.name == model.fns[caller].name {
+                    continue;
+                }
                 if seen_fns.insert(t) {
                     queue.push_back((t, d + 1, format!("{chain} -> `{}`", model.fns[t].name)));
                 }
@@ -910,7 +924,7 @@ pub fn lock_graph(model: &Model) -> DiGraph {
                 if t == fi {
                     continue;
                 }
-                for (lock, chain) in transitive_acquires(model, t, LOCK_SUMMARY_DEPTH) {
+                for (lock, chain) in transitive_acquires(model, fi, t, LOCK_SUMMARY_DEPTH) {
                     for h in &held {
                         g.add_edge(
                             &h.lock,

@@ -267,3 +267,100 @@ fn table3_artifact_from_suite_engine_matches_paper() {
         }
     }
 }
+
+/// Every integer counter of a run, in declaration order.
+fn integer_metrics(m: &bh_core::Metrics) -> [u64; 27] {
+    [
+        m.requests,
+        m.cacheable,
+        m.uncachable,
+        m.errors,
+        m.warmup_skipped,
+        m.l1_hits,
+        m.l2_hits,
+        m.l3_hits,
+        m.remote_hits_l2,
+        m.remote_hits_l3,
+        m.server_fetches,
+        m.false_positives,
+        m.false_negatives,
+        m.suboptimal_positives,
+        m.hit_bytes,
+        m.l1_hit_bytes,
+        m.l2_hit_bytes,
+        m.l3_hit_bytes,
+        m.remote_hit_bytes,
+        m.total_bytes,
+        m.root_updates,
+        m.directory_updates,
+        m.pushes,
+        m.pushed_bytes,
+        m.pushed_used,
+        m.pushed_used_bytes,
+        m.demand_bytes,
+    ]
+}
+
+/// The three space-constrained hint cells (bounded real stores: zero
+/// delay, 30 s delay, update push) over one `dec().scaled(0.002)` trace,
+/// seed 42. Every integer counter is pinned to the values the per-node
+/// `HintCache` stores produced before the shared hint bank replaced them,
+/// so a change to the set kernel, the set-index mapping or the broadcast
+/// resolution that moves a single hint shows here without the benchmark.
+#[test]
+fn constrained_hint_cells_pinned_to_the_integer() {
+    use bh_core::sim::{SimConfig, Simulator};
+    use bh_core::strategies::StrategyKind;
+    use bh_netmodel::{CostModel, TestbedModel};
+    use bh_simcore::SimDuration;
+    use bh_trace::MaterializedTrace;
+
+    let trace = MaterializedTrace::generate(&WorkloadSpec::dec().scaled(0.002), 42);
+    let testbed = TestbedModel::new();
+    let models: [&dyn CostModel; 1] = [&testbed];
+    let cell = |kind: StrategyKind, delay_secs: u64| {
+        let config = SimConfig::constrained(trace.spec())
+            .with_hint_delay(SimDuration::from_secs(delay_secs));
+        integer_metrics(
+            &Simulator::new(config)
+                .run_trace(&trace, kind, &models)
+                .metrics,
+        )
+    };
+    const ZERO_DELAY: [u64; 27] = [
+        39780, 37285, 1663, 832, 4420, 18494, 0, 0, 4683, 6965, 7143, 0, 0, 0, 271870763,
+        145736199, 0, 0, 126134564, 345187188, 7978, 20837, 0, 0, 0, 0, 218016534,
+    ];
+    const DELAY_30S: [u64; 27] = [
+        39780, 37285, 1663, 832, 4420, 18494, 0, 0, 4643, 6941, 7207, 0, 230, 55, 271266754,
+        145736199, 0, 0, 125530555, 345187188, 7978, 20837, 0, 0, 0, 0, 218016534,
+    ];
+    assert_eq!(cell(StrategyKind::HintHierarchy, 0), ZERO_DELAY);
+    assert_eq!(cell(StrategyKind::HintHierarchy, 30), DELAY_30S);
+    // This trace never bumps a version that still has holders, so update
+    // push has nothing to push and the cell equals the zero-delay one.
+    assert_eq!(cell(StrategyKind::HintUpdatePush, 0), ZERO_DELAY);
+
+    // The same trace against 16 KB stores and a 5-minute delay: sets
+    // overflow and hints go stale, so displacement order, false positives,
+    // false negatives and suboptimal positives are all non-zero.
+    let mut starved = bh_core::strategies::HintHierarchy::new(
+        bh_core::Topology::from_spec(trace.spec()),
+        bh_core::strategies::HintConfig {
+            data_capacity: bh_simcore::ByteSize::from_mb(2),
+            store_capacity: bh_simcore::ByteSize::from_kb(16),
+            delay: SimDuration::from_secs(300),
+            push: bh_core::push::PushPolicy::Update,
+        },
+        trace.seed(),
+    );
+    let sim = Simulator::new(SimConfig::constrained(trace.spec()));
+    let report = sim.run_with_trace(&trace, &mut starved, &models, false);
+    assert_eq!(
+        integer_metrics(&report.metrics),
+        [
+            39780, 37285, 1663, 832, 4420, 18289, 0, 0, 2741, 3067, 13188, 66, 6780, 235,
+            209161070, 143473605, 0, 0, 65687465, 345187188, 10460, 29237, 0, 0, 0, 0, 220279128,
+        ]
+    );
+}
