@@ -350,7 +350,6 @@ struct MeshPoint {
     queue_saturation_events: u64,
     hint_batch_overflow: u64,
     wakeups_coalesced: u64,
-    writev_batches: u64,
 }
 
 /// The measured half of the sweep.
@@ -413,7 +412,6 @@ fn run_mesh_point(
         queue_saturation_events: sum(|s| s.queue_saturation_events),
         hint_batch_overflow: sum(|s| s.hint_batch_overflow),
         wakeups_coalesced: sum(|s| s.wakeups_coalesced),
-        writev_batches: sum(|s| s.writev_batches),
     };
     mesh.shutdown();
     point
@@ -467,7 +465,7 @@ fn run_mesh_sweep(harness: &Args, args: &LoadgenArgs, points: &[usize]) -> bool 
         println!(
             "{:>4} nodes  {:>9.0} req/s  hit {:>5.1}%  {:>6} local  {:>6} peer  \
              {:>6} origin  {:>4} redir  {:>3} err  p50 {:>6.2} ms  p99 {:>6.2} ms  \
-             writev {:>6}  coalesced {:>6}",
+             coalesced {:>6}",
             point.nodes,
             point.requests_per_second,
             point.hit_ratio * 100.0,
@@ -478,7 +476,6 @@ fn run_mesh_sweep(harness: &Args, args: &LoadgenArgs, points: &[usize]) -> bool 
             point.errors,
             point.p50_ms,
             point.p99_ms,
-            point.writev_batches,
             point.wakeups_coalesced,
         );
         result.points.push(point);

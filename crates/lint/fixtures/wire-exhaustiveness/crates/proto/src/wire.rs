@@ -1,5 +1,5 @@
 //! Fixture: a wire enum with a missing tag const, a tag skipped by the
-//! encoder, and an orphaned tag const.
+//! (appending) encoder, and an orphaned tag const.
 
 /// Tag for [`Message::Get`].
 pub const T_GET: u8 = 1;
@@ -32,14 +32,22 @@ pub enum Message {
 }
 
 impl Message {
-    /// Encodes the frame (forgetting `T_HINT`).
-    pub fn encode(&self) -> Vec<u8> {
-        match self {
-            Message::Get { .. } => vec![T_GET],
-            Message::GetReply { .. } => vec![T_GET_REPLY],
-            Message::Hint { .. } => vec![0],
-            Message::Goodbye => vec![0],
-        }
+    /// Encodes the frame into a cleared `out`. The tag arms live in the
+    /// appending form below; the rule must follow the delegation, or it
+    /// would report `T_GET` and `T_GET_REPLY` as never written.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        out.clear();
+        self.encode_into(out);
+    }
+
+    /// Appends the frame (forgetting `T_HINT`).
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        out.push(match self {
+            Message::Get { .. } => T_GET,
+            Message::GetReply { .. } => T_GET_REPLY,
+            Message::Hint { .. } => 0,
+            Message::Goodbye => 0,
+        });
     }
 
     /// Decodes a frame (also forgetting `T_HINT`).

@@ -440,20 +440,18 @@ pub fn wire_exhaustiveness(files: &BTreeMap<String, Lexed>, out: &mut Vec<Diagno
     }
     let consts = tag_consts(&wire.tokens);
     // Scope the codec search to `impl Message` — other types in the
-    // file have their own `encode`/`decode`.
-    let (encode, decode) = match item_body(&wire.tokens, "impl", "Message") {
-        Some((s, e)) => {
-            let slice = &wire.tokens[s..=e];
-            (
-                item_body(slice, "fn", "encode").map(|(a, b)| (a + s, b + s)),
-                item_body(slice, "fn", "decode").map(|(a, b)| (a + s, b + s)),
-            )
-        }
-        None => (
-            item_body(&wire.tokens, "fn", "encode"),
-            item_body(&wire.tokens, "fn", "decode"),
-        ),
+    // file have their own `encode`/`decode`. The tag arms live in the
+    // appending form `encode_into` when there is one (`encode` is then
+    // only `clear` + `encode_into`).
+    let (scope, base) = match item_body(&wire.tokens, "impl", "Message") {
+        Some((s, e)) => (&wire.tokens[s..=e], s),
+        None => (&wire.tokens[..], 0),
     };
+    let body = |name: &str| item_body(scope, "fn", name).map(|(a, b)| (a + base, b + base));
+    let (encode, decode) = (
+        body("encode_into").or_else(|| body("encode")),
+        body("decode"),
+    );
     let mut claimed: BTreeSet<String> = BTreeSet::new();
     for (v, vline) in &variants {
         let tag = format!("T_{}", camel_to_screaming(v));

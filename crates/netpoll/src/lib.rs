@@ -15,9 +15,9 @@
 //! * a [`Waker`] built from a non-blocking `UnixStream` pair so other
 //!   threads (accept loop, worker pool) can interrupt a blocked
 //!   [`Poller::wait`];
-//! * [`write_vectored`] — a thin `writev(2)` wrapper so a connection's
-//!   queued reply frames drain in one syscall instead of one `write` per
-//!   frame.
+//! * [`write_vectored`] — a thin `writev(2)` wrapper. The engine no longer
+//!   calls it (a connection's replies sit in one flat buffer and leave in
+//!   one `write`); the repo benchmark's isolated netpoll row still does.
 //!
 //! On non-Linux targets the same API exists but every constructor returns
 //! [`std::io::ErrorKind::Unsupported`], which callers propagate: the live
@@ -32,7 +32,9 @@ use std::io;
 /// Readiness interest registered for a file descriptor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Interest {
-    /// Wake when the descriptor becomes readable (or peer-closed).
+    /// Wake when the descriptor becomes readable or the peer closes its
+    /// sending side (`EPOLLRDHUP` rides with read interest: it is
+    /// level-triggered and would spin a caller that has stopped reading).
     pub readable: bool,
     /// Wake when the descriptor becomes writable.
     pub writable: bool,
@@ -161,9 +163,9 @@ mod imp {
     }
 
     fn interest_mask(interest: Interest) -> u32 {
-        let mut mask = EPOLLRDHUP;
+        let mut mask = 0;
         if interest.readable {
-            mask |= EPOLLIN;
+            mask |= EPOLLIN | EPOLLRDHUP;
         }
         if interest.writable {
             mask |= EPOLLOUT;
@@ -531,6 +533,32 @@ mod tests {
             .wait(&mut events, Some(Duration::from_millis(10)))
             .unwrap();
         assert_eq!(n, 0, "deregistered fd is silent");
+    }
+
+    /// A caller that has stopped reading (backpressure) must not be woken
+    /// over and over by the peer's half-close: level-triggered
+    /// `EPOLLRDHUP` is only asked for together with read interest.
+    #[test]
+    fn half_close_is_silent_without_read_interest() {
+        let poller = Poller::new().unwrap();
+        let (a, b) = UnixStream::pair().unwrap();
+        b.set_nonblocking(true).unwrap();
+        let none = Interest {
+            readable: false,
+            writable: false,
+        };
+        poller.register(&b, 3, none).unwrap();
+        a.shutdown(std::net::Shutdown::Write).unwrap();
+
+        let mut events = Vec::new();
+        let n = poller
+            .wait(&mut events, Some(Duration::from_millis(10)))
+            .unwrap();
+        assert_eq!(n, 0, "not reading: the half-close can wait");
+
+        poller.modify(&b, 3, Interest::READABLE).unwrap();
+        poller.wait(&mut events, None).unwrap();
+        assert!(events.iter().any(|e| e.token == 3 && e.hangup));
     }
 
     #[test]

@@ -13,29 +13,45 @@
 //!   is what makes peer-to-peer probing deadlock-free on a bounded
 //!   thread count;
 //! * `Get` frames that hit the local data cache are also answered on the
-//!   shard (pure in-memory work); the rest are handed to the **worker
-//!   pool**, which writes the reply straight to the client socket through
-//!   the connection's shared write state — the owning shard is only poked
-//!   (rare on loopback) when a short write leaves bytes pending and
-//!   `EPOLLOUT` interest must be armed.
+//!   shard (pure in-memory work); a miss hands the *connection* to the
+//!   **worker pool**, and the worker services the whole run of `Get`s the
+//!   client has pipelined on it as one batch
+//!   ([`super::service::service_gets`]).
 //!
-//! Per-connection ordering: a connection with a `Get` in flight (`busy`)
-//! parks subsequent frames in a backlog; whoever finishes the `Get`
-//! replays them under the connection lock, so replies always match
-//! request order even though local frames are cheap and `Get`s are not.
+//! Replies are encoded straight into the connection's one flat out-buffer
+//! and leave through one function, [`write_out`]: once per readiness
+//! event on a shard (a peer answering eight pipelined `PeerGet`s issues
+//! one `write`), once per group of a run on a worker, and always before a
+//! worker blocks on the network — a finished reply never waits behind
+//! someone else's fetch.
+//!
+//! Per-connection ordering: a connection a worker holds (`busy`) parks
+//! every further frame in its backlog; whoever clears `busy` replays the
+//! backlog under the connection lock, so replies always match request
+//! order even though local frames are cheap and `Get`s are not. After a
+//! capped run ([`RUN_CAP`]) a worker sends a connection that still has
+//! `Get`s parked to the back of the job channel, so one deep pipeline
+//! cannot starve the others.
+//!
+//! What a client can make the node hold is bounded: a connection stops
+//! being polled for reads while its backlog holds [`BACKLOG_CAP`] frames
+//! or its out-buffer [`OUT_CAP`] unsent bytes (so a client that pipelines
+//! and never reads ends up blocked in its own `write`), and parked `Get`s
+//! count toward the admission mark that turns new ones away.
 //!
 //! Lock order: a connection's state lock may be taken before the node's
 //! store lock (frame handling under the connection lock), never the other
 //! way around — nothing touches connection state while holding the store.
 
-use super::{handle_get, local_hit, local_response, trace_event, Inner};
-use crate::wire::{FrameAssembler, Message, ServedBy, Status};
+use super::service::{self, ParkedGet, Replies};
+use super::{local_response, trace_event, Inner};
+use crate::wire::{FrameAssembler, Message};
 use bh_netpoll::{waker_pair, Event, Interest, Poller, WakeReceiver, Waker};
 use bh_obs::span;
-use bytes::{Bytes, BytesMut};
-use parking_lot::Mutex;
+use bytes::{Buf, BytesMut};
+use parking_lot::{Mutex, MutexGuard};
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, IoSlice, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -50,30 +66,53 @@ const WAKER_TOKEN: u64 = 0;
 /// normally arrive via the waker; the timeout is a shutdown backstop.
 const IDLE_WAIT: Duration = Duration::from_millis(500);
 
+/// Most `Get`s a worker takes off one connection before the connection
+/// goes to the back of the job channel.
+const RUN_CAP: usize = 32;
+
+/// Parked frames past which a connection is no longer read.
+const BACKLOG_CAP: usize = 1024;
+
+/// Unsent reply bytes past which nothing more is encoded, serviced or
+/// read on a connection until the socket has taken them: a run's replies
+/// leave in writes of about this size, and a client that does not read
+/// stalls here.
+const OUT_CAP: usize = 64 * 1024;
+
+/// Initial capacity of a connection's out-buffer.
+const OUT_BUF: usize = 4096;
+
+/// Socket-read buffer of a shard; one read past the caps is the slack.
+const READ_BUF: usize = 16 * 1024;
+
 /// Work injected into a shard from outside its epoll loop.
 enum Injected {
     /// A freshly accepted connection to adopt.
     Conn(TcpStream),
-    /// A writer left connection `token` with queued bytes; arm `EPOLLOUT`.
+    /// A worker left connection `token` with unsent bytes, or drained it
+    /// while its reads were paused: flush, and re-arm its interest.
     WantWrite { token: u64 },
 }
 
-/// A `Get` checked out to the worker pool.
+/// A connection with a run of `Get`s parked at the front of its backlog,
+/// checked out to the worker pool.
+#[derive(Clone)]
 struct WorkerJob {
     shard: usize,
     token: u64,
-    url: String,
     conn: Arc<SharedConn>,
 }
 
 /// Admission-controlled handle to the worker-pool job channel.
 ///
-/// Depth is tracked with a shared counter: enqueue increments, a worker
-/// dequeue decrements. Past the high-water mark new `Get`s are turned
-/// away with a redirect-to-origin reply instead of queueing unboundedly
-/// behind a slow origin — the client is closer to the origin than to a
-/// saturated cache (the paper's "the cache must stay cheaper than going
-/// direct" argument, applied as backpressure).
+/// Depth is the number of `Get`s parked on connections for the worker
+/// pool, tracked with a shared counter: parking one increments, a worker
+/// taking its run (or an inline answer) decrements. Past the high-water
+/// mark new `Get`s are turned away with a redirect-to-origin reply
+/// instead of queueing unboundedly behind a slow origin — the client is
+/// closer to the origin than to a saturated cache (the paper's "the cache
+/// must stay cheaper than going direct" argument, applied as
+/// backpressure).
 #[derive(Clone)]
 struct JobQueue {
     tx: Sender<WorkerJob>,
@@ -83,7 +122,7 @@ struct JobQueue {
 }
 
 impl JobQueue {
-    /// Admission check: `Ok` when the job may be enqueued, `Err(depth)`
+    /// Admission check: `Ok` when a `Get` may be parked, `Err(depth)`
     /// when it must be rejected. Counts one `queue_saturation_events`
     /// per episode (the rising edge of the mark, not every reject); the
     /// episode ends once the queue drains back to half the mark.
@@ -108,47 +147,16 @@ impl JobQueue {
         }
     }
 
-    fn send(&self, job: WorkerJob) -> Result<(), channel::SendError<WorkerJob>> {
+    /// A `Get` was parked for the worker pool.
+    fn parked(&self) {
         self.depth.fetch_add(1, Ordering::Relaxed);
-        let sent = self.tx.send(job);
-        if sent.is_err() {
-            self.depth.fetch_sub(1, Ordering::Relaxed);
-        }
-        sent
     }
 
-    /// A worker checked a job out of the channel.
-    fn job_done(&self) {
-        self.depth.fetch_sub(1, Ordering::Relaxed);
+    /// `n` parked `Get`s left their backlog: taken by a worker, answered
+    /// inline, or dropped with their connection.
+    fn unparked(&self, n: usize) {
+        self.depth.fetch_sub(n, Ordering::Relaxed);
     }
-}
-
-/// Writes the admission-control rejection: a `Redirect` reply telling the
-/// client to fetch from the origin directly. Callers hold the connection
-/// lock.
-fn reject_get(
-    inner: &Inner,
-    stream: &TcpStream,
-    state: &mut ConnState,
-    scratch: &mut BytesMut,
-    url: &str,
-    depth: usize,
-) {
-    inner.metrics.admission_rejects.inc();
-    trace_event(
-        inner,
-        span::ADMISSION_REJECT,
-        bh_md5::url_key(url),
-        depth as u64,
-    );
-    let reply = Message::GetReply {
-        status: Status::Redirect,
-        version: 0,
-        served_by: ServedBy::Origin,
-        body: Bytes::new(),
-    };
-    reply.encode(scratch);
-    send_frame(stream, state, scratch);
 }
 
 /// Everything `CacheNode::spawn` needs to own the running engine.
@@ -179,7 +187,7 @@ pub(super) fn spawn(listener: TcpListener, inner: Arc<Inner>) -> io::Result<Engi
         tx: job_tx,
         depth: Arc::new(AtomicUsize::new(0)),
         saturated: Arc::new(AtomicBool::new(false)),
-        // Enough queued Gets to keep every worker busy through a burst,
+        // Enough parked Gets to keep every worker busy through a burst,
         // small enough that a stalled origin turns into redirects instead
         // of unbounded memory.
         high_water: (workers * 64).max(256),
@@ -254,20 +262,61 @@ fn accept_loop(listener: TcpListener, handles: Vec<(Sender<Injected>, Waker)>, i
     }
 }
 
-/// Services `Get` jobs; each may probe a peer and fall back to the origin
-/// through the pooled transport, then completes the request directly on
-/// the connection (writing the reply and replaying the backlog), poking
-/// the owning shard only if queued bytes remain.
+/// A worker's view of the connection it holds: replies go straight into
+/// the connection's out-buffer, and `flush` writes what has accumulated.
+struct ConnReplies<'a> {
+    job: &'a WorkerJob,
+    jobs: &'a JobQueue,
+    inner: &'a Arc<Inner>,
+}
+
+impl Replies for ConnReplies<'_> {
+    fn push(&mut self, reply: &Message) {
+        let mut state = self.job.conn.state.lock();
+        if !state.closed {
+            reply.encode_into(&mut state.out);
+        }
+        let full = state.out.len() >= OUT_CAP;
+        drop(state);
+        if full {
+            self.flush();
+        }
+    }
+
+    fn flush(&mut self) {
+        drop(pump_from_worker(self.job, self.jobs, self.inner, |_| {}));
+    }
+}
+
+/// [`pump`] from a worker: a socket that dies under a reply is accounted
+/// instead of wedging or panicking the worker.
+fn pump_from_worker<'a>(
+    job: &'a WorkerJob,
+    jobs: &JobQueue,
+    inner: &Arc<Inner>,
+    prepare: impl FnOnce(&mut ConnState),
+) -> MutexGuard<'a, ConnState> {
+    let (state, died) = pump(&job.conn, inner, jobs, job.shard, job.token, prepare);
+    if died {
+        inner.metrics.service_errors.inc();
+    }
+    state
+}
+
+/// Services connections with `Get`s parked: takes the run at the front
+/// of the backlog (at most [`RUN_CAP`]), services it as one batch —
+/// probing peers and falling back to the origin through the pooled
+/// transport — and then either re-queues the connection behind the others
+/// (more `Get`s parked) or clears `busy` and lets the backlog replay,
+/// poking the owning shard only if unsent bytes remain or its reads are
+/// paused.
 fn worker_loop(
     job_rx: Receiver<WorkerJob>,
     jobs: JobQueue,
     handles: Vec<(Sender<Injected>, Waker)>,
     inner: Arc<Inner>,
 ) {
-    // Reply frames are encoded into this reusable scratch buffer; the
-    // fast path writes it straight to the socket, so the steady state is
-    // zero allocations per reply.
-    let mut scratch = BytesMut::with_capacity(4096);
+    let mut run: Vec<ParkedGet> = Vec::with_capacity(RUN_CAP);
     loop {
         // Workers hold a `JobQueue` clone (backlog replays enqueue
         // follow-up jobs), so the channel never disconnects on its own —
@@ -282,35 +331,47 @@ fn worker_loop(
             }
             Err(channel::RecvTimeoutError::Disconnected) => break,
         };
-        jobs.job_done();
         if inner.shutdown.load(Ordering::SeqCst) {
             break;
         }
-        let reply = handle_get(&inner, &job.url);
-        let wants_write = {
-            // bh-lint: allow(lock-order, reason = "the per-connection state lock IS the frame-write serializer; the socket is nonblocking, so writes under it only fill the kernel buffer and queue the rest")
+        {
             let mut state = job.conn.state.lock();
-            let was_closed = state.closed;
-            reply.encode(&mut scratch);
-            send_frame(&job.conn.stream, &mut state, &scratch);
-            if state.closed && !was_closed {
-                // The reply could not be delivered (socket died mid-write);
-                // account it instead of wedging or panicking the worker.
-                inner.metrics.service_errors.inc();
+            while !state.closed && run.len() < RUN_CAP {
+                match state.backlog.pop_front() {
+                    Some(Parked::Get(get)) => run.push(get),
+                    Some(other) => {
+                        state.backlog.push_front(other);
+                        break;
+                    }
+                    None => break,
+                }
             }
-            state.busy = false;
-            replay_backlog(
-                &job.conn,
-                &mut state,
-                &inner,
-                &jobs,
-                &mut scratch,
-                job.shard,
-                job.token,
-            );
-            !state.closed && state.wants_write()
+        }
+        jobs.unparked(run.len());
+        let mut replies = ConnReplies {
+            job: &job,
+            jobs: &jobs,
+            inner: &inner,
         };
-        if wants_write {
+        service::service_gets(&inner, &run, &mut replies);
+        run.clear();
+        let poke = {
+            let mut state = pump_from_worker(&job, &jobs, &inner, |state| {
+                let more = matches!(state.backlog.front(), Some(Parked::Get(_)));
+                if more && !state.closed && state.out.len() < OUT_CAP {
+                    if jobs.tx.send(job.clone()).is_err() {
+                        // Engine tearing down; the connection dies with it.
+                        state.closed = true;
+                        inner.metrics.service_errors.inc();
+                    }
+                } else {
+                    state.busy = false;
+                }
+            });
+            state.release_if_closed(&jobs);
+            !state.closed && (state.wants_write() || state.read_paused)
+        };
+        if poke {
             let (tx, waker) = &handles[job.shard];
             if tx.send(Injected::WantWrite { token: job.token }).is_ok() && !waker.wake() {
                 inner.metrics.wakeups_coalesced.inc();
@@ -319,72 +380,91 @@ fn worker_loop(
     }
 }
 
-/// Dispatches parked frames until the backlog drains or a `Get` checks
-/// out: a missing `Get` goes to the worker pool, everything else
-/// (including locally-hit `Get`s) is answered inline. Runs under the
-/// connection lock, on the shard delivering a frame or on whichever
-/// thread cleared `busy` (a worker finishing a `Get`, usually).
+/// Answers a `Get` that needs no worker — a drained node turns every
+/// client `Get` away (which outranks the local-hit fast path), a resident
+/// object is served from the cache. Returns false for a miss.
+fn answer_inline(inner: &Inner, state: &mut ConnState, get: &ParkedGet) -> bool {
+    let reply = if inner.drained() {
+        service::redirect(inner, get.key, 0)
+    } else if let Some(hit) = service::local_hit(inner, get.key) {
+        hit
+    } else {
+        return false;
+    };
+    reply.encode_into(&mut state.out);
+    true
+}
+
+/// Dispatches parked frames until the backlog drains, the out-buffer
+/// fills, or a `Get` misses: the miss stays at the front of the backlog
+/// and the connection goes to the worker pool; everything else (including
+/// locally-hit `Get`s) is answered inline. Runs under the connection
+/// lock, on the shard delivering a frame or inside [`pump`]. Replies are
+/// only encoded here; [`pump`] writes them.
 fn replay_backlog(
     conn: &Arc<SharedConn>,
     state: &mut ConnState,
     inner: &Arc<Inner>,
     jobs: &JobQueue,
-    scratch: &mut BytesMut,
     shard: usize,
     token: u64,
 ) {
-    while !state.busy && !state.closed {
-        let Some(msg) = state.backlog.pop_front() else {
+    while !state.busy && !state.closed && state.out.len() < OUT_CAP {
+        let Some(parked) = state.backlog.pop_front() else {
             break;
         };
-        match msg {
-            Message::Get { url } => {
-                // Drain (mesh API) outranks the local-hit fast path: a
-                // drained node turns every client `Get` away.
-                if inner.drained() {
-                    reject_get(inner, &conn.stream, state, scratch, &url, 0);
-                } else if let Some(reply) = local_hit(inner, &url) {
-                    reply.encode(scratch);
-                    send_frame(&conn.stream, state, scratch);
-                } else if let Err(depth) = jobs.admit(inner) {
-                    reject_get(inner, &conn.stream, state, scratch, &url, depth);
-                } else {
-                    state.busy = true;
-                    let job = WorkerJob {
-                        shard,
-                        token,
-                        url,
-                        conn: Arc::clone(conn),
-                    };
-                    if jobs.send(job).is_err() {
-                        // Engine tearing down; the connection dies with it.
-                        state.closed = true;
-                        inner.metrics.service_errors.inc();
-                    }
+        match parked {
+            Parked::Get(get) => {
+                if answer_inline(inner, state, &get) {
+                    jobs.unparked(1);
+                    continue;
+                }
+                state.backlog.push_front(Parked::Get(get));
+                state.busy = true;
+                let job = WorkerJob {
+                    shard,
+                    token,
+                    conn: Arc::clone(conn),
+                };
+                if jobs.tx.send(job).is_err() {
+                    // Engine tearing down; the connection dies with it.
+                    state.closed = true;
+                    inner.metrics.service_errors.inc();
                 }
             }
-            other => {
-                let reply = local_response(inner, other);
-                reply.encode(scratch);
-                send_frame(&conn.stream, state, scratch);
-            }
+            Parked::Reply(reply) => reply.encode_into(&mut state.out),
+            Parked::Frame(msg) => local_response(inner, msg).encode_into(&mut state.out),
         }
     }
 }
 
+/// A frame waiting its turn on a connection.
+enum Parked {
+    /// A client `Get` that passed admission; counted in [`JobQueue`]'s
+    /// depth for as long as it sits in a backlog.
+    Get(ParkedGet),
+    /// The redirect owed to a client `Get` that admission control turned
+    /// away on arrival; it waits only for its place in the reply order.
+    Reply(Message),
+    /// Anything else: answered from local state.
+    Frame(Message),
+}
+
 /// Write-side state of a connection, shared between the owning shard and
-/// any worker finishing a `Get` for it.
+/// the worker holding it.
 struct ConnState {
-    /// Reply frames queued for writing, oldest first; `front_pos` marks
-    /// how much of the front frame already left. Keeping whole frames
-    /// (refcounted `Bytes`) instead of one flat byte buffer is what lets
-    /// the flush path hand the entire queue to `writev` in one syscall.
-    out: VecDeque<Bytes>,
-    front_pos: usize,
-    /// A `Get` is checked out to the worker pool; further frames wait in
-    /// `backlog` so replies keep request order.
+    /// Encoded replies not yet accepted by the socket, oldest first, as
+    /// one flat buffer: a batch of replies leaves in one `write`.
+    out: BytesMut,
+    /// A worker holds the connection for the run of `Get`s at the front
+    /// of `backlog`; further frames wait behind it so replies keep
+    /// request order.
     busy: bool,
-    backlog: VecDeque<Message>,
+    backlog: VecDeque<Parked>,
+    /// The shard has stopped polling the connection for reads (caps hit,
+    /// or the client finished sending); a worker that drains it pokes the
+    /// shard to look again.
+    read_paused: bool,
     /// Set once the shard abandons the connection (or the engine is
     /// tearing down); writers stop touching the socket.
     closed: bool,
@@ -394,11 +474,33 @@ impl ConnState {
     fn wants_write(&self) -> bool {
         !self.out.is_empty()
     }
+
+    /// Whether the connection holds as much as a client may make it
+    /// hold: a full backlog, a full out-buffer, or — with no worker on it
+    /// — frames it could not answer for lack of room.
+    fn over_caps(&self) -> bool {
+        self.backlog.len() >= BACKLOG_CAP
+            || self.out.len() >= OUT_CAP
+            || (!self.busy && !self.backlog.is_empty())
+    }
+
+    /// Drops what a closed connection nobody holds still has parked.
+    fn release_if_closed(&mut self, jobs: &JobQueue) {
+        if self.closed && !self.busy {
+            let gets = self
+                .backlog
+                .iter()
+                .filter(|p| matches!(p, Parked::Get(_)))
+                .count();
+            jobs.unparked(gets);
+            self.backlog.clear();
+        }
+    }
 }
 
 /// A connection as seen by both the shard (reads, epoll) and the workers
-/// (direct reply writes). The stream itself is never cloned: both sides
-/// write through `&TcpStream`, serialized by the state lock.
+/// (reply writes). The stream itself is never cloned: both sides write
+/// through `&TcpStream`, serialized by the state lock.
 struct SharedConn {
     stream: TcpStream,
     state: Mutex<ConnState>,
@@ -412,6 +514,22 @@ struct ShardConn {
     /// Interest currently registered with the poller (avoids redundant
     /// `epoll_ctl` calls).
     interest: Interest,
+    /// The client finished sending (EOF on read); the connection lives on
+    /// until everything it asked for has been answered and written.
+    eof: bool,
+    /// The last read pass stopped at the caps: frames may wait, unparsed,
+    /// in the assembler, with no readiness event to announce them.
+    stalled: bool,
+}
+
+/// What [`Shard::flush_and_rearm`] does once the connection is pumped.
+enum Next {
+    /// Nothing is owed any more, or the socket died.
+    Close,
+    /// There is room again for the frames a stalled read pass left.
+    Resume,
+    /// Wait for the poller with this interest.
+    Arm(Interest),
 }
 
 struct Shard {
@@ -423,8 +541,6 @@ struct Shard {
     inner: Arc<Inner>,
     conns: HashMap<u64, ShardConn>,
     next_token: u64,
-    /// Reusable encode buffer for replies answered on the shard itself.
-    scratch: BytesMut,
 }
 
 impl Shard {
@@ -445,7 +561,6 @@ impl Shard {
             inner,
             conns: HashMap::new(),
             next_token: WAKER_TOKEN + 1,
-            scratch: BytesMut::with_capacity(4096),
         }
     }
 
@@ -494,10 +609,10 @@ impl Shard {
             let shared = Arc::new(SharedConn {
                 stream,
                 state: Mutex::new(ConnState {
-                    out: VecDeque::new(),
-                    front_pos: 0,
+                    out: BytesMut::with_capacity(OUT_BUF),
                     busy: false,
                     backlog: VecDeque::new(),
+                    read_paused: false,
                     closed: false,
                 }),
             });
@@ -507,12 +622,15 @@ impl Shard {
                     shared,
                     assembler: FrameAssembler::new(),
                     interest: Interest::READABLE,
+                    eof: false,
+                    stalled: false,
                 },
             );
         }
     }
 
-    /// Handles readiness for one connection.
+    /// Handles readiness for one connection: read and dispatch what
+    /// arrived, then one write for everything that produced.
     fn service(&mut self, event: Event) {
         let token = event.token;
         // Chaos hook: injected inbound service delay, applied before the
@@ -520,186 +638,230 @@ impl Shard {
         if let Some(delay) = self.inner.pool.fault_switch().rx_latency() {
             std::thread::sleep(delay);
         }
-        if event.needs_read() && !self.read_ready(token) {
-            self.close(token);
-            return;
+        if event.needs_read() {
+            // Reads are off after EOF: only a hang-up or a socket error
+            // still reports then, and nobody is left to answer.
+            let finished = self.conns.get(&token).is_some_and(|c| c.eof);
+            if finished || !self.read_ready(token) {
+                self.close(token);
+                return;
+            }
         }
         self.flush_and_rearm(token);
     }
 
-    /// Pulls bytes, assembles frames, dispatches them. Returns false when
-    /// the connection is finished (EOF, error, or unframeable input).
+    /// Dispatches the frames already assembled, then pulls more bytes,
+    /// until the socket runs dry, the client has finished sending, or the
+    /// connection holds all it may — what is left then waits, unparsed, in
+    /// the assembler and the socket (`stalled`). Returns false when the
+    /// connection is beyond saving (socket error or unframeable input).
     fn read_ready(&mut self, token: u64) -> bool {
-        let mut buf = [0u8; 16 * 1024];
+        let mut buf = [0u8; READ_BUF];
+        // A short read drained the socket: epoll is level-triggered, so
+        // whatever arrives next raises a new event, and no extra `read` is
+        // spent collecting `WouldBlock`.
+        let mut drained = false;
+        if let Some(conn) = self.conns.get_mut(&token) {
+            conn.stalled = false;
+        }
         loop {
+            loop {
+                let Some(conn) = self.conns.get_mut(&token) else {
+                    return false;
+                };
+                let msg = match conn.assembler.next_message() {
+                    Ok(Some(msg)) => msg,
+                    Ok(None) => break,
+                    Err(_) => return false,
+                };
+                let Some(over_caps) = self.deliver(token, msg) else {
+                    return false;
+                };
+                if over_caps {
+                    if let Some(conn) = self.conns.get_mut(&token) {
+                        conn.stalled = true;
+                    }
+                    return true;
+                }
+            }
+            if drained {
+                return true;
+            }
             let Some(conn) = self.conns.get_mut(&token) else {
                 return false;
             };
-            match (&conn.shared.stream).read(&mut buf) {
-                Ok(0) => return false,
-                Ok(n) => {
-                    conn.assembler.extend(&buf[..n]);
-                    loop {
-                        let Some(conn) = self.conns.get_mut(&token) else {
-                            return false;
-                        };
-                        match conn.assembler.next_message() {
-                            Ok(Some(msg)) => {
-                                if !self.deliver(token, msg) {
-                                    return false;
-                                }
-                            }
-                            Ok(None) => break,
-                            Err(_) => return false,
-                        }
-                    }
+            if conn.eof {
+                return true;
+            }
+            let n = match (&conn.shared.stream).read(&mut buf) {
+                Ok(0) => {
+                    conn.eof = true;
+                    return true;
                 }
+                Ok(n) => n,
                 Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => return true,
                 Err(ref e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => return false,
-            }
+            };
+            conn.assembler.extend(&buf[..n]);
+            drained = n < buf.len();
         }
     }
 
     /// Routes one frame under the connection lock, through the backlog so
     /// there is one dispatch ladder ([`replay_backlog`]): the frame stays
-    /// parked if a `Get` is in flight and is dispatched at once otherwise.
-    /// Returns false when the connection should be torn down.
-    fn deliver(&mut self, token: u64, msg: Message) -> bool {
-        let Some(conn) = self.conns.get(&token) else {
-            return false;
-        };
+    /// parked behind a held connection and is dispatched at once
+    /// otherwise. A `Get` parked behind a worker passes admission here,
+    /// once. Returns whether the connection is now over its caps, `None`
+    /// when it should be torn down.
+    fn deliver(&mut self, token: u64, msg: Message) -> Option<bool> {
+        let conn = self.conns.get(&token)?;
         let shared = Arc::clone(&conn.shared);
-        // bh-lint: allow(lock-order, reason = "the per-connection state lock IS the frame-write serializer; the socket is nonblocking, so writes under it only fill the kernel buffer and queue the rest")
         let mut state = shared.state.lock();
         if state.closed {
-            return false;
+            return None;
         }
-        state.backlog.push_back(msg);
-        replay_backlog(
-            &shared,
-            &mut state,
-            &self.inner,
-            &self.jobs,
-            &mut self.scratch,
-            self.id,
-            token,
-        );
-        !state.closed
+        let parked = match msg {
+            Message::Get { url } => {
+                let get = ParkedGet::new(url);
+                let idle = !state.busy && state.backlog.is_empty();
+                if idle && answer_inline(&self.inner, &mut state, &get) {
+                    return Some(state.over_caps());
+                }
+                match self.jobs.admit(&self.inner) {
+                    Ok(()) => {
+                        self.jobs.parked();
+                        Parked::Get(get)
+                    }
+                    Err(depth) => Parked::Reply(service::redirect(&self.inner, get.key, depth)),
+                }
+            }
+            other => Parked::Frame(other),
+        };
+        state.backlog.push_back(parked);
+        replay_backlog(&shared, &mut state, &self.inner, &self.jobs, self.id, token);
+        (!state.closed).then(|| state.over_caps())
     }
 
-    /// Pushes queued bytes and keeps the poller's interest set in sync
-    /// with whether a write is still pending.
+    /// Pumps the connection and keeps the poller's interest set in sync:
+    /// readable unless the connection is over its caps or finished
+    /// sending, writable while bytes are unsent. Takes up the frames a
+    /// stalled read pass left behind once there is room again, and closes
+    /// a finished connection once nothing is owed on it.
     fn flush_and_rearm(&mut self, token: u64) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        let want = {
-            // bh-lint: allow(lock-order, reason = "draining queued bytes to the nonblocking socket is exactly what this lock serializes; write_some returns WouldBlock instead of waiting")
-            let mut state = conn.shared.state.lock();
-            if write_some(&conn.shared.stream, &mut state, &self.inner).is_err() {
-                drop(state);
-                self.close(token);
+        loop {
+            let Some(conn) = self.conns.get_mut(&token) else {
                 return;
+            };
+            let next = {
+                let (mut state, _) = pump(
+                    &conn.shared,
+                    &self.inner,
+                    &self.jobs,
+                    self.id,
+                    token,
+                    |_| {},
+                );
+                let over = state.over_caps();
+                let idle = !state.busy && state.backlog.is_empty() && !state.wants_write();
+                if state.closed || (conn.eof && idle && !conn.stalled) {
+                    Next::Close
+                } else if conn.stalled && !over {
+                    Next::Resume
+                } else {
+                    if over && !state.read_paused {
+                        self.inner.metrics.read_pauses.inc();
+                    }
+                    state.read_paused = over || conn.eof;
+                    Next::Arm(Interest {
+                        readable: !state.read_paused,
+                        writable: state.wants_write(),
+                    })
+                }
+            };
+            match next {
+                Next::Close => return self.close(token),
+                Next::Resume => {
+                    if !self.read_ready(token) {
+                        return self.close(token);
+                    }
+                }
+                Next::Arm(want) => {
+                    if conn.interest != want {
+                        if self
+                            .poller
+                            .modify(&conn.shared.stream, token, want)
+                            .is_err()
+                        {
+                            return self.close(token);
+                        }
+                        conn.interest = want;
+                    }
+                    return;
+                }
             }
-            if state.wants_write() {
-                Interest::BOTH
-            } else {
-                Interest::READABLE
-            }
-        };
-        if conn.interest != want {
-            if self
-                .poller
-                .modify(&conn.shared.stream, token, want)
-                .is_err()
-            {
-                self.close(token);
-                return;
-            }
-            conn.interest = want;
         }
     }
 
     fn close(&mut self, token: u64) {
         if let Some(conn) = self.conns.remove(&token) {
-            conn.shared.state.lock().closed = true;
+            let mut state = conn.shared.state.lock();
+            state.closed = true;
+            state.release_if_closed(&self.jobs);
             let _ = self.poller.deregister(&conn.shared.stream);
         }
     }
 }
 
-/// Queues an encoded frame on a connection, writing it straight to the
-/// socket when nothing is already queued — the common case, which skips a
-/// full copy of the frame (reply bodies dominate the bytes moved). Only
-/// the unsent tail, if any, is buffered. Callers hold the connection lock.
-fn send_frame(stream: &TcpStream, state: &mut ConnState, frame: &[u8]) {
-    if state.closed {
-        return;
-    }
-    let mut sent = 0;
-    if !state.wants_write() {
-        while sent < frame.len() {
-            match (&*stream).write(&frame[sent..]) {
-                Ok(0) => {
-                    state.closed = true;
-                    return;
-                }
-                Ok(n) => sent += n,
-                Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(ref e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    state.closed = true;
-                    return;
-                }
-            }
+/// The one place a connection's bytes leave. Takes the connection lock,
+/// lets `prepare` adjust the state, then alternates dispatching the
+/// backlog (a no-op while a worker holds the connection or the out-buffer
+/// is full) with writing the out-buffer, until the socket is full, the
+/// backlog is empty, or the connection went to a worker. Returns the
+/// guard, so the caller decides what happens next under the same lock,
+/// and whether a write just killed the connection.
+fn pump<'a>(
+    conn: &'a Arc<SharedConn>,
+    inner: &Arc<Inner>,
+    jobs: &JobQueue,
+    shard: usize,
+    token: u64,
+    prepare: impl FnOnce(&mut ConnState),
+) -> (MutexGuard<'a, ConnState>, bool) {
+    // bh-lint: allow(lock-order, reason = "the per-connection state lock IS the write serializer; the socket is nonblocking, so a write under it only fills the kernel buffer and stops at WouldBlock")
+    let mut state = conn.state.lock();
+    prepare(&mut state);
+    let was_closed = state.closed;
+    loop {
+        replay_backlog(conn, &mut state, inner, jobs, shard, token);
+        write_out(&conn.stream, &mut state);
+        // Unsent bytes mean the socket is full and EPOLLOUT will bring the
+        // shard back; otherwise go round for what the cap held back.
+        if state.closed || state.busy || state.backlog.is_empty() || state.wants_write() {
+            break;
         }
     }
-    if sent < frame.len() {
-        // bh-lint: allow(no-hot-alloc, reason = "only the unsent tail of a short write is copied; the fast path above writes the caller's scratch buffer in place")
-        state.out.push_back(Bytes::from(frame[sent..].to_vec()));
-    }
+    let died = state.closed && !was_closed;
+    (state, died)
 }
 
-/// Writes as much of the out-queue as the socket accepts right now, whole
-/// frames gathered into one `writev` per syscall. Callers hold the
-/// connection lock.
-fn write_some(stream: &TcpStream, state: &mut ConnState, inner: &Inner) -> io::Result<()> {
-    while state.wants_write() {
-        let empty: &[u8] = &[];
-        let mut bufs = [IoSlice::new(empty); bh_netpoll::MAX_IOV];
-        let mut cnt = 0usize;
-        for (i, frame) in state.out.iter().take(bh_netpoll::MAX_IOV).enumerate() {
-            bufs[i] = IoSlice::new(if i == 0 {
-                &frame[state.front_pos..]
-            } else {
-                frame
-            });
-            cnt += 1;
-        }
-        let wrote = match bh_netpoll::write_vectored(stream, &bufs[..cnt]) {
-            Ok(0) => return Err(io::Error::from(io::ErrorKind::WriteZero)),
-            Ok(n) => n,
-            Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) => return Err(e),
-        };
-        if cnt > 1 {
-            inner.metrics.writev_batches.inc();
-        }
-        let mut remaining = wrote;
-        while remaining > 0 && !state.out.is_empty() {
-            let front_left = state.out[0].len() - state.front_pos;
-            if remaining >= front_left {
-                remaining -= front_left;
-                state.out.pop_front();
-                state.front_pos = 0;
-            } else {
-                state.front_pos += remaining;
-                remaining = 0;
+/// Writes as much of the out-buffer as the socket accepts right now and
+/// keeps the rest. A dead socket marks the connection closed.
+fn write_out(stream: &TcpStream, state: &mut ConnState) {
+    while !state.closed && state.wants_write() {
+        match (&*stream).write(&state.out) {
+            Ok(0) => state.closed = true,
+            // A buffer that one large reply stretched is not kept that way.
+            Ok(n) if n == state.out.len() && state.out.capacity() > 2 * OUT_CAP => {
+                state.out = BytesMut::with_capacity(OUT_BUF);
             }
+            Ok(n) if n == state.out.len() => state.out.clear(),
+            Ok(n) => state.out.advance(n),
+            Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => break,
+            Err(ref e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(_) => state.closed = true,
         }
     }
-    Ok(())
 }
 
 #[cfg(test)]

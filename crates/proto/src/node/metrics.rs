@@ -71,9 +71,10 @@ pub struct NodeStats {
     /// Cross-thread wake-ups absorbed by an already-pending wake (epoll
     /// round-trips saved by the waker's coalescing flag).
     pub wakeups_coalesced: u64,
-    /// Vectored flushes that drained more than one reply frame in a
-    /// single `writev` syscall.
-    pub writev_batches: u64,
+    /// Times a connection stopped being polled for reads because its
+    /// backlog or its unsent reply bytes reached their cap (a client
+    /// pipelining faster than it reads).
+    pub read_pauses: u64,
     /// Microseconds spent replaying the durable hint log at spawn
     /// (0 when the node runs without durability).
     pub hint_log_replay_micros: u64,
@@ -116,7 +117,7 @@ impl NodeStats {
                 "queue_saturation_events" => &mut out.queue_saturation_events,
                 "hint_batch_overflow" => &mut out.hint_batch_overflow,
                 "wakeups_coalesced" => &mut out.wakeups_coalesced,
-                "writev_batches" => &mut out.writev_batches,
+                "read_pauses" => &mut out.read_pauses,
                 "hint_log_replay_micros" => &mut out.hint_log_replay_micros,
                 "hints_recovered_from_log" => &mut out.hints_recovered_from_log,
                 "hint_auth_failures" => &mut out.hint_auth_failures,
@@ -155,7 +156,7 @@ pub(crate) struct NodeMetrics {
     pub queue_saturation_events: Counter,
     pub hint_batch_overflow: Counter,
     pub wakeups_coalesced: Counter,
-    pub writev_batches: Counter,
+    pub read_pauses: Counter,
     pub hint_log_replay_micros: Counter,
     pub hints_recovered_from_log: Counter,
     pub hint_auth_failures: Counter,
@@ -165,7 +166,7 @@ pub(crate) struct NodeMetrics {
     pool_live_connections: Gauge,
     /// Outbound request retries the pool has performed.
     pool_reconnect_attempts: Gauge,
-    /// Miss-service latency (the `handle_get` path: hint lookup, peer
+    /// Miss-service latency (the `service_gets` path: hint lookup, peer
     /// probe and/or origin fetch, store).
     pub request_service_micros: Histogram,
 }
@@ -224,9 +225,9 @@ impl NodeMetrics {
                 "wakeups_coalesced",
                 "shard wake-ups absorbed by an already-pending wake",
             ),
-            writev_batches: c(
-                "writev_batches",
-                "vectored flushes draining >1 reply frame per syscall",
+            read_pauses: c(
+                "read_pauses",
+                "connections paused for reads at their backlog or unsent-bytes cap",
             ),
             hint_log_replay_micros: r.counter(
                 "hint_log_replay_micros",
@@ -263,7 +264,7 @@ impl NodeMetrics {
             request_service_micros: r.histogram(
                 "request_service_micros",
                 Unit::Micros,
-                "miss-service latency through handle_get",
+                "miss-service latency through service_gets",
                 Determinism::Measured,
                 &SERVICE_LATENCY_BOUNDS_US,
             ),
@@ -318,7 +319,7 @@ mod tests {
         m.queue_saturation_events.add(19);
         m.hint_batch_overflow.add(20);
         m.wakeups_coalesced.add(21);
-        m.writev_batches.add(22);
+        m.read_pauses.add(22);
         m.hint_log_replay_micros.add(23);
         m.hints_recovered_from_log.add(24);
         m.hint_auth_failures.add(25);
@@ -348,7 +349,7 @@ mod tests {
                 queue_saturation_events: 19,
                 hint_batch_overflow: 20,
                 wakeups_coalesced: 21,
-                writev_batches: 22,
+                read_pauses: 22,
                 hint_log_replay_micros: 23,
                 hints_recovered_from_log: 24,
                 hint_auth_failures: 25,
@@ -394,7 +395,7 @@ mod tests {
             "queue_saturation_events",
             "hint_batch_overflow",
             "wakeups_coalesced",
-            "writev_batches",
+            "read_pauses",
             "hint_log_replay_micros",
             "hints_recovered_from_log",
             "hint_auth_failures",

@@ -20,6 +20,7 @@
 mod engine;
 mod meta;
 mod metrics;
+mod service;
 
 pub use metrics::{NodeStats, NODE_TRACE_CAPACITY};
 
@@ -795,30 +796,6 @@ fn queue_update(inner: &Inner, action: HintAction, key: u64) {
     );
 }
 
-/// Stores a body locally (inform), returning the hint updates implied by
-/// any evictions plus the arrival itself.
-fn store_body(inner: &Inner, key: u64, version: u32, body: Bytes) {
-    let mut store = inner.store.lock();
-    let size = ByteSize::from_bytes(body.len() as u64);
-    let evicted = store.meta.insert(key, size, version);
-    let mut departed = Vec::with_capacity(evicted.len());
-    for e in evicted {
-        store.bodies.remove(&e.key);
-        departed.push(e.key);
-    }
-    let stored = store.meta.peek(key).is_some();
-    if stored {
-        store.bodies.insert(key, body);
-    }
-    drop(store);
-    for gone in departed {
-        queue_update(inner, HintAction::Remove, gone);
-    }
-    if stored {
-        queue_update(inner, HintAction::Add, key);
-    }
-}
-
 fn flush_loop(inner: Arc<Inner>) {
     // Randomized period: uniform in [0, flush_max), re-drawn every round
     // (Floyd–Jacobson desynchronization). Sleep in short slices so shutdown
@@ -1164,180 +1141,6 @@ fn resync_now(inner: &Inner) -> usize {
     learned
 }
 
-/// One outbound `Get`-shaped request/reply through the pool, with the
-/// caller's retry/quarantine policy.
-fn fetch_from(
-    inner: &Inner,
-    addr: SocketAddr,
-    opts: RequestOptions,
-    msg: &Message,
-) -> io::Result<(Status, u32, Bytes)> {
-    match inner.pool.request(addr, opts, msg)? {
-        Message::GetReply {
-            status,
-            version,
-            body,
-            ..
-        } => Ok((status, version, body)),
-        other => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("unexpected reply {other:?}"),
-        )),
-    }
-}
-
-/// Step 1 of a `Get`: the local data cache. Purely in-memory (a mutex and
-/// two map lookups), so the engine answers hits inline on the shard
-/// thread instead of paying the worker-pool round trip.
-fn local_hit(inner: &Inner, url: &str) -> Option<Message> {
-    let key = bh_md5::url_key(url);
-    let mut store = inner.store.lock();
-    if store.meta.get(key, 0).is_some() {
-        if let Some(body) = store.bodies.get(&key).cloned() {
-            let version = store.meta.peek(key).map(|(_, v)| v).unwrap_or(0);
-            inner.metrics.local_hits.inc();
-            drop(store);
-            trace_event(inner, span::LOCAL_HIT, key, 0);
-            return Some(Message::GetReply {
-                status: Status::Ok,
-                version,
-                served_by: ServedBy::Local,
-                body,
-            });
-        }
-    }
-    None
-}
-
-/// Stable served-by code for trace records: 0 local, 1 peer, 2 origin.
-fn served_by_code(reply: &Message) -> u64 {
-    match reply {
-        Message::GetReply { served_by, .. } => match served_by {
-            ServedBy::Local => 0,
-            ServedBy::Peer(_) => 1,
-            ServedBy::Origin => 2,
-        },
-        _ => 2,
-    }
-}
-
-/// The full miss-service path, wrapped in the request-service span
-/// (recv → hint-lookup → probe/origin-fetch → reply) and timed into the
-/// `request_service_micros` histogram.
-fn handle_get(inner: &Inner, url: &str) -> Message {
-    if inner.drained() {
-        // Drained (mesh API): turn the client away exactly like admission
-        // control does, so existing clients already know to fall back to
-        // the origin. Hint traffic keeps flowing; only `Get`s drain.
-        inner.metrics.admission_rejects.inc();
-        trace_event(inner, span::ADMISSION_REJECT, bh_md5::url_key(url), 0);
-        return Message::GetReply {
-            status: Status::Redirect,
-            version: 0,
-            served_by: ServedBy::Origin,
-            body: Bytes::new(),
-        };
-    }
-    let t0 = Instant::now();
-    let key = bh_md5::url_key(url);
-    trace_event(inner, span::RECV, key, 0);
-    let reply = service_get(inner, url, key);
-    trace_event(inner, span::REPLY, key, served_by_code(&reply));
-    inner
-        .metrics
-        .request_service_micros
-        .observe(t0.elapsed().as_micros() as u64);
-    reply
-}
-
-fn service_get(inner: &Inner, url: &str, key: u64) -> Message {
-    // 1. Local cache.
-    if let Some(reply) = local_hit(inner, url) {
-        return reply;
-    }
-
-    // 2. Local hint store → direct peer fetch. Only the owning hint
-    // shard is locked; the data-store lock is never touched here.
-    let hint = inner.hints.lookup(key).map(MachineId);
-    trace_event(inner, span::HINT_LOOKUP, key, u64::from(hint.is_some()));
-    if let Some(peer) = hint {
-        if peer != inner.machine {
-            match fetch_from(
-                inner,
-                peer.to_addr(),
-                RequestOptions::peer_probe(),
-                &Message::PeerGet {
-                    url: url.to_string(),
-                },
-            ) {
-                Ok((Status::Ok, version, body)) => {
-                    inner.metrics.peer_hits.inc();
-                    trace_event(inner, span::PEER_PROBE, key, 0);
-                    store_body(inner, key, version, body.clone());
-                    return Message::GetReply {
-                        status: Status::Ok,
-                        version,
-                        served_by: ServedBy::Peer(peer),
-                        body,
-                    };
-                }
-                Ok((Status::NotFound, ..))
-                | Ok((Status::Error, ..))
-                | Ok((Status::Redirect, ..)) => {
-                    // False positive: drop the hint, go to the origin. No
-                    // second hint lookup (§3.1.1).
-                    inner.metrics.false_positives.inc();
-                    trace_event(inner, span::PEER_PROBE, key, 1);
-                    inner.hints.remove(key);
-                    log_mutation(inner, LogRecord::remove(key));
-                }
-                Err(_) => {
-                    // Dead or unreachable peer: same one-wasted-probe
-                    // accounting, plus the degradation counter the chaos
-                    // harness watches — the request still completes via
-                    // the origin.
-                    inner.metrics.false_positives.inc();
-                    inner.metrics.degraded_to_origin.inc();
-                    trace_event(inner, span::PEER_PROBE, key, 2);
-                    inner.hints.remove(key);
-                    log_mutation(inner, LogRecord::remove(key));
-                }
-            }
-        }
-    }
-
-    // 3. Origin server.
-    match fetch_from(
-        inner,
-        inner.config.origin,
-        RequestOptions::origin(),
-        &Message::Get {
-            url: url.to_string(),
-        },
-    ) {
-        Ok((Status::Ok, version, body)) => {
-            inner.metrics.origin_fetches.inc();
-            trace_event(inner, span::ORIGIN_FETCH, key, 0);
-            store_body(inner, key, version, body.clone());
-            Message::GetReply {
-                status: Status::Ok,
-                version,
-                served_by: ServedBy::Origin,
-                body,
-            }
-        }
-        _ => {
-            trace_event(inner, span::ORIGIN_FETCH, key, 1);
-            Message::GetReply {
-                status: Status::Error,
-                version: 0,
-                served_by: ServedBy::Origin,
-                body: Bytes::new(),
-            }
-        }
-    }
-}
-
 /// Applies a received update batch to the hint store with the §3.1.2
 /// filtering, queueing the state-changing subset for hierarchical
 /// re-propagation. Callers verify the batch's authenticator first
@@ -1402,8 +1205,8 @@ fn apply_updates(inner: &Inner, updates: Vec<HintUpdate>) {
 /// Answers every frame that can be served from purely local state — the
 /// hint-module commands, pushes, and the meta namespace. `Get` is *not*
 /// local (it may probe a peer or the origin) and is answered with an
-/// error here; the engine routes it to [`handle_get`] before calling
-/// this. Takes the `Arc` (not `&Inner`) because meta control writes that
+/// error here; the engine routes it to [`service::service_gets`] before
+/// calling this. Takes the `Arc` (not `&Inner`) because meta control writes that
 /// imply outbound I/O (`control/resync`, `control/flush`) must detach
 /// onto their own thread — shard threads never perform outbound I/O.
 fn local_response(inner: &Arc<Inner>, msg: Message) -> Message {
@@ -1411,31 +1214,15 @@ fn local_response(inner: &Arc<Inner>, msg: Message) -> Message {
         Message::MetaRequest { op, path, value } => meta::handle(inner, op, &path, &value),
         Message::PeerGet { url } => {
             // Serve only from the local cache; never forward.
-            let key = bh_md5::url_key(&url);
-            let mut store = inner.store.lock();
-            if store.meta.get(key, 0).is_some() {
-                let version = store.meta.peek(key).map(|(_, v)| v).unwrap_or(0);
-                match store.bodies.get(&key).cloned() {
-                    Some(body) => Message::GetReply {
-                        status: Status::Ok,
-                        version,
-                        served_by: ServedBy::Local,
-                        body,
-                    },
-                    None => Message::GetReply {
-                        status: Status::NotFound,
-                        version: 0,
-                        served_by: ServedBy::Local,
-                        body: Bytes::new(),
-                    },
-                }
-            } else {
-                Message::GetReply {
-                    status: Status::NotFound,
-                    version: 0,
-                    served_by: ServedBy::Local,
-                    body: Bytes::new(),
-                }
+            let (status, version, body) = match service::cached(inner, bh_md5::url_key(&url)) {
+                Some((version, body)) => (Status::Ok, version, body),
+                None => (Status::NotFound, 0, Bytes::new()),
+            };
+            Message::GetReply {
+                status,
+                version,
+                served_by: ServedBy::Local,
+                body,
             }
         }
         Message::HintBatch {
@@ -1455,7 +1242,7 @@ fn local_response(inner: &Arc<Inner>, msg: Message) -> Message {
         Message::Push { url, version, body } => {
             let key = bh_md5::url_key(&url);
             inner.metrics.pushes_received.inc();
-            store_body(inner, key, version, body);
+            service::store_body(inner, key, version, body);
             // Aging (§4.1.2): pushed copies start at the cold end.
             inner.store.lock().meta.demote(key);
             Message::Ack

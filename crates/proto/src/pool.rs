@@ -4,9 +4,11 @@
 //! The seed prototype opened a fresh TCP connection for every peer probe,
 //! origin fetch, and hint flush — faithful to 1998, but the dominant cost
 //! once the daemon is asked to scale. The pool keeps a small set of idle
-//! connections per remote warm and checks them out for one framed
-//! request/reply round trip at a time, so a connection never carries
-//! interleaved requests. Warm capacity is bounded twice over —
+//! connections per remote warm and checks one out for one in-order
+//! pipelined run at a time ([`ConnectionPool::request_run`]: every frame
+//! of the run in one `write`, the replies read back in order; a single
+//! request/reply is the run of one), so a connection never carries the
+//! frames of two callers interleaved. Warm capacity is bounded twice over —
 //! per remote ([`PoolConfig::max_idle_per_peer`]) and across the whole
 //! pool ([`PoolConfig::max_idle_total`]) — so a node meshed with dozens
 //! of peers cannot park its way past the process fd limit.
@@ -25,7 +27,7 @@
 //! A *stale* pooled connection (peer restarted or idle-timed-out since
 //! checkout) is retried once with a fresh connect without consuming an
 //! attempt: the failure says nothing about the peer, only about the cached
-//! socket.
+//! socket. Only the frames it left unanswered are replayed.
 //!
 //! Three failure-hardening behaviours matter for the chaos harness:
 //!
@@ -46,9 +48,10 @@
 
 use crate::wire::{self, Message};
 use bh_netpoll::fault::FaultSwitch;
+use bytes::BytesMut;
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
-use std::io;
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -164,6 +167,11 @@ pub struct PoolStats {
     pub injected_drops: u64,
 }
 
+/// Read-buffer bytes per pooled connection: a run's replies arrive back to
+/// back, so one `read` should usually carry several, and it is paid per
+/// warm connection, so it stays small.
+const POOLED_READ_BUF: usize = 16 * 1024;
+
 /// A pooled stream plus its read buffer. The buffer lives with the stream:
 /// a `BufReader` may read ahead, and any buffered bytes belong to this
 /// connection's next reply, so the two are parked and checked out together.
@@ -175,7 +183,7 @@ struct PooledConn {
 
 impl PooledConn {
     fn new(stream: TcpStream) -> io::Result<Self> {
-        let reader = io::BufReader::new(stream.try_clone()?);
+        let reader = io::BufReader::with_capacity(POOLED_READ_BUF, stream.try_clone()?);
         Ok(PooledConn { stream, reader })
     }
 }
@@ -336,7 +344,7 @@ impl ConnectionPool {
     }
 
     /// Performs one framed request/reply round trip against `addr` under
-    /// the given policy.
+    /// the given policy: the one-frame case of [`ConnectionPool::request_run`].
     ///
     /// # Errors
     ///
@@ -350,20 +358,61 @@ impl ConnectionPool {
         opts: RequestOptions,
         msg: &Message,
     ) -> io::Result<Message> {
+        let mut result = None;
+        self.request_run(addr, opts, std::slice::from_ref(msg), &mut |r| {
+            result = Some(r)
+        });
+        result.unwrap_or_else(|| Err(io::Error::other("empty run")))
+    }
+
+    /// Sends `msgs` to `addr` as one in-order pipelined run on one pooled
+    /// connection — every frame in one `write`, the replies read back in
+    /// order — and hands `on_reply` one result per frame, in frame order,
+    /// each as soon as it is known (a reply is handed over before the next
+    /// one is read, so a caller that consumes bodies as they come never
+    /// holds the whole run's worth).
+    ///
+    /// Every gate treats the run as its frames sent one after another
+    /// would be treated: a poisoned pool, a partition block and a
+    /// quarantine window refuse each frame; an expired window admits the
+    /// run as the single re-probe; with the packet-drop knob armed every
+    /// frame draws its own fate (and goes out on its own, so a drop costs
+    /// exactly that frame); once the run has quarantined the remote the
+    /// rest of it is refused as the window would refuse it. A connection
+    /// that dies after answering `k` frames fails only the unanswered
+    /// ones, after the stale-socket replay and the policy's attempts have
+    /// been spent on that suffix alone.
+    ///
+    /// The frames are written before any reply is read, so a run must fit
+    /// the socket buffers: callers pipeline short requests (`Get`,
+    /// `PeerGet`), never bodies. `on_reply` may itself use the pool (a
+    /// different connection is checked out).
+    pub fn request_run(
+        &self,
+        addr: SocketAddr,
+        opts: RequestOptions,
+        msgs: &[Message],
+        on_reply: &mut dyn FnMut(io::Result<Message>),
+    ) {
+        let mut refuse_all = |kind: io::ErrorKind, why: String| {
+            for _ in msgs {
+                on_reply(Err(io::Error::new(kind, why.clone())));
+            }
+        };
         if self.is_poisoned() {
-            return Err(io::Error::new(
+            return refuse_all(
                 io::ErrorKind::ConnectionAborted,
-                "connection pool shut down",
-            ));
+                "connection pool shut down".to_string(),
+            );
         }
         if self.is_blocked(addr) {
-            self.stats.lock().partition_rejections += 1;
+            self.stats.lock().partition_rejections += msgs.len() as u64;
             // A partition looks like silence, not refusal: surface it as a
             // timeout so callers treat it like an unreachable peer.
-            return Err(io::Error::new(
+            return refuse_all(
                 io::ErrorKind::TimedOut,
                 format!("peer {addr} unreachable (injected partition)"),
-            ));
+            );
         }
 
         // Quarantine gate: fail fast inside the window; once the window
@@ -372,73 +421,121 @@ impl ConnectionPool {
         if opts.respect_quarantine {
             let mut peers = self.peers.lock();
             if let Some(peer) = peers.get_mut(&addr) {
-                match peer.quarantined_until {
-                    Some(until) if Instant::now() < until => {
-                        drop(peers);
-                        self.stats.lock().quarantine_rejections += 1;
-                        return Err(io::Error::new(
-                            io::ErrorKind::ConnectionRefused,
-                            format!("peer {addr} quarantined"),
-                        ));
-                    }
+                let refusal = match peer.quarantined_until {
+                    Some(until) if Instant::now() < until => Some("quarantined"),
+                    Some(_) if peer.probing => Some("re-probe in flight"),
                     Some(_) => {
-                        if peer.probing {
-                            drop(peers);
-                            self.stats.lock().quarantine_rejections += 1;
-                            return Err(io::Error::new(
-                                io::ErrorKind::ConnectionRefused,
-                                format!("peer {addr} re-probe in flight"),
-                            ));
-                        }
                         peer.probing = true;
                         holds_probe_slot = true;
+                        None
                     }
-                    None => {}
+                    None => None,
+                };
+                if let Some(why) = refusal {
+                    drop(peers);
+                    self.stats.lock().quarantine_rejections += msgs.len() as u64;
+                    return refuse_all(
+                        io::ErrorKind::ConnectionRefused,
+                        format!("peer {addr} {why}"),
+                    );
                 }
             }
         }
-        let result = self.request_inner(addr, opts, msg);
+        self.run_inner(addr, opts, msgs, on_reply);
         if holds_probe_slot {
             if let Some(peer) = self.peers.lock().get_mut(&addr) {
                 peer.probing = false;
             }
         }
-        result
     }
 
-    fn request_inner(
+    /// Past the gates: fault injection, then the exchange.
+    fn run_inner(
         &self,
         addr: SocketAddr,
         opts: RequestOptions,
-        msg: &Message,
-    ) -> io::Result<Message> {
-        // Fault injection: outbound latency, then a seeded drop decision.
+        msgs: &[Message],
+        on_reply: &mut dyn FnMut(io::Result<Message>),
+    ) {
         if let Some(delay) = self.fault.tx_latency() {
             std::thread::sleep(delay);
         }
-        if self.fault.should_drop() {
-            self.stats.lock().injected_drops += 1;
-            if opts.quarantine_on_failure {
-                self.quarantine(addr);
+        // With the drop knob armed a run goes out one frame per exchange,
+        // each behind its own seeded draw, exactly as if sent singly.
+        let step = if self.fault.drop_per_million() == 0 {
+            msgs.len()
+        } else {
+            1
+        };
+        let refused = || {
+            io::Error::new(
+                io::ErrorKind::ConnectionRefused,
+                format!("peer {addr} quarantined"),
+            )
+        };
+        // Set once this run has quarantined the remote: what is left of it
+        // is refused as the fresh window would refuse it.
+        let mut quarantined = false;
+        for chunk in msgs.chunks(step.max(1)) {
+            if quarantined && opts.respect_quarantine {
+                self.stats.lock().quarantine_rejections += chunk.len() as u64;
+                chunk.iter().for_each(|_| on_reply(Err(refused())));
+            } else if self.fault.should_drop() {
+                self.stats.lock().injected_drops += 1;
+                if opts.quarantine_on_failure {
+                    self.quarantine(addr);
+                    quarantined = true;
+                }
+                on_reply(Err(io::Error::new(
+                    io::ErrorKind::TimedOut,
+                    format!("send to {addr} dropped (injected fault)"),
+                )));
+            } else if let Err((unanswered, err)) = self.exchange(addr, opts, chunk, on_reply) {
+                // The first unanswered frame carries the error; under a
+                // policy that ignores quarantine the ones behind it fail
+                // with it too.
+                let (kind, why) = (err.kind(), err.to_string());
+                on_reply(Err(err));
+                if opts.quarantine_on_failure {
+                    self.quarantine(addr);
+                    quarantined = true;
+                }
+                for _ in 1..unanswered {
+                    if quarantined && opts.respect_quarantine {
+                        self.stats.lock().quarantine_rejections += 1;
+                        on_reply(Err(refused()));
+                    } else {
+                        on_reply(Err(io::Error::new(kind, why.clone())));
+                    }
+                }
             }
-            return Err(io::Error::new(
-                io::ErrorKind::TimedOut,
-                format!("send to {addr} dropped (injected fault)"),
-            ));
         }
+    }
+
+    /// One pipelined exchange of `msgs`: the pooled connection first, then
+    /// fresh connects under the policy's attempt budget, each carrying
+    /// only the frames still unanswered. Every reply goes to `on_reply` as
+    /// it arrives; when the attempts run out, returns how many frames
+    /// stayed unanswered and the last error.
+    fn exchange(
+        &self,
+        addr: SocketAddr,
+        opts: RequestOptions,
+        msgs: &[Message],
+        on_reply: &mut dyn FnMut(io::Result<Message>),
+    ) -> Result<(), (usize, io::Error)> {
+        let mut answered = 0;
 
         // A stale pooled connection gets one free replay on a fresh socket:
         // its failure reflects the cached fd, not the remote.
-        if let Some(stream) = self.checkout(addr) {
-            match self.round_trip(stream, msg, addr) {
-                Ok(reply) => {
-                    self.stats.lock().reuses += 1;
-                    return Ok(reply);
-                }
-                Err(_) => {
-                    self.stats.lock().retries += 1;
-                }
+        if let Some(conn) = self.checkout(addr) {
+            let outcome = self.pipeline(conn, msgs, addr, &mut answered, on_reply);
+            let mut stats = self.stats.lock();
+            stats.reuses += answered as u64;
+            if outcome.is_ok() {
+                return Ok(());
             }
+            stats.retries += 1;
         }
 
         let attempts = opts.max_attempts.max(1);
@@ -448,28 +545,35 @@ impl ConnectionPool {
                 self.stats.lock().retries += 1;
                 std::thread::sleep(self.backoff_delay(attempt));
             }
-            match self.connect(addr) {
-                Ok(stream) => {
-                    self.stats.lock().connects += 1;
-                    match self.round_trip(stream, msg, addr) {
-                        Ok(reply) => {
-                            let mut peers = self.peers.lock();
-                            let peer = peers.entry(addr).or_default();
-                            peer.quarantined_until = None;
-                            peer.quarantine_streak = 0;
-                            return Ok(reply);
-                        }
-                        Err(e) => last_err = Some(e),
-                    }
+            let conn = match self.connect(addr) {
+                Ok(conn) => conn,
+                Err(e) => {
+                    last_err = Some(e);
+                    continue;
                 }
+            };
+            let before = answered;
+            let outcome = self.pipeline(conn, &msgs[before..], addr, &mut answered, on_reply);
+            {
+                // The first frame paid for the connect; the rest rode a
+                // connection that was already open.
+                let mut stats = self.stats.lock();
+                stats.connects += 1;
+                stats.reuses += (answered - before).saturating_sub(1) as u64;
+            }
+            if answered > before {
+                let mut peers = self.peers.lock();
+                let peer = peers.entry(addr).or_default();
+                peer.quarantined_until = None;
+                peer.quarantine_streak = 0;
+            }
+            match outcome {
+                Ok(()) => return Ok(()),
                 Err(e) => last_err = Some(e),
             }
         }
-
-        if opts.quarantine_on_failure {
-            self.quarantine(addr);
-        }
-        Err(last_err.unwrap_or_else(|| io::Error::other("no attempts made")))
+        let err = last_err.unwrap_or_else(|| io::Error::other("no attempts made"));
+        Err((msgs.len() - answered, err))
     }
 
     /// Opens (or escalates) the quarantine window for `addr`.
@@ -494,14 +598,28 @@ impl ConnectionPool {
         PooledConn::new(stream)
     }
 
-    fn round_trip(
+    /// Writes every frame of `msgs` in one `write`, reads the replies back
+    /// in order — handing each to `on_reply` and counting it in `answered`
+    /// — and parks the connection again. On an error the replies already
+    /// handed over stand and the connection is dropped.
+    fn pipeline(
         &self,
         mut conn: PooledConn,
-        msg: &Message,
+        msgs: &[Message],
         addr: SocketAddr,
-    ) -> io::Result<Message> {
-        wire::write_message(&mut conn.stream, msg)?;
-        let reply = wire::read_message(&mut conn.reader)?;
+        answered: &mut usize,
+        on_reply: &mut dyn FnMut(io::Result<Message>),
+    ) -> io::Result<()> {
+        let mut frames = BytesMut::with_capacity(64 * msgs.len());
+        for msg in msgs {
+            msg.encode_into(&mut frames);
+        }
+        conn.stream.write_all(&frames)?;
+        for _ in msgs {
+            let reply = wire::read_message(&mut conn.reader)?;
+            *answered += 1;
+            on_reply(Ok(reply));
+        }
         let mut peers = self.peers.lock();
         // Both caps must hold before parking: the per-peer cap keeps one
         // chatty remote from monopolizing the pool, the global cap keeps a
@@ -515,7 +633,7 @@ impl ConnectionPool {
         {
             peer.idle.push(conn);
         }
-        Ok(reply)
+        Ok(())
     }
 
     /// Exponential backoff with jitter in `[delay/2, delay)`, capped. The
@@ -550,8 +668,21 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
     use std::sync::Arc;
 
-    /// Serves `requests_per_conn` Ack replies per accepted connection, then
-    /// closes it. `None` keeps connections open until the client hangs up.
+    /// What the test server answers: a `FindNearest` gets its own key back
+    /// (so a run's replies can be matched to its frames), anything else an
+    /// `Ack`.
+    fn answer_to(msg: &Message) -> Message {
+        match msg {
+            Message::FindNearest { key } => Message::FindNearestReply {
+                location: Some(wire::MachineId(*key)),
+            },
+            _ => Message::Ack,
+        }
+    }
+
+    /// Serves `requests_per_conn` replies ([`answer_to`]) per accepted
+    /// connection, then closes it. `None` keeps connections open until the
+    /// client hangs up.
     fn ack_server(requests_per_conn: Option<usize>) -> (SocketAddr, Arc<AtomicUsize>) {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
@@ -563,14 +694,11 @@ mod tests {
                 let served = Arc::clone(&served2);
                 std::thread::spawn(move || {
                     let mut handled = 0;
-                    loop {
-                        if wire::read_message(&mut stream).is_err() {
-                            break;
-                        }
+                    while let Ok(msg) = wire::read_message(&mut stream) {
                         // Count before replying: the client may assert on
                         // the counter the instant its reply arrives.
                         served.fetch_add(1, Ordering::SeqCst);
-                        if wire::write_message(&mut stream, &Message::Ack).is_err() {
+                        if wire::write_message(&mut stream, &answer_to(&msg)).is_err() {
                             break;
                         }
                         handled += 1;
@@ -615,6 +743,250 @@ mod tests {
         assert_eq!(stats.connects, 1, "one connect serves all three requests");
         assert_eq!(stats.reuses, 2);
         assert_eq!(pool.idle_count(addr), 1);
+    }
+
+    fn keyed(keys: std::ops::Range<u64>) -> Vec<Message> {
+        keys.map(|key| Message::FindNearest { key }).collect()
+    }
+
+    /// A run's results, in frame order.
+    fn run(
+        pool: &ConnectionPool,
+        addr: SocketAddr,
+        opts: RequestOptions,
+        msgs: &[Message],
+    ) -> Vec<io::Result<Message>> {
+        let mut results = Vec::with_capacity(msgs.len());
+        pool.request_run(addr, opts, msgs, &mut |r| results.push(r));
+        results
+    }
+
+    /// The echoed key of each frame, or the error kind it failed with.
+    fn outcomes(results: Vec<io::Result<Message>>) -> Vec<Result<u64, io::ErrorKind>> {
+        results
+            .into_iter()
+            .map(|r| match r {
+                Ok(Message::FindNearestReply {
+                    location: Some(wire::MachineId(key)),
+                }) => Ok(key),
+                Ok(other) => panic!("unexpected reply {other:?}"),
+                Err(e) => Err(e.kind()),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_run_is_answered_in_order_over_one_connection() {
+        let (addr, served) = ack_server(None);
+        let pool = ConnectionPool::new(quick_config());
+        let got = outcomes(run(&pool, addr, RequestOptions::origin(), &keyed(0..8)));
+        assert_eq!(got, (0..8).map(Ok).collect::<Vec<_>>());
+        assert_eq!(served.load(Ordering::SeqCst), 8);
+        let stats = pool.stats();
+        assert_eq!((stats.connects, stats.reuses, stats.retries), (1, 7, 0));
+        assert_eq!(
+            pool.idle_count(addr),
+            1,
+            "parked once, after the last reply"
+        );
+    }
+
+    /// A server whose connections die on purpose: connection `i` reads
+    /// `script[i].0` frames, answers only the first `script[i].1` of them,
+    /// and closes (every frame read, so the close is a clean FIN and the
+    /// client sees exactly the replies that were written). Connections
+    /// past the script are refused: the listener is gone. Returns the keys
+    /// each connection was sent.
+    fn scripted_server(
+        script: Vec<(usize, usize)>,
+    ) -> (SocketAddr, std::thread::JoinHandle<Vec<Vec<u64>>>) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let server = std::thread::spawn(move || {
+            let mut seen = Vec::new();
+            let mut listener = Some(listener);
+            let last = script.len() - 1;
+            for (conn, (read, answer)) in script.into_iter().enumerate() {
+                let (mut stream, _) = listener
+                    .as_ref()
+                    .expect("listening")
+                    .accept()
+                    .expect("accept");
+                let mut keys = Vec::new();
+                for i in 0..read {
+                    let msg = wire::read_message(&mut stream).expect("frame");
+                    if let Message::FindNearest { key } = msg {
+                        keys.push(key);
+                    }
+                    if i < answer {
+                        wire::write_message(&mut stream, &answer_to(&msg)).expect("reply");
+                    }
+                }
+                seen.push(keys);
+                if conn == last {
+                    // Stop listening before the last connection closes, so
+                    // the client's reconnect is refused, not half-accepted.
+                    listener = None;
+                }
+            }
+            seen
+        });
+        (addr, server)
+    }
+
+    #[test]
+    fn stale_socket_replays_only_the_unanswered_frames() {
+        // The parked socket answers the warm-up and two frames of the run
+        // of five, then dies; the second connection answers what it gets.
+        let (addr, server) = scripted_server(vec![(6, 3), (3, 3)]);
+        let pool = ConnectionPool::new(quick_config());
+        pool.request(addr, RequestOptions::peer_probe(), &Message::Ack)
+            .expect("warm-up");
+        let got = outcomes(run(
+            &pool,
+            addr,
+            RequestOptions::peer_probe(),
+            &keyed(10..15),
+        ));
+        assert_eq!(got, (10..15).map(Ok).collect::<Vec<_>>());
+        let seen = server.join().expect("server");
+        assert_eq!(seen[0], [10, 11, 12, 13, 14]);
+        assert_eq!(
+            seen[1],
+            [12, 13, 14],
+            "only the unanswered suffix is replayed"
+        );
+        let stats = pool.stats();
+        assert_eq!(stats.connects, 2);
+        assert_eq!(
+            stats.reuses,
+            2 + 2,
+            "two on the stale socket, two behind the reconnect"
+        );
+        assert_eq!(stats.retries, 1, "the replay is free: no attempt consumed");
+        assert!(!pool.is_quarantined(addr));
+    }
+
+    #[test]
+    fn a_peer_that_dies_mid_run_fails_the_unanswered_frames_and_is_quarantined_once() {
+        // The only connection the server ever accepts answers two frames
+        // of five; the reconnect finds nobody listening.
+        let (addr, server) = scripted_server(vec![(5, 2)]);
+        let pool = ConnectionPool::new(quick_config());
+        let results = run(&pool, addr, RequestOptions::peer_probe(), &keyed(0..5));
+        server.join().expect("server");
+        let got = outcomes(results);
+        assert_eq!(got[..2], [Ok(0), Ok(1)]);
+        assert!(got[2..].iter().all(Result::is_err), "{got:?}");
+        assert_eq!(
+            pool.quarantine_streak(addr),
+            1,
+            "quarantined once, not per frame"
+        );
+        let stats = pool.stats();
+        assert_eq!(stats.connects, 1);
+        assert_eq!(
+            stats.quarantine_rejections, 2,
+            "the frames behind the failed one are refused as the window would refuse them"
+        );
+    }
+
+    /// A run of `n` and `n` single requests leave the same `PoolStats` and
+    /// the same per-frame outcomes behind every gate.
+    #[test]
+    fn run_stats_equal_single_requests_under_every_gate() {
+        const N: u64 = 6;
+        type Gate = fn(&ConnectionPool, SocketAddr);
+        let drop_all: Gate = |pool, _| {
+            pool.fault_switch()
+                .set_drop_per_million(bh_netpoll::fault::PER_MILLION)
+        };
+        let gates: [(&str, Gate); 7] = [
+            ("open", |_, _| {}),
+            ("poisoned", |pool, _| pool.poison()),
+            ("partition block", |pool, addr| pool.block(addr)),
+            ("quarantine window", |pool, addr| {
+                // A lost probe opens the window; the fault is then lifted.
+                pool.fault_switch()
+                    .set_drop_per_million(bh_netpoll::fault::PER_MILLION);
+                pool.request(addr, RequestOptions::peer_probe(), &Message::Ack)
+                    .expect_err("dropped");
+                pool.fault_switch().clear();
+                assert!(pool.is_quarantined(addr));
+            }),
+            ("every frame dropped", drop_all),
+            ("half the frames dropped", |pool, _| {
+                pool.fault_switch().set_drop_per_million(500_000)
+            }),
+            ("outbound latency", |pool, _| {
+                pool.fault_switch().set_tx_latency_micros(50)
+            }),
+        ];
+        let policies = [RequestOptions::peer_probe(), RequestOptions::origin()];
+        for (name, gate) in gates {
+            for opts in policies {
+                let (addr, _served) = ack_server(None);
+                // Same seed on both sides: the drop stream makes the same
+                // draws for frame i of the run and for request i.
+                let pool = || {
+                    let fault = Arc::new(FaultSwitch::new(7));
+                    ConnectionPool::with_fault_switch(quick_config(), fault)
+                };
+                let (batched, single) = (pool(), pool());
+                gate(&batched, addr);
+                gate(&single, addr);
+                let as_run = outcomes(run(&batched, addr, opts, &keyed(0..N)));
+                let one_by_one = outcomes(
+                    keyed(0..N)
+                        .iter()
+                        .map(|m| single.request(addr, opts, m))
+                        .collect(),
+                );
+                assert_eq!(as_run, one_by_one, "{name}, {opts:?}: outcomes");
+                assert_eq!(batched.stats(), single.stats(), "{name}, {opts:?}: stats");
+                assert_eq!(
+                    batched.quarantine_streak(addr),
+                    single.quarantine_streak(addr),
+                    "{name}, {opts:?}: streak"
+                );
+            }
+        }
+    }
+
+    /// An expired quarantine window admits a whole run as the one re-probe:
+    /// it holds the slot once, and its success clears the quarantine, just
+    /// as the first of `n` single requests would.
+    #[test]
+    fn expired_quarantine_admits_a_run_as_the_single_reprobe() {
+        let (addr, _served) = ack_server(None);
+        let reprobe = |as_run: bool| {
+            let pool = ConnectionPool::new(PoolConfig {
+                quarantine: Duration::from_millis(1),
+                ..quick_config()
+            });
+            pool.fault_switch()
+                .set_drop_per_million(bh_netpoll::fault::PER_MILLION);
+            pool.request(addr, RequestOptions::peer_probe(), &Message::Ack)
+                .expect_err("dropped");
+            pool.fault_switch().clear();
+            while pool.is_quarantined(addr) {
+                std::thread::yield_now();
+            }
+            let got = if as_run {
+                outcomes(run(&pool, addr, RequestOptions::peer_probe(), &keyed(0..4)))
+            } else {
+                outcomes(
+                    keyed(0..4)
+                        .iter()
+                        .map(|m| pool.request(addr, RequestOptions::peer_probe(), m))
+                        .collect(),
+                )
+            };
+            assert_eq!(got, (0..4).map(Ok).collect::<Vec<_>>());
+            assert_eq!(pool.quarantine_streak(addr), 0, "success clears the streak");
+            pool.stats()
+        };
+        assert_eq!(reprobe(true), reprobe(false));
     }
 
     #[test]

@@ -436,17 +436,25 @@ impl Message {
     }
 
     /// Encodes the full frame (`u32 len | u8 ty | payload`) into `out`,
-    /// replacing its contents but keeping its allocation.
-    ///
-    /// This is the hot encode path: callers on the data path hold one
-    /// scratch `BytesMut` per connection (or per worker) and reuse it for
-    /// every reply, so a warm connection encodes with zero allocations.
-    /// The payload is written once, directly after a placeholder header
-    /// that is patched in place — no intermediate payload buffer and no
-    /// frame-assembly copy. Use [`Message::encoded`] when an owned
-    /// [`Bytes`] frame is more convenient than a borrowed slice.
+    /// replacing its contents but keeping its allocation. Use
+    /// [`Message::encoded`] when an owned [`Bytes`] frame is more
+    /// convenient than a borrowed slice.
     pub fn encode(&self, out: &mut BytesMut) {
         out.clear();
+        self.encode_into(out);
+    }
+
+    /// Appends the full frame (`u32 len | u8 ty | payload`) to `out`,
+    /// after whatever it already holds.
+    ///
+    /// This is the hot encode path: a connection's replies are appended
+    /// one after another to its out-buffer and a pipelined run's requests
+    /// to one write buffer, so a batch leaves in one `write` and a warm
+    /// buffer encodes with zero allocations. The payload is written once,
+    /// directly after a placeholder header that is patched in place — no
+    /// intermediate payload buffer and no frame-assembly copy.
+    pub fn encode_into(&self, out: &mut BytesMut) {
+        let start = out.len();
         // Placeholder header, patched once the payload length is known.
         out.put_u32_le(0);
         out.put_u8(0);
@@ -553,9 +561,9 @@ impl Message {
                 T_META_REPLY
             }
         };
-        let payload_len = (out.len() - 5) as u32;
-        out[0..4].copy_from_slice(&payload_len.to_le_bytes());
-        out[4] = ty;
+        let payload_len = (out.len() - start - 5) as u32;
+        out[start..start + 4].copy_from_slice(&payload_len.to_le_bytes());
+        out[start + 4] = ty;
     }
 
     /// Encodes into a freshly allocated, framed [`Bytes`] buffer.
