@@ -157,7 +157,7 @@ pub struct CallSite {
     /// Locks held at the call.
     pub held: Vec<HeldLock>,
     /// True when the call's result is let-bound and ends the
-    /// initializer (`let g = x.lock_shard(i);`) — the shape that keeps
+    /// initializer (`let g = x.locked();`) — the shape that keeps
     /// a returned guard alive.
     pub bound: bool,
 }
@@ -545,7 +545,7 @@ fn parse_body(tokens: &[Token], open: usize, close: usize, info: &mut FnInfo) {
                     });
                     if bound && !CALL_IGNORE.contains(&s.as_str()) {
                         // The let-bound result may be a guard returned
-                        // by a workspace helper (`lock_shard`). Track a
+                        // by a workspace helper. Track a
                         // `call:` pseudo-lock in proper lexical scope —
                         // including `drop(binding)` — so the rules can
                         // substitute the callee's own locks whenever
@@ -849,14 +849,14 @@ fn if_let_scrutinee_extends(inner: &Inner) {
 
     #[test]
     fn guard_returning_signature_and_bound_calls() {
-        let src = "impl Shards {\n  pub fn lock_shard(&self, i: usize) -> MutexGuard<'_, Cache> {\n    self.shards[i].lock()\n  }\n}\nfn user(sh: &Shards) {\n  let g = sh.lock_shard(0);\n  let n = sh.lock_shard(1).len2();\n}\n";
+        let src = "impl Store {\n  pub fn locked(&self) -> MutexGuard<'_, Table> {\n    self.table.lock()\n  }\n}\nfn user(st: &Store) {\n  let g = st.locked();\n  let n = st.locked().len2();\n}\n";
         let m = model_of(&[("crates/proto/src/node/mod.rs", src)]);
-        assert!(fn_named(&m, "lock_shard").returns_guard);
+        assert!(fn_named(&m, "locked").returns_guard);
         let user = fn_named(&m, "user");
         let bound: Vec<bool> = user
             .calls
             .iter()
-            .filter(|c| c.name == "lock_shard")
+            .filter(|c| c.name == "locked")
             .map(|c| c.bound)
             .collect();
         assert_eq!(bound, [true, false]);
@@ -864,7 +864,7 @@ fn if_let_scrutinee_extends(inner: &Inner) {
 
     #[test]
     fn bound_guard_returning_calls_become_pseudo_locks() {
-        let src = "fn user(sh: &Shards, inner: &Inner) {\n  let g = sh.lock_shard(0);\n  inner.pending.lock().push(1);\n  drop(g);\n  inner.store.lock().put(1);\n}\n";
+        let src = "fn user(st: &Store, inner: &Inner) {\n  let g = st.locked();\n  inner.pending.lock().push(1);\n  drop(g);\n  inner.store.lock().put(1);\n}\n";
         let m = model_of(&[("crates/proto/src/node/mod.rs", src)]);
         let user = fn_named(&m, "user");
         let held = |i: usize| {
@@ -874,7 +874,7 @@ fn if_let_scrutinee_extends(inner: &Inner) {
                 .map(|h| h.lock.clone())
                 .collect::<Vec<_>>()
         };
-        assert_eq!(held(0), ["call:lock_shard"]);
+        assert_eq!(held(0), ["call:locked"]);
         assert!(held(1).is_empty(), "drop(g) releases the pseudo-guard");
     }
 

@@ -851,7 +851,7 @@ fn real_held(model: &Model, held: &[HeldLock]) -> Vec<HeldLock> {
 /// locks held.
 ///
 /// `caller` is the fn making the call. Calls are resolved by name, so
-/// below a delegating wrapper (`HintShards::purge_location` →
+/// below a delegating wrapper (`HintTable::purge_location` →
 /// `HintCache::purge_location` → `HintBank::purge_location`) the shared
 /// name resolves back to the wrapper itself; following it would charge
 /// the caller's own locks to its callee.
@@ -916,7 +916,7 @@ pub fn lock_graph(model: &Model) -> DiGraph {
             }
             for &t in model.resolve(&c.name) {
                 // A fn invoking its own name on another receiver is a
-                // delegating wrapper (`HintShards::purge_location` →
+                // delegating wrapper (`HintTable::purge_location` →
                 // `HintCache::purge_location`), not recursion; counting
                 // it would forge a self-edge for every such wrapper.
                 if t == fi {

@@ -344,8 +344,7 @@ fn trace_node(inner: &Arc<Inner>, op: MetaOp, rest: &[&str], root: &str) -> Mess
 fn hints_node(inner: &Arc<Inner>, op: MetaOp, rest: &[&str], root: &str) -> Message {
     match (op, rest) {
         (MetaOp::List, []) => {
-            let mut entries = inner.hints.entries();
-            entries.sort_unstable();
+            let entries = inner.hints.entries();
             ok(entries
                 .into_iter()
                 .map(|(object, location)| {
@@ -361,11 +360,8 @@ fn hints_node(inner: &Arc<Inner>, op: MetaOp, rest: &[&str], root: &str) -> Mess
                 return fail(MetaStatus::Invalid);
             };
             // Peek, not lookup: introspection must not promote the entry
-            // in its shard's LRU order.
-            let location = inner
-                .hints
-                .lock_shard(inner.hints.shard_index(key))
-                .peek(key);
+            // in its set's LRU order.
+            let location = inner.hints.table.lock().peek(key);
             match location {
                 Some(loc) => ok(vec![entry(
                     format!("{root}/hints/{key:016x}"),

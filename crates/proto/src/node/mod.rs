@@ -18,6 +18,7 @@
 //! [`io::ErrorKind::Unsupported`].
 
 mod engine;
+mod hints;
 mod meta;
 mod metrics;
 mod service;
@@ -29,12 +30,12 @@ use crate::pool::{ConnectionPool, PoolConfig, RequestOptions};
 use crate::wire::{
     coalesce, hint_batch_tag, HintAction, HintUpdate, MachineId, Message, ServedBy, Status,
 };
-use bh_cache::{HintCache, LruCache};
-use bh_hintlog::{HintLog, LogRecord};
+use bh_cache::LruCache;
 use bh_obs::{span, MetricEntry, MetricInfo, TraceEvent, TraceRing};
 use bh_plaxton::{NodeSpec, PlaxtonTree};
 use bh_simcore::ByteSize;
 use bytes::Bytes;
+use hints::HintStore;
 use metrics::NodeMetrics;
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
@@ -95,7 +96,7 @@ pub struct NodeConfig {
     /// unwind before detaching the stragglers.
     pub shutdown_deadline: Duration,
     /// When set, hint-store mutations are mirrored to a crash-safe
-    /// append-only log in this directory ([`bh_hintlog::HintLog`]) and a
+    /// append-only log in this directory (the [`bh_hintlog`] crate) and a
     /// warm restart replays it at spawn — recovering the hint table
     /// without a network-wide [`CacheNode::resync`]. `None` (the
     /// default) keeps the hint store purely in-memory.
@@ -215,86 +216,6 @@ struct Store {
     bodies: HashMap<u64, Bytes>,
 }
 
-/// Digest-partitioned hint-store shards per node. Lookups and batch
-/// applies lock only the owning shard.
-const HINT_SHARDS: usize = 8;
-
-/// The hint store partitioned into digest-indexed shards, each behind its
-/// own lock, so worker-thread lookups and batch applies stop contending
-/// on the data-store lock (and on each other). A key lives in shard
-/// `key % N`; every full-store operation (`purge_location`, `entries`,
-/// the `Resync` scrape) walks the shards in index order, which keeps
-/// derived artifacts deterministic for a given store state.
-#[derive(Debug)]
-struct HintShards {
-    shards: Vec<Mutex<HintCache>>,
-}
-
-impl HintShards {
-    /// Splits `total` capacity evenly across [`HINT_SHARDS`] shards.
-    /// `HintCache::with_capacity` floors each shard at one way-set, so a
-    /// tiny capacity still yields usable shards.
-    fn with_capacity(total: ByteSize) -> HintShards {
-        let per = ByteSize::from_bytes(total.as_bytes() / HINT_SHARDS as u64);
-        HintShards {
-            shards: (0..HINT_SHARDS)
-                .map(|_| Mutex::new(HintCache::with_capacity(per)))
-                .collect(),
-        }
-    }
-
-    /// Unbounded shards, for equivalence tests against a single-store
-    /// witness (no capacity-eviction noise).
-    #[cfg(test)]
-    fn unbounded(n: usize) -> HintShards {
-        HintShards {
-            shards: (0..n.max(1))
-                .map(|_| Mutex::new(HintCache::unbounded()))
-                .collect(),
-        }
-    }
-
-    fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn shard_index(&self, key: u64) -> usize {
-        (key % self.shards.len() as u64) as usize
-    }
-
-    fn lock_shard(&self, index: usize) -> parking_lot::MutexGuard<'_, HintCache> {
-        self.shards[index].lock()
-    }
-
-    /// Promoting lookup on the owning shard only.
-    fn lookup(&self, key: u64) -> Option<u64> {
-        self.shards[self.shard_index(key)].lock().lookup(key)
-    }
-
-    fn remove(&self, key: u64) {
-        self.shards[self.shard_index(key)].lock().remove(key);
-    }
-
-    /// Drops every record naming `location`, walking shards in index
-    /// order. Returns the total purged.
-    fn purge_location(&self, location: u64) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().purge_location(location))
-            .sum()
-    }
-
-    /// Every `(object, location)` pair, shard 0 first.
-    fn entries(&self) -> Vec<(u64, u64)> {
-        // bh-lint: allow(no-hot-alloc, reason = "operator scrape / Resync path, size unknown until shards are locked")
-        let mut out = Vec::new();
-        for s in &self.shards {
-            out.extend(s.lock().entries());
-        }
-        out
-    }
-}
-
 /// The live Plaxton metadata hierarchy this node repairs on churn: the
 /// tree the mesh agreed on plus the index/position bookkeeping needed to
 /// remove a confirmed-dead member and re-add a revived one at its
@@ -313,9 +234,9 @@ struct Inner {
     config: NodeConfig,
     machine: MachineId,
     store: Mutex<Store>,
-    /// Digest-partitioned hint store, locked per shard (never under the
+    /// The hint table and its durable mirror (never locked under the
     /// store lock).
-    hints: HintShards,
+    hints: HintStore,
     /// Coalescing buffer for outbound hint updates, bounded at
     /// [`PENDING_CAP`] with drop-oldest overflow.
     pending: Mutex<VecDeque<HintUpdate>>,
@@ -346,17 +267,6 @@ struct Inner {
     /// Live Plaxton tree repaired on confirmed churn (`None` until
     /// [`CacheNode::set_mesh`]).
     mesh: Mutex<Option<MeshState>>,
-    /// Durable hint log (`None` unless [`NodeConfig::durability_dir`] is
-    /// set). Locked only by the flush thread; request paths stage
-    /// records in `log_pending` instead.
-    hintlog: Option<Mutex<HintLog>>,
-    /// Hint-store mutations awaiting their fsync-batched append — the
-    /// durable mirror of the in-memory insert/remove stream.
-    log_pending: Mutex<Vec<LogRecord>>,
-    /// Set by bulk hint drops (dead-peer purge, byzantine quarantine):
-    /// the next flush rewrites the snapshot from live state instead of
-    /// logging every purged key.
-    log_compact_due: AtomicBool,
     /// Consecutive hint-batch authentication failures per sender
     /// (keyed by `MachineId.0`); crossing
     /// [`HINT_AUTH_QUARANTINE_AFTER`] quarantines the sender.
@@ -422,31 +332,17 @@ impl CacheNode {
             ..PoolConfig::default()
         });
         let metrics = NodeMetrics::register();
-        let hints = HintShards::with_capacity(config.hint_capacity);
-        let mut hintlog = None;
-        if let Some(dir) = &config.durability_dir {
-            // Warm restart: open the durable log and replay snapshot +
-            // tail into the hint store before serving a single request.
-            // A failed-open falls back to a cold store rather than
-            // failing the spawn — durability is best-effort by design.
-            let t0 = Instant::now();
-            if let Ok(recovered) = HintLog::open(dir) {
-                for r in &recovered.records {
-                    let mut shard = hints.lock_shard(hints.shard_index(r.key));
-                    if r.is_remove() {
-                        shard.remove(r.key);
-                    } else {
-                        shard.insert(r.key, r.machine());
-                    }
-                }
-                metrics
-                    .hint_log_replay_micros
-                    .add(t0.elapsed().as_micros() as u64);
-                metrics
-                    .hints_recovered_from_log
-                    .add(hints.entries().len() as u64);
-                hintlog = Some(Mutex::new(recovered.log));
-            }
+        // Warm restart: a durable store replays snapshot + tail before
+        // the node serves a single request.
+        let t0 = Instant::now();
+        let hints = HintStore::open(config.hint_capacity, config.durability_dir.as_deref());
+        if hints.is_durable() {
+            metrics
+                .hint_log_replay_micros
+                .add(t0.elapsed().as_micros() as u64);
+            metrics
+                .hints_recovered_from_log
+                .add(hints.table.lock().len() as u64);
         }
         let inner = Arc::new(Inner {
             machine,
@@ -472,10 +368,6 @@ impl CacheNode {
                 confirm_death_after: config.confirm_death_after,
             })),
             mesh: Mutex::new(None),
-            hintlog,
-            // bh-lint: allow(no-hot-alloc, reason = "node spawn runs once, not per request")
-            log_pending: Mutex::new(Vec::new()),
-            log_compact_due: AtomicBool::new(false),
             hint_auth: Mutex::new(HashMap::new()),
             drained: AtomicBool::new(false),
             resync_runs: AtomicU64::new(0),
@@ -553,7 +445,7 @@ impl CacheNode {
     /// The hint module's **find nearest** command: the location of the
     /// nearest known copy of the object with `key`, if any.
     pub fn find_nearest(&self, key: u64) -> Option<MachineId> {
-        self.inner.hints.lookup(key).map(MachineId)
+        self.inner.hints.table.lock().lookup(key).map(MachineId)
     }
 
     /// The hint module's **invalidate** command: drops the local copy of
@@ -629,9 +521,7 @@ impl CacheNode {
     /// The hint store's current contents as `(object, location)` pairs,
     /// sorted by object key.
     pub fn hint_entries(&self) -> Vec<(u64, u64)> {
-        let mut entries = self.inner.hints.entries();
-        entries.sort_unstable();
-        entries
+        self.inner.hints.entries()
     }
 
     /// The failure detector's current judgment of `addr`.
@@ -680,7 +570,7 @@ impl CacheNode {
     /// reach the disk first — only a crash ([`CacheNode::kill`]) loses
     /// them.
     pub fn shutdown(mut self) {
-        persist_hint_log(&self.inner);
+        self.inner.hints.persist();
         self.stop();
     }
 
@@ -692,7 +582,7 @@ impl CacheNode {
         self.inner.pending.lock().clear();
         // A crash loses everything not yet fsynced: staged log records
         // die with the process, exactly like the pending hint updates.
-        self.inner.log_pending.lock().clear();
+        self.inner.hints.table.lock().discard_staged();
         self.stop();
     }
 
@@ -824,40 +714,6 @@ fn flush_loop(inner: Arc<Inner>) {
 /// peer's). The first valid batch afterwards heals it.
 const HINT_AUTH_QUARANTINE_AFTER: u32 = 3;
 
-/// Log bytes past which the flush thread compacts the durable log into
-/// a fresh snapshot even without a bulk-purge trigger.
-const LOG_COMPACT_BYTES: u64 = 1 << 20;
-
-/// Stages one hint-store mutation for the durable log (no-op when the
-/// node runs without durability). The actual write and fsync happen on
-/// the flush thread ([`persist_hint_log`]), never on a request path.
-fn log_mutation(inner: &Inner, record: LogRecord) {
-    if inner.hintlog.is_some() {
-        inner.log_pending.lock().push(record);
-    }
-}
-
-/// Drains staged log records into one CRC-framed, fsynced append, and
-/// compacts the log into a snapshot when a bulk purge flagged it or the
-/// tail has grown past [`LOG_COMPACT_BYTES`]. Write errors are dropped:
-/// the in-memory store stays authoritative and the §3.2 invariant makes
-/// a lost hint cost at most one wasted probe after the next restart.
-fn persist_hint_log(inner: &Inner) {
-    let Some(hintlog) = &inner.hintlog else {
-        return;
-    };
-    let staged: Vec<LogRecord> = std::mem::take(&mut *inner.log_pending.lock());
-    let compact_due = inner.log_compact_due.swap(false, Ordering::Relaxed);
-    // bh-lint: allow(lock-order, reason = "group commit: only flush ticks take the hintlog lock, request threads stage into log_pending and never touch it")
-    let mut log = hintlog.lock();
-    if !staged.is_empty() {
-        let _ = log.append(&staged).and_then(|()| log.sync());
-    }
-    if compact_due || log.log_bytes() > LOG_COMPACT_BYTES {
-        let _ = log.compact(&inner.hints.entries());
-    }
-}
-
 /// Builds this node's authenticated outbound [`Message::HintBatch`].
 /// When the chaos harness arms `corrupt_hint_tags` on the fault switch,
 /// the tag's first byte is flipped — the frame still parses everywhere,
@@ -908,9 +764,8 @@ fn verify_hint_batch(
     };
     if streak == HINT_AUTH_QUARANTINE_AFTER {
         inner.pool.block(sender.to_addr());
-        let purged = inner.hints.purge_location(sender.0);
+        let purged = inner.hints.table.lock().purge_location(sender.0);
         inner.metrics.stale_hints_gc.add(purged as u64);
-        inner.log_compact_due.store(true, Ordering::Relaxed);
     }
     false
 }
@@ -927,7 +782,7 @@ fn flush_targets(inner: &Inner) -> Vec<SocketAddr> {
 }
 
 fn flush_once(inner: &Inner) {
-    persist_hint_log(inner);
+    inner.hints.persist();
     let batch: Vec<HintUpdate> = std::mem::take(&mut *inner.pending.lock()).into();
     if batch.is_empty() {
         return;
@@ -1029,13 +884,8 @@ fn heartbeat_round(inner: &Inner) {
 fn on_peer_died(inner: &Inner, addr: SocketAddr) {
     inner.metrics.peers_confirmed_dead.inc();
     if let Some(machine) = MachineId::from_addr(addr) {
-        let purged = inner.hints.purge_location(machine.0);
+        let purged = inner.hints.table.lock().purge_location(machine.0);
         inner.metrics.stale_hints_gc.add(purged as u64);
-        if purged > 0 {
-            // Bulk drop: the next flush rewrites the durable snapshot
-            // from live state instead of logging each purged key.
-            inner.log_compact_due.store(true, Ordering::Relaxed);
-        }
     }
     if let Some(mesh) = inner.mesh.lock().as_mut() {
         if let Some(&idx) = mesh.index.get(&addr) {
@@ -1147,57 +997,31 @@ fn resync_now(inner: &Inner) -> usize {
 /// ([`verify_hint_batch`]); nothing reaches the hint store unauthenticated.
 fn apply_updates(inner: &Inner, updates: Vec<HintUpdate>) {
     let hierarchical = inner.parent.lock().is_some() || !inner.children.lock().is_empty();
-    // Each hint shard is locked once per batch: pass `s` sweeps the
-    // updates owned by shard `s`, recording per-update outcomes in
-    // `keep`, and the propagate subset is reassembled in original batch
-    // order afterwards — so the §3.1.2 filtering result (and every
-    // artifact derived from re-propagation) is identical to what a
-    // single-store walk would produce.
-    let mut keep = vec![false; updates.len()];
-    for s in 0..inner.hints.shard_count() {
-        let mut shard = None;
-        for (i, u) in updates.iter().enumerate() {
-            if u.machine == inner.machine || inner.hints.shard_index(u.object) != s {
-                continue;
-            }
-            let hints = shard.get_or_insert_with(|| inner.hints.lock_shard(s));
-            match u.action {
-                HintAction::Add => {
-                    // §3.1.2 filtering: forward only the first
-                    // copy this subtree learns of.
-                    let first = hints.peek(u.object).is_none();
-                    hints.insert(u.object, u.machine.0);
-                    log_mutation(inner, LogRecord::add(u.object, u.machine.0));
-                    if first {
-                        keep[i] = true;
-                    } else {
-                        inner.metrics.updates_filtered.inc();
-                    }
-                }
-                HintAction::Remove => {
-                    // Only drop (and advertise) if the hint
-                    // named the departing machine.
-                    if hints.peek(u.object) == Some(u.machine.0) {
-                        hints.remove(u.object);
-                        log_mutation(inner, LogRecord::remove(u.object));
-                        keep[i] = true;
-                    } else {
-                        inner.metrics.updates_filtered.inc();
-                    }
-                }
-            }
+    // One lock for the whole batch, one pass in batch order: the
+    // propagate subset is the updates that changed this table.
+    let mut hints = inner.hints.table.lock();
+    let mut propagate = Vec::with_capacity(if hierarchical { updates.len() } else { 0 });
+    for u in updates.iter().filter(|u| u.machine != inner.machine) {
+        let changed = match u.action {
+            // §3.1.2 filtering: forward only the first copy this subtree
+            // learns of...
+            HintAction::Add => hints.learn(u.object, u.machine.0),
+            // ...and a departure only if the hint named the departing
+            // machine.
+            HintAction::Remove => hints.forget_if(u.object, u.machine.0),
+        };
+        if !changed {
+            inner.metrics.updates_filtered.inc();
+        } else if hierarchical {
+            propagate.push(*u);
         }
     }
+    drop(hints);
     inner.metrics.updates_received.add(updates.len() as u64);
-    if hierarchical && keep.iter().any(|&k| k) {
-        // Knowledge changed: climb/descend the metadata tree.
-        // Loop-safe because re-applying the same update is a
-        // no-op (filtered) everywhere it has already landed.
-        let propagate = updates
-            .iter()
-            .zip(&keep)
-            .filter(|(_, &k)| k)
-            .map(|(u, _)| *u);
+    if !propagate.is_empty() {
+        // Knowledge changed: climb/descend the metadata tree. Loop-safe
+        // because re-applying the same update is a no-op (filtered)
+        // everywhere it has already landed.
         queue_pending(inner, propagate);
     }
 }
@@ -1248,7 +1072,7 @@ fn local_response(inner: &Arc<Inner>, msg: Message) -> Message {
             Message::Ack
         }
         Message::FindNearest { key } => {
-            let location = inner.hints.lookup(key).map(MachineId);
+            let location = inner.hints.table.lock().lookup(key).map(MachineId);
             Message::FindNearestReply { location }
         }
         Message::Ping => Message::Ack,
@@ -1334,59 +1158,6 @@ mod tests {
         nodes[0].flush_updates_now();
         assert_eq!(nodes[1].find_nearest(key), None);
         assert_eq!(nodes[0].cached_objects(), 0);
-    }
-
-    /// Satellite: the digest-partitioned hint store must be
-    /// operation-for-operation equivalent to a single-store witness —
-    /// lookup results, purge counts, and the full entry set — across
-    /// seeds and shard counts.
-    #[test]
-    fn hint_shards_match_single_store_witness() {
-        for seed in [7u64, 42, 1999] {
-            for shard_count in [1usize, 2, 4, 8] {
-                let shards = HintShards::unbounded(shard_count);
-                let mut witness = HintCache::unbounded();
-                let mut rng = seed | 1;
-                let mut step = move || {
-                    rng = rng
-                        .wrapping_mul(6364136223846793005)
-                        .wrapping_add(1442695040888963407);
-                    rng
-                };
-                for _ in 0..2000 {
-                    let op = step() % 100;
-                    let key = step() % 257 + 1; // small space forces collisions
-                    let loc = step() % 5 + 1;
-                    if op < 50 {
-                        shards.shards[shards.shard_index(key)]
-                            .lock()
-                            .insert(key, loc);
-                        witness.insert(key, loc);
-                    } else if op < 70 {
-                        assert_eq!(
-                            shards.lookup(key),
-                            witness.lookup(key),
-                            "lookup diverged at seed {seed}, {shard_count} shards"
-                        );
-                    } else if op < 85 {
-                        shards.remove(key);
-                        witness.remove(key);
-                    } else {
-                        let purged = shards.purge_location(loc);
-                        assert_eq!(
-                            purged,
-                            witness.purge_location(loc),
-                            "purge diverged at seed {seed}, {shard_count} shards"
-                        );
-                    }
-                }
-                let mut got = shards.entries();
-                let mut want = witness.entries();
-                got.sort_unstable();
-                want.sort_unstable();
-                assert_eq!(got, want, "entry sets diverged at seed {seed}");
-            }
-        }
     }
 
     /// Satellite: the pending coalescing buffer is bounded — overflow

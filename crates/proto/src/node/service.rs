@@ -24,10 +24,9 @@
 //! * a finished reply is never held across a blocking call:
 //!   [`Replies::flush`] runs before every exchange.
 
-use super::{log_mutation, queue_update, trace_event, Inner};
+use super::{queue_update, trace_event, Inner};
 use crate::pool::RequestOptions;
 use crate::wire::{HintAction, MachineId, Message, ServedBy, Status};
-use bh_hintlog::LogRecord;
 use bh_obs::span;
 use bh_simcore::ByteSize;
 use bytes::Bytes;
@@ -128,11 +127,10 @@ pub(super) fn store_body(inner: &Inner, key: u64, version: u32, body: Bytes) {
     }
 }
 
-/// Step 2 of a `Get`: the local hint store. Only the owning hint shard is
-/// locked; the data-store lock is never touched here. A hint naming this
-/// node itself is no remote copy.
+/// Step 2 of a `Get`: the local hint store. The data-store lock is never
+/// touched here. A hint naming this node itself is no remote copy.
 fn hinted_remote(inner: &Inner, key: u64) -> Remote {
-    let hint = inner.hints.lookup(key).map(MachineId);
+    let hint = inner.hints.table.lock().lookup(key).map(MachineId);
     trace_event(inner, span::HINT_LOOKUP, key, u64::from(hint.is_some()));
     match hint {
         Some(peer) if peer != inner.machine => Remote::Peer(peer),
@@ -281,8 +279,7 @@ fn probe_peer(
         };
         inner.metrics.false_positives.inc();
         trace_event(inner, span::PEER_PROBE, get.key, wasted);
-        inner.hints.remove(get.key);
-        log_mutation(inner, LogRecord::remove(get.key));
+        inner.hints.table.lock().forget(get.key);
     };
     inner.pool.request_run(
         peer.to_addr(),

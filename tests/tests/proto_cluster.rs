@@ -5,6 +5,8 @@ use bh_proto::client::{Connection, Source};
 use bh_proto::mesh::{Mesh, Topology};
 use bh_proto::node::{CacheNode, NodeConfig};
 use bh_proto::origin::OriginServer;
+use bh_proto::wire::{read_message, write_message, HintAction, HintUpdate, MachineId, Message};
+use std::net::TcpStream;
 use std::time::Duration;
 
 /// Builds a full-mesh cluster of `n` nodes plus an origin: every node
@@ -149,6 +151,40 @@ fn capacity_pressure_evicts_and_advertises() {
         small.cached_objects() < 12,
         "cache must have evicted under capacity pressure ({} objects)",
         small.cached_objects()
+    );
+}
+
+/// §3.2.1: the hint store is one 4-way set-associative array of the
+/// configured size, indexed by the MD5-derived key, so displacement is
+/// negligible well below capacity. The default 4 MB store has 262,144
+/// slots in 65,536 sets: 8,192 keys all fit, and at 100,000 keys the
+/// sets that draw more than four displace about 1.7 % of them.
+#[test]
+fn default_hint_store_holds_what_it_is_configured_for() {
+    let origin = OriginServer::spawn("127.0.0.1:0").expect("origin");
+    let node = CacheNode::spawn(NodeConfig::new("127.0.0.1:0", origin.addr())).expect("node");
+    let holder = MachineId::from_addr("10.0.0.1:3128".parse().expect("addr")).expect("v4");
+    let mut conn = TcpStream::connect(node.addr()).expect("connect");
+    let mut learn = |objects: std::ops::Range<u32>| {
+        let updates = objects
+            .map(|i| HintUpdate {
+                action: HintAction::Add,
+                object: bh_md5::url_key(&format!("http://cap.test/{i}")),
+                machine: holder,
+            })
+            .collect();
+        write_message(&mut conn, &Message::hint_batch(holder, updates)).expect("send");
+        assert_eq!(read_message(&mut conn).expect("reply"), Message::Ack);
+    };
+    learn(0..8_192);
+    assert_eq!(node.hint_entries().len(), 8_192);
+    for start in (8_192..100_000).step_by(4_096) {
+        learn(start..(start + 4_096).min(100_000));
+    }
+    let held = node.hint_entries().len();
+    assert!(
+        (97_000..=100_000).contains(&held),
+        "{held} of 100,000 hints held"
     );
 }
 
