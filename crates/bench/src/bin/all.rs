@@ -1,8 +1,8 @@
 //! Runs the complete experiment suite (every table and figure).
 //!
-//! By default the suite runs **in-process**: every experiment's job plan
-//! is flattened onto one shared work-stealing queue (`--jobs N` workers,
-//! default: CPU count), materialized trace arenas are shared through the
+//! The suite runs **in-process**: every experiment's job plan is flattened
+//! onto one shared work-stealing queue (`--jobs N` workers, default: CPU
+//! count), materialized trace arenas are shared through the
 //! process-wide cache, and the per-experiment output sections are printed
 //! sequentially in the canonical order — so stdout and the JSON artifacts
 //! are byte-identical for any `--jobs` value.
@@ -10,33 +10,15 @@
 //! ```text
 //! cargo run --release -p bh-bench --bin all -- --scale 0.05 --jobs 4
 //! ```
-//!
-//! `--subprocess` restores the historical behavior of spawning each
-//! sibling experiment binary in sequence (one process per experiment, no
-//! trace sharing). The suite's exit status is then the first failing
-//! child's exit code.
 
 use bh_bench::report::write_obs_dump;
-use bh_bench::suite::{obs_registry, registry, run_subprocesses, run_suite};
+use bh_bench::suite::{obs_registry, registry, run_suite};
 use bh_bench::Args;
 use std::time::Instant;
 
 fn main() {
-    let mut passthrough: Vec<String> = std::env::args().skip(1).collect();
-    let subprocess = passthrough.iter().any(|a| a == "--subprocess");
-    passthrough.retain(|a| a != "--subprocess");
-
+    let passthrough: Vec<String> = std::env::args().skip(1).collect();
     let experiments = registry();
-
-    if subprocess {
-        let exe = std::env::current_exe().expect("current exe");
-        let dir = exe.parent().expect("bin dir");
-        let programs: Vec<_> = experiments
-            .iter()
-            .map(|e| (e.name().to_string(), dir.join(e.name())))
-            .collect();
-        std::process::exit(run_subprocesses(&programs, &passthrough));
-    }
 
     // Each experiment parses the same flag list but keeps its historical
     // per-binary scale default when --scale is absent.

@@ -42,7 +42,6 @@ use bh_trace::scenario::{ChurnKind, DiurnalChurnSpec, FlashCrowdSpec};
 use bh_trace::{TraceRecord, WorkloadSpec};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
-use std::time::{Duration, Instant};
 
 /// The workload a scenario replays — one of the `bh-trace` scenario
 /// generators, always materialized through the arena.
@@ -347,38 +346,14 @@ pub struct ScenarioMetrics {
 /// has adopted a live fallback parent. Returns
 /// `(all held, re-homed child count)`.
 ///
-/// Confirmed death and standing-state repair are decoupled: a
-/// survivor's detector can report `Dead` a beat before its own churn
-/// repair and the orphans' re-homing land, so the check polls to a
-/// deadline instead of reading one racy snapshot; diagnostics are only
-/// printed for the final attempt.
+/// One snapshot suffices: a node counts its repair and re-points its
+/// parent before it releases the membership guard under which it turned
+/// the peer `Dead`, so whoever has read `Dead` (`await_confirmed_death`)
+/// reads the repaired state too.
 fn check_hierarchy_recovery(
     mesh: &Mesh,
     dead: usize,
     baseline: &[Option<bh_proto::node::NodeStats>],
-) -> (bool, usize) {
-    // bh-lint: allow(no-wall-clock, reason = "deadline-bounded wait on a live mesh; repair lands on the heartbeat thread")
-    let deadline = Instant::now() + Duration::from_secs(5);
-    loop {
-        let (ok, rehomed) = hierarchy_recovery_once(mesh, dead, baseline, false);
-        if ok {
-            return (true, rehomed);
-        }
-        // bh-lint: allow(no-wall-clock, reason = "loop bound against the same live-mesh deadline")
-        if Instant::now() >= deadline {
-            return hierarchy_recovery_once(mesh, dead, baseline, true);
-        }
-        std::thread::sleep(Duration::from_millis(25));
-    }
-}
-
-/// One snapshot of the hierarchy-recovery invariants; `loud` controls
-/// whether violations are printed.
-fn hierarchy_recovery_once(
-    mesh: &Mesh,
-    dead: usize,
-    baseline: &[Option<bh_proto::node::NodeStats>],
-    loud: bool,
 ) -> (bool, usize) {
     let mut ok = true;
     let analytic = analytic_churn_for(mesh.addrs(), dead) as u64;
@@ -390,12 +365,10 @@ fn hierarchy_recovery_once(
         let base = before.as_ref().map_or(0, |s| s.plaxton_repair_entries);
         let delta = after.plaxton_repair_entries.saturating_sub(base);
         if delta != analytic {
-            if loud {
-                eprintln!(
-                    "node {i}: live plaxton repair {delta} != analytic churn {analytic} \
-                     for death of node {dead}"
-                );
-            }
+            eprintln!(
+                "node {i}: live plaxton repair {delta} != analytic churn {analytic} \
+                 for death of node {dead}"
+            );
             ok = false;
         }
     }
@@ -409,9 +382,7 @@ fn hierarchy_recovery_once(
         match adopted {
             Some(_) => rehomed += 1,
             None => {
-                if loud {
-                    eprintln!("child {child} did not re-home after parent {dead} died");
-                }
+                eprintln!("child {child} did not re-home after parent {dead} died");
                 ok = false;
             }
         }

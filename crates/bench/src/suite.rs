@@ -17,7 +17,6 @@
 
 use crate::Args;
 use std::any::Any;
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 /// What a job returns: any sendable value, downcast by `finish`.
@@ -191,36 +190,6 @@ pub fn obs_registry(timings: &[SuiteTiming]) -> bh_obs::Registry {
     r
 }
 
-/// The `--subprocess` fallback: runs each named sibling binary with the
-/// given arguments, in order, echoing progress to stderr.
-///
-/// Returns `0` when every child succeeds, otherwise the exit code of the
-/// *first failing* child (or 1 if it was killed by a signal), so the
-/// suite's exit status is the failure's, not a generic one.
-pub fn run_subprocesses(programs: &[(String, PathBuf)], passthrough: &[String]) -> i32 {
-    let mut first_failure: Option<(String, i32)> = None;
-    for (name, bin) in programs {
-        eprintln!("\n>>> running {name}\n");
-        let status = std::process::Command::new(bin)
-            .args(passthrough)
-            .status()
-            .unwrap_or_else(|e| panic!("failed to launch {}: {e}", bin.display()));
-        if !status.success() && first_failure.is_none() {
-            first_failure = Some((name.clone(), status.code().unwrap_or(1)));
-        }
-    }
-    match first_failure {
-        None => {
-            eprintln!("\nall experiments completed; JSON artifacts in target/experiments/");
-            0
-        }
-        Some((name, code)) => {
-            eprintln!("\nFAILED: {name} exited with code {code}");
-            code
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,25 +205,5 @@ mod tests {
     fn take_panics_on_wrong_type() {
         let j = job(|| 42u32);
         take::<String>(j());
-    }
-
-    #[test]
-    fn subprocess_suite_forwards_first_failing_exit_code() {
-        let sh = PathBuf::from("/bin/sh");
-        if !sh.exists() {
-            return;
-        }
-        let programs = vec![
-            ("ok".to_string(), sh.clone()),
-            ("fail3".to_string(), sh.clone()),
-            ("fail7".to_string(), sh.clone()),
-        ];
-        // All children run `sh -c <first passthrough arg>`; use a script
-        // that exits 0/3/7 depending on an env-free discriminator is not
-        // possible with shared args, so test with uniform scripts instead.
-        let ok = run_subprocesses(&programs[..1], &["-c".into(), "exit 0".into()]);
-        assert_eq!(ok, 0);
-        let code = run_subprocesses(&programs, &["-c".into(), "exit 3".into()]);
-        assert_eq!(code, 3);
     }
 }

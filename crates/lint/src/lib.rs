@@ -89,9 +89,10 @@ pub mod scope {
     /// Hot-path files where a panic wedges a shard/worker thread the
     /// chaos layer cannot deterministically recover. Entry points for
     /// the interprocedural `no-panic-hot-path` pass.
-    pub const PANIC_HOT: [&str; 6] = [
+    pub const PANIC_HOT: [&str; 7] = [
         "crates/proto/src/node/engine.rs",
         "crates/proto/src/node/hints.rs",
+        "crates/proto/src/node/membership.rs",
         "crates/proto/src/node/metrics.rs",
         "crates/proto/src/node/mod.rs",
         "crates/proto/src/node/service.rs",
@@ -102,9 +103,10 @@ pub mod scope {
     /// allocations show up directly in the req/s ceiling. Entry points
     /// for the interprocedural `no-hot-alloc` pass. Kept in lockstep
     /// with the DESIGN.md data-path section.
-    pub const ALLOC_HOT: [&str; 5] = [
+    pub const ALLOC_HOT: [&str; 6] = [
         "crates/proto/src/node/engine.rs",
         "crates/proto/src/node/hints.rs",
+        "crates/proto/src/node/membership.rs",
         "crates/proto/src/node/mod.rs",
         "crates/proto/src/node/service.rs",
         "crates/proto/src/wire.rs",
@@ -112,9 +114,10 @@ pub mod scope {
 
     /// Union of the panic and alloc hot sets: the request path. The
     /// `lock-order` held-across-I/O check applies here.
-    pub const HOT_PATH: [&str; 7] = [
+    pub const HOT_PATH: [&str; 8] = [
         "crates/proto/src/node/engine.rs",
         "crates/proto/src/node/hints.rs",
+        "crates/proto/src/node/membership.rs",
         "crates/proto/src/node/metrics.rs",
         "crates/proto/src/node/mod.rs",
         "crates/proto/src/node/service.rs",

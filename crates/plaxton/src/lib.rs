@@ -214,34 +214,9 @@ impl PlaxtonTree {
     /// nearest live node matching `i`'s bottom `level` digits plus `digit`.
     fn compute_table(&self, i: usize) -> Vec<usize> {
         let b = self.arity() as usize;
-        let my_id = self.nodes[i].spec.id;
-        let mut table = vec![NONE; self.levels * b];
-        for level in 0..self.levels {
-            for digit in 0..b as u64 {
-                let want_bits = level + 1;
-                let target_prefix = (my_id & low_mask(level as u32 * self.arity_bits))
-                    | (digit << (level as u32 * self.arity_bits));
-                let mut best = NONE;
-                let mut best_d = f64::INFINITY;
-                for (j, node) in self.nodes.iter().enumerate() {
-                    if !node.alive {
-                        continue;
-                    }
-                    if self.low_digits_match(node.spec.id, target_prefix, want_bits) {
-                        let d = if i == j { 0.0 } else { self.dist(i, j) };
-                        if d < best_d
-                            || (d == best_d
-                                && (best == NONE || node.spec.id < self.nodes[best].spec.id))
-                        {
-                            best = j;
-                            best_d = d;
-                        }
-                    }
-                }
-                table[level * b + digit as usize] = best;
-            }
-        }
-        table
+        (0..self.levels * b)
+            .map(|slot| self.find_parent(i, slot / b, (slot % b) as u64))
+            .collect()
     }
 
     /// Node `i`'s chosen parent at `level` for `digit`, if one exists.
@@ -382,74 +357,87 @@ impl PlaxtonTree {
     }
 
     /// Adds a node and wires it (and everyone else's affected entries) in.
-    /// Returns `(index, entries_changed_in_existing_tables)`.
+    /// A member that left earlier ([`PlaxtonTree::remove_node`]) returns to
+    /// its own index, so indices stay stable and a flapping member never
+    /// grows the tree. Returns
+    /// `(index, entries_changed_in_existing_tables)`.
     ///
     /// # Errors
     ///
     /// Returns [`PlaxtonError::DuplicateNodeId`] if the ID is already live.
     pub fn add_node(&mut self, spec: NodeSpec) -> Result<(usize, usize), PlaxtonError> {
-        if self.nodes.iter().any(|n| n.alive && n.spec.id == spec.id) {
-            return Err(PlaxtonError::DuplicateNodeId(spec.id));
-        }
-        let idx = self.nodes.len();
-        self.nodes.push(Node {
-            spec,
-            alive: true,
-            // bh-lint: allow(no-hot-alloc, reason = "capacity-0 placeholder, replaced wholesale by compute_table before any push; churn repair runs per membership event, not per request")
-            table: Vec::new(),
-        });
+        let idx = match self.nodes.iter().position(|n| n.spec.id == spec.id) {
+            Some(idx) if self.nodes[idx].alive => {
+                return Err(PlaxtonError::DuplicateNodeId(spec.id));
+            }
+            Some(idx) => {
+                self.nodes[idx].spec = spec;
+                self.nodes[idx].alive = true;
+                idx
+            }
+            None => {
+                self.nodes.push(Node {
+                    spec,
+                    alive: true,
+                    // bh-lint: allow(no-hot-alloc, reason = "capacity-0 placeholder, replaced wholesale by compute_table before any push; churn repair runs per membership event, not per request")
+                    table: Vec::new(),
+                });
+                self.nodes.len() - 1
+            }
+        };
         self.alive += 1;
         self.nodes[idx].table = self.compute_table(idx);
-        // Existing nodes adopt the newcomer where it is nearer (or fills a hole).
+        // Existing nodes adopt the newcomer wherever it outranks their
+        // current parent (or fills a hole).
         let b = self.arity() as usize;
+        let new_id = self.nodes[idx].spec.id;
         let mut changed = 0usize;
-        for j in 0..idx {
-            if !self.nodes[j].alive {
+        for j in 0..self.nodes.len() {
+            if j == idx || !self.nodes[j].alive {
                 continue;
             }
             for level in 0..self.levels {
-                let my_id = self.nodes[j].spec.id;
-                let prefix_bits = level as u32 * self.arity_bits;
-                for digit in 0..b as u64 {
-                    let target_prefix = (my_id & low_mask(prefix_bits)) | (digit << prefix_bits);
-                    if !self.low_digits_match(self.nodes[idx].spec.id, target_prefix, level + 1) {
-                        continue;
-                    }
-                    let slot = level * b + digit as usize;
-                    let cur = self.nodes[j].table[slot];
-                    let new_d = if j == idx { 0.0 } else { self.dist(j, idx) };
-                    let better = match cur {
-                        NONE => true,
-                        c => new_d < if c == j { 0.0 } else { self.dist(j, c) },
-                    };
-                    if better {
-                        self.nodes[j].table[slot] = idx;
-                        changed += 1;
-                    }
+                // One eligible slot per level, for as long as the newcomer
+                // shares `j`'s lower digits.
+                if !self.low_digits_match(new_id, self.nodes[j].spec.id, level) {
+                    break;
+                }
+                let slot = level * b + self.digit(new_id, level) as usize;
+                let cur = self.nodes[j].table[slot];
+                if cur == NONE || self.outranks(j, idx, cur) {
+                    self.nodes[j].table[slot] = idx;
+                    changed += 1;
                 }
             }
         }
         Ok((idx, changed))
     }
 
+    /// The one nearest-parent rule: whether candidate `a` outranks
+    /// candidate `b` as a parent for node `i` — the nearer node wins, and
+    /// equal distances go to the smaller ID. Building, leaving and joining
+    /// all rank through here, so an incrementally repaired tree equals the
+    /// tree built fresh over the same live set.
+    fn outranks(&self, i: usize, a: usize, b: usize) -> bool {
+        self.dist(i, a)
+            .total_cmp(&self.dist(i, b))
+            .then(self.nodes[a].spec.id.cmp(&self.nodes[b].spec.id))
+            .is_lt()
+    }
+
+    /// The nearest live node matching `i`'s bottom `level` digits followed
+    /// by `digit` (`NONE` if no live node does).
     fn find_parent(&self, i: usize, level: usize, digit: u64) -> usize {
-        let my_id = self.nodes[i].spec.id;
         let prefix_bits = level as u32 * self.arity_bits;
-        let target_prefix = (my_id & low_mask(prefix_bits)) | (digit << prefix_bits);
+        let target_prefix =
+            (self.nodes[i].spec.id & low_mask(prefix_bits)) | (digit << prefix_bits);
         let mut best = NONE;
-        let mut best_d = f64::INFINITY;
         for (j, node) in self.nodes.iter().enumerate() {
-            if !node.alive {
-                continue;
-            }
-            if self.low_digits_match(node.spec.id, target_prefix, level + 1) {
-                let d = if i == j { 0.0 } else { self.dist(i, j) };
-                if d < best_d
-                    || (d == best_d && (best == NONE || node.spec.id < self.nodes[best].spec.id))
-                {
-                    best = j;
-                    best_d = d;
-                }
+            if node.alive
+                && self.low_digits_match(node.spec.id, target_prefix, level + 1)
+                && (best == NONE || self.outranks(i, j, best))
+            {
+                best = j;
             }
         }
         best
@@ -703,6 +691,43 @@ mod tests {
         );
     }
 
+    /// Every live node's table with entries spelled as node IDs, keyed by
+    /// the owner's ID — comparable across trees whose indices differ.
+    fn tables_by_id(tree: &PlaxtonTree) -> std::collections::BTreeMap<u64, Vec<Option<u64>>> {
+        tree.nodes
+            .iter()
+            .filter(|n| n.alive)
+            .map(|n| {
+                let row = n
+                    .table
+                    .iter()
+                    .map(|&e| (e != NONE).then(|| tree.nodes[e].spec.id))
+                    .collect();
+                (n.spec.id, row)
+            })
+            .collect()
+    }
+
+    /// The bound on network-reachable growth: a member that flaps 1,000
+    /// times comes back to its own slot every time, and the tree it
+    /// rejoins is the tree that never churned.
+    #[test]
+    fn flapping_member_keeps_its_slot_and_the_tables() {
+        let specs: Vec<NodeSpec> = (0..6)
+            .map(|i| NodeSpec::from_address(&format!("127.0.0.1:{}", 9000 + i), (i as f64, 0.0)))
+            .collect();
+        let never_churned = PlaxtonTree::build(specs.clone(), 1).expect("build");
+        let mut tree = never_churned.clone();
+        for _ in 0..1_000 {
+            tree.remove_node(2).expect("leave");
+            let (idx, _) = tree.add_node(specs[2]).expect("rejoin");
+            assert_eq!(idx, 2, "a returning member takes its own slot back");
+        }
+        assert_eq!(tree.nodes.len(), specs.len(), "one slot per member");
+        assert_eq!(tree.len(), specs.len());
+        assert_eq!(tables_by_id(&tree), tables_by_id(&never_churned));
+    }
+
     mod props {
         use super::*;
         use proptest::prelude::*;
@@ -732,6 +757,57 @@ mod tests {
                     for from in 0..n {
                         prop_assert_eq!(*tree.route(from, key).last().unwrap(), root);
                     }
+                }
+            }
+
+            /// Differential: after any leave/join sequence, every live
+            /// node's table equals the table of a tree built fresh over
+            /// the live set. Collinear integer positions make distance
+            /// ties the common case (the live mesh puts member `i` at
+            /// `(i, 0)`); the grid has them too.
+            #[test]
+            fn churned_tree_equals_fresh_build(
+                n in 2usize..10,
+                arity_bits in 1u32..5,
+                collinear in any::<bool>(),
+                salt in any::<u64>(),
+                ops in proptest::collection::vec(0usize..10, 1..24),
+            ) {
+                let specs: Vec<NodeSpec> = (0..n)
+                    .map(|i| NodeSpec {
+                        id: bh_md5::md5((salt ^ i as u64).to_le_bytes()).low64(),
+                        position: if collinear {
+                            (i as f64, 0.0)
+                        } else {
+                            ((i % 3) as f64, (i / 3) as f64)
+                        },
+                    })
+                    .collect();
+                let mut tree = match PlaxtonTree::build(specs.clone(), arity_bits) {
+                    Ok(t) => t,
+                    Err(PlaxtonError::DuplicateNodeId(_)) => return Ok(()),
+                    Err(e) => return Err(TestCaseError::fail(format!("{e}"))),
+                };
+                let mut live = vec![true; n];
+                for op in ops {
+                    let k = op % n;
+                    if live[k] {
+                        if tree.len() == 1 {
+                            continue;
+                        }
+                        tree.remove_node(k).expect("leave");
+                    } else {
+                        tree.add_node(specs[k]).expect("rejoin");
+                    }
+                    live[k] = !live[k];
+                    let survivors: Vec<NodeSpec> =
+                        (0..n).filter(|&i| live[i]).map(|i| specs[i]).collect();
+                    let fresh = PlaxtonTree::build(survivors, arity_bits).expect("fresh build");
+                    prop_assert!(
+                        tables_by_id(&tree) == tables_by_id(&fresh),
+                        "tables differ from a fresh build once member {k} {}",
+                        if live[k] { "rejoins" } else { "leaves" }
+                    );
                 }
             }
         }

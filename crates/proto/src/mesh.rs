@@ -4,11 +4,13 @@
 //!
 //! Every harness, binary, example and multi-node test goes through this
 //! module, so the "who tells whom" decision (§3.1.2 metadata hierarchy,
-//! §3.2 neighbour flushes) is written down once, in [`Topology::wiring`].
+//! §3.2 neighbour flushes) is written down once, in [`Topology::wiring`],
+//! and reaches a node in one call, [`CacheNode::rewire`] — at spawn and at
+//! every restart a node is either unwired or fully wired.
 //! The fault-injection methods of a running mesh (`crash`, `restart`,
 //! `inject`, `lift`) live in [`crate::chaos`].
 
-use crate::node::{CacheNode, NodeConfig, NodeStats};
+use crate::node::{CacheNode, NodeConfig, NodeStats, Wiring};
 use crate::origin::OriginServer;
 use std::io;
 use std::net::SocketAddr;
@@ -43,21 +45,6 @@ pub enum Topology {
         /// Ring successors each node flushes to; must be below `nodes`.
         successors: usize,
     },
-}
-
-/// One node's place in a [`Topology`], as addresses.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Wiring {
-    /// Peers that receive this node's hint flushes.
-    pub neighbors: Vec<SocketAddr>,
-    /// Metadata parent, for a child of a hierarchy.
-    pub parent: Option<SocketAddr>,
-    /// Metadata children, for a parent of a hierarchy.
-    pub children: Vec<SocketAddr>,
-    /// Parents an orphaned child may adopt, in preference order.
-    pub fallback_parents: Vec<SocketAddr>,
-    /// Peers to heartbeat when that is not the neighbor set.
-    pub liveness_peers: Option<Vec<SocketAddr>>,
 }
 
 /// `addrs` without the entry at `i`.
@@ -151,9 +138,13 @@ impl Topology {
     /// only through their parent and carry every parent as a re-homing
     /// fallback. Liveness there is mesh-wide even though hint flushes
     /// follow the tree: every survivor must confirm a death to keep the
-    /// repaired Plaxton trees in agreement.
+    /// repaired Plaxton trees in agreement. Every shape shares the one
+    /// Plaxton membership, `addrs` in spawn order.
     pub fn wiring(&self, addrs: &[SocketAddr], i: usize) -> Wiring {
-        let mut wiring = Wiring::default();
+        let mut wiring = Wiring {
+            members: addrs.to_vec(),
+            ..Wiring::default()
+        };
         match *self {
             Topology::Flat { .. } => wiring.neighbors = all_but(addrs, i),
             Topology::Ring { nodes, successors } => {
@@ -231,17 +222,10 @@ impl Mesh {
         Ok(mesh)
     }
 
-    /// Applies node `index`'s full runtime wiring — hint topology,
-    /// re-homing fallbacks, liveness peers, Plaxton membership. Called
-    /// at spawn and again on every restart.
+    /// Installs node `index`'s full runtime wiring. Called at spawn and
+    /// again on every restart.
     pub(crate) fn wire(&self, index: usize, node: &CacheNode) {
-        let wiring = self.topology.wiring(&self.addrs, index);
-        node.set_neighbors(wiring.neighbors);
-        node.set_parent(wiring.parent);
-        node.set_children(wiring.children);
-        node.set_fallback_parents(wiring.fallback_parents);
-        node.set_liveness_peers(wiring.liveness_peers);
-        node.set_mesh(&self.addrs);
+        node.rewire(self.topology.wiring(&self.addrs, index));
     }
 
     /// The topology this mesh was spawned with.
@@ -349,6 +333,7 @@ mod tests {
                 topology.wiring(&addrs, i),
                 Wiring {
                     neighbors: pick(&addrs, neighbors),
+                    members: addrs.clone(),
                     ..Wiring::default()
                 },
                 "node {i}"
@@ -390,6 +375,7 @@ mod tests {
                     children: pick(&addrs, children),
                     fallback_parents: pick(&addrs, fallback),
                     liveness_peers: Some(pick(&addrs, &everyone_else)),
+                    members: addrs.clone(),
                 },
                 "node {i}"
             );
@@ -413,6 +399,7 @@ mod tests {
                 topology.wiring(&addrs, i),
                 Wiring {
                     neighbors: pick(&addrs, &successors),
+                    members: addrs.clone(),
                     ..Wiring::default()
                 },
                 "node {i}"

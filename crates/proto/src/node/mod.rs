@@ -16,26 +16,34 @@
 //! authenticated [`Message::HintBatch`] frames. The engine needs Linux
 //! epoll; on any other target [`CacheNode::spawn`] fails with
 //! [`io::ErrorKind::Unsupported`].
+//!
+//! Who a node flushes to, who it heartbeats, what it believes about their
+//! health and the Plaxton tree it keeps repaired are one value behind one
+//! lock (`membership`), installed whole by [`CacheNode::rewire`] and
+//! changed afterwards by one step per heartbeat outcome — see that
+//! module for the "`Dead` implies repaired" invariant.
 
 mod engine;
 mod hints;
+mod membership;
 mod meta;
 mod metrics;
 mod service;
 
+pub use membership::{mesh_tree_for, Wiring};
 pub use metrics::{NodeStats, NODE_TRACE_CAPACITY};
 
-use crate::liveness::{LivenessConfig, LivenessTracker, PeerHealth, Transition};
+use crate::liveness::PeerHealth;
 use crate::pool::{ConnectionPool, PoolConfig, RequestOptions};
 use crate::wire::{
     coalesce, hint_batch_tag, HintAction, HintUpdate, MachineId, Message, ServedBy, Status,
 };
 use bh_cache::LruCache;
 use bh_obs::{span, MetricEntry, MetricInfo, TraceEvent, TraceRing};
-use bh_plaxton::{NodeSpec, PlaxtonTree};
 use bh_simcore::ByteSize;
 use bytes::Bytes;
 use hints::HintStore;
+use membership::Membership;
 use metrics::NodeMetrics;
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
@@ -54,17 +62,8 @@ pub struct NodeConfig {
     /// The origin server to fall back to.
     pub origin: SocketAddr,
     /// Neighbor caches that receive this node's hint-update batches
-    /// (flat/mesh propagation).
+    /// (flat/mesh propagation); seeds [`Wiring::neighbors`] at spawn.
     pub neighbors: Vec<SocketAddr>,
-    /// Metadata parent (§3.1.2): updates that change this node's knowledge
-    /// climb to the parent, *filtered* — an Add is forwarded only when it
-    /// is the first copy this subtree has heard of, a Remove only when no
-    /// alternative location remains.
-    pub parent: Option<SocketAddr>,
-    /// Metadata children: state-changing updates learned from above (or
-    /// from one child) propagate down so every subtree eventually knows its
-    /// nearest copy.
-    pub children: Vec<SocketAddr>,
     /// Data-cache capacity.
     pub data_capacity: ByteSize,
     /// Hint-store capacity (16-byte records, 4-way sets).
@@ -111,9 +110,6 @@ impl NodeConfig {
             origin,
             // bh-lint: allow(no-hot-alloc, reason = "config construction runs once per node, not per request")
             neighbors: Vec::new(),
-            parent: None,
-            // bh-lint: allow(no-hot-alloc, reason = "config construction runs once per node, not per request")
-            children: Vec::new(),
             data_capacity: ByteSize::from_mb(64),
             hint_capacity: ByteSize::from_mb(4),
             flush_max: Duration::from_secs(60),
@@ -132,18 +128,6 @@ impl NodeConfig {
     /// Sets the neighbor list.
     pub fn with_neighbors(mut self, neighbors: Vec<SocketAddr>) -> Self {
         self.neighbors = neighbors;
-        self
-    }
-
-    /// Sets the metadata parent (hierarchical propagation, §3.1.2).
-    pub fn with_parent(mut self, parent: SocketAddr) -> Self {
-        self.parent = Some(parent);
-        self
-    }
-
-    /// Sets the metadata children.
-    pub fn with_children(mut self, children: Vec<SocketAddr>) -> Self {
-        self.children = children;
         self
     }
 
@@ -216,19 +200,6 @@ struct Store {
     bodies: HashMap<u64, Bytes>,
 }
 
-/// The live Plaxton metadata hierarchy this node repairs on churn: the
-/// tree the mesh agreed on plus the index/position bookkeeping needed to
-/// remove a confirmed-dead member and re-add a revived one at its
-/// original coordinates. Every mesh member builds the tree from the same
-/// ordered list ([`mesh_tree_for`]), so the repairs stay deterministic
-/// and comparable against an analytic replay of the same churn.
-#[derive(Debug)]
-struct MeshState {
-    tree: PlaxtonTree,
-    index: HashMap<SocketAddr, usize>,
-    position: HashMap<SocketAddr, (f64, f64)>,
-}
-
 #[derive(Debug)]
 struct Inner {
     config: NodeConfig,
@@ -240,19 +211,9 @@ struct Inner {
     /// Coalescing buffer for outbound hint updates, bounded at
     /// [`PENDING_CAP`] with drop-oldest overflow.
     pending: Mutex<VecDeque<HintUpdate>>,
-    neighbors: Mutex<Vec<SocketAddr>>,
-    /// Runtime metadata parent (initialized from the config; chaos meshes
-    /// re-point it when a parent dies — see [`on_peer_died`]).
-    parent: Mutex<Option<SocketAddr>>,
-    /// Runtime metadata children (initialized from the config).
-    children: Mutex<Vec<SocketAddr>>,
-    /// Parents to adopt, in preference order, should the current parent be
-    /// confirmed dead. Empty means "stay orphaned" (the flat-mesh default).
-    fallback_parents: Mutex<Vec<SocketAddr>>,
-    /// When set, the heartbeat loop probes these peers instead of the
-    /// neighbor set — hierarchical meshes monitor the whole membership
-    /// while hint flushes still follow the tree.
-    liveness_peers: Mutex<Option<Vec<SocketAddr>>>,
+    /// The control plane: wiring, peer health and the Plaxton tree, one
+    /// lock (never held across outbound I/O or another lock).
+    membership: Mutex<Membership>,
     metrics: NodeMetrics,
     /// Structured request/propagation trace ring; timestamps are micros
     /// since `started` (the ring itself never reads a clock).
@@ -262,11 +223,6 @@ struct Inner {
     /// Warm outbound connections: every peer probe, origin fetch, hint
     /// flush, heartbeat and resync goes through this pool.
     pool: ConnectionPool,
-    /// Peer failure detector fed by the heartbeat loop.
-    liveness: Mutex<LivenessTracker>,
-    /// Live Plaxton tree repaired on confirmed churn (`None` until
-    /// [`CacheNode::set_mesh`]).
-    mesh: Mutex<Option<MeshState>>,
     /// Consecutive hint-batch authentication failures per sender
     /// (keyed by `MachineId.0`); crossing
     /// [`HINT_AUTH_QUARANTINE_AFTER`] quarantines the sender.
@@ -352,22 +308,18 @@ impl CacheNode {
             }),
             hints,
             pending: Mutex::new(VecDeque::new()),
-            neighbors: Mutex::new(config.neighbors.clone()),
-            parent: Mutex::new(config.parent),
-            children: Mutex::new(config.children.clone()),
-            // bh-lint: allow(no-hot-alloc, reason = "node spawn runs once, not per request")
-            fallback_parents: Mutex::new(Vec::new()),
-            liveness_peers: Mutex::new(None),
+            membership: Mutex::new(Membership::new(
+                Wiring {
+                    neighbors: config.neighbors.clone(),
+                    ..Wiring::default()
+                },
+                &config,
+            )),
             metrics,
             trace: Mutex::new(TraceRing::new(NODE_TRACE_CAPACITY)),
             started: Instant::now(),
             shutdown: AtomicBool::new(false),
             pool,
-            liveness: Mutex::new(LivenessTracker::new(LivenessConfig {
-                suspicion_threshold: config.suspicion_threshold,
-                confirm_death_after: config.confirm_death_after,
-            })),
-            mesh: Mutex::new(None),
             hint_auth: Mutex::new(HashMap::new()),
             drained: AtomicBool::new(false),
             resync_runs: AtomicU64::new(0),
@@ -392,7 +344,7 @@ impl CacheNode {
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("cache-heartbeat-{addr}"))
-                    .spawn(move || heartbeat_loop(inner))?,
+                    .spawn(move || membership::heartbeat_loop(inner))?,
             );
         }
         Ok(CacheNode {
@@ -464,46 +416,27 @@ impl CacheNode {
     /// collective — the paper's self-configuring hierarchy reassigns
     /// neighbors the same way).
     pub fn set_neighbors(&self, neighbors: Vec<SocketAddr>) {
-        *self.inner.neighbors.lock() = neighbors;
+        self.inner.membership.lock().set_neighbors(neighbors);
     }
 
-    /// Re-points the metadata parent at runtime (self-configuration:
-    /// hierarchies built over ephemeral ports wire parents after spawn,
-    /// and re-homing re-points orphans after a parent death).
-    pub fn set_parent(&self, parent: Option<SocketAddr>) {
-        *self.inner.parent.lock() = parent;
+    /// Installs this node's whole place in a mesh in one step — hint
+    /// topology, re-homing fallbacks, liveness peers and the shared
+    /// Plaxton membership (every member must pass the same ordered
+    /// [`Wiring::members`] so the trees agree) — presuming every peer
+    /// alive. A confirmed death then removes the member from the tree and
+    /// counts the rewritten routing-table entries in
+    /// [`NodeStats::plaxton_repair_entries`]; a dead parent is replaced by
+    /// the first fallback that is not the dead one, counted in
+    /// [`NodeStats::parent_rehomes`], and the cached objects are
+    /// re-advertised upward so hint propagation resumes through it; a
+    /// revival returns the member to its own slot in the tree.
+    pub fn rewire(&self, wiring: Wiring) {
+        *self.inner.membership.lock() = Membership::new(wiring, &self.inner.config);
     }
 
     /// The current metadata parent, if any.
     pub fn parent(&self) -> Option<SocketAddr> {
-        *self.inner.parent.lock()
-    }
-
-    /// Replaces the metadata children at runtime.
-    pub fn set_children(&self, children: Vec<SocketAddr>) {
-        *self.inner.children.lock() = children;
-    }
-
-    /// The current metadata children.
-    pub fn children(&self) -> Vec<SocketAddr> {
-        self.inner.children.lock().clone()
-    }
-
-    /// Installs the ordered list of parents to adopt if the current one is
-    /// confirmed dead. On re-homing, the node picks the first entry that
-    /// is not the dead parent, counts it in
-    /// [`NodeStats::parent_rehomes`], and re-advertises its cached
-    /// objects upward so hint propagation resumes through the new parent.
-    pub fn set_fallback_parents(&self, parents: Vec<SocketAddr>) {
-        *self.inner.fallback_parents.lock() = parents;
-    }
-
-    /// Overrides the set of peers the heartbeat loop monitors (pass
-    /// `None` to fall back to the neighbor set). Hierarchical meshes
-    /// monitor the full membership so every survivor repairs the shared
-    /// Plaxton tree, while hint flushes still follow the tree edges.
-    pub fn set_liveness_peers(&self, peers: Option<Vec<SocketAddr>>) {
-        *self.inner.liveness_peers.lock() = peers;
+        self.inner.membership.lock().parent()
     }
 
     /// Flushes pending hint updates to all neighbors immediately (tests use
@@ -526,34 +459,13 @@ impl CacheNode {
 
     /// The failure detector's current judgment of `addr`.
     pub fn peer_health(&self, addr: SocketAddr) -> PeerHealth {
-        self.inner.liveness.lock().health(addr)
-    }
-
-    /// Installs the mesh membership this node repairs on churn: builds the
-    /// shared Plaxton metadata tree over `members` (every member must pass
-    /// the same ordered list so the trees agree). A confirmed death
-    /// removes the member and counts the rewritten routing-table entries
-    /// in [`NodeStats::plaxton_repair_entries`]; a revival re-adds it at
-    /// its original coordinates.
-    pub fn set_mesh(&self, members: &[SocketAddr]) {
-        let tree = mesh_tree_for(members);
-        let index = members.iter().enumerate().map(|(i, a)| (*a, i)).collect();
-        let position = members
-            .iter()
-            .enumerate()
-            .map(|(i, a)| (*a, (i as f64, 0.0)))
-            .collect();
-        *self.inner.mesh.lock() = Some(MeshState {
-            tree,
-            index,
-            position,
-        });
+        self.inner.membership.lock().health(addr)
     }
 
     /// Runs one round of heartbeats against the current neighbor set
     /// immediately (tests use this instead of waiting out the interval).
     pub fn heartbeat_now(&self) {
-        heartbeat_round(&self.inner);
+        membership::heartbeat_round(&self.inner);
     }
 
     /// Anti-entropy pull: asks every neighbor for the objects it holds and
@@ -686,24 +598,29 @@ fn queue_update(inner: &Inner, action: HintAction, key: u64) {
     );
 }
 
+/// Sleeps `total` in 20 ms slices so shutdown joins promptly even with
+/// long periods; returns whether the node is still running.
+fn sleep_unless_shutdown(inner: &Inner, total: Duration) -> bool {
+    let mut remaining = total;
+    while !remaining.is_zero() && !inner.shutdown.load(Ordering::SeqCst) {
+        let slice = remaining.min(Duration::from_millis(20));
+        std::thread::sleep(slice);
+        remaining -= slice;
+    }
+    !inner.shutdown.load(Ordering::SeqCst)
+}
+
 fn flush_loop(inner: Arc<Inner>) {
     // Randomized period: uniform in [0, flush_max), re-drawn every round
-    // (Floyd–Jacobson desynchronization). Sleep in short slices so shutdown
-    // joins promptly even with long periods.
+    // (Floyd–Jacobson desynchronization).
     let mut seed = inner.machine.0 | 1;
-    'outer: while !inner.shutdown.load(Ordering::SeqCst) {
+    let max_ms = inner.config.flush_max.as_millis().max(1) as u64;
+    loop {
         seed = seed
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
-        let max_ms = inner.config.flush_max.as_millis().max(1) as u64;
-        let mut remaining = seed % max_ms;
-        while remaining > 0 {
-            let slice = remaining.min(20);
-            std::thread::sleep(Duration::from_millis(slice));
-            remaining -= slice;
-            if inner.shutdown.load(Ordering::SeqCst) {
-                break 'outer;
-            }
+        if !sleep_unless_shutdown(&inner, Duration::from_millis(seed % max_ms)) {
+            return;
         }
         flush_once(&inner);
     }
@@ -770,24 +687,13 @@ fn verify_hint_batch(
     false
 }
 
-/// Everyone a hint flush reaches: the neighbor set plus the tree edges
-/// (parent, then children).
-fn flush_targets(inner: &Inner) -> Vec<SocketAddr> {
-    let mut targets: Vec<SocketAddr> = inner.neighbors.lock().clone();
-    if let Some(p) = *inner.parent.lock() {
-        targets.push(p);
-    }
-    targets.extend(inner.children.lock().iter().copied());
-    targets
-}
-
 fn flush_once(inner: &Inner) {
     inner.hints.persist();
     let batch: Vec<HintUpdate> = std::mem::take(&mut *inner.pending.lock()).into();
     if batch.is_empty() {
         return;
     }
-    let targets = flush_targets(inner);
+    let targets = inner.membership.lock().flush_targets();
     // Coalesce first (an Add shadowed by a Remove never hits the wire),
     // then one versioned HintBatch per target over a warm pooled
     // connection. A dead target fails at most one fast probe and is
@@ -807,148 +713,6 @@ fn flush_once(inner: &Inner) {
     trace_event(inner, span::FLUSH_BATCH, batch_n, targets_n);
 }
 
-/// Builds the canonical Plaxton metadata tree over an ordered member
-/// list: member `i` sits at coordinates `(i, 0)`. Public so integration
-/// tests and the chaos driver can replay the same churn against an
-/// analytic copy of the tree a live mesh starts from.
-pub fn mesh_tree_for(members: &[SocketAddr]) -> PlaxtonTree {
-    let specs: Vec<NodeSpec> = members
-        .iter()
-        .enumerate()
-        .map(|(i, a)| NodeSpec::from_address(&a.to_string(), (i as f64, 0.0)))
-        .collect();
-    // bh-lint: allow(no-panic-hot-path, reason = "setup-time precondition on mesh construction, not a request path")
-    PlaxtonTree::build(specs, 1).expect("mesh members form a valid Plaxton tree")
-}
-
-/// Ticks [`heartbeat_round`] on the configured interval, sleeping in
-/// short slices so shutdown joins promptly.
-fn heartbeat_loop(inner: Arc<Inner>) {
-    while !inner.shutdown.load(Ordering::SeqCst) {
-        let mut remaining = inner.config.heartbeat_interval.as_millis().max(1) as u64;
-        while remaining > 0 {
-            let slice = remaining.min(20);
-            std::thread::sleep(Duration::from_millis(slice));
-            remaining -= slice;
-            if inner.shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-        }
-        heartbeat_round(&inner);
-    }
-}
-
-/// Pings every current neighbor once and feeds the outcomes into the
-/// failure detector, repairing standing state on confirmed transitions.
-fn heartbeat_round(inner: &Inner) {
-    let peers: Vec<SocketAddr> = inner
-        .liveness_peers
-        .lock()
-        .clone()
-        .unwrap_or_else(|| inner.neighbors.lock().clone());
-    for addr in peers {
-        if inner.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        // One attempt, feeds the quarantine, but never blocked by it: the
-        // detector must keep probing a quarantined peer to notice both
-        // durable death and revival.
-        let opts = RequestOptions {
-            max_attempts: 1,
-            quarantine_on_failure: true,
-            respect_quarantine: false,
-        };
-        match inner.pool.request(addr, opts, &Message::Ping) {
-            Ok(Message::Ack) => {
-                inner.metrics.heartbeats_ok.inc();
-                inner.pool.forgive(addr);
-                if inner.liveness.lock().record_ok(addr) == Transition::Revived {
-                    on_peer_revived(inner, addr);
-                }
-            }
-            Ok(_) | Err(_) => {
-                inner.metrics.heartbeats_failed.inc();
-                let transition = inner.liveness.lock().record_failure(addr, Instant::now());
-                if transition == Transition::Died {
-                    on_peer_died(inner, addr);
-                }
-            }
-        }
-    }
-}
-
-/// Confirmed death: GC every hint naming the dead peer — restoring the
-/// §3.2 invariant that a dead peer costs at most one wasted probe per
-/// object, and zero once the detector has confirmed it — then repair the
-/// live Plaxton tree.
-fn on_peer_died(inner: &Inner, addr: SocketAddr) {
-    inner.metrics.peers_confirmed_dead.inc();
-    if let Some(machine) = MachineId::from_addr(addr) {
-        let purged = inner.hints.table.lock().purge_location(machine.0);
-        inner.metrics.stale_hints_gc.add(purged as u64);
-    }
-    if let Some(mesh) = inner.mesh.lock().as_mut() {
-        if let Some(&idx) = mesh.index.get(&addr) {
-            if let Ok(changed) = mesh.tree.remove_node(idx) {
-                inner.metrics.plaxton_repair_entries.add(changed as u64);
-            }
-        }
-    }
-    rehome_if_orphaned(inner, addr);
-}
-
-/// Re-homing (the paper's self-configuring hierarchy): when the
-/// confirmed-dead peer is this node's metadata parent, adopt the first
-/// fallback parent that is not the dead one, then re-advertise every
-/// locally cached object so hint propagation resumes upward through the
-/// new parent — the subtree under the adopter may never have heard of
-/// these copies.
-fn rehome_if_orphaned(inner: &Inner, dead: SocketAddr) {
-    {
-        let mut parent = inner.parent.lock();
-        if *parent != Some(dead) {
-            return;
-        }
-        let next = inner
-            .fallback_parents
-            .lock()
-            .iter()
-            .copied()
-            .find(|p| *p != dead);
-        *parent = next;
-        if next.is_none() {
-            return;
-        }
-    }
-    inner.metrics.parent_rehomes.inc();
-    // Sorted so the re-advertisement batch is deterministic for a given
-    // store state (mirrors the Resync reply).
-    let mut keys: Vec<u64> = inner.store.lock().bodies.keys().copied().collect();
-    keys.sort_unstable();
-    for key in keys {
-        queue_update(inner, HintAction::Add, key);
-    }
-}
-
-/// Revival after a confirmed death: wire the member back into the tree at
-/// its original coordinates. Its hint records rebuild through the peer's
-/// own resync plus the normal update flow, not here.
-fn on_peer_revived(inner: &Inner, addr: SocketAddr) {
-    if let Some(mesh) = inner.mesh.lock().as_mut() {
-        let (Some(&idx), Some(&pos)) = (mesh.index.get(&addr), mesh.position.get(&addr)) else {
-            return;
-        };
-        if mesh.tree.is_alive(idx) {
-            return;
-        }
-        let spec = NodeSpec::from_address(&addr.to_string(), pos);
-        if let Ok((new_idx, changed)) = mesh.tree.add_node(spec) {
-            mesh.index.insert(addr, new_idx);
-            inner.metrics.plaxton_repair_entries.add(changed as u64);
-        }
-    }
-}
-
 /// Anti-entropy pull ([`CacheNode::resync`] and the mesh API's
 /// `Set .../control/resync`): asks every flush target for the objects it
 /// holds and applies the authenticated answers to the hint store.
@@ -958,7 +722,8 @@ fn resync_now(inner: &Inner) -> usize {
     // Pull from the same peers a flush would reach, so a restarted leaf
     // recovers through its parent even with an empty neighbor set.
     let mut learned = 0;
-    for addr in flush_targets(inner) {
+    let targets = inner.membership.lock().flush_targets();
+    for addr in targets {
         // Two attempts, no quarantine interaction either way: resync
         // runs right after restart, when this node has no basis for
         // judging its peers yet.
@@ -996,7 +761,7 @@ fn resync_now(inner: &Inner) -> usize {
 /// re-propagation. Callers verify the batch's authenticator first
 /// ([`verify_hint_batch`]); nothing reaches the hint store unauthenticated.
 fn apply_updates(inner: &Inner, updates: Vec<HintUpdate>) {
-    let hierarchical = inner.parent.lock().is_some() || !inner.children.lock().is_empty();
+    let hierarchical = inner.membership.lock().hierarchical();
     // One lock for the whole batch, one pass in batch order: the
     // propagate subset is the updates that changed this table.
     let mut hints = inner.hints.table.lock();

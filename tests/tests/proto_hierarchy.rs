@@ -2,60 +2,59 @@
 //! (§3.1.2): updates climb to a parent with first-copy filtering and
 //! descend to sibling subtrees.
 //!
-//! These trees are wired by hand — `with_parent`/`with_children` and the
-//! `set_*` calls — on purpose: this file is the test of those setters.
-//! Everything else stands its mesh up through `bh_proto::mesh::Mesh::spawn`.
+//! These trees are wired by hand — one `rewire` per node, `set_neighbors`
+//! for the flat edges — on purpose: this file is the test of wiring a node
+//! outside a mesh. Everything else stands its mesh up through
+//! `bh_proto::mesh::Mesh::spawn`.
 
-use bh_proto::node::{CacheNode, NodeConfig};
+use bh_proto::node::{CacheNode, NodeConfig, Wiring};
 use bh_proto::origin::OriginServer;
 use std::time::Duration;
 
-/// Builds a 2-level metadata tree: leaves A, B under metadata parent P.
-/// P stores no client data; it only relays hints.
+/// An unwired node behind `origin` that flushes only when told to.
+fn node(origin: &OriginServer) -> CacheNode {
+    let long = Duration::from_secs(3600); // manual flushes only
+    CacheNode::spawn(NodeConfig::new("127.0.0.1:0", origin.addr()).with_flush_max(long))
+        .expect("node")
+}
+
+/// `leaves` leaf nodes that flush to a metadata parent listing them as
+/// its children. The parent stores no client data; it only relays hints.
+fn leaves_under_parent(leaves: usize) -> (OriginServer, CacheNode, Vec<CacheNode>) {
+    let origin = OriginServer::spawn("127.0.0.1:0").expect("origin");
+    let leaves: Vec<CacheNode> = (0..leaves).map(|_| node(&origin)).collect();
+    let parent = node(&origin);
+    parent.rewire(Wiring {
+        children: leaves.iter().map(|l| l.addr()).collect(),
+        ..Wiring::default()
+    });
+    for l in &leaves {
+        l.set_neighbors(vec![parent.addr()]);
+    }
+    (origin, parent, leaves)
+}
+
+/// Builds a 2-level metadata tree the other way round: leaves A, B name P
+/// as their metadata parent, P knows nobody.
 fn tree() -> (OriginServer, CacheNode, CacheNode, CacheNode) {
     let origin = OriginServer::spawn("127.0.0.1:0").expect("origin");
-    let long = Duration::from_secs(3600); // manual flushes only
-    let parent =
-        CacheNode::spawn(NodeConfig::new("127.0.0.1:0", origin.addr()).with_flush_max(long))
-            .expect("parent");
-    let a = CacheNode::spawn(
-        NodeConfig::new("127.0.0.1:0", origin.addr())
-            .with_parent(parent.addr())
-            .with_flush_max(long),
-    )
-    .expect("leaf a");
-    let b = CacheNode::spawn(
-        NodeConfig::new("127.0.0.1:0", origin.addr())
-            .with_parent(parent.addr())
-            .with_flush_max(long),
-    )
-    .expect("leaf b");
-    parent.set_neighbors(Vec::new());
-    // Parent's children list must point at the live leaves; NodeConfig is
-    // fixed at spawn, so the parent was created first and wired via a
-    // respawn-free path: children are only used for downward flushes, which
-    // we trigger manually after setting them.
+    let parent = node(&origin);
+    let leaf = || {
+        let leaf = node(&origin);
+        leaf.rewire(Wiring {
+            parent: Some(parent.addr()),
+            ..Wiring::default()
+        });
+        leaf
+    };
+    let (a, b) = (leaf(), leaf());
     (origin, parent, a, b)
 }
 
 #[test]
 fn updates_climb_to_parent_and_descend_to_sibling() {
-    let origin = OriginServer::spawn("127.0.0.1:0").expect("origin");
-    let long = Duration::from_secs(3600);
-    // Spawn leaves first so the parent can list them as children.
-    let a = CacheNode::spawn(NodeConfig::new("127.0.0.1:0", origin.addr()).with_flush_max(long))
-        .expect("leaf a");
-    let b = CacheNode::spawn(NodeConfig::new("127.0.0.1:0", origin.addr()).with_flush_max(long))
-        .expect("leaf b");
-    let parent = CacheNode::spawn(
-        NodeConfig::new("127.0.0.1:0", origin.addr())
-            .with_children(vec![a.addr(), b.addr()])
-            .with_flush_max(long),
-    )
-    .expect("parent");
-    // Leaves flush to the parent (their neighbor set).
-    a.set_neighbors(vec![parent.addr()]);
-    b.set_neighbors(vec![parent.addr()]);
+    let (_origin, parent, leaves) = leaves_under_parent(2);
+    let (a, b) = (&leaves[0], &leaves[1]);
 
     let url = "http://t.test/hier";
     let key = bh_md5::url_key(url);
@@ -90,20 +89,8 @@ fn updates_climb_to_parent_and_descend_to_sibling() {
 
 #[test]
 fn removal_propagates_when_it_changes_knowledge() {
-    let origin = OriginServer::spawn("127.0.0.1:0").expect("origin");
-    let long = Duration::from_secs(3600);
-    let a = CacheNode::spawn(NodeConfig::new("127.0.0.1:0", origin.addr()).with_flush_max(long))
-        .expect("leaf a");
-    let b = CacheNode::spawn(NodeConfig::new("127.0.0.1:0", origin.addr()).with_flush_max(long))
-        .expect("leaf b");
-    let parent = CacheNode::spawn(
-        NodeConfig::new("127.0.0.1:0", origin.addr())
-            .with_children(vec![a.addr(), b.addr()])
-            .with_flush_max(long),
-    )
-    .expect("parent");
-    a.set_neighbors(vec![parent.addr()]);
-    b.set_neighbors(vec![parent.addr()]);
+    let (_origin, parent, leaves) = leaves_under_parent(2);
+    let (a, b) = (&leaves[0], &leaves[1]);
 
     let url = "http://t.test/hier-rm";
     let key = bh_md5::url_key(url);
@@ -124,23 +111,7 @@ fn removal_propagates_when_it_changes_knowledge() {
 fn filtering_reduces_parent_egress() {
     // Many copies of the same object: the parent forwards the first Add
     // and filters the rest — the Table 5 effect, on the wire.
-    let origin = OriginServer::spawn("127.0.0.1:0").expect("origin");
-    let long = Duration::from_secs(3600);
-    let leaves: Vec<CacheNode> = (0..4)
-        .map(|_| {
-            CacheNode::spawn(NodeConfig::new("127.0.0.1:0", origin.addr()).with_flush_max(long))
-                .expect("leaf")
-        })
-        .collect();
-    let parent = CacheNode::spawn(
-        NodeConfig::new("127.0.0.1:0", origin.addr())
-            .with_children(leaves.iter().map(|l| l.addr()).collect())
-            .with_flush_max(long),
-    )
-    .expect("parent");
-    for l in &leaves {
-        l.set_neighbors(vec![parent.addr()]);
-    }
+    let (_origin, parent, leaves) = leaves_under_parent(4);
 
     let url = "http://t.test/popular";
     for l in &leaves {
@@ -156,9 +127,12 @@ fn filtering_reduces_parent_egress() {
 #[test]
 fn tree_helper_smoke() {
     // The simple helper (leaves know parent, parent knows nobody) still
-    // lets updates climb.
-    let (_origin, parent, a, _b) = tree();
+    // lets updates climb, and a later `set_neighbors` leaves the parent
+    // edge in place.
+    let (_origin, parent, a, b) = tree();
     a.set_neighbors(vec![parent.addr()]);
+    assert_eq!(a.parent(), Some(parent.addr()));
+    assert_eq!(b.parent(), Some(parent.addr()));
     let url = "http://t.test/smoke";
     bh_proto::fetch(a.addr(), url).expect("fetch");
     a.flush_updates_now();
