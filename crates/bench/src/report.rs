@@ -2,7 +2,7 @@
 //! the shared `obs_dump.json` writer.
 //!
 //! Every artifact the harness writes — experiment figures/tables,
-//! `loadgen.json`, the chaos pair, `BENCH_mesh.json` — is wrapped as
+//! `loadgen.json`, the chaos pair, the recovery pair — is wrapped as
 //!
 //! ```json
 //! { "schema_version": 1, "artifact": "<name>", "payload": { ... } }

@@ -35,16 +35,6 @@ pub enum Topology {
         /// Leaf children under each parent.
         children_per_parent: usize,
     },
-    /// A ring lattice: node `i` flushes to (and heartbeats) its
-    /// `successors` ring successors `i+1 ..= i+successors` (mod `nodes`);
-    /// hints reach the rest by gossip hops. Control traffic stays O(n)
-    /// where [`Topology::Flat`] is O(n²) — the mesh sweep's wiring.
-    Ring {
-        /// Number of nodes.
-        nodes: usize,
-        /// Ring successors each node flushes to; must be below `nodes`.
-        successors: usize,
-    },
 }
 
 /// `addrs` without the entry at `i`.
@@ -61,7 +51,7 @@ impl Topology {
     /// Total node count.
     pub fn size(&self) -> usize {
         match *self {
-            Topology::Flat { nodes } | Topology::Ring { nodes, .. } => nodes,
+            Topology::Flat { nodes } => nodes,
             Topology::TwoLevel {
                 parents,
                 children_per_parent,
@@ -74,7 +64,7 @@ impl Topology {
     /// exactly one interior depth (0, the parents).
     pub fn first_parent_at(&self, level: usize) -> Option<usize> {
         match *self {
-            Topology::Flat { .. } | Topology::Ring { .. } => None,
+            Topology::Flat { .. } => None,
             Topology::TwoLevel { parents, .. } => (level == 0 && parents > 0).then_some(0),
         }
     }
@@ -82,7 +72,7 @@ impl Topology {
     /// The parent assigned to `index`, if `index` is a child.
     pub fn parent_of(&self, index: usize) -> Option<usize> {
         match *self {
-            Topology::Flat { .. } | Topology::Ring { .. } => None,
+            Topology::Flat { .. } => None,
             Topology::TwoLevel {
                 parents,
                 children_per_parent,
@@ -100,7 +90,7 @@ impl Topology {
     /// without a hierarchy.
     pub fn children_of(&self, index: usize) -> Vec<usize> {
         match *self {
-            Topology::Flat { .. } | Topology::Ring { .. } => Vec::new(),
+            Topology::Flat { .. } => Vec::new(),
             Topology::TwoLevel {
                 parents,
                 children_per_parent,
@@ -125,9 +115,6 @@ impl Topology {
             Topology::TwoLevel { parents, .. } if parents < 2 => {
                 Err("two-level mesh needs at least 2 parents so orphans can re-home".into())
             }
-            Topology::Ring { nodes, successors } if successors >= nodes => Err(format!(
-                "ring mesh of {nodes} nodes cannot give each node {successors} distinct successors"
-            )),
             _ => Ok(()),
         }
     }
@@ -147,9 +134,6 @@ impl Topology {
         };
         match *self {
             Topology::Flat { .. } => wiring.neighbors = all_but(addrs, i),
-            Topology::Ring { nodes, successors } => {
-                wiring.neighbors = (1..=successors).map(|d| addrs[(i + d) % nodes]).collect();
-            }
             Topology::TwoLevel { parents, .. } => {
                 if i < parents {
                     wiring.neighbors = all_but(&addrs[..parents], i);
@@ -387,28 +371,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_wiring_is_the_next_successors_wrapping() {
-        let topology = Topology::Ring {
-            nodes: 8,
-            successors: 3,
-        };
-        let addrs = fake(topology.size());
-        for i in 0..8 {
-            let successors = [(i + 1) % 8, (i + 2) % 8, (i + 3) % 8];
-            assert_eq!(
-                topology.wiring(&addrs, i),
-                Wiring {
-                    neighbors: pick(&addrs, &successors),
-                    members: addrs.clone(),
-                    ..Wiring::default()
-                },
-                "node {i}"
-            );
-        }
-        assert_eq!(topology.first_parent_at(0), None);
-    }
-
-    #[test]
     fn validate_rejects_malformed_topologies() {
         assert!(Topology::Flat { nodes: 0 }.validate().is_err());
         assert!(Topology::Flat { nodes: 1 }.validate().is_ok());
@@ -417,16 +379,5 @@ mod tests {
             children_per_parent: 3,
         };
         assert!(lone_parent.validate().is_err(), "orphans need a fallback");
-        let ring = |nodes, successors| Topology::Ring { nodes, successors };
-        assert!(
-            ring(8, 8).validate().is_err(),
-            "a node is not its own successor"
-        );
-        assert!(ring(0, 0).validate().is_err(), "empty ring");
-        assert!(ring(8, 7).validate().is_ok());
-        assert!(
-            ring(1, 0).validate().is_ok(),
-            "a lone node flushes to nobody"
-        );
     }
 }

@@ -16,7 +16,9 @@
 //!   shard (pure in-memory work); a miss hands the *connection* to the
 //!   **worker pool**, and the worker services the whole run of `Get`s the
 //!   client has pipelined on it as one batch
-//!   ([`super::service::service_gets`]).
+//!   ([`super::service::service_gets`]). An idle worker blocks in the
+//!   job channel's `recv()`; at shutdown [`Stopper::stop`] sends each one
+//!   a [`Work::Stop`] sentinel, so nothing polls for the flag.
 //!
 //! Replies are encoded straight into the connection's one flat out-buffer
 //! and leave through one function, [`write_out`]: once per readiness
@@ -44,7 +46,7 @@
 //! way around — nothing touches connection state while holding the store.
 
 use super::service::{self, ParkedGet, Replies};
-use super::{local_response, trace_event, Inner};
+use super::{local_response, trace_event, Inner, Running};
 use crate::wire::{FrameAssembler, Message};
 use bh_netpoll::{waker_pair, Event, Interest, Poller, WakeReceiver, Waker};
 use bh_obs::span;
@@ -94,6 +96,14 @@ enum Injected {
     WantWrite { token: u64 },
 }
 
+/// What travels the worker pool's job channel.
+enum Work {
+    /// A connection to service.
+    Run(WorkerJob),
+    /// The node is stopping: the worker that takes this returns.
+    Stop,
+}
+
 /// A connection with a run of `Get`s parked at the front of its backlog,
 /// checked out to the worker pool.
 #[derive(Clone)]
@@ -115,7 +125,7 @@ struct WorkerJob {
 /// backpressure).
 #[derive(Clone)]
 struct JobQueue {
-    tx: Sender<WorkerJob>,
+    tx: Sender<Work>,
     depth: Arc<AtomicUsize>,
     saturated: Arc<AtomicBool>,
     high_water: usize,
@@ -162,11 +172,42 @@ impl JobQueue {
 /// Everything `CacheNode::spawn` needs to own the running engine.
 pub(super) struct Engine {
     pub(super) threads: Vec<std::thread::JoinHandle<()>>,
-    pub(super) wakers: Vec<Waker>,
+    pub(super) stopper: Stopper,
+}
+
+/// What `CacheNode::stop` ends the engine's threads with (the accept
+/// thread, blocked in `accept()`, is woken by a connection instead).
+pub(super) struct Stopper {
+    /// One per shard: breaks it out of `epoll_wait`.
+    wakers: Vec<Waker>,
+    job_tx: Sender<Work>,
+    workers: usize,
+}
+
+impl Stopper {
+    /// Wakes every shard and sends every worker its stop sentinel. A
+    /// worker busy with a run finishes it first (the poisoned pool fails
+    /// its outbound I/O fast) and then sees the shutdown flag.
+    pub(super) fn stop(&self) {
+        for _ in 0..self.workers {
+            let _ = self.job_tx.send(Work::Stop);
+        }
+        for waker in &self.wakers {
+            waker.wake();
+        }
+    }
+}
+
+impl std::fmt::Debug for Stopper {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Stopper")
+            .field("workers", &self.workers)
+            .finish_non_exhaustive()
+    }
 }
 
 /// Spawns the accept thread, shard threads, and worker pool.
-pub(super) fn spawn(listener: TcpListener, inner: Arc<Inner>) -> io::Result<Engine> {
+pub(super) fn spawn(listener: TcpListener, inner: &Arc<Inner>) -> io::Result<Engine> {
     let shards = inner.config.shards.max(1);
     let workers = inner.config.workers.max(1);
     let addr = listener.local_addr()?;
@@ -182,9 +223,9 @@ pub(super) fn spawn(listener: TcpListener, inner: Arc<Inner>) -> io::Result<Engi
         loops.push((poller, wake_rx, rx));
     }
 
-    let (job_tx, job_rx) = channel::unbounded::<WorkerJob>();
+    let (job_tx, job_rx) = channel::unbounded::<Work>();
     let jobs = JobQueue {
-        tx: job_tx,
+        tx: job_tx.clone(),
         depth: Arc::new(AtomicUsize::new(0)),
         saturated: Arc::new(AtomicBool::new(false)),
         // Enough parked Gets to keep every worker busy through a burst,
@@ -198,22 +239,22 @@ pub(super) fn spawn(listener: TcpListener, inner: Arc<Inner>) -> io::Result<Engi
         let job_rx = job_rx.clone();
         let jobs = jobs.clone();
         let handles = clone_handles(&handles)?;
-        let inner = Arc::clone(&inner);
+        let running = Running::enter(inner);
         threads.push(
             std::thread::Builder::new()
                 .name(format!("cache-worker-{addr}-{w}"))
-                .spawn(move || worker_loop(job_rx, jobs, handles, inner))?,
+                .spawn(move || worker_loop(job_rx, jobs, handles, &running.0))?,
         );
     }
 
     for (i, (poller, wake_rx, rx)) in loops.into_iter().enumerate() {
-        let inner = Arc::clone(&inner);
+        let running = Running::enter(inner);
         let jobs = jobs.clone();
         threads.push(
             std::thread::Builder::new()
                 .name(format!("cache-shard-{addr}-{i}"))
                 .spawn(move || {
-                    Shard::new(i, poller, wake_rx, rx, jobs, inner).run();
+                    Shard::new(i, poller, wake_rx, rx, jobs, Arc::clone(&running.0)).run();
                 })?,
         );
     }
@@ -223,16 +264,21 @@ pub(super) fn spawn(listener: TcpListener, inner: Arc<Inner>) -> io::Result<Engi
         .iter()
         .map(|(_, w)| w.try_clone())
         .collect::<io::Result<Vec<_>>>()?;
-    {
-        let inner = Arc::clone(&inner);
-        threads.push(
-            std::thread::Builder::new()
-                .name(format!("cache-accept-{addr}"))
-                .spawn(move || accept_loop(listener, handles, inner))?,
-        );
-    }
+    let running = Running::enter(inner);
+    threads.push(
+        std::thread::Builder::new()
+            .name(format!("cache-accept-{addr}"))
+            .spawn(move || accept_loop(listener, handles, &running.0))?,
+    );
 
-    Ok(Engine { threads, wakers })
+    Ok(Engine {
+        threads,
+        stopper: Stopper {
+            wakers,
+            job_tx,
+            workers,
+        },
+    })
 }
 
 fn clone_handles(
@@ -247,7 +293,7 @@ fn clone_handles(
 /// Deals accepted connections round-robin across the shards. Holding the
 /// shard senders here (and dropping them on exit) is what lets the shard
 /// loops observe engine teardown.
-fn accept_loop(listener: TcpListener, handles: Vec<(Sender<Injected>, Waker)>, inner: Arc<Inner>) {
+fn accept_loop(listener: TcpListener, handles: Vec<(Sender<Injected>, Waker)>, inner: &Inner) {
     let mut next = 0usize;
     for stream in listener.incoming() {
         if inner.shutdown.load(Ordering::SeqCst) {
@@ -267,7 +313,7 @@ fn accept_loop(listener: TcpListener, handles: Vec<(Sender<Injected>, Waker)>, i
 struct ConnReplies<'a> {
     job: &'a WorkerJob,
     jobs: &'a JobQueue,
-    inner: &'a Arc<Inner>,
+    inner: &'a Inner,
 }
 
 impl Replies for ConnReplies<'_> {
@@ -293,7 +339,7 @@ impl Replies for ConnReplies<'_> {
 fn pump_from_worker<'a>(
     job: &'a WorkerJob,
     jobs: &JobQueue,
-    inner: &Arc<Inner>,
+    inner: &Inner,
     prepare: impl FnOnce(&mut ConnState),
 ) -> MutexGuard<'a, ConnState> {
     let (state, died) = pump(&job.conn, inner, jobs, job.shard, job.token, prepare);
@@ -311,26 +357,17 @@ fn pump_from_worker<'a>(
 /// poking the owning shard only if unsent bytes remain or its reads are
 /// paused.
 fn worker_loop(
-    job_rx: Receiver<WorkerJob>,
+    job_rx: Receiver<Work>,
     jobs: JobQueue,
     handles: Vec<(Sender<Injected>, Waker)>,
-    inner: Arc<Inner>,
+    inner: &Inner,
 ) {
     let mut run: Vec<ParkedGet> = Vec::with_capacity(RUN_CAP);
-    loop {
-        // Workers hold a `JobQueue` clone (backlog replays enqueue
-        // follow-up jobs), so the channel never disconnects on its own —
-        // poll the shutdown flag instead of blocking forever.
-        let job = match job_rx.recv_timeout(Duration::from_millis(50)) {
-            Ok(job) => job,
-            Err(channel::RecvTimeoutError::Timeout) => {
-                if inner.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                continue;
-            }
-            Err(channel::RecvTimeoutError::Disconnected) => break,
-        };
+    // Workers hold a `JobQueue` clone (backlog replays enqueue follow-up
+    // jobs), so the channel never disconnects on its own: a worker
+    // leaves on its stop sentinel, or on the flag if jobs were queued
+    // ahead of it.
+    while let Ok(Work::Run(job)) = job_rx.recv() {
         if inner.shutdown.load(Ordering::SeqCst) {
             break;
         }
@@ -351,15 +388,15 @@ fn worker_loop(
         let mut replies = ConnReplies {
             job: &job,
             jobs: &jobs,
-            inner: &inner,
+            inner,
         };
-        service::service_gets(&inner, &run, &mut replies);
+        service::service_gets(inner, &run, &mut replies);
         run.clear();
         let poke = {
-            let mut state = pump_from_worker(&job, &jobs, &inner, |state| {
+            let mut state = pump_from_worker(&job, &jobs, inner, |state| {
                 let more = matches!(state.backlog.front(), Some(Parked::Get(_)));
                 if more && !state.closed && state.out.len() < OUT_CAP {
-                    if jobs.tx.send(job.clone()).is_err() {
+                    if jobs.tx.send(Work::Run(job.clone())).is_err() {
                         // Engine tearing down; the connection dies with it.
                         state.closed = true;
                         inner.metrics.service_errors.inc();
@@ -404,7 +441,7 @@ fn answer_inline(inner: &Inner, state: &mut ConnState, get: &ParkedGet) -> bool 
 fn replay_backlog(
     conn: &Arc<SharedConn>,
     state: &mut ConnState,
-    inner: &Arc<Inner>,
+    inner: &Inner,
     jobs: &JobQueue,
     shard: usize,
     token: u64,
@@ -426,7 +463,7 @@ fn replay_backlog(
                     token,
                     conn: Arc::clone(conn),
                 };
-                if jobs.tx.send(job).is_err() {
+                if jobs.tx.send(Work::Run(job)).is_err() {
                     // Engine tearing down; the connection dies with it.
                     state.closed = true;
                     inner.metrics.service_errors.inc();
@@ -822,7 +859,7 @@ impl Shard {
 /// and whether a write just killed the connection.
 fn pump<'a>(
     conn: &'a Arc<SharedConn>,
-    inner: &Arc<Inner>,
+    inner: &Inner,
     jobs: &JobQueue,
     shard: usize,
     token: u64,

@@ -14,14 +14,14 @@
 //! socket; pings, the hint purge and the store re-advertisement happen
 //! in [`heartbeat_round`], outside the lock.
 
-use super::{queue_update, sleep_unless_shutdown, Inner, NodeConfig};
+use super::propagation::{held_as_adds, purge_machine, queue_pending};
+use super::{Inner, NodeConfig};
 use crate::liveness::{LivenessConfig, LivenessTracker, PeerHealth, Transition};
 use crate::pool::RequestOptions;
-use crate::wire::{HintAction, MachineId, Message};
+use crate::wire::{MachineId, Message};
 use bh_plaxton::{NodeSpec, PlaxtonTree};
 use std::net::SocketAddr;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// One node's place in a mesh, as addresses. [`crate::mesh::Topology::wiring`]
@@ -185,14 +185,16 @@ impl Membership {
     }
 }
 
-/// Ticks [`heartbeat_round`] on the configured interval.
-pub(super) fn heartbeat_loop(inner: Arc<Inner>) {
+/// The heartbeat thread: ticks [`heartbeat_round`] on the configured
+/// interval, parked on the control mailbox in between so it leaves as
+/// soon as the node stops.
+pub(super) fn heartbeat_loop(inner: &Inner) {
     let interval = inner
         .config
         .heartbeat_interval
         .max(Duration::from_millis(1));
-    while sleep_unless_shutdown(&inner, interval) {
-        heartbeat_round(&inner);
+    while inner.mailbox.sleep(interval) {
+        heartbeat_round(inner);
     }
 }
 
@@ -247,18 +249,11 @@ pub(super) fn heartbeat_round(inner: &Inner) {
         };
         if observed.died {
             if let Some(machine) = MachineId::from_addr(addr) {
-                let purged = inner.hints.table.lock().purge_location(machine.0);
-                inner.metrics.stale_hints_gc.add(purged as u64);
+                purge_machine(inner, machine);
             }
         }
         if observed.rehomed {
-            // Sorted so the re-advertisement batch is deterministic for a
-            // given store state (mirrors the Resync reply).
-            let mut keys: Vec<u64> = inner.store.lock().bodies.keys().copied().collect();
-            keys.sort_unstable();
-            for key in keys {
-                queue_update(inner, HintAction::Add, key);
-            }
+            queue_pending(inner, held_as_adds(inner));
         }
     }
 }

@@ -18,16 +18,17 @@
 //! * **Shard-thread safety** — the resolver runs inline on epoll shard
 //!   threads, which never perform outbound I/O. Every read is purely
 //!   local; the two writes that imply network work (`control/resync`,
-//!   `control/flush`) detach onto a named thread and report
-//!   `scheduled`, with completion observable at
+//!   `control/flush`) post a request to the node's control mailbox and
+//!   report `scheduled` — the flush thread, the node's one background
+//!   executor of both, carries it out, and any number of requests posted
+//!   before it looks are one run. Completion is observable at
 //!   `control/resync/runs` / `control/resync/learned`.
 
-use super::{flush_once, resync_now, Inner};
+use super::Inner;
 use crate::wire::{MachineId, Message, MetaEntry, MetaOp, MetaStatus};
 use bh_obs::span;
 use std::net::SocketAddr;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 
 /// Every route this namespace version serves: `(pattern, ops, help)`.
 /// Segments in angle brackets are wildcards. The table is the single
@@ -182,8 +183,8 @@ fn entry(path: String, value: impl Into<String>) -> MetaEntry {
 
 /// Entry point: resolves one request against the namespace. Called
 /// inline by `local_response` on shard threads — everything in here is
-/// local state except the two detached control writes.
-pub(super) fn handle(inner: &Arc<Inner>, op: MetaOp, path: &str, value: &str) -> Message {
+/// local state; the two control writes that imply I/O only post a request.
+pub(super) fn handle(inner: &Inner, op: MetaOp, path: &str, value: &str) -> Message {
     let segs: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
     match segs.split_first() {
         Some((&"meta", rest)) => handle_meta(op, rest),
@@ -232,7 +233,7 @@ fn pattern_matches(pattern: &str, segs: &[&str]) -> bool {
 }
 
 /// `mesh/nodes[/<id>/...]`: the one-node data tree.
-fn handle_mesh(inner: &Arc<Inner>, op: MetaOp, rest: &[&str], value: &str) -> Message {
+fn handle_mesh(inner: &Inner, op: MetaOp, rest: &[&str], value: &str) -> Message {
     let Some((&"nodes", rest)) = rest.split_first() else {
         return fail(MetaStatus::NotFound);
     };
@@ -280,7 +281,7 @@ fn handle_mesh(inner: &Arc<Inner>, op: MetaOp, rest: &[&str], value: &str) -> Me
 /// (names + units — deterministic); `Get` on the branch is the full
 /// scrape (the `obs scrape` compatibility surface); `Get` on a leaf is
 /// one value.
-fn metrics_node(inner: &Arc<Inner>, op: MetaOp, rest: &[&str], root: &str) -> Message {
+fn metrics_node(inner: &Inner, op: MetaOp, rest: &[&str], root: &str) -> Message {
     match (op, rest) {
         (MetaOp::List, []) => ok(inner
             .metrics
@@ -313,7 +314,7 @@ fn metrics_node(inner: &Arc<Inner>, op: MetaOp, rest: &[&str], root: &str) -> Me
 
 /// `.../trace`: the retained ring, oldest first, one entry per record
 /// keyed by ring position.
-fn trace_node(inner: &Arc<Inner>, op: MetaOp, rest: &[&str], root: &str) -> Message {
+fn trace_node(inner: &Inner, op: MetaOp, rest: &[&str], root: &str) -> Message {
     match (op, rest) {
         (MetaOp::Get | MetaOp::List, []) => {
             let events = inner.trace.lock().snapshot();
@@ -341,7 +342,7 @@ fn trace_node(inner: &Arc<Inner>, op: MetaOp, rest: &[&str], root: &str) -> Mess
 
 /// `.../hints`: the hint store, digests as 16-hex leaves, locations
 /// rendered as socket addresses.
-fn hints_node(inner: &Arc<Inner>, op: MetaOp, rest: &[&str], root: &str) -> Message {
+fn hints_node(inner: &Inner, op: MetaOp, rest: &[&str], root: &str) -> Message {
     match (op, rest) {
         (MetaOp::List, []) => {
             let entries = inner.hints.entries();
@@ -393,7 +394,7 @@ fn pool_stat(inner: &Inner, name: &str) -> Option<u64> {
 
 /// `.../pool`: the outbound connection pool — counters, partition block
 /// list, quarantine state, and the fault-injection switchboard.
-fn pool_node(inner: &Arc<Inner>, op: MetaOp, rest: &[&str], value: &str, root: &str) -> Message {
+fn pool_node(inner: &Inner, op: MetaOp, rest: &[&str], value: &str, root: &str) -> Message {
     let switch = inner.pool.fault_switch();
     match (op, rest) {
         (MetaOp::List, []) => ok(["blocked", "fault", "quarantined", "stats"]
@@ -503,7 +504,7 @@ fn pool_node(inner: &Arc<Inner>, op: MetaOp, rest: &[&str], value: &str, root: &
 }
 
 /// `.../control`: the writable control plane — drain, flush, resync.
-fn control_node(inner: &Arc<Inner>, op: MetaOp, rest: &[&str], value: &str, root: &str) -> Message {
+fn control_node(inner: &Inner, op: MetaOp, rest: &[&str], value: &str, root: &str) -> Message {
     match (op, rest) {
         (MetaOp::List, []) => ok(["drain", "flush", "resync"]
             .iter()
@@ -521,43 +522,24 @@ fn control_node(inner: &Arc<Inner>, op: MetaOp, rest: &[&str], value: &str, root
             None => fail(MetaStatus::Invalid),
         },
         (MetaOp::Set, ["flush"]) => {
-            spawn_control(inner, "cache-meta-flush", |inner| flush_once(&inner));
+            inner.mailbox.post(|c| c.flush_requested = true);
             ok(vec![entry(format!("{root}/control/flush"), "scheduled")])
         }
         (MetaOp::Set, ["resync"]) => {
-            spawn_control(inner, "cache-meta-resync", |inner| {
-                resync_now(&inner);
-            });
+            inner.mailbox.post(|c| c.resync_requested = true);
             ok(vec![entry(format!("{root}/control/resync"), "scheduled")])
         }
-        (MetaOp::Get, ["resync", "runs"]) => ok(vec![entry(
-            format!("{root}/control/resync/runs"),
-            // Acquire pairs with the Release in `resync_now`: seeing a
-            // run implies seeing its learned total.
-            inner.resync_runs.load(Ordering::Acquire).to_string(),
-        )]),
-        (MetaOp::Get, ["resync", "learned"]) => ok(vec![entry(
-            format!("{root}/control/resync/learned"),
-            inner.resync_learned.load(Ordering::Relaxed).to_string(),
-        )]),
+        (MetaOp::Get, ["resync", leaf @ ("runs" | "learned")]) => {
+            let (runs, learned) = inner.propagation.lock().resync_counts();
+            let count = if *leaf == "runs" { runs } else { learned };
+            ok(vec![entry(
+                format!("{root}/control/resync/{leaf}"),
+                count.to_string(),
+            )])
+        }
         (MetaOp::Set, _) => fail(MetaStatus::Denied),
         _ => fail(MetaStatus::NotFound),
     }
-}
-
-/// Detaches a control action that performs outbound I/O onto its own
-/// thread — the resolver runs on shard threads, which must never block
-/// on the network. The thread is deliberately not joined: it observes
-/// the shutdown flag and the poisoned pool like every other node thread.
-fn spawn_control(inner: &Arc<Inner>, name: &str, work: impl FnOnce(Arc<Inner>) + Send + 'static) {
-    let inner = Arc::clone(inner);
-    let _ = std::thread::Builder::new()
-        .name(name.to_string())
-        .spawn(move || {
-            if !inner.shutdown.load(Ordering::SeqCst) {
-                work(inner);
-            }
-        });
 }
 
 fn bool_str(b: bool) -> &'static str {

@@ -24,7 +24,8 @@
 //! * a finished reply is never held across a blocking call:
 //!   [`Replies::flush`] runs before every exchange.
 
-use super::{queue_update, trace_event, Inner};
+use super::propagation::queue_update;
+use super::{trace_event, Inner};
 use crate::pool::RequestOptions;
 use crate::wire::{HintAction, MachineId, Message, ServedBy, Status};
 use bh_obs::span;

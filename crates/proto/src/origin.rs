@@ -14,7 +14,6 @@ use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Live accepted connections, keyed by a per-connection id so each serving
 /// thread can drop its own entry when the peer hangs up (otherwise the
@@ -44,18 +43,6 @@ impl OriginServer {
     ///
     /// Propagates bind errors.
     pub fn spawn(bind: impl ToSocketAddrs) -> io::Result<Self> {
-        Self::spawn_with_delay(bind, Duration::ZERO)
-    }
-
-    /// Like [`OriginServer::spawn`], but every `Get`/`PeerGet` is served
-    /// after `delay` — a stand-in for the WAN round trip to a distant
-    /// origin (the paper's setting: caches are nearby, the server is
-    /// across the Internet), so experiments can price misses realistically.
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind errors.
-    pub fn spawn_with_delay(bind: impl ToSocketAddrs, delay: Duration) -> io::Result<Self> {
         let listener = TcpListener::bind(bind)?;
         let addr = listener.local_addr()?;
         let state = Arc::new(Mutex::new(OriginState::default()));
@@ -69,7 +56,7 @@ impl OriginServer {
         let conns2 = Arc::clone(&conns);
         let handle = std::thread::Builder::new()
             .name(format!("origin-{addr}"))
-            .spawn(move || accept_loop(listener, state2, shutdown2, requests2, conns2, delay))
+            .spawn(move || accept_loop(listener, state2, shutdown2, requests2, conns2))
             .expect("spawn origin thread");
 
         Ok(OriginServer {
@@ -142,7 +129,6 @@ fn accept_loop(
     shutdown: Arc<AtomicBool>,
     requests: Arc<AtomicU64>,
     conns: ConnRegistry,
-    delay: Duration,
 ) {
     let mut next_id: u64 = 0;
     for stream in listener.incoming() {
@@ -161,7 +147,7 @@ fn accept_loop(
         std::thread::Builder::new()
             .name("origin-conn".to_string())
             .spawn(move || {
-                let _ = serve_connection(stream, state, requests, delay);
+                let _ = serve_connection(stream, state, requests);
                 conns.lock().remove(&id);
             })
             // bh-lint: allow(no-panic-hot-path, reason = "test-harness origin server; failing to spawn a connection thread is unrecoverable and loud beats silent")
@@ -191,7 +177,6 @@ fn serve_connection(
     mut stream: TcpStream,
     state: Arc<Mutex<OriginState>>,
     requests: Arc<AtomicU64>,
-    delay: Duration,
 ) -> io::Result<()> {
     stream.set_nodelay(true)?;
     // Buffer the read side so a framed request is usually one syscall.
@@ -205,9 +190,6 @@ fn serve_connection(
         match msg {
             Message::Get { url } | Message::PeerGet { url } => {
                 requests.fetch_add(1, Ordering::Relaxed);
-                if !delay.is_zero() {
-                    std::thread::sleep(delay);
-                }
                 let (version, body) = {
                     let st = state.lock();
                     match st.objects.get(&url) {

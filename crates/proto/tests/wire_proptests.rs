@@ -3,12 +3,303 @@
 //! corrupted, oversized) is rejected with an error — never a panic.
 
 use bh_proto::wire::{
-    decode_message_legacy, read_message, write_message, FrameAssembler, HintAction, HintUpdate,
-    MachineId, Message, MetaEntry, MetaOp, MetaStatus, ServedBy, Status, MAX_FRAME,
+    read_message, write_message, FrameAssembler, HintAction, HintUpdate, MachineId, Message,
+    MetaEntry, MetaOp, MetaStatus, ServedBy, Status, HINT_BATCH_VERSION, HINT_TAG_BYTES,
+    HINT_UPDATE_BYTES, MAX_FRAME, META_API_VERSION,
 };
-use bytes::Bytes;
+use bytes::{Buf, Bytes};
 use proptest::prelude::*;
-use std::io::Cursor;
+use std::io::{self, Cursor};
+
+// The live wire tags by number (the table above `T_GET` in `wire.rs`) and
+// the smallest encoded `MetaEntry`, as the witness decoder spells them.
+const T_GET: u8 = 1;
+const T_PEER_GET: u8 = 2;
+const T_GET_REPLY: u8 = 3;
+const T_PUSH: u8 = 5;
+const T_FIND_NEAREST: u8 = 6;
+const T_FIND_NEAREST_REPLY: u8 = 7;
+const T_ORIGIN_PUT: u8 = 8;
+const T_ACK: u8 = 9;
+const T_HINT_BATCH: u8 = 10;
+const T_PING: u8 = 11;
+const T_RESYNC: u8 = 12;
+const T_META_REQUEST: u8 = 17;
+const T_META_REPLY: u8 = 18;
+const META_ENTRY_MIN_BYTES: usize = 8;
+
+/// The pre-zero-copy decoder, kept verbatim as the differential witness:
+/// it copies every string and body out of the payload the way the
+/// original decode path did, so the proptests below can assert the
+/// zero-copy [`Message::decode`] produces identical values (and identical
+/// error outcomes) over the malformed-frame corpus. It lives here, with
+/// its only caller; the library has one decoder.
+fn decode_message_legacy(ty: u8, payload: &[u8]) -> io::Result<Message> {
+    fn legacy_string(buf: &mut &[u8]) -> io::Result<String> {
+        if buf.remaining() < 4 {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "short string length",
+            ));
+        }
+        let len = buf.get_u32_le() as usize;
+        if buf.remaining() < len {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "short string body",
+            ));
+        }
+        let bytes = buf.copy_to_bytes(len);
+        String::from_utf8(bytes.to_vec()).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+    }
+    fn legacy_bytes(buf: &mut &[u8]) -> io::Result<Bytes> {
+        if buf.remaining() < 4 {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "short bytes length",
+            ));
+        }
+        let len = buf.get_u32_le() as usize;
+        if buf.remaining() < len {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "short bytes body",
+            ));
+        }
+        Ok(buf.copy_to_bytes(len))
+    }
+    let buf = &mut &payload[..];
+    let msg = match ty {
+        T_GET => Message::Get {
+            url: legacy_string(buf)?,
+        },
+        T_PEER_GET => Message::PeerGet {
+            url: legacy_string(buf)?,
+        },
+        T_GET_REPLY => {
+            if buf.remaining() < 6 {
+                return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "short reply"));
+            }
+            let status = match buf.get_u8() {
+                0 => Status::Ok,
+                1 => Status::NotFound,
+                2 => Status::Error,
+                3 => Status::Redirect,
+                s => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!("unknown status {s}"),
+                    ))
+                }
+            };
+            let version = buf.get_u32_le();
+            let served_by = match buf.get_u8() {
+                0 => ServedBy::Local,
+                1 => {
+                    if buf.remaining() < 8 {
+                        return Err(io::Error::new(
+                            io::ErrorKind::UnexpectedEof,
+                            "short peer id",
+                        ));
+                    }
+                    ServedBy::Peer(MachineId(buf.get_u64_le()))
+                }
+                2 => ServedBy::Origin,
+                s => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!("unknown served-by {s}"),
+                    ))
+                }
+            };
+            Message::GetReply {
+                status,
+                version,
+                served_by,
+                body: legacy_bytes(buf)?,
+            }
+        }
+        T_HINT_BATCH => {
+            if buf.remaining() < 13 + HINT_TAG_BYTES {
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    "short hint batch",
+                ));
+            }
+            let version = buf.get_u8();
+            if version != HINT_BATCH_VERSION {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("unsupported hint batch version {version}"),
+                ));
+            }
+            let sender = MachineId(buf.get_u64_le());
+            let n = buf.get_u32_le() as usize;
+            if n > (MAX_FRAME as usize) / HINT_UPDATE_BYTES {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "oversized batch",
+                ));
+            }
+            let mut updates = Vec::with_capacity(n);
+            for _ in 0..n {
+                updates.push(HintUpdate::decode(buf)?);
+            }
+            if buf.remaining() < HINT_TAG_BYTES {
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    "short hint batch tag",
+                ));
+            }
+            let mut tag = [0u8; HINT_TAG_BYTES];
+            buf.copy_to_slice(&mut tag);
+            Message::HintBatch {
+                sender,
+                updates,
+                tag,
+            }
+        }
+        T_PUSH => {
+            let url = legacy_string(buf)?;
+            if buf.remaining() < 4 {
+                return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "short push"));
+            }
+            let version = buf.get_u32_le();
+            Message::Push {
+                url,
+                version,
+                body: legacy_bytes(buf)?,
+            }
+        }
+        T_FIND_NEAREST => {
+            if buf.remaining() < 8 {
+                return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "short find"));
+            }
+            Message::FindNearest {
+                key: buf.get_u64_le(),
+            }
+        }
+        T_FIND_NEAREST_REPLY => {
+            if buf.remaining() < 1 {
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    "short find reply",
+                ));
+            }
+            let location = match buf.get_u8() {
+                0 => None,
+                1 => {
+                    if buf.remaining() < 8 {
+                        return Err(io::Error::new(
+                            io::ErrorKind::UnexpectedEof,
+                            "short location",
+                        ));
+                    }
+                    Some(MachineId(buf.get_u64_le()))
+                }
+                s => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!("unknown option tag {s}"),
+                    ))
+                }
+            };
+            Message::FindNearestReply { location }
+        }
+        T_ORIGIN_PUT => {
+            let url = legacy_string(buf)?;
+            if buf.remaining() < 4 {
+                return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "short put"));
+            }
+            let version = buf.get_u32_le();
+            Message::OriginPut {
+                url,
+                version,
+                body: legacy_bytes(buf)?,
+            }
+        }
+        T_ACK => Message::Ack,
+        T_PING => Message::Ping,
+        T_RESYNC => Message::Resync,
+        T_META_REQUEST => {
+            if buf.remaining() < 2 {
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    "short meta request",
+                ));
+            }
+            let version = buf.get_u8();
+            if version != META_API_VERSION {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("unsupported meta api version {version}"),
+                ));
+            }
+            let op = match buf.get_u8() {
+                0 => MetaOp::Get,
+                1 => MetaOp::List,
+                2 => MetaOp::Set,
+                s => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!("unknown meta op {s}"),
+                    ))
+                }
+            };
+            let path = legacy_string(buf)?;
+            let value = legacy_string(buf)?;
+            Message::MetaRequest { op, path, value }
+        }
+        T_META_REPLY => {
+            if buf.remaining() < 6 {
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    "short meta reply",
+                ));
+            }
+            let version = buf.get_u8();
+            if version != META_API_VERSION {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("unsupported meta api version {version}"),
+                ));
+            }
+            let status = match buf.get_u8() {
+                0 => MetaStatus::Ok,
+                1 => MetaStatus::NotFound,
+                2 => MetaStatus::Denied,
+                3 => MetaStatus::Invalid,
+                s => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!("unknown meta status {s}"),
+                    ))
+                }
+            };
+            let n = buf.get_u32_le() as usize;
+            if n > (MAX_FRAME as usize) / META_ENTRY_MIN_BYTES {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "oversized meta reply",
+                ));
+            }
+            let mut entries = Vec::with_capacity(n);
+            for _ in 0..n {
+                let path = legacy_string(buf)?;
+                let value = legacy_string(buf)?;
+                entries.push(MetaEntry { path, value });
+            }
+            Message::MetaReply { status, entries }
+        }
+        other => {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("unknown message type {other}"),
+            ))
+        }
+    };
+    Ok(msg)
+}
 
 fn arb_url() -> BoxedStrategy<String> {
     // Mostly URL-ish ASCII, with arbitrary unicode mixed in: the format

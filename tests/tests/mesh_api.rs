@@ -195,6 +195,63 @@ fn four_node_mesh_driven_entirely_through_the_namespace() {
     );
 }
 
+/// Control requests coalesce: `Set …/control/flush|resync` only post a
+/// flag to the node's control mailbox, and the flush thread — parked here
+/// on an hour-long period, and the node's one background executor of
+/// both — takes whatever has been posted since it last looked as one run.
+/// Node 0's outbound sends are slowed to 20 ms each, so its first run is
+/// still in flight while the rest of the requests arrive over one
+/// connection: N requests end in a handful of runs, not in N.
+#[test]
+fn control_requests_coalesce_in_the_mailbox() {
+    const N: u64 = 100;
+    let (_origin, nodes) = mesh(2);
+    let addrs: Vec<SocketAddr> = nodes.iter().map(CacheNode::addr).collect();
+    let mesh_client = MeshClient::new(addrs.clone());
+    let await_hint_at_node_1 = |url: &str| {
+        let path = format!("mesh/nodes/self/hints/{:016x}", bh_md5::url_key(url));
+        let arrived = (0..5000).any(|_| {
+            mesh_client.get(addrs[1], &path).is_ok() || {
+                std::thread::sleep(Duration::from_millis(2));
+                false
+            }
+        });
+        assert!(arrived, "hint for {url} never arrived at node 1");
+    };
+
+    let mut conn = Connection::open(addrs[0]).expect("open node 0");
+    bh_proto::fetch(addrs[0], "http://t.test/coalesce-a").expect("fetch a");
+    conn.meta_set("mesh/nodes/self/pool/fault/tx_latency_micros", "20000")
+        .expect("slow node 0's sends");
+    for _ in 0..N {
+        for what in ["resync", "flush"] {
+            let reply = conn
+                .meta_set(&format!("mesh/nodes/self/control/{what}"), "1")
+                .expect("post request");
+            assert_eq!(reply[0].value, "scheduled");
+        }
+    }
+    await_hint_at_node_1("http://t.test/coalesce-a");
+
+    // One more object and one more request: by the time its hint lands,
+    // all N requests have long been posted and taken.
+    bh_proto::fetch(addrs[0], "http://t.test/coalesce-b").expect("fetch b");
+    conn.meta_set("mesh/nodes/self/control/flush", "1")
+        .expect("post the last flush");
+    await_hint_at_node_1("http://t.test/coalesce-b");
+
+    let runs: u64 = conn
+        .meta_get("mesh/nodes/self/control/resync/runs")
+        .expect("read runs")[0]
+        .value
+        .parse()
+        .expect("a count");
+    assert!(
+        (1..=N / 4).contains(&runs),
+        "{N} resync requests ended in {runs} runs"
+    );
+}
+
 /// Status-code semantics over the wire: unknown paths are `NotFound`,
 /// other nodes' ids are `NotFound` (nodes do not proxy), unsupported
 /// ops are `Denied`, malformed segments are `Invalid`.
