@@ -89,13 +89,14 @@ pub mod scope {
     /// Hot-path files where a panic wedges a shard/worker thread the
     /// chaos layer cannot deterministically recover. Entry points for
     /// the interprocedural `no-panic-hot-path` pass.
-    pub const PANIC_HOT: [&str; 9] = [
+    pub const PANIC_HOT: [&str; 10] = [
         "crates/proto/src/node/config.rs",
         "crates/proto/src/node/engine.rs",
         "crates/proto/src/node/hints.rs",
         "crates/proto/src/node/membership.rs",
         "crates/proto/src/node/metrics.rs",
         "crates/proto/src/node/mod.rs",
+        "crates/proto/src/node/outq.rs",
         "crates/proto/src/node/propagation.rs",
         "crates/proto/src/node/service.rs",
         "crates/proto/src/pool.rs",
@@ -105,12 +106,13 @@ pub mod scope {
     /// allocations show up directly in the req/s ceiling. Entry points
     /// for the interprocedural `no-hot-alloc` pass. Kept in lockstep
     /// with the DESIGN.md data-path section.
-    pub const ALLOC_HOT: [&str; 8] = [
+    pub const ALLOC_HOT: [&str; 9] = [
         "crates/proto/src/node/config.rs",
         "crates/proto/src/node/engine.rs",
         "crates/proto/src/node/hints.rs",
         "crates/proto/src/node/membership.rs",
         "crates/proto/src/node/mod.rs",
+        "crates/proto/src/node/outq.rs",
         "crates/proto/src/node/propagation.rs",
         "crates/proto/src/node/service.rs",
         "crates/proto/src/wire.rs",
@@ -118,13 +120,14 @@ pub mod scope {
 
     /// Union of the panic and alloc hot sets: the request path. The
     /// `lock-order` held-across-I/O check applies here.
-    pub const HOT_PATH: [&str; 10] = [
+    pub const HOT_PATH: [&str; 11] = [
         "crates/proto/src/node/config.rs",
         "crates/proto/src/node/engine.rs",
         "crates/proto/src/node/hints.rs",
         "crates/proto/src/node/membership.rs",
         "crates/proto/src/node/metrics.rs",
         "crates/proto/src/node/mod.rs",
+        "crates/proto/src/node/outq.rs",
         "crates/proto/src/node/propagation.rs",
         "crates/proto/src/node/service.rs",
         "crates/proto/src/pool.rs",

@@ -441,15 +441,18 @@ pub fn wire_exhaustiveness(files: &BTreeMap<String, Lexed>, out: &mut Vec<Diagno
     let consts = tag_consts(&wire.tokens);
     // Scope the codec search to `impl Message` — other types in the
     // file have their own `encode`/`decode`. The tag arms live in the
-    // appending form `encode_into` when there is one (`encode` is then
-    // only `clear` + `encode_into`).
+    // innermost form there is: `encode_head` (what `encode_into` and
+    // `encode_split` both finish), else the appending `encode_into`
+    // (`encode` is then only `clear` + `encode_into`), else `encode`.
     let (scope, base) = match item_body(&wire.tokens, "impl", "Message") {
         Some((s, e)) => (&wire.tokens[s..=e], s),
         None => (&wire.tokens[..], 0),
     };
     let body = |name: &str| item_body(scope, "fn", name).map(|(a, b)| (a + base, b + base));
     let (encode, decode) = (
-        body("encode_into").or_else(|| body("encode")),
+        body("encode_head")
+            .or_else(|| body("encode_into"))
+            .or_else(|| body("encode")),
         body("decode"),
     );
     let mut claimed: BTreeSet<String> = BTreeSet::new();

@@ -15,9 +15,10 @@
 //! * a [`Waker`] built from a non-blocking `UnixStream` pair so other
 //!   threads (accept loop, worker pool) can interrupt a blocked
 //!   [`Poller::wait`];
-//! * [`write_vectored`] — a thin `writev(2)` wrapper. The engine no longer
-//!   calls it (a connection's replies sit in one flat buffer and leave in
-//!   one `write`); the repo benchmark's isolated netpoll row still does.
+//! * [`write_vectored`] — a thin `writev(2)` wrapper: how the engine
+//!   sends an out-queue that holds reply bodies by reference (at most
+//!   [`MAX_IOV`] segments a call; a queue that is one flat run leaves in
+//!   one plain `write`).
 //!
 //! On non-Linux targets the same API exists but every constructor returns
 //! [`std::io::ErrorKind::Unsupported`], which callers propagate: the live

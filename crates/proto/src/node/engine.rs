@@ -20,12 +20,13 @@
 //!   job channel's `recv()`; at shutdown [`Stopper::stop`] sends each one
 //!   a [`Work::Stop`] sentinel, so nothing polls for the flag.
 //!
-//! Replies are encoded straight into the connection's one flat out-buffer
-//! and leave through one function, [`write_out`]: once per readiness
-//! event on a shard (a peer answering eight pipelined `PeerGet`s issues
-//! one `write`), once per group of a run on a worker, and always before a
-//! worker blocks on the network — a finished reply never waits behind
-//! someone else's fetch.
+//! Replies are encoded straight into the connection's one out-queue
+//! ([`OutQueue`]: small frames flat, bodies of a page or more by
+//! reference) and leave through one function, [`write_out`]: once per
+//! readiness event on a shard (a peer answering eight pipelined `PeerGet`s
+//! issues one `write` or `writev`), once per group of a run on a worker,
+//! and always before a worker blocks on the network — a finished reply
+//! never waits behind someone else's fetch.
 //!
 //! Per-connection ordering: a connection a worker holds (`busy`) parks
 //! every further frame in its backlog; whoever clears `busy` replays the
@@ -37,7 +38,7 @@
 //!
 //! What a client can make the node hold is bounded: a connection stops
 //! being polled for reads while its backlog holds [`BACKLOG_CAP`] frames
-//! or its out-buffer [`OUT_CAP`] unsent bytes (so a client that pipelines
+//! or its out-queue [`OUT_CAP`](super::outq::OUT_CAP) unsent bytes (so a client that pipelines
 //! and never reads ends up blocked in its own `write`), and parked `Get`s
 //! count toward the admission mark that turns new ones away.
 //!
@@ -45,12 +46,12 @@
 //! store lock (frame handling under the connection lock), never the other
 //! way around — nothing touches connection state while holding the store.
 
+use super::outq::OutQueue;
 use super::service::{self, ParkedGet, Replies};
 use super::{local_response, trace_event, Inner, Running};
 use crate::wire::{FrameAssembler, Message};
-use bh_netpoll::{waker_pair, Event, Interest, Poller, WakeReceiver, Waker};
+use bh_netpoll::{waker_pair, write_vectored, Event, Interest, Poller, WakeReceiver, Waker};
 use bh_obs::span;
-use bytes::{Buf, BytesMut};
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
@@ -74,15 +75,6 @@ const RUN_CAP: usize = 32;
 
 /// Parked frames past which a connection is no longer read.
 const BACKLOG_CAP: usize = 1024;
-
-/// Unsent reply bytes past which nothing more is encoded, serviced or
-/// read on a connection until the socket has taken them: a run's replies
-/// leave in writes of about this size, and a client that does not read
-/// stalls here.
-const OUT_CAP: usize = 64 * 1024;
-
-/// Initial capacity of a connection's out-buffer.
-const OUT_BUF: usize = 4096;
 
 /// Socket-read buffer of a shard; one read past the caps is the slack.
 const READ_BUF: usize = 16 * 1024;
@@ -309,7 +301,7 @@ fn accept_loop(listener: TcpListener, handles: Vec<(Sender<Injected>, Waker)>, i
 }
 
 /// A worker's view of the connection it holds: replies go straight into
-/// the connection's out-buffer, and `flush` writes what has accumulated.
+/// the connection's out-queue, and `flush` writes what has accumulated.
 struct ConnReplies<'a> {
     job: &'a WorkerJob,
     jobs: &'a JobQueue,
@@ -320,9 +312,9 @@ impl Replies for ConnReplies<'_> {
     fn push(&mut self, reply: &Message) {
         let mut state = self.job.conn.state.lock();
         if !state.closed {
-            reply.encode_into(&mut state.out);
+            state.out.push(reply);
         }
-        let full = state.out.len() >= OUT_CAP;
+        let full = state.out.is_full();
         drop(state);
         if full {
             self.flush();
@@ -395,7 +387,7 @@ fn worker_loop(
         let poke = {
             let mut state = pump_from_worker(&job, &jobs, inner, |state| {
                 let more = matches!(state.backlog.front(), Some(Parked::Get(_)));
-                if more && !state.closed && state.out.len() < OUT_CAP {
+                if more && !state.closed && !state.out.is_full() {
                     if jobs.tx.send(Work::Run(job.clone())).is_err() {
                         // Engine tearing down; the connection dies with it.
                         state.closed = true;
@@ -428,11 +420,11 @@ fn answer_inline(inner: &Inner, state: &mut ConnState, get: &ParkedGet) -> bool 
     } else {
         return false;
     };
-    reply.encode_into(&mut state.out);
+    state.out.push(&reply);
     true
 }
 
-/// Dispatches parked frames until the backlog drains, the out-buffer
+/// Dispatches parked frames until the backlog drains, the out-queue
 /// fills, or a `Get` misses: the miss stays at the front of the backlog
 /// and the connection goes to the worker pool; everything else (including
 /// locally-hit `Get`s) is answered inline. Runs under the connection
@@ -446,7 +438,7 @@ fn replay_backlog(
     shard: usize,
     token: u64,
 ) {
-    while !state.busy && !state.closed && state.out.len() < OUT_CAP {
+    while !state.busy && !state.closed && !state.out.is_full() {
         let Some(parked) = state.backlog.pop_front() else {
             break;
         };
@@ -469,8 +461,8 @@ fn replay_backlog(
                     inner.metrics.service_errors.inc();
                 }
             }
-            Parked::Reply(reply) => reply.encode_into(&mut state.out),
-            Parked::Frame(msg) => local_response(inner, msg).encode_into(&mut state.out),
+            Parked::Reply(reply) => state.out.push(&reply),
+            Parked::Frame(msg) => state.out.push(&local_response(inner, msg)),
         }
     }
 }
@@ -490,9 +482,9 @@ enum Parked {
 /// Write-side state of a connection, shared between the owning shard and
 /// the worker holding it.
 struct ConnState {
-    /// Encoded replies not yet accepted by the socket, oldest first, as
-    /// one flat buffer: a batch of replies leaves in one `write`.
-    out: BytesMut,
+    /// Encoded replies not yet accepted by the socket, oldest first: a
+    /// batch of replies leaves in one `write` or `writev`.
+    out: OutQueue,
     /// A worker holds the connection for the run of `Get`s at the front
     /// of `backlog`; further frames wait behind it so replies keep
     /// request order.
@@ -513,11 +505,11 @@ impl ConnState {
     }
 
     /// Whether the connection holds as much as a client may make it
-    /// hold: a full backlog, a full out-buffer, or — with no worker on it
+    /// hold: a full backlog, a full out-queue, or — with no worker on it
     /// — frames it could not answer for lack of room.
     fn over_caps(&self) -> bool {
         self.backlog.len() >= BACKLOG_CAP
-            || self.out.len() >= OUT_CAP
+            || self.out.is_full()
             || (!self.busy && !self.backlog.is_empty())
     }
 
@@ -646,7 +638,7 @@ impl Shard {
             let shared = Arc::new(SharedConn {
                 stream,
                 state: Mutex::new(ConnState {
-                    out: BytesMut::with_capacity(OUT_BUF),
+                    out: OutQueue::new(),
                     busy: false,
                     backlog: VecDeque::new(),
                     read_paused: false,
@@ -852,8 +844,8 @@ impl Shard {
 
 /// The one place a connection's bytes leave. Takes the connection lock,
 /// lets `prepare` adjust the state, then alternates dispatching the
-/// backlog (a no-op while a worker holds the connection or the out-buffer
-/// is full) with writing the out-buffer, until the socket is full, the
+/// backlog (a no-op while a worker holds the connection or the out-queue
+/// is full) with writing the out-queue, until the socket is full, the
 /// backlog is empty, or the connection went to a worker. Returns the
 /// guard, so the caller decides what happens next under the same lock,
 /// and whether a write just killed the connection.
@@ -871,7 +863,7 @@ fn pump<'a>(
     let was_closed = state.closed;
     loop {
         replay_backlog(conn, &mut state, inner, jobs, shard, token);
-        write_out(&conn.stream, &mut state);
+        write_out(&conn.stream, &mut state, inner);
         // Unsent bytes mean the socket is full and EPOLLOUT will bring the
         // shard back; otherwise go round for what the cap held back.
         if state.closed || state.busy || state.backlog.is_empty() || state.wants_write() {
@@ -882,22 +874,30 @@ fn pump<'a>(
     (state, died)
 }
 
-/// Writes as much of the out-buffer as the socket accepts right now and
-/// keeps the rest. A dead socket marks the connection closed.
-fn write_out(stream: &TcpStream, state: &mut ConnState) {
+/// Writes as much of the out-queue as the socket accepts right now and
+/// keeps the rest: one flat run with `write`, anything holding a
+/// referenced body with `writev`. A dead socket marks the connection
+/// closed.
+fn write_out(stream: &TcpStream, state: &mut ConnState, inner: &Inner) {
+    let mut vectored = false;
     while !state.closed && state.wants_write() {
-        match (&*stream).write(&state.out) {
-            Ok(0) => state.closed = true,
-            // A buffer that one large reply stretched is not kept that way.
-            Ok(n) if n == state.out.len() && state.out.capacity() > 2 * OUT_CAP => {
-                state.out = BytesMut::with_capacity(OUT_BUF);
+        let wrote = state.out.write_with(|segments| match segments {
+            [one] => (&*stream).write(one),
+            many => {
+                vectored = true;
+                write_vectored(stream, many)
             }
-            Ok(n) if n == state.out.len() => state.out.clear(),
-            Ok(n) => state.out.advance(n),
+        });
+        match wrote {
+            Ok(0) => state.closed = true,
+            Ok(_) => {}
             Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => break,
             Err(ref e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(_) => state.closed = true,
         }
+    }
+    if vectored {
+        inner.metrics.writev_batches.inc();
     }
 }
 

@@ -75,6 +75,10 @@ pub struct NodeStats {
     /// backlog or its unsent reply bytes reached their cap (a client
     /// pipelining faster than it reads).
     pub read_pauses: u64,
+    /// `write_out` passes that handed the kernel more than one segment: a
+    /// referenced body of a page or more was in the out-queue. Stays 0
+    /// while every reply is small enough to be copied flat.
+    pub writev_batches: u64,
     /// Microseconds spent replaying the durable hint log at spawn
     /// (0 when the node runs without durability).
     pub hint_log_replay_micros: u64,
@@ -118,6 +122,7 @@ impl NodeStats {
                 "hint_batch_overflow" => &mut out.hint_batch_overflow,
                 "wakeups_coalesced" => &mut out.wakeups_coalesced,
                 "read_pauses" => &mut out.read_pauses,
+                "writev_batches" => &mut out.writev_batches,
                 "hint_log_replay_micros" => &mut out.hint_log_replay_micros,
                 "hints_recovered_from_log" => &mut out.hints_recovered_from_log,
                 "hint_auth_failures" => &mut out.hint_auth_failures,
@@ -157,6 +162,7 @@ pub(crate) struct NodeMetrics {
     pub hint_batch_overflow: Counter,
     pub wakeups_coalesced: Counter,
     pub read_pauses: Counter,
+    pub writev_batches: Counter,
     pub hint_log_replay_micros: Counter,
     pub hints_recovered_from_log: Counter,
     pub hint_auth_failures: Counter,
@@ -228,6 +234,10 @@ impl NodeMetrics {
             read_pauses: c(
                 "read_pauses",
                 "connections paused for reads at their backlog or unsent-bytes cap",
+            ),
+            writev_batches: c(
+                "writev_batches",
+                "write passes that sent more than one segment (a body by reference)",
             ),
             hint_log_replay_micros: r.counter(
                 "hint_log_replay_micros",
@@ -320,6 +330,7 @@ mod tests {
         m.hint_batch_overflow.add(20);
         m.wakeups_coalesced.add(21);
         m.read_pauses.add(22);
+        m.writev_batches.add(26);
         m.hint_log_replay_micros.add(23);
         m.hints_recovered_from_log.add(24);
         m.hint_auth_failures.add(25);
@@ -350,6 +361,7 @@ mod tests {
                 hint_batch_overflow: 20,
                 wakeups_coalesced: 21,
                 read_pauses: 22,
+                writev_batches: 26,
                 hint_log_replay_micros: 23,
                 hints_recovered_from_log: 24,
                 hint_auth_failures: 25,
@@ -396,6 +408,7 @@ mod tests {
             "hint_batch_overflow",
             "wakeups_coalesced",
             "read_pauses",
+            "writev_batches",
             "hint_log_replay_micros",
             "hints_recovered_from_log",
             "hint_auth_failures",

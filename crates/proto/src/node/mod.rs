@@ -36,6 +36,7 @@ mod hints;
 mod membership;
 mod meta;
 mod metrics;
+mod outq;
 mod propagation;
 mod service;
 

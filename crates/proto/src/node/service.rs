@@ -51,7 +51,7 @@ impl ParkedGet {
     }
 }
 
-/// Where a run's replies go: the connection's out-buffer in the engine, a
+/// Where a run's replies go: the connection's out-queue in the engine, a
 /// plain list in tests.
 pub(super) trait Replies {
     /// Takes one finished reply; replies are pushed in request order.

@@ -158,18 +158,41 @@ fn accept_loop(
 /// Deterministic body for URLs nobody installed: pseudo-random bytes whose
 /// length is derived from the URL key (1–64 KiB), so replayed workloads get
 /// stable, checkable content.
+///
+/// The bytes are the little-endian words of the 64-bit LCG `s ← A·s + C`
+/// started at `key | 1`. What one word costs is the latency of the
+/// multiply-add the next one waits for, so the fill steps four words at
+/// once: lane `i` holds word `n + i` and jumps four ahead with
+/// `s ← A⁴·s + C·(A³ + A² + A + 1)`, four independent chains in place of
+/// one. The output is the one-word-at-a-time sequence, byte for byte.
 pub fn synthetic_body(url: &str) -> Bytes {
+    const A: u64 = 6364136223846793005;
+    const C: u64 = 1442695040888963407;
+    const A2: u64 = A.wrapping_mul(A);
+    const C2: u64 = C.wrapping_mul(A.wrapping_add(1));
+    const A4: u64 = A2.wrapping_mul(A2);
+    const C4: u64 = C2.wrapping_mul(A2.wrapping_add(1));
+    let next = |s: u64| s.wrapping_mul(A).wrapping_add(C);
+
     let key = bh_md5::url_key(url);
     let len = 1024 + (key % (63 * 1024)) as usize;
-    let mut out = Vec::with_capacity(len);
+    let mut out = vec![0u8; len];
+    let mut lanes = [0u64; 4];
     let mut state = key | 1;
-    while out.len() < len {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        out.extend_from_slice(&state.to_le_bytes());
+    for lane in &mut lanes {
+        state = next(state);
+        *lane = state;
     }
-    out.truncate(len);
+    let mut blocks = out.chunks_exact_mut(32);
+    for block in &mut blocks {
+        for (word, s) in block.chunks_exact_mut(8).zip(&mut lanes) {
+            word.copy_from_slice(&s.to_le_bytes());
+            *s = s.wrapping_mul(A4).wrapping_add(C4);
+        }
+    }
+    for (word, s) in blocks.into_remainder().chunks_mut(8).zip(lanes) {
+        word.copy_from_slice(&s.to_le_bytes()[..word.len()]);
+    }
     Bytes::from(out)
 }
 
@@ -190,13 +213,10 @@ fn serve_connection(
         match msg {
             Message::Get { url } | Message::PeerGet { url } => {
                 requests.fetch_add(1, Ordering::Relaxed);
-                let (version, body) = {
-                    let st = state.lock();
-                    match st.objects.get(&url) {
-                        Some((v, b)) => (*v, b.clone()),
-                        None => (0, synthetic_body(&url)),
-                    }
-                };
+                // Look up under the lock, generate outside it: one
+                // connection's miss must not queue behind another's fill.
+                let installed = state.lock().objects.get(&url).cloned();
+                let (version, body) = installed.unwrap_or_else(|| (0, synthetic_body(&url)));
                 write_message(
                     &mut stream,
                     &Message::GetReply {
@@ -269,6 +289,26 @@ mod tests {
         assert_eq!(b1, b2);
         assert!(b1.len() >= 1024);
         assert_eq!(origin.request_count(), 2);
+    }
+
+    /// `synthetic_body` is what every replayed workload's replies are
+    /// checked against: its bytes must never change. Digests taken from
+    /// the one-word-at-a-time fill, over lengths that end on each kind of
+    /// lane boundary (`len % 32` = 15, 16, 23, 0, 9, 4).
+    #[test]
+    fn synthetic_bodies_are_pinned() {
+        for (n, len, md5) in [
+            (0, 46_575, "42d2374b09461bf5634f048afbdb88b8"),
+            (20, 2_000, "cd2815eee417e7f58a52771ef8833de3"),
+            (6, 2_359, "0c0af53454ed01a21e3172679a74fece"),
+            (29, 61_536, "84794e4e1e22e5525d25d0b89deef67a"),
+            (12, 6_761, "c865f2be54d02a95b4bbaee8af60caf3"),
+            (10, 3_684, "7677328912227070d4221d9d5435534e"),
+        ] {
+            let body = synthetic_body(&format!("http://digest.test/{n}"));
+            assert_eq!(body.len(), len, "url {n}");
+            assert_eq!(bh_md5::md5(&body[..]).to_hex(), md5, "url {n}");
+        }
     }
 
     #[test]

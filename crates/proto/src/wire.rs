@@ -10,10 +10,17 @@
 //! identifier (an IP address and port number)."
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 /// Maximum accepted frame payload (guards against corrupt length prefixes).
 pub const MAX_FRAME: u32 = 64 * 1024 * 1024;
+
+/// Smallest body that leaves by reference ([`Message::encode_split`]): one
+/// page. Below it the copy into the frame buffer is cheaper than what
+/// replaces it (a refcount, a splice entry, two iovec segments and a
+/// `writev` where one `write` did); at a page the two break even, and
+/// from there on the copy is the cost that grows with the body.
+pub const BODY_BY_REF: usize = 4096;
 
 /// A machine identifier: IPv4 address and port packed into 8 bytes
 /// (4 bytes address, 2 bytes port, 2 bytes zero), as the paper specifies.
@@ -400,11 +407,6 @@ fn get_string(buf: &mut Bytes) -> io::Result<String> {
     }
 }
 
-fn put_bytes(buf: &mut BytesMut, b: &Bytes) {
-    buf.put_u32_le(b.len() as u32);
-    buf.put_slice(b);
-}
-
 fn get_bytes(buf: &mut Bytes) -> io::Result<Bytes> {
     if buf.remaining() < 4 {
         return Err(io::Error::new(
@@ -447,17 +449,43 @@ impl Message {
     /// Appends the full frame (`u32 len | u8 ty | payload`) to `out`,
     /// after whatever it already holds.
     ///
-    /// This is the hot encode path: a connection's replies are appended
-    /// one after another to its out-buffer and a pipelined run's requests
-    /// to one write buffer, so a batch leaves in one `write` and a warm
-    /// buffer encodes with zero allocations. The payload is written once,
-    /// directly after a placeholder header that is patched in place — no
-    /// intermediate payload buffer and no frame-assembly copy.
+    /// This is the flat encode path: a pipelined run's requests go one
+    /// after another into one write buffer, so a batch leaves in one
+    /// `write` and a warm buffer encodes with zero allocations. Whoever
+    /// sends bodies uses [`Message::encode_split`] instead.
     pub fn encode_into(&self, out: &mut BytesMut) {
+        if let Some(body) = self.encode_head(out) {
+            out.put_slice(body);
+        }
+    }
+
+    /// [`Message::encode_into`], except that a trailing body of
+    /// [`BODY_BY_REF`] bytes or more is left out and returned: `out` then
+    /// ends where those bytes belong, and the caller sends them from the
+    /// refcounted buffer they already sit in (a `writev` segment) instead
+    /// of copying them. `None` means `out` holds the whole frame.
+    pub fn encode_split(&self, out: &mut BytesMut) -> Option<&Bytes> {
+        match self.encode_head(out) {
+            Some(body) if body.len() < BODY_BY_REF => {
+                out.put_slice(body);
+                None
+            }
+            by_ref => by_ref,
+        }
+    }
+
+    /// The one encoder: appends the frame to `out` — all of it, or, for
+    /// the frames that end in a body (`GetReply`, `Push`, `OriginPut`),
+    /// all but the body's bytes, which it returns. The header counts the
+    /// body either way. The payload is written once, directly after a
+    /// placeholder header that is patched in place — no intermediate
+    /// payload buffer and no frame-assembly copy.
+    fn encode_head(&self, out: &mut BytesMut) -> Option<&Bytes> {
         let start = out.len();
         // Placeholder header, patched once the payload length is known.
         out.put_u32_le(0);
         out.put_u8(0);
+        let mut trailing = None;
         let ty = match self {
             Message::Get { url } => {
                 put_string(out, url);
@@ -488,7 +516,8 @@ impl Message {
                     }
                     ServedBy::Origin => out.put_u8(2),
                 }
-                put_bytes(out, body);
+                out.put_u32_le(body.len() as u32);
+                trailing = Some(body);
                 T_GET_REPLY
             }
             Message::HintBatch {
@@ -508,7 +537,8 @@ impl Message {
             Message::Push { url, version, body } => {
                 put_string(out, url);
                 out.put_u32_le(*version);
-                put_bytes(out, body);
+                out.put_u32_le(body.len() as u32);
+                trailing = Some(body);
                 T_PUSH
             }
             Message::FindNearest { key } => {
@@ -528,7 +558,8 @@ impl Message {
             Message::OriginPut { url, version, body } => {
                 put_string(out, url);
                 out.put_u32_le(*version);
-                put_bytes(out, body);
+                out.put_u32_le(body.len() as u32);
+                trailing = Some(body);
                 T_ORIGIN_PUT
             }
             Message::Ack => T_ACK,
@@ -561,9 +592,10 @@ impl Message {
                 T_META_REPLY
             }
         };
-        let payload_len = (out.len() - start - 5) as u32;
+        let payload_len = (out.len() - start - 5 + trailing.map_or(0, Bytes::len)) as u32;
         out[start..start + 4].copy_from_slice(&payload_len.to_le_bytes());
         out[start + 4] = ty;
+        trailing
     }
 
     /// Encodes into a freshly allocated, framed [`Bytes`] buffer.
@@ -823,8 +855,29 @@ impl Message {
 ///
 /// Propagates I/O errors.
 pub fn write_message<W: Write>(w: &mut W, msg: &Message) -> io::Result<()> {
-    w.write_all(&msg.encoded())?;
+    let mut head = BytesMut::with_capacity(64);
+    match msg.encode_split(&mut head) {
+        None => w.write_all(&head)?,
+        Some(body) => write_all_vectored(w, &head, body)?,
+    }
     w.flush()
+}
+
+/// `head` then `body` in as few vectored writes as `w` takes them in.
+fn write_all_vectored<W: Write>(w: &mut W, mut head: &[u8], mut body: &[u8]) -> io::Result<()> {
+    while !head.is_empty() {
+        match w.write_vectored(&[IoSlice::new(head), IoSlice::new(body)]) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => {
+                let of_head = n.min(head.len());
+                head = &head[of_head..];
+                body = &body[n - of_head..];
+            }
+            Err(ref e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    w.write_all(body)
 }
 
 /// Coalesces a pending update list into the minimal equivalent batch:
@@ -972,8 +1025,17 @@ pub fn read_message<R: Read>(r: &mut R) -> io::Result<Message> {
         ));
     }
     let ty = header[4];
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    // Straight into an allocation of exactly the payload's size, which the
+    // decoded body then shares: nothing zero-fills it first, and a body
+    // never pins memory beyond its own frame.
+    let len = len as usize;
+    let mut payload = Vec::with_capacity(len);
+    if r.take(len as u64).read_to_end(&mut payload)? < len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "stream ended inside a frame",
+        ));
+    }
     Message::decode(ty, Bytes::from(payload))
 }
 

@@ -9,7 +9,7 @@ use bh_proto::wire::{
 };
 use bytes::{Buf, Bytes};
 use proptest::prelude::*;
-use std::io::{self, Cursor};
+use std::io::{self, Cursor, IoSlice, Read, Write};
 
 // The live wire tags by number (the table above `T_GET` in `wire.rs`) and
 // the smallest encoded `MetaEntry`, as the witness decoder spells them.
@@ -617,6 +617,157 @@ proptest! {
             (Err(_), Err(_)) => {}
             (a, b) => prop_assert!(false, "decoders diverged: legacy {:?} vs zero-copy {:?}", a, b),
         }
+    }
+}
+
+/// Sizes of 1..=`most` bytes, different on every call.
+struct Sizes {
+    most: usize,
+    state: u64,
+}
+
+impl Sizes {
+    fn next(&mut self) -> usize {
+        self.state = self
+            .state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        1 + (self.state >> 33) as usize % self.most
+    }
+}
+
+/// A stream that hands out its bytes a few at a time, as a socket may.
+struct Dribble<'a> {
+    data: &'a [u8],
+    sizes: Sizes,
+}
+
+impl Read for Dribble<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = self.sizes.next().min(buf.len()).min(self.data.len());
+        buf[..n].copy_from_slice(&self.data[..n]);
+        self.data = &self.data[n..];
+        Ok(n)
+    }
+}
+
+/// A sink that takes a few bytes per call, across whatever segments it is
+/// offered, as a socket may.
+struct Trickle {
+    taken: Vec<u8>,
+    sizes: Sizes,
+}
+
+impl Write for Trickle {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.write_vectored(&[IoSlice::new(buf)])
+    }
+
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+        let mut left = self.sizes.next();
+        let before = self.taken.len();
+        for buf in bufs {
+            let n = left.min(buf.len());
+            self.taken.extend_from_slice(&buf[..n]);
+            left -= n;
+        }
+        Ok(self.taken.len() - before)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// A reply whose body sits on either side of the by-reference threshold.
+fn arb_reply_around_a_page() -> BoxedStrategy<Message> {
+    (
+        arb_served_by(),
+        prop_oneof![Just(4095usize), Just(4096), Just(4097), Just(9000)],
+        any::<u8>(),
+    )
+        .prop_map(|(served_by, len, fill)| Message::GetReply {
+            status: Status::Ok,
+            version: len as u32,
+            served_by,
+            body: Bytes::from((0..len).map(|i| i as u8 ^ fill).collect::<Vec<u8>>()),
+        })
+        .boxed()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `read_message` over a stream that arrives 1..=k bytes per `read` —
+    /// bare, or behind a small `BufReader` as in the pool — yields what
+    /// the assembler yields for the same bytes, then a clean EOF.
+    #[test]
+    fn read_message_matches_the_assembler_over_dribbled_streams(
+        small in proptest::collection::vec(arb_message(), 0..6),
+        large in arb_reply_around_a_page(),
+        at in any::<u64>(),
+        most in 1usize..600,
+        buffered in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let mut msgs = small;
+        msgs.insert(at as usize % (msgs.len() + 1), large);
+        let stream: Vec<u8> = msgs.iter().flat_map(|m| m.encoded().to_vec()).collect();
+
+        let mut assembler = FrameAssembler::new();
+        assembler.extend(&stream);
+        let mut assembled = Vec::new();
+        while let Some(msg) = assembler.next_message().expect("clean stream") {
+            assembled.push(msg);
+        }
+        prop_assert_eq!(&assembled, &msgs);
+
+        let dribble = Dribble { data: &stream, sizes: Sizes { most, state: seed } };
+        let mut reader: Box<dyn Read> = if buffered {
+            Box::new(io::BufReader::with_capacity(64, dribble))
+        } else {
+            Box::new(dribble)
+        };
+        for expected in &assembled {
+            let got = read_message(&mut reader);
+            prop_assert!(got.is_ok(), "read failed: {:?}", got);
+            prop_assert_eq!(&got.unwrap(), expected);
+        }
+        let end = read_message(&mut reader).expect_err("read past the end");
+        prop_assert_eq!(end.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    /// A stream that ends anywhere inside a frame is `UnexpectedEof`:
+    /// never a short body, never a message.
+    #[test]
+    fn a_stream_cut_inside_a_frame_is_unexpected_eof(
+        msg in prop_oneof![arb_message(), arb_reply_around_a_page()],
+        most in 1usize..6000,
+        seed in any::<u64>(),
+    ) {
+        let frame = msg.encoded();
+        for cut in 0..frame.len() {
+            let mut stream = Dribble { data: &frame[..cut], sizes: Sizes { most, state: seed } };
+            let got = read_message(&mut stream);
+            prop_assert!(
+                matches!(&got, Err(e) if e.kind() == io::ErrorKind::UnexpectedEof),
+                "cut at {}/{}: {:?}", cut, frame.len(), got
+            );
+        }
+    }
+
+    /// `write_message` puts the flat encoding on the wire whether the
+    /// body is copied into the frame or sent as its own segment, and
+    /// however few bytes the sink takes per call.
+    #[test]
+    fn write_message_is_the_flat_encoding_through_any_sink(
+        msg in prop_oneof![arb_message(), arb_reply_around_a_page()],
+        most in 1usize..6000,
+        seed in any::<u64>(),
+    ) {
+        let mut sink = Trickle { taken: Vec::new(), sizes: Sizes { most, state: seed } };
+        write_message(&mut sink, &msg).expect("write");
+        prop_assert!(sink.taken == msg.encoded()[..], "bytes on the wire differ from the encoding");
     }
 }
 

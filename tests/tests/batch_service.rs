@@ -524,7 +524,7 @@ fn frames_in(bytes: &[u8]) -> Vec<Message> {
 }
 
 /// (d) A client that writes its `Get`s and shuts its sending side still
-/// receives every reply, and then the node's FIN: the out-buffer is
+/// receives every reply, and then the node's FIN: the out-queue is
 /// flushed before the connection is torn down.
 #[test]
 fn a_half_closed_client_still_receives_every_reply() {
@@ -568,7 +568,7 @@ fn wait_for(what: &str, done: impl Fn() -> bool) {
 }
 
 /// (e) A client writes 100,000 `Get`s for a resident object and reads
-/// nothing. The node answers until the socket and its out-buffer cap are
+/// nothing. The node answers until the socket and its out-queue cap are
 /// full, then stops reading the connection; the client ends up blocked in
 /// its own `write`. When it starts reading, all 100,000 replies arrive.
 #[test]
@@ -634,7 +634,7 @@ fn a_client_that_never_reads_is_held_at_the_caps_and_loses_nothing() {
     assert_eq!(node.stats().service_errors, 0);
 }
 
-/// (e, continued) A read pass that stops at the out-buffer cap may leave
+/// (e, continued) A read pass that stops at the out-queue cap may leave
 /// half a frame behind in the assembler. Resuming it must wait for the
 /// other half like any partial frame — not spin the shard on a frame that
 /// is not there yet.
@@ -673,6 +673,91 @@ fn half_a_frame_left_at_the_cap_is_completed_not_spun_on() {
     );
     // The shard is still turning: a second connection gets served.
     bh_proto::fetch(node.addr(), &hot).expect("shard alive");
+}
+
+/// (e, continued) Bodies that leave by reference: the origin's own 1–64 KiB
+/// synthetic bodies, half of them resident (answered on the shard), half
+/// misses (answered by a worker), pipelined by a client that stops reading
+/// in the middle of the first body. The node writes until its socket is
+/// full — a `writev` that ends somewhere inside a referenced body — and
+/// stops reading at its cap; once the client drains, every reply arrives
+/// byte-exact and in order.
+#[test]
+fn a_client_that_stalls_mid_body_gets_every_referenced_body_intact() {
+    const URLS: usize = 300;
+    let origin = OriginServer::spawn("127.0.0.1:0").expect("origin");
+    let node = CacheNode::spawn(NodeConfig::new("127.0.0.1:0", origin.addr()).with_shards(1))
+        .expect("node");
+    let urls: Vec<String> = (0..URLS).map(|i| url(&format!("by-ref/{i}"))).collect();
+    for resident in urls.iter().step_by(2) {
+        bh_proto::fetch(node.addr(), resident).expect("make it resident");
+    }
+    let served = || {
+        let s = node.stats();
+        s.local_hits + s.origin_fetches
+    };
+    let warmed = served();
+
+    let mut stream = TcpStream::connect(node.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .expect("timeout");
+    let round: Vec<u8> = urls
+        .iter()
+        .flat_map(|u| get(u).encoded().to_vec())
+        .collect();
+    stream.write_all(&round).expect("write round");
+    let mut sent = URLS;
+
+    // The first reply's header and half of its payload, then nothing.
+    let mut first = vec![0u8; 5];
+    stream.read_exact(&mut first).expect("first header");
+    let payload = u32::from_le_bytes([first[0], first[1], first[2], first[3]]) as usize;
+    first.resize(5 + payload, 0);
+    let half = 5 + payload / 2;
+    stream.read_exact(&mut first[5..half]).expect("half a body");
+
+    // Loopback buffers hold megabytes: keep asking until the node is left
+    // holding replies the socket will not take.
+    loop {
+        wait_for("a pause or an answered round", || {
+            node.stats().read_pauses > 0 || served() - warmed == sent as u64
+        });
+        if node.stats().read_pauses > 0 {
+            break;
+        }
+        stream.write_all(&round).expect("write round");
+        sent += URLS;
+    }
+
+    stream
+        .read_exact(&mut first[half..])
+        .expect("rest of the body");
+    let mut replies = vec![read_message(&mut &first[..]).expect("first reply")];
+    while replies.len() < sent {
+        replies.push(read_message(&mut stream).expect("reply"));
+    }
+    for (i, reply) in replies.iter().enumerate() {
+        match reply {
+            Message::GetReply {
+                status: Status::Ok,
+                served_by: ServedBy::Local | ServedBy::Origin,
+                body,
+                ..
+            } => assert!(
+                *body == synthetic_body(&urls[i % URLS]),
+                "reply {i}: {} bytes differ from the origin's",
+                body.len()
+            ),
+            other => panic!("reply {i}: {other:?}"),
+        }
+    }
+    let stats = node.stats();
+    assert!(
+        stats.writev_batches > 0,
+        "bodies did not leave by reference"
+    );
+    assert_eq!(stats.service_errors, 0);
 }
 
 /// (e, continued) The same for misses: 4,000 pipelined `Get`s of distinct
@@ -739,7 +824,7 @@ fn a_deep_pipeline_of_misses_is_capped_and_every_get_is_answered() {
 
 /// (e, continued) Every path between the caps at once: three clients
 /// pipeline 2,000 frames each — resident objects larger than half the
-/// out-buffer cap, misses, pings — written in chunks of arbitrary size
+/// out-queue cap, misses, pings — written in chunks of arbitrary size
 /// (so read passes end mid-frame) while the replies are read back in
 /// small pieces (so the socket keeps filling). Every frame gets its own
 /// reply — the object, an `Ack`, or admission control's redirect — in
