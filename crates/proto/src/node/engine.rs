@@ -128,7 +128,7 @@ impl JobQueue {
     /// when it must be rejected. Counts one `queue_saturation_events`
     /// per episode (the rising edge of the mark, not every reject); the
     /// episode ends once the queue drains back to half the mark.
-    fn admit(&self, inner: &Inner) -> Result<(), usize> {
+    fn admit_get(&self, inner: &Inner) -> Result<(), usize> {
         let depth = self.depth.load(Ordering::Relaxed);
         if depth >= self.high_water {
             if !self.saturated.swap(true, Ordering::Relaxed) {
@@ -757,7 +757,7 @@ impl Shard {
                 if idle && answer_inline(&self.inner, &mut state, &get) {
                     return Some(state.over_caps());
                 }
-                match self.jobs.admit(&self.inner) {
+                match self.jobs.admit_get(&self.inner) {
                     Ok(()) => {
                         self.jobs.parked();
                         Parked::Get(get)
@@ -925,7 +925,7 @@ mod tests {
         let events = || inner.metrics.queue_saturation_events.get();
         let at = |depth: usize| {
             jobs.depth.store(depth, Ordering::Relaxed);
-            jobs.admit(inner)
+            jobs.admit_get(inner)
         };
 
         assert_eq!(at(3), Ok(()), "below the mark");

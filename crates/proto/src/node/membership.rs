@@ -218,16 +218,10 @@ pub(super) fn heartbeat_round(inner: &Inner) {
         if inner.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        // One attempt, feeds the quarantine, but never blocked by it: the
-        // detector must keep probing a quarantined peer to notice both
-        // durable death and revival.
-        let opts = RequestOptions {
-            max_attempts: 1,
-            quarantine_on_failure: true,
-            respect_quarantine: false,
-        };
         let answered = matches!(
-            inner.pool.request(addr, opts, &Message::Ping),
+            inner
+                .pool
+                .request(addr, RequestOptions::heartbeat(), &Message::Ping),
             Ok(Message::Ack)
         );
         if answered {

@@ -431,7 +431,9 @@ fn pool_node(inner: &Inner, op: MetaOp, rest: &[&str], value: &str, root: &str) 
                 return fail(MetaStatus::Invalid);
             };
             match parse_bool(value) {
-                Some(true) => inner.pool.block(a),
+                // Past `BLOCKED_CAP` a new address is not blocked.
+                Some(true) if !inner.pool.block(a) => return fail(MetaStatus::Denied),
+                Some(true) => {}
                 Some(false) => {
                     // Unblock also forgives: lifting a partition must let
                     // the very next probe through instead of waiting out
@@ -555,5 +557,47 @@ fn parse_bool(value: &str) -> Option<bool> {
         "true" | "1" | "on" => Some(true),
         "false" | "0" | "off" => Some(false),
         _ => None,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::node::{CacheNode, NodeConfig};
+    use crate::origin::OriginServer;
+    use crate::pool::BLOCKED_CAP;
+
+    /// `Set …/pool/blocked/<addr>` takes its address off the wire, so the
+    /// block set is bounded: 100,000 distinct addresses leave
+    /// `BLOCKED_CAP` blocked and every other one answered `Denied`, a
+    /// blocked address may be set again, and unblocking one frees a slot.
+    #[test]
+    fn blocked_set_is_bounded_at_the_cap() {
+        let origin = OriginServer::spawn("127.0.0.1:0").expect("origin");
+        let node = CacheNode::spawn(NodeConfig::new("127.0.0.1:0", origin.addr())).expect("node");
+        let set = |addr: SocketAddr, value: &str| {
+            let path = format!("mesh/nodes/self/pool/blocked/{addr}");
+            match handle(&node.inner, MetaOp::Set, &path, value) {
+                Message::MetaReply { status, .. } => status,
+                other => panic!("{other:?}"),
+            }
+        };
+        let addrs: Vec<SocketAddr> = (0..100_000u32)
+            .map(|i| SocketAddr::from(([10, (i >> 16) as u8, (i >> 8) as u8, i as u8], 7000)))
+            .collect();
+        let denied = addrs
+            .iter()
+            .filter(|a| set(**a, "true") == MetaStatus::Denied)
+            .count();
+        assert_eq!(denied, addrs.len() - BLOCKED_CAP);
+        let held = addrs.iter().filter(|a| node.pool().is_blocked(**a)).count();
+        assert_eq!(held, BLOCKED_CAP);
+
+        let (first, refused) = (addrs[0], addrs[BLOCKED_CAP]);
+        assert_eq!(set(first, "true"), MetaStatus::Ok, "already blocked");
+        assert_eq!(set(refused, "true"), MetaStatus::Denied);
+        assert_eq!(set(first, "false"), MetaStatus::Ok);
+        assert_eq!(set(refused, "true"), MetaStatus::Ok, "a freed slot");
+        assert!(node.pool().is_blocked(refused) && !node.pool().is_blocked(first));
     }
 }

@@ -235,16 +235,13 @@ impl CacheNode {
         let machine = MachineId::from_addr(addr)
             .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "IPv4 bind required"))?;
         let pool = ConnectionPool::new(PoolConfig {
-            connect_timeout: config.io_timeout,
             io_timeout: config.io_timeout,
-            quarantine: config.io_timeout * 4,
             // Every worker may hold a connection to the same remote at
             // once; a smaller cap would drop and re-dial the excess.
             max_idle_per_peer: config.workers.max(4),
             // Per-node jitter stream: distinct nodes must not retry or
             // re-probe in lockstep.
             jitter_seed: machine.0,
-            ..PoolConfig::default()
         });
         let metrics = NodeMetrics::register();
         // Warm restart: a durable store replays snapshot + tail before

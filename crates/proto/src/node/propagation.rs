@@ -272,6 +272,8 @@ pub(super) fn verify_hint_batch(
         inner.pool.forgive(addr);
     }
     if admission.quarantine_now {
+        // With the pool's block set full the block is refused; the purge
+        // still stops every probe this sender's hints would have cost.
         inner.pool.block(sender.to_addr());
         purge_machine(inner, sender);
     }
@@ -335,19 +337,13 @@ pub(super) fn resync_now(inner: &Inner) -> usize {
     let mut learned = 0;
     let targets = inner.membership.lock().flush_targets();
     for addr in targets {
-        // Two attempts, no quarantine interaction either way: resync
-        // runs right after restart, when this node has no basis for
-        // judging its peers yet.
-        let opts = RequestOptions {
-            max_attempts: 2,
-            quarantine_on_failure: false,
-            respect_quarantine: false,
-        };
         if let Ok(Message::HintBatch {
             sender,
             updates,
             tag,
-        }) = inner.pool.request(addr, opts, &Message::Resync)
+        }) = inner
+            .pool
+            .request(addr, RequestOptions::resync(), &Message::Resync)
         {
             // Resync replies are authenticated like any other batch:
             // a byzantine peer cannot seed a restarting node's hint

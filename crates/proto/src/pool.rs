@@ -1,50 +1,32 @@
 //! Pooled peer/origin connections: keep-warm reuse, bounded exponential
 //! backoff with deterministic jitter, and dead-peer quarantine.
 //!
-//! The seed prototype opened a fresh TCP connection for every peer probe,
-//! origin fetch, and hint flush — faithful to 1998, but the dominant cost
-//! once the daemon is asked to scale. The pool keeps a small set of idle
-//! connections per remote warm and checks one out for one in-order
-//! pipelined run at a time ([`ConnectionPool::request_run`]: every frame
-//! of the run in one `write`, the replies read back in order; a single
-//! request/reply is the run of one), so a connection never carries the
-//! frames of two callers interleaved. Warm capacity is bounded twice over —
-//! per remote ([`PoolConfig::max_idle_per_peer`]) and across the whole
-//! pool ([`PoolConfig::max_idle_total`]) — so a node meshed with dozens
-//! of peers cannot park its way past the process fd limit.
+//! A connection is checked out for one in-order pipelined run at a time
+//! ([`ConnectionPool::request_run`]; a single request is the run of one)
+//! and parked again within a per-remote and a global ([`MAX_IDLE_TOTAL`])
+//! cap.
 //!
-//! Failure policy is per-request ([`RequestOptions`]), because the paper's
-//! §3.2 contract is asymmetric:
+//! Failure policy is per-request ([`RequestOptions`]) because the paper's
+//! §3.2 contract is asymmetric. A **peer probe** gets one attempt and
+//! quarantines the peer on failure: a dead peer costs at most one wasted
+//! probe per window, and inside the window none (the probe fails fast and
+//! the caller accounts a false positive as if it had probed). An **origin
+//! fetch** retries with jittered backoff and ignores quarantine: the origin
+//! is the only copy of record. Windows escalate on consecutive failures
+//! (four I/O timeouts, doubling up to 30 s), and once one expires only
+//! **one** run at a time may re-probe. A *stale* pooled socket is replayed
+//! once on a fresh one without using an attempt. Partition blocks and a
+//! [`FaultSwitch`] (latency, drop) serve the fault injector.
 //!
-//! * **peer probes** get exactly one attempt and quarantine the peer on
-//!   failure — a dead peer must cost at most one wasted probe, and while
-//!   quarantined it costs none (the probe fails fast and the caller
-//!   accounts a false positive exactly as if it had probed);
-//! * **origin fetches** retry with backoff and ignore quarantine — the
-//!   origin is the only copy of record, so giving up early turns a
-//!   transient hiccup into a client-visible error.
-//!
-//! A *stale* pooled connection (peer restarted or idle-timed-out since
-//! checkout) is retried once with a fresh connect without consuming an
-//! attempt: the failure says nothing about the peer, only about the cached
-//! socket. Only the frames it left unanswered are replayed.
-//!
-//! Three failure-hardening behaviours matter for the chaos harness:
-//!
-//! * backoff jitter is drawn from a **per-pool seeded stream**
-//!   ([`PoolConfig::jitter_seed`]) — every node derives a distinct seed
-//!   from its machine id, so a restarted peer sees its neighbours
-//!   reconnect staggered instead of as a synchronized stampede, while any
-//!   single pool's delay sequence stays reproducible;
-//! * quarantine **escalates** on consecutive failures (doubling up to
-//!   [`PoolConfig::quarantine_cap`]) and, once a window expires, only
-//!   **one** request at a time may re-probe the peer — everyone else
-//!   keeps failing fast until the prober reports back. Together these cap
-//!   the re-probe frequency against a peer that stays dead;
-//! * address-directed **partition blocks** ([`ConnectionPool::block`])
-//!   and a process-wide [`FaultSwitch`] (outbound latency and packet
-//!   drop) let the fault injector exercise all of the above
-//!   deterministically.
+//! Everything the pool decides is one value behind one lock (`peers`): per
+//! remote its idle sockets, window, streak and re-probe slot; the block
+//! set; the [`PoolStats`]; the jitter stream; the poison flag. Its steps
+//! take no socket and read no clock — `admit` gates a run, `settle`
+//! applies what the run did, `park` enforces the idle caps, `backoff`
+//! draws a retry delay — so, like [`crate::liveness::LivenessTracker`],
+//! the policy is pure in the time passed to it. `request_run` is the I/O
+//! shell: one step per lock acquisition, stamped by the file's one clock
+//! read, sleeping only for backoff and the fault switch's latency.
 
 use crate::wire::{self, Message};
 use bh_netpoll::fault::FaultSwitch;
@@ -53,83 +35,61 @@ use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Idle connections kept warm across *all* remotes, so a node in a wide
+/// mesh stays inside the fd rlimit. A connection over the cap is closed;
+/// the next request to its peer re-dials.
+pub const MAX_IDLE_TOTAL: usize = 256;
+
+/// Cap on partition-blocked addresses. A block's address comes off the
+/// wire (an operator `Set …/pool/blocked/<addr> true`, a forging hint
+/// sender), so past the cap a new one is refused; unblocking frees a slot.
+pub const BLOCKED_CAP: usize = 1024;
+
+/// Upper bound on an escalated quarantine window.
+const QUARANTINE_CAP: Duration = Duration::from_secs(30);
+/// Retry backoff: the first delay, doubled per attempt up to the cap.
+const BACKOFF_BASE: Duration = Duration::from_millis(20);
+const BACKOFF_CAP: Duration = Duration::from_millis(200);
 
 /// Tuning knobs for a [`ConnectionPool`].
 #[derive(Debug, Clone)]
 pub struct PoolConfig {
-    /// Per-connect timeout.
-    pub connect_timeout: Duration,
-    /// Read/write timeout applied to every pooled stream.
+    /// Connect, read and write timeout of every pooled stream. A failed
+    /// peer's first quarantine window is four of these.
     pub io_timeout: Duration,
     /// Idle connections kept warm per remote address.
     pub max_idle_per_peer: usize,
-    /// Idle connections kept warm across *all* remotes. The per-peer cap
-    /// alone does not bound the pool: a node in an `n`-node full mesh
-    /// talks to `n - 1` peers, and at `max_idle_per_peer` sockets each a
-    /// 64-node process walks into the fd rlimit long before any single
-    /// peer's bucket fills. When a finished round trip would exceed this
-    /// cap the connection is closed instead of parked — the next request
-    /// to that peer re-dials, which costs a loopback connect, not an
-    /// error.
-    pub max_idle_total: usize,
-    /// First retry delay; doubles per attempt.
-    pub backoff_base: Duration,
-    /// Upper bound on any single retry delay.
-    pub backoff_cap: Duration,
-    /// How long a failed peer stays quarantined (first failure; consecutive
-    /// failures double it).
-    pub quarantine: Duration,
-    /// Upper bound on an escalated quarantine window.
-    pub quarantine_cap: Duration,
-    /// Seed for the backoff-jitter stream. Pools with different seeds
-    /// de-synchronize their retry schedules; the same seed reproduces the
-    /// same delays (tests, replays).
+    /// Seeds the backoff jitter and the fault switch's drop draws.
     pub jitter_seed: u64,
 }
 
 impl Default for PoolConfig {
     fn default() -> Self {
         PoolConfig {
-            connect_timeout: Duration::from_secs(5),
             io_timeout: Duration::from_secs(5),
             max_idle_per_peer: 4,
-            max_idle_total: 256,
-            backoff_base: Duration::from_millis(20),
-            backoff_cap: Duration::from_millis(200),
-            quarantine: Duration::from_secs(2),
-            quarantine_cap: Duration::from_secs(30),
             jitter_seed: 0x9E37_79B9_7F4A_7C15,
         }
     }
 }
 
-impl PoolConfig {
-    /// Returns the config with the jitter stream reseeded (builder-style).
-    pub fn with_jitter_seed(mut self, seed: u64) -> Self {
-        self.jitter_seed = seed;
-        self
-    }
-}
-
-/// Per-request failure policy.
+/// Per-request failure policy: one of the four constructors below.
 #[derive(Debug, Clone, Copy)]
 pub struct RequestOptions {
     /// Fresh-connect attempts before giving up (min 1).
-    pub max_attempts: u32,
-    /// Quarantine the remote after the final failed attempt.
-    pub quarantine_on_failure: bool,
-    /// Fail fast (without touching the network) while the remote is
-    /// quarantined.
-    pub respect_quarantine: bool,
+    max_attempts: u32,
+    /// A failure quarantines the remote.
+    quarantine_on_failure: bool,
+    /// Fail fast, without touching the network, while quarantined.
+    respect_quarantine: bool,
 }
 
 impl RequestOptions {
     /// Policy for peer cache probes: one attempt, quarantine on failure,
-    /// fail fast while quarantined. Preserves the §3.2 "one wasted probe"
-    /// bound for dead peers.
+    /// fail fast while quarantined — the §3.2 "one wasted probe" bound.
     pub fn peer_probe() -> Self {
         RequestOptions {
             max_attempts: 1,
@@ -143,6 +103,26 @@ impl RequestOptions {
     pub fn origin() -> Self {
         RequestOptions {
             max_attempts: 3,
+            quarantine_on_failure: false,
+            respect_quarantine: false,
+        }
+    }
+
+    /// Policy for liveness heartbeats: one attempt, feeds the quarantine
+    /// but is never blocked by it, so the detector sees death and revival.
+    pub fn heartbeat() -> Self {
+        RequestOptions {
+            max_attempts: 1,
+            quarantine_on_failure: true,
+            respect_quarantine: false,
+        }
+    }
+
+    /// Policy for anti-entropy pulls: two attempts, no quarantine either
+    /// way — right after a restart a node cannot judge its peers yet.
+    pub fn resync() -> Self {
+        RequestOptions {
+            max_attempts: 2,
             quarantine_on_failure: false,
             respect_quarantine: false,
         }
@@ -167,14 +147,23 @@ pub struct PoolStats {
     pub injected_drops: u64,
 }
 
-/// Read-buffer bytes per pooled connection: a run's replies arrive back to
-/// back, so one `read` should usually carry several, and it is paid per
-/// warm connection, so it stays small.
+impl PoolStats {
+    fn absorb(&mut self, run: &PoolStats) {
+        self.connects += run.connects;
+        self.reuses += run.reuses;
+        self.retries += run.retries;
+        self.quarantine_rejections += run.quarantine_rejections;
+        self.partition_rejections += run.partition_rejections;
+        self.injected_drops += run.injected_drops;
+    }
+}
+
+/// Read-buffer bytes per pooled connection: enough for several of a run's
+/// replies per `read`, small because every warm connection pays it.
 const POOLED_READ_BUF: usize = 16 * 1024;
 
-/// A pooled stream plus its read buffer. The buffer lives with the stream:
-/// a `BufReader` may read ahead, and any buffered bytes belong to this
-/// connection's next reply, so the two are parked and checked out together.
+/// A pooled stream plus its read buffer, parked together: bytes the buffer
+/// read ahead belong to this connection's next reply.
 #[derive(Debug)]
 struct PooledConn {
     stream: TcpStream,
@@ -188,48 +177,232 @@ impl PooledConn {
     }
 }
 
+/// The pool's one clock read: the I/O shell stamps every step with it.
+fn now() -> Instant {
+    // bh-lint: allow(no-wall-clock, reason = "the I/O shell's one clock read; every pool step takes its time as a parameter")
+    Instant::now()
+}
+
+/// The window after `streak` consecutive failures: `min(base·2^(streak−1),
+/// QUARANTINE_CAP)`.
+fn quarantine_window(base: Duration, streak: u32) -> Duration {
+    base.saturating_mul(1 << streak.saturating_sub(1).min(16))
+        .min(QUARANTINE_CAP)
+}
+
+/// Why [`PoolState::admit`] turned a run away. An expired window whose one
+/// re-probe another run holds is `ReprobeInFlight`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Refusal {
+    Poisoned,
+    Blocked,
+    Quarantined,
+    ReprobeInFlight,
+}
+
+impl Refusal {
+    /// What each frame fails with; a partition times out, like silence.
+    fn error(self, addr: SocketAddr) -> io::Error {
+        use io::ErrorKind::{ConnectionAborted, ConnectionRefused, TimedOut};
+        let (kind, why) = match self {
+            Refusal::Poisoned => (ConnectionAborted, "unreachable (pool shut down)"),
+            Refusal::Blocked => (TimedOut, "unreachable (injected partition)"),
+            Refusal::Quarantined => (ConnectionRefused, "quarantined"),
+            Refusal::ReprobeInFlight => (ConnectionRefused, "re-probe in flight"),
+        };
+        io::Error::new(kind, format!("peer {addr} {why}"))
+    }
+}
+
+/// A remote's quarantine state.
 #[derive(Debug, Default)]
-struct PeerState {
-    idle: Vec<PooledConn>,
+struct Peer {
+    /// End of the window; once past, runs are gated by the re-probe slot
+    /// (`probing`) until a frame is answered or the peer is forgiven.
     quarantined_until: Option<Instant>,
     /// Consecutive quarantining failures; scales the next window.
-    quarantine_streak: u32,
-    /// A request currently holds the post-expiry re-probe slot.
+    streak: u32,
     probing: bool,
+}
+
+impl Peer {
+    fn quarantined(&self, now: Instant) -> bool {
+        self.quarantined_until.is_some_and(|until| now < until)
+    }
+}
+
+/// One run from [`PoolState::admit`] to [`PoolState::settle`]: its re-probe
+/// slot, whether some frame was answered (on whichever socket) or lost
+/// (dropped, or out of attempts), and the counters it accrued.
+#[derive(Debug, Default)]
+struct Run {
+    reprobe: bool,
+    answered: bool,
+    failed: bool,
+    tally: PoolStats,
+}
+
+/// Everything the pool decides (see the [module docs](self)); `C` is the
+/// connection type, a socket in the pool and a token in the tests.
+#[derive(Debug)]
+struct PoolState<C> {
+    peers: HashMap<SocketAddr, Peer>,
+    idle: HashMap<SocketAddr, Vec<C>>,
+    /// Partition-blocked addresses, at most [`BLOCKED_CAP`].
+    blocked: HashSet<SocketAddr>,
+    stats: PoolStats,
+    /// The backoff-jitter LCG's state.
+    jitter: u64,
+    poisoned: bool,
+    /// A failed peer's first quarantine window.
+    quarantine_base: Duration,
+    max_idle_per_peer: usize,
+}
+
+impl<C> PoolState<C> {
+    fn new(config: &PoolConfig) -> Self {
+        PoolState {
+            peers: HashMap::new(),
+            idle: HashMap::new(),
+            blocked: HashSet::new(),
+            stats: PoolStats::default(),
+            jitter: config.jitter_seed | 1,
+            poisoned: false,
+            quarantine_base: config.io_timeout * 4,
+            max_idle_per_peer: config.max_idle_per_peer,
+        }
+    }
+
+    /// Gates a run of `frames` frames to `addr` under `policy` at `now`:
+    /// poison, then the partition block, then — for a policy that respects
+    /// quarantine — the window and the re-probe slot (an expired window
+    /// admits one run at a time, which takes the slot); then checks out a
+    /// warm connection if one is parked. Refusals are counted per frame.
+    fn admit(
+        &mut self,
+        addr: SocketAddr,
+        policy: RequestOptions,
+        frames: usize,
+        now: Instant,
+    ) -> Result<(Option<C>, Run), Refusal> {
+        if self.poisoned {
+            return Err(Refusal::Poisoned);
+        }
+        if self.blocked.contains(&addr) {
+            self.stats.partition_rejections += frames as u64;
+            return Err(Refusal::Blocked);
+        }
+        let peer = self.peers.entry(addr).or_default();
+        let reprobe = policy.respect_quarantine && peer.quarantined_until.is_some();
+        if reprobe && (peer.quarantined(now) || peer.probing) {
+            self.stats.quarantine_rejections += frames as u64;
+            return Err(if peer.quarantined(now) {
+                Refusal::Quarantined
+            } else {
+                Refusal::ReprobeInFlight
+            });
+        }
+        peer.probing |= reprobe;
+        let run = Run {
+            reprobe,
+            ..Run::default()
+        };
+        Ok((self.idle.get_mut(&addr).and_then(Vec::pop), run))
+    }
+
+    /// Applies what an admitted run did, at `now`. Any answered frame
+    /// clears the window and the streak, whichever socket carried it; a
+    /// failure under a quarantining policy then escalates the window to
+    /// `min(base·2^(streak−1), cap)` and drops the remote's idle sockets.
+    /// Releases the re-probe slot if the run held it, and counts.
+    fn settle(&mut self, addr: SocketAddr, policy: RequestOptions, run: &Run, now: Instant) {
+        let peer = self.peers.entry(addr).or_default();
+        if run.answered {
+            (peer.quarantined_until, peer.streak) = (None, 0);
+        }
+        if run.failed && policy.quarantine_on_failure {
+            peer.streak = peer.streak.saturating_add(1);
+            let window = quarantine_window(self.quarantine_base, peer.streak);
+            peer.quarantined_until = Some(now + window);
+            self.idle.remove(&addr);
+        }
+        peer.probing &= !run.reprobe;
+        self.stats.absorb(&run.tally);
+    }
+
+    /// Parks `conn` as warm for `addr`, or drops it if the per-peer cap or
+    /// [`MAX_IDLE_TOTAL`] is full.
+    fn park(&mut self, addr: SocketAddr, conn: C) {
+        let total = self.idle_total();
+        let idle = self.idle.entry(addr).or_default();
+        if idle.len() < self.max_idle_per_peer && total < MAX_IDLE_TOTAL {
+            idle.push(conn);
+        }
+    }
+
+    /// The delay before retry `attempt`: exponential, capped, with jitter in
+    /// `[delay/2, delay)` from the pool's seeded stream, so nodes (each
+    /// seeded apart) do not stampede a restarted peer in lock-step.
+    fn backoff(&mut self, attempt: u32) -> Duration {
+        let base = BACKOFF_BASE.as_micros() as u64;
+        let cap = BACKOFF_CAP.as_micros() as u64;
+        let exp = base.saturating_mul(1u64 << attempt.min(16)).min(cap).max(1);
+        let draw = self.jitter;
+        self.jitter = draw
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        Duration::from_micros(exp / 2 + draw % (exp / 2).max(1))
+    }
+
+    fn quarantined(&self, addr: SocketAddr, now: Instant) -> bool {
+        self.peers.get(&addr).is_some_and(|p| p.quarantined(now))
+    }
+
+    fn idle_total(&self) -> usize {
+        self.idle.values().map(Vec::len).sum()
+    }
+
+    /// Forgets `addr`'s window and streak. A re-probe in flight keeps its
+    /// slot until it settles, so it never releases a slot taken after this.
+    fn clear_quarantine(&mut self, addr: SocketAddr) {
+        if let Some(peer) = self.peers.get_mut(&addr) {
+            (peer.quarantined_until, peer.streak) = (None, 0);
+        }
+    }
+
+    /// Blocks (`true`) or unblocks `addr`; returns whether `addr` is now as
+    /// asked. A new block past [`BLOCKED_CAP`] is refused; a block drops
+    /// the remote's idle sockets, so the partition severs warm paths too.
+    fn set_blocked(&mut self, addr: SocketAddr, blocked: bool) -> bool {
+        if !blocked {
+            self.blocked.remove(&addr);
+        } else if self.blocked.len() < BLOCKED_CAP || self.blocked.contains(&addr) {
+            self.blocked.insert(addr);
+            self.idle.remove(&addr);
+        } else {
+            return false;
+        }
+        true
+    }
 }
 
 /// A warm connection pool over every remote this node talks to.
 #[derive(Debug)]
 pub struct ConnectionPool {
-    config: PoolConfig,
-    peers: Mutex<HashMap<SocketAddr, PeerState>>,
-    /// Addresses under an injected network partition.
-    blocked: Mutex<HashSet<SocketAddr>>,
-    stats: Mutex<PoolStats>,
-    jitter_seed: AtomicU64,
+    io_timeout: Duration,
+    /// Held for one step at a time, never across I/O.
+    peers: Mutex<PoolState<PooledConn>>,
     fault: Arc<FaultSwitch>,
-    /// Poisoned pools fail every request immediately (node shutdown).
-    poisoned: AtomicBool,
 }
 
 impl ConnectionPool {
-    /// Creates an empty pool with a private (inert) fault switch.
+    /// Creates an empty pool with its own fault switch, seeded from
+    /// [`PoolConfig::jitter_seed`].
     pub fn new(config: PoolConfig) -> Self {
-        let fault = Arc::new(FaultSwitch::new(config.jitter_seed));
-        Self::with_fault_switch(config, fault)
-    }
-
-    /// Creates an empty pool wired to a shared fault switch (the chaos
-    /// driver flips the knobs, the pool observes them).
-    pub fn with_fault_switch(config: PoolConfig, fault: Arc<FaultSwitch>) -> Self {
         ConnectionPool {
-            jitter_seed: AtomicU64::new(config.jitter_seed | 1),
-            config,
-            peers: Mutex::new(HashMap::new()),
-            blocked: Mutex::new(HashSet::new()),
-            stats: Mutex::new(PoolStats::default()),
-            fault,
-            poisoned: AtomicBool::new(false),
+            io_timeout: config.io_timeout,
+            peers: Mutex::new(PoolState::new(&config)),
+            fault: Arc::new(FaultSwitch::new(config.jitter_seed)),
         }
     }
 
@@ -240,107 +413,67 @@ impl ConnectionPool {
 
     /// Snapshot of the pool counters.
     pub fn stats(&self) -> PoolStats {
-        *self.stats.lock()
+        self.peers.lock().stats
     }
 
     /// True while `addr` is inside its quarantine window.
     pub fn is_quarantined(&self, addr: SocketAddr) -> bool {
-        let peers = self.peers.lock();
-        peers
-            .get(&addr)
-            .and_then(|p| p.quarantined_until)
-            .is_some_and(|until| Instant::now() < until)
+        self.peers.lock().quarantined(addr, now())
     }
 
-    /// Consecutive quarantining failures recorded against `addr` (0 once a
-    /// request succeeds).
+    /// Consecutive quarantining failures since `addr` last answered.
     pub fn quarantine_streak(&self, addr: SocketAddr) -> u32 {
-        self.peers
-            .lock()
-            .get(&addr)
-            .map_or(0, |p| p.quarantine_streak)
+        self.peers.lock().peers.get(&addr).map_or(0, |p| p.streak)
     }
 
-    /// The quarantine window applied after `streak` consecutive failures:
-    /// base duration doubled per extra failure, capped.
-    pub fn quarantine_window(&self, streak: u32) -> Duration {
-        let base = self.config.quarantine.as_micros() as u64;
-        let cap = self.config.quarantine_cap.as_micros() as u64;
-        let exp = streak.saturating_sub(1).min(16);
-        Duration::from_micros(base.saturating_mul(1u64 << exp).min(cap).max(1))
-    }
-
-    /// Injects a partition: requests to `addr` fail fast until
-    /// [`ConnectionPool::unblock`]. Parked connections are dropped so the
-    /// partition also severs warm paths.
-    pub fn block(&self, addr: SocketAddr) {
-        self.blocked.lock().insert(addr);
-        if let Some(peer) = self.peers.lock().get_mut(&addr) {
-            peer.idle.clear();
-        }
+    /// Injects a partition: requests to `addr` fail fast, and its parked
+    /// connections are dropped, until [`ConnectionPool::unblock`]. Returns
+    /// false, blocking nothing, when [`BLOCKED_CAP`] others are blocked.
+    pub fn block(&self, addr: SocketAddr) -> bool {
+        self.peers.lock().set_blocked(addr, true)
     }
 
     /// Heals an injected partition.
     pub fn unblock(&self, addr: SocketAddr) {
-        self.blocked.lock().remove(&addr);
+        self.peers.lock().set_blocked(addr, false);
     }
 
     /// True while `addr` is partition-blocked.
     pub fn is_blocked(&self, addr: SocketAddr) -> bool {
-        self.blocked.lock().contains(&addr)
+        self.peers.lock().blocked.contains(&addr)
     }
 
-    /// Idle (warm) connections currently parked for `addr`.
-    pub fn idle_count(&self, addr: SocketAddr) -> usize {
-        self.peers.lock().get(&addr).map_or(0, |p| p.idle.len())
-    }
-
-    /// Peers currently inside their quarantine window. Feeds the
-    /// `pool_quarantined_peers` gauge — quarantine expiry is passive, so
-    /// this is computed at scrape time instead of maintained incrementally.
+    /// Peers inside their quarantine window, counted at scrape time (the
+    /// `pool_quarantined_peers` gauge; expiry is passive).
     pub fn quarantined_peer_count(&self) -> usize {
-        let now = Instant::now();
-        let peers = self.peers.lock();
-        peers
-            .values()
-            .filter(|p| p.quarantined_until.is_some_and(|until| now < until))
-            .count()
+        let now = now();
+        let state = self.peers.lock();
+        state.peers.values().filter(|p| p.quarantined(now)).count()
     }
 
-    /// Total idle (warm) connections parked across all peers. Feeds the
-    /// `pool_live_connections` gauge.
+    /// Idle connections parked (the `pool_live_connections` gauge).
     pub fn total_idle_connections(&self) -> usize {
-        self.peers.lock().values().map(|p| p.idle.len()).sum()
+        self.peers.lock().idle_total()
     }
 
     /// Closes all idle connections and forgets quarantine state.
     pub fn clear(&self) {
-        self.peers.lock().clear();
+        let mut state = self.peers.lock();
+        state.peers.clear();
+        state.idle.clear();
     }
 
     /// Clears quarantine bookkeeping for `addr` (liveness recovery: the
-    /// failure detector saw the peer answer a heartbeat, so probes should
-    /// flow again immediately rather than waiting out the window).
+    /// peer answered a heartbeat, so probes flow again at once).
     pub fn forgive(&self, addr: SocketAddr) {
-        if let Some(peer) = self.peers.lock().get_mut(&addr) {
-            peer.quarantined_until = None;
-            peer.quarantine_streak = 0;
-            peer.probing = false;
-        }
+        self.peers.lock().clear_quarantine(addr);
     }
 
-    /// Poisons the pool: every subsequent request fails immediately with
-    /// `ConnectionAborted` and idle connections are dropped. Used on node
-    /// shutdown so worker threads blocked behind pool I/O unwind fast
-    /// instead of riding out connect timeouts. Irreversible, idempotent.
+    /// Poisons the pool (node shutdown): every later request fails at once
+    /// with `ConnectionAborted`, so workers unwind fast. Irreversible.
     pub fn poison(&self) {
-        self.poisoned.store(true, Ordering::Release);
-        self.peers.lock().clear();
-    }
-
-    /// True once [`ConnectionPool::poison`] has been called.
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned.load(Ordering::Acquire)
+        self.peers.lock().poisoned = true;
+        self.clear();
     }
 
     /// Performs one framed request/reply round trip against `addr` under
@@ -348,10 +481,8 @@ impl ConnectionPool {
     ///
     /// # Errors
     ///
-    /// Fails when the remote is quarantined (`respect_quarantine`) or
-    /// partition-blocked, when the pool is poisoned, when the fault
-    /// injector dropped the send, when every attempt errored, or when the
-    /// reply cannot be decoded.
+    /// Fails when a gate refuses the request, the fault injector drops it,
+    /// every attempt errors, or the reply cannot be decoded.
     pub fn request(
         &self,
         addr: SocketAddr,
@@ -366,27 +497,20 @@ impl ConnectionPool {
     }
 
     /// Sends `msgs` to `addr` as one in-order pipelined run on one pooled
-    /// connection — every frame in one `write`, the replies read back in
-    /// order — and hands `on_reply` one result per frame, in frame order,
-    /// each as soon as it is known (a reply is handed over before the next
-    /// one is read, so a caller that consumes bodies as they come never
-    /// holds the whole run's worth).
+    /// connection and hands `on_reply` one result per frame, in frame
+    /// order, each as soon as it is known.
     ///
-    /// Every gate treats the run as its frames sent one after another
-    /// would be treated: a poisoned pool, a partition block and a
-    /// quarantine window refuse each frame; an expired window admits the
-    /// run as the single re-probe; with the packet-drop knob armed every
-    /// frame draws its own fate (and goes out on its own, so a drop costs
-    /// exactly that frame); once the run has quarantined the remote the
-    /// rest of it is refused as the window would refuse it. A connection
-    /// that dies after answering `k` frames fails only the unanswered
-    /// ones, after the stale-socket replay and the policy's attempts have
-    /// been spent on that suffix alone.
+    /// Every gate treats the run as its frames sent singly would be treated:
+    /// a refusal refuses each frame; an expired window admits the run as
+    /// the one re-probe; with the drop knob armed each frame draws its own
+    /// fate and goes out alone; once the run has quarantined the remote,
+    /// the rest of it is refused as the window would refuse it. A socket
+    /// that dies after `k` replies fails only the unanswered frames, after
+    /// the replay and the policy's attempts were spent on them alone.
     ///
     /// The frames are written before any reply is read, so a run must fit
-    /// the socket buffers: callers pipeline short requests (`Get`,
-    /// `PeerGet`), never bodies. `on_reply` may itself use the pool (a
-    /// different connection is checked out).
+    /// the socket buffers: callers pipeline short requests, never bodies.
+    /// `on_reply` may itself use the pool (on another connection).
     pub fn request_run(
         &self,
         addr: SocketAddr,
@@ -394,279 +518,151 @@ impl ConnectionPool {
         msgs: &[Message],
         on_reply: &mut dyn FnMut(io::Result<Message>),
     ) {
-        let mut refuse_all = |kind: io::ErrorKind, why: String| {
-            for _ in msgs {
-                on_reply(Err(io::Error::new(kind, why.clone())));
-            }
+        let admitted = self.peers.lock().admit(addr, opts, msgs.len(), now());
+        let (mut conn, mut run) = match admitted {
+            Ok(admitted) => admitted,
+            Err(refusal) => return msgs.iter().for_each(|_| on_reply(Err(refusal.error(addr)))),
         };
-        if self.is_poisoned() {
-            return refuse_all(
-                io::ErrorKind::ConnectionAborted,
-                "connection pool shut down".to_string(),
-            );
-        }
-        if self.is_blocked(addr) {
-            self.stats.lock().partition_rejections += msgs.len() as u64;
-            // A partition looks like silence, not refusal: surface it as a
-            // timeout so callers treat it like an unreachable peer.
-            return refuse_all(
-                io::ErrorKind::TimedOut,
-                format!("peer {addr} unreachable (injected partition)"),
-            );
-        }
-
-        // Quarantine gate: fail fast inside the window; once the window
-        // has expired, admit exactly one re-probe at a time.
-        let mut holds_probe_slot = false;
-        if opts.respect_quarantine {
-            let mut peers = self.peers.lock();
-            if let Some(peer) = peers.get_mut(&addr) {
-                let refusal = match peer.quarantined_until {
-                    Some(until) if Instant::now() < until => Some("quarantined"),
-                    Some(_) if peer.probing => Some("re-probe in flight"),
-                    Some(_) => {
-                        peer.probing = true;
-                        holds_probe_slot = true;
-                        None
-                    }
-                    None => None,
-                };
-                if let Some(why) = refusal {
-                    drop(peers);
-                    self.stats.lock().quarantine_rejections += msgs.len() as u64;
-                    return refuse_all(
-                        io::ErrorKind::ConnectionRefused,
-                        format!("peer {addr} {why}"),
-                    );
-                }
-            }
-        }
-        self.run_inner(addr, opts, msgs, on_reply);
-        if holds_probe_slot {
-            if let Some(peer) = self.peers.lock().get_mut(&addr) {
-                peer.probing = false;
-            }
-        }
-    }
-
-    /// Past the gates: fault injection, then the exchange.
-    fn run_inner(
-        &self,
-        addr: SocketAddr,
-        opts: RequestOptions,
-        msgs: &[Message],
-        on_reply: &mut dyn FnMut(io::Result<Message>),
-    ) {
         if let Some(delay) = self.fault.tx_latency() {
             std::thread::sleep(delay);
         }
         // With the drop knob armed a run goes out one frame per exchange,
         // each behind its own seeded draw, exactly as if sent singly.
-        let step = if self.fault.drop_per_million() == 0 {
-            msgs.len()
-        } else {
-            1
+        let step = match self.fault.drop_per_million() {
+            0 => msgs.len().max(1),
+            _ => 1,
         };
-        let refused = || {
-            io::Error::new(
-                io::ErrorKind::ConnectionRefused,
-                format!("peer {addr} quarantined"),
-            )
-        };
-        // Set once this run has quarantined the remote: what is left of it
-        // is refused as the fresh window would refuse it.
-        let mut quarantined = false;
-        for chunk in msgs.chunks(step.max(1)) {
-            if quarantined && opts.respect_quarantine {
-                self.stats.lock().quarantine_rejections += chunk.len() as u64;
-                chunk.iter().for_each(|_| on_reply(Err(refused())));
-            } else if self.fault.should_drop() {
-                self.stats.lock().injected_drops += 1;
-                if opts.quarantine_on_failure {
-                    self.quarantine(addr);
-                    quarantined = true;
-                }
-                on_reply(Err(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    format!("send to {addr} dropped (injected fault)"),
-                )));
-            } else if let Err((unanswered, err)) = self.exchange(addr, opts, chunk, on_reply) {
-                // The first unanswered frame carries the error; under a
-                // policy that ignores quarantine the ones behind it fail
-                // with it too.
-                let (kind, why) = (err.kind(), err.to_string());
-                on_reply(Err(err));
-                if opts.quarantine_on_failure {
-                    self.quarantine(addr);
-                    quarantined = true;
-                }
-                for _ in 1..unanswered {
-                    if quarantined && opts.respect_quarantine {
-                        self.stats.lock().quarantine_rejections += 1;
-                        on_reply(Err(refused()));
-                    } else {
-                        on_reply(Err(io::Error::new(kind, why.clone())));
+        let mut chunks = msgs.chunks(step);
+        while let Some(chunk) = chunks.next() {
+            let (unanswered, err) = if self.fault.should_drop() {
+                run.tally.injected_drops += 1;
+                let why = format!("send to {addr} dropped (injected fault)");
+                (chunk.len(), io::Error::new(io::ErrorKind::TimedOut, why))
+            } else {
+                match self.exchange(addr, opts, chunk, &mut conn, &mut run.tally, on_reply) {
+                    Ok(()) => {
+                        run.answered = true;
+                        continue;
                     }
+                    Err(failure) => failure,
                 }
+            };
+            run.answered |= unanswered < chunk.len();
+            run.failed = true;
+            let (kind, why) = (err.kind(), err.to_string());
+            on_reply(Err(err));
+            if opts.quarantine_on_failure && opts.respect_quarantine {
+                // The run has quarantined the remote: what is left of it is
+                // refused as the fresh window would refuse it.
+                let left = unanswered - 1 + chunks.by_ref().map(<[Message]>::len).sum::<usize>();
+                run.tally.quarantine_rejections += left as u64;
+                (0..left).for_each(|_| on_reply(Err(Refusal::Quarantined.error(addr))));
+            } else {
+                // The frames behind the one that carried the error fail
+                // with it.
+                (1..unanswered).for_each(|_| on_reply(Err(io::Error::new(kind, why.clone()))));
             }
         }
+        let mut state = self.peers.lock();
+        if let Some(conn) = conn {
+            state.park(addr, conn);
+        }
+        state.settle(addr, opts, &run, now());
     }
 
-    /// One pipelined exchange of `msgs`: the pooled connection first, then
-    /// fresh connects under the policy's attempt budget, each carrying
-    /// only the frames still unanswered. Every reply goes to `on_reply` as
-    /// it arrives; when the attempts run out, returns how many frames
-    /// stayed unanswered and the last error.
+    /// One pipelined exchange of `msgs` on the run's warm connection, then
+    /// on fresh ones within the policy's attempts (a stale warm socket uses
+    /// none), each carrying only the frames still unanswered. Leaves the
+    /// last connection in `conn`, or returns the unanswered count and error.
     fn exchange(
         &self,
         addr: SocketAddr,
         opts: RequestOptions,
         msgs: &[Message],
+        conn: &mut Option<PooledConn>,
+        tally: &mut PoolStats,
         on_reply: &mut dyn FnMut(io::Result<Message>),
     ) -> Result<(), (usize, io::Error)> {
-        let mut answered = 0;
-
-        // A stale pooled connection gets one free replay on a fresh socket:
-        // its failure reflects the cached fd, not the remote.
-        if let Some(conn) = self.checkout(addr) {
-            let outcome = self.pipeline(conn, msgs, addr, &mut answered, on_reply);
-            let mut stats = self.stats.lock();
-            stats.reuses += answered as u64;
-            if outcome.is_ok() {
-                return Ok(());
-            }
-            stats.retries += 1;
-        }
-
-        let attempts = opts.max_attempts.max(1);
-        let mut last_err = None;
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                self.stats.lock().retries += 1;
-                std::thread::sleep(self.backoff_delay(attempt));
-            }
-            let conn = match self.connect(addr) {
-                Ok(conn) => conn,
-                Err(e) => {
-                    last_err = Some(e);
-                    continue;
+        let (mut answered, mut attempt, mut last_err) = (0, 0, None);
+        loop {
+            let (socket, fresh) = match conn.take() {
+                Some(warm) => (warm, false),
+                None if attempt == opts.max_attempts.max(1) => break,
+                None => {
+                    if attempt > 0 {
+                        tally.retries += 1;
+                        let delay = self.peers.lock().backoff(attempt);
+                        std::thread::sleep(delay);
+                    }
+                    attempt += 1;
+                    match self.connect(addr) {
+                        Ok(socket) => (socket, true),
+                        Err(e) => {
+                            last_err = Some(e);
+                            continue;
+                        }
+                    }
                 }
             };
             let before = answered;
-            let outcome = self.pipeline(conn, &msgs[before..], addr, &mut answered, on_reply);
-            {
-                // The first frame paid for the connect; the rest rode a
-                // connection that was already open.
-                let mut stats = self.stats.lock();
-                stats.connects += 1;
-                stats.reuses += (answered - before).saturating_sub(1) as u64;
-            }
-            if answered > before {
-                let mut peers = self.peers.lock();
-                let peer = peers.entry(addr).or_default();
-                peer.quarantined_until = None;
-                peer.quarantine_streak = 0;
-            }
-            match outcome {
-                Ok(()) => return Ok(()),
-                Err(e) => last_err = Some(e),
+            let carried = pipeline(socket, &msgs[before..], &mut answered, on_reply);
+            // A fresh socket's first frame paid for the connect; every
+            // other frame rode a connection that was already open.
+            tally.connects += u64::from(fresh);
+            tally.reuses += (answered - before).saturating_sub(usize::from(fresh)) as u64;
+            match carried {
+                Ok(socket) => {
+                    *conn = Some(socket);
+                    return Ok(());
+                }
+                Err(e) => {
+                    tally.retries += u64::from(!fresh);
+                    last_err = Some(e);
+                }
             }
         }
         let err = last_err.unwrap_or_else(|| io::Error::other("no attempts made"));
         Err((msgs.len() - answered, err))
     }
 
-    /// Opens (or escalates) the quarantine window for `addr`.
-    fn quarantine(&self, addr: SocketAddr) {
-        let mut peers = self.peers.lock();
-        let peer = peers.entry(addr).or_default();
-        peer.quarantine_streak = peer.quarantine_streak.saturating_add(1);
-        let window = self.quarantine_window(peer.quarantine_streak);
-        peer.quarantined_until = Some(Instant::now() + window);
-        peer.idle.clear();
-    }
-
-    fn checkout(&self, addr: SocketAddr) -> Option<PooledConn> {
-        self.peers.lock().get_mut(&addr)?.idle.pop()
-    }
-
     fn connect(&self, addr: SocketAddr) -> io::Result<PooledConn> {
-        let stream = TcpStream::connect_timeout(&addr, self.config.connect_timeout)?;
+        let stream = TcpStream::connect_timeout(&addr, self.io_timeout)?;
         stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(self.config.io_timeout))?;
-        stream.set_write_timeout(Some(self.config.io_timeout))?;
+        stream.set_read_timeout(Some(self.io_timeout))?;
+        stream.set_write_timeout(Some(self.io_timeout))?;
         PooledConn::new(stream)
     }
+}
 
-    /// Writes every frame of `msgs` in one `write`, reads the replies back
-    /// in order — handing each to `on_reply` and counting it in `answered`
-    /// — and parks the connection again. On an error the replies already
-    /// handed over stand and the connection is dropped.
-    fn pipeline(
-        &self,
-        mut conn: PooledConn,
-        msgs: &[Message],
-        addr: SocketAddr,
-        answered: &mut usize,
-        on_reply: &mut dyn FnMut(io::Result<Message>),
-    ) -> io::Result<()> {
-        let mut frames = BytesMut::with_capacity(64 * msgs.len());
-        for msg in msgs {
-            msg.encode_into(&mut frames);
-        }
-        conn.stream.write_all(&frames)?;
-        for _ in msgs {
-            let reply = wire::read_message(&mut conn.reader)?;
-            *answered += 1;
-            on_reply(Ok(reply));
-        }
-        let mut peers = self.peers.lock();
-        // Both caps must hold before parking: the per-peer cap keeps one
-        // chatty remote from monopolizing the pool, the global cap keeps a
-        // wide mesh (many remotes, few sockets each) inside the process fd
-        // budget. The map is at most one entry per remote, so summing under
-        // the lock is cheap.
-        let idle_total: usize = peers.values().map(|p| p.idle.len()).sum();
-        let peer = peers.entry(addr).or_default();
-        if peer.idle.len() < self.config.max_idle_per_peer
-            && idle_total < self.config.max_idle_total
-        {
-            peer.idle.push(conn);
-        }
-        Ok(())
+/// Writes every frame of `msgs` in one `write` and reads the replies back
+/// in order, handing each to `on_reply` and counting it in `answered`;
+/// hands the connection back once all are in. On an error the replies
+/// already handed over stand and the connection is dropped.
+fn pipeline(
+    mut conn: PooledConn,
+    msgs: &[Message],
+    answered: &mut usize,
+    on_reply: &mut dyn FnMut(io::Result<Message>),
+) -> io::Result<PooledConn> {
+    let mut frames = BytesMut::with_capacity(64 * msgs.len());
+    for msg in msgs {
+        msg.encode_into(&mut frames);
     }
-
-    /// Exponential backoff with jitter in `[delay/2, delay)`, capped. The
-    /// jitter stream is seeded per pool ([`PoolConfig::jitter_seed`]): one
-    /// pool's delays are reproducible, while pools with different seeds
-    /// (every node derives its own from its machine id) spread their
-    /// reconnect attempts instead of stampeding a restarted peer in
-    /// lock-step.
-    fn backoff_delay(&self, attempt: u32) -> Duration {
-        let base = self.config.backoff_base.as_micros() as u64;
-        let cap = self.config.backoff_cap.as_micros() as u64;
-        let exp = base.saturating_mul(1u64 << attempt.min(16)).min(cap).max(1);
-        let seed = self
-            .jitter_seed
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| {
-                Some(
-                    s.wrapping_mul(6364136223846793005)
-                        .wrapping_add(1442695040888963407),
-                )
-            })
-            .unwrap_or_else(|prev| prev);
-        let jitter = seed % (exp / 2).max(1);
-        Duration::from_micros(exp / 2 + jitter)
+    conn.stream.write_all(&frames)?;
+    for _ in msgs {
+        let reply = wire::read_message(&mut conn.reader)?;
+        *answered += 1;
+        on_reply(Ok(reply));
     }
+    Ok(conn)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Read;
+    use bh_netpoll::fault::PER_MILLION;
     use std::net::TcpListener;
-    use std::sync::atomic::AtomicUsize;
-    use std::sync::Arc;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// What the test server answers: a `FindNearest` gets its own key back
     /// (so a run's replies can be matched to its frames), anything else an
@@ -714,19 +710,67 @@ mod tests {
 
     fn quick_config() -> PoolConfig {
         PoolConfig {
-            connect_timeout: Duration::from_millis(500),
             io_timeout: Duration::from_millis(500),
-            backoff_base: Duration::from_millis(1),
-            backoff_cap: Duration::from_millis(4),
-            quarantine: Duration::from_millis(200),
             ..PoolConfig::default()
         }
     }
+
+    /// The first quarantine window under [`quick_config`].
+    const BASE: Duration = Duration::from_secs(2);
 
     /// An address that refuses connections (bound then immediately freed).
     fn dead_addr() -> SocketAddr {
         let l = TcpListener::bind("127.0.0.1:0").expect("bind");
         l.local_addr().expect("addr")
+    }
+
+    /// The pure tests' clock origin.
+    fn t0() -> Instant {
+        // bh-lint: allow(no-wall-clock, reason = "arbitrary base instant; the pool state is pure in the times passed to it")
+        Instant::now()
+    }
+
+    /// A socket-free pool state whose connections are tokens.
+    fn state() -> PoolState<u32> {
+        PoolState::new(&quick_config())
+    }
+
+    fn addr(i: u16) -> SocketAddr {
+        SocketAddr::from(([10, 0, 0, 1], 7000 + i))
+    }
+
+    /// `run` once some frame of it was lost.
+    fn lost(run: Run) -> Run {
+        Run {
+            failed: true,
+            ..run
+        }
+    }
+
+    /// `run` once some frame of it was answered.
+    fn answered(run: Run) -> Run {
+        Run {
+            answered: true,
+            ..run
+        }
+    }
+
+    /// Ends `addr`'s quarantine window at `at`, an instant already past,
+    /// instead of waiting it out; the streak and the slot stay as they are.
+    fn expire_window(pool: &ConnectionPool, addr: SocketAddr, at: Instant) {
+        let mut state = pool.peers.lock();
+        let peer = state.peers.get_mut(&addr).expect("quarantined peer");
+        assert!(peer.quarantined_until.is_some(), "no window to expire");
+        peer.quarantined_until = Some(at);
+    }
+
+    /// Opens a quarantine window on `addr` the way a lost probe does.
+    fn lose_a_probe(pool: &ConnectionPool, addr: SocketAddr) {
+        pool.fault_switch().set_drop_per_million(PER_MILLION);
+        pool.request(addr, RequestOptions::peer_probe(), &Message::Ack)
+            .expect_err("dropped");
+        pool.fault_switch().clear();
+        assert!(pool.is_quarantined(addr));
     }
 
     #[test]
@@ -742,7 +786,7 @@ mod tests {
         let stats = pool.stats();
         assert_eq!(stats.connects, 1, "one connect serves all three requests");
         assert_eq!(stats.reuses, 2);
-        assert_eq!(pool.idle_count(addr), 1);
+        assert_eq!(pool.total_idle_connections(), 1);
     }
 
     fn keyed(keys: std::ops::Range<u64>) -> Vec<Message> {
@@ -785,7 +829,7 @@ mod tests {
         let stats = pool.stats();
         assert_eq!((stats.connects, stats.reuses, stats.retries), (1, 7, 0));
         assert_eq!(
-            pool.idle_count(addr),
+            pool.total_idle_connections(),
             1,
             "parked once, after the last reply"
         );
@@ -897,23 +941,15 @@ mod tests {
     fn run_stats_equal_single_requests_under_every_gate() {
         const N: u64 = 6;
         type Gate = fn(&ConnectionPool, SocketAddr);
-        let drop_all: Gate = |pool, _| {
-            pool.fault_switch()
-                .set_drop_per_million(bh_netpoll::fault::PER_MILLION)
-        };
+        let drop_all: Gate = |pool, _| pool.fault_switch().set_drop_per_million(PER_MILLION);
         let gates: [(&str, Gate); 7] = [
             ("open", |_, _| {}),
             ("poisoned", |pool, _| pool.poison()),
-            ("partition block", |pool, addr| pool.block(addr)),
-            ("quarantine window", |pool, addr| {
-                // A lost probe opens the window; the fault is then lifted.
-                pool.fault_switch()
-                    .set_drop_per_million(bh_netpoll::fault::PER_MILLION);
-                pool.request(addr, RequestOptions::peer_probe(), &Message::Ack)
-                    .expect_err("dropped");
-                pool.fault_switch().clear();
-                assert!(pool.is_quarantined(addr));
+            ("partition block", |pool, addr| {
+                assert!(pool.block(addr));
             }),
+            // A lost probe opens the window; the fault is then lifted.
+            ("quarantine window", lose_a_probe),
             ("every frame dropped", drop_all),
             ("half the frames dropped", |pool, _| {
                 pool.fault_switch().set_drop_per_million(500_000)
@@ -929,8 +965,10 @@ mod tests {
                 // Same seed on both sides: the drop stream makes the same
                 // draws for frame i of the run and for request i.
                 let pool = || {
-                    let fault = Arc::new(FaultSwitch::new(7));
-                    ConnectionPool::with_fault_switch(quick_config(), fault)
+                    ConnectionPool::new(PoolConfig {
+                        jitter_seed: 7,
+                        ..quick_config()
+                    })
                 };
                 let (batched, single) = (pool(), pool());
                 gate(&batched, addr);
@@ -958,20 +996,12 @@ mod tests {
     /// as the first of `n` single requests would.
     #[test]
     fn expired_quarantine_admits_a_run_as_the_single_reprobe() {
+        let t0 = t0();
         let (addr, _served) = ack_server(None);
         let reprobe = |as_run: bool| {
-            let pool = ConnectionPool::new(PoolConfig {
-                quarantine: Duration::from_millis(1),
-                ..quick_config()
-            });
-            pool.fault_switch()
-                .set_drop_per_million(bh_netpoll::fault::PER_MILLION);
-            pool.request(addr, RequestOptions::peer_probe(), &Message::Ack)
-                .expect_err("dropped");
-            pool.fault_switch().clear();
-            while pool.is_quarantined(addr) {
-                std::thread::yield_now();
-            }
+            let pool = ConnectionPool::new(quick_config());
+            lose_a_probe(&pool, addr);
+            expire_window(&pool, addr, t0);
             let got = if as_run {
                 outcomes(run(&pool, addr, RequestOptions::peer_probe(), &keyed(0..4)))
             } else {
@@ -984,38 +1014,73 @@ mod tests {
             };
             assert_eq!(got, (0..4).map(Ok).collect::<Vec<_>>());
             assert_eq!(pool.quarantine_streak(addr), 0, "success clears the streak");
+            assert!(!pool.peers.lock().peers[&addr].probing, "slot released");
             pool.stats()
         };
         assert_eq!(reprobe(true), reprobe(false));
     }
 
+    /// A re-probe answered over a warm socket clears the quarantine exactly
+    /// as one answered over a fresh connect does. Were it to leave the
+    /// streak at 1 and the expired window set, every later probe would be
+    /// "the" re-probe and a concurrent one would be refused.
+    #[test]
+    fn a_reprobe_answered_over_a_warm_socket_clears_the_quarantine() {
+        let t0 = t0();
+        let (addr, _served) = ack_server(None);
+        let pool = ConnectionPool::new(quick_config());
+        lose_a_probe(&pool, addr);
+        // A request that was in flight when the probe failed finishes and
+        // parks its socket.
+        let conn = pool.connect(addr).expect("connect");
+        pool.peers.lock().park(addr, conn);
+        expire_window(&pool, addr, t0);
+
+        let reply = pool
+            .request(addr, RequestOptions::peer_probe(), &Message::Ack)
+            .expect("re-probe");
+        assert_eq!(reply, Message::Ack);
+        let stats = pool.stats();
+        assert_eq!(
+            (stats.connects, stats.reuses),
+            (0, 1),
+            "over the warm socket"
+        );
+        assert_eq!(pool.quarantine_streak(addr), 0);
+        assert!(!pool.is_quarantined(addr));
+        // A probe still in flight holds no re-probe slot, so a second one
+        // is not refused.
+        let (_, in_flight) = pool
+            .peers
+            .lock()
+            .admit(addr, RequestOptions::peer_probe(), 1, t0)
+            .expect("admitted");
+        assert!(!in_flight.reprobe);
+        pool.request(addr, RequestOptions::peer_probe(), &Message::Ack)
+            .expect("second probe");
+    }
+
+    /// Warm capacity is bounded per peer and across the pool: parking six
+    /// rounds of connections to 100 remotes leaves each remote at most
+    /// its own cap and the pool at [`MAX_IDLE_TOTAL`].
     #[test]
     fn global_idle_cap_bounds_total_warm_connections() {
-        let servers: Vec<_> = (0..4).map(|_| ack_server(None)).collect();
-        let pool = ConnectionPool::new(PoolConfig {
-            max_idle_per_peer: 4,
-            max_idle_total: 2,
-            ..quick_config()
-        });
-        // Touch every remote twice: well under the per-peer cap, but the
-        // pool as a whole may only park two sockets.
-        for _ in 0..2 {
-            for (addr, _) in &servers {
-                pool.request(*addr, RequestOptions::origin(), &Message::Ack)
-                    .expect("ack");
+        let mut state = state();
+        for round in 0..6 {
+            for i in 0..100 {
+                state.park(addr(i), round);
             }
         }
-        assert_eq!(
-            pool.total_idle_connections(),
-            2,
-            "global cap bounds warm sockets across all remotes"
-        );
-        // The capped remotes still work — their requests re-dial.
-        for (addr, _) in &servers {
-            pool.request(*addr, RequestOptions::origin(), &Message::Ack)
-                .expect("ack after cap");
-        }
-        assert!(pool.total_idle_connections() <= 2);
+        let per_peer = quick_config().max_idle_per_peer;
+        assert!(state.idle.values().all(|idle| idle.len() <= per_peer));
+        assert_eq!(state.idle_total(), MAX_IDLE_TOTAL);
+        // A remote whose connection is turned away is still admitted; its
+        // run just re-dials.
+        state.park(addr(100), 6);
+        let (conn, _) = state
+            .admit(addr(100), RequestOptions::origin(), 1, t0())
+            .expect("admitted");
+        assert!(conn.is_none());
     }
 
     #[test]
@@ -1024,41 +1089,38 @@ mod tests {
         let pool = ConnectionPool::new(quick_config());
         pool.request(addr, RequestOptions::origin(), &Message::Ack)
             .expect("first");
-        // The server closed the connection after one request, but the pool
-        // parked it. Give the close time to land, then request again: the
-        // stale socket must be replaced transparently.
-        std::thread::sleep(Duration::from_millis(50));
+        // The server closes the connection after one request, but the pool
+        // parked it. Whether the close has landed yet or not, the parked
+        // socket never answers again — a FIN reads as EOF, a request that
+        // arrives at the closing socket draws a reset — so the second
+        // request must be replaced on a fresh socket transparently.
         pool.request(addr, RequestOptions::origin(), &Message::Ack)
             .expect("second");
-        assert_eq!(pool.stats().connects, 2);
+        let stats = pool.stats();
+        assert_eq!((stats.connects, stats.retries), (2, 1));
         assert_eq!(served.load(Ordering::SeqCst), 2);
     }
 
+    /// A lost probe quarantines its peer for the base window: inside it
+    /// every probe is refused without touching the network (and counted),
+    /// and the window ends on its own.
     #[test]
     fn dead_peer_probe_fails_once_then_quarantines() {
-        let addr = dead_addr();
-        let pool = ConnectionPool::new(quick_config());
-
-        let err = pool
-            .request(addr, RequestOptions::peer_probe(), &Message::Ack)
-            .expect_err("dead peer");
-        assert_ne!(err.kind(), io::ErrorKind::Unsupported);
-        assert!(pool.is_quarantined(addr));
-        assert_eq!(pool.stats().connects, 0, "refused connects are not counted");
+        let (mut state, t0, probe) = (state(), t0(), RequestOptions::peer_probe());
+        let (conn, first) = state.admit(addr(0), probe, 1, t0).expect("first probe");
+        assert!(conn.is_none() && !first.reprobe);
+        state.settle(addr(0), probe, &lost(first), t0);
+        assert!(state.quarantined(addr(0), t0));
+        assert_eq!(state.peers[&addr(0)].streak, 1);
 
         // While quarantined the probe fails fast without touching the net.
-        let before = pool.stats();
-        pool.request(addr, RequestOptions::peer_probe(), &Message::Ack)
-            .expect_err("still quarantined");
-        let after = pool.stats();
-        assert_eq!(
-            after.quarantine_rejections,
-            before.quarantine_rejections + 1
-        );
+        let refused = state.admit(addr(0), probe, 1, t0 + BASE / 2);
+        assert_eq!(refused.err(), Some(Refusal::Quarantined));
+        assert_eq!(state.stats.quarantine_rejections, 1);
 
         // Quarantine expires on its own.
-        std::thread::sleep(Duration::from_millis(250));
-        assert!(!pool.is_quarantined(addr));
+        assert!(state.quarantined(addr(0), t0 + BASE - Duration::from_micros(1)));
+        assert!(!state.quarantined(addr(0), t0 + BASE));
     }
 
     #[test]
@@ -1075,48 +1137,38 @@ mod tests {
         let stats = pool.stats();
         assert_eq!(stats.retries, 2, "origin made its extra attempts");
         assert_eq!(stats.quarantine_rejections, 0);
+        assert_eq!(stats.connects, 0, "refused connects are not counted");
     }
 
+    /// An answered re-probe clears the window and the streak and releases
+    /// the slot: the peer is as if it had never been quarantined.
     #[test]
     fn recovery_clears_quarantine() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        drop(listener);
-        let pool = ConnectionPool::new(quick_config());
-        pool.request(addr, RequestOptions::peer_probe(), &Message::Ack)
-            .expect_err("dead");
-        std::thread::sleep(Duration::from_millis(250));
+        let (mut state, t0, probe) = (state(), t0(), RequestOptions::peer_probe());
+        let (_, first) = state.admit(addr(0), probe, 1, t0).expect("first probe");
+        state.settle(addr(0), probe, &lost(first), t0);
 
-        // Peer comes back on the same port.
-        let listener = TcpListener::bind(addr).expect("rebind");
-        std::thread::spawn(move || {
-            if let Ok((mut stream, _)) = listener.accept() {
-                let _ = wire::read_message(&mut stream);
-                let _ = wire::write_message(&mut stream, &Message::Ack);
-                // Hold the connection open until the test ends.
-                let mut buf = [0u8; 1];
-                let _ = stream.read(&mut buf);
-            }
-        });
-        let reply = pool
-            .request(addr, RequestOptions::peer_probe(), &Message::Ack)
-            .expect("recovered");
-        assert_eq!(reply, Message::Ack);
-        assert!(!pool.is_quarantined(addr));
-        assert_eq!(pool.quarantine_streak(addr), 0, "success resets the streak");
+        let t1 = t0 + BASE;
+        let (_, reprobe) = state.admit(addr(0), probe, 1, t1).expect("window over");
+        assert!(reprobe.reprobe);
+        state.settle(addr(0), probe, &answered(reprobe), t1);
+        assert!(!state.quarantined(addr(0), t1));
+        assert_eq!(state.peers[&addr(0)].streak, 0, "success resets the streak");
+        // No slot left behind: probes at the same instant all go.
+        for _ in 0..2 {
+            let (_, open) = state.admit(addr(0), probe, 1, t1).expect("open");
+            assert!(!open.reprobe);
+        }
     }
 
     #[test]
     fn jitter_streams_diverge_across_seeds_and_replay_within_one() {
         let delays = |seed: u64| {
-            let pool = ConnectionPool::new(PoolConfig {
-                backoff_base: Duration::from_millis(8),
-                backoff_cap: Duration::from_secs(1),
-                ..PoolConfig::default().with_jitter_seed(seed)
+            let mut state: PoolState<u32> = PoolState::new(&PoolConfig {
+                jitter_seed: seed,
+                ..quick_config()
             });
-            (1..=8u32)
-                .map(|a| pool.backoff_delay(a))
-                .collect::<Vec<_>>()
+            (1..=8u32).map(|a| state.backoff(a)).collect::<Vec<_>>()
         };
         let a = delays(1);
         let b = delays(2);
@@ -1125,79 +1177,67 @@ mod tests {
         assert_ne!(a, b, "different machines draw different jitter");
         // Jitter stays inside the documented [delay/2, delay) envelope.
         for (i, d) in a.iter().enumerate() {
-            let exp = Duration::from_millis(8 << (i + 1)).min(Duration::from_secs(1));
+            let exp = (BACKOFF_BASE * (2 << i)).min(BACKOFF_CAP);
             assert!(*d >= exp / 2 && *d < exp, "attempt {i}: {d:?} vs {exp:?}");
         }
     }
 
     #[test]
     fn quarantine_escalates_per_failure_and_caps() {
-        let pool = ConnectionPool::new(PoolConfig {
-            quarantine: Duration::from_millis(100),
-            quarantine_cap: Duration::from_millis(400),
-            ..quick_config()
-        });
-        assert_eq!(pool.quarantine_window(1), Duration::from_millis(100));
-        assert_eq!(pool.quarantine_window(2), Duration::from_millis(200));
-        assert_eq!(pool.quarantine_window(3), Duration::from_millis(400));
-        assert_eq!(
-            pool.quarantine_window(9),
-            Duration::from_millis(400),
-            "capped"
-        );
+        let ms = Duration::from_millis;
+        assert_eq!(quarantine_window(ms(100), 1), ms(100));
+        assert_eq!(quarantine_window(ms(100), 2), ms(200));
+        assert_eq!(quarantine_window(ms(100), 3), ms(400));
+        assert_eq!(quarantine_window(ms(100), 9), ms(25_600));
+        assert_eq!(quarantine_window(ms(100), 10), QUARANTINE_CAP, "capped");
+        assert_eq!(quarantine_window(ms(100), u32::MAX), QUARANTINE_CAP);
 
-        // Two real consecutive failures move the streak to 2.
-        let addr = dead_addr();
-        pool.request(addr, RequestOptions::peer_probe(), &Message::Ack)
-            .expect_err("dead");
-        assert_eq!(pool.quarantine_streak(addr), 1);
-        std::thread::sleep(Duration::from_millis(150));
-        pool.request(addr, RequestOptions::peer_probe(), &Message::Ack)
-            .expect_err("still dead");
-        assert_eq!(pool.quarantine_streak(addr), 2);
-        assert!(pool.is_quarantined(addr));
+        // Each failed re-probe, let through as its window ends, escalates
+        // the next window one step.
+        let (mut state, t0, probe) = (state(), t0(), RequestOptions::peer_probe());
+        let mut t = t0;
+        for streak in 1..=8 {
+            let (_, attempt) = state.admit(addr(0), probe, 1, t).expect("window over");
+            assert_eq!(attempt.reprobe, streak > 1);
+            state.settle(addr(0), probe, &lost(attempt), t);
+            let window = (BASE * 2u32.pow(streak - 1)).min(QUARANTINE_CAP);
+            assert_eq!(state.peers[&addr(0)].streak, streak);
+            assert_eq!(state.peers[&addr(0)].quarantined_until, Some(t + window));
+            t += window;
+        }
         // Forgiveness (liveness recovery) resets everything at once.
-        pool.forgive(addr);
-        assert!(!pool.is_quarantined(addr));
-        assert_eq!(pool.quarantine_streak(addr), 0);
+        state.clear_quarantine(addr(0));
+        assert!(!state.quarantined(addr(0), t0));
+        assert_eq!(state.peers[&addr(0)].streak, 0);
     }
 
+    /// Once a window has expired exactly one run at a time may re-probe:
+    /// the first `admit` takes the slot, a second at the same instant is
+    /// refused for the slot (not the window), a policy that ignores
+    /// quarantine needs no slot, and the re-probe's failure escalates to
+    /// streak 2 and a window of twice the base.
     #[test]
     fn expired_quarantine_admits_one_probe_at_a_time() {
-        let addr = dead_addr();
-        let pool = Arc::new(ConnectionPool::new(PoolConfig {
-            // Slow connect timeout so the re-probe holds its slot long
-            // enough for the second thread to observe it.
-            connect_timeout: Duration::from_millis(400),
-            quarantine: Duration::from_millis(50),
-            ..quick_config()
-        }));
-        pool.request(addr, RequestOptions::peer_probe(), &Message::Ack)
-            .expect_err("dead");
-        std::thread::sleep(Duration::from_millis(80));
-        assert!(!pool.is_quarantined(addr), "window expired");
+        let (mut state, t0, probe) = (state(), t0(), RequestOptions::peer_probe());
+        let (_, opener) = state.admit(addr(0), probe, 1, t0).expect("first probe");
+        state.settle(addr(0), probe, &lost(opener), t0);
 
-        // First probe after expiry claims the slot (and will fail slowly);
-        // a concurrent second probe must be refused instantly.
-        let p2 = Arc::clone(&pool);
-        let prober = std::thread::spawn(move || {
-            p2.request(addr, RequestOptions::peer_probe(), &Message::Ack)
-                .expect_err("still dead")
-        });
-        std::thread::sleep(Duration::from_millis(30));
-        let start = Instant::now();
-        let err = pool
-            .request(addr, RequestOptions::peer_probe(), &Message::Ack)
-            .expect_err("slot held");
-        assert!(
-            start.elapsed() < Duration::from_millis(100),
-            "refusal must be immediate, took {:?}",
-            start.elapsed()
-        );
-        assert_eq!(err.kind(), io::ErrorKind::ConnectionRefused);
-        prober.join().expect("prober");
-        // The failed re-probe escalated the quarantine.
-        assert_eq!(pool.quarantine_streak(addr), 2);
+        let t1 = t0 + BASE;
+        let (_, first) = state.admit(addr(0), probe, 1, t1).expect("takes the slot");
+        assert!(first.reprobe);
+        let second = state.admit(addr(0), probe, 1, t1);
+        assert_eq!(second.err(), Some(Refusal::ReprobeInFlight));
+        assert_eq!(state.stats.quarantine_rejections, 1);
+        let (_, heartbeat) = state
+            .admit(addr(0), RequestOptions::heartbeat(), 1, t1)
+            .expect("not gated");
+        assert!(!heartbeat.reprobe);
+
+        state.settle(addr(0), probe, &lost(first), t1);
+        let peer = &state.peers[&addr(0)];
+        assert_eq!(peer.streak, 2);
+        assert_eq!(peer.quarantined_until, Some(t1 + 2 * BASE));
+        assert!(!peer.probing, "the slot is released");
     }
 
     #[test]
@@ -1206,9 +1246,13 @@ mod tests {
         let pool = ConnectionPool::new(quick_config());
         pool.request(addr, RequestOptions::origin(), &Message::Ack)
             .expect("reachable");
-        pool.block(addr);
+        assert!(pool.block(addr));
         assert!(pool.is_blocked(addr));
-        assert_eq!(pool.idle_count(addr), 0, "partition severs warm conns");
+        assert_eq!(
+            pool.total_idle_connections(),
+            0,
+            "partition severs warm conns"
+        );
         let err = pool
             .request(addr, RequestOptions::origin(), &Message::Ack)
             .expect_err("partitioned");
@@ -1224,8 +1268,7 @@ mod tests {
     fn injected_drop_fails_the_send_and_quarantines_probes() {
         let (addr, served) = ack_server(None);
         let pool = ConnectionPool::new(quick_config());
-        pool.fault_switch()
-            .set_drop_per_million(bh_netpoll::fault::PER_MILLION);
+        pool.fault_switch().set_drop_per_million(PER_MILLION);
         let err = pool
             .request(addr, RequestOptions::peer_probe(), &Message::Ack)
             .expect_err("dropped");
@@ -1247,13 +1290,195 @@ mod tests {
             .expect("up");
         pool.poison();
         pool.poison(); // idempotent
-        let start = Instant::now();
-        let err = pool
-            .request(addr, RequestOptions::origin(), &Message::Ack)
-            .expect_err("poisoned");
-        assert_eq!(err.kind(), io::ErrorKind::ConnectionAborted);
-        assert!(start.elapsed() < Duration::from_millis(50));
-        assert!(pool.is_poisoned());
+        for _ in 0..2 {
+            let err = pool
+                .request(addr, RequestOptions::origin(), &Message::Ack)
+                .expect_err("poisoned");
+            assert_eq!(err.kind(), io::ErrorKind::ConnectionAborted);
+        }
+        assert_eq!(pool.total_idle_connections(), 0);
+        assert_eq!(pool.stats().connects, 1, "no connect was attempted");
         assert_eq!(served.load(Ordering::SeqCst), 1);
+    }
+
+    /// splitmix64: the schedules' only source of choice.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// What the contract says one address's state must be, kept from the
+    /// schedule's events alone.
+    #[derive(Debug, Default, Clone, Copy)]
+    struct Witness {
+        /// Quarantining failures since the last answered frame or forgive.
+        streak: u32,
+        /// End of the current window.
+        until: Option<Instant>,
+        /// The in-flight run (by id) holding the re-probe slot.
+        slot: Option<usize>,
+        blocked: bool,
+    }
+
+    const SCHEDULES: u64 = 1_000;
+    const STEPS: usize = 200;
+    /// Address 3 never answers and is never forgiven.
+    const DEAD: usize = 3;
+
+    /// The pool's state under seeded schedules of `admit`, `settle`
+    /// (answered, failed or both), `forgive`, `block`, `unblock`, parking
+    /// and time advances over four addresses and all four policies, no
+    /// socket and no clock: `admit` decides exactly as the contract says
+    /// (a policy that respects quarantine is never let in inside a window
+    /// or while another run holds the slot), the streak counts the
+    /// quarantining failures since the last answer or forgive and sets the
+    /// window to `min(base·2^(streak−1), cap)`, a permanently dead address
+    /// lets through at most one peer probe per window (§3.2 as a count),
+    /// and idle sockets and blocks stay within their caps.
+    #[test]
+    fn seeded_schedules_keep_the_quarantine_contract() {
+        let policies = [
+            RequestOptions::peer_probe(),
+            RequestOptions::origin(),
+            RequestOptions::heartbeat(),
+            RequestOptions::resync(),
+        ];
+        let per_peer = 96; // four remotes × 96 > MAX_IDLE_TOTAL: both caps bind
+        let t0 = t0();
+        // All but two block slots taken by wire-supplied addresses, so the
+        // schedules' own blocks run into the cap.
+        let mut wire_blocked = state();
+        for i in 0..BLOCKED_CAP - 2 {
+            let wire = SocketAddr::from(([192, 0, 2, (i % 256) as u8], 1000 + i as u16));
+            assert!(wire_blocked.set_blocked(wire, true));
+        }
+        for seed in 0..SCHEDULES {
+            let mut rng = Rng(seed);
+            let mut state: PoolState<u32> = PoolState::new(&PoolConfig {
+                max_idle_per_peer: per_peer,
+                ..quick_config()
+            });
+            state.blocked = wire_blocked.blocked.clone();
+            let mut witness = [Witness::default(); 4];
+            let mut in_flight: Vec<(usize, usize, RequestOptions, Option<u32>, Run)> = Vec::new();
+            let (mut t, mut next_id) = (t0, 0);
+            let (mut dead_probes, mut dead_windows) = (0u32, 0u32);
+            for _ in 0..STEPS {
+                let i = rng.below(4);
+                let w = &mut witness[i];
+                match rng.below(10) {
+                    0..=2 => {
+                        let policy = policies[rng.below(4)];
+                        let frames = 1 + rng.below(4);
+                        let gated = policy.respect_quarantine && w.until.is_some();
+                        let expected = if w.blocked {
+                            Err(Refusal::Blocked)
+                        } else if gated && w.until.is_some_and(|until| t < until) {
+                            Err(Refusal::Quarantined)
+                        } else if gated && w.slot.is_some() {
+                            Err(Refusal::ReprobeInFlight)
+                        } else {
+                            Ok(gated)
+                        };
+                        let got = state.admit(addr(i as u16), policy, frames, t);
+                        let decided = got.as_ref().map(|(_, run)| run.reprobe).map_err(|r| *r);
+                        assert_eq!(decided, expected, "seed {seed}: admit {i} at {:?}", t - t0);
+                        if let Ok((conn, run)) = got {
+                            if run.reprobe {
+                                w.slot = Some(next_id);
+                            }
+                            if i == DEAD && policy.respect_quarantine && w.streak > 0 {
+                                dead_probes += 1;
+                            }
+                            in_flight.push((next_id, i, policy, conn, run));
+                            next_id += 1;
+                        }
+                    }
+                    3 | 4 if !in_flight.is_empty() => {
+                        let (id, i, policy, conn, run) =
+                            in_flight.swap_remove(rng.below(in_flight.len()));
+                        let w = &mut witness[i];
+                        let (answered, failed) = match rng.below(3) {
+                            _ if i == DEAD => (false, true),
+                            0 => (true, false),
+                            1 => (false, true),
+                            _ => (true, true),
+                        };
+                        if let Some(conn) = conn {
+                            state.park(addr(i as u16), conn);
+                        }
+                        let run = Run {
+                            answered,
+                            failed,
+                            ..run
+                        };
+                        state.settle(addr(i as u16), policy, &run, t);
+                        if answered {
+                            (w.streak, w.until) = (0, None);
+                        }
+                        if failed && policy.quarantine_on_failure {
+                            w.streak += 1;
+                            w.until = Some(t + quarantine_window(BASE, w.streak));
+                            dead_windows += u32::from(i == DEAD);
+                            let idle = state.idle.get(&addr(i as u16)).map_or(0, Vec::len);
+                            assert_eq!(idle, 0, "seed {seed}: escalation drops idle");
+                        }
+                        if w.slot == Some(id) {
+                            w.slot = None;
+                        }
+                    }
+                    5 if i != DEAD => {
+                        state.clear_quarantine(addr(i as u16));
+                        (w.streak, w.until) = (0, None);
+                    }
+                    6 => {
+                        let room = state.blocked.len() < BLOCKED_CAP;
+                        let blocked = state.set_blocked(addr(i as u16), true);
+                        assert_eq!(blocked, room || w.blocked, "seed {seed}: block {i}");
+                        w.blocked = blocked;
+                    }
+                    7 => {
+                        assert!(state.set_blocked(addr(i as u16), false));
+                        w.blocked = false;
+                    }
+                    8 => {
+                        for _ in 0..rng.below(64) {
+                            state.park(addr(i as u16), 0);
+                        }
+                    }
+                    _ => t += Duration::from_millis(rng.below(4_000) as u64),
+                }
+                for (i, w) in witness.iter().enumerate() {
+                    let peer = state.peers.get(&addr(i as u16));
+                    let got = peer.map_or((0, None, false), |p| {
+                        (p.streak, p.quarantined_until, p.probing)
+                    });
+                    assert_eq!(
+                        got,
+                        (w.streak, w.until, w.slot.is_some()),
+                        "seed {seed}: {i}"
+                    );
+                    assert_eq!(state.blocked.contains(&addr(i as u16)), w.blocked);
+                }
+                assert!(state.idle.values().all(|idle| idle.len() <= per_peer));
+                assert!(state.idle_total() <= MAX_IDLE_TOTAL, "seed {seed}");
+                assert!(state.blocked.len() <= BLOCKED_CAP);
+                assert!(
+                    dead_probes <= dead_windows,
+                    "seed {seed}: {dead_probes} probes through {dead_windows} windows"
+                );
+            }
+        }
     }
 }

@@ -407,7 +407,9 @@ fn a_gated_peer_costs_each_request_one_probe_and_none_its_answer() {
     const RUN: u64 = 8;
     type Gate = fn(&CacheNode, SocketAddr);
     let gates: [(&str, Gate); 2] = [
-        ("partition block", |entry, peer| entry.pool().block(peer)),
+        ("partition block", |entry, peer| {
+            assert!(entry.pool().block(peer));
+        }),
         ("quarantine window", |entry, peer| {
             // One lost probe (of a URL outside the run) opens the window.
             entry
