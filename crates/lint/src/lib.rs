@@ -62,13 +62,18 @@ use std::path::Path;
 /// every rule that cares about it.
 pub mod scope {
     /// Modules allowed to read the wall clock: the real-I/O edge of the
-    /// system (epoll shards, heartbeat pacing, live-mesh drivers).
-    /// Everything else must take time as a parameter or use the simulated
-    /// clock — the connection pool among them: its policy is stepped by
-    /// the time its I/O shell passes in, from one reasoned allow.
-    pub const WALL_CLOCK_IO: [&str; 7] = [
+    /// system (epoll shards, live-mesh drivers) and, in the node, the three
+    /// files that keep time — the frame (control mailbox, spawn, trace
+    /// stamps and the clock its `Get` workers read), heartbeat pacing and
+    /// the flush deadlines. Everything else must take time as a parameter
+    /// or use the simulated clock — the connection pool and the `Get`
+    /// service among them: their steps are timed by what their I/O shells
+    /// pass in, the pool's from one reasoned allow.
+    pub const WALL_CLOCK_IO: [&str; 9] = [
         "crates/netpoll/src/",
-        "crates/proto/src/node/",
+        "crates/proto/src/node/mod.rs",
+        "crates/proto/src/node/membership.rs",
+        "crates/proto/src/node/propagation.rs",
         "crates/proto/src/origin.rs",
         "crates/proto/src/client.rs",
         "crates/proto/src/replay.rs",

@@ -5,9 +5,13 @@
 //! bh-replay --node 127.0.0.1:8801 --node 127.0.0.1:8802 \
 //!     [--requests 10000] [--seed 42] [--trace dec|berkeley|prodigy|small]
 //! ```
+//!
+//! Requests go out one at a time, in trace order; one a node does not
+//! answer — an unreachable node included — counts as an error and the
+//! replay goes on.
 
-use bh_proto::replay::{replay, ReplayConfig};
-use bh_trace::{TraceGenerator, WorkloadSpec};
+use bh_proto::replay::{replay_concurrent, ReplayConfig};
+use bh_trace::{TraceGenerator, TraceRecord, WorkloadSpec};
 
 fn main() -> std::io::Result<()> {
     let mut nodes = Vec::new();
@@ -28,6 +32,7 @@ fn main() -> std::io::Result<()> {
             "--trace" => trace = value().to_lowercase(),
             "--help" | "-h" => {
                 println!("usage: bh-replay --node addr:port [--node ...] [--requests N] [--seed N] [--trace name]");
+                println!("(requests a node does not answer, unreachable nodes included, count as errors)");
                 return Ok(());
             }
             other => panic!("unknown flag {other}"),
@@ -52,9 +57,9 @@ fn main() -> std::io::Result<()> {
     let mut config = ReplayConfig::flat_out(nodes);
     config.clients_per_l1 = spec.clients_per_l1;
     config.dynamic_client_ids = spec.dynamic_client_ids;
-    let started = std::time::Instant::now();
-    let report = replay(&config, TraceGenerator::new(&spec, seed))?;
-    let secs = started.elapsed().as_secs_f64();
+    let records: Vec<TraceRecord> = TraceGenerator::new(&spec, seed).collect();
+    let out = replay_concurrent(&config, &records, 1)?;
+    let report = &out.report;
 
     println!("requests       {}", report.requests);
     println!(
@@ -71,9 +76,6 @@ fn main() -> std::io::Result<()> {
     println!("errors         {}", report.errors);
     println!("bytes          {}", report.bytes);
     println!("hit ratio      {:.3}", report.hit_ratio());
-    println!(
-        "throughput     {:.0} req/s",
-        report.requests as f64 / secs.max(1e-9)
-    );
+    println!("throughput     {:.0} req/s", out.requests_per_second());
     Ok(())
 }

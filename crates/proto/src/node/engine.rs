@@ -15,18 +15,18 @@
 //! * `Get` frames that hit the local data cache are also answered on the
 //!   shard (pure in-memory work); a miss hands the *connection* to the
 //!   **worker pool**, and the worker services the whole run of `Get`s the
-//!   client has pipelined on it as one batch
-//!   ([`super::service::service_gets`]). An idle worker blocks in the
-//!   job channel's `recv()`; at shutdown [`Stopper::stop`] sends each one
-//!   a [`Work::Stop`] sentinel, so nothing polls for the flag.
+//!   client has pipelined on it as one batch, as the I/O shell of its
+//!   [`Service`] — one outbound exchange at a time. An idle worker blocks
+//!   in the job channel's `recv()`; at shutdown [`Stopper::stop`] sends
+//!   each one a [`Work::Stop`] sentinel, so nothing polls for the flag.
 //!
 //! Replies are encoded straight into the connection's one out-queue
 //! ([`OutQueue`]: small frames flat, bodies of a page or more by
 //! reference) and leave through one function, [`write_out`]: once per
 //! readiness event on a shard (a peer answering eight pipelined `PeerGet`s
-//! issues one `write` or `writev`), once per group of a run on a worker,
-//! and always before a worker blocks on the network — a finished reply
-//! never waits behind someone else's fetch.
+//! issues one `write` or `writev`), and on a worker once per exchange of a
+//! run, always before it blocks on the network — a finished reply never
+//! waits behind someone else's fetch.
 //!
 //! Per-connection ordering: a connection a worker holds (`busy`) parks
 //! every further frame in its backlog; whoever clears `busy` replays the
@@ -47,7 +47,7 @@
 //! way around — nothing touches connection state while holding the store.
 
 use super::outq::OutQueue;
-use super::service::{self, ParkedGet, Replies};
+use super::service::{self, ParkedGet, Service};
 use super::{local_response, trace_event, Inner, Running};
 use crate::wire::{FrameAssembler, Message};
 use bh_netpoll::{waker_pair, write_vectored, Event, Interest, Poller, WakeReceiver, Waker};
@@ -300,32 +300,6 @@ fn accept_loop(listener: TcpListener, handles: Vec<(Sender<Injected>, Waker)>, i
     }
 }
 
-/// A worker's view of the connection it holds: replies go straight into
-/// the connection's out-queue, and `flush` writes what has accumulated.
-struct ConnReplies<'a> {
-    job: &'a WorkerJob,
-    jobs: &'a JobQueue,
-    inner: &'a Inner,
-}
-
-impl Replies for ConnReplies<'_> {
-    fn push(&mut self, reply: &Message) {
-        let mut state = self.job.conn.state.lock();
-        if !state.closed {
-            state.out.push(reply);
-        }
-        let full = state.out.is_full();
-        drop(state);
-        if full {
-            self.flush();
-        }
-    }
-
-    fn flush(&mut self) {
-        drop(pump_from_worker(self.job, self.jobs, self.inner, |_| {}));
-    }
-}
-
 /// [`pump`] from a worker: a socket that dies under a reply is accounted
 /// instead of wedging or panicking the worker.
 fn pump_from_worker<'a>(
@@ -342,12 +316,12 @@ fn pump_from_worker<'a>(
 }
 
 /// Services connections with `Get`s parked: takes the run at the front
-/// of the backlog (at most [`RUN_CAP`]), services it as one batch —
-/// probing peers and falling back to the origin through the pooled
-/// transport — and then either re-queues the connection behind the others
-/// (more `Get`s parked) or clears `busy` and lets the backlog replay,
-/// poking the owning shard only if unsent bytes remain or its reads are
-/// paused.
+/// of the backlog (at most [`RUN_CAP`]) and steps its [`Service`] — the
+/// Get path's only outbound I/O: each exchange it asks for on the pooled
+/// transport, every result handed back — and then either re-queues the
+/// connection behind the others (more `Get`s parked) or clears `busy` and
+/// lets the backlog replay, poking the owning shard only if unsent bytes
+/// remain or its reads are paused.
 fn worker_loop(
     job_rx: Receiver<Work>,
     jobs: JobQueue,
@@ -355,6 +329,7 @@ fn worker_loop(
     inner: &Inner,
 ) {
     let mut run: Vec<ParkedGet> = Vec::with_capacity(RUN_CAP);
+    let mut replies: Vec<Message> = Vec::with_capacity(RUN_CAP);
     // Workers hold a `JobQueue` clone (backlog replays enqueue follow-up
     // jobs), so the channel never disconnects on its own: a worker
     // leaves on its stop sentinel, or on the flag if jobs were queued
@@ -377,12 +352,30 @@ fn worker_loop(
             }
         }
         jobs.unparked(run.len());
-        let mut replies = ConnReplies {
-            job: &job,
-            jobs: &jobs,
-            inner,
+        // A step's finished replies join the out-queue under one lock; they
+        // are written before an exchange (`write`) or once the queue is full.
+        let deliver = |replies: &mut Vec<Message>, write: bool| {
+            let mut state = job.conn.state.lock();
+            if !state.closed {
+                replies.iter().for_each(|reply| state.out.push(reply));
+            }
+            replies.clear();
+            if write || state.out.is_full() {
+                drop(state);
+                drop(pump_from_worker(&job, &jobs, inner, |_| {}));
+            }
         };
-        service::service_gets(inner, &run, &mut replies);
+        let mut service = Service::new(inner, &run);
+        while let Some(exchange) = service.next(inner.now_micros(), &mut replies) {
+            deliver(&mut replies, true);
+            let mut on_reply = |result| {
+                service.reply(inner.now_micros(), result, &mut replies);
+                deliver(&mut replies, false);
+            };
+            let (addr, options, frames) = (exchange.addr, exchange.options, &exchange.frames);
+            inner.pool.request_run(addr, options, frames, &mut on_reply);
+        }
+        deliver(&mut replies, false);
         run.clear();
         let poke = {
             let mut state = pump_from_worker(&job, &jobs, inner, |state| {
@@ -409,21 +402,6 @@ fn worker_loop(
     }
 }
 
-/// Answers a `Get` that needs no worker — a drained node turns every
-/// client `Get` away (which outranks the local-hit fast path), a resident
-/// object is served from the cache. Returns false for a miss.
-fn answer_inline(inner: &Inner, state: &mut ConnState, get: &ParkedGet) -> bool {
-    let reply = if inner.drained() {
-        service::redirect(inner, get.key, 0)
-    } else if let Some(hit) = service::local_hit(inner, get.key) {
-        hit
-    } else {
-        return false;
-    };
-    state.out.push(&reply);
-    true
-}
-
 /// Dispatches parked frames until the backlog drains, the out-queue
 /// fills, or a `Get` misses: the miss stays at the front of the backlog
 /// and the connection goes to the worker pool; everything else (including
@@ -444,7 +422,8 @@ fn replay_backlog(
         };
         match parked {
             Parked::Get(get) => {
-                if answer_inline(inner, state, &get) {
+                if let Some(reply) = service::answer_locally(inner, get.key) {
+                    state.out.push(&reply);
                     jobs.unparked(1);
                     continue;
                 }
@@ -753,9 +732,11 @@ impl Shard {
         let parked = match msg {
             Message::Get { url } => {
                 let get = ParkedGet::new(url);
-                let idle = !state.busy && state.backlog.is_empty();
-                if idle && answer_inline(&self.inner, &mut state, &get) {
-                    return Some(state.over_caps());
+                if !state.busy && state.backlog.is_empty() {
+                    if let Some(reply) = service::answer_locally(&self.inner, get.key) {
+                        state.out.push(&reply);
+                        return Some(state.over_caps());
+                    }
                 }
                 match self.jobs.admit_get(&self.inner) {
                     Ok(()) => {
@@ -904,17 +885,18 @@ fn write_out(stream: &TcpStream, state: &mut ConnState, inner: &Inner) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::{CacheNode, NodeConfig};
-    use crate::origin::OriginServer;
+    use crate::node::NodeConfig;
+    use crate::wire::MachineId;
+    use std::net::SocketAddr;
 
     /// `queue_saturation_events` counts episodes, not rejects: one per
     /// rising edge of the mark, re-armed only once the queue has drained
     /// back to half of it.
     #[test]
     fn admit_counts_one_saturation_event_per_episode() {
-        let origin = OriginServer::spawn("127.0.0.1:0").expect("origin");
-        let node = CacheNode::spawn(NodeConfig::new("127.0.0.1:0", origin.addr())).expect("node");
-        let inner = &node.inner;
+        let addr = SocketAddr::from(([10, 0, 0, 1], 7000));
+        let machine = MachineId::from_addr(addr).expect("ipv4");
+        let inner = &Inner::new(NodeConfig::new("127.0.0.1:0", addr), machine);
         let (tx, _rx) = channel::unbounded();
         let jobs = JobQueue {
             tx,

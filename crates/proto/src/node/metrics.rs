@@ -172,8 +172,9 @@ pub(crate) struct NodeMetrics {
     pool_live_connections: Gauge,
     /// Outbound request retries the pool has performed.
     pool_reconnect_attempts: Gauge,
-    /// Miss-service latency (the `service_gets` path: hint lookup, peer
-    /// probe and/or origin fetch, store).
+    /// Miss-service latency (the `Get` service's miss path: hint lookup,
+    /// peer probe and/or origin fetch, store), from when the miss's group
+    /// formed to its reply.
     pub request_service_micros: Histogram,
 }
 
@@ -274,7 +275,7 @@ impl NodeMetrics {
             request_service_micros: r.histogram(
                 "request_service_micros",
                 Unit::Micros,
-                "miss-service latency through service_gets",
+                "miss-service latency of the Get service, from group formation to reply",
                 Determinism::Measured,
                 &SERVICE_LATENCY_BOUNDS_US,
             ),

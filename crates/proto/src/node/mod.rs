@@ -45,7 +45,7 @@ pub use membership::{mesh_tree_for, Wiring};
 pub use metrics::{NodeStats, NODE_TRACE_CAPACITY};
 
 use crate::liveness::PeerHealth;
-use crate::pool::{ConnectionPool, PoolConfig};
+use crate::pool::{ConnectionPool, PoolConfig, RequestOptions};
 use crate::wire::{HintAction, MachineId, Message, ServedBy, Status};
 use bh_cache::LruCache;
 use bh_obs::{MetricEntry, MetricInfo, TraceEvent, TraceRing};
@@ -108,6 +108,62 @@ struct Inner {
 }
 
 impl Inner {
+    /// The node's shared state, which opens no socket and starts no
+    /// thread: `spawn` wraps it in the engine, and a test can step the
+    /// `Get` service over it directly.
+    fn new(config: NodeConfig, machine: MachineId) -> Inner {
+        let pool = ConnectionPool::new(PoolConfig {
+            io_timeout: config.io_timeout,
+            // Every worker may hold a connection to the same remote at
+            // once; a smaller cap would drop and re-dial the excess.
+            max_idle_per_peer: config.workers.max(4),
+            // Per-node jitter stream: distinct nodes must not retry or
+            // re-probe in lockstep.
+            jitter_seed: machine.0,
+        });
+        let metrics = NodeMetrics::register();
+        // Warm restart: a durable store replays snapshot + tail before
+        // the node serves a single request.
+        let started = Instant::now();
+        let hints = HintStore::open(config.hint_capacity, config.durability_dir.as_deref());
+        if hints.is_durable() {
+            let recovered = hints.table.lock().len() as u64;
+            metrics
+                .hint_log_replay_micros
+                .add(started.elapsed().as_micros() as u64);
+            metrics.hints_recovered_from_log.add(recovered);
+        }
+        Inner {
+            machine,
+            store: Mutex::new(Store {
+                meta: LruCache::new(config.data_capacity),
+                bodies: HashMap::new(),
+            }),
+            hints,
+            propagation: Mutex::new(Propagation::default()),
+            membership: Mutex::new(Membership::new(
+                Wiring {
+                    neighbors: config.neighbors.clone(),
+                    ..Wiring::default()
+                },
+                &config,
+            )),
+            metrics,
+            trace: Mutex::new(TraceRing::new(NODE_TRACE_CAPACITY)),
+            started,
+            shutdown: AtomicBool::new(false),
+            pool,
+            drained: AtomicBool::new(false),
+            mailbox: Mailbox::default(),
+            config,
+        }
+    }
+
+    /// Micros since the node started: the trace's and the `Get` workers' clock.
+    fn now_micros(&self) -> u64 {
+        self.started.elapsed().as_micros() as u64
+    }
+
     /// Whether the drain switch is set (checked on every `Get` fast
     /// path; one relaxed load).
     fn drained(&self) -> bool {
@@ -234,53 +290,7 @@ impl CacheNode {
         let addr = listener.local_addr()?;
         let machine = MachineId::from_addr(addr)
             .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "IPv4 bind required"))?;
-        let pool = ConnectionPool::new(PoolConfig {
-            io_timeout: config.io_timeout,
-            // Every worker may hold a connection to the same remote at
-            // once; a smaller cap would drop and re-dial the excess.
-            max_idle_per_peer: config.workers.max(4),
-            // Per-node jitter stream: distinct nodes must not retry or
-            // re-probe in lockstep.
-            jitter_seed: machine.0,
-        });
-        let metrics = NodeMetrics::register();
-        // Warm restart: a durable store replays snapshot + tail before
-        // the node serves a single request.
-        let t0 = Instant::now();
-        let hints = HintStore::open(config.hint_capacity, config.durability_dir.as_deref());
-        if hints.is_durable() {
-            metrics
-                .hint_log_replay_micros
-                .add(t0.elapsed().as_micros() as u64);
-            metrics
-                .hints_recovered_from_log
-                .add(hints.table.lock().len() as u64);
-        }
-        let inner = Arc::new(Inner {
-            machine,
-            store: Mutex::new(Store {
-                meta: LruCache::new(config.data_capacity),
-                bodies: HashMap::new(),
-            }),
-            hints,
-            propagation: Mutex::new(Propagation::default()),
-            membership: Mutex::new(Membership::new(
-                Wiring {
-                    neighbors: config.neighbors.clone(),
-                    ..Wiring::default()
-                },
-                &config,
-            )),
-            metrics,
-            trace: Mutex::new(TraceRing::new(NODE_TRACE_CAPACITY)),
-            started: Instant::now(),
-            shutdown: AtomicBool::new(false),
-            pool,
-            drained: AtomicBool::new(false),
-            mailbox: Mailbox::default(),
-            config,
-        });
-
+        let inner = Arc::new(Inner::new(config, machine));
         let engine::Engine {
             mut threads,
             stopper,
@@ -481,9 +491,9 @@ impl Drop for CacheNode {
 /// since node start, computed here and passed in — the ring itself is
 /// clock-free.
 fn trace_event(inner: &Inner, kind: u16, a: u64, b: u64) {
-    let ts = inner.started.elapsed().as_micros() as u64;
+    let ts_micros = inner.now_micros();
     inner.trace.lock().record(TraceEvent {
-        ts_micros: ts,
+        ts_micros,
         kind,
         a,
         b,
@@ -493,7 +503,7 @@ fn trace_event(inner: &Inner, kind: u16, a: u64, b: u64) {
 /// Answers every frame that can be served from purely local state — the
 /// hint-module commands, pushes, and the meta namespace. `Get` is *not*
 /// local (it may probe a peer or the origin) and is answered with an
-/// error here; the engine routes it to [`service::service_gets`] before
+/// error here; the engine routes it to [`service::Service`] before
 /// calling this. Nothing in here performs outbound I/O — shard threads
 /// never do: the two meta control writes that imply it
 /// (`control/resync`, `control/flush`) post a request to the mailbox.

@@ -3,36 +3,36 @@
 //! request exactly one wasted probe).
 //!
 //! The unit of service is the **run** of `Get`s a client has pipelined on
-//! one connection ([`service_gets`]); a lone `Get` is the run of one.
-//! Within a run, every maximal group of consecutive misses bound for the
-//! same remote — one hinted peer, or the origin — goes out as one
-//! pipelined exchange on one pooled connection
-//! ([`crate::pool::ConnectionPool::request_run`]), and each member is
-//! then stored, accounted and answered in request order. What a client
-//! can observe of a run is what servicing its `Get`s one after another
-//! would produce — same replies in the same order, same counters, same
-//! store and hint tables — except that the probes of a group overlap in
-//! time. Three rules keep it so:
+//! one connection (a lone `Get` is the run of one), and its [`Service`]
+//! does no I/O and reads no clock: the worker performs each [`Exchange`]
+//! that [`Service::next`] asks for and hands every result to
+//! [`Service::reply`], passing the time in. Each maximal group of
+//! consecutive misses bound for one remote — a hinted peer, or the origin
+//! — is one pipelined exchange, followed for a peer group by at most one
+//! origin exchange carrying the members whose probes were wasted.
 //!
-//! * a group never holds two requests for one key (the second must see
-//!   what the first stored) nor a key that is resident when the group
-//!   forms (it is answered from the cache at its own turn, after the
+//! What a client can observe of a run is what servicing its `Get`s one
+//! after another would produce — same replies in the same order, same
+//! counters, same store and hint tables — except that the probes of a
+//! group overlap in time. Three rules keep it so:
+//!
+//! * a group never holds two requests for one key, nor a key resident
+//!   when it forms (answered from the cache at its own turn, after the
 //!   group's stores have had their chance to evict it);
-//! * a member whose probe was wasted is fetched from the origin *before*
-//!   anything behind it is stored, so insertions and evictions happen in
-//!   request order;
-//! * a finished reply is never held across a blocking call:
-//!   [`Replies::flush`] runs before every exchange.
+//! * members are stored in request order: a peer hit behind a wasted probe
+//!   of its group waits, body in hand, for that member's origin fill;
+//! * a finished reply is never held: the step that finishes it hands it
+//!   to the worker, which delivers it before the next exchange.
 
 use super::propagation::queue_update;
-use super::{trace_event, Inner};
-use crate::pool::RequestOptions;
+use super::{trace_event, Inner, RequestOptions};
 use crate::wire::{HintAction, MachineId, Message, ServedBy, Status};
 use bh_obs::span;
 use bh_simcore::ByteSize;
 use bytes::Bytes;
+use std::collections::VecDeque;
 use std::io;
-use std::time::Instant;
+use std::net::SocketAddr;
 
 /// A client `Get` waiting on its connection, hashed once on arrival.
 #[derive(Debug)]
@@ -51,13 +51,13 @@ impl ParkedGet {
     }
 }
 
-/// Where a run's replies go: the connection's out-queue in the engine, a
-/// plain list in tests.
-pub(super) trait Replies {
-    /// Takes one finished reply; replies are pushed in request order.
-    fn push(&mut self, reply: &Message);
-    /// Puts everything pushed so far on the wire.
-    fn flush(&mut self);
+/// One pipelined exchange the service asks its shell for: `frames` to
+/// `addr` under `options`, each result handed back in frame order.
+#[derive(Debug)]
+pub(super) struct Exchange {
+    pub(super) addr: SocketAddr,
+    pub(super) options: RequestOptions,
+    pub(super) frames: Vec<Message>,
 }
 
 /// Where a miss goes next.
@@ -94,10 +94,15 @@ pub(super) fn cached(inner: &Inner, key: u64) -> Option<(u32, Bytes)> {
     Some((version, body))
 }
 
-/// Step 1 of a `Get`: the local data cache. Purely in-memory, so the
-/// engine answers hits inline on the shard thread instead of paying the
-/// worker-pool round trip.
-pub(super) fn local_hit(inner: &Inner, key: u64) -> Option<Message> {
+/// Step 1 of a `Get`, the answer that needs no remote: a drained node
+/// (mesh API) turns every client `Get` away exactly like admission control
+/// does, which outranks the cache; otherwise a resident object is a local
+/// hit. `None` for a miss. Purely in-memory, so the shard answers a `Get`
+/// this way inline instead of handing it to a worker.
+pub(super) fn answer_locally(inner: &Inner, key: u64) -> Option<Message> {
+    if inner.drained() {
+        return Some(redirect(inner, key, 0));
+    }
     let (version, body) = cached(inner, key)?;
     inner.metrics.local_hits.inc();
     trace_event(inner, span::LOCAL_HIT, key, 0);
@@ -139,83 +144,6 @@ fn hinted_remote(inner: &Inner, key: u64) -> Remote {
     }
 }
 
-/// Closes one miss: the reply span, its service time (measured from when
-/// its group formed), and the reply itself.
-fn finish(inner: &Inner, out: &mut dyn Replies, key: u64, t0: Instant, reply: &Message) {
-    // Stable served-by code for trace records: 1 peer, 2 origin (0, the
-    // local cache, never gets here).
-    let via_peer = matches!(
-        reply,
-        Message::GetReply {
-            served_by: ServedBy::Peer(_),
-            ..
-        }
-    );
-    let served_by = if via_peer { 1 } else { 2 };
-    trace_event(inner, span::REPLY, key, served_by);
-    inner
-        .metrics
-        .request_service_micros
-        .observe(t0.elapsed().as_micros() as u64);
-    out.push(reply);
-}
-
-/// Services a run of `Get`s in request order, pushing one reply each.
-/// Every miss is timed into `request_service_micros` and leaves the
-/// recv → hint-lookup → probe/origin-fetch → reply spans once.
-pub(super) fn service_gets(inner: &Inner, run: &[ParkedGet], out: &mut dyn Replies) {
-    let mut next = 0;
-    // The remote of `run[next]`, when forming the previous group already
-    // looked it up (it named a different remote and closed that group).
-    let mut looked_up: Option<Remote> = None;
-    while next < run.len() {
-        let lead = &run[next];
-        if inner.drained() {
-            // Drained (mesh API): turn the client away exactly like
-            // admission control does, so existing clients already know to
-            // fall back to the origin. Hint traffic keeps flowing.
-            out.push(&redirect(inner, lead.key, 0));
-            looked_up = None;
-            next += 1;
-            continue;
-        }
-        if let Some(hit) = local_hit(inner, lead.key) {
-            // As on the shard: a hit is no miss, so it leaves no service
-            // spans and no latency sample.
-            out.push(&hit);
-            looked_up = None;
-            next += 1;
-            continue;
-        }
-        let t0 = Instant::now();
-        let remote = looked_up.take().unwrap_or_else(|| {
-            trace_event(inner, span::RECV, lead.key, 0);
-            hinted_remote(inner, lead.key)
-        });
-        let mut end = next + 1;
-        while end < run.len() {
-            let key = run[end].key;
-            let repeated = run[next..end].iter().any(|g| g.key == key);
-            if repeated || inner.store.lock().meta.peek(key).is_some() {
-                break;
-            }
-            trace_event(inner, span::RECV, key, 0);
-            let its_remote = hinted_remote(inner, key);
-            if its_remote != remote {
-                looked_up = Some(its_remote);
-                break;
-            }
-            end += 1;
-        }
-        let group = &run[next..end];
-        match remote {
-            Remote::Peer(peer) => probe_peer(inner, group, peer, t0, out),
-            Remote::Origin => fetch_from_origin(inner, group, t0, out),
-        }
-        next = end;
-    }
-}
-
 /// One result of a `Get`-shaped exchange, unpacked.
 fn unpack(result: io::Result<Message>) -> io::Result<(Status, u32, Bytes)> {
     match result? {
@@ -232,143 +160,480 @@ fn unpack(result: io::Result<Message>) -> io::Result<(Status, u32, Bytes)> {
     }
 }
 
-/// Probes `peer` for every member of `group` in one pipelined exchange.
-/// A member the peer serves is a peer hit; a member whose probe was
-/// wasted — answered NotFound, or lost with the peer — drops its hint and
-/// falls to the origin, with no second hint lookup (§3.1.1).
-fn probe_peer(
-    inner: &Inner,
-    group: &[ParkedGet],
-    peer: MachineId,
-    t0: Instant,
-    out: &mut dyn Replies,
-) {
-    let probes: Vec<Message> = group
-        .iter()
-        .map(|g| Message::PeerGet { url: g.url.clone() })
-        .collect();
-    out.flush();
-    // Members before `settled` are answered; a stretch of wasted probes
-    // behind it waits for the next hit (or the end) and then goes to the
-    // origin together, ahead of that hit's store.
-    let mut settled = 0;
-    let mut members = group.iter().enumerate();
-    let mut on_reply = |result: io::Result<Message>| {
-        let Some((i, get)) = members.next() else {
-            return;
-        };
-        let wasted = match unpack(result) {
-            Ok((Status::Ok, version, body)) => {
-                fetch_from_origin(inner, &group[settled..i], t0, out);
-                settled = i + 1;
-                inner.metrics.peer_hits.inc();
-                trace_event(inner, span::PEER_PROBE, get.key, 0);
-                store_body(inner, get.key, version, body.clone());
-                let reply = get_reply(Status::Ok, version, ServedBy::Peer(peer), body);
-                finish(inner, out, get.key, t0, &reply);
-                return;
-            }
-            // False positive: the peer answered, without the object.
-            Ok(_) => 1,
-            // Dead or unreachable peer: same one-wasted-probe accounting,
-            // plus the degradation counter the chaos harness watches —
-            // the request still completes via the origin.
-            Err(_) => {
-                inner.metrics.degraded_to_origin.inc();
-                2
-            }
-        };
-        inner.metrics.false_positives.inc();
-        trace_event(inner, span::PEER_PROBE, get.key, wasted);
-        inner.hints.table.lock().forget(get.key);
-    };
-    inner.pool.request_run(
-        peer.to_addr(),
-        RequestOptions::peer_probe(),
-        &probes,
-        &mut on_reply,
-    );
-    fetch_from_origin(inner, &group[settled..], t0, out);
+/// A peer's copy of a member: who served it, its version and body.
+type Hit = (MachineId, u32, Bytes);
+
+/// The service of one run (see the [module docs](self)).
+pub(super) struct Service<'a> {
+    inner: &'a Inner,
+    run: &'a [ParkedGet],
+    /// The first member not yet answered locally or taken into a group.
+    next: usize,
+    /// The remote of `run[next]`, when forming the previous group already
+    /// looked it up (it named a different remote and closed that group).
+    looked_up: Option<Remote>,
+    /// While a peer exchange is out: the peer, and whose result is next.
+    probing: Option<(MachineId, usize)>,
+    /// When the group in flight formed: its members' service times start.
+    formed: u64,
+    /// The group's members not answered yet, in request order, each with
+    /// the peer's copy once a probe has found one.
+    group: VecDeque<(usize, Option<Hit>)>,
 }
 
-/// Step 3 of a `Get`: fetches every member of `group` from the origin in
-/// one pipelined exchange, stores and answers each in order.
-fn fetch_from_origin(inner: &Inner, group: &[ParkedGet], t0: Instant, out: &mut dyn Replies) {
-    if group.is_empty() {
-        return;
+impl<'a> Service<'a> {
+    pub(super) fn new(inner: &'a Inner, run: &'a [ParkedGet]) -> Service<'a> {
+        Service {
+            inner,
+            run,
+            next: 0,
+            looked_up: None,
+            probing: None,
+            formed: 0,
+            group: VecDeque::new(),
+        }
     }
-    let gets: Vec<Message> = group
-        .iter()
-        .map(|g| Message::Get { url: g.url.clone() })
-        .collect();
-    out.flush();
-    let mut members = group.iter();
-    let mut on_reply = |result: io::Result<Message>| {
-        let Some(get) = members.next() else {
-            return;
-        };
-        let reply = match unpack(result) {
-            Ok((Status::Ok, version, body)) => {
-                inner.metrics.origin_fetches.inc();
-                trace_event(inner, span::ORIGIN_FETCH, get.key, 0);
-                store_body(inner, get.key, version, body.clone());
-                get_reply(Status::Ok, version, ServedBy::Origin, body)
+
+    /// The exchange to perform next, at `now` (micros), or `None` once the
+    /// run is done: the origin fill of a peer group's wasted probes, or the
+    /// next group, after answering what needs no remote. Finished replies
+    /// go onto `out`, in request order. Every miss leaves the recv →
+    /// hint-lookup → probe/origin-fetch → reply spans once and is timed
+    /// into `request_service_micros`.
+    pub(super) fn next(&mut self, now: u64, out: &mut Vec<Message>) -> Option<Exchange> {
+        let (inner, run) = (self.inner, self.run);
+        if self.probing.take().is_some() && !self.group.is_empty() {
+            return Some(self.fetch());
+        }
+        while self.next < run.len() {
+            let lead = &run[self.next];
+            if let Some(reply) = answer_locally(inner, lead.key) {
+                // As on the shard: no miss, so no service spans and no
+                // latency sample.
+                out.push(reply);
+                self.looked_up = None;
+                self.next += 1;
+                continue;
             }
-            _ => {
-                trace_event(inner, span::ORIGIN_FETCH, get.key, 1);
-                get_reply(Status::Error, 0, ServedBy::Origin, Bytes::new())
+            let remote = self.looked_up.take().unwrap_or_else(|| {
+                trace_event(inner, span::RECV, lead.key, 0);
+                hinted_remote(inner, lead.key)
+            });
+            let (start, mut end) = (self.next, self.next + 1);
+            while end < run.len() {
+                let key = run[end].key;
+                let repeated = run[start..end].iter().any(|g| g.key == key);
+                if repeated || inner.store.lock().meta.peek(key).is_some() {
+                    break;
+                }
+                trace_event(inner, span::RECV, key, 0);
+                let its_remote = hinted_remote(inner, key);
+                if its_remote != remote {
+                    self.looked_up = Some(its_remote);
+                    break;
+                }
+                end += 1;
             }
-        };
-        finish(inner, out, get.key, t0, &reply);
-    };
-    inner.pool.request_run(
-        inner.config.origin,
-        RequestOptions::origin(),
-        &gets,
-        &mut on_reply,
-    );
+            (self.next, self.formed) = (end, now);
+            self.group.extend((start..end).map(|member| (member, None)));
+            let Remote::Peer(peer) = remote else {
+                return Some(self.fetch());
+            };
+            self.probing = Some((peer, start));
+            let urls = run[start..end].iter().map(|g| g.url.clone());
+            return Some(Exchange {
+                addr: peer.to_addr(),
+                options: RequestOptions::peer_probe(),
+                frames: urls.map(|url| Message::PeerGet { url }).collect(),
+            });
+        }
+        None
+    }
+
+    /// The origin exchange for every unanswered member without a copy.
+    fn fetch(&self) -> Exchange {
+        let waiting = self.group.iter().filter(|(_, hit)| hit.is_none());
+        let urls = waiting.map(|&(member, _)| self.run[member].url.clone());
+        Exchange {
+            addr: self.inner.config.origin,
+            options: RequestOptions::origin(),
+            frames: urls.map(|url| Message::Get { url }).collect(),
+        }
+    }
+
+    /// Takes the next result of the exchange in flight, at `now`. A probe
+    /// the peer serves is a peer hit; one answered NotFound, or lost with
+    /// the peer, is wasted: it drops its hint and falls to the origin, with
+    /// no second hint lookup (§3.1.1). An origin result answers the first
+    /// unanswered member. Then every peer hit with no unanswered member
+    /// before it is stored and answered, in order.
+    pub(super) fn reply(&mut self, now: u64, result: io::Result<Message>, out: &mut Vec<Message>) {
+        let inner = self.inner;
+        if let Some((peer, at)) = self.probing.filter(|&(_, at)| at < self.next) {
+            self.probing = Some((peer, at + 1));
+            let key = self.run[at].key;
+            let wasted = match unpack(result) {
+                Ok((Status::Ok, version, body)) => {
+                    inner.metrics.peer_hits.inc();
+                    trace_event(inner, span::PEER_PROBE, key, 0);
+                    // The group's members from `at` on are all unanswered.
+                    let slot = self.group.len() - (self.next - at);
+                    self.group[slot].1 = Some((peer, version, body));
+                    0
+                }
+                // False positive: the peer answered, without the object.
+                Ok(_) => 1,
+                // Dead or unreachable peer: same one-wasted-probe
+                // accounting, plus the degradation counter the chaos
+                // harness watches — the request still completes via the
+                // origin.
+                Err(_) => {
+                    inner.metrics.degraded_to_origin.inc();
+                    2
+                }
+            };
+            if wasted > 0 {
+                inner.metrics.false_positives.inc();
+                trace_event(inner, span::PEER_PROBE, key, wasted);
+                inner.hints.table.lock().forget(key);
+            }
+        } else if let Some((member, _)) = self.group.pop_front() {
+            let key = self.run[member].key;
+            let reply = match unpack(result) {
+                Ok((Status::Ok, version, body)) => {
+                    inner.metrics.origin_fetches.inc();
+                    trace_event(inner, span::ORIGIN_FETCH, key, 0);
+                    store_body(inner, key, version, body.clone());
+                    get_reply(Status::Ok, version, ServedBy::Origin, body)
+                }
+                _ => {
+                    trace_event(inner, span::ORIGIN_FETCH, key, 1);
+                    get_reply(Status::Error, 0, ServedBy::Origin, Bytes::new())
+                }
+            };
+            self.finish(now, key, 2, reply, out);
+        }
+        while matches!(self.group.front(), Some((_, Some(_)))) {
+            if let Some((member, Some((peer, version, body)))) = self.group.pop_front() {
+                let key = self.run[member].key;
+                store_body(inner, key, version, body.clone());
+                let reply = get_reply(Status::Ok, version, ServedBy::Peer(peer), body);
+                self.finish(now, key, 1, reply, out);
+            }
+        }
+    }
+
+    /// Closes one miss: the reply span with its stable served-by code (1
+    /// peer, 2 origin), its service time since the group formed, and the
+    /// reply itself.
+    fn finish(&self, now: u64, key: u64, served_by: u64, reply: Message, out: &mut Vec<Message>) {
+        trace_event(self.inner, span::REPLY, key, served_by);
+        let micros = now.saturating_sub(self.formed);
+        self.inner.metrics.request_service_micros.observe(micros);
+        out.push(reply);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::{CacheNode, NodeConfig};
-    use crate::origin::OriginServer;
+    use crate::node::NodeConfig;
+    use bh_simcore::rng::Xoshiro256;
+    use std::collections::{BTreeMap, BTreeSet};
+    use std::sync::atomic::Ordering;
 
-    /// Records what the service does to its reply sink, in order.
-    struct Recorded(Vec<String>);
+    /// The runs' only source of choice: uniform in `[0, n)`.
+    fn below(rng: &mut Xoshiro256, n: usize) -> usize {
+        rng.below(n as u64) as usize
+    }
 
-    impl Replies for Recorded {
-        fn push(&mut self, reply: &Message) {
-            match reply {
-                Message::GetReply { served_by, .. } => self.0.push(format!("{served_by:?}")),
-                other => self.0.push(format!("{other:?}")),
+    /// Machine 1 is the node under test, machine 2 its peer.
+    fn machine(n: u8) -> MachineId {
+        MachineId::from_addr(SocketAddr::from(([10, 0, 0, n], 7000))).expect("ipv4")
+    }
+
+    /// The origin's address; nothing listens there.
+    fn origin() -> SocketAddr {
+        SocketAddr::from(([10, 0, 0, 9], 80))
+    }
+
+    /// A node's shared state, with no listener, no thread and no socket,
+    /// and a data cache of `capacity` bytes.
+    fn node(capacity: u64) -> Inner {
+        let mut config = NodeConfig::new("127.0.0.1:0", origin())
+            .with_data_capacity(ByteSize::from_bytes(capacity));
+        config.hint_capacity = ByteSize::from_kb(4);
+        Inner::new(config, machine(1))
+    }
+
+    /// A body derived from its key: 64–255 bytes.
+    fn body(key: u64) -> Bytes {
+        Bytes::from(vec![key as u8; 64 + (key % 192) as usize])
+    }
+
+    /// The scripted remotes: the peer serves the keys it `held`, version 1,
+    /// and loses the `lost` ones at the transport; the origin serves every
+    /// key, version 2, except the `failing` ones. Both count what each key
+    /// drew.
+    #[derive(Clone, Default)]
+    struct Remotes {
+        held: BTreeSet<u64>,
+        lost: BTreeSet<u64>,
+        failing: BTreeSet<u64>,
+        probes: BTreeMap<u64, usize>,
+        fetches: BTreeMap<u64, usize>,
+        /// Keys whose probe was wasted, in order.
+        wasted: Vec<u64>,
+    }
+
+    impl Remotes {
+        fn answer(&mut self, to: SocketAddr, frame: &Message) -> io::Result<Message> {
+            let lost = || Err(io::Error::new(io::ErrorKind::ConnectionReset, "scripted"));
+            match frame {
+                Message::PeerGet { url } if to == machine(2).to_addr() => {
+                    let key = bh_md5::url_key(url);
+                    *self.probes.entry(key).or_default() += 1;
+                    if self.lost.contains(&key) {
+                        self.wasted.push(key);
+                        lost()
+                    } else if self.held.contains(&key) {
+                        Ok(get_reply(Status::Ok, 1, ServedBy::Local, body(key)))
+                    } else {
+                        self.wasted.push(key);
+                        Ok(get_reply(
+                            Status::NotFound,
+                            0,
+                            ServedBy::Local,
+                            Bytes::new(),
+                        ))
+                    }
+                }
+                Message::Get { url } if to == origin() => {
+                    let key = bh_md5::url_key(url);
+                    *self.fetches.entry(key).or_default() += 1;
+                    if self.failing.contains(&key) {
+                        lost()
+                    } else {
+                        Ok(get_reply(Status::Ok, 2, ServedBy::Origin, body(key)))
+                    }
+                }
+                other => panic!("{other:?} sent to {to}"),
             }
-        }
-
-        fn flush(&mut self) {
-            self.0.push("flush".to_string());
         }
     }
 
+    /// The worker's loop over the scripted remotes, with a step counter
+    /// for its clock. Returns what the worker is handed, in order: each
+    /// reply at the step that finished it, and `None` where an exchange
+    /// goes out.
+    fn serve(inner: &Inner, run: &[ParkedGet], remotes: &mut Remotes) -> Vec<Option<Message>> {
+        let (mut service, mut clock) = (Service::new(inner, run), 0);
+        let (mut seen, mut out) = (Vec::new(), Vec::new());
+        while let Some(exchange) = service.next(clock, &mut out) {
+            seen.extend(out.drain(..).map(Some));
+            seen.push(None);
+            for frame in &exchange.frames {
+                clock += 1;
+                let result = remotes.answer(exchange.addr, frame);
+                service.reply(clock, result, &mut out);
+                seen.extend(out.drain(..).map(Some));
+            }
+        }
+        seen.extend(out.drain(..).map(Some));
+        seen
+    }
+
+    fn gets(urls: &[&str]) -> Vec<ParkedGet> {
+        urls.iter().map(|u| ParkedGet::new(u.to_string())).collect()
+    }
+
     /// The rule that keeps a large run from delaying its own first
-    /// replies: whatever is finished is flushed before every exchange, and
-    /// a group's members share one exchange (one flush, not one each).
+    /// replies: each reply is handed to the worker by the step that
+    /// finishes it, so it is delivered before the next exchange goes out;
+    /// a group's members share one exchange; and a peer hit behind a
+    /// wasted probe of its group waits for that member's origin fill, and
+    /// no longer.
     #[test]
     fn finished_replies_are_flushed_before_every_exchange() {
-        let origin = OriginServer::spawn("127.0.0.1:0").expect("origin");
-        let node = CacheNode::spawn(NodeConfig::new("127.0.0.1:0", origin.addr())).expect("node");
-        crate::client::fetch(node.addr(), "http://s.test/resident").expect("warm");
-        let run: Vec<ParkedGet> = ["a", "resident", "b", "c"]
-            .iter()
-            .map(|name| ParkedGet::new(format!("http://s.test/{name}")))
+        let inner = node(1 << 20);
+        let resident = ParkedGet::new("http://s.test/resident".into());
+        store_body(&inner, resident.key, 1, body(resident.key));
+        let peered = gets(&["http://s.test/p0", "http://s.test/p1", "http://s.test/p2"]);
+        for get in &peered {
+            inner.hints.table.lock().learn(get.key, machine(2).0);
+        }
+        let mut remotes = Remotes::default();
+        remotes.held.extend([peered[0].key, peered[2].key]);
+        let names = |seen: Vec<Option<Message>>| -> Vec<String> {
+            let name = |step| match step {
+                Some(Message::GetReply { served_by, .. }) => format!("{served_by:?}"),
+                other => format!("{other:?}"),
+            };
+            seen.into_iter().map(name).collect()
+        };
+
+        let run = gets(&[
+            "http://s.test/a",
+            "http://s.test/resident",
+            "http://s.test/b",
+        ]);
+        let seen = names(serve(&inner, &run, &mut remotes));
+        assert_eq!(seen, ["None", "Origin", "Local", "None", "Origin"]);
+
+        let run: Vec<ParkedGet> = gets(&["http://s.test/c"])
+            .into_iter()
+            .chain(peered)
             .collect();
-        let mut seen = Recorded(Vec::new());
-        service_gets(&node.inner, &run, &mut seen);
-        assert_eq!(
-            seen.0,
-            ["flush", "Origin", "Local", "flush", "Origin", "Origin"]
-        );
-        assert_eq!(origin.request_count(), 4);
+        let seen = names(serve(&inner, &run, &mut remotes));
+        let peer = format!("{:?}", ServedBy::Peer(machine(2)));
+        let expected = ["None", "Origin", "None", &peer, "None", "Origin", &peer];
+        assert_eq!(seen, expected);
+        assert_eq!(remotes.fetches.values().sum::<usize>(), 4);
+        assert_eq!(remotes.probes.values().sum::<usize>(), 3);
+    }
+
+    const SEEDS: u64 = 100;
+    const RUNS_PER_SEED: usize = 10;
+    const KEYS: usize = 24;
+    const LONGEST_RUN: usize = 32;
+
+    /// The counters a run moves: local, peer and origin service, wasted
+    /// probes, the transport failures among them, and timed misses.
+    fn counts(inner: &Inner) -> [u64; 6] {
+        let m = &inner.metrics;
+        [
+            m.local_hits.get(),
+            m.peer_hits.get(),
+            m.origin_fetches.get(),
+            m.false_positives.get(),
+            m.degraded_to_origin.get(),
+            m.request_service_micros.snapshot().count,
+        ]
+    }
+
+    /// A store's contents: its entries in recency order, and every body.
+    type Contents = (Vec<(u64, ByteSize, u32)>, BTreeMap<u64, Bytes>);
+
+    fn store(inner: &Inner) -> Contents {
+        let store = inner.store.lock();
+        let bodies = store.bodies.iter().map(|(k, b)| (*k, b.clone()));
+        (store.meta.iter().collect(), bodies.collect())
+    }
+
+    /// The module's claim, with no socket and no clock: a node serving
+    /// each seeded run of 1–32 `Get`s over at most 24 keys pipelined, and
+    /// a twin serving the same `Get`s as runs of one, end every run with
+    /// equal replies in order, equal stores in recency order (so stores
+    /// evicted alike), equal hint tables and pending hint updates, and
+    /// equal counters. The data cache holds a few objects; hints name the
+    /// peer or the node itself; the peer serves what it holds and loses a
+    /// seeded set of keys, the origin fails another, and now and then the
+    /// node is drained. The paper's contract holds as counts: a request
+    /// draws at most one probe and one origin fetch, every wasted probe
+    /// forgets its hint, and a reply is an error only where the origin
+    /// failed its key.
+    #[test]
+    fn a_pipelined_run_equals_one_at_a_time_service_over_seeded_runs() {
+        let mut runs = 0;
+        for seed in 0..SEEDS {
+            let mut rng = Xoshiro256::seed_from_u64(seed);
+            let urls: Vec<String> = (0..=below(&mut rng, KEYS))
+                .map(|i| format!("http://diff.test/{i}"))
+                .collect();
+            let capacity = 256 + below(&mut rng, 768) as u64;
+            let (pipelined, single) = (node(capacity), node(capacity));
+            let mut remotes = Remotes::default();
+            for key in urls.iter().map(|u| bh_md5::url_key(u)) {
+                let sets = [
+                    (&mut remotes.held, 2),
+                    (&mut remotes.lost, 6),
+                    (&mut remotes.failing, 6),
+                ];
+                for (set, one_in) in sets {
+                    if below(&mut rng, one_in) == 0 {
+                        set.insert(key);
+                    }
+                }
+            }
+            let (mut a, mut b) = (remotes.clone(), remotes);
+            for _ in 0..RUNS_PER_SEED {
+                let drained = below(&mut rng, 20) == 0;
+                for url in &urls {
+                    let location = match below(&mut rng, 8) {
+                        0..=3 => Some(machine(2)),
+                        4 => Some(machine(1)),
+                        _ => None,
+                    };
+                    for side in [&pipelined, &single] {
+                        if let Some(at) = location {
+                            side.hints.table.lock().learn(bh_md5::url_key(url), at.0);
+                        }
+                        side.drained.store(drained, Ordering::Relaxed);
+                    }
+                }
+                let run: Vec<ParkedGet> = (0..=below(&mut rng, LONGEST_RUN))
+                    .map(|_| ParkedGet::new(urls[below(&mut rng, urls.len())].clone()))
+                    .collect();
+                for side in [&mut a, &mut b] {
+                    side.probes.clear();
+                    side.fetches.clear();
+                    side.wasted.clear();
+                }
+                let wasted_before = pipelined.metrics.false_positives.get();
+
+                let served = serve(&pipelined, &run, &mut a);
+                let replies: Vec<Message> = served.into_iter().flatten().collect();
+                let one_by_one: Vec<Message> = run
+                    .chunks(1)
+                    .flat_map(|one| serve(&single, one, &mut b))
+                    .flatten()
+                    .collect();
+                let what = format!("seed {seed}, run {runs}");
+                assert_eq!(replies, one_by_one, "{what}: replies");
+                assert_eq!(store(&pipelined), store(&single), "{what}: store");
+                let hints = (pipelined.hints.entries(), single.hints.entries());
+                assert_eq!(hints.0, hints.1, "{what}: hint tables");
+                let pending = |side: &Inner| format!("{:?}", side.propagation.lock());
+                assert_eq!(pending(&pipelined), pending(&single), "{what}: pending");
+                assert_eq!(counts(&pipelined), counts(&single), "{what}: counters");
+
+                // §3.2 as counts.
+                assert_eq!(replies.len(), run.len(), "{what}");
+                assert_eq!((&a.probes, &a.fetches), (&b.probes, &b.fetches), "{what}");
+                let (mut via_peer, mut via_origin) = (0, 0);
+                for (get, reply) in run.iter().zip(&replies) {
+                    let Message::GetReply {
+                        status, served_by, ..
+                    } = reply
+                    else {
+                        panic!("{what}: {reply:?}");
+                    };
+                    let asked = run.iter().filter(|g| g.key == get.key).count();
+                    let drew = |counts: &BTreeMap<u64, usize>| counts.get(&get.key).copied();
+                    assert!(drew(&a.probes).unwrap_or(0) <= asked, "{what}: probes");
+                    assert!(drew(&a.fetches).unwrap_or(0) <= asked, "{what}: fetches");
+                    if *status == Status::Error {
+                        assert!(a.failing.contains(&get.key), "{what}: {get:?} failed");
+                    }
+                    via_peer += usize::from(matches!(served_by, ServedBy::Peer(_)));
+                    via_origin +=
+                        usize::from(*status != Status::Redirect && *served_by == ServedBy::Origin);
+                }
+                let probes = a.probes.values().sum::<usize>();
+                assert_eq!(probes, via_peer + a.wasted.len(), "{what}: probes");
+                assert_eq!(a.fetches.values().sum::<usize>(), via_origin, "{what}");
+                let wasted = pipelined.metrics.false_positives.get() - wasted_before;
+                assert_eq!(wasted, a.wasted.len() as u64, "{what}: wasted probes");
+                for key in &a.wasted {
+                    let kept = pipelined.hints.table.lock().peek(*key);
+                    assert_eq!(kept, None, "{what}: a wasted probe kept its hint");
+                }
+                for side in [&pipelined, &single] {
+                    side.propagation.lock().discard_pending();
+                }
+                runs += 1;
+            }
+        }
+        assert!(runs >= 1_000);
     }
 }

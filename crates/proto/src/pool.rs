@@ -19,7 +19,8 @@
 //! [`FaultSwitch`] (latency, drop) serve the fault injector.
 //!
 //! Everything the pool decides is one value behind one lock (`peers`): per
-//! remote its idle sockets, window, streak and re-probe slot; the block
+//! remote its idle sockets, window, streak and re-probe slot, an entry
+//! kept only while it holds any, for at most [`PEERS_CAP`] remotes; the block
 //! set; the [`PoolStats`]; the jitter stream; the poison flag. Its steps
 //! take no socket and read no clock — `admit` gates a run, `settle`
 //! applies what the run did, `park` enforces the idle caps, `backoff`
@@ -47,6 +48,12 @@ pub const MAX_IDLE_TOTAL: usize = 256;
 /// wire (an operator `Set …/pool/blocked/<addr> true`, a forging hint
 /// sender), so past the cap a new one is refused; unblocking frees a slot.
 pub const BLOCKED_CAP: usize = 1024;
+
+/// Cap on the remotes whose quarantine state is tracked. Addresses come
+/// from hint locations, which a forger holding the public per-sender key
+/// can choose, so past the cap a new failure evicts a remote with no live
+/// window and no held re-probe slot — or, with none, goes untracked.
+pub const PEERS_CAP: usize = 1024;
 
 /// Upper bound on an escalated quarantine window.
 const QUARANTINE_CAP: Duration = Duration::from_secs(30);
@@ -229,6 +236,11 @@ impl Peer {
     fn quarantined(&self, now: Instant) -> bool {
         self.quarantined_until.is_some_and(|until| now < until)
     }
+
+    /// Nothing left to remember: the entry can go.
+    fn is_clear(&self) -> bool {
+        self.quarantined_until.is_none() && self.streak == 0 && !self.probing
+    }
 }
 
 /// One run from [`PoolState::admit`] to [`PoolState::settle`]: its re-probe
@@ -246,7 +258,10 @@ struct Run {
 /// connection type, a socket in the pool and a token in the tests.
 #[derive(Debug)]
 struct PoolState<C> {
+    /// Remotes with a window, a streak or a held re-probe slot, at most
+    /// [`PEERS_CAP`]; an entry goes as soon as it is clear.
     peers: HashMap<SocketAddr, Peer>,
+    /// Remotes with idle sockets; an entry goes as soon as it is empty.
     idle: HashMap<SocketAddr, Vec<C>>,
     /// Partition-blocked addresses, at most [`BLOCKED_CAP`].
     blocked: HashSet<SocketAddr>,
@@ -292,51 +307,84 @@ impl<C> PoolState<C> {
             self.stats.partition_rejections += frames as u64;
             return Err(Refusal::Blocked);
         }
-        let peer = self.peers.entry(addr).or_default();
-        let reprobe = policy.respect_quarantine && peer.quarantined_until.is_some();
-        if reprobe && (peer.quarantined(now) || peer.probing) {
-            self.stats.quarantine_rejections += frames as u64;
-            return Err(if peer.quarantined(now) {
-                Refusal::Quarantined
-            } else {
-                Refusal::ReprobeInFlight
-            });
+        let gate = self.peers.get_mut(&addr);
+        let gate = gate.filter(|p| policy.respect_quarantine && p.quarantined_until.is_some());
+        let reprobe = gate.is_some();
+        if let Some(peer) = gate {
+            if peer.quarantined(now) || peer.probing {
+                self.stats.quarantine_rejections += frames as u64;
+                return Err(if peer.quarantined(now) {
+                    Refusal::Quarantined
+                } else {
+                    Refusal::ReprobeInFlight
+                });
+            }
+            peer.probing = true;
         }
-        peer.probing |= reprobe;
         let run = Run {
             reprobe,
             ..Run::default()
         };
-        Ok((self.idle.get_mut(&addr).and_then(Vec::pop), run))
+        let conn = self.idle.get_mut(&addr).and_then(Vec::pop);
+        if self.idle.get(&addr).is_some_and(Vec::is_empty) {
+            self.idle.remove(&addr);
+        }
+        Ok((conn, run))
     }
 
     /// Applies what an admitted run did, at `now`. Any answered frame
     /// clears the window and the streak, whichever socket carried it; a
     /// failure under a quarantining policy then escalates the window to
     /// `min(base·2^(streak−1), cap)` and drops the remote's idle sockets.
-    /// Releases the re-probe slot if the run held it, and counts.
+    /// Releases the re-probe slot if the run held it, and counts. An entry
+    /// left clear is dropped.
     fn settle(&mut self, addr: SocketAddr, policy: RequestOptions, run: &Run, now: Instant) {
-        let peer = self.peers.entry(addr).or_default();
-        if run.answered {
-            (peer.quarantined_until, peer.streak) = (None, 0);
-        }
-        if run.failed && policy.quarantine_on_failure {
-            peer.streak = peer.streak.saturating_add(1);
-            let window = quarantine_window(self.quarantine_base, peer.streak);
-            peer.quarantined_until = Some(now + window);
+        let escalate = run.failed && policy.quarantine_on_failure;
+        let base = self.quarantine_base;
+        let peer = if escalate {
             self.idle.remove(&addr);
+            self.tracked(addr, now)
+        } else {
+            self.peers.get_mut(&addr)
+        };
+        if let Some(peer) = peer {
+            if run.answered {
+                (peer.quarantined_until, peer.streak) = (None, 0);
+            }
+            if escalate {
+                peer.streak = peer.streak.saturating_add(1);
+                peer.quarantined_until = Some(now + quarantine_window(base, peer.streak));
+            }
+            peer.probing &= !run.reprobe;
+            if peer.is_clear() {
+                self.peers.remove(&addr);
+            }
         }
-        peer.probing &= !run.reprobe;
         self.stats.absorb(&run.tally);
+    }
+
+    /// `addr`'s entry, made if need be. Past [`PEERS_CAP`] it takes the
+    /// place of the remote whose window ended longest ago, among those with
+    /// no live window and no held slot; with none, `addr` goes untracked.
+    fn tracked(&mut self, addr: SocketAddr, now: Instant) -> Option<&mut Peer> {
+        if !self.peers.contains_key(&addr) && self.peers.len() >= PEERS_CAP {
+            let evictable = self
+                .peers
+                .iter()
+                .filter(|(_, p)| !p.quarantined(now) && !p.probing);
+            let (&spare, _) = evictable.min_by_key(|(_, p)| p.quarantined_until)?;
+            self.peers.remove(&spare);
+        }
+        Some(self.peers.entry(addr).or_default())
     }
 
     /// Parks `conn` as warm for `addr`, or drops it if the per-peer cap or
     /// [`MAX_IDLE_TOTAL`] is full.
     fn park(&mut self, addr: SocketAddr, conn: C) {
         let total = self.idle_total();
-        let idle = self.idle.entry(addr).or_default();
-        if idle.len() < self.max_idle_per_peer && total < MAX_IDLE_TOTAL {
-            idle.push(conn);
+        let parked = self.idle.get(&addr).map_or(0, Vec::len);
+        if parked < self.max_idle_per_peer && total < MAX_IDLE_TOTAL {
+            self.idle.entry(addr).or_default().push(conn);
         }
     }
 
@@ -367,6 +415,9 @@ impl<C> PoolState<C> {
     fn clear_quarantine(&mut self, addr: SocketAddr) {
         if let Some(peer) = self.peers.get_mut(&addr) {
             (peer.quarantined_until, peer.streak) = (None, 0);
+            if peer.is_clear() {
+                self.peers.remove(&addr);
+            }
         }
     }
 
@@ -510,7 +561,6 @@ impl ConnectionPool {
     ///
     /// The frames are written before any reply is read, so a run must fit
     /// the socket buffers: callers pipeline short requests, never bodies.
-    /// `on_reply` may itself use the pool (on another connection).
     pub fn request_run(
         &self,
         addr: SocketAddr,
@@ -1014,7 +1064,10 @@ mod tests {
             };
             assert_eq!(got, (0..4).map(Ok).collect::<Vec<_>>());
             assert_eq!(pool.quarantine_streak(addr), 0, "success clears the streak");
-            assert!(!pool.peers.lock().peers[&addr].probing, "slot released");
+            assert!(
+                !pool.peers.lock().peers.contains_key(&addr),
+                "slot released"
+            );
             pool.stats()
         };
         assert_eq!(reprobe(true), reprobe(false));
@@ -1081,6 +1134,43 @@ mod tests {
             .admit(addr(100), RequestOptions::origin(), 1, t0())
             .expect("admitted");
         assert!(conn.is_none());
+    }
+
+    /// Hint locations pick the remotes, so the pool's maps are bounded:
+    /// 100,000 distinct addresses, each admitted under a probe or origin
+    /// policy, its token parked, and its run answered or failed, leave at
+    /// most [`PEERS_CAP`] tracked remotes and [`MAX_IDLE_TOTAL`] idle
+    /// entries. The first half arrives at one instant, so every tracked
+    /// window is live once the cap is reached and the next failing remote
+    /// goes untracked; in the second half time moves on, and expired
+    /// windows make room.
+    #[test]
+    fn peer_and_idle_maps_are_bounded_at_their_caps() {
+        let (mut state, t0) = (state(), t0());
+        let policies = [RequestOptions::peer_probe(), RequestOptions::origin()];
+        for i in 0..100_000u32 {
+            let [_, a, b, c] = i.to_be_bytes();
+            let addr = SocketAddr::from(([10, a, b, c], 7000));
+            let later = i
+                .checked_sub(50_000)
+                .map(|ms| BASE + Duration::from_millis(ms.into()));
+            let t = t0 + later.unwrap_or_default();
+            let policy = policies[i as usize % 2];
+            let (conn, run) = state.admit(addr, policy, 1, t).expect("admitted");
+            state.park(addr, conn.unwrap_or(i));
+            let run = if i % 3 == 0 { lost(run) } else { answered(run) };
+            state.settle(addr, policy, &run, t);
+            assert!(state.peers.len() <= PEERS_CAP, "{i}");
+            assert!(state.idle.len() <= MAX_IDLE_TOTAL, "{i}");
+            let quarantined = i % 6 == 0;
+            if quarantined && i < 50_000 && i >= 6 * PEERS_CAP as u32 {
+                assert!(!state.quarantined(addr, t), "{i}: untracked past the cap");
+            } else if quarantined {
+                assert!(state.quarantined(addr, t), "{i}: room was made");
+            }
+        }
+        assert_eq!(state.peers.len(), PEERS_CAP);
+        assert!(state.peers.values().all(|p| p.streak == 1));
     }
 
     #[test]
@@ -1153,7 +1243,10 @@ mod tests {
         assert!(reprobe.reprobe);
         state.settle(addr(0), probe, &answered(reprobe), t1);
         assert!(!state.quarantined(addr(0), t1));
-        assert_eq!(state.peers[&addr(0)].streak, 0, "success resets the streak");
+        assert!(
+            !state.peers.contains_key(&addr(0)),
+            "success forgets the peer"
+        );
         // No slot left behind: probes at the same instant all go.
         for _ in 0..2 {
             let (_, open) = state.admit(addr(0), probe, 1, t1).expect("open");
@@ -1208,7 +1301,7 @@ mod tests {
         // Forgiveness (liveness recovery) resets everything at once.
         state.clear_quarantine(addr(0));
         assert!(!state.quarantined(addr(0), t0));
-        assert_eq!(state.peers[&addr(0)].streak, 0);
+        assert!(!state.peers.contains_key(&addr(0)));
     }
 
     /// Once a window has expired exactly one run at a time may re-probe:
@@ -1474,6 +1567,12 @@ mod tests {
                 assert!(state.idle.values().all(|idle| idle.len() <= per_peer));
                 assert!(state.idle_total() <= MAX_IDLE_TOTAL, "seed {seed}");
                 assert!(state.blocked.len() <= BLOCKED_CAP);
+                assert!(state.peers.len() <= PEERS_CAP && state.idle.len() <= MAX_IDLE_TOTAL);
+                assert!(
+                    state.idle.values().all(|idle| !idle.is_empty()),
+                    "seed {seed}"
+                );
+                assert!(state.peers.values().all(|p| !p.is_clear()), "seed {seed}");
                 assert!(
                     dead_probes <= dead_windows,
                     "seed {seed}: {dead_probes} probes through {dead_windows} windows"

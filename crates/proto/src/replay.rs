@@ -3,10 +3,10 @@
 //! The simulator evaluates strategies analytically; this module closes the
 //! loop by driving the *same* synthetic workloads (or parsed logs) through
 //! real [`crate::node::CacheNode`] daemons over TCP, the way the paper's
-//! prototype was exercised by live traffic. Time is compressed: the trace's
-//! inter-arrival gaps are divided by a speedup factor (or ignored for
-//! maximum-throughput replay), and requests are issued from one connection
-//! per L1 node, mirroring a proxy's request funnel.
+//! prototype was exercised by live traffic. The trace's inter-arrival gaps
+//! are ignored — replay runs flat out, closed-loop — and each client thread
+//! issues its requests over one connection per L1 node, mirroring a
+//! proxy's request funnel.
 
 use crate::client::{Connection, Source};
 use crate::wire::MachineId;
@@ -23,8 +23,6 @@ pub struct ReplayConfig {
     /// Map of L1 group → cache-node address. Clients of group *g* send to
     /// `nodes[g % nodes.len()]`.
     pub nodes: Vec<SocketAddr>,
-    /// Virtual-to-wall-clock speedup; `None` replays as fast as possible.
-    pub speedup: Option<f64>,
     /// Clients per L1 group (for the client→group mapping).
     pub clients_per_l1: u32,
     /// Whether client IDs encode their group modularly (Prodigy-style
@@ -42,7 +40,6 @@ impl ReplayConfig {
     pub fn flat_out(nodes: Vec<SocketAddr>) -> Self {
         ReplayConfig {
             nodes,
-            speedup: None,
             clients_per_l1: 256,
             dynamic_client_ids: false,
             origin: None,
@@ -195,74 +192,21 @@ fn count_outcome(report: &mut ReplayReport, source: Source, body: &Bytes) {
     }
 }
 
-/// Replays `records` against the cluster in `config`, in trace order.
-///
-/// Uncachable/error records are skipped (they never reach caches in the
-/// simulator either). One persistent connection per node is used; requests
-/// are serialized in trace order, which is what a single-threaded
-/// trace-replay harness of the era did.
-///
-/// # Errors
-///
-/// Fails on connection errors to the cache nodes themselves; per-request
-/// upstream failures are counted in [`ReplayReport::errors`] instead.
-pub fn replay(
-    config: &ReplayConfig,
-    records: impl IntoIterator<Item = TraceRecord>,
-) -> io::Result<ReplayReport> {
-    assert!(
-        !config.nodes.is_empty(),
-        "replay needs at least one cache node"
-    );
-    let mut conns: BTreeMap<SocketAddr, Connection> = BTreeMap::new();
-    let mut report = ReplayReport::default();
-    let mut last_time: Option<bh_simcore::SimTime> = None;
-
-    for r in records {
-        if !r.is_cacheable() {
-            continue;
-        }
-        if let (Some(speedup), Some(prev)) = (config.speedup, last_time) {
-            let gap = r.time.saturating_since(prev).as_secs_f64() / speedup;
-            if gap > 0.0 {
-                std::thread::sleep(std::time::Duration::from_secs_f64(gap.min(1.0)));
-            }
-        }
-        last_time = Some(r.time);
-
-        let addr = config.node_for(r.client);
-        let url = r.object.synthetic_url();
-        let conn = match conns.entry(addr) {
-            std::collections::btree_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::btree_map::Entry::Vacant(e) => e.insert(Connection::open(addr)?),
-        };
-        report.requests += 1;
-        let mut outcome = conn.fetch(&url);
-        if matches!(outcome, Ok((Source::Redirected, _))) {
-            report.redirects += 1;
-            outcome = follow_redirect(config, &mut conns, &url);
-        }
-        match outcome {
-            Ok((source, body)) => count_outcome(&mut report, source, &body),
-            Err(_) => report.errors += 1,
-        }
-    }
-    Ok(report)
-}
-
 /// Replays `records` from `concurrency` closed-loop client threads.
 ///
 /// The trace is partitioned by client ID (`client % concurrency`), so each
 /// trace client's requests stay in order on one thread while different
-/// clients proceed in parallel — the multi-user load a proxy actually sees.
-/// Each thread keeps one persistent connection per target node, issues its
-/// next request as soon as the previous reply lands (closed loop), and
-/// accumulates its own counters and latency samples; the harness merges
-/// them when every thread has drained its share.
+/// clients proceed in parallel — the multi-user load a proxy actually sees;
+/// one thread replays the whole trace in order. Each thread keeps one
+/// persistent connection per target node, issues its next request as soon
+/// as the previous reply lands (closed loop), and accumulates its own
+/// counters and latency samples; the harness merges them when every thread
+/// has drained its share.
 ///
-/// Inter-arrival gaps are ignored (`speedup` does not apply): concurrent
-/// replay is a load generator, not a timing-faithful reenactment.
-/// Per-request upstream failures — including a cache node dying mid-run —
+/// Inter-arrival gaps are ignored: replay is a load generator, not a
+/// timing-faithful reenactment. Uncachable records are skipped (they never
+/// reach caches in the simulator either). Per-request upstream failures —
+/// an unreachable node or one dying mid-run included —
 /// are counted in [`ReplayReport::errors`], never panicking the harness; a
 /// thread that loses its connection reconnects for the next request.
 ///
@@ -282,10 +226,10 @@ pub fn replay_concurrent(
     let concurrency = concurrency.max(1);
     let started = std::time::Instant::now();
 
-    let merged = crossbeam::thread::scope(|scope| {
+    let merged = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..concurrency)
             .map(|worker| {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut conns: BTreeMap<SocketAddr, Connection> = BTreeMap::new();
                     let mut report = ReplayReport::default();
                     let mut latency = LatencyStats::new();
@@ -322,15 +266,15 @@ pub fn replay_concurrent(
             .collect();
         let mut merged = ConcurrentReplayReport::default();
         for handle in handles {
-            let (report, latency) = handle.join().expect("replay worker panicked");
+            let joined = handle.join();
+            let (report, latency) =
+                joined.map_err(|_| io::Error::other("replay worker panicked"))?;
             merged.report.merge(&report);
             merged.latency.merge(&latency);
         }
-        merged
-    })
-    .map_err(|_| io::Error::other("replay worker panicked"))?;
-
-    let mut merged = merged;
+        Ok::<_, io::Error>(merged)
+    });
+    let mut merged = merged?;
     merged.wall_seconds = started.elapsed().as_secs_f64();
     Ok(merged)
 }
@@ -362,7 +306,9 @@ mod tests {
         let cacheable = records.iter().filter(|r| r.is_cacheable()).count() as u64;
 
         let config = ReplayConfig::flat_out(nodes.iter().map(|n| n.addr()).collect());
-        let report = replay(&config, records).expect("replay");
+        let report = replay_concurrent(&config, &records, 1)
+            .expect("replay")
+            .report;
 
         assert_eq!(report.requests, cacheable);
         assert_eq!(
@@ -422,7 +368,9 @@ mod tests {
         let cacheable = records.iter().filter(|r| r.is_cacheable()).count() as u64;
 
         let config = ReplayConfig::flat_out(vec![node.addr()]).with_origin(origin.addr());
-        let report = replay(&config, records).expect("replay");
+        let report = replay_concurrent(&config, &records, 1)
+            .expect("replay")
+            .report;
 
         assert_eq!(report.requests, cacheable);
         assert_eq!(report.errors, 0, "redirects must not surface as errors");
@@ -452,7 +400,9 @@ mod tests {
         let records: Vec<TraceRecord> = TraceGenerator::new(&spec, 32).collect();
         let config = ReplayConfig::flat_out(nodes.iter().map(|n| n.addr()).collect());
         // Give the randomized flusher time to move hints while we replay.
-        let report = replay(&config, records).expect("replay");
+        let report = replay_concurrent(&config, &records, 1)
+            .expect("replay")
+            .report;
         assert!(
             report.peer_hits > 0,
             "cross-group reuse should produce direct peer transfers: {report:?}"
