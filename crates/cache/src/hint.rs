@@ -26,6 +26,8 @@
 
 use bh_simcore::ByteSize;
 use std::collections::HashMap;
+use std::iter;
+use std::ops::Range;
 
 /// Size of one hint record on disk/in memory: 8-byte key + 8-byte location.
 pub const HINT_RECORD_BYTES: u64 = 16;
@@ -81,6 +83,7 @@ fn set_lookup(set: &mut [HintRecord], key: u64) -> Option<u64> {
     Some(record[LOCATION])
 }
 
+#[inline(always)]
 fn set_insert(set: &mut [HintRecord], key: u64, location: u64) -> Placed {
     // The key's own slot, else the first empty one, else the LRU's. Live
     // records precede empty slots, so the key cannot follow an empty one.
@@ -99,12 +102,39 @@ fn set_insert(set: &mut [HintRecord], key: u64, location: u64) -> Placed {
     placed
 }
 
+#[inline(always)]
 fn set_remove(set: &mut [HintRecord], key: u64) -> Option<u64> {
     let pos = set_find(set, key)?;
     let location = set[pos][LOCATION];
     set.copy_within(pos + 1.., pos);
     set[set.len() - 1] = EMPTY;
     Some(location)
+}
+
+/// Writes one holder change into `span`, the records of consecutive nodes
+/// in one row, `ways` per node: the n-th node stores the n-th of `hints`
+/// for `key`, or drops its record for `key` where that hint is `None`.
+///
+/// `set_insert` and `set_remove` are inlined here: called out of line, a
+/// 64-node broadcast took 420 ns instead of 295 ns.
+#[inline(always)]
+fn span_write(
+    span: &mut [HintRecord],
+    ways: usize,
+    counters: &mut [Counters],
+    key: u64,
+    hints: impl Iterator<Item = Option<u64>>,
+) {
+    for ((set, counters), hint) in span.chunks_exact_mut(ways).zip(counters).zip(hints) {
+        match hint {
+            Some(location) => counters.placed(set_insert(set, key, location)),
+            None => {
+                if set_remove(set, key).is_some() {
+                    counters.len -= 1;
+                }
+            }
+        }
+    }
 }
 
 /// Drops every record naming `location`, keeping the survivors' LRU order.
@@ -179,11 +209,8 @@ impl Rows {
         Some(self.position(row))
     }
 
-    /// [`Rows::locate`], giving `set` the next free row if it has none.
-    fn locate_or_allocate(&mut self, set: usize) -> (usize, usize) {
-        if let Some(at) = self.locate(set) {
-            return at;
-        }
+    /// Gives `set`, which has no row, the next free one.
+    fn allocate(&mut self, set: usize) -> (usize, usize) {
         let row = self.rows;
         if row >> self.chunk_rows_log2 == self.chunks.len() {
             let records = (self.nodes * self.ways) << self.chunk_rows_log2;
@@ -194,8 +221,10 @@ impl Rows {
         self.position(row)
     }
 
-    fn slot_mut(&mut self, (chunk, row): (usize, usize), node: usize) -> &mut [HintRecord] {
-        &mut self.chunks[chunk][row + node * self.ways..][..self.ways]
+    /// The records `nodes` keep in the row at `(chunk, row)`: `ways` per
+    /// node, in node order.
+    fn span_mut(&mut self, (chunk, row): (usize, usize), nodes: Range<usize>) -> &mut [HintRecord] {
+        &mut self.chunks[chunk][row + nodes.start * self.ways..row + nodes.end * self.ways]
     }
 
     /// The records `node` keeps for `set`; `None` if the set has no row.
@@ -205,7 +234,7 @@ impl Rows {
     }
 
     fn get_mut(&mut self, set: usize, node: usize) -> Option<&mut [HintRecord]> {
-        self.locate(set).map(|at| self.slot_mut(at, node))
+        self.locate(set).map(|at| self.span_mut(at, node..node + 1))
     }
 }
 
@@ -396,34 +425,38 @@ impl HintBank {
         self.broadcast_to(0..self.nodes(), key, hint);
     }
 
+    /// [`HintBank::broadcast`] to `nodes` only: the row is located once and
+    /// the nodes' slices of it are walked in one pass.
     fn broadcast_to(
         &mut self,
-        nodes: std::ops::Range<usize>,
+        nodes: Range<usize>,
         key: u64,
         mut hint: impl FnMut(usize) -> Option<u64>,
     ) {
         assert_ne!(key, 0, "hint key 0 is reserved");
         match &mut self.store {
             Store::SetAssoc(rows) => {
-                let set = rows.set_of(key);
-                // A set without a row holds no hint for anyone: only the
-                // first insert gives it one.
-                let mut at = rows.locate(set);
-                for node in nodes {
-                    let counters = &mut self.counters[node];
-                    match (hint(node), at) {
-                        (Some(location), _) => {
-                            let at = *at.get_or_insert_with(|| rows.locate_or_allocate(set));
-                            counters.placed(set_insert(rows.slot_mut(at, node), key, location));
+                let (set, ways, end) = (rows.set_of(key), rows.ways, nodes.end);
+                let Some(at) = rows.locate(set) else {
+                    // A set without a row holds no hint for anyone: the
+                    // removals before the first insert are no-ops, and only
+                    // that insert gives the set a row.
+                    for node in nodes {
+                        if let Some(location) = hint(node) {
+                            let at = rows.allocate(set);
+                            let hints = iter::once(Some(location)).chain((node + 1..end).map(hint));
+                            let counters = &mut self.counters[node..end];
+                            span_write(rows.span_mut(at, node..end), ways, counters, key, hints);
+                            return;
                         }
-                        (None, Some(at)) => {
-                            if set_remove(rows.slot_mut(at, node), key).is_some() {
-                                counters.len -= 1;
-                            }
-                        }
-                        (None, None) => {}
                     }
-                }
+                    return;
+                };
+                // `nodes` reaches this walk untouched, so the one-node walk
+                // of `insert` compiles to straight-line code.
+                let counters = &mut self.counters[nodes.clone()];
+                let span = rows.span_mut(at, nodes.clone());
+                span_write(span, ways, counters, key, nodes.map(hint));
             }
             Store::Unbounded(maps) => {
                 for node in nodes {
@@ -721,6 +754,94 @@ mod tests {
         assert_eq!(h.len(), 4);
         for k in [1u64, 2, 3, 9] {
             assert_eq!(h.peek(k), Some(k), "key {k} must survive");
+        }
+    }
+
+    /// Rows the bank has handed out.
+    fn rows_in_use(bank: &HintBank) -> usize {
+        match &bank.store {
+            Store::SetAssoc(rows) => rows.rows,
+            Store::Unbounded(_) => 0,
+        }
+    }
+
+    /// Every counter of every node: `(len, hits, misses, displacements)`.
+    fn counters(bank: &HintBank) -> Vec<(usize, u64, u64, u64)> {
+        (0..bank.nodes())
+            .map(|n| {
+                let c = bank.counters[n];
+                (c.len, c.hits, c.misses, c.displacements)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn removals_sent_to_a_set_without_a_row_allocate_nothing() {
+        // 64 nodes × 64 sets × 4 ways.
+        let mut bank = HintBank::new(64, ByteSize::from_kb(4));
+        for node in 0..64 {
+            assert_eq!(bank.lookup(node, 7), None);
+        }
+        let before = counters(&bank);
+        bank.broadcast(7, |_| None);
+        assert_eq!(bank.allocated_bytes(), 0);
+        assert_eq!(rows_in_use(&bank), 0);
+        assert_eq!(counters(&bank), before);
+
+        // The same once another set has a row.
+        bank.insert(5, 65, 1);
+        let (before, allocated) = (counters(&bank), bank.allocated_bytes());
+        bank.broadcast(7, |_| None);
+        assert_eq!(rows_in_use(&bank), 1);
+        assert_eq!(bank.allocated_bytes(), allocated);
+        assert_eq!(counters(&bank), before);
+    }
+
+    #[test]
+    fn leading_removals_then_an_insert_allocate_exactly_one_row() {
+        let mut bank = HintBank::new(64, ByteSize::from_kb(4));
+        for node in 0..64 {
+            bank.insert(node, 65, 1); // set 1: one record per node
+        }
+        assert_eq!(rows_in_use(&bank), 1);
+        // Set 3: nodes 0–39 drop a hint they never had, 40–63 store one.
+        bank.broadcast(3, |node| (node >= 40).then_some(node as u64));
+        assert_eq!(rows_in_use(&bank), 2);
+        for node in 0..64 {
+            let stored = (node >= 40).then_some(node as u64);
+            assert_eq!(
+                bank.len(node),
+                1 + usize::from(stored.is_some()),
+                "node {node}"
+            );
+            assert_eq!(bank.peek(node, 3), stored, "node {node}");
+            assert_eq!(bank.peek(node, 65), Some(1), "node {node}");
+        }
+    }
+
+    #[test]
+    fn an_insert_changes_only_its_own_nodes_entries() {
+        // 64 nodes × 1,024 sets × 4 ways; keys 1..=200 give sets 1–200 a row.
+        let mut bank = HintBank::new(64, ByteSize::from_kb(64));
+        for key in 1..=200u64 {
+            bank.broadcast(key, |node| {
+                (!(key + node as u64).is_multiple_of(3)).then_some(node as u64 ^ key)
+            });
+        }
+        // A key with a record at some nodes, a new key in a set with a row,
+        // and a key whose set has no row yet.
+        for key in [5u64, 5 + 3 * 1024, 904] {
+            for n in [0, 1, 31, 62, 63] {
+                let before: Vec<_> = (0..64).map(|m| bank.entries(m)).collect();
+                bank.insert(n, key, 99);
+                for (m, entries) in before.iter().enumerate() {
+                    if m != n {
+                        assert_eq!(&bank.entries(m), entries, "node {m} after insert at {n}");
+                    }
+                }
+                assert_eq!(bank.peek(n, key), Some(99));
+                assert!(bank.entries(n).contains(&(key, 99)));
+            }
         }
     }
 

@@ -7,7 +7,9 @@
 //!   replacement-policy ablations)
 //!   (strong consistency by invalidation, §2.2.1) and an explicit
 //!   *demote* operation used by the update-push algorithm's aging rule
-//!   (§4.1.2);
+//!   (§4.1.2); its key map hashes with the keyed [`Keyed`] by default and
+//!   with the pass-through [`PreMixed`] where keys are already mixed
+//!   ([`hash`]);
 //! * [`HintCache`] — the paper's hint store (§3.2.1): small, **fixed-size
 //!   16-byte records** (8-byte URL-hash key + 8-byte machine identifier) in
 //!   a **4-way set-associative array**, sized in bytes, plus an unbounded
@@ -39,12 +41,14 @@
 
 pub mod classify;
 pub mod gds;
+pub mod hash;
 pub mod hint;
 pub mod lru;
 pub mod random;
 
 pub use classify::{AccessOutcome, ClassRates, ClassifyingCache, MissClass};
 pub use gds::GdsCache;
+pub use hash::{Keyed, PreMixed};
 pub use hint::{HintBank, HintCache, HintRecord, HINT_RECORD_BYTES};
 pub use lru::{Evicted, LruCache};
 pub use random::RandomCache;

@@ -27,7 +27,7 @@
 use super::{RequestCtx, Strategy};
 use crate::outcome::AccessPath;
 use crate::topology::{NodeIdx, Topology};
-use bh_cache::LruCache;
+use bh_cache::{LruCache, PreMixed};
 use bh_simcore::ByteSize;
 use bh_trace::ClientId;
 use std::collections::{HashMap, HashSet};
@@ -66,8 +66,8 @@ struct ObjState {
 pub struct ClientHints {
     topo: Topology,
     config: ClientHintConfig,
-    caches: Vec<LruCache>,
-    objs: HashMap<u64, ObjState>,
+    caches: Vec<LruCache<PreMixed>>,
+    objs: HashMap<u64, ObjState, PreMixed>,
     /// Hashes of (client, object) pairs the client has fetched before —
     /// those are always in the client's own hint cache.
     history: HashSet<u64>,
@@ -87,9 +87,9 @@ impl ClientHints {
         );
         ClientHints {
             caches: (0..topo.l1_count())
-                .map(|_| LruCache::new(config.data_capacity))
+                .map(|_| LruCache::with_hasher(config.data_capacity, PreMixed::default()))
                 .collect(),
-            objs: HashMap::new(),
+            objs: HashMap::default(),
             history: HashSet::new(),
             false_negatives: 0,
             topo,

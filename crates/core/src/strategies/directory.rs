@@ -11,7 +11,7 @@ use super::{RequestCtx, Strategy};
 use crate::metrics::Metrics;
 use crate::outcome::AccessPath;
 use crate::topology::{NodeIdx, Topology};
-use bh_cache::LruCache;
+use bh_cache::{LruCache, PreMixed};
 use bh_simcore::ByteSize;
 use std::collections::HashMap;
 
@@ -25,8 +25,8 @@ struct DirEntry {
 #[derive(Debug)]
 pub struct CentralDirectory {
     topo: Topology,
-    caches: Vec<LruCache>,
-    directory: HashMap<u64, DirEntry>,
+    caches: Vec<LruCache<PreMixed>>,
+    directory: HashMap<u64, DirEntry, PreMixed>,
     updates: u64,
 }
 
@@ -35,9 +35,9 @@ impl CentralDirectory {
     pub fn new(topo: Topology, node_capacity: ByteSize) -> Self {
         CentralDirectory {
             caches: (0..topo.l1_count())
-                .map(|_| LruCache::new(node_capacity))
+                .map(|_| LruCache::with_hasher(node_capacity, PreMixed::default()))
                 .collect(),
-            directory: HashMap::new(),
+            directory: HashMap::default(),
             updates: 0,
             topo,
         }

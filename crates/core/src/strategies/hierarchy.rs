@@ -10,7 +10,7 @@
 use super::{RequestCtx, Strategy};
 use crate::outcome::AccessPath;
 use crate::topology::Topology;
-use bh_cache::LruCache;
+use bh_cache::{LruCache, PreMixed};
 use bh_netmodel::Level;
 use bh_simcore::ByteSize;
 
@@ -18,9 +18,9 @@ use bh_simcore::ByteSize;
 #[derive(Debug)]
 pub struct DataHierarchy {
     topo: Topology,
-    l1: Vec<LruCache>,
-    l2: Vec<LruCache>,
-    l3: LruCache,
+    l1: Vec<LruCache<PreMixed>>,
+    l2: Vec<LruCache<PreMixed>>,
+    l3: LruCache<PreMixed>,
 }
 
 impl DataHierarchy {
@@ -29,23 +29,23 @@ impl DataHierarchy {
     pub fn new(topo: Topology, node_capacity: ByteSize) -> Self {
         DataHierarchy {
             l1: (0..topo.l1_count())
-                .map(|_| LruCache::new(node_capacity))
+                .map(|_| LruCache::with_hasher(node_capacity, PreMixed::default()))
                 .collect(),
             l2: (0..topo.l2_count())
-                .map(|_| LruCache::new(node_capacity))
+                .map(|_| LruCache::with_hasher(node_capacity, PreMixed::default()))
                 .collect(),
-            l3: LruCache::new(node_capacity),
+            l3: LruCache::with_hasher(node_capacity, PreMixed::default()),
             topo,
         }
     }
 
     /// Read access to an L1 cache (for tests and inspection).
-    pub fn l1_cache(&self, idx: usize) -> &LruCache {
+    pub fn l1_cache(&self, idx: usize) -> &LruCache<PreMixed> {
         &self.l1[idx]
     }
 
     /// Read access to the root cache.
-    pub fn l3_cache(&self) -> &LruCache {
+    pub fn l3_cache(&self) -> &LruCache<PreMixed> {
         &self.l3
     }
 }

@@ -31,7 +31,7 @@ use crate::metrics::Metrics;
 use crate::outcome::AccessPath;
 use crate::push::{PushFraction, PushPolicy};
 use crate::topology::{NodeIdx, Topology};
-use bh_cache::{HintBank, LruCache};
+use bh_cache::{HintBank, LruCache, PreMixed};
 use bh_netmodel::RemoteDistance;
 use bh_simcore::rng::Xoshiro256;
 use bh_simcore::{ByteSize, EventQueue, SimDuration, SimTime};
@@ -93,10 +93,10 @@ enum HintStores {
 pub struct HintHierarchy {
     topo: Topology,
     config: HintConfig,
-    caches: Vec<LruCache>,
+    caches: Vec<LruCache<PreMixed>>,
     /// Index into `objs` of every object seen. A request hashes its key
     /// here once and reaches the state by index from then on.
-    slots: HashMap<u64, usize>,
+    slots: HashMap<u64, usize, PreMixed>,
     objs: Vec<ObjState>,
     hints: HintStores,
     /// Scratch for [`Topology::nearest_holders`], reused across broadcasts.
@@ -130,9 +130,9 @@ impl HintHierarchy {
         };
         HintHierarchy {
             caches: (0..topo.l1_count())
-                .map(|_| LruCache::new(config.data_capacity))
+                .map(|_| LruCache::with_hasher(config.data_capacity, PreMixed::default()))
                 .collect(),
-            slots: HashMap::new(),
+            slots: HashMap::default(),
             objs: Vec::new(),
             hints,
             nearest: Vec::new(),
@@ -163,7 +163,7 @@ impl HintHierarchy {
     }
 
     /// Read access to an L1 data cache.
-    pub fn l1_cache(&self, idx: usize) -> &LruCache {
+    pub fn l1_cache(&self, idx: usize) -> &LruCache<PreMixed> {
         &self.caches[idx]
     }
 

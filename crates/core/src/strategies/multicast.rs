@@ -14,7 +14,7 @@
 use super::{RequestCtx, Strategy};
 use crate::outcome::AccessPath;
 use crate::topology::{NodeIdx, Topology};
-use bh_cache::LruCache;
+use bh_cache::{LruCache, PreMixed};
 use bh_netmodel::RemoteDistance;
 use bh_simcore::ByteSize;
 
@@ -23,7 +23,7 @@ use bh_simcore::ByteSize;
 #[derive(Debug)]
 pub struct IcpMulticast {
     topo: Topology,
-    caches: Vec<LruCache>,
+    caches: Vec<LruCache<PreMixed>>,
     /// Queries sent (one per polled sibling) — the overhead Table 5's
     /// hint-update counts compare against.
     queries_sent: u64,
@@ -34,7 +34,7 @@ impl IcpMulticast {
     pub fn new(topo: Topology, node_capacity: ByteSize) -> Self {
         IcpMulticast {
             caches: (0..topo.l1_count())
-                .map(|_| LruCache::new(node_capacity))
+                .map(|_| LruCache::with_hasher(node_capacity, PreMixed::default()))
                 .collect(),
             queries_sent: 0,
             topo,
