@@ -58,7 +58,8 @@ fn bench(c: &mut Criterion) {
     // One holder change delivered to all 64 nodes of the simulated system
     // (one row of the bank), at the per-node geometry of the benchmark's
     // scaled cells (1 MB) and of a large store whose rows no longer share
-    // cache lines or pages (100 MB). Keys are resident on every node first.
+    // cache lines or pages (100 MB). Objects are resident on every node
+    // first; object `i` has slot `i + 1`.
     for (label, capacity) in [
         ("1MB", ByteSize::from_mb(1)),
         ("100MB", ByteSize::from_mb(100)),
@@ -67,25 +68,25 @@ fn bench(c: &mut Criterion) {
             .map(|k| k.wrapping_mul(0x9E3779B97F4A7C15) | 1)
             .collect();
         let mut bank = HintBank::new(64, capacity);
-        for &k in &resident {
-            bank.broadcast(k, |node| Some(node as u64));
+        for (i, &k) in resident.iter().enumerate() {
+            bank.broadcast_insert(k, i as u32 + 1);
         }
         let mut i = 0usize;
-        // The common event: the holder set changed and every node's nearest
-        // holder is rewritten in place.
+        // The common event: the holder set changed and every node's hint
+        // moves to the front of its set.
         group.bench_function(format!("broadcast_insert_64n_{label}"), |b| {
             b.iter(|| {
                 i = (i + 1) % resident.len();
-                bank.broadcast(black_box(resident[i]), |node| Some((node + i) as u64 % 64));
+                bank.broadcast_insert(black_box(resident[i]), i as u32 + 1);
             });
         });
         // Last copy gone, then a first copy again: one remove event and
-        // the insert into the emptied slots that restores the key.
+        // the insert into the emptied ways that restores the object.
         group.bench_function(format!("broadcast_remove_reinsert_64n_{label}"), |b| {
             b.iter(|| {
                 i = (i + 1) % resident.len();
-                bank.broadcast(black_box(resident[i]), |_| None);
-                bank.broadcast(black_box(resident[i]), |node| Some(node as u64));
+                bank.broadcast_remove(black_box(resident[i]), i as u32 + 1);
+                bank.broadcast_insert(black_box(resident[i]), i as u32 + 1);
             });
         });
     }

@@ -9,25 +9,30 @@
 //! average 10 KB object, so a cache that dedicates 10% of its space to
 //! hints can index ~two orders of magnitude more data than it stores.
 //!
-//! [`HintBank`] is that array for any number of nodes that share one
-//! geometry, laid out `[set][node][way]`: the `ways` records one node keeps
-//! for one set are adjacent (64 bytes at 4 ways), and the slices every node
-//! keeps for the same set are adjacent too — one *row* of `nodes × ways`
-//! records. A holder change that the metadata hierarchy delivers to every
-//! node ([`HintBank::broadcast`]) is therefore one pass over one contiguous
-//! row instead of one probe into each of `nodes` separate tables. Rows
-//! live in fixed-size chunks and a row is allocated when its set is first
-//! written; a set never written has no row and reads as a miss, so memory
-//! follows the sets in use, not `nodes × capacity`.
+//! [`HintCache`] is that array as a live cache node keeps it: 16-byte
+//! `[key, location]` records with within-set LRU.
 //!
-//! [`HintCache`] is the one-node bank: the bounded, set-associative store
-//! with within-set LRU that a live cache node keeps. Both carry an
-//! unbounded variant for the "infinite hint cache" end of Figure 5.
+//! [`HintBank`] holds the stores of every node of a simulated system that
+//! share one geometry, and keeps only *which* objects each node holds: a
+//! 4-byte object slot per way, laid out `[set][node][way]`, so the slots
+//! all nodes keep for one set form one contiguous *row* of `nodes × ways`
+//! slots. The metadata hierarchy delivers every holder change to every
+//! node ([`HintBank::broadcast_insert`], [`HintBank::broadcast_remove`]),
+//! so a node that still holds an object holds the location its last
+//! delivered holder set gave it; the caller keeps that set once per object
+//! and resolves the location at lookup. Rows live in fixed-size chunks and
+//! a row is allocated when its set is first written; a set never written
+//! has no row and reads as a miss, so memory follows the sets in use, not
+//! `nodes × capacity`.
+//!
+//! One set kernel — find, move-to-front, insert-or-displace, remove over
+//! the `ways` entries of one set — serves both, generic over what a way
+//! holds. Both carry an unbounded variant for the "infinite hint cache"
+//! end of Figure 5.
 
 use bh_simcore::ByteSize;
-use std::collections::HashMap;
-use std::iter;
-use std::ops::Range;
+use std::collections::{HashMap, HashSet};
+use std::mem::size_of;
 
 /// Size of one hint record on disk/in memory: 8-byte key + 8-byte location.
 pub const HINT_RECORD_BYTES: u64 = 16;
@@ -44,97 +49,92 @@ pub type HintRecord = [u64; 2];
 
 const KEY: usize = 0;
 const LOCATION: usize = 1;
-const EMPTY: HintRecord = [0, 0];
+
+/// What one way of a set holds: a [`HintRecord`] in a [`HintCache`], an
+/// object slot in a [`HintBank`]. The kernel finds an entry by its id, and
+/// an id of 0 marks an empty way.
+trait Entry: Copy {
+    const EMPTY: Self;
+    fn id(self) -> u64;
+}
+
+impl Entry for HintRecord {
+    const EMPTY: Self = [0, 0];
+    fn id(self) -> u64 {
+        self[KEY]
+    }
+}
+
+impl Entry for u32 {
+    const EMPTY: Self = 0;
+    fn id(self) -> u64 {
+        u64::from(self)
+    }
+}
 
 /// What [`set_insert`] did to the set.
 enum Placed {
-    /// The key was present; its location was overwritten.
+    /// The entry was present; it was overwritten.
     Updated,
-    /// The key took an empty slot.
+    /// The entry took an empty way.
     Filled,
-    /// The set was full; its least recently used record made way.
+    /// The set was full; its least recently used entry made way.
     Displaced,
 }
 
-// The set kernel: every operation on the `ways` records one node keeps for
-// one set. Records are ordered most recently used first and live records
-// are packed at the front, so the last slot is both the LRU victim and the
+// The set kernel: every operation on the `ways` entries one node keeps for
+// one set. Entries are ordered most recently used first and live entries
+// are packed at the front, so the last way is both the LRU victim and the
 // first to fall empty.
 
-fn set_find(set: &[HintRecord], key: u64) -> Option<usize> {
-    set.iter().position(|r| r[KEY] == key)
+fn set_find<E: Entry>(set: &[E], id: u64) -> Option<usize> {
+    set.iter().position(|e| e.id() == id)
 }
 
-/// Puts `record` at the front, shifting `set[..pos]` back over slot `pos`.
-fn set_front(set: &mut [HintRecord], pos: usize, record: HintRecord) {
-    // At most `ways - 1` records move: a loop, not a `memmove` call.
+/// Puts `entry` at the front, shifting `set[..pos]` back over way `pos`.
+fn set_front<E: Entry>(set: &mut [E], pos: usize, entry: E) {
+    // At most `ways - 1` entries move: a loop, not a `memmove` call.
     for i in (0..pos).rev() {
         set[i + 1] = set[i];
     }
-    set[0] = record;
+    set[0] = entry;
 }
 
-fn set_lookup(set: &mut [HintRecord], key: u64) -> Option<u64> {
-    let pos = set_find(set, key)?;
-    let record = set[pos];
+fn set_lookup<E: Entry>(set: &mut [E], id: u64) -> Option<E> {
+    let pos = set_find(set, id)?;
+    let entry = set[pos];
     if pos > 0 {
-        set_front(set, pos, record);
+        set_front(set, pos, entry);
     }
-    Some(record[LOCATION])
+    Some(entry)
 }
 
 #[inline(always)]
-fn set_insert(set: &mut [HintRecord], key: u64, location: u64) -> Placed {
-    // The key's own slot, else the first empty one, else the LRU's. Live
-    // records precede empty slots, so the key cannot follow an empty one.
+fn set_insert<E: Entry>(set: &mut [E], entry: E) -> Placed {
+    // The entry's own way, else the first empty one, else the LRU's. Live
+    // entries precede empty ways, so the entry cannot follow an empty one.
     let (mut pos, mut placed) = (set.len() - 1, Placed::Displaced);
-    for (i, record) in set.iter().enumerate() {
-        if record[KEY] == key {
+    for (i, e) in set.iter().enumerate() {
+        if e.id() == entry.id() {
             (pos, placed) = (i, Placed::Updated);
             break;
         }
-        if record[KEY] == 0 {
+        if e.id() == 0 {
             (pos, placed) = (i, Placed::Filled);
             break;
         }
     }
-    set_front(set, pos, [key, location]);
+    set_front(set, pos, entry);
     placed
 }
 
 #[inline(always)]
-fn set_remove(set: &mut [HintRecord], key: u64) -> Option<u64> {
-    let pos = set_find(set, key)?;
-    let location = set[pos][LOCATION];
+fn set_remove<E: Entry>(set: &mut [E], id: u64) -> Option<E> {
+    let pos = set_find(set, id)?;
+    let entry = set[pos];
     set.copy_within(pos + 1.., pos);
-    set[set.len() - 1] = EMPTY;
-    Some(location)
-}
-
-/// Writes one holder change into `span`, the records of consecutive nodes
-/// in one row, `ways` per node: the n-th node stores the n-th of `hints`
-/// for `key`, or drops its record for `key` where that hint is `None`.
-///
-/// `set_insert` and `set_remove` are inlined here: called out of line, a
-/// 64-node broadcast took 420 ns instead of 295 ns.
-#[inline(always)]
-fn span_write(
-    span: &mut [HintRecord],
-    ways: usize,
-    counters: &mut [Counters],
-    key: u64,
-    hints: impl Iterator<Item = Option<u64>>,
-) {
-    for ((set, counters), hint) in span.chunks_exact_mut(ways).zip(counters).zip(hints) {
-        match hint {
-            Some(location) => counters.placed(set_insert(set, key, location)),
-            None => {
-                if set_remove(set, key).is_some() {
-                    counters.len -= 1;
-                }
-            }
-        }
-    }
+    set[set.len() - 1] = E::EMPTY;
+    Some(entry)
 }
 
 /// Drops every record naming `location`, keeping the survivors' LRU order.
@@ -148,18 +148,18 @@ fn set_purge(set: &mut [HintRecord], location: u64) -> usize {
         }
         live += 1;
     }
-    set[kept..live].fill(EMPTY);
+    set[kept..live].fill(HintRecord::EMPTY);
     live - kept
 }
 
-/// Record bytes per chunk of the row arena. Large enough that the
-/// allocator serves a chunk straight from fresh zero pages, small enough
-/// that the unused tail of the last chunk does not show in a run's peak.
+/// Bytes per chunk of the row arena. Large enough that the allocator
+/// serves a chunk straight from fresh zero pages, small enough that the
+/// unused tail of the last chunk does not show in a run's peak.
 const CHUNK_BYTES: usize = 1 << 20;
 
 /// The bounded array, `[set][node][way]`. See the [module docs](self).
 #[derive(Debug, Clone)]
-struct Rows {
+struct Rows<E> {
     sets: usize,
     ways: usize,
     nodes: usize,
@@ -168,19 +168,19 @@ struct Rows {
     /// The row arena: every chunk holds `1 << chunk_rows_log2` rows and is
     /// never moved or resized, so no allocation grows with
     /// `nodes × capacity` and none is ever copied.
-    chunks: Vec<Box<[HintRecord]>>,
+    chunks: Vec<Box<[E]>>,
     chunk_rows_log2: u32,
     /// Rows handed out so far.
     rows: usize,
 }
 
-impl Rows {
-    fn new(nodes: usize, sets: usize, ways: usize) -> Rows {
+impl<E: Entry> Rows<E> {
+    fn new(nodes: usize, sets: usize, ways: usize) -> Self {
         assert!(
             u32::try_from(sets).is_ok(),
             "hint store of {sets} sets exceeds the 32-bit row index"
         );
-        let row_bytes = nodes * ways * HINT_RECORD_BYTES as usize;
+        let row_bytes = nodes * ways * size_of::<E>();
         let chunk_rows = (CHUNK_BYTES / row_bytes).clamp(1, sets);
         Rows {
             sets,
@@ -197,10 +197,14 @@ impl Rows {
         (key % self.sets as u64) as usize
     }
 
+    fn row_len(&self) -> usize {
+        self.nodes * self.ways
+    }
+
     /// Chunk and offset within it of arena row `row`.
     fn position(&self, row: usize) -> (usize, usize) {
         let within = row & ((1 << self.chunk_rows_log2) - 1);
-        (row >> self.chunk_rows_log2, within * self.nodes * self.ways)
+        (row >> self.chunk_rows_log2, within * self.row_len())
     }
 
     /// Where the row of `set` lies, if it has one.
@@ -213,47 +217,88 @@ impl Rows {
     fn allocate(&mut self, set: usize) -> (usize, usize) {
         let row = self.rows;
         if row >> self.chunk_rows_log2 == self.chunks.len() {
-            let records = (self.nodes * self.ways) << self.chunk_rows_log2;
-            self.chunks.push(vec![EMPTY; records].into_boxed_slice());
+            let entries = self.row_len() << self.chunk_rows_log2;
+            self.chunks.push(vec![E::EMPTY; entries].into_boxed_slice());
         }
         self.rows += 1;
         self.row_of_set[set] = self.rows as u32;
         self.position(row)
     }
 
-    /// The records `nodes` keep in the row at `(chunk, row)`: `ways` per
-    /// node, in node order.
-    fn span_mut(&mut self, (chunk, row): (usize, usize), nodes: Range<usize>) -> &mut [HintRecord] {
-        &mut self.chunks[chunk][row + nodes.start * self.ways..row + nodes.end * self.ways]
+    /// The row at `(chunk, offset)`: `ways` entries per node, in node order.
+    fn row_at(&mut self, (chunk, at): (usize, usize)) -> &mut [E] {
+        let len = self.row_len();
+        &mut self.chunks[chunk][at..at + len]
     }
 
-    /// The records `node` keeps for `set`; `None` if the set has no row.
-    fn get(&self, set: usize, node: usize) -> Option<&[HintRecord]> {
-        let (chunk, row) = self.locate(set)?;
-        Some(&self.chunks[chunk][row + node * self.ways..][..self.ways])
+    /// The row of `set`, if it has one.
+    fn row_mut(&mut self, set: usize) -> Option<&mut [E]> {
+        let at = self.locate(set)?;
+        Some(self.row_at(at))
     }
 
-    fn get_mut(&mut self, set: usize, node: usize) -> Option<&mut [HintRecord]> {
-        self.locate(set).map(|at| self.span_mut(at, node..node + 1))
+    /// The row of `set`, which is given one if it has none.
+    fn row_or_allocate(&mut self, set: usize) -> &mut [E] {
+        let at = self.locate(set).unwrap_or_else(|| self.allocate(set));
+        self.row_at(at)
+    }
+
+    /// The entries `node` keeps for `set`; `None` if the set has no row.
+    fn get(&self, set: usize, node: usize) -> Option<&[E]> {
+        let (chunk, at) = self.locate(set)?;
+        Some(&self.chunks[chunk][at + node * self.ways..][..self.ways])
+    }
+
+    fn get_mut(&mut self, set: usize, node: usize) -> Option<&mut [E]> {
+        let ways = self.ways;
+        self.row_mut(set).map(|row| &mut row[node * ways..][..ways])
+    }
+
+    /// Bytes of every chunk handed out.
+    fn allocated_bytes(&self) -> u64 {
+        let entries: usize = self.chunks.iter().map(|c| c.len()).sum();
+        (entries * size_of::<E>()) as u64
     }
 }
 
+/// A bounded array of `E`, or the unbounded variant `M`.
 #[derive(Debug, Clone)]
-enum Store {
-    SetAssoc(Rows),
-    /// One map per node.
-    Unbounded(Vec<HashMap<u64, u64>>),
+enum Store<E, M> {
+    SetAssoc(Rows<E>),
+    Unbounded(M),
+}
+
+impl<E: Entry, M> Store<E, M> {
+    /// The stores of `nodes` nodes, each of `capacity` bytes at
+    /// [`HINT_RECORD_BYTES`] per record, whatever an entry's size in memory.
+    fn new(nodes: usize, capacity: ByteSize, ways: usize, unbounded: impl FnOnce() -> M) -> Self {
+        assert!(nodes > 0, "a hint store needs at least one node");
+        assert!(ways > 0, "associativity must be positive");
+        if capacity.is_unlimited() {
+            Store::Unbounded(unbounded())
+        } else {
+            let entries = (capacity.as_bytes() / HINT_RECORD_BYTES).max(ways as u64) as usize;
+            Store::SetAssoc(Rows::new(nodes, (entries / ways).max(1), ways))
+        }
+    }
+
+    fn capacity_records(&self) -> Option<usize> {
+        match self {
+            Store::SetAssoc(rows) => Some(rows.sets * rows.ways),
+            Store::Unbounded(_) => None,
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy, Default)]
 struct Counters {
-    /// Records currently stored.
+    /// Entries currently stored.
     len: usize,
-    /// Lookups that found a record.
+    /// Lookups that found an entry.
     hits: u64,
     /// Lookups that found nothing.
     misses: u64,
-    /// Insertions that displaced a valid record (set overflow).
+    /// Insertions that displaced a valid entry (set overflow).
     displacements: u64,
 }
 
@@ -265,21 +310,33 @@ impl Counters {
             Placed::Displaced => self.displacements += 1,
         }
     }
+
+    fn looked_up(&mut self, found: bool) {
+        if found {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
+        }
+    }
 }
 
-/// The hint stores of `nodes` nodes in one array. See the
-/// [module docs](self). Every per-node operation behaves exactly as it
-/// would on that node's own [`HintCache`].
+/// Which objects each of `nodes` simulated nodes holds a hint for, in one
+/// array. See the [module docs](self).
+///
+/// An object is named by its *slot*, a nonzero `u32` the caller assigns
+/// one to one with its 64-bit key; the key picks the set (`key % sets`,
+/// as in [`HintCache`]) and the slot is what a way stores. Every per-node
+/// operation places, finds, promotes, displaces and counts exactly as the
+/// same operation on that node's own [`HintCache`] does for the key.
 #[derive(Debug, Clone)]
 pub struct HintBank {
-    store: Store,
+    store: Store<u32, Vec<HashSet<u32>>>,
     counters: Vec<Counters>,
 }
 
 impl HintBank {
     /// Creates the bounded, 4-way set-associative stores of `nodes` nodes,
-    /// each occupying at most `capacity` bytes at [`HINT_RECORD_BYTES`]
-    /// per record.
+    /// each of `capacity` bytes at [`HINT_RECORD_BYTES`] per record.
     ///
     /// A capacity of [`ByteSize::MAX`] creates unbounded stores. Small
     /// capacities are rounded up to one full set.
@@ -294,51 +351,37 @@ impl HintBank {
     ///
     /// Panics if `nodes == 0` or `ways == 0`.
     pub fn with_ways(nodes: usize, capacity: ByteSize, ways: usize) -> Self {
-        assert!(nodes > 0, "a hint bank needs at least one node");
-        assert!(ways > 0, "associativity must be positive");
-        let store = if capacity.is_unlimited() {
-            Store::Unbounded(vec![HashMap::new(); nodes])
-        } else {
-            let entries = (capacity.as_bytes() / HINT_RECORD_BYTES).max(ways as u64) as usize;
-            Store::SetAssoc(Rows::new(nodes, (entries / ways).max(1), ways))
-        };
         HintBank {
-            store,
+            store: Store::new(nodes, capacity, ways, || vec![HashSet::new(); nodes]),
             counters: vec![Counters::default(); nodes],
         }
     }
 
-    /// Number of nodes.
-    pub fn nodes(&self) -> usize {
-        self.counters.len()
-    }
-
-    /// Number of records `node` currently stores.
+    /// Number of objects `node` currently holds a hint for.
     pub fn len(&self, node: usize) -> usize {
         self.counters[node].len
     }
 
     /// Maximum number of records per node (`None` if unbounded).
     pub fn capacity_records(&self) -> Option<usize> {
+        self.store.capacity_records()
+    }
+
+    /// Bytes the bank has allocated for slots: whole chunks of rows for the
+    /// bounded array (so at most one chunk beyond the rows written), live
+    /// slots for the unbounded sets. The set index of the bounded array
+    /// (4 bytes per set, zero pages until written) is not counted.
+    pub fn allocated_bytes(&self) -> u64 {
         match &self.store {
-            Store::SetAssoc(rows) => Some(rows.sets * rows.ways),
-            Store::Unbounded(_) => None,
+            Store::SetAssoc(rows) => rows.allocated_bytes(),
+            Store::Unbounded(sets) => {
+                let slots: usize = sets.iter().map(HashSet::len).sum();
+                (slots * size_of::<u32>()) as u64
+            }
         }
     }
 
-    /// Record bytes the bank has allocated: whole chunks of rows for the
-    /// bounded array (so at most one chunk beyond the rows written), live
-    /// records for the unbounded maps. The set index of the bounded array
-    /// (4 bytes per set, zero pages until written) is not counted.
-    pub fn allocated_bytes(&self) -> u64 {
-        let records: usize = match &self.store {
-            Store::SetAssoc(rows) => rows.chunks.iter().map(|c| c.len()).sum(),
-            Store::Unbounded(maps) => maps.iter().map(HashMap::len).sum(),
-        };
-        records as u64 * HINT_RECORD_BYTES
-    }
-
-    /// `node`'s lookups that found a record so far.
+    /// `node`'s lookups that found a hint so far.
     pub fn hit_count(&self, node: usize) -> u64 {
         self.counters[node].hits
     }
@@ -348,187 +391,107 @@ impl HintBank {
         self.counters[node].misses
     }
 
-    /// `node`'s insertions that displaced a valid record so far.
+    /// `node`'s insertions that displaced a valid hint so far.
     pub fn displacement_count(&self, node: usize) -> u64 {
         self.counters[node].displacements
     }
 
-    /// Looks up `node`'s location hint for `key`, promoting it within its
-    /// set.
+    /// Whether `node` holds a hint for the object `slot` (key `key`),
+    /// promoting it within its set.
     ///
-    /// Keys of 0 are reserved for empty slots and always miss.
-    pub fn lookup(&mut self, node: usize, key: u64) -> Option<u64> {
+    /// Slot 0 is reserved for empty ways and always misses.
+    pub fn lookup(&mut self, node: usize, key: u64, slot: u32) -> bool {
         let found = match &mut self.store {
-            _ if key == 0 => None,
+            _ if slot == 0 => false,
             Store::SetAssoc(rows) => rows
                 .get_mut(rows.set_of(key), node)
-                .and_then(|set| set_lookup(set, key)),
-            Store::Unbounded(maps) => maps[node].get(&key).copied(),
+                .and_then(|set| set_lookup(set, slot.id()))
+                .is_some(),
+            Store::Unbounded(sets) => sets[node].contains(&slot),
         };
-        let counters = &mut self.counters[node];
-        match found {
-            Some(_) => counters.hits += 1,
-            None => counters.misses += 1,
-        }
+        self.counters[node].looked_up(found);
         found
     }
 
-    /// Looks up without promoting or counting.
-    pub fn peek(&self, node: usize, key: u64) -> Option<u64> {
-        match &self.store {
-            _ if key == 0 => None,
-            Store::SetAssoc(rows) => {
-                let set = rows.get(rows.set_of(key), node)?;
-                set_find(set, key).map(|pos| set[pos][LOCATION])
-            }
-            Store::Unbounded(maps) => maps[node].get(&key).copied(),
-        }
-    }
-
-    /// Inserts or updates `node`'s hint for `key`. In the bounded store the
-    /// record lands at the front of its set, displacing the set's LRU
-    /// record if the set is full.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key == 0` (reserved for empty slots).
-    pub fn insert(&mut self, node: usize, key: u64, location: u64) {
-        self.broadcast_to(node..node + 1, key, |_| Some(location));
-    }
-
-    /// Removes `node`'s hint for `key`; returns the stored location if
-    /// present.
-    pub fn remove(&mut self, node: usize, key: u64) -> Option<u64> {
+    /// Drops `node`'s hint for the object `slot` (key `key`); returns
+    /// whether it held one.
+    pub fn remove(&mut self, node: usize, key: u64, slot: u32) -> bool {
         let removed = match &mut self.store {
-            _ if key == 0 => None,
+            _ if slot == 0 => false,
             Store::SetAssoc(rows) => rows
                 .get_mut(rows.set_of(key), node)
-                .and_then(|set| set_remove(set, key)),
-            Store::Unbounded(maps) => maps[node].remove(&key),
+                .and_then(|set| set_remove(set, slot.id()))
+                .is_some(),
+            Store::Unbounded(sets) => sets[node].remove(&slot),
         };
-        if removed.is_some() {
+        if removed {
             self.counters[node].len -= 1;
         }
         removed
     }
 
-    /// Delivers one holder change to every node: node `n` stores
-    /// `hint(n)` as its hint for `key`, or drops its hint where `hint(n)`
-    /// is `None` — the same as [`HintBank::insert`] or
-    /// [`HintBank::remove`] on each node in turn, in one pass over the
-    /// key's row.
+    /// Delivers a holder change that leaves copies of the object `slot`
+    /// (key `key`) to every node: each node's hint moves to the front of
+    /// its set, displacing the set's LRU hint if the set is full. One pass
+    /// over the key's row, which is allocated here if the set has none.
     ///
     /// # Panics
     ///
-    /// Panics if `key == 0` (reserved for empty slots).
-    pub fn broadcast(&mut self, key: u64, hint: impl FnMut(usize) -> Option<u64>) {
-        self.broadcast_to(0..self.nodes(), key, hint);
-    }
-
-    /// [`HintBank::broadcast`] to `nodes` only: the row is located once and
-    /// the nodes' slices of it are walked in one pass.
-    fn broadcast_to(
-        &mut self,
-        nodes: Range<usize>,
-        key: u64,
-        mut hint: impl FnMut(usize) -> Option<u64>,
-    ) {
-        assert_ne!(key, 0, "hint key 0 is reserved");
+    /// Panics if `slot == 0` (reserved for empty ways).
+    pub fn broadcast_insert(&mut self, key: u64, slot: u32) {
+        assert_ne!(slot, 0, "hint slot 0 is reserved");
         match &mut self.store {
             Store::SetAssoc(rows) => {
-                let (set, ways, end) = (rows.set_of(key), rows.ways, nodes.end);
-                let Some(at) = rows.locate(set) else {
-                    // A set without a row holds no hint for anyone: the
-                    // removals before the first insert are no-ops, and only
-                    // that insert gives the set a row.
-                    for node in nodes {
-                        if let Some(location) = hint(node) {
-                            let at = rows.allocate(set);
-                            let hints = iter::once(Some(location)).chain((node + 1..end).map(hint));
-                            let counters = &mut self.counters[node..end];
-                            span_write(rows.span_mut(at, node..end), ways, counters, key, hints);
-                            return;
-                        }
-                    }
-                    return;
-                };
-                // `nodes` reaches this walk untouched, so the one-node walk
-                // of `insert` compiles to straight-line code.
-                let counters = &mut self.counters[nodes.clone()];
-                let span = rows.span_mut(at, nodes.clone());
-                span_write(span, ways, counters, key, nodes.map(hint));
+                let ways = rows.ways;
+                let row = rows.row_or_allocate(rows.set_of(key));
+                for (set, counters) in row.chunks_exact_mut(ways).zip(&mut self.counters) {
+                    counters.placed(set_insert(set, slot));
+                }
             }
-            Store::Unbounded(maps) => {
-                for node in nodes {
-                    let counters = &mut self.counters[node];
-                    match hint(node) {
-                        Some(location) => {
-                            if maps[node].insert(key, location).is_none() {
-                                counters.len += 1;
-                            }
-                        }
-                        None => {
-                            if maps[node].remove(&key).is_some() {
-                                counters.len -= 1;
-                            }
-                        }
+            Store::Unbounded(sets) => {
+                for (set, counters) in sets.iter_mut().zip(&mut self.counters) {
+                    if set.insert(slot) {
+                        counters.len += 1;
                     }
                 }
             }
         }
     }
 
-    /// Enumerates every live `(key, location)` record of `node`, in set
-    /// order for the bounded store (deterministic) and sorted by key for
-    /// the unbounded one (so snapshots compare stably across store kinds).
-    pub fn entries(&self, node: usize) -> Vec<(u64, u64)> {
-        match &self.store {
-            Store::SetAssoc(rows) => (0..rows.sets)
-                .filter_map(|set| rows.get(set, node))
-                .flatten()
-                .filter(|r| r[KEY] != 0)
-                .map(|r| (r[KEY], r[LOCATION]))
-                .collect(),
-            Store::Unbounded(maps) => {
-                let mut out: Vec<(u64, u64)> = maps[node].iter().map(|(&k, &l)| (k, l)).collect();
-                out.sort_unstable();
-                out
+    /// Delivers the last copy of the object `slot` (key `key`) going away:
+    /// every node drops its hint. A set without a row holds no hint, so
+    /// this allocates nothing.
+    pub fn broadcast_remove(&mut self, key: u64, slot: u32) {
+        match &mut self.store {
+            _ if slot == 0 => {}
+            Store::SetAssoc(rows) => {
+                let ways = rows.ways;
+                let Some(row) = rows.row_mut(rows.set_of(key)) else {
+                    return;
+                };
+                for (set, counters) in row.chunks_exact_mut(ways).zip(&mut self.counters) {
+                    if set_remove(set, slot.id()).is_some() {
+                        counters.len -= 1;
+                    }
+                }
+            }
+            Store::Unbounded(sets) => {
+                for (set, counters) in sets.iter_mut().zip(&mut self.counters) {
+                    if set.remove(&slot) {
+                        counters.len -= 1;
+                    }
+                }
             }
         }
     }
-
-    /// Drops every hint of `node` that names `location` — the stale-hint
-    /// garbage collection a node runs when a peer is confirmed dead, so a
-    /// departed machine's hints stop costing probes. Returns the number
-    /// purged.
-    ///
-    /// One pass over the store: O(sets) for the bounded array, O(records)
-    /// for the unbounded map — independent of request rate, which is what
-    /// bounds a dead peer's total cost at O(1) per object.
-    pub fn purge_location(&mut self, node: usize, location: u64) -> usize {
-        let purged = match &mut self.store {
-            Store::SetAssoc(rows) => (0..rows.sets)
-                .map(|set| {
-                    rows.get_mut(set, node)
-                        .map_or(0, |s| set_purge(s, location))
-                })
-                .sum(),
-            Store::Unbounded(maps) => {
-                let before = maps[node].len();
-                maps[node].retain(|_, &mut l| l != location);
-                before - maps[node].len()
-            }
-        };
-        self.counters[node].len -= purged;
-        purged
-    }
 }
 
-/// One node's hint store: the one-node [`HintBank`]. See the
+/// One node's hint store of 16-byte `[key, location]` records. See the
 /// [module docs](self).
 #[derive(Debug, Clone)]
 pub struct HintCache {
-    bank: HintBank,
+    store: Store<HintRecord, HashMap<u64, u64>>,
+    counters: Counters,
 }
 
 impl HintCache {
@@ -549,7 +512,8 @@ impl HintCache {
     /// Panics if `ways == 0`.
     pub fn with_capacity_and_ways(capacity: ByteSize, ways: usize) -> Self {
         HintCache {
-            bank: HintBank::with_ways(1, capacity, ways),
+            store: Store::new(1, capacity, ways, HashMap::new),
+            counters: Counters::default(),
         }
     }
 
@@ -560,7 +524,7 @@ impl HintCache {
 
     /// Number of records currently stored.
     pub fn len(&self) -> usize {
-        self.bank.len(0)
+        self.counters.len
     }
 
     /// Whether the store is empty.
@@ -570,7 +534,7 @@ impl HintCache {
 
     /// Maximum number of records (`None` if unbounded).
     pub fn capacity_records(&self) -> Option<usize> {
-        self.bank.capacity_records()
+        self.store.capacity_records()
     }
 
     /// Bytes this store occupies at 16 bytes/record (the *array* size for
@@ -582,29 +546,45 @@ impl HintCache {
 
     /// Lookups that found a record so far.
     pub fn hit_count(&self) -> u64 {
-        self.bank.hit_count(0)
+        self.counters.hits
     }
 
     /// Lookups that found nothing so far.
     pub fn miss_count(&self) -> u64 {
-        self.bank.miss_count(0)
+        self.counters.misses
     }
 
     /// Insertions that displaced a valid record so far.
     pub fn displacement_count(&self) -> u64 {
-        self.bank.displacement_count(0)
+        self.counters.displacements
     }
 
     /// Looks up the location hint for `key`, promoting it within its set.
     ///
     /// Keys of 0 are reserved for empty slots and always miss.
     pub fn lookup(&mut self, key: u64) -> Option<u64> {
-        self.bank.lookup(0, key)
+        let found = match &mut self.store {
+            _ if key == 0 => None,
+            Store::SetAssoc(rows) => rows
+                .get_mut(rows.set_of(key), 0)
+                .and_then(|set| set_lookup(set, key))
+                .map(|r| r[LOCATION]),
+            Store::Unbounded(map) => map.get(&key).copied(),
+        };
+        self.counters.looked_up(found.is_some());
+        found
     }
 
     /// Looks up without promoting or counting.
     pub fn peek(&self, key: u64) -> Option<u64> {
-        self.bank.peek(0, key)
+        match &self.store {
+            _ if key == 0 => None,
+            Store::SetAssoc(rows) => {
+                let set = rows.get(rows.set_of(key), 0)?;
+                set_find(set, key).map(|pos| set[pos][LOCATION])
+            }
+            Store::Unbounded(map) => map.get(&key).copied(),
+        }
     }
 
     /// Inserts or updates the hint for `key`. In the bounded store the
@@ -615,25 +595,75 @@ impl HintCache {
     ///
     /// Panics if `key == 0` (reserved for empty slots).
     pub fn insert(&mut self, key: u64, location: u64) {
-        self.bank.insert(0, key, location);
+        assert_ne!(key, 0, "hint key 0 is reserved");
+        match &mut self.store {
+            Store::SetAssoc(rows) => {
+                let set = rows.row_or_allocate(rows.set_of(key));
+                self.counters.placed(set_insert(set, [key, location]));
+            }
+            Store::Unbounded(map) => {
+                if map.insert(key, location).is_none() {
+                    self.counters.len += 1;
+                }
+            }
+        }
     }
 
     /// Enumerates every live `(key, location)` record, in set order for the
     /// bounded store (deterministic) and sorted by key for the unbounded one
     /// (so snapshots compare stably across store kinds).
     pub fn entries(&self) -> Vec<(u64, u64)> {
-        self.bank.entries(0)
+        match &self.store {
+            Store::SetAssoc(rows) => (0..rows.sets)
+                .filter_map(|set| rows.get(set, 0))
+                .flatten()
+                .filter(|r| r[KEY] != 0)
+                .map(|r| (r[KEY], r[LOCATION]))
+                .collect(),
+            Store::Unbounded(map) => {
+                let mut out: Vec<(u64, u64)> = map.iter().map(|(&k, &l)| (k, l)).collect();
+                out.sort_unstable();
+                out
+            }
+        }
     }
 
-    /// Drops every hint that names `location`; see
-    /// [`HintBank::purge_location`]. Returns the number purged.
+    /// Drops every hint that names `location` — the stale-hint garbage
+    /// collection a node runs when a peer is confirmed dead, so a departed
+    /// machine's hints stop costing probes. Returns the number purged.
+    ///
+    /// One pass over the store: O(sets) for the bounded array, O(records)
+    /// for the unbounded map — independent of request rate, which is what
+    /// bounds a dead peer's total cost at O(1) per object.
     pub fn purge_location(&mut self, location: u64) -> usize {
-        self.bank.purge_location(0, location)
+        let purged = match &mut self.store {
+            Store::SetAssoc(rows) => (0..rows.sets)
+                .map(|set| rows.get_mut(set, 0).map_or(0, |s| set_purge(s, location)))
+                .sum(),
+            Store::Unbounded(map) => {
+                let before = map.len();
+                map.retain(|_, &mut l| l != location);
+                before - map.len()
+            }
+        };
+        self.counters.len -= purged;
+        purged
     }
 
     /// Removes the hint for `key`; returns the stored location if present.
     pub fn remove(&mut self, key: u64) -> Option<u64> {
-        self.bank.remove(0, key)
+        let removed = match &mut self.store {
+            _ if key == 0 => None,
+            Store::SetAssoc(rows) => rows
+                .get_mut(rows.set_of(key), 0)
+                .and_then(|set| set_remove(set, key))
+                .map(|r| r[LOCATION]),
+            Store::Unbounded(map) => map.remove(&key),
+        };
+        if removed.is_some() {
+            self.counters.len -= 1;
+        }
+        removed
     }
 }
 
@@ -644,7 +674,7 @@ mod tests {
     #[test]
     fn record_size_is_sixteen_bytes() {
         assert_eq!(HINT_RECORD_BYTES, 16);
-        assert_eq!(std::mem::size_of::<HintRecord>() as u64, HINT_RECORD_BYTES);
+        assert_eq!(size_of::<HintRecord>() as u64, HINT_RECORD_BYTES);
     }
 
     #[test]
@@ -654,6 +684,12 @@ mod tests {
         assert_eq!(h.capacity_records(), Some(65_536));
         assert_eq!(h.footprint(), ByteSize::from_mb(1));
         assert!(HintCache::unbounded().capacity_records().is_none());
+        // The bank sizes by the same record; only its ways are smaller.
+        let bank = HintBank::new(64, ByteSize::from_mb(1));
+        assert_eq!(bank.capacity_records(), Some(65_536));
+        assert!(HintBank::new(64, ByteSize::MAX)
+            .capacity_records()
+            .is_none());
     }
 
     #[test]
@@ -767,12 +803,28 @@ mod tests {
 
     /// Every counter of every node: `(len, hits, misses, displacements)`.
     fn counters(bank: &HintBank) -> Vec<(usize, u64, u64, u64)> {
-        (0..bank.nodes())
-            .map(|n| {
-                let c = bank.counters[n];
-                (c.len, c.hits, c.misses, c.displacements)
-            })
+        bank.counters
+            .iter()
+            .map(|c| (c.len, c.hits, c.misses, c.displacements))
             .collect()
+    }
+
+    /// `node`'s slots: in set order, most recently used first within a set,
+    /// for the bounded store; sorted for the unbounded one.
+    fn slots(bank: &HintBank, node: usize) -> Vec<u32> {
+        match &bank.store {
+            Store::SetAssoc(rows) => (0..rows.sets)
+                .filter_map(|set| rows.get(set, node))
+                .flatten()
+                .copied()
+                .filter(|&s| s != 0)
+                .collect(),
+            Store::Unbounded(sets) => {
+                let mut out: Vec<u32> = sets[node].iter().copied().collect();
+                out.sort_unstable();
+                out
+            }
+        }
     }
 
     #[test]
@@ -780,18 +832,18 @@ mod tests {
         // 64 nodes × 64 sets × 4 ways.
         let mut bank = HintBank::new(64, ByteSize::from_kb(4));
         for node in 0..64 {
-            assert_eq!(bank.lookup(node, 7), None);
+            assert!(!bank.lookup(node, 7, 1));
         }
         let before = counters(&bank);
-        bank.broadcast(7, |_| None);
+        bank.broadcast_remove(7, 1);
         assert_eq!(bank.allocated_bytes(), 0);
         assert_eq!(rows_in_use(&bank), 0);
         assert_eq!(counters(&bank), before);
 
         // The same once another set has a row.
-        bank.insert(5, 65, 1);
+        bank.broadcast_insert(65, 2);
         let (before, allocated) = (counters(&bank), bank.allocated_bytes());
-        bank.broadcast(7, |_| None);
+        bank.broadcast_remove(7, 1);
         assert_eq!(rows_in_use(&bank), 1);
         assert_eq!(bank.allocated_bytes(), allocated);
         assert_eq!(counters(&bank), before);
@@ -800,47 +852,48 @@ mod tests {
     #[test]
     fn leading_removals_then_an_insert_allocate_exactly_one_row() {
         let mut bank = HintBank::new(64, ByteSize::from_kb(4));
-        for node in 0..64 {
-            bank.insert(node, 65, 1); // set 1: one record per node
-        }
+        bank.broadcast_insert(65, 1); // set 1: one slot per node
         assert_eq!(rows_in_use(&bank), 1);
-        // Set 3: nodes 0–39 drop a hint they never had, 40–63 store one.
-        bank.broadcast(3, |node| (node >= 40).then_some(node as u64));
+        // Set 3: every node drops a hint it never had, then stores one.
+        bank.broadcast_remove(3, 2);
+        assert_eq!(rows_in_use(&bank), 1);
+        bank.broadcast_insert(3, 2);
         assert_eq!(rows_in_use(&bank), 2);
         for node in 0..64 {
-            let stored = (node >= 40).then_some(node as u64);
-            assert_eq!(
-                bank.len(node),
-                1 + usize::from(stored.is_some()),
-                "node {node}"
-            );
-            assert_eq!(bank.peek(node, 3), stored, "node {node}");
-            assert_eq!(bank.peek(node, 65), Some(1), "node {node}");
+            assert_eq!(bank.len(node), 2, "node {node}");
+            assert_eq!(slots(&bank, node), [1, 2], "node {node}");
         }
     }
 
     #[test]
-    fn an_insert_changes_only_its_own_nodes_entries() {
-        // 64 nodes × 1,024 sets × 4 ways; keys 1..=200 give sets 1–200 a row.
+    fn a_lookup_or_remove_changes_only_its_own_nodes_slots() {
+        // 64 nodes × 1,024 sets × 4 ways; keys 1..=200 give sets 1–200 a
+        // row, and every third key's last copy is gone again.
         let mut bank = HintBank::new(64, ByteSize::from_kb(64));
         for key in 1..=200u64 {
-            bank.broadcast(key, |node| {
-                (!(key + node as u64).is_multiple_of(3)).then_some(node as u64 ^ key)
-            });
+            bank.broadcast_insert(key, key as u32);
+            if key.is_multiple_of(3) {
+                bank.broadcast_remove(key, key as u32);
+            }
         }
-        // A key with a record at some nodes, a new key in a set with a row,
-        // and a key whose set has no row yet.
-        for key in [5u64, 5 + 3 * 1024, 904] {
+        // A key every node holds, a key no node holds in a set with a row,
+        // and a key whose set has no row.
+        for (key, held) in [(5u64, true), (6, false), (904, false)] {
             for n in [0, 1, 31, 62, 63] {
-                let before: Vec<_> = (0..64).map(|m| bank.entries(m)).collect();
-                bank.insert(n, key, 99);
-                for (m, entries) in before.iter().enumerate() {
+                let before: Vec<_> = (0..64).map(|m| slots(&bank, m)).collect();
+                assert_eq!(bank.lookup(n, key, key as u32), held);
+                assert_eq!(bank.remove(n, key, key as u32), held);
+                for (m, slots_before) in before.iter().enumerate() {
                     if m != n {
-                        assert_eq!(&bank.entries(m), entries, "node {m} after insert at {n}");
+                        assert_eq!(&slots(&bank, m), slots_before, "node {m} after {n}");
                     }
                 }
-                assert_eq!(bank.peek(n, key), Some(99));
-                assert!(bank.entries(n).contains(&(key, 99)));
+                let mut expected = before[n].clone();
+                expected.retain(|&s| s != key as u32);
+                assert_eq!(slots(&bank, n), expected);
+                if held {
+                    bank.broadcast_insert(key, key as u32);
+                }
             }
         }
     }
@@ -851,8 +904,8 @@ mod tests {
         use std::collections::HashMap;
 
         /// The reference store: each set a most-recently-used-first list of
-        /// at most `ways` records, written without the kernel's in-place
-        /// shifting.
+        /// at most `ways` `(key, location)` records, written without the
+        /// kernel's in-place shifting.
         struct Witness {
             ways: usize,
             sets: Vec<Vec<(u64, u64)>>,
@@ -928,6 +981,17 @@ mod tests {
             }
         }
 
+        /// A location rule of the simulator's kind, a function of the
+        /// holder set and the node only: the node itself, else the lowest
+        /// holder in its group of eight, else the lowest holder.
+        fn nearest(node: u32, holders: &[u32]) -> Option<u64> {
+            let h = holders
+                .iter()
+                .copied()
+                .min_by_key(|&h| (h != node, h / 8 != node / 8, h))?;
+            Some(u64::from(h))
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -956,73 +1020,140 @@ mod tests {
                 }
             }
 
-            /// A bank of N nodes is N independent stores: under any mix of
-            /// per-node and broadcast operations every return value, every
-            /// node's `entries()`, length and displacement count equal those
-            /// of the naive per-node witness.
+            /// A node's own store equals the naive witness under any mix of
+            /// operations: every return value, `entries()`, length and
+            /// counter.
+            #[test]
+            fn cache_equals_witness_store(
+                ways in 1usize..=8,
+                sets in 1usize..=5,
+                ops in proptest::collection::vec((0u8..5, 1u64..40, 0u64..6), 1..250),
+            ) {
+                let capacity = ByteSize::from_bytes((sets * ways) as u64 * HINT_RECORD_BYTES);
+                let mut h = HintCache::with_capacity_and_ways(capacity, ways);
+                prop_assert_eq!(h.capacity_records(), Some(sets * ways));
+                let mut witness = Witness::new(sets, ways);
+                for (op, key, location) in ops {
+                    match op {
+                        0 => prop_assert_eq!(h.lookup(key), witness.lookup(key)),
+                        1 => {
+                            h.insert(key, location);
+                            witness.insert(key, location);
+                        }
+                        2 => prop_assert_eq!(h.remove(key), witness.remove(key)),
+                        3 => prop_assert_eq!(
+                            h.purge_location(location),
+                            witness.purge_location(location)
+                        ),
+                        _ => prop_assert_eq!(h.peek(key), witness.peek(key)),
+                    }
+                }
+                prop_assert_eq!(h.entries(), witness.entries());
+                prop_assert_eq!(h.len(), witness.entries().len());
+                prop_assert_eq!(h.displacement_count(), witness.displaced);
+                prop_assert_eq!(h.hit_count(), witness.hits);
+                prop_assert_eq!(h.miss_count(), witness.misses);
+            }
+
+            /// The bank plus each object's last delivered holder set is N
+            /// independent location-carrying stores, each fed its own
+            /// nearest holder of every holder change: every lookup resolves
+            /// to the same location, and every node ends with the same
+            /// objects in the same LRU order and the same counters. Sets 0
+            /// stands for the unbounded stores.
             #[test]
             fn bank_equals_independent_witness_stores(
                 nodes_pick in 0usize..3,
                 ways in 1usize..=8,
-                sets in 1usize..=5,
+                sets in 0usize..=5,
                 ops in proptest::collection::vec(
-                    (0u8..6, 0usize..64, 1u64..40, 0u64..6, any::<u64>()),
+                    (0u8..3, 0usize..64, 1u64..40, any::<u64>()),
                     1..250,
                 ),
             ) {
                 let nodes = [1usize, 3, 64][nodes_pick];
-                let capacity = ByteSize::from_bytes((sets * ways) as u64 * HINT_RECORD_BYTES);
+                let (capacity, witness_sets, witness_ways) = match sets {
+                    0 => (ByteSize::MAX, 1, usize::MAX),
+                    _ => {
+                        let bytes = (sets * ways) as u64 * HINT_RECORD_BYTES;
+                        (ByteSize::from_bytes(bytes), sets, ways)
+                    }
+                };
                 let mut bank = HintBank::with_ways(nodes, capacity, ways);
-                prop_assert_eq!(bank.capacity_records(), Some(sets * ways));
-                let mut witness: Vec<Witness> = (0..nodes).map(|_| Witness::new(sets, ways)).collect();
+                let mut witness: Vec<Witness> =
+                    (0..nodes).map(|_| Witness::new(witness_sets, witness_ways)).collect();
+                // Slots in first-seen order, as the simulator assigns them,
+                // so that a key's set and its slot disagree.
+                let mut slot_of: HashMap<u64, u32> = HashMap::new();
+                let mut delivered: HashMap<u64, Vec<u32>> = HashMap::new();
                 let mut rows_written = std::collections::HashSet::new();
-                for (op, node, key, location, mask) in ops {
-                    let node = node % nodes;
-                    // Node `n`'s share of a broadcast: a hint that varies by
-                    // node, or a removal where its mask bit is clear.
-                    let hint = |n: usize| (mask >> (n % 64) & 1 == 1).then_some(location + n as u64 % 3);
+                for (op, node, key, mask) in ops {
+                    let next = slot_of.len() as u32 + 1;
+                    let slot = *slot_of.entry(key).or_insert(next);
                     match op {
-                        0 => prop_assert_eq!(bank.lookup(node, key), witness[node].lookup(key)),
-                        1 => {
-                            bank.insert(node, key, location);
-                            witness[node].insert(key, location);
-                            rows_written.insert(key as usize % sets);
-                        }
-                        2 => prop_assert_eq!(bank.remove(node, key), witness[node].remove(key)),
-                        3 => {
-                            bank.broadcast(key, hint);
+                        0 => {
+                            // A sorted holder set of about a quarter of the
+                            // nodes; empty a quarter of the time.
+                            let bits = mask & mask.rotate_left(17);
+                            let holders: Vec<u32> = match mask >> 62 {
+                                0 => Vec::new(),
+                                _ => (0..nodes as u32)
+                                    .filter(|&n| bits >> (n % 62) & 1 == 1)
+                                    .collect(),
+                            };
+                            if holders.is_empty() {
+                                bank.broadcast_remove(key, slot);
+                            } else {
+                                bank.broadcast_insert(key, slot);
+                                rows_written.insert(key as usize % sets.max(1));
+                            }
                             for (n, w) in witness.iter_mut().enumerate() {
-                                match hint(n) {
-                                    Some(l) => {
-                                        w.insert(key, l);
-                                        rows_written.insert(key as usize % sets);
-                                    }
+                                match nearest(n as u32, &holders) {
+                                    Some(l) => w.insert(key, l),
                                     None => {
                                         w.remove(key);
                                     }
                                 }
                             }
+                            delivered.insert(key, holders);
                         }
-                        4 => prop_assert_eq!(
-                            bank.purge_location(node, location),
-                            witness[node].purge_location(location)
-                        ),
-                        _ => prop_assert_eq!(bank.peek(node, key), witness[node].peek(key)),
+                        1 => {
+                            let node = node % nodes;
+                            let resolved = bank.lookup(node, key, slot).then(|| {
+                                let holders = &delivered[&key];
+                                nearest(node as u32, holders).expect("a held hint resolves")
+                            });
+                            prop_assert_eq!(resolved, witness[node].lookup(key));
+                        }
+                        _ => {
+                            let node = node % nodes;
+                            prop_assert_eq!(
+                                bank.remove(node, key, slot),
+                                witness[node].remove(key).is_some()
+                            );
+                        }
                     }
                 }
                 for (n, w) in witness.iter().enumerate() {
-                    prop_assert_eq!((n, bank.entries(n)), (n, w.entries()));
+                    let mut expected: Vec<u32> =
+                        w.entries().iter().map(|(k, _)| slot_of[k]).collect();
+                    if sets == 0 {
+                        expected.sort_unstable();
+                    }
+                    prop_assert_eq!((n, slots(&bank, n)), (n, expected));
                     prop_assert_eq!(bank.len(n), w.entries().len());
                     prop_assert_eq!(bank.displacement_count(n), w.displaced);
                     prop_assert_eq!(bank.hit_count(n), w.hits);
                     prop_assert_eq!(bank.miss_count(n), w.misses);
                 }
                 // Rows exist only for sets some insert reached, in whole
-                // chunks of at most `sets` rows.
-                let row_bytes = (nodes * ways) as u64 * HINT_RECORD_BYTES;
-                prop_assert!(bank.allocated_bytes() >= rows_written.len() as u64 * row_bytes);
-                if rows_written.is_empty() {
-                    prop_assert_eq!(bank.allocated_bytes(), 0);
+                // chunks of at most `sets` rows of 4-byte slots.
+                if sets > 0 {
+                    let row_bytes = (nodes * ways * size_of::<u32>()) as u64;
+                    prop_assert!(bank.allocated_bytes() >= rows_written.len() as u64 * row_bytes);
+                    if rows_written.is_empty() {
+                        prop_assert_eq!(bank.allocated_bytes(), 0);
+                    }
                 }
             }
 

@@ -14,7 +14,8 @@
 //!   16-byte records** (8-byte URL-hash key + 8-byte machine identifier) in
 //!   a **4-way set-associative array**, sized in bytes, plus an unbounded
 //!   variant for "infinite hint cache" experiments (Figure 5's rightmost
-//!   point);
+//!   point); [`HintBank`] is the same geometry for every node of a
+//!   simulated system, holding which objects each node has a hint for;
 //! * [`classify`] — the miss taxonomy of Figure 2 (compulsory / capacity /
 //!   communication / uncachable / error), implemented as a classifying
 //!   wrapper over a shared global cache.

@@ -10,7 +10,11 @@
 //! Hint state here follows the paper's semantics faithfully:
 //!
 //! * each node's hint store holds at most one 16-byte record per object,
-//!   naming the nearest known copy ([`bh_cache::HintCache`]);
+//!   naming the nearest known copy. The simulator keeps every node's store
+//!   in one [`bh_cache::HintBank`] that records only *which* objects a node
+//!   holds; every holder change reaches every node, so a held hint names
+//!   the nearest holder of the object's last delivered holder set, which
+//!   is kept once per object and resolved at lookup;
 //! * updates propagate with a configurable delay (Figure 6); until an
 //!   update lands, a node may act on stale hints — *suboptimal positives*
 //!   (a farther copy than necessary), *false positives* (remote node no
@@ -65,6 +69,14 @@ impl Default for HintConfig {
 struct ObjState {
     version: u32,
     holders: Vec<NodeIdx>, // sorted, typically tiny
+    /// The holder set of the last change delivered to every node's hints:
+    /// what a node holding a hint for the object resolves it against.
+    delivered: Vec<NodeIdx>,
+}
+
+/// The object's slot in the hint bank: its index in `objs`, plus one.
+fn slot_of(obj: usize) -> u32 {
+    u32::try_from(obj + 1).expect("object count exceeds the hint bank's 32-bit slots")
 }
 
 /// One holder-set change, broadcast to every observer when it comes due.
@@ -74,6 +86,7 @@ struct ObjState {
 #[derive(Debug)]
 struct HintEvent {
     key: u64,
+    slot: u32,
     holders: Vec<NodeIdx>,
 }
 
@@ -99,8 +112,6 @@ pub struct HintHierarchy {
     slots: HashMap<u64, usize, PreMixed>,
     objs: Vec<ObjState>,
     hints: HintStores,
-    /// Scratch for [`Topology::nearest_holders`], reused across broadcasts.
-    nearest: Vec<NodeIdx>,
     rng: Xoshiro256,
 
     // Counters exported via finalize().
@@ -135,7 +146,6 @@ impl HintHierarchy {
             slots: HashMap::default(),
             objs: Vec::new(),
             hints,
-            nearest: Vec::new(),
             rng: Xoshiro256::seed_from_u64(seed ^ 0x48494E54_5F505348),
             topo,
             config,
@@ -175,8 +185,8 @@ impl HintHierarchy {
             .unwrap_or(&[])
     }
 
-    /// Record bytes the hint stores have allocated (0 on the oracle path);
-    /// see [`HintBank::allocated_bytes`].
+    /// Bytes the hint stores have allocated (0 on the oracle path); see
+    /// [`HintBank::allocated_bytes`].
     pub fn hint_store_bytes(&self) -> u64 {
         match &self.hints {
             HintStores::Oracle => 0,
@@ -184,17 +194,20 @@ impl HintHierarchy {
         }
     }
 
-    /// Delivers every holder change that has come due: each is resolved
-    /// once into every node's nearest holder, then written in one pass
-    /// over the key's row of the bank.
+    /// Delivers every holder change that has come due: one pass over the
+    /// key's row of the bank, after which the change's holder set is the
+    /// one every node's hint resolves against.
     fn drain_pending(&mut self, now: SimTime) {
         let HintStores::Real { bank, pending } = &mut self.hints else {
             return;
         };
         while let Some((_, ev)) = pending.pop_due(now) {
-            self.topo.nearest_holders(&ev.holders, &mut self.nearest);
-            let nearest = &self.nearest;
-            bank.broadcast(ev.key, |node| nearest.get(node).map(|&h| h as u64));
+            if ev.holders.is_empty() {
+                bank.broadcast_remove(ev.key, ev.slot);
+            } else {
+                bank.broadcast_insert(ev.key, ev.slot);
+            }
+            self.objs[ev.slot as usize - 1].delivered = ev.holders;
         }
     }
 
@@ -211,7 +224,8 @@ impl HintHierarchy {
         // it comes due.
         let holders = self.objs[obj].holders.clone();
         let due = at.saturating_add(self.config.delay);
-        pending.schedule(due, HintEvent { key, holders });
+        let slot = slot_of(obj);
+        pending.schedule(due, HintEvent { key, slot, holders });
         // Zero delay means "instant propagation": apply now so the oracle
         // equivalence holds even within a single request.
         if self.config.delay == SimDuration::ZERO {
@@ -293,7 +307,8 @@ impl HintHierarchy {
     /// Consults the requesting node's hints for `key` (state slot `obj`);
     /// returns the outcome of the remote/server fetch decision.
     fn lookup(&mut self, l1: NodeIdx, key: u64, obj: usize, version: u32) -> AccessPath {
-        let mut peers = self.objs[obj].holders.iter().copied().filter(|&h| h != l1);
+        let st = &self.objs[obj];
+        let mut peers = st.holders.iter().copied().filter(|&h| h != l1);
         let hinted = match &mut self.hints {
             HintStores::Oracle => {
                 return match self.topo.nearest_holder(l1, peers) {
@@ -308,11 +323,13 @@ impl HintHierarchy {
                     },
                 };
             }
-            HintStores::Real { bank, .. } => bank.lookup(l1 as usize, key),
+            HintStores::Real { bank, .. } => bank
+                .lookup(l1 as usize, key, slot_of(obj))
+                .then(|| self.topo.nearest_holder(l1, st.delivered.iter().copied()))
+                .flatten(),
         };
         match hinted {
-            Some(loc) if loc != l1 as u64 => {
-                let peer = loc as NodeIdx;
+            Some(peer) if peer != l1 => {
                 let distance = self.topo.distance(l1, peer);
                 if self.caches[peer as usize].contains_fresh(key, version) {
                     // Suboptimal positive: a nearer copy existed but the
@@ -331,7 +348,7 @@ impl HintHierarchy {
                     // the server. No second lookup — "when the hint cache
                     // fails, it is unlikely a hit will result" (§3.1.1).
                     if let HintStores::Real { bank, .. } = &mut self.hints {
-                        bank.remove(l1 as usize, key);
+                        bank.remove(l1 as usize, key, slot_of(obj));
                     }
                     AccessPath::ServerFetch {
                         false_positive: Some(distance),
@@ -821,11 +838,11 @@ mod tests {
         );
     }
 
-    /// The paper's full geometry — 64 nodes × 512 MB of hints, 32 GB of
-    /// nominal store — must cost what the replay writes, not what it could
-    /// address: one 4 KB row per set a holder change reached (plus the
-    /// unused tail of the last chunk). A bank that allocated
-    /// `nodes × capacity` up front would be refused here.
+    /// The paper's full geometry — 64 nodes × 512 MB of hints, 8 GB of
+    /// nominal slots — must cost what the replay writes, not what it could
+    /// address: one 1 KB row of 4-byte slots per set a holder change
+    /// reached (plus the unused tail of the last chunk). A bank that
+    /// allocated `nodes × capacity` up front would be refused here.
     #[test]
     fn full_scale_geometry_allocates_only_the_rows_written() {
         let spec = WorkloadSpec::dec().scaled(0.0002); // 4,420 records, 64 L1s
@@ -853,7 +870,7 @@ mod tests {
         assert!(remote > 0, "hints must have been stored and found");
         let mut m = Metrics::new(&[]);
         h.finalize(&mut m);
-        let row_bytes = 64 * 4 * bh_cache::HINT_RECORD_BYTES;
+        let row_bytes = 64 * 4 * 4;
         let chunk_rows = (1 << 20) / row_bytes;
         let allocated = h.hint_store_bytes();
         assert!(allocated >= row_bytes, "no row was allocated");
@@ -863,6 +880,31 @@ mod tests {
             "{allocated} bytes for {} holder changes",
             m.directory_updates
         );
+    }
+
+    /// The delayed hint cell of the repo benchmark's `sim_sweep` (DEC ×
+    /// 0.002, space-constrained, 30 s delay) on its first seed-1 trace
+    /// holds its slots in exactly this many bytes: whole 1 MB chunks of
+    /// 1 KB rows. A layout change moves it on any host.
+    #[test]
+    fn delayed_dec_cell_hint_store_bytes() {
+        let spec = WorkloadSpec::dec().scaled(0.002);
+        let trace = bh_trace::MaterializedTrace::generate(&spec, 2);
+        let config =
+            crate::sim::SimConfig::constrained(&spec).with_hint_delay(SimDuration::from_secs(30));
+        let mut h = HintHierarchy::new(
+            Topology::from_spec(&spec),
+            HintConfig {
+                data_capacity: config.space.hint_node_capacity,
+                store_capacity: config.space.hint_store_capacity,
+                delay: config.hint_delay,
+                push: PushPolicy::None,
+            },
+            trace.seed(),
+        );
+        crate::sim::Simulator::new(config).run_with_trace(&trace, &mut h, &[], false);
+        // 6,145–7,168 rows of 64 nodes × 4 ways × 4 bytes, 1,024 to a chunk.
+        assert_eq!(h.hint_store_bytes(), 7 << 20);
     }
 
     #[test]

@@ -107,34 +107,6 @@ impl Topology {
         }
         best.map(|(_, n)| n)
     }
-
-    /// [`Topology::nearest_holder`] for every node at once: fills
-    /// `nearest[n]` with the holder nearest to node `n`, and leaves
-    /// `nearest` empty when there is no holder.
-    ///
-    /// `holders` must be sorted ascending. An L2 group is a contiguous
-    /// index range, so the first holder overall is every node's same-L3
-    /// fallback, the first holder inside a group is that group's same-L2
-    /// answer, and a holder is its own: O(nodes + holders) instead of
-    /// O(nodes × holders).
-    pub fn nearest_holders(&self, holders: &[NodeIdx], nearest: &mut Vec<NodeIdx>) {
-        nearest.clear();
-        let Some(&first) = holders.first() else {
-            return;
-        };
-        nearest.resize(self.l1_count as usize, first);
-        let mut group = u32::MAX;
-        for &h in holders {
-            let g = self.l2_of(h);
-            if g != group {
-                group = g;
-                let start = group * self.l1s_per_l2;
-                let end = (start + self.l1s_per_l2).min(self.l1_count);
-                nearest[start as usize..end as usize].fill(h);
-            }
-            nearest[h as usize] = h;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -221,11 +193,12 @@ mod tests {
         use proptest::prelude::*;
 
         proptest! {
-            /// Resolving a holder change once for all nodes gives every
-            /// node exactly what `nearest_holder` gives it alone — for
-            /// ragged last groups, single-node groups and the empty set.
+            /// `nearest_holder` follows the rule it states, for holders in
+            /// any order with repeats, ragged last groups, single-node
+            /// groups and the empty set: the node itself, else the lowest
+            /// holder in its L2 group, else the lowest holder.
             #[test]
-            fn nearest_holders_equals_nearest_holder_per_node(
+            fn nearest_holder_follows_its_rule(
                 l1s in 1u32..=70,
                 l1s_per_l2 in 1u32..=9,
                 picks in proptest::collection::vec(0u32..70, 0..12),
@@ -235,18 +208,16 @@ mod tests {
                 spec.l1s_per_l2 = l1s_per_l2;
                 let t = Topology::from_spec(&spec);
                 prop_assert_eq!(t.l1_count(), l1s);
-                let mut holders: Vec<NodeIdx> = picks.into_iter().map(|p| p % l1s).collect();
-                holders.sort_unstable();
-                holders.dedup();
-                let mut nearest = vec![9; 3]; // stale content must not survive
-                t.nearest_holders(&holders, &mut nearest);
-                let expected_len = if holders.is_empty() { 0 } else { l1s as usize };
-                prop_assert_eq!(nearest.len(), expected_len);
+                let holders: Vec<NodeIdx> = picks.into_iter().map(|p| p % l1s).collect();
                 for n in 0..l1s {
-                    prop_assert_eq!(
-                        nearest.get(n as usize).copied(),
-                        t.nearest_holder(n, holders.iter().copied())
-                    );
+                    let group = n / l1s_per_l2;
+                    let same_l2 = holders.iter().copied().filter(|&h| h / l1s_per_l2 == group);
+                    let expected = if holders.contains(&n) {
+                        Some(n)
+                    } else {
+                        same_l2.min().or(holders.iter().copied().min())
+                    };
+                    prop_assert_eq!(t.nearest_holder(n, holders.iter().copied()), expected);
                 }
             }
         }

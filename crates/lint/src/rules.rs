@@ -855,9 +855,9 @@ fn real_held(model: &Model, held: &[HeldLock]) -> Vec<HeldLock> {
 ///
 /// `caller` is the fn making the call. Calls are resolved by name, so
 /// below a delegating wrapper (`HintTable::purge_location` →
-/// `HintCache::purge_location` → `HintBank::purge_location`) the shared
-/// name resolves back to the wrapper itself; following it would charge
-/// the caller's own locks to its callee.
+/// `HintCache::purge_location`) the shared name resolves back to the
+/// wrapper itself; following it would charge the caller's own locks to
+/// its callee.
 fn transitive_acquires(
     model: &Model,
     caller: usize,
