@@ -1,9 +1,10 @@
 //! Byte-capacity LRU data cache with versioned entries.
 //!
 //! Entries are keyed by a 64-bit object identifier and carry the object's
-//! size and version. Capacity is in bytes ([`bh_simcore::ByteSize::MAX`]
-//! means unlimited, the paper's "infinite disk" configuration). The
-//! recency list is an intrusive doubly-linked list over a slab, so every
+//! size, its version and a value of the caller's type (`()` by default;
+//! the live node keeps each object's body there). Capacity is in bytes
+//! ([`bh_simcore::ByteSize::MAX`] means unlimited, the paper's "infinite
+//! disk" configuration). The recency list is an intrusive doubly-linked list over a slab, so every
 //! operation is O(1) amortized.
 
 use crate::hash::Keyed;
@@ -24,26 +25,32 @@ pub struct Evicted {
 
 const NIL: u32 = u32::MAX;
 
-#[derive(Debug, Clone, Copy)]
-struct Node {
+#[derive(Debug, Clone)]
+struct Node<V> {
     key: u64,
     size: u64,
     version: u32,
     prev: u32,
     next: u32,
+    /// `None` only while the slot is on the free list: a value is dropped
+    /// when its entry leaves, not when its slot is reused. `Option<()>`
+    /// fits in the padding, so a `V = ()` node stays 32 bytes.
+    value: Option<V>,
 }
 
 /// A byte-capacity LRU cache of versioned objects. `S` hashes the keys:
 /// [`Keyed`] unless every key is already well mixed and no outside party
-/// chooses it (see [`crate::hash`]).
+/// chooses it (see [`crate::hash`]). `V` rides each entry and leaves with
+/// it — on eviction, removal, stale invalidation, or replacement by a
+/// refresh.
 ///
 /// See the [crate docs](crate) for an example.
 #[derive(Debug, Clone)]
-pub struct LruCache<S = Keyed> {
+pub struct LruCache<S = Keyed, V = ()> {
     capacity: ByteSize,
     used: u64,
     map: HashMap<u64, u32, S>,
-    slab: Vec<Node>,
+    slab: Vec<Node<V>>,
     free: Vec<u32>,
     /// Most recently used. NIL when empty.
     head: u32,
@@ -64,7 +71,7 @@ impl LruCache {
     }
 }
 
-impl<S: BuildHasher> LruCache<S> {
+impl<S: BuildHasher, V> LruCache<S, V> {
     /// Creates a cache with the given byte capacity whose keys `hasher`
     /// hashes.
     pub fn with_hasher(capacity: ByteSize, hasher: S) -> Self {
@@ -148,42 +155,58 @@ impl<S: BuildHasher> LruCache<S> {
 
     fn remove_idx(&mut self, idx: u32) -> Evicted {
         self.detach(idx);
-        let n = self.slab[idx as usize];
-        self.map.remove(&n.key);
-        self.used -= n.size;
+        let n = &mut self.slab[idx as usize];
+        n.value = None;
+        let (key, size, version) = (n.key, n.size, n.version);
+        self.map.remove(&key);
+        self.used -= size;
         self.free.push(idx);
         Evicted {
-            key: n.key,
-            size: ByteSize::from_bytes(n.size),
-            version: n.version,
+            key,
+            size: ByteSize::from_bytes(size),
+            version,
         }
+    }
+
+    /// The one probe behind [`LruCache::get`] and
+    /// [`LruCache::get_value`]: the slab entry of a fresh `key`, promoted
+    /// to most-recently-used; a stale one is removed.
+    #[inline(always)]
+    fn promote(&mut self, key: u64, min_version: u32) -> Option<&Node<V>> {
+        let idx = *self.map.get(&key)?;
+        if self.slab[idx as usize].version < min_version {
+            self.remove_idx(idx);
+            return None;
+        }
+        self.detach(idx);
+        self.attach_front(idx);
+        Some(&self.slab[idx as usize])
     }
 
     /// Looks up `key`, requiring at least `min_version`.
     ///
     /// * Fresh entry → promoted to most-recently-used, `Some((size, version))`.
     /// * Stale entry (stored version < `min_version`) → **invalidated**
-    ///   (removed) and `None` is returned: this is how strong consistency
-    ///   turns an update into a communication miss.
+    ///   (removed, its value dropped) and `None` is returned: this is how
+    ///   strong consistency turns an update into a communication miss.
     /// * Absent → `None`.
     //
-    // `get` and `insert` are kept out of line: inlined into a caller's
-    // loop, they left the keyed SipHash there as a call, +2 ns a `get` and
-    // +8 ns an evicting `insert` in the benchmark's `cache.lru.*` rows.
+    // `get`, `get_value` and `insert_value` are kept out of line: inlined
+    // into a caller's loop, they left the keyed SipHash there as a call,
+    // +2 ns a `get` and +8 ns an evicting `insert` in the benchmark's
+    // `cache.lru.*` rows.
     #[inline(never)]
     pub fn get(&mut self, key: u64, min_version: u32) -> Option<(ByteSize, u32)> {
-        let idx = *self.map.get(&key)?;
-        let (size, version) = {
-            let n = &self.slab[idx as usize];
-            (n.size, n.version)
-        };
-        if version < min_version {
-            self.remove_idx(idx);
-            return None;
-        }
-        self.detach(idx);
-        self.attach_front(idx);
-        Some((ByteSize::from_bytes(size), version))
+        let n = self.promote(key, min_version)?;
+        Some((ByteSize::from_bytes(n.size), n.version))
+    }
+
+    /// [`LruCache::get`] that answers with the entry's version and value:
+    /// one probe of the key map for both.
+    #[inline(never)]
+    pub fn get_value(&mut self, key: u64, min_version: u32) -> Option<(u32, &V)> {
+        let n = self.promote(key, min_version)?;
+        Some((n.version, n.value.as_ref()?))
     }
 
     /// Looks up without promoting or invalidating.
@@ -193,23 +216,37 @@ impl<S: BuildHasher> LruCache<S> {
         Some((ByteSize::from_bytes(n.size), n.version))
     }
 
+    /// The value stored with `key`, without promoting or invalidating.
+    pub fn peek_value(&self, key: u64) -> Option<&V> {
+        let idx = *self.map.get(&key)?;
+        self.slab[idx as usize].value.as_ref()
+    }
+
     /// Whether `key` is present with version at least `min_version`.
     pub fn contains_fresh(&self, key: u64, min_version: u32) -> bool {
         self.peek(key).is_some_and(|(_, v)| v >= min_version)
     }
 
-    /// Inserts (or refreshes) `key`, evicting LRU entries as needed.
-    /// Returns the evicted entries (oldest first).
+    /// Inserts (or refreshes) `key` with `value`, evicting LRU entries as
+    /// needed. Returns the evicted entries (oldest first); their values
+    /// are dropped, and so is the value a refresh replaces.
     ///
-    /// Objects larger than the whole capacity are not cached (the returned
-    /// vector is empty and the object is simply not stored), mirroring
-    /// proxies' max-object-size policies.
+    /// Objects larger than the whole capacity are not cached: `None`, and
+    /// `value` is dropped unstored, mirroring proxies' max-object-size
+    /// policies.
     #[inline(never)]
-    pub fn insert(&mut self, key: u64, size: ByteSize, version: u32) -> Vec<Evicted> {
+    pub fn insert_value(
+        &mut self,
+        key: u64,
+        size: ByteSize,
+        version: u32,
+        value: V,
+    ) -> Option<Vec<Evicted>> {
+        // bh-lint: allow(no-hot-alloc, reason = "an empty Vec allocates nothing; it grows only when an insert evicts, and the evicted keys are the caller's to announce")
         let mut evicted = Vec::new();
         let size_b = size.as_bytes();
         if !self.capacity.is_unlimited() && size_b > self.capacity.as_bytes() {
-            return evicted;
+            return None;
         }
         // Refresh in place if already present.
         if let Some(&idx) = self.map.get(&key) {
@@ -219,30 +256,28 @@ impl<S: BuildHasher> LruCache<S> {
                 let n = &mut self.slab[idx as usize];
                 n.size = size_b;
                 n.version = n.version.max(version);
+                n.value = Some(value);
             }
             self.detach(idx);
             self.attach_front(idx);
         } else {
+            let node = Node {
+                key,
+                size: size_b,
+                version,
+                prev: NIL,
+                next: NIL,
+                value: Some(value),
+            };
             let idx = match self.free.pop() {
                 Some(i) => {
-                    self.slab[i as usize] = Node {
-                        key,
-                        size: size_b,
-                        version,
-                        prev: NIL,
-                        next: NIL,
-                    };
+                    self.slab[i as usize] = node;
                     i
                 }
                 None => {
+                    // bh-lint: allow(no-panic-hot-path, reason = "2^32 entries would take 128 GiB of slab before this could fire")
                     let i = u32::try_from(self.slab.len()).expect("cache entries fit in u32");
-                    self.slab.push(Node {
-                        key,
-                        size: size_b,
-                        version,
-                        prev: NIL,
-                        next: NIL,
-                    });
+                    self.slab.push(node);
                     i
                 }
             };
@@ -262,7 +297,7 @@ impl<S: BuildHasher> LruCache<S> {
                 evicted.push(self.remove_idx(tail));
             }
         }
-        evicted
+        Some(evicted)
     }
 
     /// Removes `key` (e.g. on invalidation). Returns the removed entry.
@@ -289,7 +324,7 @@ impl<S: BuildHasher> LruCache<S> {
     }
 
     /// Iterates over keys from most- to least-recently used.
-    pub fn iter(&self) -> Iter<'_> {
+    pub fn iter(&self) -> Iter<'_, V> {
         Iter {
             slab: &self.slab,
             cur: self.head,
@@ -297,14 +332,24 @@ impl<S: BuildHasher> LruCache<S> {
     }
 }
 
+impl<S: BuildHasher> LruCache<S> {
+    /// [`LruCache::insert_value`] for a cache that keeps no values: the
+    /// evicted entries, none when the object is too large to cache.
+    #[inline]
+    pub fn insert(&mut self, key: u64, size: ByteSize, version: u32) -> Vec<Evicted> {
+        self.insert_value(key, size, version, ())
+            .unwrap_or_default()
+    }
+}
+
 /// Iterator over `(key, size, version)` in recency order.
 #[derive(Debug)]
-pub struct Iter<'a> {
-    slab: &'a [Node],
+pub struct Iter<'a, V = ()> {
+    slab: &'a [Node<V>],
     cur: u32,
 }
 
-impl Iterator for Iter<'_> {
+impl<V> Iterator for Iter<'_, V> {
     type Item = (u64, ByteSize, u32);
     fn next(&mut self) -> Option<Self::Item> {
         if self.cur == NIL {
@@ -468,6 +513,7 @@ mod tests {
         use super::*;
         use crate::PreMixed;
         use proptest::prelude::*;
+        use std::rc::Rc;
 
         #[derive(Debug, Clone)]
         enum Op {
@@ -529,30 +575,110 @@ mod tests {
                 }
             }
 
-            /// The hasher decides only where the key map keeps an entry: a
-            /// cache on the pass-through hasher and one on the keyed hasher
-            /// return the same values, evict the same entries in the same
-            /// order and hold the same entries in the same recency order.
+            /// The hasher decides only where the key map keeps an entry, and
+            /// the value type only what rides it: a cache on the keyed
+            /// hasher, one on the pass-through hasher and one that carries
+            /// a value with every entry return the same answers, evict the
+            /// same entries in the same order and hold the same entries in
+            /// the same recency order.
             #[test]
             fn hasher_never_changes_behaviour(ops in proptest::collection::vec(op_strategy(), 1..300)) {
                 let cap = ByteSize::from_bytes(50_000);
                 let mut keyed = LruCache::new(cap);
                 let mut premixed = LruCache::with_hasher(cap, PreMixed::default());
-                for op in ops {
+                let mut valued: LruCache<Keyed, Rc<u64>> = LruCache::with_hasher(cap, Keyed::default());
+                for (serial, op) in ops.into_iter().enumerate() {
                     match op {
                         Op::Insert(k, s, v) => {
                             let s = ByteSize::from_bytes(s);
-                            prop_assert_eq!(keyed.insert(k, s, v), premixed.insert(k, s, v));
+                            let evicted = keyed.insert(k, s, v);
+                            prop_assert_eq!(&evicted, &premixed.insert(k, s, v));
+                            let carried = valued.insert_value(k, s, v, Rc::new(serial as u64));
+                            prop_assert_eq!(evicted, carried.unwrap_or_default());
                         }
-                        Op::Get(k, v) => prop_assert_eq!(keyed.get(k, v), premixed.get(k, v)),
-                        Op::Remove(k) => prop_assert_eq!(keyed.remove(k), premixed.remove(k)),
-                        Op::Demote(k) => prop_assert_eq!(keyed.demote(k), premixed.demote(k)),
-                        Op::Peek(k) => prop_assert_eq!(keyed.peek(k), premixed.peek(k)),
+                        Op::Get(k, v) => {
+                            let got = keyed.get(k, v);
+                            prop_assert_eq!(got, premixed.get(k, v));
+                            prop_assert_eq!(got.map(|(_, v)| v), valued.get_value(k, v).map(|(v, _)| v));
+                        }
+                        Op::Remove(k) => {
+                            let removed = keyed.remove(k);
+                            prop_assert_eq!(removed, premixed.remove(k));
+                            prop_assert_eq!(removed, valued.remove(k));
+                        }
+                        Op::Demote(k) => {
+                            let demoted = keyed.demote(k);
+                            prop_assert_eq!(demoted, premixed.demote(k));
+                            prop_assert_eq!(demoted, valued.demote(k));
+                        }
+                        Op::Peek(k) => {
+                            let peeked = keyed.peek(k);
+                            prop_assert_eq!(peeked, premixed.peek(k));
+                            prop_assert_eq!(peeked, valued.peek(k));
+                        }
                     }
                     prop_assert!(keyed.iter().eq(premixed.iter()));
+                    prop_assert!(keyed.iter().eq(valued.iter()));
                     prop_assert_eq!(keyed.len(), premixed.len());
+                    prop_assert_eq!(keyed.len(), valued.len());
                     prop_assert_eq!(keyed.used_bytes(), premixed.used_bytes());
+                    prop_assert_eq!(keyed.used_bytes(), valued.used_bytes());
                 }
+            }
+
+            /// A value rides its entry: reads return the value last
+            /// inserted for the key, and a value is dropped exactly when its
+            /// entry leaves — evicted, removed, invalidated as stale,
+            /// replaced by a refresh, or refused as oversize — and never
+            /// outlives it. The test keeps a second handle on every value,
+            /// so a value the cache still holds has two.
+            #[test]
+            fn values_ride_their_entries(ops in proptest::collection::vec(op_strategy(), 1..300)) {
+                let cap = ByteSize::from_bytes(50_000);
+                let mut c: LruCache<Keyed, Rc<u64>> = LruCache::with_hasher(cap, Keyed::default());
+                // The serial each resident key's value carries.
+                let mut model: HashMap<u64, u64> = HashMap::new();
+                let mut handles: Vec<Rc<u64>> = Vec::new();
+                for (serial, op) in ops.into_iter().enumerate() {
+                    let serial = serial as u64;
+                    match op {
+                        Op::Insert(k, s, v) => {
+                            let value = Rc::new(serial);
+                            handles.push(Rc::clone(&value));
+                            if let Some(evicted) = c.insert_value(k, ByteSize::from_bytes(s), v, value) {
+                                for e in evicted {
+                                    model.remove(&e.key);
+                                }
+                                model.insert(k, serial);
+                            }
+                        }
+                        Op::Get(k, v) => match c.get_value(k, v) {
+                            Some((_, value)) => prop_assert_eq!(Some(**value), model.get(&k).copied()),
+                            None => {
+                                model.remove(&k);
+                            }
+                        },
+                        Op::Remove(k) => {
+                            prop_assert_eq!(c.remove(k).is_some(), model.remove(&k).is_some());
+                        }
+                        Op::Demote(k) => {
+                            c.demote(k);
+                        }
+                        Op::Peek(k) => {
+                            prop_assert_eq!(c.peek_value(k).map(|v| **v), model.get(&k).copied());
+                        }
+                    }
+                    prop_assert_eq!(c.len(), model.len());
+                    for (k, _, _) in c.iter() {
+                        prop_assert_eq!(c.peek_value(k).map(|v| **v), model.get(&k).copied());
+                    }
+                    for handle in &handles {
+                        let held = model.values().any(|s| *s == **handle);
+                        prop_assert_eq!(Rc::strong_count(handle), 1 + usize::from(held));
+                    }
+                }
+                drop(c);
+                prop_assert!(handles.iter().all(|h| Rc::strong_count(h) == 1));
             }
         }
     }

@@ -1,7 +1,7 @@
 //! `bh-lint`: a repo-specific static analysis pass enforcing the
 //! determinism and resilience invariants this reproduction rests on.
 //!
-//! Nine rules (see `LINTS.md` at the repo root):
+//! Ten rules (see `LINTS.md` at the repo root):
 //!
 //! 1. `no-wall-clock` — `Instant::now`/`SystemTime::now` only in real
 //!    I/O modules; simulation and bench code must be replayable.
@@ -28,6 +28,10 @@
 //!    must be acyclic, must respect the canonical lock ranking declared
 //!    in `LINTS.md`, and hot-path code must not hold a lock across
 //!    blocking I/O.
+//! 10. `cross-crate-inline` — every non-test function with a body in
+//!     the vendored `bytes` stand-in carries `#[inline]`: the workspace
+//!     builds without LTO, so its accessors are otherwise a call from
+//!     every other crate.
 //!
 //! The analyzer is layered (see DESIGN.md "analyzer architecture"):
 //! `lexer` flattens each file to tokens, `model` lifts the tokens into
@@ -142,6 +146,12 @@ pub mod scope {
     /// The durable-storage crate: everything that writes bytes the next
     /// process must be able to replay.
     pub const DURABLE_STORE: &str = "crates/hintlog/src/";
+
+    /// Files whose every function is called from other crates on the
+    /// request path and must stay inlinable there. They sit under
+    /// `vendor/`, which the tree walk skips, so the engine reads them by
+    /// name and runs only `cross-crate-inline` over them.
+    pub const INLINE_ACROSS_CRATES: [&str; 1] = ["vendor/bytes/src/lib.rs"];
 }
 
 /// One finding, rendered as `{file}:{line}: [{rule}] {message}`.
@@ -283,8 +293,7 @@ pub fn load_ranking(root: &Path) -> Option<Vec<String>> {
 /// Runs every rule over the `.rs` files under `root`, resolves allow
 /// directives, and returns the surviving diagnostics sorted.
 pub fn check_root(root: &Path) -> io::Result<Report> {
-    let lexed = lex_tree(root)?;
-    let files_scanned = lexed.len();
+    let mut lexed = lex_tree(root)?;
 
     let mut raw: Vec<Diagnostic> = Vec::new();
     for (rel, lx) in &lexed {
@@ -304,6 +313,18 @@ pub fn check_root(root: &Path) -> io::Result<Report> {
     rules::no_panic_reachable(&model, &mut raw);
     rules::no_alloc_reachable(&model, &mut raw);
     rules::lock_order(&model, ranking.as_deref(), &mut raw);
+
+    // Vendored files in the inline scope join the tree after the model
+    // is built: no other rule and no call graph sees them, but their
+    // allow directives resolve like any other file's.
+    for rel in scope::INLINE_ACROSS_CRATES {
+        if let Ok(src) = fs::read_to_string(root.join(rel)) {
+            let lx = lexer::lex(&src);
+            rules::cross_crate_inline(rel, &lx, &mut raw);
+            lexed.insert(rel.to_string(), lx);
+        }
+    }
+    let files_scanned = lexed.len();
 
     // Allow resolution: a well-formed directive (known rule, nonempty
     // reason) waives matching findings on its own line and the next.

@@ -1,7 +1,7 @@
-//! The nine bh-lint rules. Each rule pushes [`Diagnostic`]s; allow
+//! The ten bh-lint rules. Each rule pushes [`Diagnostic`]s; allow
 //! resolution and rendering happen in the engine (`lib.rs`).
 //!
-//! Rules 1–4, 7, and 8 are per-file token scans gated on the shared
+//! Rules 1–4, 7, 8 and 10 are per-file token scans gated on the shared
 //! scope table (`crate::scope`). Rules 5–6 are cross-file consistency
 //! checks over specific files. The interprocedural passes
 //! ([`no_panic_reachable`], [`no_alloc_reachable`], [`lock_order`])
@@ -14,7 +14,7 @@ use crate::{scope, Diagnostic};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Rule names, in the order they are documented in LINTS.md.
-pub const RULES: [&str; 9] = [
+pub const RULES: [&str; 10] = [
     "no-wall-clock",
     "no-ambient-rng",
     "ordered-iteration",
@@ -24,6 +24,7 @@ pub const RULES: [&str; 9] = [
     "no-hot-alloc",
     "fixed-width-records",
     "lock-order",
+    "cross-crate-inline",
 ];
 
 /// Identifiers that construct or feed an RNG from ambient state rather
@@ -192,6 +193,96 @@ pub fn no_hot_alloc(rel: &str, lx: &Lexed, out: &mut Vec<Diagnostic>) {
                     ),
                 );
             }
+        }
+    }
+}
+
+/// Whether the attribute group ending just before token `end` (`#[...]`
+/// blocks, then the `pub`/`const`/... qualifiers of the item) holds
+/// `#[inline]` or `#[inline(always)]`.
+fn has_inline_attr(tokens: &[Token], end: usize) -> bool {
+    let mut j = end;
+    // Qualifiers between the attributes and `fn`: `pub(crate) const`.
+    while j > 0 {
+        match &tokens[j - 1].tok {
+            Tok::Ident(s)
+                if ["pub", "crate", "super", "const", "unsafe", "async"].contains(&s.as_str()) =>
+            {
+                j -= 1
+            }
+            Tok::Punct('(') | Tok::Punct(')') => j -= 1,
+            _ => break,
+        }
+    }
+    while j >= 3 && tokens[j - 1].tok == Tok::Punct(']') {
+        let mut open = j - 1;
+        while open > 0 && tokens[open].tok != Tok::Punct('[') {
+            open -= 1;
+        }
+        if open == 0 || tokens[open - 1].tok != Tok::Punct('#') {
+            return false;
+        }
+        let attr: Vec<&Tok> = tokens[open + 1..j - 1].iter().map(|t| &t.tok).collect();
+        let inline = matches!(attr.first(), Some(Tok::Ident(s)) if s == "inline");
+        let never = attr
+            .iter()
+            .any(|t| matches!(t, Tok::Ident(s) if s == "never"));
+        if inline && !never {
+            return true;
+        }
+        j = open - 1;
+    }
+    false
+}
+
+/// Rule 10: a function with a body but no `#[inline]` in a file whose
+/// functions are called across crates on the request path. The
+/// workspace builds without LTO, so such a function, unless generic, is
+/// a call from every other crate however small it is. `#[cfg(test)] mod`
+/// blocks are exempt; a bodyless trait method declares nothing to inline.
+pub fn cross_crate_inline(rel: &str, lx: &Lexed, out: &mut Vec<Diagnostic>) {
+    if !scope::INLINE_ACROSS_CRATES.contains(&rel) {
+        return;
+    }
+    let tokens = &lx.tokens;
+    let spans = test_mod_spans(tokens);
+    for i in 0..tokens.len() {
+        let t = &tokens[i];
+        let Some(Tok::Ident(name)) = tokens.get(i + 1).map(|n| &n.tok) else {
+            continue;
+        };
+        if !matches!(&t.tok, Tok::Ident(s) if s == "fn")
+            || spans.iter().any(|&(a, b)| t.line >= a && t.line <= b)
+        {
+            continue;
+        }
+        // The signature ends at the body's `{` or a declaration's `;`,
+        // whichever comes first outside brackets (`[u8; N]`).
+        let mut depth = 0i32;
+        let mut has_body = false;
+        for n in &tokens[i + 2..] {
+            match n.tok {
+                Tok::Punct('(') | Tok::Punct('[') => depth += 1,
+                Tok::Punct(')') | Tok::Punct(']') => depth -= 1,
+                Tok::Punct('{') if depth == 0 => {
+                    has_body = true;
+                    break;
+                }
+                Tok::Punct(';') if depth == 0 => break,
+                _ => {}
+            }
+        }
+        if has_body && !has_inline_attr(tokens, i) {
+            push(
+                out,
+                rel,
+                t.line,
+                "cross-crate-inline",
+                format!(
+                    "`fn {name}` lacks `#[inline]`; without LTO a non-generic function \
+                     here is never inlined into the crates that call it"
+                ),
+            );
         }
     }
 }

@@ -165,6 +165,21 @@ fn allow_hygiene_fixture_matches_golden() {
     assert_eq!(report.allows_honored, 1);
 }
 
+#[test]
+fn cross_crate_inline_fixture_matches_golden() {
+    let report = check_fixture("cross-crate-inline");
+    // Only the named vendored file is in scope: the crate beside it, the
+    // bodyless trait method, `#[inline(always)]` behind another
+    // attribute and the #[cfg(test)] helper contribute nothing, and the
+    // waived site's allow is honored.
+    assert_eq!(report.allows_honored, 1);
+    assert_eq!(report.files_scanned, 2);
+    assert!(report
+        .diagnostics
+        .iter()
+        .all(|d| d.file == "vendor/bytes/src/lib.rs"));
+}
+
 /// The meta-test: the real tree must be clean. This is the same check
 /// CI runs via `cargo run -p bh-lint -- check`, pinned here so plain
 /// `cargo test` catches violations too.

@@ -663,42 +663,35 @@ impl Shard {
     /// connection holds all it may — what is left then waits, unparsed, in
     /// the assembler and the socket (`stalled`). Returns false when the
     /// connection is beyond saving (socket error or unframeable input).
+    /// The connection is looked up once for the whole pass.
     fn read_ready(&mut self, token: u64) -> bool {
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return false;
+        };
         let mut buf = [0u8; READ_BUF];
         // A short read drained the socket: epoll is level-triggered, so
         // whatever arrives next raises a new event, and no extra `read` is
         // spent collecting `WouldBlock`.
         let mut drained = false;
-        if let Some(conn) = self.conns.get_mut(&token) {
-            conn.stalled = false;
-        }
+        conn.stalled = false;
         loop {
             loop {
-                let Some(conn) = self.conns.get_mut(&token) else {
-                    return false;
-                };
                 let msg = match conn.assembler.next_message() {
                     Ok(Some(msg)) => msg,
                     Ok(None) => break,
                     Err(_) => return false,
                 };
-                let Some(over_caps) = self.deliver(token, msg) else {
+                let Some(over_caps) =
+                    deliver(&self.inner, &self.jobs, self.id, token, &conn.shared, msg)
+                else {
                     return false;
                 };
                 if over_caps {
-                    if let Some(conn) = self.conns.get_mut(&token) {
-                        conn.stalled = true;
-                    }
+                    conn.stalled = true;
                     return true;
                 }
             }
-            if drained {
-                return true;
-            }
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return false;
-            };
-            if conn.eof {
+            if drained || conn.eof {
                 return true;
             }
             let n = match (&conn.shared.stream).read(&mut buf) {
@@ -714,43 +707,6 @@ impl Shard {
             conn.assembler.extend(&buf[..n]);
             drained = n < buf.len();
         }
-    }
-
-    /// Routes one frame under the connection lock, through the backlog so
-    /// there is one dispatch ladder ([`replay_backlog`]): the frame stays
-    /// parked behind a held connection and is dispatched at once
-    /// otherwise. A `Get` parked behind a worker passes admission here,
-    /// once. Returns whether the connection is now over its caps, `None`
-    /// when it should be torn down.
-    fn deliver(&mut self, token: u64, msg: Message) -> Option<bool> {
-        let conn = self.conns.get(&token)?;
-        let shared = Arc::clone(&conn.shared);
-        let mut state = shared.state.lock();
-        if state.closed {
-            return None;
-        }
-        let parked = match msg {
-            Message::Get { url } => {
-                let get = ParkedGet::new(url);
-                if !state.busy && state.backlog.is_empty() {
-                    if let Some(reply) = service::answer_locally(&self.inner, get.key) {
-                        state.out.push(&reply);
-                        return Some(state.over_caps());
-                    }
-                }
-                match self.jobs.admit_get(&self.inner) {
-                    Ok(()) => {
-                        self.jobs.parked();
-                        Parked::Get(get)
-                    }
-                    Err(depth) => Parked::Reply(service::redirect(&self.inner, get.key, depth)),
-                }
-            }
-            other => Parked::Frame(other),
-        };
-        state.backlog.push_back(parked);
-        replay_backlog(&shared, &mut state, &self.inner, &self.jobs, self.id, token);
-        (!state.closed).then(|| state.over_caps())
     }
 
     /// Pumps the connection and keeps the poller's interest set in sync:
@@ -821,6 +777,48 @@ impl Shard {
             let _ = self.poller.deregister(&conn.shared.stream);
         }
     }
+}
+
+/// Routes one frame from shard `shard`'s connection `token` under the
+/// connection lock, through the backlog so there is one dispatch ladder
+/// ([`replay_backlog`]): the frame stays parked behind a held connection
+/// and is dispatched at once otherwise. A `Get` parked behind a worker
+/// passes admission here, once. Returns whether the connection is now over
+/// its caps, `None` when it should be torn down.
+fn deliver(
+    inner: &Inner,
+    jobs: &JobQueue,
+    shard: usize,
+    token: u64,
+    shared: &Arc<SharedConn>,
+    msg: Message,
+) -> Option<bool> {
+    let mut state = shared.state.lock();
+    if state.closed {
+        return None;
+    }
+    let parked = match msg {
+        Message::Get { url } => {
+            let get = ParkedGet::new(url);
+            if !state.busy && state.backlog.is_empty() {
+                if let Some(reply) = service::answer_locally(inner, get.key) {
+                    state.out.push(&reply);
+                    return Some(state.over_caps());
+                }
+            }
+            match jobs.admit_get(inner) {
+                Ok(()) => {
+                    jobs.parked();
+                    Parked::Get(get)
+                }
+                Err(depth) => Parked::Reply(service::redirect(inner, get.key, depth)),
+            }
+        }
+        other => Parked::Frame(other),
+    };
+    state.backlog.push_back(parked);
+    replay_backlog(shared, &mut state, inner, jobs, shard, token);
+    (!state.closed).then(|| state.over_caps())
 }
 
 /// The one place a connection's bytes leave. Takes the connection lock,

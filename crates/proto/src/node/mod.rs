@@ -47,7 +47,7 @@ pub use metrics::{NodeStats, NODE_TRACE_CAPACITY};
 use crate::liveness::PeerHealth;
 use crate::pool::{ConnectionPool, PoolConfig, RequestOptions};
 use crate::wire::{HintAction, MachineId, Message, ServedBy, Status};
-use bh_cache::LruCache;
+use bh_cache::{Keyed, LruCache};
 use bh_obs::{MetricEntry, MetricInfo, TraceEvent, TraceRing};
 use bytes::Bytes;
 use hints::HintStore;
@@ -55,20 +55,15 @@ use membership::Membership;
 use metrics::NodeMetrics;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use propagation::Propagation;
-use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-#[derive(Debug)]
-struct Store {
-    /// Metadata LRU (sizes/versions) driving eviction.
-    meta: LruCache,
-    /// Object bodies, keyed like `meta`.
-    bodies: HashMap<u64, Bytes>,
-}
+/// The data cache: one keyed map whose LRU entries carry each object's
+/// size, version and body. Keys stay [`Keyed`]: clients choose URLs.
+type Store = LruCache<Keyed, Bytes>;
 
 #[derive(Debug)]
 struct Inner {
@@ -135,10 +130,8 @@ impl Inner {
         }
         Inner {
             machine,
-            store: Mutex::new(Store {
-                meta: LruCache::new(config.data_capacity),
-                bodies: HashMap::new(),
-            }),
+            // bh-lint: allow(no-hot-alloc, reason = "setup: a node builds its store once, before it serves")
+            store: Mutex::new(Store::with_hasher(config.data_capacity, Keyed::default())),
             hints,
             propagation: Mutex::new(Propagation::default()),
             membership: Mutex::new(Membership::new(
@@ -348,7 +341,7 @@ impl CacheNode {
 
     /// Number of objects currently cached.
     pub fn cached_objects(&self) -> usize {
-        self.inner.store.lock().meta.len()
+        self.inner.store.lock().len()
     }
 
     /// The hint module's **find nearest** command: the location of the
@@ -361,10 +354,8 @@ impl CacheNode {
     /// `url` and advertises the non-presence.
     pub fn invalidate(&self, url: &str) {
         let key = bh_md5::url_key(url);
-        let mut store = self.inner.store.lock();
-        if store.meta.remove(key).is_some() {
-            store.bodies.remove(&key);
-            drop(store);
+        let removed = self.inner.store.lock().remove(key).is_some();
+        if removed {
             propagation::queue_update(&self.inner, HintAction::Remove, key);
         }
     }
@@ -542,7 +533,7 @@ fn local_response(inner: &Inner, msg: Message) -> Message {
             inner.metrics.pushes_received.inc();
             service::store_body(inner, key, version, body);
             // Aging (§4.1.2): pushed copies start at the cold end.
-            inner.store.lock().meta.demote(key);
+            inner.store.lock().demote(key);
             Message::Ack
         }
         Message::FindNearest { key } => {

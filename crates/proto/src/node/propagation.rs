@@ -215,7 +215,7 @@ pub(super) fn queue_update(inner: &Inner, action: HintAction, key: u64) {
 /// batch is deterministic for a given store state: the `Resync` reply and
 /// the re-advertisement after re-homing.
 pub(super) fn held_as_adds(inner: &Inner) -> Vec<HintUpdate> {
-    let mut keys: Vec<u64> = inner.store.lock().bodies.keys().copied().collect();
+    let mut keys: Vec<u64> = inner.store.lock().iter().map(|(key, _, _)| key).collect();
     keys.sort_unstable();
     keys.into_iter()
         .map(|object| HintUpdate {

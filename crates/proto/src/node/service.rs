@@ -86,12 +86,11 @@ pub(super) fn redirect(inner: &Inner, key: u64, depth: usize) -> Message {
 }
 
 /// The cached copy of `key`, promoted to most-recently-used: version and
-/// body under one store lock.
+/// body from one probe under one store lock.
 pub(super) fn cached(inner: &Inner, key: u64) -> Option<(u32, Bytes)> {
     let mut store = inner.store.lock();
-    let (_, version) = store.meta.get(key, 0)?;
-    let body = store.bodies.get(&key).cloned()?;
-    Some((version, body))
+    let (version, body) = store.get_value(key, 0)?;
+    Some((version, body.clone()))
 }
 
 /// Step 1 of a `Get`, the answer that needs no remote: a drained node
@@ -112,25 +111,16 @@ pub(super) fn answer_locally(inner: &Inner, key: u64) -> Option<Message> {
 /// Stores a body locally (inform) and queues the hint updates implied by
 /// the evictions plus the arrival itself.
 pub(super) fn store_body(inner: &Inner, key: u64, version: u32, body: Bytes) {
-    let mut store = inner.store.lock();
     let size = ByteSize::from_bytes(body.len() as u64);
-    let evicted = store.meta.insert(key, size, version);
-    let mut departed = Vec::with_capacity(evicted.len());
-    for e in evicted {
-        store.bodies.remove(&e.key);
-        departed.push(e.key);
+    let inserted = inner.store.lock().insert_value(key, size, version, body);
+    // Too large to cache: nothing arrived and nothing left.
+    let Some(evicted) = inserted else {
+        return;
+    };
+    for gone in evicted {
+        queue_update(inner, HintAction::Remove, gone.key);
     }
-    let stored = store.meta.peek(key).is_some();
-    if stored {
-        store.bodies.insert(key, body);
-    }
-    drop(store);
-    for gone in departed {
-        queue_update(inner, HintAction::Remove, gone);
-    }
-    if stored {
-        queue_update(inner, HintAction::Add, key);
-    }
+    queue_update(inner, HintAction::Add, key);
 }
 
 /// Step 2 of a `Get`: the local hint store. The data-store lock is never
@@ -223,7 +213,7 @@ impl<'a> Service<'a> {
             while end < run.len() {
                 let key = run[end].key;
                 let repeated = run[start..end].iter().any(|g| g.key == key);
-                if repeated || inner.store.lock().meta.peek(key).is_some() {
+                if repeated || inner.store.lock().peek(key).is_some() {
                     break;
                 }
                 trace_event(inner, span::RECV, key, 0);
@@ -516,8 +506,20 @@ mod tests {
 
     fn store(inner: &Inner) -> Contents {
         let store = inner.store.lock();
-        let bodies = store.bodies.iter().map(|(k, b)| (*k, b.clone()));
-        (store.meta.iter().collect(), bodies.collect())
+        let entries: Vec<_> = store.iter().collect();
+        let bodies = entries
+            .iter()
+            .map(|&(k, _, _)| {
+                (
+                    k,
+                    store
+                        .peek_value(k)
+                        .cloned()
+                        .expect("entry carries its body"),
+                )
+            })
+            .collect();
+        (entries, bodies)
     }
 
     /// The module's claim, with no socket and no clock: a node serving

@@ -1002,9 +1002,9 @@ impl FrameAssembler {
         if self.window.len() < total {
             return Ok(None);
         }
-        let frame = self.window.copy_to_bytes(total); // refcounted sub-slice
-        let ty = frame[4];
-        let payload = frame.slice(5..total);
+        let mut payload = self.window.copy_to_bytes(total); // refcounted sub-slice
+        let ty = payload[4];
+        payload.advance(5);
         Message::decode(ty, payload).map(Some)
     }
 }
@@ -1249,6 +1249,53 @@ mod tests {
         payload.put_slice(&[0u8; HINT_TAG_BYTES]);
         let err = Message::decode(T_HINT_BATCH, payload.freeze()).expect_err("future version");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    /// `n` seeded updates: both actions, keys over all 64 bits, five
+    /// holders.
+    fn pinned_updates(n: u64) -> Vec<HintUpdate> {
+        (0..n)
+            .map(|i| HintUpdate {
+                action: if i % 3 == 0 {
+                    HintAction::Remove
+                } else {
+                    HintAction::Add
+                },
+                object: (i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                machine: MachineId(i % 5 + 1),
+            })
+            .collect()
+    }
+
+    /// The HintBatch v2 authenticator as peers already deployed compute
+    /// it: keys for two senders and tags over 0, 1, 3 and 200 records,
+    /// recorded from the loop-form MD5 kernel. A node whose tags differ
+    /// from these is quarantined by every older peer.
+    #[test]
+    fn hint_batch_keys_and_tags_are_pinned() {
+        let hex = |b: [u8; 16]| b.iter().map(|x| format!("{x:02x}")).collect::<String>();
+        let sender =
+            MachineId::from_addr(std::net::SocketAddr::from(([10, 0, 0, 7], 3128))).expect("v4");
+        assert_eq!(
+            hex(hint_batch_key(MachineId(1))),
+            "0280db65158fd4698dda39e692cac4b1"
+        );
+        assert_eq!(
+            hex(hint_batch_key(sender)),
+            "83a510c20e91522a5c094913f785b7f8"
+        );
+        for (n, tag) in [
+            (0, "629c9af1995e66829ef12cc791327e1b"),
+            (1, "73e173a9981bfbce3cf1e1285b55c8a8"),
+            (3, "a727231290a7a89ceb80328e11e9da40"),
+            (200, "e30e3eaadf1ff933131b5ec380bcfb3d"),
+        ] {
+            assert_eq!(
+                hex(hint_batch_tag(sender, &pinned_updates(n))),
+                tag,
+                "{n} updates"
+            );
+        }
     }
 
     #[test]
