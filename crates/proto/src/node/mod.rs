@@ -36,7 +36,7 @@ mod hints;
 mod membership;
 mod meta;
 mod metrics;
-mod outq;
+pub(crate) mod outq;
 mod propagation;
 mod service;
 

@@ -11,6 +11,11 @@
 //! once, by the kernel.
 //!
 //! A partial write moves a cursor, never the bytes behind it.
+//!
+//! Two writers drain it: a node's connection engine, on a non-blocking
+//! socket once per readiness event (`engine::write_out`), and the origin
+//! server, on a blocking socket once per pipelined run before it reads
+//! again (`origin::serve`).
 
 use crate::wire::Message;
 use bh_netpoll::MAX_IOV;
@@ -21,8 +26,9 @@ use std::io::{self, IoSlice};
 /// Unsent reply bytes past which nothing more is encoded, serviced or
 /// read on a connection until the socket has taken them: a run's replies
 /// leave in writes of about this size, and a client that does not read
-/// stalls here. Referenced bodies count like copied ones.
-pub(super) const OUT_CAP: usize = 64 * 1024;
+/// stalls here, at a node and at the origin alike. Referenced bodies
+/// count like copied ones.
+pub(crate) const OUT_CAP: usize = 64 * 1024;
 
 /// Initial capacity of the flat buffer.
 const FLAT_BUF: usize = 4096;
@@ -33,7 +39,7 @@ struct Splice {
     body: Bytes,
 }
 
-pub(super) struct OutQueue {
+pub(crate) struct OutQueue {
     /// Everything that is not a referenced body, in order.
     flat: BytesMut,
     /// Bytes of `flat` the socket has taken.
@@ -49,7 +55,7 @@ pub(super) struct OutQueue {
 }
 
 impl OutQueue {
-    pub(super) fn new() -> OutQueue {
+    pub(crate) fn new() -> OutQueue {
         OutQueue {
             flat: BytesMut::with_capacity(FLAT_BUF),
             flat_sent: 0,
@@ -60,21 +66,21 @@ impl OutQueue {
     }
 
     /// Bytes the socket has yet to take.
-    pub(super) fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
-    pub(super) fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     /// Whether the queue holds [`OUT_CAP`] bytes or more.
-    pub(super) fn is_full(&self) -> bool {
+    pub(crate) fn is_full(&self) -> bool {
         self.len() >= OUT_CAP
     }
 
     /// Queues `msg`'s frame behind everything already owed.
-    pub(super) fn push(&mut self, msg: &Message) {
+    pub(crate) fn push(&mut self, msg: &Message) {
         let before = self.flat.len();
         let by_ref = msg.encode_split(&mut self.flat);
         self.len += self.flat.len() - before;
@@ -107,7 +113,7 @@ impl OutQueue {
     /// Offers `write` the bytes owed, oldest first, as at most
     /// [`MAX_IOV`] segments, and drops from the queue as many bytes as it
     /// reports taken. Must not be called on an empty queue.
-    pub(super) fn write_with(
+    pub(crate) fn write_with(
         &mut self,
         write: impl FnOnce(&[IoSlice<'_>]) -> io::Result<usize>,
     ) -> io::Result<usize> {

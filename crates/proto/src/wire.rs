@@ -962,8 +962,9 @@ impl FrameAssembler {
         self.window.len() + self.staging.len()
     }
 
-    /// Parses `buf[..5]` as a frame header, validating the length prefix.
-    fn header(buf: &[u8]) -> io::Result<usize> {
+    /// Parses `buf[..5]` as a frame header, validating the length prefix:
+    /// the whole frame's length, header included.
+    pub(crate) fn header(buf: &[u8]) -> io::Result<usize> {
         let mut len = [0u8; 4];
         len.copy_from_slice(&buf[..4]);
         let len = u32::from_le_bytes(len);
