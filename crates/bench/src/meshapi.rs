@@ -89,15 +89,6 @@ impl MeshClient {
         self.fan_out(|conn| conn.meta_list(path))
     }
 
-    /// `Set path = value` fanned out to every node, in address order.
-    ///
-    /// # Errors
-    ///
-    /// Fails fast on the first node that errors.
-    pub fn set_all(&self, path: &str, value: &str) -> io::Result<Vec<NodeReply>> {
-        self.fan_out(|conn| conn.meta_set(path, value))
-    }
-
     fn fan_out(
         &self,
         mut op: impl FnMut(&mut Connection) -> io::Result<Vec<MetaEntry>>,

@@ -90,7 +90,7 @@ fn plaxton_sweep() -> Vec<(u32, f64, f64)> {
 
 /// Replacement-policy ablation: LRU vs GreedyDual-Size vs seeded-Random
 /// request hit rate on the actual workload stream through one
-/// space-constrained shared cache. Rows follow [`Replacement::ALL`].
+/// space-constrained shared cache. Rows follow [`bh_cache::Replacement::ALL`].
 /// Public so the golden regression can pin the rows digit-for-digit
 /// through the parallel engine without replaying the whole experiment.
 pub fn replacement_sweep(spec: &bh_trace::WorkloadSpec, seed: u64) -> Vec<(String, f64)> {

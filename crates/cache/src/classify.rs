@@ -51,11 +51,6 @@ impl MissClass {
     /// Number of classes (the length of [`MissClass::ALL`]).
     pub const COUNT: usize = 6;
 
-    /// Whether this is any kind of miss.
-    pub fn is_miss(self) -> bool {
-        self != MissClass::Hit
-    }
-
     /// A dense index in `0..MissClass::COUNT`, stable across runs — used to
     /// address per-class counter arrays without hashing.
     pub const fn index(self) -> usize {

@@ -1,9 +1,9 @@
 //! The trace-driven simulation driver.
 //!
 //! [`Simulator::run`] streams a workload through a strategy and prices each
-//! request's [`AccessPath`] under every supplied cost model at once — the
-//! outcome stream is model-independent, so one pass yields the Testbed /
-//! Min / Max groups of Figure 8 together.
+//! request's [`AccessPath`](crate::AccessPath) under every supplied cost
+//! model at once — the outcome stream is model-independent, so one pass
+//! yields the Testbed / Min / Max groups of Figure 8 together.
 //!
 //! Following §2.2.1/§2.2.2: the first part of the trace warms the caches
 //! without being measured, and uncachable/error requests are excluded from
@@ -142,20 +142,8 @@ impl Simulator {
     }
 
     /// Runs a caller-constructed strategy (for custom configurations, e.g.
-    /// hint-size sweeps). Uses the process-wide [`TraceCache`].
-    pub fn run_with(
-        &self,
-        spec: &WorkloadSpec,
-        seed: u64,
-        strategy: &mut dyn Strategy,
-        models: &[&dyn CostModel],
-        idealize: bool,
-    ) -> SimReport {
-        self.run_with_trace(&TraceCache::get(spec, seed), strategy, models, idealize)
-    }
-
-    /// [`Simulator::run_with`] over an already-materialized trace arena —
-    /// the replay loop every other entry point funnels into.
+    /// hint-size sweeps) over an already-materialized trace arena — the
+    /// replay loop every other entry point funnels into.
     pub fn run_with_trace(
         &self,
         trace: &MaterializedTrace,

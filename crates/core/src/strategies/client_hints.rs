@@ -61,7 +61,8 @@ struct ObjState {
     holders: Vec<NodeIdx>,
 }
 
-/// The client-level hint strategy. See the [module docs](self).
+/// The client-level hint strategy. See the docs of its module,
+/// `strategies::client_hints`.
 #[derive(Debug)]
 pub struct ClientHints {
     topo: Topology,

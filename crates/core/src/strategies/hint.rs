@@ -101,7 +101,8 @@ enum HintStores {
     },
 }
 
-/// The hint-hierarchy strategy. See the [module docs](self).
+/// The hint-hierarchy strategy. See the docs of its module,
+/// `strategies::hint`.
 #[derive(Debug)]
 pub struct HintHierarchy {
     topo: Topology,

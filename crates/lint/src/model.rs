@@ -8,9 +8,9 @@
 //!
 //! * **Calls resolve by bare name.** A call site `foo(..)` or
 //!   `x.foo(..)` resolves to every non-test workspace `fn foo` — unless
-//!   the name is on [`CALL_IGNORE`] (ubiquitous std method names whose
+//!   the name is on `CALL_IGNORE` (ubiquitous std method names whose
 //!   edges would be overwhelmingly false) or has more than
-//!   [`AMBIGUITY_CAP`] candidates. False negatives are preferred over
+//!   `AMBIGUITY_CAP` candidates. False negatives are preferred over
 //!   false edges: a lint that cries wolf gets allowed into silence.
 //! * **Lock identity is `{crate}/{receiver}`.** `inner.store.lock()`
 //!   and `self.store.lock()` are the same lock; two fields named

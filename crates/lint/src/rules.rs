@@ -869,7 +869,7 @@ fn reachability_rule(
 
 /// Interprocedural half of rule 4: a hot-path entry point must not
 /// reach a panic-family ident through any workspace helper within
-/// [`PANIC_CALL_DEPTH`] calls.
+/// `PANIC_CALL_DEPTH` calls.
 pub fn no_panic_reachable(model: &Model, out: &mut Vec<Diagnostic>) {
     reachability_rule(
         model,
@@ -890,7 +890,7 @@ pub fn no_panic_reachable(model: &Model, out: &mut Vec<Diagnostic>) {
 
 /// Interprocedural half of rule 7: a hot-path entry point must not
 /// reach a per-request allocation idiom through any workspace helper
-/// within [`ALLOC_CALL_DEPTH`] calls.
+/// within `ALLOC_CALL_DEPTH` calls.
 pub fn no_alloc_reachable(model: &Model, out: &mut Vec<Diagnostic>) {
     reachability_rule(
         model,
@@ -986,7 +986,7 @@ fn transitive_acquires(
 
 /// The global lock-order graph: an edge `A -> B` whenever some fn
 /// acquires `B` with `A` held — directly, or through a call whose
-/// callee (summarized to [`LOCK_SUMMARY_DEPTH`]) acquires `B`.
+/// callee (summarized to `LOCK_SUMMARY_DEPTH`) acquires `B`.
 pub fn lock_graph(model: &Model) -> DiGraph {
     let mut g = DiGraph::default();
     for (fi, f) in model.fns.iter().enumerate().filter(|(_, f)| !f.in_test) {

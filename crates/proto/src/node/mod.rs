@@ -48,7 +48,7 @@ use crate::liveness::PeerHealth;
 use crate::pool::{ConnectionPool, PoolConfig, RequestOptions};
 use crate::wire::{HintAction, MachineId, Message, ServedBy, Status};
 use bh_cache::{Keyed, LruCache};
-use bh_obs::{MetricEntry, MetricInfo, TraceEvent, TraceRing};
+use bh_obs::{MetricEntry, TraceEvent, TraceRing};
 use bytes::Bytes;
 use hints::HintStore;
 use membership::Membership;
@@ -327,11 +327,6 @@ impl CacheNode {
     /// histogram buckets.
     pub fn metrics_snapshot(&self) -> Vec<MetricEntry> {
         self.inner.metrics.snapshot_with_pool(&self.inner.pool)
-    }
-
-    /// The metric catalog (name, unit, help, determinism class).
-    pub fn metrics_catalog(&self) -> Vec<MetricInfo> {
-        self.inner.metrics.catalog()
     }
 
     /// Retained trace records, oldest first.

@@ -8,13 +8,13 @@
 //!
 //! One thread serves each connection. It answers every frame its read
 //! buffer already holds, queueing the replies in the node's out-queue
-//! ([`OutQueue`]: small frames flat, bodies of a page or more by
+//! (`OutQueue`: small frames flat, bodies of a page or more by
 //! reference), and hands them to the socket in one `write` or `writev`
 //! before it can block on a read: a node that pipelines sixteen misses
 //! gets sixteen replies back from one call, and a lone `Get` is answered
 //! before the thread waits again. The queue is also written out whenever
-//! it reaches [`OUT_CAP`](crate::node::outq::OUT_CAP), so one run never
-//! holds more than about that many unsent bytes.
+//! it reaches `OUT_CAP` (64 KiB), so one run never holds more than about
+//! that many unsent bytes.
 
 use crate::node::outq::OutQueue;
 use crate::wire::{read_message, FrameAssembler, Message, ServedBy, Status};

@@ -688,6 +688,14 @@ impl Message {
                         "oversized batch",
                     ));
                 }
+                // The count must fit the bytes that arrived before it sizes
+                // an allocation: a 29-byte frame may not reserve 80 MB.
+                if n > buf.remaining() / HINT_UPDATE_BYTES {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        "batch count exceeds payload",
+                    ));
+                }
                 let mut updates = Vec::with_capacity(n);
                 for _ in 0..n {
                     updates.push(HintUpdate::decode(buf)?);
@@ -828,6 +836,12 @@ impl Message {
                     return Err(io::Error::new(
                         io::ErrorKind::InvalidData,
                         "oversized meta reply",
+                    ));
+                }
+                if n > buf.remaining() / META_ENTRY_MIN_BYTES {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        "meta reply count exceeds payload",
                     ));
                 }
                 let mut entries = Vec::with_capacity(n);
@@ -1208,6 +1222,37 @@ mod tests {
         payload.put_u8(0); // status: Ok
         payload.put_u32_le(u32::MAX);
         let err = Message::decode(T_META_REPLY, payload.freeze()).expect_err("oversized");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn hint_batch_count_beyond_payload_rejected() {
+        // The largest count the `MAX_FRAME` check admits, carried by a
+        // 29-byte payload: header, count and tag, no records.
+        let n = (MAX_FRAME as usize / HINT_UPDATE_BYTES) as u32;
+        assert_eq!(n, 3_355_443);
+        let mut payload = BytesMut::new();
+        payload.put_u8(HINT_BATCH_VERSION);
+        payload.put_u64_le(7); // sender
+        payload.put_u32_le(n);
+        payload.put_slice(&[0u8; HINT_TAG_BYTES]);
+        assert_eq!(payload.len(), 29);
+        let err = Message::decode(T_HINT_BATCH, payload.freeze()).expect_err("short batch");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn meta_reply_count_beyond_payload_rejected() {
+        // The largest count the `MAX_FRAME` check admits, carried by a
+        // 6-byte payload: version, status and count, no entries.
+        let n = (MAX_FRAME as usize / META_ENTRY_MIN_BYTES) as u32;
+        assert_eq!(n, 8_388_608);
+        let mut payload = BytesMut::new();
+        payload.put_u8(META_API_VERSION);
+        payload.put_u8(0); // status: Ok
+        payload.put_u32_le(n);
+        assert_eq!(payload.len(), 6);
+        let err = Message::decode(T_META_REPLY, payload.freeze()).expect_err("short reply");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 

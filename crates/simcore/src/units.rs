@@ -64,11 +64,6 @@ impl ByteSize {
         self.0 as f64 / 1024.0
     }
 
-    /// Size in binary megabytes as a float.
-    pub fn as_mb_f64(self) -> f64 {
-        self.0 as f64 / (1024.0 * 1024.0)
-    }
-
     /// Size in binary gigabytes as a float.
     pub fn as_gb_f64(self) -> f64 {
         self.0 as f64 / (1024.0 * 1024.0 * 1024.0)
