@@ -63,7 +63,6 @@ struct LoadgenArgs {
     clients: usize,
     requests: u64,
     shards: usize,
-    workers: usize,
     p_new: f64,
     seed: u64,
     chaos: Option<String>,
@@ -80,7 +79,6 @@ impl LoadgenArgs {
             clients: 16,
             requests: 50_000,
             shards: 1,
-            workers: 16,
             p_new: 0.35,
             seed: 42,
             chaos: None,
@@ -110,9 +108,6 @@ impl LoadgenArgs {
                 "--shards" => {
                     args.shards = value("count").parse().expect("--shards takes an integer");
                 }
-                "--workers" => {
-                    args.workers = value("count").parse().expect("--workers takes an integer");
-                }
                 "--p-new" => {
                     args.p_new = value("probability").parse().expect("--p-new takes a float");
                     assert!(
@@ -132,7 +127,7 @@ impl LoadgenArgs {
                          [--chaos smoke|<plan.json>] \
                          [--scenario flash-crowd|diurnal-churn|<scenario.json>] \
                          [--recovery] \
-                         [--shards s] [--workers w] [--obs] \
+                         [--shards s] [--obs] \
                          [--p-new f] [--seed n] [--out dir]"
                     );
                     std::process::exit(0);
@@ -160,7 +155,6 @@ impl LoadgenArgs {
             nodes: self.nodes,
             clients: self.clients,
             shards: self.shards,
-            workers: self.workers,
             p_new: self.p_new,
         }
     }
@@ -234,7 +228,6 @@ fn run_replay(
     let origin = OriginServer::spawn("127.0.0.1:0").expect("spawn origin");
     let mesh = Mesh::spawn(origin, Topology::Flat { nodes: args.nodes }, |_, c| {
         c.with_shards(args.shards)
-            .with_workers(args.workers)
             .with_flush_max(Duration::from_millis(25))
     })
     .expect("spawn mesh");

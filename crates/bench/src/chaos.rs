@@ -43,8 +43,6 @@ pub struct ChaosOptions {
     pub clients: usize,
     /// Epoll shards per node.
     pub shards: usize,
-    /// Worker threads per node.
-    pub workers: usize,
     /// First-reference probability of the synthetic workload.
     pub p_new: f64,
 }
@@ -55,7 +53,6 @@ impl Default for ChaosOptions {
             nodes: 4,
             clients: 16,
             shards: 1,
-            workers: 16,
             p_new: 0.35,
         }
     }
@@ -280,7 +277,6 @@ fn await_confirmed_death(mesh: &Mesh, dead: usize) -> bool {
 /// the run.
 pub(crate) fn fast_mesh_config(c: NodeConfig, opts: &ChaosOptions) -> NodeConfig {
     c.with_shards(opts.shards)
-        .with_workers(opts.workers)
         .with_flush_max(Duration::from_millis(25))
         .with_heartbeat_interval(Duration::from_millis(40))
         .with_suspicion_threshold(2)

@@ -119,7 +119,6 @@ pub fn run_recovery(args: &Args, opts: &RecoveryOptions) -> bool {
         nodes: opts.nodes,
         clients: opts.clients,
         shards: 1,
-        workers: 8,
         p_new: 0.35,
     };
 

@@ -421,7 +421,6 @@ pub fn run_scenario(args: &Args, scenario: &Scenario) -> bool {
         nodes: scenario.topology.size(),
         clients: scenario.clients,
         shards: 1,
-        workers: 16,
         p_new: base.p_new,
     };
 

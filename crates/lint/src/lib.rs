@@ -68,8 +68,8 @@ pub mod scope {
     /// Modules allowed to read the wall clock: the real-I/O edge of the
     /// system (epoll shards, live-mesh drivers) and, in the node, the three
     /// files that keep time — the frame (control mailbox, spawn, trace
-    /// stamps and the clock its `Get` workers read), heartbeat pacing and
-    /// the flush deadlines. Everything else must take time as a parameter
+    /// stamps and the clock its shards step `Get` runs with), heartbeat
+    /// pacing and the flush deadlines. Everything else must take time as a parameter
     /// or use the simulated clock — the connection pool and the `Get`
     /// service among them: their steps are timed by what their I/O shells
     /// pass in, the pool's from one reasoned allow.

@@ -19,10 +19,11 @@
 //!   false positive — misses never traverse a hierarchy.
 //!
 //! Threading: the node runs one sharded epoll engine — a fixed set of
-//! shard threads owns the accepted sockets and a bounded worker pool
-//! services requests that leave the process (peer probes, origin fetches)
-//! through pooled, retrying connections (see `node::engine`), echoing the
-//! paper's event-driven Squid. The live prototype therefore requires Linux
+//! shard threads owns the accepted sockets and serves every request on
+//! them, including the ones that leave the process (peer probes, origin
+//! fetches) through pooled, retrying connections driven on the shard's
+//! own poller (see `node::engine`), echoing the paper's event-driven
+//! Squid. The live prototype therefore requires Linux
 //! epoll; [`CacheNode::spawn`] fails with `ErrorKind::Unsupported` elsewhere.
 //!
 //! # Examples

@@ -1,5 +1,5 @@
 //! What a [`super::CacheNode`] is spawned with: addresses, capacities,
-//! thread counts and the timer periods of its control plane.
+//! its shard count and the timer periods of its control plane.
 
 use bh_simcore::ByteSize;
 use std::net::SocketAddr;
@@ -25,10 +25,9 @@ pub struct NodeConfig {
     pub flush_max: Duration,
     /// I/O timeout for peer and origin connections.
     pub io_timeout: Duration,
-    /// Epoll shard threads (min 1).
+    /// Epoll shard threads (min 1): the threads that serve every
+    /// connection, `Get`s and their peer and origin exchanges included.
     pub shards: usize,
-    /// Worker threads servicing `Get` requests (min 1).
-    pub workers: usize,
     /// Interval between liveness heartbeats to each neighbor.
     pub heartbeat_interval: Duration,
     /// Consecutive failed heartbeats before a neighbor becomes suspect.
@@ -61,7 +60,6 @@ impl NodeConfig {
             flush_max: Duration::from_secs(60),
             io_timeout: Duration::from_secs(5),
             shards: 2,
-            workers: 8,
             heartbeat_interval: Duration::from_secs(1),
             suspicion_threshold: 3,
             confirm_death_after: Duration::from_secs(30),
@@ -94,9 +92,10 @@ impl NodeConfig {
         self
     }
 
-    /// Sets the `Get` worker-pool size.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
+    /// Does nothing: a node has no worker pool, since each shard serves
+    /// its own connections' `Get`s. Kept only so that callers which still
+    /// pass a worker count build; it goes once they stop.
+    pub fn with_workers(self, _workers: usize) -> Self {
         self
     }
 

@@ -56,14 +56,14 @@ pub struct NodeStats {
     pub parent_rehomes: u64,
     /// Anti-entropy resync requests answered for restarting peers.
     pub resyncs_served: u64,
-    /// Requests whose service path failed without a panic: a reply that
-    /// could not be delivered or a job the worker pool could not accept.
+    /// Requests whose service path failed without a panic: a connection
+    /// that died while a run of its `Get`s was in service.
     pub service_errors: u64,
     /// `Get` requests turned away with a redirect-to-origin reply because
-    /// the worker queue was past its high-water mark.
+    /// the node's parked `Get`s were past the admission mark.
     pub admission_rejects: u64,
-    /// Saturation episodes: times the worker queue *crossed* the
-    /// high-water mark (one per episode, not per rejected request).
+    /// Saturation episodes: times the parked `Get`s *crossed* the
+    /// admission mark (one per episode, not per rejected request).
     pub queue_saturation_events: u64,
     /// Hint updates dropped (oldest first) because the coalescing buffer
     /// hit its cap while a neighbor was slow.
@@ -218,11 +218,11 @@ impl NodeMetrics {
             service_errors: c("service_errors", "request service paths that failed"),
             admission_rejects: c(
                 "admission_rejects",
-                "Gets redirected to origin by worker-queue admission control",
+                "Gets redirected to origin by parked-Get admission control",
             ),
             queue_saturation_events: c(
                 "queue_saturation_events",
-                "times the worker queue crossed its high-water mark",
+                "times the parked Gets crossed the admission mark",
             ),
             hint_batch_overflow: c(
                 "hint_batch_overflow",

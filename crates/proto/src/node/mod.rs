@@ -9,13 +9,16 @@
 //! Floyd–Jacobson desynchronization).
 //!
 //! One connection engine (`engine`): a bounded set of epoll shard threads
-//! owns all client and peer sockets, answering hint-module frames inline
-//! and handing `Get` misses to a bounded worker pool. Outbound traffic
-//! (peer probes, origin fetches, hint flushes) goes through a warm
-//! [`crate::pool::ConnectionPool`], and flushes coalesce into
-//! authenticated [`Message::HintBatch`] frames. The engine needs Linux
-//! epoll; on any other target [`CacheNode::spawn`] fails with
-//! [`io::ErrorKind::Unsupported`].
+//! owns all client and peer sockets and is the one kind of thread on the
+//! data path. A shard answers hint-module frames and local hits inline and
+//! serves a miss itself, driving the peer probe and the origin fetch on
+//! non-blocking sockets registered with its own poller, so it never waits
+//! on a peer. Outbound traffic (peer probes, origin fetches, hint flushes)
+//! goes through a warm [`crate::pool::ConnectionPool`], and flushes
+//! coalesce into authenticated [`Message::HintBatch`] frames; the control
+//! threads (flush, heartbeat, resync) use the pool's blocking shell. The
+//! engine needs Linux epoll; on any other target [`CacheNode::spawn`] fails
+//! with [`io::ErrorKind::Unsupported`].
 //!
 //! Who a node flushes to, who it heartbeats, what it believes about their
 //! health and the Plaxton tree it keeps repaired are one value behind one
@@ -109,17 +112,16 @@ impl Inner {
     fn new(config: NodeConfig, machine: MachineId) -> Inner {
         let pool = ConnectionPool::new(PoolConfig {
             io_timeout: config.io_timeout,
-            // Every worker may hold a connection to the same remote at
-            // once; a smaller cap would drop and re-dial the excess.
-            max_idle_per_peer: config.workers.max(4),
             // Per-node jitter stream: distinct nodes must not retry or
             // re-probe in lockstep.
             jitter_seed: machine.0,
         });
         let metrics = NodeMetrics::register();
-        // Warm restart: a durable store replays snapshot + tail before
-        // the node serves a single request.
-        let started = Instant::now();
+        // The node's clock starts with its pool's, so the shards step
+        // their outbound runs in the node's micros. Warm restart: a
+        // durable store replays snapshot + tail before the node serves a
+        // single request.
+        let started = pool.epoch();
         let hints = HintStore::open(config.hint_capacity, config.durability_dir.as_deref());
         if hints.is_durable() {
             let recovered = hints.table.lock().len() as u64;
@@ -152,7 +154,8 @@ impl Inner {
         }
     }
 
-    /// Micros since the node started: the trace's and the `Get` workers' clock.
+    /// Micros since the node started: the trace's clock, and the one the
+    /// shards step their `Get` services and outbound runs with.
     fn now_micros(&self) -> u64 {
         self.started.elapsed().as_micros() as u64
     }
@@ -265,7 +268,7 @@ pub struct CacheNode {
     inner: Arc<Inner>,
     threads: Vec<std::thread::JoinHandle<()>>,
     /// Ends the engine's threads at shutdown: wakes the shards out of
-    /// `epoll_wait` and sends each worker its stop sentinel.
+    /// `epoll_wait`.
     engine: engine::Stopper,
 }
 
@@ -448,8 +451,8 @@ impl CacheNode {
             return;
         }
         self.inner.shutdown.store(true, Ordering::SeqCst);
-        // Fail outbound I/O fast so workers blocked behind pool requests
-        // unwind instead of riding out connect timeouts.
+        // Fail outbound I/O fast so control threads blocked behind pool
+        // requests unwind instead of riding out connect timeouts.
         self.inner.pool.poison();
         self.engine.stop();
         // The accept thread blocks in `accept()`: one connection wakes it.
@@ -458,7 +461,7 @@ impl CacheNode {
         let all_out = self.inner.mailbox.shut_down(deadline);
         for thread in self.threads.drain(..) {
             // Past the deadline the stragglers are detached rather than
-            // wedging the caller on a stuck worker; they observe the
+            // wedging the caller on a stuck thread; they observe the
             // shutdown flag and the poisoned pool on their own.
             if all_out || thread.is_finished() {
                 let _ = thread.join();
@@ -490,9 +493,10 @@ fn trace_event(inner: &Inner, kind: u16, a: u64, b: u64) {
 /// hint-module commands, pushes, and the meta namespace. `Get` is *not*
 /// local (it may probe a peer or the origin) and is answered with an
 /// error here; the engine routes it to [`service::Service`] before
-/// calling this. Nothing in here performs outbound I/O — shard threads
-/// never do: the two meta control writes that imply it
-/// (`control/resync`, `control/flush`) post a request to the mailbox.
+/// calling this. Nothing in here performs outbound I/O — a shard's only
+/// outbound I/O is its runs' non-blocking exchanges: the two meta control
+/// writes that imply blocking I/O (`control/resync`, `control/flush`) post
+/// a request to the mailbox.
 fn local_response(inner: &Inner, msg: Message) -> Message {
     match msg {
         Message::MetaRequest { op, path, value } => meta::handle(inner, op, &path, &value),

@@ -4,9 +4,11 @@
 //!
 //! The unit of service is the **run** of `Get`s a client has pipelined on
 //! one connection (a lone `Get` is the run of one), and its [`Service`]
-//! does no I/O and reads no clock: the worker performs each [`Exchange`]
-//! that [`Service::next`] asks for and hands every result to
-//! [`Service::reply`], passing the time in. Each maximal group of
+//! owns the run, does no I/O and reads no clock: the shard that owns the
+//! connection performs each [`Exchange`] that [`Service::next`] asks for
+//! and hands every result to [`Service::reply`], passing the time in. The
+//! service lives on the connection across the shard's poll iterations
+//! while its exchanges are out. Each maximal group of
 //! consecutive misses bound for one remote — a hinted peer, or the origin
 //! — is one pipelined exchange, followed for a peer group by at most one
 //! origin exchange carrying the members whose probes were wasted.
@@ -22,7 +24,7 @@
 //! * members are stored in request order: a peer hit behind a wasted probe
 //!   of its group waits, body in hand, for that member's origin fill;
 //! * a finished reply is never held: the step that finishes it hands it
-//!   to the worker, which delivers it before the next exchange.
+//!   to the shard, which delivers it before the next exchange.
 
 use super::propagation::queue_update;
 use super::{trace_event, Inner, RequestOptions};
@@ -97,7 +99,7 @@ pub(super) fn cached(inner: &Inner, key: u64) -> Option<(u32, Bytes)> {
 /// (mesh API) turns every client `Get` away exactly like admission control
 /// does, which outranks the cache; otherwise a resident object is a local
 /// hit. `None` for a miss. Purely in-memory, so the shard answers a `Get`
-/// this way inline instead of handing it to a worker.
+/// this way inline, without starting a run.
 pub(super) fn answer_locally(inner: &Inner, key: u64) -> Option<Message> {
     if inner.drained() {
         return Some(redirect(inner, key, 0));
@@ -154,9 +156,8 @@ fn unpack(result: io::Result<Message>) -> io::Result<(Status, u32, Bytes)> {
 type Hit = (MachineId, u32, Bytes);
 
 /// The service of one run (see the [module docs](self)).
-pub(super) struct Service<'a> {
-    inner: &'a Inner,
-    run: &'a [ParkedGet],
+pub(super) struct Service {
+    run: Vec<ParkedGet>,
     /// The first member not yet answered locally or taken into a group.
     next: usize,
     /// The remote of `run[next]`, when forming the previous group already
@@ -171,10 +172,9 @@ pub(super) struct Service<'a> {
     group: VecDeque<(usize, Option<Hit>)>,
 }
 
-impl<'a> Service<'a> {
-    pub(super) fn new(inner: &'a Inner, run: &'a [ParkedGet]) -> Service<'a> {
+impl Service {
+    pub(super) fn new(run: Vec<ParkedGet>) -> Service {
         Service {
-            inner,
             run,
             next: 0,
             looked_up: None,
@@ -190,11 +190,16 @@ impl<'a> Service<'a> {
     /// go onto `out`, in request order. Every miss leaves the recv →
     /// hint-lookup → probe/origin-fetch → reply spans once and is timed
     /// into `request_service_micros`.
-    pub(super) fn next(&mut self, now: u64, out: &mut Vec<Message>) -> Option<Exchange> {
-        let (inner, run) = (self.inner, self.run);
+    pub(super) fn next(
+        &mut self,
+        inner: &Inner,
+        now: u64,
+        out: &mut Vec<Message>,
+    ) -> Option<Exchange> {
         if self.probing.take().is_some() && !self.group.is_empty() {
-            return Some(self.fetch());
+            return Some(self.fetch(inner));
         }
+        let run = &self.run;
         while self.next < run.len() {
             let lead = &run[self.next];
             if let Some(reply) = answer_locally(inner, lead.key) {
@@ -227,10 +232,10 @@ impl<'a> Service<'a> {
             (self.next, self.formed) = (end, now);
             self.group.extend((start..end).map(|member| (member, None)));
             let Remote::Peer(peer) = remote else {
-                return Some(self.fetch());
+                return Some(self.fetch(inner));
             };
             self.probing = Some((peer, start));
-            let urls = run[start..end].iter().map(|g| g.url.clone());
+            let urls = self.run[start..end].iter().map(|g| g.url.clone());
             return Some(Exchange {
                 addr: peer.to_addr(),
                 options: RequestOptions::peer_probe(),
@@ -241,11 +246,11 @@ impl<'a> Service<'a> {
     }
 
     /// The origin exchange for every unanswered member without a copy.
-    fn fetch(&self) -> Exchange {
+    fn fetch(&self, inner: &Inner) -> Exchange {
         let waiting = self.group.iter().filter(|(_, hit)| hit.is_none());
         let urls = waiting.map(|&(member, _)| self.run[member].url.clone());
         Exchange {
-            addr: self.inner.config.origin,
+            addr: inner.config.origin,
             options: RequestOptions::origin(),
             frames: urls.map(|url| Message::Get { url }).collect(),
         }
@@ -257,8 +262,13 @@ impl<'a> Service<'a> {
     /// no second hint lookup (§3.1.1). An origin result answers the first
     /// unanswered member. Then every peer hit with no unanswered member
     /// before it is stored and answered, in order.
-    pub(super) fn reply(&mut self, now: u64, result: io::Result<Message>, out: &mut Vec<Message>) {
-        let inner = self.inner;
+    pub(super) fn reply(
+        &mut self,
+        inner: &Inner,
+        now: u64,
+        result: io::Result<Message>,
+        out: &mut Vec<Message>,
+    ) {
         if let Some((peer, at)) = self.probing.filter(|&(_, at)| at < self.next) {
             self.probing = Some((peer, at + 1));
             let key = self.run[at].key;
@@ -301,14 +311,14 @@ impl<'a> Service<'a> {
                     get_reply(Status::Error, 0, ServedBy::Origin, Bytes::new())
                 }
             };
-            self.finish(now, key, 2, reply, out);
+            self.finish(inner, now, key, 2, reply, out);
         }
         while matches!(self.group.front(), Some((_, Some(_)))) {
             if let Some((member, Some((peer, version, body)))) = self.group.pop_front() {
                 let key = self.run[member].key;
                 store_body(inner, key, version, body.clone());
                 let reply = get_reply(Status::Ok, version, ServedBy::Peer(peer), body);
-                self.finish(now, key, 1, reply, out);
+                self.finish(inner, now, key, 1, reply, out);
             }
         }
     }
@@ -316,10 +326,18 @@ impl<'a> Service<'a> {
     /// Closes one miss: the reply span with its stable served-by code (1
     /// peer, 2 origin), its service time since the group formed, and the
     /// reply itself.
-    fn finish(&self, now: u64, key: u64, served_by: u64, reply: Message, out: &mut Vec<Message>) {
-        trace_event(self.inner, span::REPLY, key, served_by);
+    fn finish(
+        &self,
+        inner: &Inner,
+        now: u64,
+        key: u64,
+        served_by: u64,
+        reply: Message,
+        out: &mut Vec<Message>,
+    ) {
+        trace_event(inner, span::REPLY, key, served_by);
         let micros = now.saturating_sub(self.formed);
-        self.inner.metrics.request_service_micros.observe(micros);
+        inner.metrics.request_service_micros.observe(micros);
         out.push(reply);
     }
 }
@@ -412,20 +430,21 @@ mod tests {
         }
     }
 
-    /// The worker's loop over the scripted remotes, with a step counter
-    /// for its clock. Returns what the worker is handed, in order: each
+    /// The shard's loop over the scripted remotes, with a step counter
+    /// for its clock. Returns what the shard is handed, in order: each
     /// reply at the step that finished it, and `None` where an exchange
     /// goes out.
     fn serve(inner: &Inner, run: &[ParkedGet], remotes: &mut Remotes) -> Vec<Option<Message>> {
-        let (mut service, mut clock) = (Service::new(inner, run), 0);
+        let owned = run.iter().map(|g| ParkedGet::new(g.url.clone())).collect();
+        let (mut service, mut clock) = (Service::new(owned), 0);
         let (mut seen, mut out) = (Vec::new(), Vec::new());
-        while let Some(exchange) = service.next(clock, &mut out) {
+        while let Some(exchange) = service.next(inner, clock, &mut out) {
             seen.extend(out.drain(..).map(Some));
             seen.push(None);
             for frame in &exchange.frames {
                 clock += 1;
                 let result = remotes.answer(exchange.addr, frame);
-                service.reply(clock, result, &mut out);
+                service.reply(inner, clock, result, &mut out);
                 seen.extend(out.drain(..).map(Some));
             }
         }
@@ -438,7 +457,7 @@ mod tests {
     }
 
     /// The rule that keeps a large run from delaying its own first
-    /// replies: each reply is handed to the worker by the step that
+    /// replies: each reply is handed to the shard by the step that
     /// finishes it, so it is delivered before the next exchange goes out;
     /// a group's members share one exchange; and a peer hit behind a
     /// wasted probe of its group waits for that member's origin fill, and

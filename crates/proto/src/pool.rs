@@ -2,8 +2,8 @@
 //! backoff with deterministic jitter, and dead-peer quarantine.
 //!
 //! A connection is checked out for one in-order pipelined run at a time
-//! ([`ConnectionPool::request_run`]; a single request is the run of one)
-//! and parked again within a per-remote and a global ([`MAX_IDLE_TOTAL`])
+//! (a single request is the run of one) and parked again within a
+//! per-remote ([`MAX_IDLE_PER_PEER`]) and a global ([`MAX_IDLE_TOTAL`])
 //! cap.
 //!
 //! Failure policy is per-request ([`RequestOptions`]) because the paper's
@@ -25,19 +25,32 @@
 //! take no socket and read no clock — `admit` gates a run, `settle`
 //! applies what the run did, `park` enforces the idle caps, `backoff`
 //! draws a retry delay — so, like [`crate::liveness::LivenessTracker`],
-//! the policy is pure in the time passed to it. `request_run` is the I/O
-//! shell: one step per lock acquisition, stamped by the file's one clock
-//! read, sleeping only for backoff and the fault switch's latency.
+//! the policy is pure in the time passed to it.
+//!
+//! A run in flight is a value too, an `Outbound`: admitted, then sent and
+//! answered chunk by chunk over warm and fresh sockets, one step per call
+//! of its `advance`, which never waits. What it waits for — its socket,
+//! the I/O timeout, a backoff, injected latency — it returns as a
+//! deadline. Two shells drive it. A node's shard registers the socket with
+//! its own poller and goes back to `epoll_wait`, so a shard never blocks
+//! on a peer. [`ConnectionPool::request_run`], for every other thread,
+//! keeps the socket in blocking mode under the I/O timeout and sleeps out
+//! the deadlines; it is stamped by the file's one clock read.
 
-use crate::wire::{self, Message};
+use crate::wire::{FrameAssembler, Message};
 use bh_netpoll::fault::FaultSwitch;
-use bytes::BytesMut;
+use bh_netpoll::{Interest, Poller};
+use bytes::{Bytes, BytesMut};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
-use std::io::{self, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Idle connections kept warm per remote address: as many as a small
+/// mesh's runs to one remote hold at once; a run past them re-dials.
+pub const MAX_IDLE_PER_PEER: usize = 4;
 
 /// Idle connections kept warm across *all* remotes, so a node in a wide
 /// mesh stays inside the fd rlimit. A connection over the cap is closed;
@@ -67,8 +80,6 @@ pub struct PoolConfig {
     /// Connect, read and write timeout of every pooled stream. A failed
     /// peer's first quarantine window is four of these.
     pub io_timeout: Duration,
-    /// Idle connections kept warm per remote address.
-    pub max_idle_per_peer: usize,
     /// Seeds the backoff jitter and the fault switch's drop draws.
     pub jitter_seed: u64,
 }
@@ -77,7 +88,6 @@ impl Default for PoolConfig {
     fn default() -> Self {
         PoolConfig {
             io_timeout: Duration::from_secs(5),
-            max_idle_per_peer: 4,
             jitter_seed: 0x9E37_79B9_7F4A_7C15,
         }
     }
@@ -165,28 +175,155 @@ impl PoolStats {
     }
 }
 
-/// Read-buffer bytes per pooled connection: enough for several of a run's
+/// Read-ahead bytes per pooled connection: enough for several of a run's
 /// replies per `read`, small because every warm connection pays it.
 const POOLED_READ_BUF: usize = 16 * 1024;
 
-/// A pooled stream plus its read buffer, parked together: bytes the buffer
-/// read ahead belong to this connection's next reply.
+/// Replies read off one socket: read ahead into a fixed buffer, each
+/// payload copied into an allocation of exactly its frame's size, which
+/// the decoded body then shares — a stored body never pins its
+/// neighbours' bytes.
 #[derive(Debug)]
-struct PooledConn {
-    stream: TcpStream,
-    reader: io::BufReader<TcpStream>,
+struct Inbox {
+    buf: Box<[u8]>,
+    /// The unread bytes of `buf`.
+    start: usize,
+    end: usize,
+    /// A reply whose header is read: its type, its payload's length and
+    /// the payload so far.
+    frame: Option<(u8, usize, Vec<u8>)>,
 }
 
-impl PooledConn {
-    fn new(stream: TcpStream) -> io::Result<Self> {
-        let reader = io::BufReader::with_capacity(POOLED_READ_BUF, stream.try_clone()?);
-        Ok(PooledConn { stream, reader })
+impl Inbox {
+    fn new() -> Inbox {
+        Inbox {
+            buf: vec![0; POOLED_READ_BUF].into_boxed_slice(),
+            start: 0,
+            end: 0,
+            frame: None,
+        }
+    }
+
+    /// The next whole reply off `stream`, or `None` once the socket has
+    /// no more bytes for now (a non-blocking socket would block, a
+    /// blocking one timed out). A closed stream is an error.
+    fn next(&mut self, stream: &TcpStream) -> io::Result<Option<Message>> {
+        loop {
+            let ahead = self.end - self.start;
+            let Some((_, len, payload)) = &mut self.frame else {
+                if ahead < 5 {
+                    if !self.fill(stream)? {
+                        return Ok(None);
+                    }
+                    continue;
+                }
+                let head = &self.buf[self.start..self.end];
+                let len = FrameAssembler::header(head)? - 5;
+                self.frame = Some((head[4], len, Vec::with_capacity(len)));
+                self.start += 5;
+                continue;
+            };
+            let take = (*len - payload.len()).min(ahead);
+            payload.extend_from_slice(&self.buf[self.start..self.start + take]);
+            self.start += take;
+            let want = *len - payload.len();
+            if want == 0 {
+                if let Some((ty, _, payload)) = self.frame.take() {
+                    return Message::decode(ty, Bytes::from(payload)).map(Some);
+                }
+            } else if want >= self.buf.len() {
+                // Nothing is read ahead any more, and the rest of the
+                // payload is at least a buffer: read it straight into place.
+                match stream.take(want as u64).read_to_end(payload) {
+                    Ok(0) => return Err(closed()),
+                    Ok(_) => {}
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(None),
+                    Err(e) => return Err(e),
+                }
+            } else if !self.fill(stream)? {
+                return Ok(None);
+            }
+        }
+    }
+
+    /// Reads more behind what is left of the buffer; false when the socket
+    /// has nothing for now.
+    fn fill(&mut self, mut stream: &TcpStream) -> io::Result<bool> {
+        self.buf.copy_within(self.start..self.end, 0);
+        (self.start, self.end) = (0, self.end - self.start);
+        loop {
+            match stream.read(&mut self.buf[self.end..]) {
+                Ok(0) => return Err(closed()),
+                Ok(n) => {
+                    self.end += n;
+                    return Ok(true);
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
+                Err(e) => return Err(e),
+            }
+        }
     }
 }
 
-/// The pool's one clock read: the I/O shell stamps every step with it.
+fn closed() -> io::Error {
+    io::Error::new(
+        io::ErrorKind::UnexpectedEof,
+        "connection closed by the remote",
+    )
+}
+
+/// A pooled stream and what it has read ahead, parked together: bytes past
+/// one run's last reply belong to the connection's next.
+#[derive(Debug)]
+struct Link {
+    stream: TcpStream,
+    inbox: Inbox,
+    /// The socket is in non-blocking mode: a shard drove it last.
+    nonblocking: bool,
+    /// The interest it is registered with on the driving shard's poller.
+    registered: Option<Interest>,
+}
+
+impl Link {
+    /// Puts the socket in `driver`'s mode: blocking under the I/O timeout
+    /// for the shell, non-blocking and registered on a shard's poller.
+    fn attach(&mut self, driver: Driver<'_>) -> io::Result<()> {
+        let poller = driver.poller();
+        if self.nonblocking != poller.is_some() {
+            self.stream.set_nonblocking(poller.is_some())?;
+            self.nonblocking = poller.is_some();
+        }
+        if let (Some((poller, token)), None) = (poller, self.registered) {
+            poller.register(&self.stream, token, Interest::READABLE)?;
+            self.registered = Some(Interest::READABLE);
+        }
+        Ok(())
+    }
+
+    /// Waits on `interest` from now on (a shard's poller only).
+    fn want(&mut self, driver: Driver<'_>, interest: Interest) -> io::Result<()> {
+        if let Some((poller, token)) = driver.poller() {
+            if self.registered != Some(interest) {
+                poller.modify(&self.stream, token, interest)?;
+                self.registered = Some(interest);
+            }
+        }
+        Ok(())
+    }
+
+    /// Leaves the shard's poller, so anyone may take the socket next.
+    fn detach(&mut self, driver: Driver<'_>) {
+        if let (Some((poller, _)), Some(_)) = (driver.poller(), self.registered.take()) {
+            let _ = poller.deregister(&self.stream);
+        }
+    }
+}
+
+/// The pool's one clock read: the blocking shell stamps every step with it.
 fn now() -> Instant {
-    // bh-lint: allow(no-wall-clock, reason = "the I/O shell's one clock read; every pool step takes its time as a parameter")
+    // bh-lint: allow(no-wall-clock, reason = "the blocking shell's one clock read; every pool step takes its time as a parameter")
     Instant::now()
 }
 
@@ -220,7 +357,6 @@ impl Refusal {
         io::Error::new(kind, format!("peer {addr} {why}"))
     }
 }
-
 /// A remote's quarantine state.
 #[derive(Debug, Default)]
 struct Peer {
@@ -271,7 +407,6 @@ struct PoolState<C> {
     poisoned: bool,
     /// A failed peer's first quarantine window.
     quarantine_base: Duration,
-    max_idle_per_peer: usize,
 }
 
 impl<C> PoolState<C> {
@@ -284,7 +419,6 @@ impl<C> PoolState<C> {
             jitter: config.jitter_seed | 1,
             poisoned: false,
             quarantine_base: config.io_timeout * 4,
-            max_idle_per_peer: config.max_idle_per_peer,
         }
     }
 
@@ -383,7 +517,7 @@ impl<C> PoolState<C> {
     fn park(&mut self, addr: SocketAddr, conn: C) {
         let total = self.idle_total();
         let parked = self.idle.get(&addr).map_or(0, Vec::len);
-        if parked < self.max_idle_per_peer && total < MAX_IDLE_TOTAL {
+        if parked < MAX_IDLE_PER_PEER && total < MAX_IDLE_TOTAL {
             self.idle.entry(addr).or_default().push(conn);
         }
     }
@@ -442,8 +576,10 @@ impl<C> PoolState<C> {
 pub struct ConnectionPool {
     io_timeout: Duration,
     /// Held for one step at a time, never across I/O.
-    peers: Mutex<PoolState<PooledConn>>,
+    peers: Mutex<PoolState<Link>>,
     fault: Arc<FaultSwitch>,
+    /// Time zero of the micros every run is stepped with.
+    epoch: Instant,
 }
 
 impl ConnectionPool {
@@ -454,7 +590,23 @@ impl ConnectionPool {
             io_timeout: config.io_timeout,
             peers: Mutex::new(PoolState::new(&config)),
             fault: Arc::new(FaultSwitch::new(config.jitter_seed)),
+            epoch: now(),
         }
+    }
+
+    /// When the pool was made: runs are stepped in micros since then.
+    pub(crate) fn epoch(&self) -> Instant {
+        self.epoch
+    }
+
+    /// `micros` since the epoch, as the policy's instant.
+    fn at(&self, micros: u64) -> Instant {
+        self.epoch + Duration::from_micros(micros)
+    }
+
+    /// The blocking shell's clock: micros since the epoch.
+    fn clock(&self) -> u64 {
+        now().saturating_duration_since(self.epoch).as_micros() as u64
     }
 
     /// The fault switch this pool consults before every send.
@@ -521,7 +673,7 @@ impl ConnectionPool {
     }
 
     /// Poisons the pool (node shutdown): every later request fails at once
-    /// with `ConnectionAborted`, so workers unwind fast. Irreversible.
+    /// with `ConnectionAborted`, so callers unwind fast. Irreversible.
     pub fn poison(&self) {
         self.peers.lock().poisoned = true;
         self.clear();
@@ -549,7 +701,9 @@ impl ConnectionPool {
 
     /// Sends `msgs` to `addr` as one in-order pipelined run on one pooled
     /// connection and hands `on_reply` one result per frame, in frame
-    /// order, each as soon as it is known.
+    /// order, each as soon as it is known. The calling thread blocks: in
+    /// the socket calls, under the I/O timeout, and asleep for a backoff
+    /// or injected latency.
     ///
     /// Every gate treats the run as its frames sent singly would be treated:
     /// a refusal refuses each frame; an expired window admits the run as
@@ -568,148 +722,361 @@ impl ConnectionPool {
         msgs: &[Message],
         on_reply: &mut dyn FnMut(io::Result<Message>),
     ) {
-        let admitted = self.peers.lock().admit(addr, opts, msgs.len(), now());
-        let (mut conn, mut run) = match admitted {
-            Ok(admitted) => admitted,
-            Err(refusal) => return msgs.iter().for_each(|_| on_reply(Err(refusal.error(addr)))),
-        };
-        if let Some(delay) = self.fault.tx_latency() {
-            std::thread::sleep(delay);
+        let mut run = self.start(addr, opts, msgs, self.clock());
+        while let Some(deadline) = run.advance(self, Driver::Blocking, self.clock(), on_reply) {
+            let wait = deadline.saturating_sub(self.clock());
+            std::thread::sleep(Duration::from_micros(wait));
         }
-        // With the drop knob armed a run goes out one frame per exchange,
-        // each behind its own seeded draw, exactly as if sent singly.
-        let step = match self.fault.drop_per_million() {
-            0 => msgs.len().max(1),
-            _ => 1,
-        };
-        let mut chunks = msgs.chunks(step);
-        while let Some(chunk) = chunks.next() {
-            let (unanswered, err) = if self.fault.should_drop() {
-                run.tally.injected_drops += 1;
-                let why = format!("send to {addr} dropped (injected fault)");
-                (chunk.len(), io::Error::new(io::ErrorKind::TimedOut, why))
-            } else {
-                match self.exchange(addr, opts, chunk, &mut conn, &mut run.tally, on_reply) {
-                    Ok(()) => {
-                        run.answered = true;
-                        continue;
-                    }
-                    Err(failure) => failure,
-                }
-            };
-            run.answered |= unanswered < chunk.len();
-            run.failed = true;
-            let (kind, why) = (err.kind(), err.to_string());
-            on_reply(Err(err));
-            if opts.quarantine_on_failure && opts.respect_quarantine {
-                // The run has quarantined the remote: what is left of it is
-                // refused as the fresh window would refuse it.
-                let left = unanswered - 1 + chunks.by_ref().map(<[Message]>::len).sum::<usize>();
-                run.tally.quarantine_rejections += left as u64;
-                (0..left).for_each(|_| on_reply(Err(Refusal::Quarantined.error(addr))));
-            } else {
-                // The frames behind the one that carried the error fail
-                // with it.
-                (1..unanswered).for_each(|_| on_reply(Err(io::Error::new(kind, why.clone()))));
-            }
-        }
-        let mut state = self.peers.lock();
-        if let Some(conn) = conn {
-            state.park(addr, conn);
-        }
-        state.settle(addr, opts, &run, now());
     }
 
-    /// One pipelined exchange of `msgs` on the run's warm connection, then
-    /// on fresh ones within the policy's attempts (a stale warm socket uses
-    /// none), each carrying only the frames still unanswered. Leaves the
-    /// last connection in `conn`, or returns the unanswered count and error.
-    fn exchange(
+    /// Admits a run of `msgs` to `addr` under `opts` at `now` (micros since
+    /// the epoch): a warm connection is checked out if one is parked, and
+    /// a refusal fails each frame at the run's first step.
+    pub(crate) fn start(
         &self,
         addr: SocketAddr,
         opts: RequestOptions,
         msgs: &[Message],
-        conn: &mut Option<PooledConn>,
-        tally: &mut PoolStats,
-        on_reply: &mut dyn FnMut(io::Result<Message>),
-    ) -> Result<(), (usize, io::Error)> {
-        let (mut answered, mut attempt, mut last_err) = (0, 0, None);
-        loop {
-            let (socket, fresh) = match conn.take() {
-                Some(warm) => (warm, false),
-                None if attempt == opts.max_attempts.max(1) => break,
-                None => {
-                    if attempt > 0 {
-                        tally.retries += 1;
-                        let delay = self.peers.lock().backoff(attempt);
-                        std::thread::sleep(delay);
-                    }
-                    attempt += 1;
-                    match self.connect(addr) {
-                        Ok(socket) => (socket, true),
-                        Err(e) => {
-                            last_err = Some(e);
-                            continue;
-                        }
-                    }
-                }
-            };
-            let before = answered;
-            let carried = pipeline(socket, &msgs[before..], &mut answered, on_reply);
-            // A fresh socket's first frame paid for the connect; every
-            // other frame rode a connection that was already open.
-            tally.connects += u64::from(fresh);
-            tally.reuses += (answered - before).saturating_sub(usize::from(fresh)) as u64;
-            match carried {
-                Ok(socket) => {
-                    *conn = Some(socket);
-                    return Ok(());
-                }
-                Err(e) => {
-                    tally.retries += u64::from(!fresh);
-                    last_err = Some(e);
-                }
-            }
+        now: u64,
+    ) -> Outbound {
+        let admitted = self
+            .peers
+            .lock()
+            .admit(addr, opts, msgs.len(), self.at(now));
+        let mut bytes = BytesMut::with_capacity(64 * msgs.len());
+        let mut ends = Vec::with_capacity(msgs.len());
+        for msg in msgs {
+            msg.encode_into(&mut bytes);
+            ends.push(bytes.len());
         }
-        let err = last_err.unwrap_or_else(|| io::Error::other("no attempts made"));
-        Err((msgs.len() - answered, err))
+        let (link, run, step, deadline) = match admitted {
+            Err(refusal) => (None, Run::default(), Step::Refused(refusal), now),
+            Ok((link, run)) => match self.fault.tx_latency() {
+                Some(delay) => (link, run, Step::Latency, now + micros(delay)),
+                None => (link, run, Step::Chunk, now),
+            },
+        };
+        Outbound {
+            addr,
+            opts,
+            bytes,
+            ends,
+            done: 0,
+            chunk: (0, 0),
+            run,
+            attempt: 0,
+            last_err: None,
+            link,
+            fresh: false,
+            before: 0,
+            sent: 0,
+            deadline,
+            step,
+        }
     }
 
-    fn connect(&self, addr: SocketAddr) -> io::Result<PooledConn> {
+    fn connect(&self, addr: SocketAddr) -> io::Result<Link> {
         let stream = TcpStream::connect_timeout(&addr, self.io_timeout)?;
         stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(self.io_timeout))?;
         stream.set_write_timeout(Some(self.io_timeout))?;
-        PooledConn::new(stream)
+        Ok(Link {
+            stream,
+            inbox: Inbox::new(),
+            nonblocking: false,
+            registered: None,
+        })
     }
 }
 
-/// Writes every frame of `msgs` in one `write` and reads the replies back
-/// in order, handing each to `on_reply` and counting it in `answered`;
-/// hands the connection back once all are in. On an error the replies
-/// already handed over stand and the connection is dropped.
-fn pipeline(
-    mut conn: PooledConn,
-    msgs: &[Message],
-    answered: &mut usize,
-    on_reply: &mut dyn FnMut(io::Result<Message>),
-) -> io::Result<PooledConn> {
-    let mut frames = BytesMut::with_capacity(64 * msgs.len());
-    for msg in msgs {
-        msg.encode_into(&mut frames);
+fn micros(d: Duration) -> u64 {
+    d.as_micros() as u64
+}
+
+/// Where an [`Outbound`] waits for its socket.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Driver<'a> {
+    /// In the socket calls themselves, in blocking mode under the I/O
+    /// timeout: [`ConnectionPool::request_run`].
+    Blocking,
+    /// On a shard's poller, the socket registered under the token.
+    Poller(&'a Poller, u64),
+}
+
+impl<'a> Driver<'a> {
+    fn poller(self) -> Option<(&'a Poller, u64)> {
+        match self {
+            Driver::Blocking => None,
+            Driver::Poller(poller, token) => Some((poller, token)),
+        }
     }
-    conn.stream.write_all(&frames)?;
-    for _ in msgs {
-        let reply = wire::read_message(&mut conn.reader)?;
-        *answered += 1;
-        on_reply(Ok(reply));
+}
+
+/// Where an [`Outbound`] is between calls of [`Outbound::advance`].
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// Turned away at admission: every frame fails with this.
+    Refused(Refusal),
+    /// Injected send latency: nothing leaves before the deadline.
+    Latency,
+    /// The next chunk draws its fate from the drop knob.
+    Chunk,
+    /// The chunk needs a socket: the warm one, else a fresh one within the
+    /// policy's attempts.
+    Link,
+    /// A retry waits out its backoff before it dials.
+    Backoff,
+    /// The chunk's frames go out and its replies come in.
+    Exchange,
+    /// Every frame has its result and the run is settled.
+    Done,
+}
+
+/// A run of frames to one remote in flight, from admission to settlement:
+/// [`ConnectionPool::request_run`]'s whole contract as a value its shell
+/// steps with [`Outbound::advance`] until it returns `None`.
+#[derive(Debug)]
+pub(crate) struct Outbound {
+    addr: SocketAddr,
+    opts: RequestOptions,
+    /// The frames encoded back to back, and where each one ends.
+    bytes: BytesMut,
+    ends: Vec<usize>,
+    /// Frames whose result has been handed out.
+    done: usize,
+    /// The chunk in flight, as frame indices: every frame, or one at a
+    /// time with the drop knob armed.
+    chunk: (usize, usize),
+    run: Run,
+    /// Fresh connects spent on the chunk, and why the last socket failed.
+    attempt: u32,
+    last_err: Option<io::Error>,
+    link: Option<Link>,
+    /// The socket was dialled for the chunk, and `done` when it took over.
+    fresh: bool,
+    before: usize,
+    /// How far into `bytes` the socket has written.
+    sent: usize,
+    /// When the step in progress gives up (micros): the end of a latency
+    /// or backoff wait, or the I/O timeout since the socket last moved.
+    deadline: u64,
+    step: Step,
+}
+
+impl Outbound {
+    /// Steps the run at `now` (micros since the pool's epoch) as far as it
+    /// goes without waiting, handing `on_reply` each frame's result in
+    /// frame order. Returns the deadline it waits for next — on a shard,
+    /// readiness of its socket comes first — or `None` once the run is
+    /// settled.
+    pub(crate) fn advance(
+        &mut self,
+        pool: &ConnectionPool,
+        driver: Driver<'_>,
+        now: u64,
+        on_reply: &mut dyn FnMut(io::Result<Message>),
+    ) -> Option<u64> {
+        loop {
+            match self.step {
+                Step::Done => return None,
+                Step::Refused(refusal) => {
+                    let addr = self.addr;
+                    self.ends
+                        .iter()
+                        .for_each(|_| on_reply(Err(refusal.error(addr))));
+                    self.step = Step::Done;
+                }
+                Step::Latency | Step::Backoff if now < self.deadline => return Some(self.deadline),
+                Step::Latency => self.step = Step::Chunk,
+                Step::Backoff => self.dial(pool, now),
+                Step::Chunk if self.done == self.ends.len() => self.settle(pool, driver, now),
+                Step::Chunk => {
+                    let end = match pool.fault.drop_per_million() {
+                        0 => self.ends.len(),
+                        _ => self.done + 1,
+                    };
+                    (self.chunk, self.attempt, self.last_err) = ((self.done, end), 0, None);
+                    if pool.fault.should_drop() {
+                        self.run.tally.injected_drops += 1;
+                        let why = format!("send to {} dropped (injected fault)", self.addr);
+                        self.fail(io::Error::new(io::ErrorKind::TimedOut, why), on_reply);
+                    } else {
+                        self.step = Step::Link;
+                    }
+                }
+                Step::Link if self.link.is_some() => self.begin(false, pool, now),
+                Step::Link if self.attempt == self.opts.max_attempts.max(1) => {
+                    let err = self.last_err.take();
+                    self.fail(
+                        err.unwrap_or_else(|| io::Error::other("no attempts made")),
+                        on_reply,
+                    );
+                }
+                Step::Link if self.attempt > 0 => {
+                    self.run.tally.retries += 1;
+                    let delay = pool.peers.lock().backoff(self.attempt);
+                    (self.deadline, self.step) = (now + micros(delay), Step::Backoff);
+                }
+                Step::Link => self.dial(pool, now),
+                Step::Exchange => match self.exchange(pool, driver, now, on_reply) {
+                    Ok(false) => return Some(self.deadline),
+                    Ok(true) => {
+                        self.tally_link();
+                        self.run.answered = true;
+                        self.step = Step::Chunk;
+                    }
+                    Err(e) => {
+                        // A warm socket's failure is the free replay; a
+                        // fresh one's used its attempt.
+                        self.tally_link();
+                        self.run.tally.retries += u64::from(!self.fresh);
+                        if let Some(mut link) = self.link.take() {
+                            link.detach(driver);
+                        }
+                        self.last_err = Some(e);
+                        self.step = Step::Link;
+                    }
+                },
+            }
+        }
     }
-    Ok(conn)
+
+    /// Dials a fresh socket for the chunk, using an attempt.
+    fn dial(&mut self, pool: &ConnectionPool, now: u64) {
+        self.attempt += 1;
+        match pool.connect(self.addr) {
+            Ok(link) => {
+                self.link = Some(link);
+                self.begin(true, pool, now);
+            }
+            Err(e) => {
+                self.last_err = Some(e);
+                self.step = Step::Link;
+            }
+        }
+    }
+
+    /// The socket in `link` takes over the chunk's unanswered frames.
+    fn begin(&mut self, fresh: bool, pool: &ConnectionPool, now: u64) {
+        let from = self.done.checked_sub(1).map_or(0, |last| self.ends[last]);
+        (self.fresh, self.before, self.sent) = (fresh, self.done, from);
+        self.deadline = now + micros(pool.io_timeout);
+        self.step = Step::Exchange;
+    }
+
+    /// Counts what the socket leaving the chunk carried: a fresh socket's
+    /// first frame paid for the connect, every other frame rode a
+    /// connection that was already open.
+    fn tally_link(&mut self) {
+        let tally = &mut self.run.tally;
+        tally.connects += u64::from(self.fresh);
+        let carried = self.done - self.before;
+        tally.reuses += carried.saturating_sub(usize::from(self.fresh)) as u64;
+    }
+
+    /// Writes what the socket still owes of the chunk and hands over every
+    /// reply that has arrived: `Ok(true)` once the chunk is answered,
+    /// `Ok(false)` to wait on a shard's poller until readiness or the
+    /// deadline. A socket that does not move by the deadline fails.
+    fn exchange(
+        &mut self,
+        pool: &ConnectionPool,
+        driver: Driver<'_>,
+        now: u64,
+        on_reply: &mut dyn FnMut(io::Result<Message>),
+    ) -> io::Result<bool> {
+        let Some(link) = self.link.as_mut() else {
+            return Err(io::Error::other("no socket"));
+        };
+        link.attach(driver)?;
+        let blocking = driver.poller().is_none();
+        let end = self.ends[self.chunk.1 - 1];
+        let mut moved = false;
+        while self.sent < end {
+            match (&link.stream).write(&self.bytes[self.sent..end]) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => (self.sent, moved) = (self.sent + n, true),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock && !blocking => break,
+                Err(e) => return Err(e),
+            }
+        }
+        while self.done < self.chunk.1 {
+            match link.inbox.next(&link.stream)? {
+                Some(reply) => {
+                    (self.done, moved) = (self.done + 1, true);
+                    on_reply(Ok(reply));
+                }
+                None if blocking => return Err(timed_out(self.addr)),
+                None => break,
+            }
+        }
+        if self.done == self.chunk.1 {
+            return Ok(true);
+        }
+        if moved {
+            self.deadline = now + micros(pool.io_timeout);
+        } else if now >= self.deadline {
+            return Err(timed_out(self.addr));
+        }
+        let writable = self.sent < end;
+        link.want(
+            driver,
+            Interest {
+                readable: true,
+                writable,
+            },
+        )?;
+        Ok(false)
+    }
+
+    /// The chunk's unanswered frames fail with `err`, as the lost exchange
+    /// they were. Under a quarantining probe policy the run has quarantined
+    /// the remote, so the rest of it is refused as the window would refuse
+    /// it; otherwise the chunk's other frames fail with the same error.
+    fn fail(&mut self, err: io::Error, on_reply: &mut dyn FnMut(io::Result<Message>)) {
+        let (start, end) = self.chunk;
+        let unanswered = end - self.done;
+        self.run.answered |= self.done > start;
+        self.run.failed = true;
+        let (kind, why) = (err.kind(), err.to_string());
+        on_reply(Err(err));
+        if self.opts.quarantine_on_failure && self.opts.respect_quarantine {
+            let left = self.ends.len() - self.done - 1;
+            self.run.tally.quarantine_rejections += left as u64;
+            let addr = self.addr;
+            (0..left).for_each(|_| on_reply(Err(Refusal::Quarantined.error(addr))));
+            self.done = self.ends.len();
+        } else {
+            (1..unanswered).for_each(|_| on_reply(Err(io::Error::new(kind, why.clone()))));
+            self.done = end;
+        }
+        self.step = Step::Chunk;
+    }
+
+    /// Parks the socket, if one is left, and applies what the run did.
+    fn settle(&mut self, pool: &ConnectionPool, driver: Driver<'_>, now: u64) {
+        let link = self.link.take().map(|mut link| {
+            link.detach(driver);
+            link
+        });
+        let mut state = pool.peers.lock();
+        if let Some(link) = link {
+            state.park(self.addr, link);
+        }
+        state.settle(self.addr, self.opts, &self.run, pool.at(now));
+        self.step = Step::Done;
+    }
+}
+
+fn timed_out(addr: SocketAddr) -> io::Error {
+    io::Error::new(io::ErrorKind::TimedOut, format!("peer {addr} timed out"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire;
     use bh_netpoll::fault::PER_MILLION;
     use std::net::TcpListener;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -855,6 +1222,33 @@ mod tests {
         results
     }
 
+    /// The same run stepped the way a shard steps it: the socket on a
+    /// poller, the thread waiting in `epoll_wait` for readiness or the
+    /// deadline, never in a socket call.
+    fn run_on_poller(
+        pool: &ConnectionPool,
+        addr: SocketAddr,
+        opts: RequestOptions,
+        msgs: &[Message],
+    ) -> Vec<io::Result<Message>> {
+        let poller = Poller::new().expect("poller");
+        let (mut results, mut events) = (Vec::with_capacity(msgs.len()), Vec::new());
+        let mut outbound = pool.start(addr, opts, msgs, pool.clock());
+        let driver = Driver::Poller(&poller, 1);
+        while let Some(deadline) =
+            outbound.advance(pool, driver, pool.clock(), &mut |r| results.push(r))
+        {
+            let wait = Duration::from_micros(deadline.saturating_sub(pool.clock()));
+            poller.wait(&mut events, Some(wait)).expect("wait");
+        }
+        results
+    }
+
+    /// Both shells of a run: the blocking one and a shard's.
+    type Shell =
+        fn(&ConnectionPool, SocketAddr, RequestOptions, &[Message]) -> Vec<io::Result<Message>>;
+    const SHELLS: [(&str, Shell); 2] = [("blocking", run), ("poller", run_on_poller)];
+
     /// The echoed key of each frame, or the error kind it failed with.
     fn outcomes(results: Vec<io::Result<Message>>) -> Vec<Result<u64, io::ErrorKind>> {
         results
@@ -930,63 +1324,69 @@ mod tests {
 
     #[test]
     fn stale_socket_replays_only_the_unanswered_frames() {
-        // The parked socket answers the warm-up and two frames of the run
-        // of five, then dies; the second connection answers what it gets.
-        let (addr, server) = scripted_server(vec![(6, 3), (3, 3)]);
-        let pool = ConnectionPool::new(quick_config());
-        pool.request(addr, RequestOptions::peer_probe(), &Message::Ack)
-            .expect("warm-up");
-        let got = outcomes(run(
-            &pool,
-            addr,
-            RequestOptions::peer_probe(),
-            &keyed(10..15),
-        ));
-        assert_eq!(got, (10..15).map(Ok).collect::<Vec<_>>());
-        let seen = server.join().expect("server");
-        assert_eq!(seen[0], [10, 11, 12, 13, 14]);
-        assert_eq!(
-            seen[1],
-            [12, 13, 14],
-            "only the unanswered suffix is replayed"
-        );
-        let stats = pool.stats();
-        assert_eq!(stats.connects, 2);
-        assert_eq!(
-            stats.reuses,
-            2 + 2,
-            "two on the stale socket, two behind the reconnect"
-        );
-        assert_eq!(stats.retries, 1, "the replay is free: no attempt consumed");
-        assert!(!pool.is_quarantined(addr));
+        for (shell, run) in SHELLS {
+            // The parked socket answers the warm-up and two frames of the
+            // run of five, then dies; the second connection answers what
+            // it gets.
+            let (addr, server) = scripted_server(vec![(6, 3), (3, 3)]);
+            let pool = ConnectionPool::new(quick_config());
+            pool.request(addr, RequestOptions::peer_probe(), &Message::Ack)
+                .expect("warm-up");
+            let got = outcomes(run(
+                &pool,
+                addr,
+                RequestOptions::peer_probe(),
+                &keyed(10..15),
+            ));
+            assert_eq!(got, (10..15).map(Ok).collect::<Vec<_>>(), "{shell}");
+            let seen = server.join().expect("server");
+            assert_eq!(seen[0], [10, 11, 12, 13, 14], "{shell}");
+            assert_eq!(
+                seen[1],
+                [12, 13, 14],
+                "{shell}: only the unanswered suffix is replayed"
+            );
+            let stats = pool.stats();
+            assert_eq!(stats.connects, 2, "{shell}");
+            assert_eq!(
+                stats.reuses,
+                2 + 2,
+                "{shell}: two on the stale socket, two behind the reconnect"
+            );
+            assert_eq!(stats.retries, 1, "{shell}: the replay is free");
+            assert!(!pool.is_quarantined(addr), "{shell}");
+        }
     }
 
     #[test]
     fn a_peer_that_dies_mid_run_fails_the_unanswered_frames_and_is_quarantined_once() {
-        // The only connection the server ever accepts answers two frames
-        // of five; the reconnect finds nobody listening.
-        let (addr, server) = scripted_server(vec![(5, 2)]);
-        let pool = ConnectionPool::new(quick_config());
-        let results = run(&pool, addr, RequestOptions::peer_probe(), &keyed(0..5));
-        server.join().expect("server");
-        let got = outcomes(results);
-        assert_eq!(got[..2], [Ok(0), Ok(1)]);
-        assert!(got[2..].iter().all(Result::is_err), "{got:?}");
-        assert_eq!(
-            pool.quarantine_streak(addr),
-            1,
-            "quarantined once, not per frame"
-        );
-        let stats = pool.stats();
-        assert_eq!(stats.connects, 1);
-        assert_eq!(
-            stats.quarantine_rejections, 2,
-            "the frames behind the failed one are refused as the window would refuse them"
-        );
+        for (shell, run) in SHELLS {
+            // The only connection the server ever accepts answers two
+            // frames of five; the reconnect finds nobody listening.
+            let (addr, server) = scripted_server(vec![(5, 2)]);
+            let pool = ConnectionPool::new(quick_config());
+            let results = run(&pool, addr, RequestOptions::peer_probe(), &keyed(0..5));
+            server.join().expect("server");
+            let got = outcomes(results);
+            assert_eq!(got[..2], [Ok(0), Ok(1)], "{shell}");
+            assert!(got[2..].iter().all(Result::is_err), "{shell}: {got:?}");
+            assert_eq!(
+                pool.quarantine_streak(addr),
+                1,
+                "{shell}: quarantined once, not per frame"
+            );
+            let stats = pool.stats();
+            assert_eq!(stats.connects, 1, "{shell}");
+            assert_eq!(
+                stats.quarantine_rejections, 2,
+                "{shell}: the frames behind the failed one are refused as the window would refuse them"
+            );
+        }
     }
 
-    /// A run of `n` and `n` single requests leave the same `PoolStats` and
-    /// the same per-frame outcomes behind every gate.
+    /// A run of `n`, the same run stepped on a poller, and `n` single
+    /// requests leave the same `PoolStats` and the same per-frame outcomes
+    /// behind every gate.
     #[test]
     fn run_stats_equal_single_requests_under_every_gate() {
         const N: u64 = 6;
@@ -1020,10 +1420,14 @@ mod tests {
                         ..quick_config()
                     })
                 };
-                let (batched, single) = (pool(), pool());
+                let (batched, polled, single) = (pool(), pool(), pool());
                 gate(&batched, addr);
+                gate(&polled, addr);
                 gate(&single, addr);
                 let as_run = outcomes(run(&batched, addr, opts, &keyed(0..N)));
+                let on_poller = outcomes(run_on_poller(&polled, addr, opts, &keyed(0..N)));
+                assert_eq!(as_run, on_poller, "{name}, {opts:?}: polled outcomes");
+                assert_eq!(batched.stats(), polled.stats(), "{name}, {opts:?}: polled");
                 let one_by_one = outcomes(
                     keyed(0..N)
                         .iter()
@@ -1124,8 +1528,10 @@ mod tests {
                 state.park(addr(i), round);
             }
         }
-        let per_peer = quick_config().max_idle_per_peer;
-        assert!(state.idle.values().all(|idle| idle.len() <= per_peer));
+        assert!(state
+            .idle
+            .values()
+            .all(|idle| idle.len() <= MAX_IDLE_PER_PEER));
         assert_eq!(state.idle_total(), MAX_IDLE_TOTAL);
         // A remote whose connection is turned away is still admitted; its
         // run just re-dials.
@@ -1447,7 +1853,6 @@ mod tests {
             RequestOptions::heartbeat(),
             RequestOptions::resync(),
         ];
-        let per_peer = 96; // four remotes × 96 > MAX_IDLE_TOTAL: both caps bind
         let t0 = t0();
         // All but two block slots taken by wire-supplied addresses, so the
         // schedules' own blocks run into the cap.
@@ -1458,10 +1863,7 @@ mod tests {
         }
         for seed in 0..SCHEDULES {
             let mut rng = Rng(seed);
-            let mut state: PoolState<u32> = PoolState::new(&PoolConfig {
-                max_idle_per_peer: per_peer,
-                ..quick_config()
-            });
+            let mut state: PoolState<u32> = PoolState::new(&quick_config());
             state.blocked = wire_blocked.blocked.clone();
             let mut witness = [Witness::default(); 4];
             let mut in_flight: Vec<(usize, usize, RequestOptions, Option<u32>, Run)> = Vec::new();
@@ -1564,7 +1966,10 @@ mod tests {
                     );
                     assert_eq!(state.blocked.contains(&addr(i as u16)), w.blocked);
                 }
-                assert!(state.idle.values().all(|idle| idle.len() <= per_peer));
+                assert!(state
+                    .idle
+                    .values()
+                    .all(|idle| idle.len() <= MAX_IDLE_PER_PEER));
                 assert!(state.idle_total() <= MAX_IDLE_TOTAL, "seed {seed}");
                 assert!(state.blocked.len() <= BLOCKED_CAP);
                 assert!(state.peers.len() <= PEERS_CAP && state.idle.len() <= MAX_IDLE_TOTAL);

@@ -289,9 +289,14 @@ mod tests {
     use std::time::Duration;
 
     fn cluster(n: usize) -> (OriginServer, Vec<CacheNode>) {
+        cluster_flushing_every(n, Duration::from_millis(5))
+    }
+
+    /// A flat mesh whose randomized flush period is bounded by `flush_max`.
+    fn cluster_flushing_every(n: usize, flush_max: Duration) -> (OriginServer, Vec<CacheNode>) {
         let origin = OriginServer::spawn("127.0.0.1:0").expect("origin");
         Mesh::spawn(origin, Topology::Flat { nodes: n }, |_, c| {
-            c.with_flush_max(Duration::from_millis(5))
+            c.with_flush_max(flush_max)
                 .with_data_capacity(bh_simcore::ByteSize::from_mb(256))
         })
         .expect("mesh")
@@ -389,7 +394,8 @@ mod tests {
 
     #[test]
     fn replay_across_nodes_uses_peer_transfers() {
-        let (_origin, nodes) = cluster(2);
+        // The timer never fires within the test: hints move when it says.
+        let (_origin, nodes) = cluster_flushing_every(2, Duration::from_secs(3600));
         // A trace with heavy cross-group sharing: same objects from clients
         // of both groups.
         let spec = WorkloadSpec::small()
@@ -399,10 +405,17 @@ mod tests {
             .with_p_local(0.0);
         let records: Vec<TraceRecord> = TraceGenerator::new(&spec, 32).collect();
         let config = ReplayConfig::flat_out(nodes.iter().map(|n| n.addr()).collect());
-        // Give the randomized flusher time to move hints while we replay.
-        let report = replay_concurrent(&config, &records, 1)
-            .expect("replay")
+        // Each half in order: the first fills both nodes, the flush tells
+        // each what the other holds, and the second finds it there.
+        let (first, second) = records.split_at(records.len() / 2);
+        let mut report = replay_concurrent(&config, first, 1)
+            .expect("replay the first half")
             .report;
+        for node in &nodes {
+            node.flush_updates_now();
+        }
+        let rest = replay_concurrent(&config, second, 1).expect("replay the second half");
+        report.merge(&rest.report);
         assert!(
             report.peer_hits > 0,
             "cross-group reuse should produce direct peer transfers: {report:?}"

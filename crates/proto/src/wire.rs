@@ -124,9 +124,9 @@ pub enum Status {
     NotFound,
     /// Server-side error.
     Error,
-    /// Admission control turned the request away: the node's worker queue
-    /// is past its high-water mark and the client should fetch from the
-    /// origin directly instead of waiting in an unbounded queue.
+    /// Admission control turned the request away: the node's parked
+    /// `Get`s are past its admission mark and the client should fetch from
+    /// the origin directly instead of waiting in an unbounded queue.
     Redirect,
 }
 

@@ -678,8 +678,8 @@ fn half_a_frame_left_at_the_cap_is_completed_not_spun_on() {
 }
 
 /// (e, continued) Bodies that leave by reference: the origin's own 1–64 KiB
-/// synthetic bodies, half of them resident (answered on the shard), half
-/// misses (answered by a worker), pipelined by a client that stops reading
+/// synthetic bodies, half of them resident (answered inline), half
+/// misses (answered by runs against the origin), pipelined by a client that stops reading
 /// in the middle of the first body. The node writes until its socket is
 /// full — a `writev` that ends somewhere inside a referenced body — and
 /// stops reading at its cap; once the client drains, every reply arrives
@@ -763,7 +763,7 @@ fn a_client_that_stalls_mid_body_gets_every_referenced_body_intact() {
 }
 
 /// (e, continued) The same for misses: 4,000 pipelined `Get`s of distinct
-/// URLs park on one connection faster than a worker drains them. The
+/// URLs park on one connection faster than its runs drain them. The
 /// backlog cap pauses the connection, parked `Get`s count toward the
 /// admission mark (so some are turned away, in order, with a redirect),
 /// and once the client reads, every request has its reply.
@@ -771,12 +771,8 @@ fn a_client_that_stalls_mid_body_gets_every_referenced_body_intact() {
 fn a_deep_pipeline_of_misses_is_capped_and_every_get_is_answered() {
     const GETS: usize = 4_000;
     let origin = OriginServer::spawn("127.0.0.1:0").expect("origin");
-    let node = CacheNode::spawn(
-        NodeConfig::new("127.0.0.1:0", origin.addr())
-            .with_shards(1)
-            .with_workers(1),
-    )
-    .expect("node");
+    let node = CacheNode::spawn(NodeConfig::new("127.0.0.1:0", origin.addr()).with_shards(1))
+        .expect("node");
     let urls: Vec<String> = (0..GETS).map(|i| url(&format!("deep/{i}"))).collect();
     for u in &urls {
         origin.put(u, 1, u.as_bytes().to_vec());
@@ -819,7 +815,7 @@ fn a_deep_pipeline_of_misses_is_capped_and_every_get_is_answered() {
     assert_eq!(stats.admission_rejects, redirected);
     assert!(
         redirected > 0,
-        "4,000 parked Gets never reached the admission mark of 256"
+        "4,000 parked Gets never reached the admission mark of 512"
     );
     assert_eq!(stats.service_errors, 0);
 }
@@ -835,12 +831,8 @@ fn a_deep_pipeline_of_misses_is_capped_and_every_get_is_answered() {
 fn mixed_pipelines_in_arbitrary_chunks_are_answered_in_order() {
     const FRAMES: usize = 2_000;
     let origin = OriginServer::spawn("127.0.0.1:0").expect("origin");
-    let node = CacheNode::spawn(
-        NodeConfig::new("127.0.0.1:0", origin.addr())
-            .with_shards(1)
-            .with_workers(2),
-    )
-    .expect("node");
+    let node = CacheNode::spawn(NodeConfig::new("127.0.0.1:0", origin.addr()).with_shards(1))
+        .expect("node");
     let big: Vec<String> = (0..3).map(|i| url(&format!("soak/big/{i}"))).collect();
     for (i, u) in big.iter().enumerate() {
         origin.put(u, 1, vec![i as u8; 33_000 + 7_000 * i]);
@@ -987,5 +979,75 @@ fn every_miss_of_a_run_is_timed_and_traced_once() {
             "{u}: recv, hint-lookup, origin-fetch, reply: {kinds:?}"
         );
         assert_eq!(sorted.len(), 4, "{u}: a span appears twice: {kinds:?}");
+    }
+}
+
+/// (g) Two nodes whose hints name each other, each driven by a client
+/// that pipelines `Get`s for the objects the *other* node holds, four at
+/// a time, both at once: probes cross between the nodes in both
+/// directions while each node has its own probes out. A node that waited
+/// on its outbound probe would wait on a peer waiting on it. Every request
+/// must come back a peer hit; the result channel's timeout turns a
+/// deadlock into a failure instead of a hang.
+#[test]
+fn two_nodes_probing_each_other_with_pipelines_never_deadlock() {
+    const OBJECTS: usize = 128;
+    const WINDOW: usize = 4;
+    let (_origin, nodes) = mesh(2, |_, c| c);
+    let held: Vec<Vec<String>> = (0..2)
+        .map(|n| {
+            (0..OBJECTS)
+                .map(|i| url(&format!("cross/{n}/{i}")))
+                .collect()
+        })
+        .collect();
+    for (node, urls) in nodes.iter().zip(&held) {
+        for u in urls {
+            bh_proto::fetch(node.addr(), u).expect("seed the holder");
+        }
+        node.flush_updates_now();
+    }
+
+    let start = std::sync::Arc::new(std::sync::Barrier::new(2));
+    let (tx, rx) = std::sync::mpsc::channel();
+    for (n, node) in nodes.iter().enumerate() {
+        let (addr, urls) = (node.addr(), held[1 - n].clone());
+        let (start, tx) = (std::sync::Arc::clone(&start), tx.clone());
+        std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            stream.set_nodelay(true).expect("nodelay");
+            start.wait();
+            let mut replies = Vec::with_capacity(urls.len());
+            for window in urls.chunks(WINDOW) {
+                let frames: Vec<u8> = window
+                    .iter()
+                    .flat_map(|u| get(u).encoded().to_vec())
+                    .collect();
+                stream.write_all(&frames).expect("write window");
+                for _ in window {
+                    replies.push(read_message(&mut stream).expect("reply"));
+                }
+            }
+            let _ = tx.send((n, replies));
+        });
+    }
+    for _ in 0..2 {
+        let (n, replies) = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("both nodes answered every request within 10 s");
+        let holder = nodes[1 - n].machine_id();
+        assert_eq!(replies.len(), OBJECTS);
+        for (i, reply) in replies.iter().enumerate() {
+            assert_eq!(
+                served_by(reply),
+                (Status::Ok, ServedBy::Peer(holder)),
+                "node {n}, request {i}"
+            );
+        }
+    }
+    for node in &nodes {
+        let stats = node.stats();
+        assert_eq!(stats.peer_hits, OBJECTS as u64);
+        assert_eq!(stats.false_positives, 0);
     }
 }

@@ -324,23 +324,15 @@ fn namespace_status_codes_over_the_wire() {
 
 /// Determinism (the `List` contract): metric and capability listings
 /// are sorted, carry only static values, and are byte-identical across
-/// independent runs and across shard/worker counts — `--jobs 1` and
+/// independent runs and across shard counts — `--jobs 1` and
 /// `--jobs 8` tooling sees the same catalog.
 #[test]
 fn listings_are_byte_identical_across_runs_and_shard_counts() {
     let origin = OriginServer::spawn("127.0.0.1:0").expect("origin");
-    let narrow = CacheNode::spawn(
-        NodeConfig::new("127.0.0.1:0", origin.addr())
-            .with_shards(1)
-            .with_workers(1),
-    )
-    .expect("narrow node");
-    let wide = CacheNode::spawn(
-        NodeConfig::new("127.0.0.1:0", origin.addr())
-            .with_shards(8)
-            .with_workers(8),
-    )
-    .expect("wide node");
+    let narrow = CacheNode::spawn(NodeConfig::new("127.0.0.1:0", origin.addr()).with_shards(1))
+        .expect("narrow node");
+    let wide = CacheNode::spawn(NodeConfig::new("127.0.0.1:0", origin.addr()).with_shards(8))
+        .expect("wide node");
 
     // Traffic on one node only: measured values must not leak into
     // listings.

@@ -1,5 +1,5 @@
 //! An idle node is quiet and a stopped node is gone: every node thread
-//! blocks on the thing it waits for (a socket, the job channel, the
+//! blocks on the thing it waits for (a socket, its shard's poller, the
 //! control mailbox), so an idle mesh makes next to no context switches,
 //! and `Mesh::shutdown` returns with every `cache-*` thread joined.
 //!
@@ -48,11 +48,21 @@ fn an_idle_mesh_is_quiet_and_a_stopped_one_leaves_no_thread() {
     // A blocked thread does not switch, so the host's load cannot move
     // this count; the window only has to be long enough to tell 100 from
     // the few hundred a polling node makes.
-    let (before, node_threads) = threads();
+    // A thread takes its name once it first runs, which may be after
+    // `Mesh::spawn` returns: wait (at most ~10 s) for the node threads.
+    let mut node_threads = threads().1;
+    for _ in 0..10_000 {
+        if !node_threads.is_empty() {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+        node_threads = threads().1;
+    }
     assert!(
         !node_threads.is_empty(),
         "node threads carry the cache- prefix"
     );
+    let (before, _) = threads();
     std::thread::sleep(Duration::from_millis(500));
     let idle = threads().0 - before;
     assert!(
