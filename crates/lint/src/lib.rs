@@ -66,18 +66,17 @@ use std::path::Path;
 /// every rule that cares about it.
 pub mod scope {
     /// Modules allowed to read the wall clock: the real-I/O edge of the
-    /// system (epoll shards, live-mesh drivers) and, in the node, the three
-    /// files that keep time — the frame (control mailbox, spawn, trace
-    /// stamps and the clock its shards step `Get` runs with), heartbeat
-    /// pacing and the flush deadlines. Everything else must take time as a parameter
-    /// or use the simulated clock — the connection pool and the `Get`
-    /// service among them: their steps are timed by what their I/O shells
-    /// pass in, the pool's from one reasoned allow.
-    pub const WALL_CLOCK_IO: [&str; 9] = [
+    /// system (epoll shards, live-mesh drivers) and, in the node, the one
+    /// file that keeps time — the frame (spawn, trace stamps and the
+    /// `now_micros` clock its shards step `Get` runs, the flush and
+    /// heartbeat deadlines and every outbound exchange with). Everything
+    /// else must take time as a parameter or use the simulated clock — the
+    /// connection pool, the `Get` service, membership and propagation among
+    /// them: their steps are timed by what their I/O shells pass in, the
+    /// pool's from one reasoned allow.
+    pub const WALL_CLOCK_IO: [&str; 7] = [
         "crates/netpoll/src/",
         "crates/proto/src/node/mod.rs",
-        "crates/proto/src/node/membership.rs",
-        "crates/proto/src/node/propagation.rs",
         "crates/proto/src/origin.rs",
         "crates/proto/src/client.rs",
         "crates/proto/src/replay.rs",

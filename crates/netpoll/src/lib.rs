@@ -2,8 +2,9 @@
 //! connection engine.
 //!
 //! The workspace builds without external crates, so this talks to the kernel
-//! directly through three `extern "C"` declarations (`epoll_create1`,
-//! `epoll_ctl`, `epoll_wait`) resolved by the libc that `std` already links.
+//! directly through a few `extern "C"` declarations (`epoll_create1`,
+//! `epoll_ctl`, `epoll_wait`, `writev`, `socket`, `connect`) resolved by
+//! the libc that `std` already links.
 //! All `unsafe` in the workspace is confined to this crate; everything above
 //! it keeps `#![forbid(unsafe_code)]`.
 //!
@@ -13,12 +14,14 @@
 //!   shard never needs to loop a socket to `WouldBlock` before re-arming;
 //! * `u64` tokens carried in `epoll_data`, mapped back by the caller;
 //! * a [`Waker`] built from a non-blocking `UnixStream` pair so other
-//!   threads (accept loop, worker pool) can interrupt a blocked
-//!   [`Poller::wait`];
+//!   threads (a node's `stop`, a caller posting a control request) can
+//!   interrupt a blocked [`Poller::wait`];
 //! * [`write_vectored`] — a thin `writev(2)` wrapper: how the engine
 //!   sends an out-queue that holds reply bodies by reference (at most
 //!   [`MAX_IOV`] segments a call; a queue that is one flat run leaves in
-//!   one plain `write`).
+//!   one plain `write`);
+//! * [`connect`] — a TCP connect that returns while still in progress,
+//!   so a shard that dials a peer never waits for the handshake.
 //!
 //! On non-Linux targets the same API exists but every constructor returns
 //! [`std::io::ErrorKind::Unsupported`], which callers propagate: the live
@@ -130,6 +133,60 @@ mod imp {
             timeout: c_int,
         ) -> c_int;
         fn writev(fd: c_int, iov: *const IoVec, iovcnt: c_int) -> isize;
+        fn socket(domain: c_int, ty: c_int, protocol: c_int) -> c_int;
+        #[link_name = "connect"]
+        fn sys_connect(fd: c_int, addr: *const u8, len: u32) -> c_int;
+    }
+
+    const AF_INET: c_int = 2;
+    const AF_INET6: c_int = 10;
+    const SOCK_STREAM: c_int = 1;
+    const SOCK_NONBLOCK: c_int = 0o4000;
+    const SOCK_CLOEXEC: c_int = 0o2000000;
+    const EINPROGRESS: i32 = 115;
+
+    /// Starts a TCP connect to `addr` without waiting for it: the socket
+    /// is non-blocking from birth, and the connect is usually still in
+    /// progress when this returns. Its completion raises writable
+    /// readiness; then `TcpStream::take_error` says whether it failed
+    /// and `TcpStream::peer_addr` whether it succeeded.
+    pub fn connect(addr: &std::net::SocketAddr) -> io::Result<std::net::TcpStream> {
+        // `struct sockaddr_in` / `sockaddr_in6`, byte for byte: family in
+        // host order, port and address in network order.
+        let mut raw = [0u8; 28];
+        let (domain, len) = match addr {
+            std::net::SocketAddr::V4(v4) => {
+                raw[4..8].copy_from_slice(&v4.ip().octets());
+                (AF_INET, 16)
+            }
+            std::net::SocketAddr::V6(v6) => {
+                raw[4..8].copy_from_slice(&v6.flowinfo().to_be_bytes());
+                raw[8..24].copy_from_slice(&v6.ip().octets());
+                raw[24..28].copy_from_slice(&v6.scope_id().to_ne_bytes());
+                (AF_INET6, 28)
+            }
+        };
+        raw[..2].copy_from_slice(&(domain as u16).to_ne_bytes());
+        raw[2..4].copy_from_slice(&addr.port().to_be_bytes());
+        // SAFETY: socket takes no pointers; a negative return is checked
+        // before the fd is wrapped.
+        let fd = unsafe { socket(domain, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0) };
+        if fd < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        // SAFETY: `fd` is a freshly created, otherwise unowned socket; the
+        // stream closes it on every path below.
+        let stream = unsafe { std::net::TcpStream::from_raw_fd(fd) };
+        // SAFETY: `raw` outlives the call and holds `len` initialised bytes
+        // laid out as the sockaddr the family names.
+        if unsafe { sys_connect(fd, raw.as_ptr(), len) } == 0 {
+            return Ok(stream);
+        }
+        let err = io::Error::last_os_error();
+        match err.raw_os_error() {
+            Some(EINPROGRESS) => Ok(stream),
+            _ => Err(err),
+        }
     }
 
     /// Most buffers passed to the kernel in one [`write_vectored`] call.
@@ -312,6 +369,11 @@ mod imp {
         unsupported()
     }
 
+    /// Always fails on this target.
+    pub fn connect(_addr: &std::net::SocketAddr) -> io::Result<std::net::TcpStream> {
+        unsupported()
+    }
+
     /// Stub poller for non-Linux targets; every constructor fails with
     /// [`io::ErrorKind::Unsupported`].
     #[derive(Debug)]
@@ -357,7 +419,7 @@ mod imp {
     }
 }
 
-pub use imp::{write_vectored, Poller, MAX_IOV};
+pub use imp::{connect, write_vectored, Poller, MAX_IOV};
 
 /// Cross-thread wake-up handle paired with a [`WakeReceiver`].
 ///
@@ -599,6 +661,39 @@ mod tests {
             .wait(&mut events, Some(Duration::from_millis(10)))
             .unwrap();
         assert_eq!(n, 0);
+    }
+
+    /// The connect returns before the handshake; writable readiness
+    /// announces the outcome, which `take_error` and `peer_addr` read.
+    #[test]
+    fn connect_completes_on_writable_readiness() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let poller = Poller::new().unwrap();
+        let stream = connect(&listener.local_addr().unwrap()).unwrap();
+        poller.register(&stream, 5, Interest::WRITABLE).unwrap();
+        let mut events = Vec::new();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
+        assert!(events.iter().any(|e| e.token == 5 && e.writable));
+        assert!(stream.take_error().unwrap().is_none());
+        assert!(stream.peer_addr().is_ok(), "connected");
+
+        // A port nobody listens on: the refusal arrives as readiness too.
+        let dead = listener.local_addr().unwrap();
+        drop(listener);
+        let refused = match connect(&dead) {
+            Ok(stream) => stream,
+            Err(e) => return assert_eq!(e.kind(), io::ErrorKind::ConnectionRefused),
+        };
+        poller.register(&refused, 6, Interest::WRITABLE).unwrap();
+        events.clear();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
+        assert!(events.iter().any(|e| e.token == 6));
+        let err = refused.take_error().unwrap().expect("refused");
+        assert_eq!(err.kind(), io::ErrorKind::ConnectionRefused);
     }
 
     #[test]

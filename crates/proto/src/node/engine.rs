@@ -4,9 +4,9 @@
 //!
 //! Division of labor:
 //!
-//! * the **accept thread** blocks in `accept()` and deals new connections
-//!   round-robin to the shards through an injection channel + waker;
-//! * each **shard thread** runs a level-triggered epoll loop over its
+//! * every **shard thread** polls a clone of the non-blocking listening
+//!   socket, and whichever shard wakes first adopts a new connection;
+//! * each shard runs a level-triggered epoll loop over its
 //!   connections, assembling frames incrementally. It answers every
 //!   local-state frame (`PeerGet`, `HintBatch`, `Push`, `FindNearest`,
 //!   `MetaRequest`) and every `Get` that hits the local data cache inline.
@@ -19,9 +19,11 @@
 //!   is assembled. A shard never waits on a peer, so two nodes probing each
 //!   other cannot deadlock, and a slow origin delays only the connections
 //!   whose runs wait on it. The I/O timeout, a retry's backoff and
-//!   injected send latency are deadlines that bound the shard's wait; the
-//!   one call that may hold a shard is a fresh connect, which completes in
-//!   the kernel and is bounded by the I/O timeout.
+//!   injected send latency are deadlines that bound the shard's wait, and
+//!   a fresh connect is one more readiness step;
+//! * **shard 0** also runs the control plane ([`Rounds`]): the flush and
+//!   heartbeat deadlines bound its wait too, and a hint flush, a resync or
+//!   a heartbeat is a round of the same [`Outbound`]s, one target at a time.
 //!
 //! Replies are encoded straight into the connection's one out-queue
 //! ([`OutQueue`]: small frames flat, bodies of a page or more by
@@ -44,23 +46,27 @@
 //! away.
 
 use super::outq::OutQueue;
+use super::propagation;
 use super::service::{self, ParkedGet, Service};
-use super::{local_response, trace_event, Inner, Running};
-use crate::pool::{Driver, Outbound};
+use super::{local_response, membership, trace_event, Ask, Inner, Request, Waiters};
+use crate::pool::{Driver, Outbound, RequestOptions};
 use crate::wire::{FrameAssembler, Message};
 use bh_netpoll::{waker_pair, write_vectored, Event, Interest, Poller, WakeReceiver, Waker};
 use bh_obs::span;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-use crossbeam::channel::{self, Receiver, Sender};
-
-/// Token reserved for each shard's wake-up descriptor.
+/// Tokens of each shard's wake-up descriptor and its clone of the
+/// listening socket, of shard 0's control exchanges ([`Rounds`]), and a
+/// connection's first.
 const WAKER_TOKEN: u64 = 0;
+const LISTENER_TOKEN: u64 = 1;
+const CONTROL_TOKEN: u64 = 2;
+const FIRST_CONN: u64 = 3;
 
 /// Set in the token of a connection's outbound socket: the rest of the
 /// token is the connection's own.
@@ -138,94 +144,64 @@ impl Admission {
     }
 }
 
-/// Everything `CacheNode::spawn` needs to own the running engine.
-pub(super) struct Engine {
-    pub(super) threads: Vec<std::thread::JoinHandle<()>>,
-    pub(super) stopper: Stopper,
-}
-
-/// What `CacheNode::stop` ends the engine's threads with (the accept
-/// thread, blocked in `accept()`, is woken by a connection instead).
-pub(super) struct Stopper {
-    /// One per shard: breaks it out of `epoll_wait`.
-    wakers: Vec<Waker>,
-}
-
-impl Stopper {
-    /// Wakes every shard, which then sees the shutdown flag.
-    pub(super) fn stop(&self) {
-        for waker in &self.wakers {
-            waker.wake();
-        }
-    }
-}
-
-impl std::fmt::Debug for Stopper {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Stopper")
-            .field("shards", &self.wakers.len())
-            .finish()
-    }
-}
-
-/// Spawns the accept thread and the shard threads.
-pub(super) fn spawn(listener: TcpListener, inner: &Arc<Inner>) -> io::Result<Engine> {
+/// Spawns the shard threads, and the `cache-persist` thread when the hint
+/// log is durable; returns them with one waker per shard. Each thread
+/// holds a clone of `running` until it returns.
+pub(super) fn spawn(
+    listener: TcpListener,
+    inner: &Arc<Inner>,
+    running: &mpsc::Sender<()>,
+) -> io::Result<(Vec<std::thread::JoinHandle<()>>, Vec<Waker>)> {
     let shards = inner.config.shards.max(1);
     let addr = listener.local_addr()?;
+    listener.set_nonblocking(true)?;
     let admission = Arc::new(Admission::default());
-
-    let mut handles: Vec<(Sender<TcpStream>, Waker)> = Vec::with_capacity(shards);
-    let mut threads = Vec::with_capacity(shards + 1);
+    let (mut threads, mut wakers) = (Vec::with_capacity(shards + 1), Vec::with_capacity(shards));
+    let mut persist = None;
+    if inner.hints.is_durable() {
+        let (jobs, queue) = mpsc::channel::<Waiters>();
+        let (inner, running) = (Arc::clone(inner), running.clone());
+        let thread = std::thread::Builder::new().name(format!("cache-persist-{addr}"));
+        threads.push(thread.spawn(move || {
+            let _running = running;
+            // A flush's waiters go once what was staged before it is fsynced.
+            for _waiters in queue {
+                inner.hints.persist();
+            }
+        })?);
+        persist = Some(jobs);
+    }
     for i in 0..shards {
         let poller = Poller::new()?;
         let (waker, wake_rx) = waker_pair()?;
         poller.register(&wake_rx, WAKER_TOKEN, Interest::READABLE)?;
-        let (tx, rx) = channel::unbounded();
-        handles.push((tx, waker));
-        let running = Running::enter(inner);
-        let admission = Arc::clone(&admission);
-        threads.push(
-            std::thread::Builder::new()
-                .name(format!("cache-shard-{addr}-{i}"))
-                .spawn(move || {
-                    Shard::new(poller, wake_rx, rx, admission, Arc::clone(&running.0)).run();
-                })?,
-        );
-    }
-
-    let wakers = handles
-        .iter()
-        .map(|(_, w)| w.try_clone())
-        .collect::<io::Result<Vec<_>>>()?;
-    let running = Running::enter(inner);
-    threads.push(
-        std::thread::Builder::new()
-            .name(format!("cache-accept-{addr}"))
-            .spawn(move || accept_loop(listener, handles, &running.0))?,
-    );
-
-    Ok(Engine {
-        threads,
-        stopper: Stopper { wakers },
-    })
-}
-
-/// Deals accepted connections round-robin across the shards. Holding the
-/// shard senders here (and dropping them on exit) is what lets the shard
-/// loops observe engine teardown.
-fn accept_loop(listener: TcpListener, handles: Vec<(Sender<TcpStream>, Waker)>, inner: &Inner) {
-    let mut next = 0usize;
-    for stream in listener.incoming() {
-        if inner.shutdown.load(Ordering::SeqCst) {
-            break;
+        let listener = listener.try_clone()?;
+        poller.register(&listener, LISTENER_TOKEN, Interest::READABLE)?;
+        let mut rounds = None;
+        if i == 0 {
+            let (requests, inbox) = mpsc::channel();
+            let _ = inner.control.set((requests, waker.try_clone()?));
+            let (mut seed, now) = (inner.machine.0 | 1, inner.now_micros());
+            rounds = Some(Rounds {
+                requests: inbox,
+                asked: Default::default(),
+                flush_at: now + propagation::next_flush(&mut seed, inner.config.flush_max),
+                heartbeat_at: now + heartbeat_period(inner),
+                seed,
+                round: None,
+                persist: persist.take(),
+            });
         }
-        let Ok(stream) = stream else { continue };
-        let (tx, waker) = &handles[next % handles.len()];
-        next = next.wrapping_add(1);
-        if tx.send(stream).is_ok() && !waker.wake() {
-            inner.metrics.wakeups_coalesced.inc();
-        }
+        wakers.push(waker);
+        let (inner, admission, running) =
+            (Arc::clone(inner), Arc::clone(&admission), running.clone());
+        let thread = std::thread::Builder::new().name(format!("cache-shard-{addr}-{i}"));
+        threads.push(thread.spawn(move || {
+            let _running = running;
+            Shard::new(poller, wake_rx, listener, rounds, admission, inner).run();
+        })?);
     }
+    Ok((threads, wakers))
 }
 
 /// A frame waiting its turn on a connection.
@@ -323,7 +299,10 @@ struct Ctx {
 struct Shard {
     ctx: Ctx,
     wake_rx: WakeReceiver,
-    inject_rx: Receiver<TcpStream>,
+    /// This shard's clone of the listening socket (non-blocking).
+    listener: TcpListener,
+    /// The control plane, on shard 0 only.
+    rounds: Option<Rounds>,
     conns: HashMap<u64, Conn>,
     next_token: u64,
     /// Scratch for the connections whose deadline has passed.
@@ -334,7 +313,8 @@ impl Shard {
     fn new(
         poller: Poller,
         wake_rx: WakeReceiver,
-        inject_rx: Receiver<TcpStream>,
+        listener: TcpListener,
+        rounds: Option<Rounds>,
         admission: Arc<Admission>,
         inner: Arc<Inner>,
     ) -> Self {
@@ -347,9 +327,10 @@ impl Shard {
                 replies: Vec::with_capacity(RUN_CAP),
             },
             wake_rx,
-            inject_rx,
+            listener,
+            rounds,
             conns: HashMap::new(),
-            next_token: WAKER_TOKEN + 1,
+            next_token: FIRST_CONN,
             due: Vec::with_capacity(16),
         }
     }
@@ -367,27 +348,33 @@ impl Shard {
                 break;
             }
             self.wake_rx.drain();
-            self.drain_injections();
+            let mut fired = false;
             for &event in &events {
                 match event.token {
                     WAKER_TOKEN => {}
+                    LISTENER_TOKEN => self.accept(),
+                    CONTROL_TOKEN => fired = true,
                     token if token & OUTBOUND != 0 => self.resume(token & !OUTBOUND),
                     _ => self.service(event),
                 }
             }
             self.expire();
+            if let Some(rounds) = self.rounds.as_mut() {
+                rounds.tick(&self.ctx, fired);
+            }
         }
     }
 
     /// How long `epoll_wait` may block: until the earliest deadline of a
-    /// run, or the idle backstop. The clock is read only while runs are
-    /// in service.
+    /// run or (on shard 0) of the control plane, or the idle backstop. The
+    /// clock is read only when there is a deadline.
     fn timeout(&self) -> Duration {
-        let deadlines = self.ctx.running.iter().filter_map(|token| {
+        let runs = self.ctx.running.iter().filter_map(|token| {
             let run = self.conns.get(token)?.run.as_ref()?;
             Some(run.deadline)
         });
-        let Some(first) = deadlines.min() else {
+        let control = self.rounds.as_ref().map(Rounds::deadline);
+        let Some(first) = runs.chain(control).min() else {
             return IDLE_WAIT;
         };
         let wait = first.saturating_sub(self.ctx.inner.now_micros());
@@ -411,8 +398,11 @@ impl Shard {
         }
     }
 
-    fn drain_injections(&mut self) {
-        while let Ok(stream) = self.inject_rx.try_recv() {
+    /// Takes one connection off the listening socket, which every shard
+    /// polls: whichever wakes first adopts it, and the others find the
+    /// queue empty. One per wake-up, so a burst spreads over the shards.
+    fn accept(&mut self) {
+        if let Ok((stream, _)) = self.listener.accept() {
             self.adopt(stream);
         }
     }
@@ -772,6 +762,191 @@ fn write_out(stream: &TcpStream, out: &mut OutQueue, closed: &mut bool, inner: &
     }
     if vectored {
         inner.metrics.writev_batches.inc();
+    }
+}
+
+/// Shard 0's control plane: the flush and heartbeat deadlines, the callers
+/// waiting on each [`Ask`] not yet taken up, and the one round in flight.
+struct Rounds {
+    requests: mpsc::Receiver<Request>,
+    asked: [Option<Waiters>; 3],
+    /// The flush period's LCG ([`propagation::next_flush`]).
+    seed: u64,
+    flush_at: u64,
+    heartbeat_at: u64,
+    round: Option<Round>,
+    /// The `cache-persist` thread's queue, when the hint log is durable.
+    persist: Option<mpsc::Sender<Waiters>>,
+}
+
+impl Rounds {
+    /// When shard 0 must look again even if no socket stirs.
+    fn deadline(&self) -> u64 {
+        let timers = self.flush_at.min(self.heartbeat_at);
+        self.round.as_ref().map_or(timers, |round| round.deadline)
+    }
+
+    /// Takes up the asks posted since the last tick, steps the round in
+    /// flight if its socket `fired` or its deadline passed, and starts the
+    /// next one that is asked for or due: a resync, then a flush, then a
+    /// heartbeat round.
+    fn tick(&mut self, ctx: &Ctx, fired: bool) {
+        while let Ok((ask, waiter)) = self.requests.try_recv() {
+            let asked = self.asked[ask as usize].get_or_insert_with(Vec::default);
+            asked.extend(waiter);
+        }
+        let now = ctx.inner.now_micros();
+        loop {
+            match self.round.as_mut() {
+                Some(round) if fired || round.deadline <= now => {
+                    if !round.drive(ctx, now) {
+                        return;
+                    }
+                    self.round = None;
+                }
+                Some(_) => return,
+                None => match self.next_round(&ctx.inner, now) {
+                    Some(round) => self.round = Some(round),
+                    None => return,
+                },
+            }
+        }
+    }
+
+    /// The round that starts now, if one is asked for or due. A timer that
+    /// fires is re-armed strictly after `now`.
+    fn next_round(&mut self, inner: &Inner, now: u64) -> Option<Round> {
+        if let Some(waiters) = self.asked[Ask::Resync as usize].take() {
+            let targets = inner.membership.lock().flush_targets();
+            let round = Round::new(Kind::Resync(0), Message::Resync, targets, waiters);
+            return Some(round);
+        }
+        let flush = self.asked[Ask::Flush as usize].take();
+        if flush.is_some() || now >= self.flush_at {
+            if now >= self.flush_at {
+                let wait = propagation::next_flush(&mut self.seed, inner.config.flush_max);
+                self.flush_at = now + wait.max(1);
+            }
+            let waiters = flush.unwrap_or_default();
+            if let Some(persist) = &self.persist {
+                let _ = persist.send(waiters.clone());
+            }
+            let batch = inner.propagation.lock().take_batch();
+            let targets = match batch.is_empty() {
+                true => Vec::default(),
+                false => inner.membership.lock().flush_targets(),
+            };
+            let kind = Kind::Flush(batch.len() as u64);
+            let msg = propagation::outbound_hint_batch(inner, batch);
+            return Some(Round::new(kind, msg, targets, waiters));
+        }
+        let beat = self.asked[Ask::Heartbeat as usize].take();
+        if beat.is_none() && now < self.heartbeat_at {
+            return None;
+        }
+        if now >= self.heartbeat_at {
+            self.heartbeat_at = now + heartbeat_period(inner);
+        }
+        let peers = inner.membership.lock().liveness_peers();
+        let waiters = beat.unwrap_or_default();
+        Some(Round::new(Kind::Heartbeat, Message::Ping, peers, waiters))
+    }
+}
+
+fn heartbeat_period(inner: &Inner) -> u64 {
+    (inner.config.heartbeat_interval.as_micros() as u64).max(1000)
+}
+
+/// What a [`Round`] does with each reply: a flush counts the updates each
+/// `Ack` took, a resync the hint records it learns, a heartbeat feeds the
+/// failure detector.
+enum Kind {
+    Flush(u64),
+    Resync(usize),
+    Heartbeat,
+}
+
+/// One control round: the same frame to each target in turn, one exchange
+/// at a time, in the order the targets are configured. The callers waiting
+/// on it go when it ends.
+struct Round {
+    kind: Kind,
+    msg: Message,
+    targets: Vec<SocketAddr>,
+    waiters: Waiters,
+    /// Targets the frame has gone to, and the last one's exchange.
+    sent: usize,
+    outbound: Option<(SocketAddr, Outbound)>,
+    deadline: u64,
+}
+
+impl Round {
+    fn new(kind: Kind, msg: Message, targets: Vec<SocketAddr>, waiters: Waiters) -> Round {
+        let (sent, outbound, deadline) = (0, None, 0);
+        Round {
+            kind,
+            msg,
+            targets,
+            waiters,
+            sent,
+            outbound,
+            deadline,
+        }
+    }
+
+    /// Steps the round as far as it goes without waiting; returns whether
+    /// it has ended.
+    fn drive(&mut self, ctx: &Ctx, now: u64) -> bool {
+        let (inner, driver) = (&*ctx.inner, Driver::Poller(&ctx.poller, CONTROL_TOKEN));
+        loop {
+            if let Some((addr, outbound)) = self.outbound.as_mut() {
+                let (kind, addr) = (&mut self.kind, *addr);
+                let mut on_reply = |result: io::Result<Message>| match &mut *kind {
+                    Kind::Flush(updates) if matches!(result, Ok(Message::Ack)) => {
+                        inner.metrics.updates_sent.add(*updates);
+                    }
+                    Kind::Flush(_) => {}
+                    Kind::Resync(learned) => {
+                        *learned += result.map_or(0, |r| propagation::receive_hint_batch(inner, r));
+                    }
+                    Kind::Heartbeat => {
+                        let answered = matches!(result, Ok(Message::Ack));
+                        membership::heartbeat_answered(inner, addr, answered, now);
+                    }
+                };
+                match outbound.advance(&inner.pool, driver, now, &mut on_reply) {
+                    Some(deadline) => {
+                        self.deadline = deadline;
+                        return false;
+                    }
+                    None => self.outbound = None,
+                }
+            }
+            let Some(&addr) = self.targets.get(self.sent) else {
+                break;
+            };
+            self.sent += 1;
+            let options = match self.kind {
+                Kind::Flush(_) => RequestOptions::peer_probe(),
+                Kind::Resync(_) => RequestOptions::resync(),
+                Kind::Heartbeat => RequestOptions::heartbeat(),
+            };
+            let frames = std::slice::from_ref(&self.msg);
+            self.outbound = Some((addr, inner.pool.start(addr, options, frames, now)));
+        }
+        match self.kind {
+            Kind::Flush(updates) if updates > 0 => {
+                trace_event(inner, span::FLUSH_BATCH, updates, self.sent as u64);
+            }
+            Kind::Resync(learned) => {
+                inner.propagation.lock().resync_completed(learned as u64);
+                for waiter in &self.waiters {
+                    let _ = waiter.send(learned);
+                }
+            }
+            _ => {}
+        }
+        true
     }
 }
 

@@ -6,22 +6,21 @@
 //! [`Membership::observe`] is the one step that changes any of it after
 //! wiring: it feeds a heartbeat outcome to the failure detector and, on
 //! the `Died`/`Revived` edge, repairs the tree and re-homes an orphan
-//! before it returns. The heartbeat thread counts the repair while it
+//! before it returns. [`heartbeat_answered`] counts the repair while it
 //! still holds the guard, so **`Dead` implies repaired**: a thread that
 //! reads `peer_health(addr) == Dead` also reads the repaired
 //! `plaxton_repair_entries`, the bumped `parent_rehomes` and the new
-//! parent. The step takes the clock as a parameter and touches no
-//! socket; pings, the hint purge and the store re-advertisement happen
-//! in [`heartbeat_round`], outside the lock.
+//! parent. The step takes the time as a parameter and touches no socket.
+//! The pings are a heartbeat round on shard 0 (`engine`'s `Rounds`), one
+//! peer at a time, in [`Membership::liveness_peers`] order; the hint
+//! purge and the store re-advertisement happen outside the lock.
 
 use super::propagation::{held_as_adds, purge_machine, queue_pending};
 use super::{Inner, NodeConfig};
 use crate::liveness::{LivenessConfig, LivenessTracker, PeerHealth, Transition};
-use crate::pool::RequestOptions;
-use crate::wire::{MachineId, Message};
+use crate::wire::MachineId;
 use bh_plaxton::{NodeSpec, PlaxtonTree};
 use std::net::SocketAddr;
-use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 /// One node's place in a mesh, as addresses. [`crate::mesh::Topology::wiring`]
@@ -132,6 +131,16 @@ impl Membership {
         targets
     }
 
+    /// Everyone a heartbeat round pings, in order: the liveness peers when
+    /// wired, else the neighbor set.
+    pub fn liveness_peers(&self) -> Vec<SocketAddr> {
+        let wiring = &self.wiring;
+        wiring
+            .liveness_peers
+            .clone()
+            .unwrap_or_else(|| wiring.neighbors.clone())
+    }
+
     /// The failure detector's current judgment of `addr`.
     pub fn health(&self, addr: SocketAddr) -> PeerHealth {
         self.liveness.health(addr)
@@ -185,70 +194,35 @@ impl Membership {
     }
 }
 
-/// The heartbeat thread: ticks [`heartbeat_round`] on the configured
-/// interval, parked on the control mailbox in between so it leaves as
-/// soon as the node stops.
-pub(super) fn heartbeat_loop(inner: &Inner) {
-    let interval = inner
-        .config
-        .heartbeat_interval
-        .max(Duration::from_millis(1));
-    while inner.mailbox.sleep(interval) {
-        heartbeat_round(inner);
+/// Takes one ping's outcome, `now` micros into the node's life: feeds it
+/// through [`Membership::observe`], then finishes a confirmed transition
+/// outside the lock — GC every hint naming a dead peer (restoring the
+/// §3.2 invariant that a dead peer costs at most one wasted probe per
+/// object, and zero once the detector has confirmed it) and, after
+/// re-homing, re-advertise every cached object upward: the subtree under
+/// the adopter may never have heard of these copies.
+pub(super) fn heartbeat_answered(inner: &Inner, addr: SocketAddr, answered: bool, now: u64) {
+    if answered {
+        inner.metrics.heartbeats_ok.inc();
+        inner.pool.forgive(addr);
+    } else {
+        inner.metrics.heartbeats_failed.inc();
     }
-}
-
-/// Pings every monitored peer once — outside the membership lock — and
-/// feeds each outcome through [`Membership::observe`], then finishes a
-/// confirmed transition on the I/O side: GC every hint naming a dead peer
-/// (restoring the §3.2 invariant that a dead peer costs at most one
-/// wasted probe per object, and zero once the detector has confirmed it)
-/// and, after re-homing, re-advertise every cached object upward — the
-/// subtree under the adopter may never have heard of these copies.
-pub(super) fn heartbeat_round(inner: &Inner) {
-    let peers = {
-        let membership = inner.membership.lock();
-        let wiring = &membership.wiring;
-        wiring
-            .liveness_peers
-            .clone()
-            .unwrap_or_else(|| wiring.neighbors.clone())
-    };
-    for addr in peers {
-        if inner.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let answered = matches!(
-            inner
-                .pool
-                .request(addr, RequestOptions::heartbeat(), &Message::Ping),
-            Ok(Message::Ack)
-        );
-        if answered {
-            inner.metrics.heartbeats_ok.inc();
-            inner.pool.forgive(addr);
-        } else {
-            inner.metrics.heartbeats_failed.inc();
-        }
-        let observed = {
-            let mut membership = inner.membership.lock();
-            let observed = membership.observe(addr, answered, Instant::now());
-            // Counted under the guard: whoever reads `Dead` afterwards
-            // reads the repair with it.
-            let metrics = &inner.metrics;
-            metrics.peers_confirmed_dead.add(observed.died as u64);
-            metrics.plaxton_repair_entries.add(observed.repaired as u64);
-            metrics.parent_rehomes.add(observed.rehomed as u64);
-            observed
-        };
-        if observed.died {
-            if let Some(machine) = MachineId::from_addr(addr) {
-                purge_machine(inner, machine);
-            }
-        }
-        if observed.rehomed {
-            queue_pending(inner, held_as_adds(inner));
-        }
+    let mut membership = inner.membership.lock();
+    let at = inner.started + Duration::from_micros(now);
+    let observed = membership.observe(addr, answered, at);
+    // Counted under the guard: whoever reads `Dead` afterwards reads the
+    // repair with it.
+    let metrics = &inner.metrics;
+    metrics.peers_confirmed_dead.add(observed.died as u64);
+    metrics.plaxton_repair_entries.add(observed.repaired as u64);
+    metrics.parent_rehomes.add(observed.rehomed as u64);
+    drop(membership);
+    if let Some(machine) = MachineId::from_addr(addr).filter(|_| observed.died) {
+        purge_machine(inner, machine);
+    }
+    if observed.rehomed {
+        queue_pending(inner, held_as_adds(inner));
     }
 }
 
@@ -267,6 +241,12 @@ mod tests {
     };
     const CRASHES: [usize; 3] = [1, 2, 0];
 
+    /// The tests' clock origin.
+    fn t0() -> Instant {
+        // bh-lint: allow(no-wall-clock, reason = "arbitrary base instant; the membership step is pure in the times passed to it")
+        Instant::now()
+    }
+
     /// Replays the diurnal-churn history over a mesh bound to `ports`
     /// with no socket and a clock the test advances: every survivor of
     /// every window must repair exactly the analytic churn, and an
@@ -281,7 +261,7 @@ mod tests {
             .with_confirm_death_after(Duration::from_millis(150));
         let fresh = |i: usize| Membership::new(TOPOLOGY.wiring(&addrs, i), &config);
         let mut nodes: Vec<Membership> = (0..addrs.len()).map(fresh).collect();
-        let mut now = Instant::now();
+        let mut now = t0();
         for dead in CRASHES {
             let analytic = analytic_churn_for(&addrs, dead);
             for i in (0..addrs.len()).filter(|&i| i != dead) {
@@ -366,7 +346,7 @@ mod tests {
             ..Wiring::default()
         };
         let mut membership = Membership::new(wiring, &config);
-        let t0 = Instant::now();
+        let t0 = t0();
         assert_eq!(
             membership.observe(addr(2), false, t0),
             Observed::default(),

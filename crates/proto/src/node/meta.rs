@@ -16,15 +16,14 @@
 //!   or nothing), so `List` output is byte-identical across seeded runs
 //!   regardless of shard count or timing. `Get` is the value-bearing op.
 //! * **Shard-thread safety** — the resolver runs inline on epoll shard
-//!   threads, which never perform outbound I/O. Every read is purely
+//!   threads, which never wait on outbound I/O. Every read is purely
 //!   local; the two writes that imply network work (`control/resync`,
-//!   `control/flush`) post a request to the node's control mailbox and
-//!   report `scheduled` — the flush thread, the node's one background
-//!   executor of both, carries it out, and any number of requests posted
-//!   before it looks are one run. Completion is observable at
-//!   `control/resync/runs` / `control/resync/learned`.
+//!   `control/flush`) post an ask to shard 0 and report `scheduled` —
+//!   shard 0 runs it as a round of non-blocking exchanges, and any number
+//!   of asks posted before it takes them up are one round. Completion is
+//!   observable at `control/resync/runs` / `control/resync/learned`.
 
-use super::Inner;
+use super::{Ask, Inner};
 use crate::wire::{MachineId, Message, MetaEntry, MetaOp, MetaStatus};
 use bh_obs::span;
 use std::net::SocketAddr;
@@ -524,11 +523,11 @@ fn control_node(inner: &Inner, op: MetaOp, rest: &[&str], value: &str, root: &st
             None => fail(MetaStatus::Invalid),
         },
         (MetaOp::Set, ["flush"]) => {
-            inner.mailbox.post(|c| c.flush_requested = true);
+            inner.post(Ask::Flush, None);
             ok(vec![entry(format!("{root}/control/flush"), "scheduled")])
         }
         (MetaOp::Set, ["resync"]) => {
-            inner.mailbox.post(|c| c.resync_requested = true);
+            inner.post(Ask::Resync, None);
             ok(vec![entry(format!("{root}/control/resync"), "scheduled")])
         }
         (MetaOp::Get, ["resync", leaf @ ("runs" | "learned")]) => {

@@ -8,17 +8,19 @@
 //! flushed to their neighbor set on a randomized period (§3.2's
 //! Floyd–Jacobson desynchronization).
 //!
-//! One connection engine (`engine`): a bounded set of epoll shard threads
-//! owns all client and peer sockets and is the one kind of thread on the
-//! data path. A shard answers hint-module frames and local hits inline and
-//! serves a miss itself, driving the peer probe and the origin fetch on
-//! non-blocking sockets registered with its own poller, so it never waits
-//! on a peer. Outbound traffic (peer probes, origin fetches, hint flushes)
-//! goes through a warm [`crate::pool::ConnectionPool`], and flushes
-//! coalesce into authenticated [`Message::HintBatch`] frames; the control
-//! threads (flush, heartbeat, resync) use the pool's blocking shell. The
-//! engine needs Linux epoll; on any other target [`CacheNode::spawn`] fails
-//! with [`io::ErrorKind::Unsupported`].
+//! A node is its shards (`engine`): a bounded set of epoll shard threads
+//! accepts and owns all client and peer sockets. A shard answers
+//! hint-module frames and local hits inline and serves a miss itself,
+//! driving the peer probe and the origin fetch on non-blocking sockets
+//! registered with its own poller, so it never waits on a peer. Shard 0
+//! also keeps the control plane: the flush and heartbeat timers bound its
+//! `epoll_wait`, and hint flushes, resync pulls and heartbeats are rounds
+//! of the same non-blocking exchanges. Outbound traffic goes through a warm
+//! [`crate::pool::ConnectionPool`], and flushes coalesce into
+//! authenticated [`Message::HintBatch`] frames. The only other node thread
+//! is `cache-persist`, which fsyncs the durable hint log when a node has
+//! one. The engine needs Linux epoll; on any other target
+//! [`CacheNode::spawn`] fails with [`io::ErrorKind::Unsupported`].
 //!
 //! Who a node flushes to, who it heartbeats, what it believes about their
 //! health and the Plaxton tree it keeps repaired are one value behind one
@@ -29,9 +31,9 @@
 //! other one (`propagation`).
 //!
 //! This file is the node's frame: the shared state (`Inner`), the
-//! [`CacheNode`] handle, spawn/stop with the control mailbox every
-//! timer thread parks on (`Mailbox`), and the dispatch of frames
-//! answered from local state (`local_response`).
+//! [`CacheNode`] handle, spawn/stop, the control requests posted to shard
+//! 0 (`Ask`), and the dispatch of frames answered from local state
+//! (`local_response`).
 
 mod config;
 mod engine;
@@ -51,18 +53,19 @@ use crate::liveness::PeerHealth;
 use crate::pool::{ConnectionPool, PoolConfig, RequestOptions};
 use crate::wire::{HintAction, MachineId, Message, ServedBy, Status};
 use bh_cache::{Keyed, LruCache};
+use bh_netpoll::Waker;
 use bh_obs::{MetricEntry, TraceEvent, TraceRing};
 use bytes::Bytes;
 use hints::HintStore;
 use membership::Membership;
 use metrics::NodeMetrics;
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use parking_lot::Mutex;
 use propagation::Propagation;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::sync::{mpsc, Arc, OnceLock};
+use std::time::Instant;
 
 /// The data cache: one keyed map whose LRU entries carry each object's
 /// size, version and body. Keys stay [`Keyed`]: clients choose URLs.
@@ -89,9 +92,8 @@ struct Inner {
     /// since `started` (the ring itself never reads a clock).
     trace: Mutex<TraceRing>,
     started: Instant,
-    /// Set first thing by `stop()`; the data-plane threads read it
-    /// between events without a lock. The timer threads park on
-    /// `mailbox`, which carries its own copy under the condvar's mutex.
+    /// Set first thing by `stop()`; the shards read it between events
+    /// without a lock.
     shutdown: AtomicBool,
     /// Warm outbound connections: every peer probe, origin fetch, hint
     /// flush, heartbeat and resync goes through this pool.
@@ -100,9 +102,11 @@ struct Inner {
     /// client `Get` is turned away with a `Redirect` so the node can be
     /// taken out of rotation without killing in-flight hint traffic.
     drained: AtomicBool,
-    /// Where flush/resync requests are posted, what the flush and
-    /// heartbeat threads park on, and what `stop()` waits on.
-    mailbox: Mailbox,
+    /// The way to shard 0, set once the engine runs — its request channel
+    /// and its waker: where `Set …/control/flush|resync` and the
+    /// synchronous `flush_updates_now`, `heartbeat_now` and `resync` post
+    /// their asks.
+    control: OnceLock<(mpsc::Sender<Request>, Waker)>,
 }
 
 impl Inner {
@@ -149,7 +153,7 @@ impl Inner {
             shutdown: AtomicBool::new(false),
             pool,
             drained: AtomicBool::new(false),
-            mailbox: Mailbox::default(),
+            control: OnceLock::new(),
             config,
         }
     }
@@ -167,97 +171,31 @@ impl Inner {
     }
 }
 
-/// The node's control mailbox, under [`Mailbox`]'s mutex.
-#[derive(Debug, Default, Clone, Copy)]
-struct Control {
-    /// `Set …/control/flush` arrived since the flush thread last looked.
-    /// A flag, not a count: any number of requests is one pending run.
-    flush_requested: bool,
-    /// Likewise for `Set …/control/resync`.
-    resync_requested: bool,
-    /// `stop()` was called: every parked thread leaves.
-    shutdown: bool,
-    /// Node threads that have not returned yet; `stop()` waits for 0.
-    running: usize,
+/// A control round a caller asks shard 0 for.
+#[derive(Clone, Copy)]
+enum Ask {
+    Flush,
+    Resync,
+    Heartbeat,
 }
 
-/// One mutex and one condvar for everything in the node that waits on
-/// time: the flush thread parks here until its next deadline or a
-/// request, the heartbeat thread for its interval, and `stop()` until the
-/// threads are out. Nothing polls — every post notifies.
-#[derive(Debug, Default)]
-struct Mailbox {
-    control: Mutex<Control>,
-    wake: Condvar,
-}
+/// One ask posted to shard 0, with the caller blocked until the round it
+/// starts has ended, if any. A round holds its callers as `Waiters` and
+/// drops them when it ends, after a resync has sent what it learned.
+type Request = (Ask, Option<mpsc::Sender<usize>>);
+type Waiters = Vec<mpsc::Sender<usize>>;
 
-impl Mailbox {
-    /// Changes the control state and wakes whoever waits on it.
-    fn post(&self, change: impl FnOnce(&mut Control)) {
-        change(&mut self.control.lock());
-        self.wake.notify_all();
-    }
-
-    /// Parks until `ready` holds or `deadline` passes.
-    fn wait_until(
-        &self,
-        deadline: Instant,
-        ready: impl Fn(&Control) -> bool,
-    ) -> MutexGuard<'_, Control> {
-        let mut control = self.control.lock();
-        while !ready(&control) {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            control = self.wake.wait_timeout(control, deadline - now).0;
+impl Inner {
+    /// Posts `ask` to shard 0 without waiting. Any number of asks posted
+    /// before shard 0 takes them are one round. Once shard 0 is gone the
+    /// ask, and its waiter, are dropped at once.
+    fn post(&self, ask: Ask, waiter: Option<mpsc::Sender<usize>>) {
+        let Some((requests, waker)) = self.control.get() else {
+            return;
+        };
+        if requests.send((ask, waiter)).is_ok() && !waker.wake() {
+            self.metrics.wakeups_coalesced.inc();
         }
-        control
-    }
-
-    /// The flush thread's wait: until `deadline`, a request or shutdown.
-    /// Returns what it woke to and takes the requests with it.
-    fn next_work(&self, deadline: Instant) -> Control {
-        let mut control = self.wait_until(deadline, |c| {
-            c.shutdown || c.flush_requested || c.resync_requested
-        });
-        let work = *control;
-        control.flush_requested = false;
-        control.resync_requested = false;
-        work
-    }
-
-    /// Sleeps out `period` unless the node stops first; returns whether
-    /// it is still running.
-    fn sleep(&self, period: Duration) -> bool {
-        !self
-            .wait_until(Instant::now() + period, |c| c.shutdown)
-            .shutdown
-    }
-
-    /// Tells every parked thread to leave and waits, at most until
-    /// `deadline`, for all node threads to return; says whether they did.
-    fn shut_down(&self, deadline: Instant) -> bool {
-        self.post(|c| c.shutdown = true);
-        self.wait_until(deadline, |c| c.running == 0).running == 0
-    }
-}
-
-/// One node thread's entry in [`Control::running`], held for as long as
-/// the thread lives: dropping it — on return or on a panic — is what
-/// `stop()` waits for.
-struct Running(Arc<Inner>);
-
-impl Running {
-    fn enter(inner: &Arc<Inner>) -> Running {
-        inner.mailbox.control.lock().running += 1;
-        Running(Arc::clone(inner))
-    }
-}
-
-impl Drop for Running {
-    fn drop(&mut self) {
-        self.0.mailbox.post(|c| c.running -= 1);
     }
 }
 
@@ -267,14 +205,16 @@ pub struct CacheNode {
     addr: SocketAddr,
     inner: Arc<Inner>,
     threads: Vec<std::thread::JoinHandle<()>>,
-    /// Ends the engine's threads at shutdown: wakes the shards out of
-    /// `epoll_wait`.
-    engine: engine::Stopper,
+    /// One per shard: breaks it out of `epoll_wait` at shutdown.
+    wakers: Vec<Waker>,
+    /// Disconnects once every node thread has returned: each holds a
+    /// sender, and none ever sends.
+    exited: mpsc::Receiver<()>,
 }
 
 impl CacheNode {
-    /// Binds, spawns the connection engine, the update flusher and the
-    /// heartbeat loop.
+    /// Binds and spawns the shards (and, with a durability directory, the
+    /// thread that fsyncs the hint log).
     ///
     /// # Errors
     ///
@@ -287,24 +227,14 @@ impl CacheNode {
         let machine = MachineId::from_addr(addr)
             .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "IPv4 bind required"))?;
         let inner = Arc::new(Inner::new(config, machine));
-        let engine::Engine {
-            mut threads,
-            stopper,
-        } = engine::spawn(listener, &inner)?;
-        let flush: fn(&Inner) = propagation::flush_loop;
-        for (name, body) in [("flush", flush), ("heartbeat", membership::heartbeat_loop)] {
-            let running = Running::enter(&inner);
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("cache-{name}-{addr}"))
-                    .spawn(move || body(&running.0))?,
-            );
-        }
+        let (running, exited) = mpsc::channel();
+        let (threads, wakers) = engine::spawn(listener, &inner, &running)?;
         Ok(CacheNode {
             addr,
             inner,
             threads,
-            engine: stopper,
+            wakers,
+            exited,
         })
     }
 
@@ -386,9 +316,20 @@ impl CacheNode {
     }
 
     /// Flushes pending hint updates to all neighbors immediately (tests use
-    /// this instead of waiting out the randomized timer).
+    /// this instead of waiting out the randomized timer). Returns once every
+    /// update queued before the call has been answered or has failed at
+    /// every flush target, and the durable log's records staged before the
+    /// call are fsynced.
     pub fn flush_updates_now(&self) {
-        propagation::flush_once(&self.inner);
+        self.ask(Ask::Flush);
+    }
+
+    /// Posts `ask` to shard 0 and blocks until the round it starts has
+    /// ended (or the node has stopped); returns what a resync learned.
+    fn ask(&self, ask: Ask) -> usize {
+        let (waiter, done) = mpsc::channel();
+        self.inner.post(ask, Some(waiter));
+        done.iter().sum()
     }
 
     /// The outbound connection pool — fault switch, partition block list,
@@ -411,7 +352,7 @@ impl CacheNode {
     /// Runs one round of heartbeats against the current neighbor set
     /// immediately (tests use this instead of waiting out the interval).
     pub fn heartbeat_now(&self) {
-        membership::heartbeat_round(&self.inner);
+        self.ask(Ask::Heartbeat);
     }
 
     /// Anti-entropy pull: asks every neighbor for the objects it holds and
@@ -420,7 +361,7 @@ impl CacheNode {
     /// waiting for organic update traffic. Returns the number of hint
     /// records received.
     pub fn resync(&self) -> usize {
-        propagation::resync_now(&self.inner)
+        self.ask(Ask::Resync)
     }
 
     /// Stops the node gracefully and joins its threads (bounded by
@@ -451,18 +392,18 @@ impl CacheNode {
             return;
         }
         self.inner.shutdown.store(true, Ordering::SeqCst);
-        // Fail outbound I/O fast so control threads blocked behind pool
-        // requests unwind instead of riding out connect timeouts.
+        // Fail outbound I/O fast: nothing new leaves the node.
         self.inner.pool.poison();
-        self.engine.stop();
-        // The accept thread blocks in `accept()`: one connection wakes it.
-        let _ = TcpStream::connect(self.addr);
-        let deadline = Instant::now() + self.inner.config.shutdown_deadline;
-        let all_out = self.inner.mailbox.shut_down(deadline);
+        for waker in &self.wakers {
+            waker.wake();
+        }
+        let deadline = self.inner.config.shutdown_deadline;
+        let waited = self.exited.recv_timeout(deadline);
+        let all_out = matches!(waited, Err(mpsc::RecvTimeoutError::Disconnected));
         for thread in self.threads.drain(..) {
             // Past the deadline the stragglers are detached rather than
             // wedging the caller on a stuck thread; they observe the
-            // shutdown flag and the poisoned pool on their own.
+            // shutdown flag on their own.
             if all_out || thread.is_finished() {
                 let _ = thread.join();
             }
@@ -494,9 +435,9 @@ fn trace_event(inner: &Inner, kind: u16, a: u64, b: u64) {
 /// local (it may probe a peer or the origin) and is answered with an
 /// error here; the engine routes it to [`service::Service`] before
 /// calling this. Nothing in here performs outbound I/O — a shard's only
-/// outbound I/O is its runs' non-blocking exchanges: the two meta control
-/// writes that imply blocking I/O (`control/resync`, `control/flush`) post
-/// a request to the mailbox.
+/// outbound I/O is its runs' and its rounds' non-blocking exchanges: the two
+/// meta control writes that imply network work (`control/resync`,
+/// `control/flush`) post an ask to shard 0.
 fn local_response(inner: &Inner, msg: Message) -> Message {
     match msg {
         Message::MetaRequest { op, path, value } => meta::handle(inner, op, &path, &value),
@@ -513,18 +454,12 @@ fn local_response(inner: &Inner, msg: Message) -> Message {
                 body,
             }
         }
-        Message::HintBatch {
-            sender,
-            updates,
-            tag,
-        } => {
+        batch @ Message::HintBatch { .. } => {
             // Authenticated batch: a bad tag is dropped (and counted
             // toward the sender's quarantine streak) but still Acked —
             // hints are advisory, so a byzantine sender learns nothing
             // from the reply and an honest one never sees an error.
-            if propagation::verify_hint_batch(inner, sender, &updates, &tag) {
-                propagation::apply_updates(inner, &updates);
-            }
+            propagation::receive_hint_batch(inner, batch);
             Message::Ack
         }
         Message::Push { url, version, body } => {
@@ -560,6 +495,7 @@ mod tests {
     use super::*;
     use crate::mesh::{Mesh, Topology};
     use crate::origin::OriginServer;
+    use std::time::Duration;
 
     fn cluster(n: usize) -> (OriginServer, Vec<CacheNode>) {
         let origin = OriginServer::spawn("127.0.0.1:0").expect("origin");

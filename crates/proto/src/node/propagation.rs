@@ -8,28 +8,18 @@
 //! [`PENDING_CAP`]), [`Propagation::take_batch`] drains the queue
 //! coalesced, [`Propagation::admit`] judges one received batch by its
 //! sender and whether its tag verified, and the free [`apply`] runs the
-//! §3.1.2 filter over a hint table. Everything below them in this file is
-//! the thin I/O shell — [`flush_once`], [`resync_now`],
-//! [`verify_hint_batch`], [`apply_updates`] — which takes the lock for
-//! one step at a time: never across `pool.request`, and never while the
-//! hint table's lock is held the other way round.
-//!
-//! [`flush_loop`] is the node's only *background* executor of flush and
-//! resync: it parks on the control mailbox until its next randomized
-//! deadline or a request from the namespace
-//! (`Set …/control/flush|resync`), so a thousand requests coalesce into
-//! one pending run. [`super::CacheNode::flush_updates_now`] and
-//! [`super::CacheNode::resync`] run the same functions synchronously on
-//! the caller's thread.
+//! §3.1.2 filter over a hint table. Below them, [`outbound_hint_batch`] and
+//! [`receive_hint_batch`] take the lock for one step at a time, never while
+//! the hint table's lock is held the other way round, and touch no socket.
+//! Flushes and resyncs are rounds on shard 0 (`engine`'s `Rounds`), due at
+//! the deadlines [`next_flush`] draws or when asked for.
 
 use super::hints::HintTable;
-use super::{trace_event, Inner};
-use crate::pool::RequestOptions;
+use super::Inner;
 use crate::wire::{coalesce, hint_batch_tag, HintAction, HintUpdate, MachineId, Message};
-use bh_obs::span;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Cap on the pending hint-update queue. A slow or dead neighbor cannot
 /// grow it past this: overflow drops the oldest records — they are hints,
@@ -146,7 +136,7 @@ impl Propagation {
     }
 
     /// Records one completed resync that learned `learned` records.
-    fn resync_completed(&mut self, learned: u64) {
+    pub(super) fn resync_completed(&mut self, learned: u64) {
         self.resync_runs += 1;
         self.resync_learned += learned;
     }
@@ -249,19 +239,27 @@ pub(super) fn outbound_hint_batch(inner: &Inner, updates: Vec<HintUpdate>) -> Me
     msg
 }
 
-/// Checks a received batch's authenticator against the tag this node
-/// computes for `(sender, updates)` and carries out what
-/// [`Propagation::admit`] decides: a mismatch counts
+/// Takes one received [`Message::HintBatch`] — pushed by a peer, or a
+/// resync reply (any other frame is ignored). Checks its authenticator
+/// against the tag this node computes for `(sender, updates)` and carries
+/// out what [`Propagation::admit`] decides: a mismatch counts
 /// `hint_auth_failures`; the one that crosses the threshold quarantines
 /// the sender — outbound path blocked, every hint it planted purged; a
-/// valid batch from a quarantined sender lifts the block.
-pub(super) fn verify_hint_batch(
-    inner: &Inner,
-    sender: MachineId,
-    updates: &[HintUpdate],
-    tag: &[u8; 16],
-) -> bool {
-    let tag_ok = hint_batch_tag(sender, updates) == *tag;
+/// valid batch from a quarantined sender lifts the block. Only a verified
+/// batch reaches the hint store ([`apply`]) — a byzantine peer cannot seed
+/// a restarting node's table with forged locations — and its
+/// state-changing subset is queued for hierarchical re-propagation.
+/// Returns the records applied.
+pub(super) fn receive_hint_batch(inner: &Inner, batch: Message) -> usize {
+    let Message::HintBatch {
+        sender,
+        updates,
+        tag,
+    } = batch
+    else {
+        return 0;
+    };
+    let tag_ok = hint_batch_tag(sender, &updates) == tag;
     let admission = inner.propagation.lock().admit(sender, tag_ok);
     if !tag_ok {
         inner.metrics.hint_auth_failures.inc();
@@ -277,21 +275,16 @@ pub(super) fn verify_hint_batch(
         inner.pool.block(sender.to_addr());
         purge_machine(inner, sender);
     }
-    admission.accepted
-}
-
-/// Applies a received update batch to the hint store ([`apply`]) and
-/// queues the state-changing subset for hierarchical re-propagation.
-/// Callers verify the batch's authenticator first
-/// ([`verify_hint_batch`]); nothing reaches the hint store unauthenticated.
-pub(super) fn apply_updates(inner: &Inner, updates: &[HintUpdate]) {
+    if !admission.accepted {
+        return 0;
+    }
     let hierarchical = inner.membership.lock().hierarchical();
     // One table lock for the whole batch.
     let applied = apply(
         &mut inner.hints.table.lock(),
         inner.machine,
         hierarchical,
-        updates,
+        &updates,
     );
     inner.metrics.updates_filtered.add(applied.filtered);
     inner.metrics.updates_received.add(updates.len() as u64);
@@ -299,95 +292,17 @@ pub(super) fn apply_updates(inner: &Inner, updates: &[HintUpdate]) {
         // Knowledge changed: climb/descend the metadata tree.
         queue_pending(inner, applied.propagate);
     }
+    updates.len()
 }
 
-/// One flush: persists the durable log's staged records, then sends the
-/// coalesced pending batch as one versioned `HintBatch` per flush target
-/// over a warm pooled connection. A dead target fails at most one fast
-/// probe and is quarantined; the flush never wedges on it.
-pub(super) fn flush_once(inner: &Inner) {
-    inner.hints.persist();
-    let batch = inner.propagation.lock().take_batch();
-    if batch.is_empty() {
-        return;
-    }
-    let targets = inner.membership.lock().flush_targets();
-    let batch_n = batch.len() as u64;
-    let targets_n = targets.len() as u64;
-    let msg = outbound_hint_batch(inner, batch);
-    for neighbor in targets {
-        if let Ok(Message::Ack) = inner
-            .pool
-            .request(neighbor, RequestOptions::peer_probe(), &msg)
-        {
-            inner.metrics.updates_sent.add(batch_n);
-        }
-    }
-    trace_event(inner, span::FLUSH_BATCH, batch_n, targets_n);
-}
-
-/// Anti-entropy pull ([`super::CacheNode::resync`] and the namespace's
-/// `Set …/control/resync`): asks every flush target for the objects it
-/// holds and applies the authenticated answers to the hint store.
-/// Returns the number of hint records learned and advances the
-/// namespace-visible run/learned counts.
-pub(super) fn resync_now(inner: &Inner) -> usize {
-    // Pull from the same peers a flush would reach, so a restarted leaf
-    // recovers through its parent even with an empty neighbor set.
-    let mut learned = 0;
-    let targets = inner.membership.lock().flush_targets();
-    for addr in targets {
-        if let Ok(Message::HintBatch {
-            sender,
-            updates,
-            tag,
-        }) = inner
-            .pool
-            .request(addr, RequestOptions::resync(), &Message::Resync)
-        {
-            // Resync replies are authenticated like any other batch:
-            // a byzantine peer cannot seed a restarting node's hint
-            // table with forged locations.
-            if verify_hint_batch(inner, sender, &updates, &tag) {
-                learned += updates.len();
-                apply_updates(inner, &updates);
-            }
-        }
-    }
-    inner.propagation.lock().resync_completed(learned as u64);
-    learned
-}
-
-/// The flush thread: parks on the control mailbox until the next
-/// deadline of the randomized period — uniform in `[0, flush_max)`,
-/// re-drawn every round (Floyd–Jacobson desynchronization) — or a request
-/// posted through the namespace, and leaves as soon as the node stops.
-pub(super) fn flush_loop(inner: &Inner) {
-    let mut seed = inner.machine.0 | 1;
-    let max_ms = inner.config.flush_max.as_millis().max(1) as u64;
-    let mut next_deadline = move || {
-        seed = seed
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        Instant::now() + Duration::from_millis(seed % max_ms)
-    };
-    let mut deadline = next_deadline();
-    loop {
-        let work = inner.mailbox.next_work(deadline);
-        if work.shutdown {
-            return;
-        }
-        if work.resync_requested {
-            resync_now(inner);
-        }
-        let due = Instant::now() >= deadline;
-        if work.flush_requested || due {
-            flush_once(inner);
-        }
-        if due {
-            deadline = next_deadline();
-        }
-    }
+/// Micros to the next flush (§3.2's Floyd–Jacobson desynchronization):
+/// one step of the per-machine LCG `seed` (started at the machine id | 1),
+/// uniform in `[0, flush_max)`, in whole milliseconds.
+pub(super) fn next_flush(seed: &mut u64, flush_max: Duration) -> u64 {
+    *seed = seed
+        .wrapping_mul(6364136223846793005)
+        .wrapping_add(1442695040888963407);
+    *seed % flush_max.as_millis().max(1) as u64 * 1000
 }
 
 #[cfg(test)]

@@ -161,7 +161,6 @@ fn accept_loop(
                 let _ = serve_connection(&stream, &state, &requests);
                 conns.lock().remove(&id);
             })
-            // bh-lint: allow(no-panic-hot-path, reason = "test-harness origin server; failing to spawn a connection thread is unrecoverable and loud beats silent")
             .expect("spawn connection thread");
     }
 }

@@ -35,7 +35,10 @@
 //! its own poller and goes back to `epoll_wait`, so a shard never blocks
 //! on a peer. [`ConnectionPool::request_run`], for every other thread,
 //! keeps the socket in blocking mode under the I/O timeout and sleeps out
-//! the deadlines; it is stamped by the file's one clock read.
+//! the deadlines; it is stamped by the file's one clock read. A fresh socket
+//! follows its shell too: a shard's connect returns while still in progress
+//! ([`bh_netpoll::connect`]) and its completion is one more step, signalled
+//! by writable readiness; the blocking shell dials with `connect_timeout`.
 
 use crate::wire::{FrameAssembler, Message};
 use bh_netpoll::fault::FaultSwitch;
@@ -775,15 +778,20 @@ impl ConnectionPool {
         }
     }
 
-    fn connect(&self, addr: SocketAddr) -> io::Result<Link> {
-        let stream = TcpStream::connect_timeout(&addr, self.io_timeout)?;
+    /// A fresh socket to `addr` in `driver`'s mode: connected under the
+    /// I/O timeout for the blocking shell, still connecting for a shard.
+    fn connect(&self, addr: SocketAddr, driver: Driver<'_>) -> io::Result<Link> {
+        let stream = match driver {
+            Driver::Blocking => TcpStream::connect_timeout(&addr, self.io_timeout)?,
+            Driver::Poller(..) => bh_netpoll::connect(&addr)?,
+        };
         stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(self.io_timeout))?;
         stream.set_write_timeout(Some(self.io_timeout))?;
         Ok(Link {
             stream,
             inbox: Inbox::new(),
-            nonblocking: false,
+            nonblocking: driver.poller().is_some(),
             registered: None,
         })
     }
@@ -826,6 +834,8 @@ enum Step {
     Link,
     /// A retry waits out its backoff before it dials.
     Backoff,
+    /// A shard's fresh socket is still connecting.
+    Connect,
     /// The chunk's frames go out and its replies come in.
     Exchange,
     /// Every frame has its result and the run is settled.
@@ -888,7 +898,7 @@ impl Outbound {
                 }
                 Step::Latency | Step::Backoff if now < self.deadline => return Some(self.deadline),
                 Step::Latency => self.step = Step::Chunk,
-                Step::Backoff => self.dial(pool, now),
+                Step::Backoff => self.dial(pool, driver, now),
                 Step::Chunk if self.done == self.ends.len() => self.settle(pool, driver, now),
                 Step::Chunk => {
                     let end = match pool.fault.drop_per_million() {
@@ -917,7 +927,12 @@ impl Outbound {
                     let delay = pool.peers.lock().backoff(self.attempt);
                     (self.deadline, self.step) = (now + micros(delay), Step::Backoff);
                 }
-                Step::Link => self.dial(pool, now),
+                Step::Link => self.dial(pool, driver, now),
+                Step::Connect => match self.connected(driver, now) {
+                    Ok(false) => return Some(self.deadline),
+                    Ok(true) => self.begin(true, pool, now),
+                    Err(e) => self.lose_link(driver, e),
+                },
                 Step::Exchange => match self.exchange(pool, driver, now, on_reply) {
                     Ok(false) => return Some(self.deadline),
                     Ok(true) => {
@@ -930,21 +945,22 @@ impl Outbound {
                         // fresh one's used its attempt.
                         self.tally_link();
                         self.run.tally.retries += u64::from(!self.fresh);
-                        if let Some(mut link) = self.link.take() {
-                            link.detach(driver);
-                        }
-                        self.last_err = Some(e);
-                        self.step = Step::Link;
+                        self.lose_link(driver, e);
                     }
                 },
             }
         }
     }
 
-    /// Dials a fresh socket for the chunk, using an attempt.
-    fn dial(&mut self, pool: &ConnectionPool, now: u64) {
+    /// Dials a fresh socket for the chunk, using an attempt. On a shard the
+    /// connect is still in progress, and waits under the I/O timeout.
+    fn dial(&mut self, pool: &ConnectionPool, driver: Driver<'_>, now: u64) {
         self.attempt += 1;
-        match pool.connect(self.addr) {
+        match pool.connect(self.addr, driver) {
+            Ok(link) if driver.poller().is_some() => {
+                self.link = Some(link);
+                (self.deadline, self.step) = (now + micros(pool.io_timeout), Step::Connect);
+            }
             Ok(link) => {
                 self.link = Some(link);
                 self.begin(true, pool, now);
@@ -954,6 +970,37 @@ impl Outbound {
                 self.step = Step::Link;
             }
         }
+    }
+
+    /// Whether the shard's fresh socket has connected: an error says it
+    /// failed, a peer address that it is through; otherwise it waits for
+    /// writable readiness until the deadline.
+    fn connected(&mut self, driver: Driver<'_>, now: u64) -> io::Result<bool> {
+        let Some(link) = self.link.as_mut() else {
+            return Err(io::Error::other("no socket"));
+        };
+        link.attach(driver)?;
+        if let Some(e) = link.stream.take_error()? {
+            return Err(e);
+        }
+        if link.stream.peer_addr().is_ok() {
+            return Ok(true);
+        }
+        if now >= self.deadline {
+            return Err(timed_out(self.addr));
+        }
+        link.want(driver, Interest::WRITABLE)?;
+        Ok(false)
+    }
+
+    /// Drops the chunk's socket, which failed with `err`; the next step
+    /// dials again or gives up.
+    fn lose_link(&mut self, driver: Driver<'_>, err: io::Error) {
+        if let Some(mut link) = self.link.take() {
+            link.detach(driver);
+        }
+        self.last_err = Some(err);
+        self.step = Step::Link;
     }
 
     /// The socket in `link` takes over the chunk's unanswered frames.
@@ -1489,7 +1536,7 @@ mod tests {
         lose_a_probe(&pool, addr);
         // A request that was in flight when the probe failed finishes and
         // parks its socket.
-        let conn = pool.connect(addr).expect("connect");
+        let conn = pool.connect(addr, Driver::Blocking).expect("connect");
         pool.peers.lock().park(addr, conn);
         expire_window(&pool, addr, t0);
 

@@ -2,7 +2,7 @@
 //!
 //! Experiment grids are embarrassingly parallel: every cell is an
 //! independent simulation. [`sweep`] fans a job list out over scoped worker
-//! threads (built on the vendored `crossbeam`), each with its own deque;
+//! threads (`std::thread::scope`), each with its own deque;
 //! idle workers steal from the back of busy workers' deques, so one slow
 //! cell (e.g. a push-all run) never serializes the tail of the grid.
 //!
@@ -40,7 +40,7 @@ pub fn derive_seed(base: u64, index: u64) -> u64 {
 ///
 /// # Panics
 ///
-/// Propagates the first panic raised by `f`.
+/// Panics, once every worker has been joined, if `f` panicked.
 pub fn sweep<T, R, F>(workers: usize, items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -87,14 +87,12 @@ where
         **slot_refs[idx].lock().expect("slot poisoned") = Some(result);
     };
 
-    let outcome = crossbeam::thread::scope(|scope| {
+    // A panicking worker makes the scope panic once every worker is joined.
+    std::thread::scope(|scope| {
         for w in 0..workers {
-            scope.spawn(move |_| run(w));
+            scope.spawn(move || run(w));
         }
     });
-    if let Err(payload) = outcome {
-        std::panic::resume_unwind(payload);
-    }
     drop(slot_refs);
     slots
         .into_iter()

@@ -195,15 +195,14 @@ fn four_node_mesh_driven_entirely_through_the_namespace() {
     );
 }
 
-/// Control requests coalesce: `Set …/control/flush|resync` only post a
-/// flag to the node's control mailbox, and the flush thread — parked here
-/// on an hour-long period, and the node's one background executor of
-/// both — takes whatever has been posted since it last looked as one run.
-/// Node 0's outbound sends are slowed to 20 ms each, so its first run is
-/// still in flight while the rest of the requests arrive over one
-/// connection: N requests end in a handful of runs, not in N.
+/// Control requests coalesce: `Set …/control/flush|resync` only post an
+/// ask to shard 0, which — its flush timer parked here at an hour — takes
+/// whatever has been asked since its last round as one round. Node 0's
+/// outbound sends are slowed to 20 ms each, so its first round is still
+/// in flight while the rest of the requests arrive over one connection: N
+/// requests end in a handful of rounds, not in N.
 #[test]
-fn control_requests_coalesce_in_the_mailbox() {
+fn control_requests_coalesce_on_shard_zero() {
     const N: u64 = 100;
     let (_origin, nodes) = mesh(2);
     let addrs: Vec<SocketAddr> = nodes.iter().map(CacheNode::addr).collect();

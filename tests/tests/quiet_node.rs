@@ -1,13 +1,16 @@
-//! An idle node is quiet and a stopped node is gone: every node thread
-//! blocks on the thing it waits for (a socket, its shard's poller, the
-//! control mailbox), so an idle mesh makes next to no context switches,
-//! and `Mesh::shutdown` returns with every `cache-*` thread joined.
+//! A node is its shards, an idle node is quiet and a stopped node is gone:
+//! a node's threads are exactly its shards (plus `cache-persist` when it
+//! keeps a durable hint log), each blocked on what it waits for (its
+//! shard's poller, the persist queue), so an idle mesh makes next to no
+//! context switches, and `Mesh::shutdown` returns with every `cache-*`
+//! thread joined.
 //!
 //! One test in its own binary, so no other test's threads are counted.
 
 #![cfg(target_os = "linux")]
 
 use bh_proto::mesh::{Mesh, Topology};
+use bh_proto::node::{CacheNode, NodeConfig};
 use bh_proto::origin::OriginServer;
 use std::fs;
 use std::time::Duration;
@@ -36,6 +39,38 @@ fn threads() -> (u64, Vec<String>) {
     (switches, node_threads)
 }
 
+/// The `cache-` threads left after a shutdown has joined them. The kernel
+/// wakes a joiner before it reaps the joined thread, so a thread that has
+/// just been joined may still be listed for a moment: look again for up to
+/// 100 ms before calling a thread left behind (one that shutdown detached
+/// stays listed).
+fn left_behind() -> Vec<String> {
+    let mut left = threads().1;
+    for _ in 0..100 {
+        if left.is_empty() {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+        left = threads().1;
+    }
+    left
+}
+
+/// The `cache-` threads once `n` of them have taken their names: a thread
+/// names itself once it first runs, which may be after spawn returns (waits
+/// at most ~10 s).
+fn named_node_threads(n: usize) -> Vec<String> {
+    let mut node_threads = threads().1;
+    for _ in 0..10_000 {
+        if node_threads.len() >= n {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+        node_threads = threads().1;
+    }
+    node_threads
+}
+
 #[test]
 fn an_idle_mesh_is_quiet_and_a_stopped_one_leaves_no_thread() {
     let hour = Duration::from_secs(3600);
@@ -45,23 +80,16 @@ fn an_idle_mesh_is_quiet_and_a_stopped_one_leaves_no_thread() {
     })
     .expect("mesh");
 
+    // Four nodes at the default two shards: the shards are every thread.
+    let node_threads = named_node_threads(8);
+    assert_eq!(node_threads.len(), 8, "{node_threads:?}");
+    assert!(
+        node_threads.iter().all(|t| t.starts_with("cache-shard")),
+        "{node_threads:?}"
+    );
     // A blocked thread does not switch, so the host's load cannot move
     // this count; the window only has to be long enough to tell 100 from
     // the few hundred a polling node makes.
-    // A thread takes its name once it first runs, which may be after
-    // `Mesh::spawn` returns: wait (at most ~10 s) for the node threads.
-    let mut node_threads = threads().1;
-    for _ in 0..10_000 {
-        if !node_threads.is_empty() {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(1));
-        node_threads = threads().1;
-    }
-    assert!(
-        !node_threads.is_empty(),
-        "node threads carry the cache- prefix"
-    );
     let (before, _) = threads();
     std::thread::sleep(Duration::from_millis(500));
     let idle = threads().0 - before;
@@ -71,6 +99,27 @@ fn an_idle_mesh_is_quiet_and_a_stopped_one_leaves_no_thread() {
     );
 
     mesh.shutdown();
-    let (_, left) = threads();
+    let left = left_behind();
     assert!(left.is_empty(), "threads outlived Mesh::shutdown: {left:?}");
+
+    // A durable hint log adds the one thread that fsyncs it.
+    let origin = OriginServer::spawn("127.0.0.1:0").expect("origin");
+    let dir = std::env::temp_dir().join(format!("bh-quiet-node-{}", std::process::id()));
+    let config = NodeConfig::new("127.0.0.1:0", origin.addr())
+        .with_flush_max(hour)
+        .with_heartbeat_interval(hour)
+        .with_durability_dir(&dir);
+    let shards = config.shards;
+    let node = CacheNode::spawn(config).expect("durable node");
+    let node_threads = named_node_threads(shards + 1);
+    assert_eq!(node_threads.len(), shards + 1, "{node_threads:?}");
+    let persist = node_threads
+        .iter()
+        .filter(|t| t.starts_with("cache-persist"))
+        .count();
+    assert_eq!(persist, 1, "{node_threads:?}");
+    node.shutdown();
+    let left = left_behind();
+    assert!(left.is_empty(), "threads outlived shutdown: {left:?}");
+    let _ = fs::remove_dir_all(&dir);
 }
