@@ -16,10 +16,9 @@
 //! * a [`Waker`] built from a non-blocking `UnixStream` pair so other
 //!   threads (a node's `stop`, a caller posting a control request) can
 //!   interrupt a blocked [`Poller::wait`];
-//! * [`write_vectored`] — a thin `writev(2)` wrapper: how the engine
-//!   sends an out-queue that holds reply bodies by reference (at most
-//!   [`MAX_IOV`] segments a call; a queue that is one flat run leaves in
-//!   one plain `write`);
+//! * [`write_vectored`] — a thin `writev(2)` wrapper over any descriptor
+//!   (at most [`MAX_IOV`] segments a call, the most an out-queue offers
+//!   the kernel at once);
 //! * [`connect`] — a TCP connect that returns while still in progress,
 //!   so a shard that dials a peer never waits for the handshake.
 //!

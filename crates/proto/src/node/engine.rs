@@ -27,7 +27,7 @@
 //!
 //! Replies are encoded straight into the connection's one out-queue
 //! ([`OutQueue`]: small frames flat, bodies of a page or more by
-//! reference) and leave through one function, [`write_out`]: once per
+//! reference) and leave through one function, [`outq::write_out`]: once per
 //! readiness event (a peer answering eight pipelined `PeerGet`s issues one
 //! `write` or `writev`), and within a run before each new exchange goes
 //! out — a finished reply never waits behind a fetch.
@@ -45,16 +45,16 @@
 //! count toward the admission mark ([`PARKED_MARK`]) that turns new ones
 //! away.
 
-use super::outq::OutQueue;
+use super::outq::{self, OutQueue};
 use super::propagation;
 use super::service::{self, ParkedGet, Service};
 use super::{local_response, membership, trace_event, Ask, Inner, Request, Waiters};
 use crate::pool::{Driver, Outbound, RequestOptions};
 use crate::wire::{FrameAssembler, Message};
-use bh_netpoll::{waker_pair, write_vectored, Event, Interest, Poller, WakeReceiver, Waker};
+use bh_netpoll::{waker_pair, Event, Interest, Poller, WakeReceiver, Waker};
 use bh_obs::span;
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -684,7 +684,7 @@ fn step_run(ctx: &mut Ctx, token: u64, conn: &mut Conn) {
         return;
     };
     let inner = &*ctx.inner;
-    let driver = Driver::Poller(&ctx.poller, token | OUTBOUND);
+    let driver = Driver(&ctx.poller, token | OUTBOUND);
     let now = inner.now_micros();
     let replies = &mut ctx.replies;
     loop {
@@ -709,7 +709,7 @@ fn step_run(ctx: &mut Ctx, token: u64, conn: &mut Conn) {
         if !conn.closed {
             replies.iter().for_each(|reply| conn.out.push(reply));
             if exchange.is_some() && !conn.out.is_empty() {
-                write_out(&conn.stream, &mut conn.out, &mut conn.closed, inner);
+                write_replies(&conn.stream, &mut conn.out, &mut conn.closed, inner);
             }
         }
         replies.clear();
@@ -729,7 +729,7 @@ fn step_run(ctx: &mut Ctx, token: u64, conn: &mut Conn) {
 fn pump(ctx: &mut Ctx, token: u64, conn: &mut Conn) {
     loop {
         replay_backlog(ctx, token, conn);
-        write_out(&conn.stream, &mut conn.out, &mut conn.closed, &ctx.inner);
+        write_replies(&conn.stream, &mut conn.out, &mut conn.closed, &ctx.inner);
         // Unsent bytes mean the socket is full and EPOLLOUT will bring the
         // shard back; otherwise go round for what the cap held back.
         if conn.closed || conn.run.is_some() || conn.backlog.is_empty() || conn.wants_write() {
@@ -738,30 +738,16 @@ fn pump(ctx: &mut Ctx, token: u64, conn: &mut Conn) {
     }
 }
 
-/// Writes as much of the out-queue as the socket accepts right now and
-/// keeps the rest: one flat run with `write`, anything holding a
-/// referenced body with `writev`. A dead socket marks the connection
-/// closed.
-fn write_out(stream: &TcpStream, out: &mut OutQueue, closed: &mut bool, inner: &Inner) {
-    let mut vectored = false;
-    while !*closed && !out.is_empty() {
-        let wrote = out.write_with(|segments| match segments {
-            [one] => (&*stream).write(one),
-            many => {
-                vectored = true;
-                write_vectored(stream, many)
-            }
-        });
-        match wrote {
-            Ok(0) => *closed = true,
-            Ok(_) => {}
-            Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(ref e) if e.kind() == io::ErrorKind::Interrupted => continue,
+/// Writes as much of the out-queue as the socket accepts right now
+/// ([`outq::write_out`]) and counts a pass that used `writev`. A dead
+/// socket marks the connection closed.
+fn write_replies(stream: &TcpStream, out: &mut OutQueue, closed: &mut bool, inner: &Inner) {
+    if !*closed {
+        match outq::write_out(stream, out) {
+            Ok(true) => inner.metrics.writev_batches.inc(),
+            Ok(false) => {}
             Err(_) => *closed = true,
         }
-    }
-    if vectored {
-        inner.metrics.writev_batches.inc();
     }
 }
 
@@ -897,7 +883,7 @@ impl Round {
     /// Steps the round as far as it goes without waiting; returns whether
     /// it has ended.
     fn drive(&mut self, ctx: &Ctx, now: u64) -> bool {
-        let (inner, driver) = (&*ctx.inner, Driver::Poller(&ctx.poller, CONTROL_TOKEN));
+        let (inner, driver) = (&*ctx.inner, Driver(&ctx.poller, CONTROL_TOKEN));
         loop {
             if let Some((addr, outbound)) = self.outbound.as_mut() {
                 let (kind, addr) = (&mut self.kind, *addr);

@@ -12,16 +12,15 @@
 //!
 //! A partial write moves a cursor, never the bytes behind it.
 //!
-//! Two writers drain it: a node's connection engine, on a non-blocking
-//! socket once per readiness event (`engine::write_out`), and the origin
-//! server, on a blocking socket once per pipelined run before it reads
-//! again (`origin::serve`).
+//! One function drains it, [`write_out`], on a non-blocking socket: a
+//! node's shard once per readiness event, and the origin server once per
+//! pipelined run before it reads the connection again.
 
 use crate::wire::Message;
 use bh_netpoll::MAX_IOV;
 use bytes::{BufMut, Bytes, BytesMut};
 use std::collections::VecDeque;
-use std::io::{self, IoSlice};
+use std::io::{self, IoSlice, Write};
 
 /// Unsent reply bytes past which nothing more is encoded, serviced or
 /// read on a connection until the socket has taken them: a run's replies
@@ -172,6 +171,31 @@ impl OutQueue {
             self.flat_sent = 0;
         }
     }
+}
+
+/// Writes as much of `out` as `writer` takes right now and keeps the rest:
+/// one flat run with `write`, anything holding a referenced body with
+/// `writev`. Returns whether a `writev` was issued; an error (a socket
+/// that took nothing counts as one) means the connection is dead.
+pub(crate) fn write_out(mut writer: impl Write, out: &mut OutQueue) -> io::Result<bool> {
+    let mut vectored = false;
+    while !out.is_empty() {
+        let wrote = out.write_with(|segments| match segments {
+            [one] => writer.write(one),
+            many => {
+                vectored = true;
+                writer.write_vectored(many)
+            }
+        });
+        match wrote {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(_) => {}
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(vectored)
 }
 
 #[cfg(test)]

@@ -6,45 +6,80 @@
 //! install explicit bodies and bump versions with
 //! [`Message::OriginPut`] to drive consistency scenarios.
 //!
-//! One thread serves each connection. It answers every frame its read
-//! buffer already holds, queueing the replies in the node's out-queue
-//! (`OutQueue`: small frames flat, bodies of a page or more by
-//! reference), and hands them to the socket in one `write` or `writev`
-//! before it can block on a read: a node that pipelines sixteen misses
-//! gets sixteen replies back from one call, and a lone `Get` is answered
-//! before the thread waits again. The queue is also written out whenever
-//! it reaches `OUT_CAP` (64 KiB), so one run never holds more than about
-//! that many unsent bytes.
+//! What the origin knows is one value, `Origin`, which answers a request
+//! with no I/O. A live origin is that value on one `origin-{addr}` thread
+//! that waits only in its `bh-netpoll` poller: on the listener, on every
+//! accepted connection, and on the waker [`OriginServer::shutdown`] rings.
+//! A connection answers every frame a read assembled into the node's
+//! out-queue (`OutQueue`) and writes it out, in one `write` or `writev`,
+//! before it is read again, and also whenever the queue reaches
+//! `OUT_CAP`. A connection whose socket will not take that much is not
+//! read again until it has, so a client that never reads stalls only
+//! itself.
 
-use crate::node::outq::OutQueue;
-use crate::wire::{read_message, FrameAssembler, Message, ServedBy, Status};
+use crate::node::outq::{write_out, OutQueue};
+use crate::wire::{FrameAssembler, Message, ServedBy, Status};
+use bh_netpoll::{waker_pair, Interest, Poller, WakeReceiver, Waker};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::io::{self, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::io::{self, Read, Write};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::Arc;
 
-/// Live accepted connections, keyed by a per-connection id so each serving
-/// thread can drop its own entry when the peer hangs up (otherwise the
-/// registry would leak one fd per connection for the server's lifetime).
-type ConnRegistry = Arc<Mutex<HashMap<u64, TcpStream>>>;
+/// Tokens of the origin thread's waker, its listener, and its first
+/// connection.
+const WAKER_TOKEN: u64 = 0;
+const LISTENER_TOKEN: u64 = 1;
+const FIRST_CONN: u64 = 2;
 
+/// Bytes one socket read takes.
+const READ_BUF: usize = 16 * 1024;
+
+/// The origin's state: the objects installed over the synthetic ones, and
+/// how many `Get`s it has served (every one a cache-system miss).
 #[derive(Debug, Default)]
-struct OriginState {
+pub(crate) struct Origin {
     objects: HashMap<String, (u32, Bytes)>,
+    requests: u64,
+}
+
+impl Origin {
+    /// The reply to one request.
+    pub(crate) fn answer(&mut self, msg: Message) -> Message {
+        match msg {
+            Message::Get { url } | Message::PeerGet { url } => {
+                self.requests += 1;
+                let installed = self.objects.get(&url).cloned();
+                let (version, body) = installed.unwrap_or_else(|| (0, synthetic_body(&url)));
+                Message::GetReply {
+                    status: Status::Ok,
+                    version,
+                    served_by: ServedBy::Origin,
+                    body,
+                }
+            }
+            Message::OriginPut { url, version, body } => {
+                self.objects.insert(url, (version, body));
+                Message::Ack
+            }
+            _ => Message::GetReply {
+                status: Status::Error,
+                version: 0,
+                served_by: ServedBy::Origin,
+                body: Bytes::new(),
+            },
+        }
+    }
 }
 
 /// Handle to a running origin server; dropping it shuts the server down.
 #[derive(Debug)]
 pub struct OriginServer {
     addr: SocketAddr,
-    state: Arc<Mutex<OriginState>>,
-    shutdown: Arc<AtomicBool>,
-    requests: Arc<AtomicU64>,
-    conns: ConnRegistry,
-    handle: Option<std::thread::JoinHandle<()>>,
+    origin: Arc<Mutex<Origin>>,
+    waker: Waker,
+    thread: Option<std::thread::JoinHandle<()>>,
 }
 
 impl OriginServer {
@@ -52,31 +87,25 @@ impl OriginServer {
     ///
     /// # Errors
     ///
-    /// Propagates bind errors.
+    /// Propagates bind, poller and thread-spawn errors.
     pub fn spawn(bind: impl ToSocketAddrs) -> io::Result<Self> {
         let listener = TcpListener::bind(bind)?;
         let addr = listener.local_addr()?;
-        let state = Arc::new(Mutex::new(OriginState::default()));
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let requests = Arc::new(AtomicU64::new(0));
-
-        let conns: ConnRegistry = Arc::new(Mutex::new(HashMap::new()));
-        let state2 = Arc::clone(&state);
-        let shutdown2 = Arc::clone(&shutdown);
-        let requests2 = Arc::clone(&requests);
-        let conns2 = Arc::clone(&conns);
-        let handle = std::thread::Builder::new()
+        listener.set_nonblocking(true)?;
+        let poller = Poller::new()?;
+        let (waker, wake_rx) = waker_pair()?;
+        poller.register(&wake_rx, WAKER_TOKEN, Interest::READABLE)?;
+        poller.register(&listener, LISTENER_TOKEN, Interest::READABLE)?;
+        let origin = Arc::new(Mutex::new(Origin::default()));
+        let shared = Arc::clone(&origin);
+        let thread = std::thread::Builder::new()
             .name(format!("origin-{addr}"))
-            .spawn(move || accept_loop(listener, state2, shutdown2, requests2, conns2))
-            .expect("spawn origin thread");
-
+            .spawn(move || serve(&poller, wake_rx, &listener, &shared))?;
         Ok(OriginServer {
             addr,
-            state,
-            shutdown,
-            requests,
-            conns,
-            handle: Some(handle),
+            origin,
+            waker,
+            thread: Some(thread),
         })
     }
 
@@ -87,81 +116,169 @@ impl OriginServer {
 
     /// Number of `Get` requests served (every one is a cache-system miss).
     pub fn request_count(&self) -> u64 {
-        self.requests.load(Ordering::Relaxed)
+        self.origin.lock().requests
     }
 
     /// Installs (or updates) an object directly, bypassing the network.
     pub fn put(&self, url: &str, version: u32, body: impl Into<Bytes>) {
-        self.state
-            .lock()
-            .objects
-            .insert(url.to_string(), (version, body.into()));
+        let object = (version, body.into());
+        self.origin.lock().objects.insert(url.to_string(), object);
     }
 
     /// The currently served version of `url` (0 for synthetic objects).
     pub fn version_of(&self, url: &str) -> u32 {
-        self.state
-            .lock()
-            .objects
-            .get(url)
-            .map(|(v, _)| *v)
-            .unwrap_or(0)
+        self.origin.lock().objects.get(url).map_or(0, |(v, _)| *v)
     }
 
-    /// Stops the accept loop and joins the server thread.
-    pub fn shutdown(mut self) {
-        self.stop();
-    }
-
-    fn stop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        // Nudge the blocking accept() awake.
-        let _ = TcpStream::connect(self.addr);
-        // Sever live connections too, so shutdown means "the process died"
-        // even to clients holding warm pooled connections.
-        for (_, conn) in self.conns.lock().drain() {
-            let _ = conn.shutdown(std::net::Shutdown::Both);
-        }
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
+    /// Stops the server, as dropping it does: its thread closes every
+    /// connection and the listener and is joined before this returns.
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
 impl Drop for OriginServer {
     fn drop(&mut self) {
-        self.stop();
+        if let Some(thread) = self.thread.take() {
+            self.waker.wake();
+            let _ = thread.join();
+        }
     }
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    state: Arc<Mutex<OriginState>>,
-    shutdown: Arc<AtomicBool>,
-    requests: Arc<AtomicU64>,
-    conns: ConnRegistry,
-) {
-    let mut next_id: u64 = 0;
-    for stream in listener.incoming() {
-        if shutdown.load(Ordering::SeqCst) {
-            break;
+/// The origin thread: serves the listener and every connection until the
+/// waker rings (`_wake_rx` is its receiving end, kept registered with
+/// `poller`), then returns, and what it owned — the listener and every
+/// connection — closes with it.
+fn serve(poller: &Poller, _wake_rx: WakeReceiver, listener: &TcpListener, origin: &Mutex<Origin>) {
+    let mut conns = HashMap::new();
+    let mut next_token = FIRST_CONN;
+    let (mut events, mut buf) = (Vec::with_capacity(64), vec![0u8; READ_BUF]);
+    loop {
+        events.clear();
+        if poller.wait(&mut events, None).is_err() {
+            return;
         }
-        let Ok(stream) = stream else { continue };
-        let id = next_id;
-        next_id += 1;
-        if let Ok(clone) = stream.try_clone() {
-            conns.lock().insert(id, clone);
+        for event in &events {
+            match event.token {
+                WAKER_TOKEN => return,
+                LISTENER_TOKEN => {
+                    while let Ok((stream, _)) = listener.accept() {
+                        let adopted = (stream.set_nonblocking(true))
+                            .and_then(|()| stream.set_nodelay(true))
+                            .and_then(|()| {
+                                poller.register(&stream, next_token, Interest::READABLE)
+                            });
+                        if adopted.is_ok() {
+                            conns.insert(next_token, Conn::new(stream));
+                            next_token += 1;
+                        }
+                    }
+                }
+                token => {
+                    let Some(conn) = conns.get_mut(&token) else {
+                        continue;
+                    };
+                    let kept = match conn.step(origin, &mut buf, event.needs_read()) {
+                        Ok(Some(want)) if want == conn.interest => true,
+                        Ok(Some(want)) => {
+                            conn.interest = want;
+                            poller.modify(&conn.stream, token, want).is_ok()
+                        }
+                        _ => false,
+                    };
+                    if !kept {
+                        conns.remove(&token);
+                    }
+                }
+            }
         }
-        let state = Arc::clone(&state);
-        let requests = Arc::clone(&requests);
-        let conns = Arc::clone(&conns);
-        std::thread::Builder::new()
-            .name("origin-conn".to_string())
-            .spawn(move || {
-                let _ = serve_connection(&stream, &state, &requests);
-                conns.lock().remove(&id);
-            })
-            .expect("spawn connection thread");
+    }
+}
+
+/// One connection: what it owes and has half read, between readiness
+/// events. `S` is a socket, or a scripted transport in the tests.
+struct Conn<S> {
+    stream: S,
+    assembler: FrameAssembler,
+    out: OutQueue,
+    /// The client finished sending.
+    eof: bool,
+    /// Interest registered with the poller.
+    interest: Interest,
+}
+
+impl<S: Read + Write> Conn<S> {
+    fn new(stream: S) -> Conn<S> {
+        Conn {
+            stream,
+            assembler: FrameAssembler::new(),
+            out: OutQueue::new(),
+            eof: false,
+            interest: Interest::READABLE,
+        }
+    }
+
+    /// Serves what the stream has for now: answers every frame assembled,
+    /// writes the replies out before the next read (and whenever the queue
+    /// reaches `OUT_CAP`), and reads — if `readable` says there is
+    /// something to read — until the socket has nothing more, refuses
+    /// the replies, or is finished. Returns the interest to wait with
+    /// next, or `None` once the client has finished and everything it
+    /// asked for is written.
+    ///
+    /// # Errors
+    ///
+    /// A socket error or an unframeable request: the connection is dead.
+    fn step(
+        &mut self,
+        origin: &Mutex<Origin>,
+        buf: &mut [u8],
+        readable: bool,
+    ) -> io::Result<Option<Interest>> {
+        let mut more = readable && !self.eof;
+        loop {
+            loop {
+                if self.out.is_full() {
+                    write_out(&mut self.stream, &mut self.out)?;
+                    if self.out.is_full() {
+                        break;
+                    }
+                }
+                let Some(msg) = self.assembler.next_message()? else {
+                    break;
+                };
+                self.out.push(&origin.lock().answer(msg));
+            }
+            if self.out.is_full() {
+                break;
+            }
+            if !self.out.is_empty() {
+                write_out(&mut self.stream, &mut self.out)?;
+            }
+            if !more {
+                break;
+            }
+            match self.stream.read(buf) {
+                Ok(0) => (self.eof, more) = (true, false),
+                // A short read drained the socket: whatever arrives next
+                // raises a new event.
+                Ok(n) => {
+                    self.assembler.extend(&buf[..n]);
+                    more = n == buf.len();
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => more = false,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        if self.eof && self.out.is_empty() {
+            return Ok(None);
+        }
+        Ok(Some(Interest {
+            readable: !self.eof && !self.out.is_full(),
+            writable: !self.out.is_empty(),
+        }))
     }
 }
 
@@ -206,108 +323,16 @@ pub fn synthetic_body(url: &str) -> Bytes {
     Bytes::from(out)
 }
 
-fn serve_connection(
-    stream: &TcpStream,
-    state: &Mutex<OriginState>,
-    requests: &AtomicU64,
-) -> io::Result<()> {
-    stream.set_nodelay(true)?;
-    // Buffer the read side so a pipelined run is usually one syscall.
-    let mut writer = stream;
-    serve(&mut BufReader::new(stream), &mut writer, state, requests)
-}
-
-/// Answers the frames `reader` yields until it ends, queueing each reply
-/// and writing the queue out whenever the read buffer holds no complete
-/// frame or the queue is full: never does it block on a read while
-/// replies are unsent.
-fn serve<R: Read, W: Write>(
-    reader: &mut BufReader<R>,
-    writer: &mut W,
-    state: &Mutex<OriginState>,
-    requests: &AtomicU64,
-) -> io::Result<()> {
-    let mut out = OutQueue::new();
-    loop {
-        if !out.is_empty() && (out.is_full() || !holds_frame(reader.buffer())) {
-            write_out(writer, &mut out)?;
-        }
-        // Either a whole frame is buffered, and this reads no socket, or
-        // nothing is owed.
-        let msg = match read_message(reader) {
-            Ok(m) => m,
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(()),
-            Err(e) => return Err(e),
-        };
-        out.push(&answer(msg, state, requests));
-    }
-}
-
-/// Whether `buf` starts with a whole frame: a header and all the payload
-/// it announces. A length past [`MAX_FRAME`](crate::wire::MAX_FRAME) is
-/// never whole, so the replies before it are written before the read
-/// that rejects it.
-fn holds_frame(buf: &[u8]) -> bool {
-    buf.len() >= 5 && FrameAssembler::header(buf).is_ok_and(|total| total <= buf.len())
-}
-
-/// The reply to one request.
-fn answer(msg: Message, state: &Mutex<OriginState>, requests: &AtomicU64) -> Message {
-    match msg {
-        Message::Get { url } | Message::PeerGet { url } => {
-            requests.fetch_add(1, Ordering::Relaxed);
-            // Look up under the lock, generate outside it: one
-            // connection's miss must not queue behind another's fill.
-            let installed = state.lock().objects.get(&url).cloned();
-            let (version, body) = installed.unwrap_or_else(|| (0, synthetic_body(&url)));
-            Message::GetReply {
-                status: Status::Ok,
-                version,
-                served_by: ServedBy::Origin,
-                body,
-            }
-        }
-        Message::OriginPut { url, version, body } => {
-            state.lock().objects.insert(url, (version, body));
-            Message::Ack
-        }
-        _ => Message::GetReply {
-            status: Status::Error,
-            version: 0,
-            served_by: ServedBy::Origin,
-            body: Bytes::new(),
-        },
-    }
-}
-
-/// Drains `out` into the blocking `writer`: one `write` for a queue that
-/// is one flat segment, one `writev` for one that holds bodies, and more
-/// only when the socket takes part of what it is offered.
-fn write_out<W: Write>(writer: &mut W, out: &mut OutQueue) -> io::Result<()> {
-    while !out.is_empty() {
-        match out.write_with(|segments| match segments {
-            [one] => writer.write(one),
-            many => writer.write_vectored(many),
-        }) {
-            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-            Ok(_) => {}
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::node::outq::OUT_CAP;
-    use crate::wire::{write_message, BODY_BY_REF};
+    use crate::wire::{read_message, write_message, BODY_BY_REF};
     use bytes::BytesMut;
-    use std::cell::RefCell;
     use std::collections::VecDeque;
-    use std::io::IoSlice;
-    use std::rc::Rc;
+    use std::io::{BufReader, IoSlice};
+    use std::net::TcpStream;
+    use std::time::Duration;
 
     /// What the scripted transport was asked to do, in order.
     #[derive(Debug, Clone, PartialEq)]
@@ -318,15 +343,17 @@ mod tests {
         Write(Vec<u8>),
     }
 
-    type Log = Rc<RefCell<Vec<Call>>>;
-
-    /// A reader that hands out `chunks` one per read, then the end.
-    struct Chunks {
+    /// A scripted transport: reads hand out `chunks` one per call, then
+    /// the end; a write takes at most `most` bytes. Logs every call and
+    /// records where each segment it was offered sits in memory.
+    struct Script {
         chunks: VecDeque<Vec<u8>>,
-        log: Log,
+        most: usize,
+        log: Vec<Call>,
+        offered: Vec<(*const u8, usize)>,
     }
 
-    impl Read for Chunks {
+    impl Read for Script {
         fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
             let n = match self.chunks.front_mut() {
                 Some(chunk) => {
@@ -340,20 +367,12 @@ mod tests {
                 }
                 None => 0,
             };
-            self.log.borrow_mut().push(Call::Read(n));
+            self.log.push(Call::Read(n));
             Ok(n)
         }
     }
 
-    /// A writer that takes at most `most` bytes a call, logs each call,
-    /// and records where every segment it was offered sits in memory.
-    struct Sink {
-        most: usize,
-        log: Log,
-        offered: Vec<(*const u8, usize)>,
-    }
-
-    impl Write for Sink {
+    impl Write for Script {
         fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
             self.write_vectored(&[IoSlice::new(buf)])
         }
@@ -366,7 +385,7 @@ mod tests {
                 took.extend_from_slice(&seg[..n]);
             }
             let n = took.len();
-            self.log.borrow_mut().push(Call::Write(took));
+            self.log.push(Call::Write(took));
             Ok(n)
         }
 
@@ -375,32 +394,30 @@ mod tests {
         }
     }
 
-    /// Serves `chunks` (one read each) against an origin holding
-    /// `installed` at version 1, through a writer that takes at most
-    /// `most` bytes a call; returns the transport log and the segments
+    /// Steps one connection over `chunks` (one read each) against an
+    /// origin holding `installed` at version 1, through a writer that takes
+    /// at most `most` bytes a call, once per readiness event until the
+    /// connection is done; returns the transport log and the segments
     /// offered.
     fn serve_script(
         installed: &[(String, Bytes)],
         chunks: Vec<Vec<u8>>,
         most: usize,
     ) -> (Vec<Call>, Vec<(*const u8, usize)>) {
-        let state = Mutex::new(OriginState::default());
+        let mut origin = Origin::default();
         for (url, body) in installed {
-            state.lock().objects.insert(url.clone(), (1, body.clone()));
+            origin.objects.insert(url.clone(), (1, body.clone()));
         }
-        let log = Log::default();
-        let mut reader = BufReader::new(Chunks {
+        let origin = Mutex::new(origin);
+        let mut conn = Conn::new(Script {
             chunks: chunks.into(),
-            log: Rc::clone(&log),
-        });
-        let mut sink = Sink {
             most,
-            log: Rc::clone(&log),
+            log: Vec::new(),
             offered: Vec::new(),
-        };
-        serve(&mut reader, &mut sink, &state, &AtomicU64::new(0)).expect("serve");
-        let calls = log.borrow().clone();
-        (calls, sink.offered)
+        });
+        let mut buf = vec![0u8; READ_BUF];
+        while conn.step(&origin, &mut buf, true).expect("step").is_some() {}
+        (conn.stream.log, conn.stream.offered)
     }
 
     fn get(url: &str) -> Message {
@@ -592,6 +609,41 @@ mod tests {
             assert_eq!(reply, origin_reply(0, &synthetic_body(url)), "{url}");
         }
         assert_eq!(origin.request_count(), 64);
+    }
+
+    /// A client that pipelines `Get`s for 25 MiB of replies and never
+    /// reads stalls only its own connection: another connection's `Get` is
+    /// still answered, and the origin still shuts down.
+    #[test]
+    fn a_client_that_never_reads_does_not_stall_another() {
+        let origin = OriginServer::spawn("127.0.0.1:0").expect("spawn");
+        let url = "http://stall.test/64k";
+        origin.put(url, 1, Bytes::from(vec![0x33u8; 64 * 1024]));
+        let mut stalled = TcpStream::connect(origin.addr()).expect("connect");
+        stalled
+            .write_all(&frames(&vec![get(url); 400]))
+            .expect("write");
+        // The origin is at work on the stalled run before the other
+        // connection arrives.
+        let since = std::time::Instant::now();
+        while origin.request_count() == 0 {
+            assert!(since.elapsed() < Duration::from_secs(5), "run not read");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let mut other = TcpStream::connect(origin.addr()).expect("connect");
+        other
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout");
+        write_message(&mut other, &get("http://stall.test/other")).expect("write");
+        let reply = read_message(&mut other).expect("answered behind a client that never reads");
+        let body = synthetic_body("http://stall.test/other");
+        assert_eq!(reply, origin_reply(0, &body));
+        assert!(
+            origin.request_count() < 401,
+            "the stalled client's replies cannot all have left"
+        );
+        drop(stalled);
+        origin.shutdown();
     }
 
     fn request(addr: SocketAddr, msg: &Message) -> Message {

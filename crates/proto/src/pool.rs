@@ -30,15 +30,15 @@
 //! A run in flight is a value too, an `Outbound`: admitted, then sent and
 //! answered chunk by chunk over warm and fresh sockets, one step per call
 //! of its `advance`, which never waits. What it waits for — its socket,
-//! the I/O timeout, a backoff, injected latency — it returns as a
-//! deadline. Two shells drive it. A node's shard registers the socket with
-//! its own poller and goes back to `epoll_wait`, so a shard never blocks
-//! on a peer. [`ConnectionPool::request_run`], for every other thread,
-//! keeps the socket in blocking mode under the I/O timeout and sleeps out
-//! the deadlines; it is stamped by the file's one clock read. A fresh socket
-//! follows its shell too: a shard's connect returns while still in progress
-//! ([`bh_netpoll::connect`]) and its completion is one more step, signalled
-//! by writable readiness; the blocking shell dials with `connect_timeout`.
+//! the exchange deadline, a backoff, injected latency — it returns as a
+//! deadline, and whoever drives it registers the socket with a poller and
+//! waits in `epoll_wait` for readiness or that deadline. A node's shard
+//! does so on its own poller, so a shard never blocks on a peer;
+//! [`ConnectionPool::request_run`] does so on a private one, stamped by
+//! the file's one clock read. Every pooled socket is non-blocking for
+//! life: a connect returns while still in progress
+//! ([`bh_netpoll::connect`]) and its completion is one more step,
+//! signalled by writable readiness.
 
 use crate::wire::{FrameAssembler, Message};
 use bh_netpoll::fault::FaultSwitch;
@@ -80,8 +80,9 @@ const BACKOFF_CAP: Duration = Duration::from_millis(200);
 /// Tuning knobs for a [`ConnectionPool`].
 #[derive(Debug, Clone)]
 pub struct PoolConfig {
-    /// Connect, read and write timeout of every pooled stream. A failed
-    /// peer's first quarantine window is four of these.
+    /// How long an exchange may wait for its socket to move — to connect,
+    /// to take the frames, to answer — before it fails as timed out. A
+    /// failed peer's first quarantine window is four of these.
     pub io_timeout: Duration,
     /// Seeds the backoff jitter and the fault switch's drop draws.
     pub jitter_seed: u64,
@@ -208,8 +209,7 @@ impl Inbox {
     }
 
     /// The next whole reply off `stream`, or `None` once the socket has
-    /// no more bytes for now (a non-blocking socket would block, a
-    /// blocking one timed out). A closed stream is an error.
+    /// no more bytes for now. A closed stream is an error.
     fn next(&mut self, stream: &TcpStream) -> io::Result<Option<Message>> {
         loop {
             let ahead = self.end - self.start;
@@ -281,52 +281,38 @@ fn closed() -> io::Error {
 /// one run's last reply belong to the connection's next.
 #[derive(Debug)]
 struct Link {
+    /// Non-blocking from its connect on.
     stream: TcpStream,
     inbox: Inbox,
-    /// The socket is in non-blocking mode: a shard drove it last.
-    nonblocking: bool,
-    /// The interest it is registered with on the driving shard's poller.
+    /// The interest it is registered with on the driving poller.
     registered: Option<Interest>,
 }
 
 impl Link {
-    /// Puts the socket in `driver`'s mode: blocking under the I/O timeout
-    /// for the shell, non-blocking and registered on a shard's poller.
-    fn attach(&mut self, driver: Driver<'_>) -> io::Result<()> {
-        let poller = driver.poller();
-        if self.nonblocking != poller.is_some() {
-            self.stream.set_nonblocking(poller.is_some())?;
-            self.nonblocking = poller.is_some();
+    /// Waits on `interest` from now on: registers the socket with
+    /// `driver`'s poller, or changes what it is registered for.
+    fn want(&mut self, Driver(poller, token): Driver<'_>, interest: Interest) -> io::Result<()> {
+        match self.registered {
+            Some(was) if was == interest => {}
+            Some(_) => poller.modify(&self.stream, token, interest)?,
+            None => poller.register(&self.stream, token, interest)?,
         }
-        if let (Some((poller, token)), None) = (poller, self.registered) {
-            poller.register(&self.stream, token, Interest::READABLE)?;
-            self.registered = Some(Interest::READABLE);
-        }
+        self.registered = Some(interest);
         Ok(())
     }
 
-    /// Waits on `interest` from now on (a shard's poller only).
-    fn want(&mut self, driver: Driver<'_>, interest: Interest) -> io::Result<()> {
-        if let Some((poller, token)) = driver.poller() {
-            if self.registered != Some(interest) {
-                poller.modify(&self.stream, token, interest)?;
-                self.registered = Some(interest);
-            }
-        }
-        Ok(())
-    }
-
-    /// Leaves the shard's poller, so anyone may take the socket next.
-    fn detach(&mut self, driver: Driver<'_>) {
-        if let (Some((poller, _)), Some(_)) = (driver.poller(), self.registered.take()) {
+    /// Leaves the poller, so any poller may take the socket next.
+    fn detach(&mut self, Driver(poller, _): Driver<'_>) {
+        if self.registered.take().is_some() {
             let _ = poller.deregister(&self.stream);
         }
     }
 }
 
-/// The pool's one clock read: the blocking shell stamps every step with it.
+/// The pool's one clock read: [`ConnectionPool::request_run`] stamps every
+/// step with it.
 fn now() -> Instant {
-    // bh-lint: allow(no-wall-clock, reason = "the blocking shell's one clock read; every pool step takes its time as a parameter")
+    // bh-lint: allow(no-wall-clock, reason = "request_run's one clock read; every pool step takes its time as a parameter")
     Instant::now()
 }
 
@@ -607,7 +593,7 @@ impl ConnectionPool {
         self.epoch + Duration::from_micros(micros)
     }
 
-    /// The blocking shell's clock: micros since the epoch.
+    /// [`ConnectionPool::request_run`]'s clock: micros since the epoch.
     fn clock(&self) -> u64 {
         now().saturating_duration_since(self.epoch).as_micros() as u64
     }
@@ -704,9 +690,10 @@ impl ConnectionPool {
 
     /// Sends `msgs` to `addr` as one in-order pipelined run on one pooled
     /// connection and hands `on_reply` one result per frame, in frame
-    /// order, each as soon as it is known. The calling thread blocks: in
-    /// the socket calls, under the I/O timeout, and asleep for a backoff
-    /// or injected latency.
+    /// order, each as soon as it is known. The calling thread steps the
+    /// run on a private poller and waits in `epoll_wait` for its socket or
+    /// the run's next deadline: the exchange deadline, a backoff, injected
+    /// latency. A poller that cannot be made fails each frame.
     ///
     /// Every gate treats the run as its frames sent singly would be treated:
     /// a refusal refuses each frame; an expired window admits the run as
@@ -725,10 +712,22 @@ impl ConnectionPool {
         msgs: &[Message],
         on_reply: &mut dyn FnMut(io::Result<Message>),
     ) {
+        let poller = match Poller::new() {
+            Ok(poller) => poller,
+            Err(e) => {
+                let why = e.to_string();
+                msgs.iter()
+                    .for_each(|_| on_reply(Err(io::Error::new(e.kind(), why.clone()))));
+                return;
+            }
+        };
+        let (driver, mut events) = (Driver(&poller, 0), Vec::new());
         let mut run = self.start(addr, opts, msgs, self.clock());
-        while let Some(deadline) = run.advance(self, Driver::Blocking, self.clock(), on_reply) {
+        while let Some(deadline) = run.advance(self, driver, self.clock(), on_reply) {
             let wait = deadline.saturating_sub(self.clock());
-            std::thread::sleep(Duration::from_micros(wait));
+            events.clear();
+            // A failed wait only steps the run again before its deadline.
+            let _ = poller.wait(&mut events, Some(Duration::from_micros(wait)));
         }
     }
 
@@ -777,48 +776,16 @@ impl ConnectionPool {
             step,
         }
     }
-
-    /// A fresh socket to `addr` in `driver`'s mode: connected under the
-    /// I/O timeout for the blocking shell, still connecting for a shard.
-    fn connect(&self, addr: SocketAddr, driver: Driver<'_>) -> io::Result<Link> {
-        let stream = match driver {
-            Driver::Blocking => TcpStream::connect_timeout(&addr, self.io_timeout)?,
-            Driver::Poller(..) => bh_netpoll::connect(&addr)?,
-        };
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(self.io_timeout))?;
-        stream.set_write_timeout(Some(self.io_timeout))?;
-        Ok(Link {
-            stream,
-            inbox: Inbox::new(),
-            nonblocking: driver.poller().is_some(),
-            registered: None,
-        })
-    }
 }
 
 fn micros(d: Duration) -> u64 {
     d.as_micros() as u64
 }
 
-/// Where an [`Outbound`] waits for its socket.
+/// Where an [`Outbound`] waits for its socket: on this poller, registered
+/// under this token.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum Driver<'a> {
-    /// In the socket calls themselves, in blocking mode under the I/O
-    /// timeout: [`ConnectionPool::request_run`].
-    Blocking,
-    /// On a shard's poller, the socket registered under the token.
-    Poller(&'a Poller, u64),
-}
-
-impl<'a> Driver<'a> {
-    fn poller(self) -> Option<(&'a Poller, u64)> {
-        match self {
-            Driver::Blocking => None,
-            Driver::Poller(poller, token) => Some((poller, token)),
-        }
-    }
-}
+pub(crate) struct Driver<'a>(pub(crate) &'a Poller, pub(crate) u64);
 
 /// Where an [`Outbound`] is between calls of [`Outbound::advance`].
 #[derive(Debug, Clone, Copy)]
@@ -834,7 +801,7 @@ enum Step {
     Link,
     /// A retry waits out its backoff before it dials.
     Backoff,
-    /// A shard's fresh socket is still connecting.
+    /// A fresh socket is still connecting.
     Connect,
     /// The chunk's frames go out and its replies come in.
     Exchange,
@@ -843,7 +810,7 @@ enum Step {
 }
 
 /// A run of frames to one remote in flight, from admission to settlement:
-/// [`ConnectionPool::request_run`]'s whole contract as a value its shell
+/// [`ConnectionPool::request_run`]'s whole contract as a value its driver
 /// steps with [`Outbound::advance`] until it returns `None`.
 #[derive(Debug)]
 pub(crate) struct Outbound {
@@ -868,7 +835,8 @@ pub(crate) struct Outbound {
     /// How far into `bytes` the socket has written.
     sent: usize,
     /// When the step in progress gives up (micros): the end of a latency
-    /// or backoff wait, or the I/O timeout since the socket last moved.
+    /// or backoff wait, or the exchange deadline since the socket last
+    /// moved.
     deadline: u64,
     step: Step,
 }
@@ -876,9 +844,9 @@ pub(crate) struct Outbound {
 impl Outbound {
     /// Steps the run at `now` (micros since the pool's epoch) as far as it
     /// goes without waiting, handing `on_reply` each frame's result in
-    /// frame order. Returns the deadline it waits for next — on a shard,
-    /// readiness of its socket comes first — or `None` once the run is
-    /// settled.
+    /// frame order. Returns the deadline it waits for next — readiness of
+    /// its socket on `driver`'s poller may come first — or `None` once the
+    /// run is settled.
     pub(crate) fn advance(
         &mut self,
         pool: &ConnectionPool,
@@ -898,7 +866,7 @@ impl Outbound {
                 }
                 Step::Latency | Step::Backoff if now < self.deadline => return Some(self.deadline),
                 Step::Latency => self.step = Step::Chunk,
-                Step::Backoff => self.dial(pool, driver, now),
+                Step::Backoff => self.dial(pool, now),
                 Step::Chunk if self.done == self.ends.len() => self.settle(pool, driver, now),
                 Step::Chunk => {
                     let end = match pool.fault.drop_per_million() {
@@ -927,7 +895,7 @@ impl Outbound {
                     let delay = pool.peers.lock().backoff(self.attempt);
                     (self.deadline, self.step) = (now + micros(delay), Step::Backoff);
                 }
-                Step::Link => self.dial(pool, driver, now),
+                Step::Link => self.dial(pool, now),
                 Step::Connect => match self.connected(driver, now) {
                     Ok(false) => return Some(self.deadline),
                     Ok(true) => self.begin(true, pool, now),
@@ -952,18 +920,20 @@ impl Outbound {
         }
     }
 
-    /// Dials a fresh socket for the chunk, using an attempt. On a shard the
-    /// connect is still in progress, and waits under the I/O timeout.
-    fn dial(&mut self, pool: &ConnectionPool, driver: Driver<'_>, now: u64) {
+    /// Dials a fresh non-blocking socket for the chunk, using an attempt.
+    /// The connect is still in progress, and waits under the exchange
+    /// deadline.
+    fn dial(&mut self, pool: &ConnectionPool, now: u64) {
         self.attempt += 1;
-        match pool.connect(self.addr, driver) {
-            Ok(link) if driver.poller().is_some() => {
-                self.link = Some(link);
+        let stream = bh_netpoll::connect(&self.addr);
+        match stream.and_then(|stream| stream.set_nodelay(true).map(|()| stream)) {
+            Ok(stream) => {
+                self.link = Some(Link {
+                    stream,
+                    inbox: Inbox::new(),
+                    registered: None,
+                });
                 (self.deadline, self.step) = (now + micros(pool.io_timeout), Step::Connect);
-            }
-            Ok(link) => {
-                self.link = Some(link);
-                self.begin(true, pool, now);
             }
             Err(e) => {
                 self.last_err = Some(e);
@@ -972,14 +942,13 @@ impl Outbound {
         }
     }
 
-    /// Whether the shard's fresh socket has connected: an error says it
+    /// Whether the fresh socket has connected: an error says it
     /// failed, a peer address that it is through; otherwise it waits for
     /// writable readiness until the deadline.
     fn connected(&mut self, driver: Driver<'_>, now: u64) -> io::Result<bool> {
         let Some(link) = self.link.as_mut() else {
             return Err(io::Error::other("no socket"));
         };
-        link.attach(driver)?;
         if let Some(e) = link.stream.take_error()? {
             return Err(e);
         }
@@ -1023,8 +992,8 @@ impl Outbound {
 
     /// Writes what the socket still owes of the chunk and hands over every
     /// reply that has arrived: `Ok(true)` once the chunk is answered,
-    /// `Ok(false)` to wait on a shard's poller until readiness or the
-    /// deadline. A socket that does not move by the deadline fails.
+    /// `Ok(false)` to wait on the poller until readiness or the deadline.
+    /// A socket that does not move by the deadline fails.
     fn exchange(
         &mut self,
         pool: &ConnectionPool,
@@ -1035,8 +1004,6 @@ impl Outbound {
         let Some(link) = self.link.as_mut() else {
             return Err(io::Error::other("no socket"));
         };
-        link.attach(driver)?;
-        let blocking = driver.poller().is_none();
         let end = self.ends[self.chunk.1 - 1];
         let mut moved = false;
         while self.sent < end {
@@ -1044,19 +1011,16 @@ impl Outbound {
                 Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
                 Ok(n) => (self.sent, moved) = (self.sent + n, true),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock && !blocking => break,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) => return Err(e),
             }
         }
         while self.done < self.chunk.1 {
-            match link.inbox.next(&link.stream)? {
-                Some(reply) => {
-                    (self.done, moved) = (self.done + 1, true);
-                    on_reply(Ok(reply));
-                }
-                None if blocking => return Err(timed_out(self.addr)),
-                None => break,
-            }
+            let Some(reply) = link.inbox.next(&link.stream)? else {
+                break;
+            };
+            (self.done, moved) = (self.done + 1, true);
+            on_reply(Ok(reply));
         }
         if self.done == self.chunk.1 {
             return Ok(true);
@@ -1269,33 +1233,6 @@ mod tests {
         results
     }
 
-    /// The same run stepped the way a shard steps it: the socket on a
-    /// poller, the thread waiting in `epoll_wait` for readiness or the
-    /// deadline, never in a socket call.
-    fn run_on_poller(
-        pool: &ConnectionPool,
-        addr: SocketAddr,
-        opts: RequestOptions,
-        msgs: &[Message],
-    ) -> Vec<io::Result<Message>> {
-        let poller = Poller::new().expect("poller");
-        let (mut results, mut events) = (Vec::with_capacity(msgs.len()), Vec::new());
-        let mut outbound = pool.start(addr, opts, msgs, pool.clock());
-        let driver = Driver::Poller(&poller, 1);
-        while let Some(deadline) =
-            outbound.advance(pool, driver, pool.clock(), &mut |r| results.push(r))
-        {
-            let wait = Duration::from_micros(deadline.saturating_sub(pool.clock()));
-            poller.wait(&mut events, Some(wait)).expect("wait");
-        }
-        results
-    }
-
-    /// Both shells of a run: the blocking one and a shard's.
-    type Shell =
-        fn(&ConnectionPool, SocketAddr, RequestOptions, &[Message]) -> Vec<io::Result<Message>>;
-    const SHELLS: [(&str, Shell); 2] = [("blocking", run), ("poller", run_on_poller)];
-
     /// The echoed key of each frame, or the error kind it failed with.
     fn outcomes(results: Vec<io::Result<Message>>) -> Vec<Result<u64, io::ErrorKind>> {
         results
@@ -1371,69 +1308,63 @@ mod tests {
 
     #[test]
     fn stale_socket_replays_only_the_unanswered_frames() {
-        for (shell, run) in SHELLS {
-            // The parked socket answers the warm-up and two frames of the
-            // run of five, then dies; the second connection answers what
-            // it gets.
-            let (addr, server) = scripted_server(vec![(6, 3), (3, 3)]);
-            let pool = ConnectionPool::new(quick_config());
-            pool.request(addr, RequestOptions::peer_probe(), &Message::Ack)
-                .expect("warm-up");
-            let got = outcomes(run(
-                &pool,
-                addr,
-                RequestOptions::peer_probe(),
-                &keyed(10..15),
-            ));
-            assert_eq!(got, (10..15).map(Ok).collect::<Vec<_>>(), "{shell}");
-            let seen = server.join().expect("server");
-            assert_eq!(seen[0], [10, 11, 12, 13, 14], "{shell}");
-            assert_eq!(
-                seen[1],
-                [12, 13, 14],
-                "{shell}: only the unanswered suffix is replayed"
-            );
-            let stats = pool.stats();
-            assert_eq!(stats.connects, 2, "{shell}");
-            assert_eq!(
-                stats.reuses,
-                2 + 2,
-                "{shell}: two on the stale socket, two behind the reconnect"
-            );
-            assert_eq!(stats.retries, 1, "{shell}: the replay is free");
-            assert!(!pool.is_quarantined(addr), "{shell}");
-        }
+        // The parked socket answers the warm-up and two frames of the run
+        // of five, then dies; the second connection answers what it gets.
+        let (addr, server) = scripted_server(vec![(6, 3), (3, 3)]);
+        let pool = ConnectionPool::new(quick_config());
+        pool.request(addr, RequestOptions::peer_probe(), &Message::Ack)
+            .expect("warm-up");
+        let got = outcomes(run(
+            &pool,
+            addr,
+            RequestOptions::peer_probe(),
+            &keyed(10..15),
+        ));
+        assert_eq!(got, (10..15).map(Ok).collect::<Vec<_>>());
+        let seen = server.join().expect("server");
+        assert_eq!(seen[0], [10, 11, 12, 13, 14]);
+        assert_eq!(
+            seen[1],
+            [12, 13, 14],
+            "only the unanswered suffix is replayed"
+        );
+        let stats = pool.stats();
+        assert_eq!(stats.connects, 2);
+        assert_eq!(
+            stats.reuses,
+            2 + 2,
+            "two on the stale socket, two behind the reconnect"
+        );
+        assert_eq!(stats.retries, 1, "the replay is free");
+        assert!(!pool.is_quarantined(addr));
     }
 
     #[test]
     fn a_peer_that_dies_mid_run_fails_the_unanswered_frames_and_is_quarantined_once() {
-        for (shell, run) in SHELLS {
-            // The only connection the server ever accepts answers two
-            // frames of five; the reconnect finds nobody listening.
-            let (addr, server) = scripted_server(vec![(5, 2)]);
-            let pool = ConnectionPool::new(quick_config());
-            let results = run(&pool, addr, RequestOptions::peer_probe(), &keyed(0..5));
-            server.join().expect("server");
-            let got = outcomes(results);
-            assert_eq!(got[..2], [Ok(0), Ok(1)], "{shell}");
-            assert!(got[2..].iter().all(Result::is_err), "{shell}: {got:?}");
-            assert_eq!(
-                pool.quarantine_streak(addr),
-                1,
-                "{shell}: quarantined once, not per frame"
-            );
-            let stats = pool.stats();
-            assert_eq!(stats.connects, 1, "{shell}");
-            assert_eq!(
-                stats.quarantine_rejections, 2,
-                "{shell}: the frames behind the failed one are refused as the window would refuse them"
-            );
-        }
+        // The only connection the server ever accepts answers two frames
+        // of five; the reconnect finds nobody listening.
+        let (addr, server) = scripted_server(vec![(5, 2)]);
+        let pool = ConnectionPool::new(quick_config());
+        let results = run(&pool, addr, RequestOptions::peer_probe(), &keyed(0..5));
+        server.join().expect("server");
+        let got = outcomes(results);
+        assert_eq!(got[..2], [Ok(0), Ok(1)]);
+        assert!(got[2..].iter().all(Result::is_err), "{got:?}");
+        assert_eq!(
+            pool.quarantine_streak(addr),
+            1,
+            "quarantined once, not per frame"
+        );
+        let stats = pool.stats();
+        assert_eq!(stats.connects, 1);
+        assert_eq!(
+            stats.quarantine_rejections, 2,
+            "the frames behind the failed one are refused as the window would refuse them"
+        );
     }
 
-    /// A run of `n`, the same run stepped on a poller, and `n` single
-    /// requests leave the same `PoolStats` and the same per-frame outcomes
-    /// behind every gate.
+    /// A run of `n` and `n` single requests leave the same `PoolStats` and
+    /// the same per-frame outcomes behind every gate.
     #[test]
     fn run_stats_equal_single_requests_under_every_gate() {
         const N: u64 = 6;
@@ -1467,14 +1398,10 @@ mod tests {
                         ..quick_config()
                     })
                 };
-                let (batched, polled, single) = (pool(), pool(), pool());
+                let (batched, single) = (pool(), pool());
                 gate(&batched, addr);
-                gate(&polled, addr);
                 gate(&single, addr);
                 let as_run = outcomes(run(&batched, addr, opts, &keyed(0..N)));
-                let on_poller = outcomes(run_on_poller(&polled, addr, opts, &keyed(0..N)));
-                assert_eq!(as_run, on_poller, "{name}, {opts:?}: polled outcomes");
-                assert_eq!(batched.stats(), polled.stats(), "{name}, {opts:?}: polled");
                 let one_by_one = outcomes(
                     keyed(0..N)
                         .iter()
@@ -1536,7 +1463,11 @@ mod tests {
         lose_a_probe(&pool, addr);
         // A request that was in flight when the probe failed finishes and
         // parks its socket.
-        let conn = pool.connect(addr, Driver::Blocking).expect("connect");
+        let conn = Link {
+            stream: bh_netpoll::connect(&addr).expect("connect"),
+            inbox: Inbox::new(),
+            registered: None,
+        };
         pool.peers.lock().park(addr, conn);
         expire_window(&pool, addr, t0);
 

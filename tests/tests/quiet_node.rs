@@ -3,7 +3,8 @@
 //! keeps a durable hint log), each blocked on what it waits for (its
 //! shard's poller, the persist queue), so an idle mesh makes next to no
 //! context switches, and `Mesh::shutdown` returns with every `cache-*`
-//! thread joined.
+//! thread joined. The origin is one thread however many connections it
+//! serves, and its shutdown leaves neither that thread nor any of them.
 //!
 //! One test in its own binary, so no other test's threads are counted.
 
@@ -12,12 +13,15 @@
 use bh_proto::mesh::{Mesh, Topology};
 use bh_proto::node::{CacheNode, NodeConfig};
 use bh_proto::origin::OriginServer;
+use bh_proto::wire::{read_message, write_message, Message};
 use std::fs;
+use std::io::{self, Read};
+use std::net::TcpStream;
 use std::time::Duration;
 
 /// `(voluntary context switches summed over every thread, the names of
-/// the threads that start with "cache-")`, read from `/proc/self/task`.
-fn threads() -> (u64, Vec<String>) {
+/// the threads that start with `prefix`)`, read from `/proc/self/task`.
+fn threads_named(prefix: &str) -> (u64, Vec<String>) {
     let mut switches = 0;
     let mut node_threads = Vec::new();
     for task in fs::read_dir("/proc/self/task").expect("procfs").flatten() {
@@ -31,7 +35,7 @@ fn threads() -> (u64, Vec<String>) {
             .and_then(|v| v.trim().parse::<u64>().ok())
             .unwrap_or(0);
         if let Ok(name) = fs::read_to_string(task.path().join("comm")) {
-            if name.starts_with("cache-") {
+            if name.starts_with(prefix) {
                 node_threads.push(name.trim().to_string());
             }
         }
@@ -39,19 +43,25 @@ fn threads() -> (u64, Vec<String>) {
     (switches, node_threads)
 }
 
-/// The `cache-` threads left after a shutdown has joined them. The kernel
-/// wakes a joiner before it reaps the joined thread, so a thread that has
-/// just been joined may still be listed for a moment: look again for up to
-/// 100 ms before calling a thread left behind (one that shutdown detached
-/// stays listed).
+/// [`threads_named`] for a node's threads.
+fn threads() -> (u64, Vec<String>) {
+    threads_named("cache-")
+}
+
+/// The `cache-` and `origin` threads left after a shutdown has joined
+/// them. The kernel wakes a joiner before it reaps the joined thread, so a
+/// thread that has just been joined may still be listed for a moment: look
+/// again for up to 100 ms before calling a thread left behind (one that
+/// shutdown detached stays listed).
 fn left_behind() -> Vec<String> {
-    let mut left = threads().1;
+    let listed = || [threads().1, threads_named("origin").1].concat();
+    let mut left = listed();
     for _ in 0..100 {
         if left.is_empty() {
             break;
         }
         std::thread::sleep(Duration::from_millis(1));
-        left = threads().1;
+        left = listed();
     }
     left
 }
@@ -87,6 +97,22 @@ fn an_idle_mesh_is_quiet_and_a_stopped_one_leaves_no_thread() {
         node_threads.iter().all(|t| t.starts_with("cache-shard")),
         "{node_threads:?}"
     );
+
+    // Sixteen clients of the origin, each answered once and held open:
+    // still one origin thread.
+    let clients: Vec<TcpStream> = (0..16)
+        .map(|i| {
+            let mut client = TcpStream::connect(mesh.origin().addr()).expect("connect");
+            let get = Message::Get {
+                url: format!("http://quiet.test/{i}"),
+            };
+            write_message(&mut client, &get).expect("write");
+            read_message(&mut client).expect("answered");
+            client
+        })
+        .collect();
+    let origin_threads = threads_named("origin").1;
+    assert_eq!(origin_threads.len(), 1, "{origin_threads:?}");
     // A blocked thread does not switch, so the host's load cannot move
     // this count; the window only has to be long enough to tell 100 from
     // the few hundred a polling node makes.
@@ -101,6 +127,23 @@ fn an_idle_mesh_is_quiet_and_a_stopped_one_leaves_no_thread() {
     mesh.shutdown();
     let left = left_behind();
     assert!(left.is_empty(), "threads outlived Mesh::shutdown: {left:?}");
+    // Every connection the origin held is closed: a read ends, at once.
+    for mut client in clients {
+        client
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout");
+        match client.read(&mut [0u8; 64]) {
+            Ok(0) => {}
+            Ok(n) => panic!("{n} bytes from a stopped origin"),
+            Err(e) => assert!(
+                !matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ),
+                "a connection outlived the origin: {e}"
+            ),
+        }
+    }
 
     // A durable hint log adds the one thread that fsyncs it.
     let origin = OriginServer::spawn("127.0.0.1:0").expect("origin");
@@ -119,6 +162,7 @@ fn an_idle_mesh_is_quiet_and_a_stopped_one_leaves_no_thread() {
         .count();
     assert_eq!(persist, 1, "{node_threads:?}");
     node.shutdown();
+    origin.shutdown();
     let left = left_behind();
     assert!(left.is_empty(), "threads outlived shutdown: {left:?}");
     let _ = fs::remove_dir_all(&dir);
