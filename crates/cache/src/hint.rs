@@ -20,10 +20,13 @@
 //! node ([`HintBank::broadcast_insert`], [`HintBank::broadcast_remove`]),
 //! so a node that still holds an object holds the location its last
 //! delivered holder set gave it; the caller keeps that set once per object
-//! and resolves the location at lookup. Rows live in fixed-size chunks and
-//! a row is allocated when its set is first written; a set never written
-//! has no row and reads as a miss, so memory follows the sets in use, not
-//! `nodes × capacity`.
+//! and resolves the location at lookup.
+//!
+//! Both keep their rows in fixed-size chunks. A set gets a row when it is
+//! written, and a removal that walks the whole row and leaves it empty
+//! hands the row back for the next new set; a set without a row reads as a
+//! miss. So memory follows the most sets in use at once, not every set
+//! ever written and not `nodes × capacity`.
 //!
 //! One set kernel — find, move-to-front, insert-or-displace, remove over
 //! the `ways` entries of one set — serves both, generic over what a way
@@ -53,7 +56,7 @@ const LOCATION: usize = 1;
 /// What one way of a set holds: a [`HintRecord`] in a [`HintCache`], an
 /// object slot in a [`HintBank`]. The kernel finds an entry by its id, and
 /// an id of 0 marks an empty way.
-trait Entry: Copy {
+trait Entry: Copy + PartialEq {
     const EMPTY: Self;
     fn id(self) -> u64;
 }
@@ -163,15 +166,18 @@ struct Rows<E> {
     sets: usize,
     ways: usize,
     nodes: usize,
-    /// One past the arena row of each set; 0 = the set was never written.
+    /// One past the arena row of each set; 0 = the set has no row.
     row_of_set: Vec<u32>,
     /// The row arena: every chunk holds `1 << chunk_rows_log2` rows and is
     /// never moved or resized, so no allocation grows with
     /// `nodes × capacity` and none is ever copied.
     chunks: Vec<Box<[E]>>,
     chunk_rows_log2: u32,
-    /// Rows handed out so far.
+    /// Rows carved from the chunks so far.
     rows: usize,
+    /// Carved rows that no set holds, every entry empty: `allocate` takes
+    /// one of these before it carves a new row.
+    free: Vec<u32>,
 }
 
 impl<E: Entry> Rows<E> {
@@ -190,6 +196,7 @@ impl<E: Entry> Rows<E> {
             chunks: Vec::new(),
             chunk_rows_log2: chunk_rows.next_power_of_two().trailing_zeros(),
             rows: 0,
+            free: Vec::new(),
         }
     }
 
@@ -213,16 +220,36 @@ impl<E: Entry> Rows<E> {
         Some(self.position(row))
     }
 
-    /// Gives `set`, which has no row, the next free one.
+    /// Gives `set`, which has no row, a freed row, else the next new one.
     fn allocate(&mut self, set: usize) -> (usize, usize) {
-        let row = self.rows;
-        if row >> self.chunk_rows_log2 == self.chunks.len() {
-            let entries = self.row_len() << self.chunk_rows_log2;
-            self.chunks.push(vec![E::EMPTY; entries].into_boxed_slice());
-        }
-        self.rows += 1;
-        self.row_of_set[set] = self.rows as u32;
-        self.position(row)
+        let row = match self.free.pop() {
+            Some(row) => row as usize,
+            None => {
+                let row = self.rows;
+                if row >> self.chunk_rows_log2 == self.chunks.len() {
+                    let entries = self.row_len() << self.chunk_rows_log2;
+                    self.chunks.push(vec![E::EMPTY; entries].into_boxed_slice());
+                }
+                self.rows += 1;
+                row
+            }
+        };
+        self.row_of_set[set] = row as u32 + 1;
+        let at = self.position(row);
+        debug_assert!(
+            self.row_at(at).iter().all(|&e| e == E::EMPTY),
+            "a freed row holds entries"
+        );
+        at
+    }
+
+    /// Takes the row of `set` back for reuse. Every entry in it is empty:
+    /// live entries are packed at the front of a node's ways, so the row
+    /// is empty once each node's first way is.
+    fn release(&mut self, set: usize) {
+        let row = self.row_of_set[set] - 1;
+        self.row_of_set[set] = 0;
+        self.free.push(row);
     }
 
     /// The row at `(chunk, offset)`: `ways` entries per node, in node order.
@@ -254,7 +281,7 @@ impl<E: Entry> Rows<E> {
         self.row_mut(set).map(|row| &mut row[node * ways..][..ways])
     }
 
-    /// Bytes of every chunk handed out.
+    /// Bytes of every chunk carved.
     fn allocated_bytes(&self) -> u64 {
         let entries: usize = self.chunks.iter().map(|c| c.len()).sum();
         (entries * size_of::<E>()) as u64
@@ -368,9 +395,10 @@ impl HintBank {
     }
 
     /// Bytes the bank has allocated for slots: whole chunks of rows for the
-    /// bounded array (so at most one chunk beyond the rows written), live
-    /// slots for the unbounded sets. The set index of the bounded array
-    /// (4 bytes per set, zero pages until written) is not counted.
+    /// bounded array (so at most one chunk beyond the most rows held at
+    /// once), live slots for the unbounded sets. The set index of the
+    /// bounded array (4 bytes per set, zero pages until written) is not
+    /// counted.
     pub fn allocated_bytes(&self) -> u64 {
         match &self.store {
             Store::SetAssoc(rows) => rows.allocated_bytes(),
@@ -460,19 +488,24 @@ impl HintBank {
 
     /// Delivers the last copy of the object `slot` (key `key`) going away:
     /// every node drops its hint. A set without a row holds no hint, so
-    /// this allocates nothing.
+    /// this allocates nothing; a row this leaves empty is freed.
     pub fn broadcast_remove(&mut self, key: u64, slot: u32) {
         match &mut self.store {
             _ if slot == 0 => {}
             Store::SetAssoc(rows) => {
-                let ways = rows.ways;
-                let Some(row) = rows.row_mut(rows.set_of(key)) else {
+                let (ways, set) = (rows.ways, rows.set_of(key));
+                let Some(row) = rows.row_mut(set) else {
                     return;
                 };
-                for (set, counters) in row.chunks_exact_mut(ways).zip(&mut self.counters) {
-                    if set_remove(set, slot.id()).is_some() {
+                let mut held = false;
+                for (entries, counters) in row.chunks_exact_mut(ways).zip(&mut self.counters) {
+                    if set_remove(entries, slot.id()).is_some() {
                         counters.len -= 1;
                     }
+                    held |= entries[0] != 0;
+                }
+                if !held {
+                    rows.release(set);
                 }
             }
             Store::Unbounded(sets) => {
@@ -535,13 +568,6 @@ impl HintCache {
     /// Maximum number of records (`None` if unbounded).
     pub fn capacity_records(&self) -> Option<usize> {
         self.store.capacity_records()
-    }
-
-    /// Bytes this store occupies at 16 bytes/record (the *array* size for
-    /// the bounded store, the live-record footprint for the unbounded one).
-    pub fn footprint(&self) -> ByteSize {
-        let records = self.capacity_records().unwrap_or(self.len());
-        ByteSize::from_bytes(records as u64 * HINT_RECORD_BYTES)
     }
 
     /// Lookups that found a record so far.
@@ -634,12 +660,23 @@ impl HintCache {
     ///
     /// One pass over the store: O(sets) for the bounded array, O(records)
     /// for the unbounded map — independent of request rate, which is what
-    /// bounds a dead peer's total cost at O(1) per object.
+    /// bounds a dead peer's total cost at O(1) per object. A set it empties
+    /// gives back its row.
     pub fn purge_location(&mut self, location: u64) -> usize {
         let purged = match &mut self.store {
-            Store::SetAssoc(rows) => (0..rows.sets)
-                .map(|set| rows.get_mut(set, 0).map_or(0, |s| set_purge(s, location)))
-                .sum(),
+            Store::SetAssoc(rows) => {
+                let mut purged = 0;
+                for set in 0..rows.sets {
+                    let Some(entries) = rows.row_mut(set) else {
+                        continue;
+                    };
+                    purged += set_purge(entries, location);
+                    if entries[0] == HintRecord::EMPTY {
+                        rows.release(set);
+                    }
+                }
+                purged
+            }
             Store::Unbounded(map) => {
                 let before = map.len();
                 map.retain(|_, &mut l| l != location);
@@ -651,13 +688,19 @@ impl HintCache {
     }
 
     /// Removes the hint for `key`; returns the stored location if present.
+    /// A set this empties gives back its row.
     pub fn remove(&mut self, key: u64) -> Option<u64> {
         let removed = match &mut self.store {
             _ if key == 0 => None,
-            Store::SetAssoc(rows) => rows
-                .get_mut(rows.set_of(key), 0)
-                .and_then(|set| set_remove(set, key))
-                .map(|r| r[LOCATION]),
+            Store::SetAssoc(rows) => {
+                let set = rows.set_of(key);
+                let entries = rows.row_mut(set)?;
+                let removed = set_remove(entries, key);
+                if entries[0] == HintRecord::EMPTY {
+                    rows.release(set);
+                }
+                removed.map(|r| r[LOCATION])
+            }
             Store::Unbounded(map) => map.remove(&key),
         };
         if removed.is_some() {
@@ -682,7 +725,6 @@ mod tests {
         // 1 MB of hints = 65536 records, as the paper's sizing arithmetic has it.
         let h = HintCache::with_capacity(ByteSize::from_mb(1));
         assert_eq!(h.capacity_records(), Some(65_536));
-        assert_eq!(h.footprint(), ByteSize::from_mb(1));
         assert!(HintCache::unbounded().capacity_records().is_none());
         // The bank sizes by the same record; only its ways are smaller.
         let bank = HintBank::new(64, ByteSize::from_mb(1));
@@ -793,11 +835,11 @@ mod tests {
         }
     }
 
-    /// Rows the bank has handed out.
-    fn rows_in_use(bank: &HintBank) -> usize {
-        match &bank.store {
-            Store::SetAssoc(rows) => rows.rows,
-            Store::Unbounded(_) => 0,
+    /// A bounded store's rows: `(held by a set, carved from the chunks)`.
+    fn row_counts<E, M>(store: &Store<E, M>) -> (usize, usize) {
+        match store {
+            Store::SetAssoc(rows) => (rows.rows - rows.free.len(), rows.rows),
+            Store::Unbounded(_) => (0, 0),
         }
     }
 
@@ -837,14 +879,14 @@ mod tests {
         let before = counters(&bank);
         bank.broadcast_remove(7, 1);
         assert_eq!(bank.allocated_bytes(), 0);
-        assert_eq!(rows_in_use(&bank), 0);
+        assert_eq!(row_counts(&bank.store).1, 0);
         assert_eq!(counters(&bank), before);
 
         // The same once another set has a row.
         bank.broadcast_insert(65, 2);
         let (before, allocated) = (counters(&bank), bank.allocated_bytes());
         bank.broadcast_remove(7, 1);
-        assert_eq!(rows_in_use(&bank), 1);
+        assert_eq!(row_counts(&bank.store).1, 1);
         assert_eq!(bank.allocated_bytes(), allocated);
         assert_eq!(counters(&bank), before);
     }
@@ -853,12 +895,12 @@ mod tests {
     fn leading_removals_then_an_insert_allocate_exactly_one_row() {
         let mut bank = HintBank::new(64, ByteSize::from_kb(4));
         bank.broadcast_insert(65, 1); // set 1: one slot per node
-        assert_eq!(rows_in_use(&bank), 1);
+        assert_eq!(row_counts(&bank.store).1, 1);
         // Set 3: every node drops a hint it never had, then stores one.
         bank.broadcast_remove(3, 2);
-        assert_eq!(rows_in_use(&bank), 1);
+        assert_eq!(row_counts(&bank.store).1, 1);
         bank.broadcast_insert(3, 2);
-        assert_eq!(rows_in_use(&bank), 2);
+        assert_eq!(row_counts(&bank.store).1, 2);
         for node in 0..64 {
             assert_eq!(bank.len(node), 2, "node {node}");
             assert_eq!(slots(&bank, node), [1, 2], "node {node}");
@@ -895,6 +937,82 @@ mod tests {
                     bank.broadcast_insert(key, key as u32);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn churn_holds_rows_for_the_live_sets_only() {
+        // 65,536 sets; each round's 1,024 fresh keys replace the last
+        // round's, so at most 2,048 are live at once. Without reuse the
+        // 65,536 keys would touch about 41k sets and keep a row for each.
+        let mut h = HintCache::with_capacity(ByteSize::from_mb(4));
+        let key = |i: u64| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        for round in 0..64u64 {
+            for i in round * 1024..(round + 1) * 1024 {
+                h.insert(key(i), i);
+            }
+            if let Some(last) = round.checked_sub(1) {
+                for i in last * 1024..round * 1024 {
+                    assert_eq!(h.remove(key(i)), Some(i));
+                }
+            }
+            assert_eq!(h.len(), 1024);
+        }
+        let (held, carved) = row_counts(&h.store);
+        assert!(held <= 1024, "{held} rows held for 1,024 hints");
+        assert!(carved <= 2048, "{carved} rows carved for 2,048 live hints");
+    }
+
+    #[test]
+    fn purge_location_hands_back_the_rows_it_empties() {
+        // 64 sets: sets 1–8 hold only location 7's hints, sets 9–12 one of
+        // location 7's and one of location 8's.
+        let mut h = HintCache::with_capacity(ByteSize::from_kb(4));
+        for key in 1..=12u64 {
+            h.insert(key, 7);
+        }
+        for key in 9..=12u64 {
+            h.insert(key + 64, 8);
+        }
+        assert_eq!(row_counts(&h.store), (12, 12));
+        assert_eq!(h.purge_location(7), 12);
+        assert_eq!(row_counts(&h.store), (4, 12));
+        assert_eq!(h.entries(), [(73, 8), (74, 8), (75, 8), (76, 8)]);
+        // Eight new sets take the eight freed rows.
+        for key in 20..28u64 {
+            h.insert(key, 9);
+        }
+        assert_eq!(row_counts(&h.store), (12, 12));
+        assert_eq!(h.peek(1), None);
+        assert_eq!(h.peek(27), Some(9));
+    }
+
+    #[test]
+    fn a_broadcast_remove_that_empties_a_row_lets_the_next_set_reuse_it() {
+        // 64 nodes × 64 sets × 4 ways; keys 1 and 65 share set 1.
+        let mut bank = HintBank::new(64, ByteSize::from_kb(4));
+        bank.broadcast_insert(1, 1);
+        bank.broadcast_insert(65, 2);
+        bank.broadcast_remove(1, 1);
+        assert_eq!(
+            row_counts(&bank.store),
+            (1, 1),
+            "slot 2 still holds the row"
+        );
+        // One node dropping its last hint frees nothing: only a broadcast
+        // walks the whole row.
+        assert!(bank.remove(0, 65, 2));
+        assert_eq!(row_counts(&bank.store), (1, 1));
+        bank.broadcast_remove(65, 2);
+        assert_eq!(row_counts(&bank.store), (0, 1));
+        let allocated = bank.allocated_bytes();
+        bank.broadcast_insert(3, 3);
+        assert_eq!(row_counts(&bank.store), (1, 1));
+        assert_eq!(bank.allocated_bytes(), allocated);
+        for node in 0..64 {
+            assert_eq!(slots(&bank, node), [3], "node {node}");
+            assert_eq!(bank.len(node), 1, "node {node}");
+            assert!(!bank.lookup(node, 65, 2), "set 1 has no row again");
         }
     }
 
@@ -1022,7 +1140,9 @@ mod tests {
 
             /// A node's own store equals the naive witness under any mix of
             /// operations: every return value, `entries()`, length and
-            /// counter.
+            /// counter. After every operation the store holds a row for
+            /// exactly the witness's non-empty sets, and has carved no more
+            /// rows than it ever held at once.
             #[test]
             fn cache_equals_witness_store(
                 ways in 1usize..=8,
@@ -1033,6 +1153,7 @@ mod tests {
                 let mut h = HintCache::with_capacity_and_ways(capacity, ways);
                 prop_assert_eq!(h.capacity_records(), Some(sets * ways));
                 let mut witness = Witness::new(sets, ways);
+                let mut peak = 0;
                 for (op, key, location) in ops {
                     match op {
                         0 => prop_assert_eq!(h.lookup(key), witness.lookup(key)),
@@ -1047,6 +1168,10 @@ mod tests {
                         ),
                         _ => prop_assert_eq!(h.peek(key), witness.peek(key)),
                     }
+                    let (held, carved) = row_counts(&h.store);
+                    peak = peak.max(held);
+                    prop_assert_eq!(held, witness.sets.iter().filter(|s| !s.is_empty()).count());
+                    prop_assert_eq!(carved, peak);
                 }
                 prop_assert_eq!(h.entries(), witness.entries());
                 prop_assert_eq!(h.len(), witness.entries().len());

@@ -34,9 +34,9 @@
 //! deadline, and whoever drives it registers the socket with a poller and
 //! waits in `epoll_wait` for readiness or that deadline. A node's shard
 //! does so on its own poller, so a shard never blocks on a peer;
-//! [`ConnectionPool::request_run`] does so on a private one, stamped by
-//! the file's one clock read. Every pooled socket is non-blocking for
-//! life: a connect returns while still in progress
+//! [`ConnectionPool::request_run`] does so on one the pool keeps between
+//! runs, stamped by the file's one clock read. Every pooled socket is
+//! non-blocking for life: a connect returns while still in progress
 //! ([`bh_netpoll::connect`]) and its completion is one more step,
 //! signalled by writable readiness.
 
@@ -569,6 +569,9 @@ pub struct ConnectionPool {
     fault: Arc<FaultSwitch>,
     /// Time zero of the micros every run is stepped with.
     epoch: Instant,
+    /// The poller [`ConnectionPool::request_run`] steps its runs on,
+    /// parked here between runs with no socket registered.
+    spare: Mutex<Option<Poller>>,
 }
 
 impl ConnectionPool {
@@ -580,6 +583,7 @@ impl ConnectionPool {
             peers: Mutex::new(PoolState::new(&config)),
             fault: Arc::new(FaultSwitch::new(config.jitter_seed)),
             epoch: now(),
+            spare: Mutex::new(None),
         }
     }
 
@@ -691,9 +695,11 @@ impl ConnectionPool {
     /// Sends `msgs` to `addr` as one in-order pipelined run on one pooled
     /// connection and hands `on_reply` one result per frame, in frame
     /// order, each as soon as it is known. The calling thread steps the
-    /// run on a private poller and waits in `epoll_wait` for its socket or
-    /// the run's next deadline: the exchange deadline, a backoff, injected
-    /// latency. A poller that cannot be made fails each frame.
+    /// run on a poller no other run uses meanwhile and waits in
+    /// `epoll_wait` for its socket or the run's next deadline: the exchange
+    /// deadline, a backoff, injected latency. The pool keeps one such
+    /// poller between runs; a run that finds it taken makes its own, and
+    /// one that cannot fails each frame.
     ///
     /// Every gate treats the run as its frames sent singly would be treated:
     /// a refusal refuses each frame; an expired window admits the run as
@@ -712,7 +718,8 @@ impl ConnectionPool {
         msgs: &[Message],
         on_reply: &mut dyn FnMut(io::Result<Message>),
     ) {
-        let poller = match Poller::new() {
+        let spare = self.spare.lock().take();
+        let poller = match spare.map_or_else(Poller::new, Ok) {
             Ok(poller) => poller,
             Err(e) => {
                 let why = e.to_string();
@@ -729,6 +736,8 @@ impl ConnectionPool {
             // A failed wait only steps the run again before its deadline.
             let _ = poller.wait(&mut events, Some(Duration::from_micros(wait)));
         }
+        // Settled: the run's socket has left the poller.
+        self.spare.lock().get_or_insert(poller);
     }
 
     /// Admits a run of `msgs` to `addr` under `opts` at `now` (micros since
@@ -1215,6 +1224,30 @@ mod tests {
         assert_eq!(stats.connects, 1, "one connect serves all three requests");
         assert_eq!(stats.reuses, 2);
         assert_eq!(pool.total_idle_connections(), 1);
+    }
+
+    #[test]
+    fn runs_reuse_one_spare_poller() {
+        let (addr, _served) = ack_server(None);
+        let pool = ConnectionPool::new(quick_config());
+        let origin = RequestOptions::origin();
+        assert!(pool.spare.lock().is_none());
+        pool.request(addr, origin, &Message::Ack).expect("ack");
+        assert!(pool.spare.lock().is_some(), "the run put its poller back");
+        // A run started while another holds the spare makes its own.
+        let mut nested = None;
+        pool.request_run(addr, origin, &[Message::Ack], &mut |reply| {
+            assert!(pool.spare.lock().is_none(), "the outer run holds the spare");
+            nested = Some(pool.request(addr, origin, &Message::Ack));
+            assert_eq!(reply.expect("ack"), Message::Ack);
+        });
+        assert_eq!(nested.expect("nested run").expect("ack"), Message::Ack);
+        assert!(pool.spare.lock().is_some());
+        assert_eq!(
+            pool.stats().connects,
+            2,
+            "the nested run dialled its own socket"
+        );
     }
 
     fn keyed(keys: std::ops::Range<u64>) -> Vec<Message> {
