@@ -48,8 +48,10 @@ use bh_bench::recovery::{run_recovery, RecoveryOptions};
 use bh_bench::report::MetricValue;
 use bh_bench::scenario::{run_scenario, Scenario};
 use bh_bench::Args;
+use bh_obs::MetricEntry;
 use bh_proto::chaos::FaultPlan;
 use bh_proto::mesh::{Mesh, Topology};
+use bh_proto::node::NodeStats;
 use bh_proto::origin::OriginServer;
 use bh_proto::replay::{replay_concurrent, ReplayConfig};
 use bh_trace::{TraceGenerator, TraceRecord, WorkloadSpec};
@@ -199,14 +201,22 @@ fn scrape_nodes(mesh: &Mesh) -> Vec<ObsNode> {
         .into_iter()
         .map(|reply| {
             let metrics = metric_values_from_meta(&reply.entries);
+            let entries: Vec<MetricEntry> = metrics
+                .iter()
+                .map(|m| MetricEntry {
+                    name: m.name.clone(),
+                    value: m.value,
+                })
+                .collect();
+            let stats = NodeStats::from_snapshot(&entries);
             println!(
                 "obs {:>21}  local {:>6}  peer {:>5}  origin {:>6}  fp {:>4}  \
                  served {:>7}  live-conns {:>3}",
                 reply.addr,
-                pick(&metrics, "local_hits"),
-                pick(&metrics, "peer_hits"),
-                pick(&metrics, "origin_fetches"),
-                pick(&metrics, "false_positives"),
+                stats.local_hits,
+                stats.peer_hits,
+                stats.origin_fetches,
+                stats.false_positives,
                 pick(&metrics, "request_service_micros.count"),
                 pick(&metrics, "pool_live_connections"),
             );

@@ -12,8 +12,7 @@
 //!   of the same plan must produce byte-identical files; CI diffs them.
 //! * `loadgen_chaos_metrics.json` — the **measured** artifact: hit
 //!   splits, false-probe rates, latency percentiles, resynced hint
-//!   counts, and each node's full obs-registry snapshot (the
-//!   `stats-registry` lint pins the registry iteration here).
+//!   counts, and each node's full obs-registry snapshot.
 //! * `loadgen_chaos_events.log` — the plan's event schedule, byte-
 //!   identical across runs by construction.
 //! * `obs_dump.json` — the deterministic obs-registry dump: plan-derived
@@ -97,8 +96,8 @@ pub struct ChaosSegment {
 
 /// End-of-run resilience counters for one node: the node's **entire**
 /// obs-registry snapshot, iterated rather than hand-copied, so a newly
-/// registered metric reaches the dump with zero plumbing (the
-/// `stats-registry` lint pins the iteration).
+/// registered metric reaches the dump with zero plumbing (the test
+/// `node_reports_carry_every_cataloged_metric` pins it).
 #[derive(Debug, Serialize)]
 pub struct ChaosNodeReport {
     /// The node's bound address.
@@ -519,4 +518,36 @@ pub fn run_chaos(args: &Args, opts: &ChaosOptions, plan: FaultPlan) -> bool {
     println!("recovered: {}", run.recovered);
     mesh.shutdown();
     run.recovered
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bh_proto::client::Connection;
+
+    #[test]
+    fn node_reports_carry_every_cataloged_metric() {
+        let origin = OriginServer::spawn("127.0.0.1:0").expect("spawn origin");
+        let mesh = Mesh::spawn(origin, Topology::Flat { nodes: 2 }, |_, c| c).expect("spawn mesh");
+        let reports = node_reports(&mesh);
+        assert_eq!(reports.len(), 2);
+        for (addr, report) in mesh.addrs().iter().zip(&reports) {
+            let catalog = Connection::open(*addr)
+                .and_then(|mut c| c.meta_list("mesh/nodes/self/metrics"))
+                .expect("list the node's metric catalog");
+            assert!(!catalog.is_empty());
+            for entry in &catalog {
+                let name = entry.path.rsplit('/').next().expect("metric name");
+                let count = format!("{name}.count");
+                assert!(
+                    report
+                        .metrics
+                        .iter()
+                        .any(|m| m.name == name || m.name == count),
+                    "{addr}: `{name}` is cataloged but missing from the chaos report"
+                );
+            }
+        }
+        mesh.shutdown();
+    }
 }

@@ -141,22 +141,6 @@ impl Args {
     }
 }
 
-/// Maps `f` over `items` on up to `max_threads` OS threads (scoped, so `f`
-/// may borrow), preserving order. A thin wrapper over the work-stealing
-/// [`bh_simcore::par::sweep`].
-///
-/// # Panics
-///
-/// Propagates panics from `f`.
-pub fn parallel_map<T, R, F>(items: Vec<T>, max_threads: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    bh_simcore::par::sweep(max_threads, items, |_, item| f(item))
-}
-
 /// Prints a banner naming the experiment and its provenance in the paper.
 pub fn banner(experiment: &str, caption: &str, args: &Args) {
     println!("================================================================");
@@ -219,16 +203,5 @@ mod tests {
     #[test]
     fn fmt_speedup_two_decimals() {
         assert_eq!(fmt_speedup(1.274), "1.27x");
-    }
-
-    #[test]
-    fn parallel_map_preserves_order_and_results() {
-        let items: Vec<u64> = (0..100).collect();
-        let seq: Vec<u64> = items.iter().map(|x| x * x).collect();
-        for threads in [1, 2, 4, 16] {
-            let par = parallel_map(items.clone(), threads, |x| x * x);
-            assert_eq!(par, seq, "threads={threads}");
-        }
-        assert_eq!(parallel_map(Vec::<u64>::new(), 4, |x| x), Vec::<u64>::new());
     }
 }

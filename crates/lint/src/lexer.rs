@@ -16,8 +16,7 @@ pub enum Tok {
     /// A single punctuation character.
     Punct(char),
     /// A plain `"..."` string literal, with its source contents (escape
-    /// sequences kept verbatim). The stats-registry rule matches metric
-    /// names against these.
+    /// sequences kept verbatim).
     Str(String),
     /// Any other literal (raw/byte string, char, number); contents are
     /// not inspected by any rule.

@@ -1,7 +1,7 @@
 //! `bh-lint`: a repo-specific static analysis pass enforcing the
 //! determinism and resilience invariants this reproduction rests on.
 //!
-//! Ten rules (see `LINTS.md` at the repo root):
+//! Nine rules (see `LINTS.md` at the repo root):
 //!
 //! 1. `no-wall-clock` — `Instant::now`/`SystemTime::now` only in real
 //!    I/O modules; simulation and bench code must be replayable.
@@ -10,28 +10,26 @@
 //! 3. `ordered-iteration` — no `HashMap`/`HashSet` in artifact-writing
 //!    paths; iteration order must be defined.
 //! 4. `no-panic-hot-path` — no `unwrap`/`expect`/`panic!` in proto
-//!    shard/worker/pool code, nor in any workspace helper such code
+//!    shard/pool code, nor in any workspace helper such code
 //!    reaches within bounded call depth; errors are returned and
 //!    counted.
 //! 5. `wire-exhaustiveness` — every wire frame tag has an encoder arm,
 //!    a decoder arm, and proptest coverage.
-//! 6. `stats-registry` — every `NodeStats` field is backed by a
-//!    registered obs metric, and the chaos dump iterates the registry.
-//! 7. `no-hot-alloc` — no `.to_vec()` / `Vec::new()` / `BytesMut::new()`
+//! 6. `no-hot-alloc` — no `.to_vec()` / `Vec::new()` / `BytesMut::new()`
 //!    in the wire-speed data-path hot set or the helpers it reaches;
 //!    reuse scratch buffers and refcounted `Bytes` slices instead.
-//! 8. `fixed-width-records` — on-disk `*Record` structs in the durable
+//! 7. `fixed-width-records` — on-disk `*Record` structs in the durable
 //!    hint-log crate hold only fixed-width primitives/arrays, and
 //!    snapshot/compaction functions visibly maintain the sorted-records
 //!    invariant.
-//! 9. `lock-order` — the global "lock A held while acquiring B" graph
+//! 8. `lock-order` — the global "lock A held while acquiring B" graph
 //!    must be acyclic, must respect the canonical lock ranking declared
 //!    in `LINTS.md`, and hot-path code must not hold a lock across
 //!    blocking I/O.
-//! 10. `cross-crate-inline` — every non-test function with a body in
-//!     the vendored `bytes` stand-in carries `#[inline]`: the workspace
-//!     builds without LTO, so its accessors are otherwise a call from
-//!     every other crate.
+//! 9. `cross-crate-inline` — every non-test function with a body in
+//!    the vendored `bytes` stand-in carries `#[inline]`: the workspace
+//!    builds without LTO, so its accessors are otherwise a call from
+//!    every other crate.
 //!
 //! The analyzer is layered (see DESIGN.md "analyzer architecture"):
 //! `lexer` flattens each file to tokens, `model` lifts the tokens into
@@ -94,7 +92,7 @@ pub mod scope {
         "crates/trace/src/scenario.rs",
     ];
 
-    /// Hot-path files where a panic wedges a shard/worker thread the
+    /// Hot-path files where a panic wedges a shard thread the
     /// chaos layer cannot deterministically recover. Entry points for
     /// the interprocedural `no-panic-hot-path` pass.
     pub const PANIC_HOT: [&str; 10] = [
@@ -304,7 +302,6 @@ pub fn check_root(root: &Path) -> io::Result<Report> {
         rules::fixed_width_records(rel, lx, &mut raw);
     }
     rules::wire_exhaustiveness(&lexed, &mut raw);
-    rules::stats_registry(&lexed, &mut raw);
 
     // The interprocedural passes run over the symbol-table model.
     let model = model::Model::build(&lexed);

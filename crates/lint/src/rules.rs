@@ -1,9 +1,9 @@
-//! The ten bh-lint rules. Each rule pushes [`Diagnostic`]s; allow
+//! The nine bh-lint rules. Each rule pushes [`Diagnostic`]s; allow
 //! resolution and rendering happen in the engine (`lib.rs`).
 //!
-//! Rules 1–4, 7, 8 and 10 are per-file token scans gated on the shared
-//! scope table (`crate::scope`). Rules 5–6 are cross-file consistency
-//! checks over specific files. The interprocedural passes
+//! Rules 1–4, 6, 7 and 9 are per-file token scans gated on the shared
+//! scope table (`crate::scope`). Rule 5 is a cross-file consistency
+//! check over specific files. The interprocedural passes
 //! ([`no_panic_reachable`], [`no_alloc_reachable`], [`lock_order`])
 //! run over the [`Model`] symbol table and report full call chains.
 
@@ -14,13 +14,12 @@ use crate::{scope, Diagnostic};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Rule names, in the order they are documented in LINTS.md.
-pub const RULES: [&str; 10] = [
+pub const RULES: [&str; 9] = [
     "no-wall-clock",
     "no-ambient-rng",
     "ordered-iteration",
     "no-panic-hot-path",
     "wire-exhaustiveness",
-    "stats-registry",
     "no-hot-alloc",
     "fixed-width-records",
     "lock-order",
@@ -127,8 +126,8 @@ pub fn ordered_iteration(rel: &str, lx: &Lexed, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// Rule 4: `unwrap`/`expect`/`panic!`-family idents in shard, worker,
-/// and pool code. `#[cfg(test)] mod` blocks are exempt.
+/// Rule 4: `unwrap`/`expect`/`panic!`-family idents in shard and pool
+/// code. `#[cfg(test)] mod` blocks are exempt.
 pub fn no_panic_hot_path(rel: &str, lx: &Lexed, out: &mut Vec<Diagnostic>) {
     if !scope::PANIC_HOT.contains(&rel) {
         return;
@@ -146,7 +145,7 @@ pub fn no_panic_hot_path(rel: &str, lx: &Lexed, out: &mut Vec<Diagnostic>) {
                     "no-panic-hot-path",
                     format!(
                         "`{s}` in a proto hot path; return an error and account it in \
-                         NodeStats instead of panicking a shard/worker thread"
+                         NodeStats instead of panicking a shard thread"
                     ),
                 );
             }
@@ -154,7 +153,7 @@ pub fn no_panic_hot_path(rel: &str, lx: &Lexed, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// Rule 7: per-request allocation idioms in the proto hot set.
+/// Rule 6: per-request allocation idioms in the proto hot set.
 /// `.to_vec()` copies a buffer the zero-copy frame path already
 /// refcounts; `Vec::new`/`BytesMut::new` start at capacity zero and
 /// grow inside the request loop. `#[cfg(test)] mod` blocks are exempt;
@@ -235,7 +234,7 @@ fn has_inline_attr(tokens: &[Token], end: usize) -> bool {
     false
 }
 
-/// Rule 10: a function with a body but no `#[inline]` in a file whose
+/// Rule 9: a function with a body but no `#[inline]` in a file whose
 /// functions are called across crates on the request path. The
 /// workspace builds without LTO, so such a function, unless generic, is
 /// a call from every other crate however small it is. `#[cfg(test)] mod`
@@ -362,7 +361,7 @@ fn type_is_fixed_width(tokens: &[Token], span: (usize, usize)) -> bool {
     }
 }
 
-/// Rule 8: durable-storage invariants in the hint-log crate. Structs
+/// Rule 7: durable-storage invariants in the hint-log crate. Structs
 /// named `*Record` are on-disk layouts and may hold only fixed-width
 /// primitives or arrays of them (no `usize`, no pointers, no growable
 /// containers — the byte layout is the compatibility contract), and any
@@ -608,125 +607,6 @@ pub fn wire_exhaustiveness(files: &BTreeMap<String, Lexed>, out: &mut Vec<Diagno
     }
 }
 
-/// Field names (with lines) of `struct <name>`.
-fn struct_fields(tokens: &[Token], name: &str) -> Vec<(String, u32)> {
-    let Some((start, end)) = item_body(tokens, "struct", name) else {
-        return Vec::new();
-    };
-    let mut fields = Vec::new();
-    let mut i = start + 1;
-    while i < end {
-        match &tokens[i].tok {
-            Tok::Punct('#') => {
-                // Skip field attributes.
-                i += 1;
-                if i < end && tokens[i].tok == Tok::Punct('[') {
-                    let mut depth = 1i64;
-                    i += 1;
-                    while i < end && depth > 0 {
-                        match tokens[i].tok {
-                            Tok::Punct('[') => depth += 1,
-                            Tok::Punct(']') => depth -= 1,
-                            _ => {}
-                        }
-                        i += 1;
-                    }
-                }
-            }
-            Tok::Ident(s) if s == "pub" => i += 1,
-            Tok::Ident(s)
-                if tokens.get(i + 1).map(|t| &t.tok) == Some(&Tok::Punct(':'))
-                    && tokens.get(i + 2).map(|t| &t.tok) != Some(&Tok::Punct(':')) =>
-            {
-                fields.push((s.clone(), tokens[i].line));
-                // Skip past this field's type to the separating comma.
-                let mut depth = 0i64;
-                i += 2;
-                while i < end {
-                    match tokens[i].tok {
-                        Tok::Punct('{') | Tok::Punct('(') | Tok::Punct('[') => depth += 1,
-                        Tok::Punct('}') | Tok::Punct(')') | Tok::Punct(']') => depth -= 1,
-                        Tok::Punct(',') if depth == 0 => {
-                            i += 1;
-                            break;
-                        }
-                        _ => {}
-                    }
-                    i += 1;
-                }
-            }
-            _ => i += 1,
-        }
-    }
-    fields
-}
-
-/// Rule 6: every `NodeStats` field must be backed by a registered
-/// metric — its name must appear as a string literal in the metrics
-/// module (where `NodeMetrics::register` declares counters and
-/// `NodeStats::from_snapshot` matches them back) — and the chaos dump
-/// must iterate the registry via `metric_snapshots` rather than
-/// hand-copying fields.
-pub fn stats_registry(files: &BTreeMap<String, Lexed>, out: &mut Vec<Diagnostic>) {
-    const STATS: &str = "crates/proto/src/node/metrics.rs";
-    const DUMP: &str = "crates/bench/src/chaos.rs";
-    let Some(node) = files.get(STATS) else {
-        return;
-    };
-    let fields = struct_fields(&node.tokens, "NodeStats");
-    if fields.is_empty() {
-        return;
-    }
-    let strings: BTreeSet<&str> = node
-        .tokens
-        .iter()
-        .filter_map(|t| match &t.tok {
-            Tok::Str(s) => Some(s.as_str()),
-            _ => None,
-        })
-        .collect();
-    for (f, line) in &fields {
-        if !strings.contains(f.as_str()) {
-            push(
-                out,
-                STATS,
-                *line,
-                "stats-registry",
-                format!(
-                    "`NodeStats` field `{f}` has no registry metric: the string \
-                     literal \"{f}\" never appears in {STATS}"
-                ),
-            );
-        }
-    }
-    let Some(dump) = files.get(DUMP) else {
-        push(
-            out,
-            STATS,
-            fields[0].1,
-            "stats-registry",
-            format!("`NodeStats` exists but the stats dump {DUMP} is missing"),
-        );
-        return;
-    };
-    let iterates = dump
-        .tokens
-        .iter()
-        .any(|t| matches!(&t.tok, Tok::Ident(s) if s == "metric_snapshots"));
-    if !iterates {
-        push(
-            out,
-            DUMP,
-            1,
-            "stats-registry",
-            format!(
-                "chaos dump {DUMP} never calls `metric_snapshots`; node metrics \
-                 must reach artifacts by iterating the obs registry"
-            ),
-        );
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Interprocedural passes over the symbol-table model.
 // ---------------------------------------------------------------------------
@@ -880,7 +760,7 @@ pub fn no_panic_reachable(model: &Model, out: &mut Vec<Diagnostic>) {
         |entry, leaf, ident, chain| {
             format!(
                 "`{ident}` in `{}` is reachable from hot-path `{}` ({}) via `{chain}`; \
-                 return an error along the chain instead of panicking a shard/worker thread",
+                 return an error along the chain instead of panicking a shard thread",
                 leaf.name, entry.name, entry.file
             )
         },
@@ -888,7 +768,7 @@ pub fn no_panic_reachable(model: &Model, out: &mut Vec<Diagnostic>) {
     );
 }
 
-/// Interprocedural half of rule 7: a hot-path entry point must not
+/// Interprocedural half of rule 6: a hot-path entry point must not
 /// reach a per-request allocation idiom through any workspace helper
 /// within `ALLOC_CALL_DEPTH` calls.
 pub fn no_alloc_reachable(model: &Model, out: &mut Vec<Diagnostic>) {
@@ -1064,7 +944,7 @@ fn io_reach(model: &Model) -> BTreeMap<usize, String> {
     out
 }
 
-/// Rule 9, `lock-order`: builds the global lock-order graph, flags
+/// Rule 8, `lock-order`: builds the global lock-order graph, flags
 /// every cycle (a potential deadlock) with a representative acquisition
 /// chain, flags edges that invert the canonical ranking declared in
 /// LINTS.md, and flags hot-path code holding a lock across blocking
@@ -1282,13 +1162,5 @@ mod tests {
                 ("off", false),
             ]
         );
-    }
-
-    #[test]
-    fn struct_fields_see_through_pub_and_attrs() {
-        let src = "struct NodeStats {\n  pub a: u64,\n  #[serde(default)]\n  pub b_count: u64,\n  c: std::collections::BTreeMap<u64, u64>,\n}\n";
-        let fields = struct_fields(&lex(src).tokens, "NodeStats");
-        let names: Vec<&str> = fields.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(names, ["a", "b_count", "c"]);
     }
 }

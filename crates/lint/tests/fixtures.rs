@@ -70,11 +70,6 @@ fn wire_exhaustiveness_fixture_matches_golden() {
 }
 
 #[test]
-fn stats_registry_fixture_matches_golden() {
-    check_fixture("stats-registry");
-}
-
-#[test]
 fn no_hot_alloc_fixture_matches_golden() {
     let report = check_fixture("no-hot-alloc");
     // The allowed tail-copy is honored; the out-of-hot-set file and the

@@ -427,7 +427,7 @@ pub use imp::{connect, write_vectored, Poller, MAX_IOV};
 /// success), the receiver side is registered with a [`Poller`] and drained on
 /// readiness. A shared `pending` flag coalesces wake-ups: once a wake is in
 /// flight, further `wake` calls are free until the receiver drains, which
-/// matters when many worker threads complete against one poller.
+/// matters when several threads wake one poller in a burst.
 #[derive(Debug)]
 pub struct Waker {
     tx: std::os::unix::net::UnixStream,

@@ -41,8 +41,8 @@ pub mod span {
     /// `Get` rejected by admission control (`a` = key, `b` = queue depth
     /// at rejection).
     pub const ADMISSION_REJECT: u16 = 8;
-    /// Worker queue crossed its high-water mark (`a` = queue depth,
-    /// `b` = high-water mark). One per saturation episode.
+    /// A node's parked `Get`s crossed the admission mark (`a` = parked
+    /// depth, `b` = the mark). One per saturation episode.
     pub const QUEUE_SATURATION: u16 = 9;
 
     /// Human-readable name for a span kind.

@@ -194,34 +194,6 @@ impl Connection {
     pub fn meta_set(&mut self, path: &str, value: &str) -> io::Result<Vec<MetaEntry>> {
         meta_ok(path, self.meta(MetaOp::Set, path, value)?)
     }
-
-    /// Installs an object at an **origin server** (test/control path).
-    ///
-    /// # Errors
-    ///
-    /// Fails on protocol errors.
-    pub fn origin_put(
-        &mut self,
-        url: &str,
-        version: u32,
-        body: impl Into<Bytes>,
-    ) -> io::Result<()> {
-        write_message(
-            &mut self.stream,
-            &Message::OriginPut {
-                url: url.to_string(),
-                version,
-                body: body.into(),
-            },
-        )?;
-        match read_message(&mut self.reader)? {
-            Message::Ack => Ok(()),
-            other => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unexpected reply {other:?}"),
-            )),
-        }
-    }
 }
 
 /// Maps a mesh-API reply to `entries` on `Ok` and an error naming the

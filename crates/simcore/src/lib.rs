@@ -13,8 +13,6 @@
 //!   exponential) so simulations are reproducible bit-for-bit;
 //! * [`stats`] — online summary statistics and fixed-bin histograms used by
 //!   the metrics layer;
-//! * [`timeseries`] — windowed medians/rates (Rousskov's 20-minute-median
-//!   methodology, the source of Table 3);
 //! * [`units`] — byte-size newtype with KB/MB/GB constructors.
 //!
 //! # Examples
@@ -39,7 +37,6 @@ pub mod par;
 pub mod rng;
 pub mod stats;
 pub mod time;
-pub mod timeseries;
 pub mod units;
 
 pub use event::{EventQueue, QueueStats};

@@ -44,7 +44,6 @@ pub mod record;
 pub mod scenario;
 pub mod spec;
 pub mod summary;
-pub mod transform;
 
 pub use generate::TraceGenerator;
 pub use materialize::{MaterializedTrace, TraceCache, TraceCacheStats};
