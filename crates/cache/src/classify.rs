@@ -278,10 +278,10 @@ impl ClassifyingCache {
     }
 
     fn insert_tracking_evictions(&mut self, key: u64, size: ByteSize, version: u32) {
-        let evicted = self.cache.insert(key, size, version);
-        for e in evicted {
-            self.gone.insert(e.key, Gone::Evicted);
-        }
+        let gone = &mut self.gone;
+        self.cache.insert_value(key, size, version, (), |e| {
+            gone.insert(e.key, Gone::Evicted);
+        });
         if self.cache.peek(key).is_none() {
             // Object too large to cache at all: next access is a capacity miss.
             self.gone.insert(key, Gone::Evicted);

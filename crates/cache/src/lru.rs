@@ -228,12 +228,13 @@ impl<S: BuildHasher, V> LruCache<S, V> {
     }
 
     /// Inserts (or refreshes) `key` with `value`, evicting LRU entries as
-    /// needed. Returns the evicted entries (oldest first); their values
-    /// are dropped, and so is the value a refresh replaces.
+    /// needed, and returns `true`. Each evicted entry is handed to
+    /// `evicted`, oldest first, its value already dropped; a refresh drops
+    /// the value it replaces.
     ///
-    /// Objects larger than the whole capacity are not cached: `None`, and
-    /// `value` is dropped unstored, mirroring proxies' max-object-size
-    /// policies.
+    /// Objects larger than the whole capacity are not cached: `false`,
+    /// nothing is evicted, and `value` is dropped unstored, mirroring
+    /// proxies' max-object-size policies.
     #[inline(never)]
     pub fn insert_value(
         &mut self,
@@ -241,12 +242,11 @@ impl<S: BuildHasher, V> LruCache<S, V> {
         size: ByteSize,
         version: u32,
         value: V,
-    ) -> Option<Vec<Evicted>> {
-        // bh-lint: allow(no-hot-alloc, reason = "an empty Vec allocates nothing; it grows only when an insert evicts, and the evicted keys are the caller's to announce")
-        let mut evicted = Vec::new();
+        mut evicted: impl FnMut(Evicted),
+    ) -> bool {
         let size_b = size.as_bytes();
         if !self.capacity.is_unlimited() && size_b > self.capacity.as_bytes() {
-            return None;
+            return false;
         }
         // Refresh in place if already present.
         if let Some(&idx) = self.map.get(&key) {
@@ -294,10 +294,10 @@ impl<S: BuildHasher, V> LruCache<S, V> {
                     // The new entry itself is the only one left; keep it.
                     break;
                 }
-                evicted.push(self.remove_idx(tail));
+                evicted(self.remove_idx(tail));
             }
         }
-        Some(evicted)
+        true
     }
 
     /// Removes `key` (e.g. on invalidation). Returns the removed entry.
@@ -333,12 +333,11 @@ impl<S: BuildHasher, V> LruCache<S, V> {
 }
 
 impl<S: BuildHasher> LruCache<S> {
-    /// [`LruCache::insert_value`] for a cache that keeps no values: the
-    /// evicted entries, none when the object is too large to cache.
+    /// [`LruCache::insert_value`] for a cache that keeps no values and
+    /// whose caller needs no word of what the insert evicted.
     #[inline]
-    pub fn insert(&mut self, key: u64, size: ByteSize, version: u32) -> Vec<Evicted> {
-        self.insert_value(key, size, version, ())
-            .unwrap_or_default()
+    pub fn insert(&mut self, key: u64, size: ByteSize, version: u32) -> bool {
+        self.insert_value(key, size, version, (), |_| {})
     }
 }
 
@@ -369,11 +368,23 @@ mod tests {
         ByteSize::from_kb(n)
     }
 
+    /// Inserts `key` with no value and returns what the insert evicted.
+    fn evictions<S: BuildHasher>(
+        c: &mut LruCache<S>,
+        key: u64,
+        size: ByteSize,
+        version: u32,
+    ) -> Vec<Evicted> {
+        let mut evicted = Vec::new();
+        c.insert_value(key, size, version, (), |e| evicted.push(e));
+        evicted
+    }
+
     #[test]
     fn insert_get_basic() {
         let mut c = LruCache::new(kb(100));
         assert!(c.is_empty());
-        assert!(c.insert(1, kb(10), 0).is_empty());
+        assert!(evictions(&mut c, 1, kb(10), 0).is_empty());
         assert_eq!(c.get(1, 0), Some((kb(10), 0)));
         assert_eq!(c.len(), 1);
         assert_eq!(c.used_bytes(), kb(10));
@@ -388,7 +399,7 @@ mod tests {
         c.insert(3, kb(10), 0);
         // Touch 1 so 2 becomes LRU.
         assert!(c.get(1, 0).is_some());
-        let ev = c.insert(4, kb(10), 0);
+        let ev = evictions(&mut c, 4, kb(10), 0);
         assert_eq!(ev.len(), 1);
         assert_eq!(ev[0].key, 2);
         assert!(c.get(2, 0).is_none());
@@ -401,7 +412,7 @@ mod tests {
         c.insert(1, kb(10), 0);
         c.insert(2, kb(10), 0);
         c.insert(3, kb(10), 0);
-        let ev = c.insert(4, kb(25), 0);
+        let ev = evictions(&mut c, 4, kb(25), 0);
         assert_eq!(ev.iter().map(|e| e.key).collect::<Vec<_>>(), vec![1, 2, 3]);
         assert_eq!(c.len(), 1);
         assert!(c.used_bytes() <= kb(30));
@@ -447,7 +458,7 @@ mod tests {
     #[test]
     fn oversized_object_not_cached() {
         let mut c = LruCache::new(kb(10));
-        c.insert(7, kb(11), 0);
+        assert!(!c.insert(7, kb(11), 0));
         assert!(c.peek(7).is_none());
         assert_eq!(c.used_bytes(), ByteSize::ZERO);
     }
@@ -456,7 +467,7 @@ mod tests {
     fn exactly_capacity_object_is_cached_alone() {
         let mut c = LruCache::new(kb(10));
         c.insert(1, kb(4), 0);
-        let ev = c.insert(2, kb(10), 0);
+        let ev = evictions(&mut c, 2, kb(10), 0);
         assert_eq!(ev.len(), 1);
         assert!(c.peek(2).is_some());
         assert_eq!(c.len(), 1);
@@ -484,7 +495,7 @@ mod tests {
         c.insert(3, kb(10), 0);
         assert!(c.demote(3));
         assert_eq!(c.lru_key(), Some(3));
-        let ev = c.insert(4, kb(10), 0);
+        let ev = evictions(&mut c, 4, kb(10), 0);
         assert_eq!(ev[0].key, 3, "demoted entry evicted first");
         assert!(!c.demote(99));
     }
@@ -493,7 +504,7 @@ mod tests {
     fn unbounded_never_evicts() {
         let mut c = LruCache::unbounded();
         for i in 0..10_000u64 {
-            assert!(c.insert(i, kb(100), 0).is_empty());
+            assert!(evictions(&mut c, i, kb(100), 0).is_empty());
         }
         assert_eq!(c.len(), 10_000);
     }
@@ -591,10 +602,12 @@ mod tests {
                     match op {
                         Op::Insert(k, s, v) => {
                             let s = ByteSize::from_bytes(s);
-                            let evicted = keyed.insert(k, s, v);
-                            prop_assert_eq!(&evicted, &premixed.insert(k, s, v));
-                            let carried = valued.insert_value(k, s, v, Rc::new(serial as u64));
-                            prop_assert_eq!(evicted, carried.unwrap_or_default());
+                            let evicted = evictions(&mut keyed, k, s, v);
+                            prop_assert_eq!(&evicted, &evictions(&mut premixed, k, s, v));
+                            let mut carried = Vec::new();
+                            let stored = valued.insert_value(k, s, v, Rc::new(serial as u64), |e| carried.push(e));
+                            prop_assert_eq!(stored, keyed.peek(k).is_some_and(|(size, _)| size == s));
+                            prop_assert_eq!(evicted, carried);
                         }
                         Op::Get(k, v) => {
                             let got = keyed.get(k, v);
@@ -645,9 +658,10 @@ mod tests {
                         Op::Insert(k, s, v) => {
                             let value = Rc::new(serial);
                             handles.push(Rc::clone(&value));
-                            if let Some(evicted) = c.insert_value(k, ByteSize::from_bytes(s), v, value) {
-                                for e in evicted {
-                                    model.remove(&e.key);
+                            let mut evicted = Vec::new();
+                            if c.insert_value(k, ByteSize::from_bytes(s), v, value, |e| evicted.push(e.key)) {
+                                for gone in evicted {
+                                    model.remove(&gone);
                                 }
                                 model.insert(k, serial);
                             }

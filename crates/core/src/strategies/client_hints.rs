@@ -26,7 +26,7 @@
 
 use super::{RequestCtx, Strategy};
 use crate::outcome::AccessPath;
-use crate::topology::{NodeIdx, Topology};
+use crate::topology::{NodeIdx, NodeSet, Topology};
 use bh_cache::{LruCache, PreMixed};
 use bh_simcore::ByteSize;
 use bh_trace::ClientId;
@@ -58,7 +58,7 @@ struct ObjState {
     /// Bumped on every holder-set change so the per-(client, object)
     /// knowledge hash re-rolls when the copy landscape changes.
     epoch: u32,
-    holders: Vec<NodeIdx>,
+    holders: NodeSet,
 }
 
 /// The client-level hint strategy. See the docs of its module,
@@ -128,24 +128,19 @@ impl ClientHints {
         u >= self.config.false_negative_rate
     }
 
-    fn remove_holder(&mut self, key: u64, node: NodeIdx) {
-        if let Some(st) = self.objs.get_mut(&key) {
-            if let Ok(pos) = st.holders.binary_search(&node) {
-                st.holders.remove(pos);
-                st.epoch += 1;
-            }
-        }
-    }
-
     fn insert_copy(&mut self, node: NodeIdx, key: u64, size: ByteSize, version: u32) {
-        let evicted = self.caches[node as usize].insert(key, size, version);
-        for e in evicted {
-            self.remove_holder(e.key, node);
-        }
-        if self.caches[node as usize].peek(key).is_some() {
-            let st = self.objs.entry(key).or_default();
-            if let Err(pos) = st.holders.binary_search(&node) {
-                st.holders.insert(pos, node);
+        let Self { caches, objs, .. } = self;
+        let cache = &mut caches[node as usize];
+        cache.insert_value(key, size, version, (), |e| {
+            if let Some(st) = objs.get_mut(&e.key) {
+                if st.holders.remove(node) {
+                    st.epoch += 1;
+                }
+            }
+        });
+        if cache.peek(key).is_some() {
+            let st = objs.entry(key).or_default();
+            if st.holders.insert(node) {
                 st.epoch += 1;
             }
         }
@@ -160,39 +155,37 @@ impl Strategy for ClientHints {
             if ctx.version > st.version {
                 st.version = ctx.version;
                 st.epoch += 1;
-                let stale = std::mem::take(&mut st.holders);
-                for h in stale {
+                for h in std::mem::take(&mut st.holders).iter() {
                     self.caches[h as usize].remove(ctx.key);
                 }
             }
         }
-        let (version, epoch, holders) = {
+        let (version, epoch, nearest) = {
             let st = &self.objs[&ctx.key];
-            (st.version, st.epoch, st.holders.clone())
+            let nearest = self.topo.nearest_holder(ctx.l1, &st.holders);
+            (st.version, st.epoch, nearest)
         };
 
         // The client consults its own hints to decide where to go.
-        let known = !holders.is_empty() && self.client_knows(ctx.client, ctx.key, epoch);
-        let outcome = if known {
-            let target = self
-                .topo
-                .nearest_holder(ctx.l1, holders.iter().copied())
-                .expect("non-empty holders");
-            if target == ctx.l1 {
-                // The nearest copy is the client's own L1: a normal L1 hit.
-                let got = self.caches[ctx.l1 as usize].get(ctx.key, version);
-                debug_assert!(got.is_some());
-                return AccessPath::L1Hit;
+        let outcome = match nearest {
+            Some(target) if self.client_knows(ctx.client, ctx.key, epoch) => {
+                if target == ctx.l1 {
+                    // The nearest copy is the client's own L1: a normal L1 hit.
+                    let got = self.caches[ctx.l1 as usize].get(ctx.key, version);
+                    debug_assert!(got.is_some());
+                    return AccessPath::L1Hit;
+                }
+                AccessPath::RemoteHit {
+                    distance: self.topo.distance(ctx.l1, target),
+                }
             }
-            AccessPath::RemoteHit {
-                distance: self.topo.distance(ctx.l1, target),
-            }
-        } else {
-            if !holders.is_empty() {
-                self.false_negatives += 1;
-            }
-            AccessPath::ServerFetch {
-                false_positive: None,
+            _ => {
+                if nearest.is_some() {
+                    self.false_negatives += 1;
+                }
+                AccessPath::ServerFetch {
+                    false_positive: None,
+                }
             }
         };
 

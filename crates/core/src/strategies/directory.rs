@@ -10,7 +10,7 @@
 use super::{RequestCtx, Strategy};
 use crate::metrics::Metrics;
 use crate::outcome::AccessPath;
-use crate::topology::{NodeIdx, Topology};
+use crate::topology::{NodeIdx, NodeSet, Topology};
 use bh_cache::{LruCache, PreMixed};
 use bh_simcore::ByteSize;
 use std::collections::HashMap;
@@ -18,7 +18,7 @@ use std::collections::HashMap;
 #[derive(Debug, Default)]
 struct DirEntry {
     version: u32,
-    holders: Vec<NodeIdx>, // sorted, small
+    holders: NodeSet,
 }
 
 /// The centralized-directory strategy.
@@ -48,31 +48,35 @@ impl CentralDirectory {
         self.updates
     }
 
-    fn add_holder(&mut self, key: u64, node: NodeIdx) {
-        let e = self.directory.entry(key).or_default();
-        if let Err(pos) = e.holders.binary_search(&node) {
-            e.holders.insert(pos, node);
-            self.updates += 1;
-        }
-    }
-
-    fn drop_holder(&mut self, key: u64, node: NodeIdx) {
-        if let Some(e) = self.directory.get_mut(&key) {
-            if let Ok(pos) = e.holders.binary_search(&node) {
-                e.holders.remove(pos);
-                self.updates += 1;
-            }
-        }
-    }
-
     fn insert_copy(&mut self, node: NodeIdx, key: u64, size: ByteSize, version: u32) {
-        let evicted = self.caches[node as usize].insert(key, size, version);
-        for e in evicted {
-            self.drop_holder(e.key, node);
+        let Self {
+            caches,
+            directory,
+            updates,
+            ..
+        } = self;
+        let cache = &mut caches[node as usize];
+        cache.insert_value(key, size, version, (), |e| {
+            drop_holder(directory, updates, e.key, node);
+        });
+        if cache.peek(key).is_some() && directory.entry(key).or_default().holders.insert(node) {
+            *updates += 1;
         }
-        if self.caches[node as usize].peek(key).is_some() {
-            self.add_holder(key, node);
-        }
+    }
+}
+
+/// Drops `node` from `key`'s holders: one directory update if it was one.
+fn drop_holder(
+    directory: &mut HashMap<u64, DirEntry, PreMixed>,
+    updates: &mut u64,
+    key: u64,
+    node: NodeIdx,
+) {
+    if directory
+        .get_mut(&key)
+        .is_some_and(|e| e.holders.remove(node))
+    {
+        *updates += 1;
     }
 }
 
@@ -81,24 +85,24 @@ impl Strategy for CentralDirectory {
         let node = ctx.l1;
         // Version bump: the directory (which sees all consistency traffic)
         // invalidates every copy.
-        let stale_holders: Vec<NodeIdx> = match self.directory.get_mut(&ctx.key) {
+        let stale_holders = match self.directory.get_mut(&ctx.key) {
             Some(e) if ctx.version > e.version => {
                 e.version = ctx.version;
                 std::mem::take(&mut e.holders)
             }
-            Some(_) => Vec::new(),
+            Some(_) => NodeSet::new(),
             None => {
                 self.directory.insert(
                     ctx.key,
                     DirEntry {
                         version: ctx.version,
-                        holders: Vec::new(),
+                        holders: NodeSet::new(),
                     },
                 );
-                Vec::new()
+                NodeSet::new()
             }
         };
-        for h in stale_holders {
+        for h in stale_holders.iter() {
             self.caches[h as usize].remove(ctx.key);
             self.updates += 1;
         }
@@ -111,21 +115,13 @@ impl Strategy for CentralDirectory {
         }
         // The local copy may have just been invalidated by the get().
         if self.caches[node as usize].peek(ctx.key).is_none() {
-            self.drop_holder(ctx.key, node);
+            drop_holder(&mut self.directory, &mut self.updates, ctx.key, node);
         }
 
-        // Synchronous directory lookup: pick the nearest fresh holder.
-        let holders = self
-            .directory
-            .get(&ctx.key)
-            .map(|e| {
-                e.holders
-                    .iter()
-                    .copied()
-                    .filter(|&h| h != node)
-                    .collect::<Vec<_>>()
-            })
-            .unwrap_or_default();
+        // Synchronous directory lookup: pick the nearest fresh holder, a
+        // peer since the requester's own copy was just dropped.
+        let holders = &self.directory[&ctx.key].holders;
+        debug_assert!(!holders.contains(node), "a holder missed locally");
         let outcome = match self.topo.nearest_holder(node, holders) {
             Some(peer) => {
                 debug_assert!(self.caches[peer as usize].contains_fresh(ctx.key, ctx.version));

@@ -34,7 +34,7 @@ use super::{RequestCtx, Strategy};
 use crate::metrics::Metrics;
 use crate::outcome::AccessPath;
 use crate::push::{PushFraction, PushPolicy};
-use crate::topology::{NodeIdx, Topology};
+use crate::topology::{NodeIdx, NodeSet, Topology};
 use bh_cache::{HintBank, LruCache, PreMixed};
 use bh_netmodel::RemoteDistance;
 use bh_simcore::rng::Xoshiro256;
@@ -68,10 +68,10 @@ impl Default for HintConfig {
 #[derive(Debug, Default)]
 struct ObjState {
     version: u32,
-    holders: Vec<NodeIdx>, // sorted, typically tiny
+    holders: NodeSet,
     /// The holder set of the last change delivered to every node's hints:
     /// what a node holding a hint for the object resolves it against.
-    delivered: Vec<NodeIdx>,
+    delivered: NodeSet,
 }
 
 /// The object's slot in the hint bank: its index in `objs`, plus one.
@@ -80,14 +80,14 @@ fn slot_of(obj: usize) -> u32 {
 }
 
 /// One holder-set change, broadcast to every observer when it comes due.
-/// Storing the (tiny) holder snapshot once instead of 64 per-observer
-/// events keeps long-delay simulations (Figure 6's 1000-minute points)
-/// within memory.
+/// Storing the holder snapshot once instead of 64 per-observer events
+/// keeps long-delay simulations (Figure 6's 1000-minute points) within
+/// memory.
 #[derive(Debug)]
 struct HintEvent {
     key: u64,
     slot: u32,
-    holders: Vec<NodeIdx>,
+    holders: NodeSet,
 }
 
 #[derive(Debug)]
@@ -126,6 +126,9 @@ pub struct HintHierarchy {
     pushed_used_bytes: u64,
     demand_bytes: u64,
     pushed_pending: HashSet<(NodeIdx, u64)>,
+    /// Keys one data-cache insert evicted, kept between inserts so that an
+    /// evicting insert allocates nothing.
+    evicted: Vec<u64>,
 }
 
 impl HintHierarchy {
@@ -160,6 +163,7 @@ impl HintHierarchy {
             pushed_used_bytes: 0,
             demand_bytes: 0,
             pushed_pending: HashSet::new(),
+            evicted: Vec::new(),
         }
     }
 
@@ -179,11 +183,11 @@ impl HintHierarchy {
     }
 
     /// Current fresh holders of `key` (for tests and experiments).
-    pub fn holders(&self, key: u64) -> &[NodeIdx] {
+    pub fn holders(&self, key: u64) -> &NodeSet {
+        static NONE: NodeSet = NodeSet::new();
         self.slots
             .get(&key)
-            .map(|&obj| self.objs[obj].holders.as_slice())
-            .unwrap_or(&[])
+            .map_or(&NONE, |&obj| &self.objs[obj].holders)
     }
 
     /// Bytes the hint stores have allocated (0 on the oracle path); see
@@ -195,20 +199,13 @@ impl HintHierarchy {
         }
     }
 
-    /// Delivers every holder change that has come due: one pass over the
-    /// key's row of the bank, after which the change's holder set is the
-    /// one every node's hint resolves against.
+    /// Delivers every holder change that has come due.
     fn drain_pending(&mut self, now: SimTime) {
         let HintStores::Real { bank, pending } = &mut self.hints else {
             return;
         };
         while let Some((_, ev)) = pending.pop_due(now) {
-            if ev.holders.is_empty() {
-                bank.broadcast_remove(ev.key, ev.slot);
-            } else {
-                bank.broadcast_insert(ev.key, ev.slot);
-            }
-            self.objs[ev.slot as usize - 1].delivered = ev.holders;
+            deliver(bank, &mut self.objs, ev);
         }
     }
 
@@ -218,28 +215,31 @@ impl HintHierarchy {
     /// eventually learns the location of its *nearest* copy. With delay 0
     /// in oracle mode this is implicit (lookups consult the registry).
     fn holders_changed(&mut self, key: u64, obj: usize, at: SimTime) {
-        let HintStores::Real { pending, .. } = &mut self.hints else {
+        let HintStores::Real { bank, pending } = &mut self.hints else {
             return;
         };
-        // The event owns a snapshot: the holders may change again before
-        // it comes due.
-        let holders = self.objs[obj].holders.clone();
-        let due = at.saturating_add(self.config.delay);
-        let slot = slot_of(obj);
-        pending.schedule(due, HintEvent { key, slot, holders });
-        // Zero delay means "instant propagation": apply now so the oracle
-        // equivalence holds even within a single request.
+        // The change carries a snapshot: the holders may change again
+        // before it comes due.
+        let ev = HintEvent {
+            key,
+            slot: slot_of(obj),
+            holders: self.objs[obj].holders.clone(),
+        };
         if self.config.delay == SimDuration::ZERO {
-            self.drain_pending(at);
+            // Zero delay means "instant propagation": deliver in place so
+            // the oracle equivalence holds even within a single request.
+            deliver(bank, &mut self.objs, ev);
+        } else {
+            pending.schedule(at.saturating_add(self.config.delay), ev);
         }
     }
 
     fn add_holder(&mut self, key: u64, obj: usize, node: NodeIdx, at: SimTime) {
         let st = &mut self.objs[obj];
-        if let Err(pos) = st.holders.binary_search(&node) {
-            st.holders.insert(pos, node);
+        let first = st.holders.is_empty();
+        if st.holders.insert(node) {
             self.directory_updates += 1;
-            if st.holders.len() == 1 {
+            if first {
                 // First copy in the system: the update climbs to the root.
                 self.root_updates += 1;
             }
@@ -252,8 +252,7 @@ impl HintHierarchy {
             return;
         };
         let st = &mut self.objs[obj];
-        if let Ok(pos) = st.holders.binary_search(&node) {
-            st.holders.remove(pos);
+        if st.holders.remove(node) {
             self.directory_updates += 1;
             if st.holders.is_empty() {
                 // Last copy gone: the non-presence advertisement reaches the root.
@@ -292,11 +291,14 @@ impl HintHierarchy {
         aged: bool,
     ) {
         let version = self.objs[obj].version;
-        let evicted = self.caches[node as usize].insert(key, size, version);
-        for e in evicted {
-            self.pushed_pending.remove(&(node, e.key));
-            self.remove_holder(e.key, node, at);
+        let mut evicted = std::mem::take(&mut self.evicted);
+        self.caches[node as usize].insert_value(key, size, version, (), |e| evicted.push(e.key));
+        for &gone in &evicted {
+            self.pushed_pending.remove(&(node, gone));
+            self.remove_holder(gone, node, at);
         }
+        evicted.clear();
+        self.evicted = evicted;
         if self.caches[node as usize].peek(key).is_some() {
             if aged {
                 self.caches[node as usize].demote(key);
@@ -309,10 +311,11 @@ impl HintHierarchy {
     /// returns the outcome of the remote/server fetch decision.
     fn lookup(&mut self, l1: NodeIdx, key: u64, obj: usize, version: u32) -> AccessPath {
         let st = &self.objs[obj];
-        let mut peers = st.holders.iter().copied().filter(|&h| h != l1);
+        // A local miss: every holder is a peer.
+        debug_assert!(!st.holders.contains(l1), "a holder missed locally");
         let hinted = match &mut self.hints {
             HintStores::Oracle => {
-                return match self.topo.nearest_holder(l1, peers) {
+                return match self.topo.nearest_holder(l1, &st.holders) {
                     Some(peer) => {
                         self.note_remote_use(peer, key);
                         AccessPath::RemoteHit {
@@ -326,7 +329,7 @@ impl HintHierarchy {
             }
             HintStores::Real { bank, .. } => bank
                 .lookup(l1 as usize, key, slot_of(obj))
-                .then(|| self.topo.nearest_holder(l1, st.delivered.iter().copied()))
+                .then(|| self.topo.nearest_holder(l1, &st.delivered))
                 .flatten(),
         };
         match hinted {
@@ -336,9 +339,12 @@ impl HintHierarchy {
                     // Suboptimal positive: a nearer copy existed but the
                     // (stale) hint named a farther one.
                     if distance == RemoteDistance::SameL3
-                        && self.topo.nearest_holder(l1, peers).is_some_and(|best| {
-                            self.topo.distance(l1, best) == RemoteDistance::SameL2
-                        })
+                        && self
+                            .topo
+                            .nearest_holder(l1, &st.holders)
+                            .is_some_and(|best| {
+                                self.topo.distance(l1, best) == RemoteDistance::SameL2
+                            })
                     {
                         self.suboptimal_positives += 1;
                     }
@@ -357,7 +363,7 @@ impl HintHierarchy {
                 }
             }
             _ => {
-                if peers.next().is_some() {
+                if !st.holders.is_empty() {
                     self.false_negatives += 1;
                 }
                 AccessPath::ServerFetch {
@@ -376,7 +382,7 @@ impl HintHierarchy {
         fraction: PushFraction,
     ) {
         let holders = &self.objs[obj].holders;
-        let wanted = |n: &NodeIdx| *n != ctx.l1 && holders.binary_search(n).is_err();
+        let wanted = |n: &NodeIdx| *n != ctx.l1 && !holders.contains(*n);
         let mut targets: Vec<NodeIdx> = Vec::new();
         match distance {
             RemoteDistance::SameL2 => {
@@ -415,6 +421,18 @@ impl HintHierarchy {
     }
 }
 
+/// Delivers one holder change to every node's hints: one pass over the
+/// key's row of the bank, after which the change's holder set is the one
+/// every node's hint resolves against.
+fn deliver(bank: &mut HintBank, objs: &mut [ObjState], ev: HintEvent) {
+    if ev.holders.is_empty() {
+        bank.broadcast_remove(ev.key, ev.slot);
+    } else {
+        bank.broadcast_insert(ev.key, ev.slot);
+    }
+    objs[ev.slot as usize - 1].delivered = ev.holders;
+}
+
 fn pick_random(members: &[NodeIdx], want: usize, rng: &mut Xoshiro256) -> Vec<NodeIdx> {
     if want >= members.len() {
         return members.to_vec();
@@ -441,7 +459,7 @@ impl Strategy for HintHierarchy {
         // Consistency: a version bump invalidates every cached copy
         // (strong consistency, §2.2.1). Remember the old holders — they are
         // the update-push candidate list (§4.1.2).
-        let mut update_push_candidates: Vec<NodeIdx> = Vec::new();
+        let mut update_push_candidates = NodeSet::new();
         let st = &mut self.objs[obj];
         if ctx.version > st.version {
             st.version = ctx.version;
@@ -449,7 +467,7 @@ impl Strategy for HintHierarchy {
             if !stale.is_empty() {
                 self.directory_updates += stale.len() as u64;
                 self.root_updates += 1; // last-copy-gone reaches the root
-                for &h in &stale {
+                for h in stale.iter() {
                     self.caches[h as usize].remove(ctx.key);
                     self.pushed_pending.remove(&(h, ctx.key));
                 }
@@ -473,7 +491,7 @@ impl Strategy for HintHierarchy {
         // Push hooks.
         match (self.config.push, outcome) {
             (PushPolicy::Update, _) => {
-                for target in update_push_candidates {
+                for target in update_push_candidates.iter() {
                     if target != ctx.l1 {
                         self.push_copy(target, obj, ctx, true);
                     }
@@ -552,6 +570,11 @@ mod tests {
         Topology::from_spec(&WorkloadSpec::small()) // 4 L1s, 2 per L2
     }
 
+    /// The holders of `key`, ascending.
+    fn held(h: &HintHierarchy, key: u64) -> Vec<NodeIdx> {
+        h.holders(key).iter().collect()
+    }
+
     fn oracle() -> HintHierarchy {
         HintHierarchy::new(topo(), HintConfig::default(), 7)
     }
@@ -605,7 +628,7 @@ mod tests {
                 distance: RemoteDistance::SameL3
             }
         );
-        assert_eq!(h.holders(1), &[0, 1, 3]);
+        assert_eq!(held(&h, 1), [0, 1, 3]);
     }
 
     #[test]
@@ -638,7 +661,7 @@ mod tests {
                 false_positive: None
             }
         );
-        assert_eq!(h.holders(1), &[2]);
+        assert_eq!(held(&h, 1), [2]);
     }
 
     #[test]
@@ -728,7 +751,7 @@ mod tests {
         // Version bump fetched by node 2: old holders 0, 1, 3 get the new
         // version pushed.
         h.on_request(&ctx(2, 1, 5));
-        assert_eq!(h.holders(1), &[0, 1, 2, 3]);
+        assert_eq!(held(&h, 1), [0, 1, 2, 3]);
         let mut m = Metrics::new(&[]);
         h.finalize(&mut m);
         assert_eq!(m.pushes, 3);
@@ -772,11 +795,11 @@ mod tests {
                                      // Node 1 remote-hits node 0 (same L2): push to all level-1 subtrees
                                      // under that L2 — here there are only nodes 0 and 1, both covered.
         h.on_request(&ctx(1, 1, 0));
-        assert_eq!(h.holders(1), &[0, 1]);
+        assert_eq!(held(&h, 1), [0, 1]);
         // Node 2 remote-hits at L3 distance: push-1 places one copy in each
         // level-2 subtree.
         h.on_request(&ctx(2, 1, 0));
-        let holders = h.holders(1).to_vec();
+        let holders = held(&h, 1);
         assert!(holders.contains(&2));
         assert!(
             holders.len() >= 4,
@@ -796,7 +819,7 @@ mod tests {
         );
         h.on_request(&ctx(0, 1, 0));
         h.on_request(&ctx(3, 1, 0)); // L3-distance hit → push-all
-        assert_eq!(h.holders(1), &[0, 1, 2, 3]);
+        assert_eq!(held(&h, 1), [0, 1, 2, 3]);
         let mut m = Metrics::new(&[]);
         h.finalize(&mut m);
         assert_eq!(m.pushes, 2, "nodes 1 and 2 received pushes");

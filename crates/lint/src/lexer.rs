@@ -15,11 +15,8 @@ pub enum Tok {
     Ident(String),
     /// A single punctuation character.
     Punct(char),
-    /// A plain `"..."` string literal, with its source contents (escape
-    /// sequences kept verbatim).
-    Str(String),
-    /// Any other literal (raw/byte string, char, number); contents are
-    /// not inspected by any rule.
+    /// A literal (string of any kind, char, number); contents are not
+    /// inspected by any rule.
     Lit,
 }
 
@@ -229,36 +226,26 @@ pub fn lex(src: &str) -> Lexed {
             i = j;
             continue;
         }
-        // Plain string literal: captured with contents so rules can
-        // match registered metric names.
+        // Plain string literal.
         if c == '"' {
             let tline = line;
-            let mut s = String::new();
             let mut j = i + 1;
             while j < chars.len() {
                 if chars[j] == '\\' {
-                    s.push(chars[j]);
-                    if let Some(&esc) = chars.get(j + 1) {
-                        s.push(esc);
-                    }
                     j += 2;
                     continue;
                 }
                 if chars[j] == '\n' {
                     line += 1;
-                    s.push('\n');
-                    j += 1;
-                    continue;
                 }
                 if chars[j] == '"' {
                     j += 1;
                     break;
                 }
-                s.push(chars[j]);
                 j += 1;
             }
             out.tokens.push(Token {
-                tok: Tok::Str(s),
+                tok: Tok::Lit,
                 line: tline,
             });
             i = j;
@@ -494,22 +481,36 @@ fn f<'a>(x: &'a str) -> char {
     }
 
     #[test]
-    fn plain_strings_capture_contents_raw_strings_do_not() {
-        let src =
-            "let a = \"local_hits\";\nlet b = r#\"raw stays opaque\"#;\nlet c = \"esc\\\"aped\";\n";
+    fn string_literals_are_lits_and_count_their_lines() {
+        let src = "let a = \"two\nlines\";\nlet b = r#\"raw \"quoted\"\"#;\nlet c = \"esc\\\"aped\\\\\";\nd";
         let out = lex(src);
-        let strs: Vec<&str> = out
+        let lits: Vec<u32> = out
+            .tokens
+            .iter()
+            .filter(|t| t.tok == Tok::Lit)
+            .map(|t| t.line)
+            .collect();
+        assert_eq!(lits, [1, 3, 4], "one Lit per string, on its first line");
+        let idents: Vec<(&str, u32)> = out
             .tokens
             .iter()
             .filter_map(|t| match &t.tok {
-                Tok::Str(s) => Some(s.as_str()),
+                Tok::Ident(s) => Some((s.as_str(), t.line)),
                 _ => None,
             })
             .collect();
-        assert_eq!(strs, ["local_hits", "esc\\\"aped"]);
-        assert!(
-            out.tokens.iter().any(|t| t.tok == Tok::Lit),
-            "raw string should be Lit"
+        assert_eq!(
+            idents,
+            [
+                ("let", 1),
+                ("a", 1),
+                ("let", 3),
+                ("b", 3),
+                ("let", 4),
+                ("c", 4),
+                ("d", 5)
+            ],
+            "nothing inside a string leaks, and the line after a two-line string is 3"
         );
     }
 

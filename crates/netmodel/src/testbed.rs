@@ -132,13 +132,14 @@ impl TestbedModel {
         &self.params
     }
 
-    fn hier_links(&self, level: Level) -> Vec<&Link> {
+    /// Milliseconds for `size` bytes to cross the links from the client up
+    /// to `level`, summed from the client's link upward.
+    fn hier_links_ms(&self, level: Level, size: ByteSize) -> f64 {
         let p = &self.params;
-        match level {
-            Level::L1 => vec![&p.client_l1],
-            Level::L2 => vec![&p.client_l1, &p.l1_l2],
-            Level::L3 => vec![&p.client_l1, &p.l1_l2, &p.l2_l3],
-        }
+        [&p.client_l1, &p.l1_l2, &p.l2_l3][..level.depth()]
+            .iter()
+            .map(|l| l.traverse(size))
+            .sum()
     }
 
     fn direct_link(&self, distance: RemoteDistance) -> &Link {
@@ -157,21 +158,12 @@ impl TestbedModel {
 
 impl CostModel for TestbedModel {
     fn hierarchy_hit(&self, level: Level, size: ByteSize) -> SimDuration {
-        let ms: f64 = self
-            .hier_links(level)
-            .iter()
-            .map(|l| l.traverse(size))
-            .sum::<f64>()
-            + self.params.disk_ms[level.depth() - 1];
+        let ms = self.hier_links_ms(level, size) + self.params.disk_ms[level.depth() - 1];
         SimDuration::from_millis_f64(ms)
     }
 
     fn hierarchy_miss(&self, size: ByteSize) -> SimDuration {
-        let ms: f64 = self
-            .hier_links(Level::L3)
-            .iter()
-            .map(|l| l.traverse(size))
-            .sum::<f64>()
+        let ms = self.hier_links_ms(Level::L3, size)
             + self.params.l3_server.traverse(size)
             + self.params.server_ms;
         SimDuration::from_millis_f64(ms)

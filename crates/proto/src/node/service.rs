@@ -114,13 +114,18 @@ pub(super) fn answer_locally(inner: &Inner, key: u64) -> Option<Message> {
 /// the evictions plus the arrival itself.
 pub(super) fn store_body(inner: &Inner, key: u64, version: u32, body: Bytes) {
     let size = ByteSize::from_bytes(body.len() as u64);
-    let inserted = inner.store.lock().insert_value(key, size, version, body);
+    // bh-lint: allow(no-hot-alloc, reason = "an empty Vec allocates nothing; it grows only when the insert evicts, and the evicted keys are announced after the store lock is released")
+    let mut evicted = Vec::new();
+    let stored = inner
+        .store
+        .lock()
+        .insert_value(key, size, version, body, |gone| evicted.push(gone.key));
     // Too large to cache: nothing arrived and nothing left.
-    let Some(evicted) = inserted else {
+    if !stored {
         return;
-    };
+    }
     for gone in evicted {
-        queue_update(inner, HintAction::Remove, gone.key);
+        queue_update(inner, HintAction::Remove, gone);
     }
     queue_update(inner, HintAction::Add, key);
 }
