@@ -12,7 +12,8 @@
 //! `bh-bench --bin ablations`.
 
 use bh_simcore::ByteSize;
-use std::collections::{BTreeSet, HashMap};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 
 /// An `f64` credit with a total order (no NaNs admitted).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -44,8 +45,12 @@ pub struct GdsCache {
     capacity: ByteSize,
     used: u64,
     entries: HashMap<u64, Entry>,
-    /// Eviction order: (credit, key), smallest credit first.
-    queue: BTreeSet<(Credit, u64)>,
+    /// Eviction order: (credit, key), smallest first. A refresh or removal
+    /// leaves the old item behind; an item is live while its key's entry
+    /// holds its credit, and the heap is rebuilt from the entries when it
+    /// reaches twice their number, so it stops growing (and allocating)
+    /// once the cache is full.
+    queue: BinaryHeap<Reverse<(Credit, u64)>>,
     /// The inflation value L.
     inflation: f64,
 }
@@ -58,7 +63,7 @@ impl GdsCache {
             capacity,
             used: 0,
             entries: HashMap::new(),
-            queue: BTreeSet::new(),
+            queue: BinaryHeap::new(),
             inflation: 0.0,
         }
     }
@@ -88,6 +93,19 @@ impl GdsCache {
         Credit(self.inflation + 1.0 / size.max(1) as f64)
     }
 
+    /// Queues `key`, whose entry already holds `credit`; once the heap has
+    /// reached twice the entries, rebuilds it from them instead, which
+    /// drops the dead items.
+    fn enqueue(&mut self, credit: Credit, key: u64) {
+        if self.queue.len() >= 2 * self.entries.len().max(8) {
+            self.queue.clear();
+            let live = self.entries.iter().map(|(&k, e)| Reverse((e.credit, k)));
+            self.queue.extend(live);
+        } else {
+            self.queue.push(Reverse((credit, key)));
+        }
+    }
+
     /// Looks up `key`, requiring at least `min_version`; refreshes the
     /// entry's credit on a hit. Stale entries are invalidated, as in
     /// [`crate::LruCache::get`].
@@ -99,9 +117,8 @@ impl GdsCache {
         }
         // Refresh credit: H = L + 1/size.
         let fresh = self.credit_for(entry.size);
-        self.queue.remove(&(entry.credit, key));
-        self.queue.insert((fresh, key));
         self.entries.get_mut(&key).expect("present").credit = fresh;
+        self.enqueue(fresh, key);
         Some((ByteSize::from_bytes(entry.size), entry.version))
     }
 
@@ -113,15 +130,14 @@ impl GdsCache {
     }
 
     /// Inserts (or refreshes) `key`; evicts minimum-credit entries as
-    /// needed. Returns the evicted keys.
-    pub fn insert(&mut self, key: u64, size: ByteSize, version: u32) -> Vec<u64> {
-        let mut evicted = Vec::new();
+    /// needed, the new entry among them if its credit is the lowest.
+    /// Objects larger than the whole capacity are not cached.
+    pub fn insert(&mut self, key: u64, size: ByteSize, version: u32) {
         let size_b = size.as_bytes();
         if !self.capacity.is_unlimited() && size_b > self.capacity.as_bytes() {
-            return evicted;
+            return;
         }
         if let Some(old) = self.entries.remove(&key) {
-            self.queue.remove(&(old.credit, key));
             self.used -= old.size;
         }
         let credit = self.credit_for(size_b);
@@ -133,40 +149,33 @@ impl GdsCache {
                 credit,
             },
         );
-        self.queue.insert((credit, key));
+        self.enqueue(credit, key);
         self.used += size_b;
 
         if !self.capacity.is_unlimited() {
-            while self.used > self.capacity.as_bytes() {
-                let &(victim_credit, victim) = self
-                    .queue
-                    .iter()
-                    .next()
-                    .expect("over capacity implies entries");
-                if victim == key && self.entries.len() == 1 {
-                    break;
+            // Only the just-inserted key left: keep it.
+            while self.used > self.capacity.as_bytes() && self.entries.len() > 1 {
+                let Reverse((victim_credit, victim)) =
+                    self.queue.pop().expect("over capacity implies entries");
+                if self
+                    .entries
+                    .get(&victim)
+                    .is_none_or(|e| e.credit != victim_credit)
+                {
+                    continue;
                 }
                 // Inflate L to the evicted credit — GreedyDual's aging.
                 self.inflation = victim_credit.0;
-                self.queue.remove(&(victim_credit, victim));
-                let e = self
-                    .entries
-                    .remove(&victim)
-                    .expect("queued implies present");
+                let e = self.entries.remove(&victim).expect("live implies present");
                 self.used -= e.size;
-                if victim != key {
-                    evicted.push(victim);
-                }
             }
         }
-        evicted
     }
 
     /// Removes `key`; returns whether it was present.
     pub fn remove(&mut self, key: u64) -> bool {
         match self.entries.remove(&key) {
             Some(e) => {
-                self.queue.remove(&(e.credit, key));
                 self.used -= e.size;
                 true
             }
@@ -199,10 +208,11 @@ mod tests {
         c.insert(1, kb(64), 0); // big → low credit
         c.insert(2, kb(1), 0); // small → high credit
         c.insert(3, kb(1), 0);
-        let evicted = c.insert(4, kb(40), 0); // overflow
-        assert_eq!(evicted, vec![1], "the large cold object goes first");
+        c.insert(4, kb(40), 0); // overflow
+        assert!(c.peek(1).is_none(), "the large cold object goes first");
         assert!(c.peek(2).is_some());
         assert!(c.peek(3).is_some());
+        assert!(c.peek(4).is_some());
     }
 
     #[test]
@@ -211,15 +221,20 @@ mod tests {
         c.insert(1, kb(64), 0);
         c.insert(2, kb(1), 0);
         // Age the cache: force an eviction so L inflates.
-        let ev = c.insert(3, kb(64), 0);
-        assert_eq!(ev, vec![1]);
+        c.insert(3, kb(64), 0);
+        assert!(c.peek(1).is_none());
+        assert!(c.peek(2).is_some());
         // Keep hitting object 2; it must survive the next big insert.
         for _ in 0..3 {
             assert!(c.get(2, 0).is_some());
         }
-        let ev = c.insert(4, kb(64), 0);
-        assert_eq!(ev, vec![3], "hot small object outlives cold big one");
+        c.insert(4, kb(64), 0);
+        assert!(
+            c.peek(3).is_none(),
+            "hot small object outlives cold big one"
+        );
         assert!(c.peek(2).is_some());
+        assert!(c.peek(4).is_some());
     }
 
     #[test]
@@ -234,8 +249,9 @@ mod tests {
     #[test]
     fn oversized_object_not_cached() {
         let mut c = GdsCache::new(kb(10));
-        assert!(c.insert(1, kb(20), 0).is_empty());
+        c.insert(1, kb(20), 0);
         assert!(c.peek(1).is_none());
+        assert_eq!(c.used_bytes(), ByteSize::ZERO);
     }
 
     #[test]
@@ -295,6 +311,7 @@ mod tests {
     mod props {
         use super::*;
         use proptest::prelude::*;
+        use std::collections::BTreeSet;
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
@@ -316,6 +333,91 @@ mod tests {
                         .filter_map(|k| c.peek(k).map(|(s, _)| s.as_bytes()))
                         .sum();
                     prop_assert_eq!(sum, c.used_bytes().as_bytes());
+                }
+            }
+
+            /// The lazily pruned heap evicts exactly what an ordered set of
+            /// the live `(credit, key)` pairs would: the same entries stay
+            /// after every op, and `L` inflates the same.
+            #[test]
+            fn evicts_as_an_ordered_set_would(ops in proptest::collection::vec(
+                (0u64..40, 1u64..30_000, 0u32..3, 0u8..3), 1..300)) {
+                let cap = ByteSize::from_bytes(60_000);
+                let mut c = GdsCache::new(cap);
+                let mut witness = Witness { entries: HashMap::new(), queue: BTreeSet::new(), inflation: 0.0, used: 0 };
+                for (key, size, version, op) in ops {
+                    match op {
+                        0 => {
+                            c.insert(key, ByteSize::from_bytes(size), version);
+                            witness.insert(key, size, version, cap.as_bytes());
+                        }
+                        1 => {
+                            let hit = c.get(key, version).is_some();
+                            prop_assert_eq!(hit, witness.get(key, version));
+                        }
+                        _ => {
+                            prop_assert_eq!(c.remove(key), witness.remove(key));
+                        }
+                    }
+                    for k in 0..40u64 {
+                        prop_assert_eq!(c.peek(k).map(|(s, _)| s.as_bytes()), witness.entries.get(&k).map(|e| e.0));
+                    }
+                    prop_assert_eq!(c.inflation(), witness.inflation);
+                }
+            }
+        }
+
+        /// GreedyDual-Size over an ordered set.
+        struct Witness {
+            /// `(size, version, credit)` per key.
+            entries: HashMap<u64, (u64, u32, Credit)>,
+            queue: BTreeSet<(Credit, u64)>,
+            inflation: f64,
+            used: u64,
+        }
+
+        impl Witness {
+            fn credit(&self, size: u64) -> Credit {
+                Credit(self.inflation + 1.0 / size as f64)
+            }
+
+            fn get(&mut self, key: u64, min_version: u32) -> bool {
+                let Some(&(size, version, credit)) = self.entries.get(&key) else {
+                    return false;
+                };
+                if version < min_version {
+                    self.remove(key);
+                    return false;
+                }
+                let fresh = self.credit(size);
+                self.queue.remove(&(credit, key));
+                self.queue.insert((fresh, key));
+                self.entries.insert(key, (size, version, fresh));
+                true
+            }
+
+            fn remove(&mut self, key: u64) -> bool {
+                let Some((size, _, credit)) = self.entries.remove(&key) else {
+                    return false;
+                };
+                self.queue.remove(&(credit, key));
+                self.used -= size;
+                true
+            }
+
+            fn insert(&mut self, key: u64, size: u64, version: u32, capacity: u64) {
+                if size > capacity {
+                    return;
+                }
+                self.remove(key);
+                let credit = self.credit(size);
+                self.entries.insert(key, (size, version, credit));
+                self.queue.insert((credit, key));
+                self.used += size;
+                while self.used > capacity && self.entries.len() > 1 {
+                    let (credit, victim) = self.queue.pop_first().expect("entries");
+                    self.inflation = credit.0;
+                    self.used -= self.entries.remove(&victim).expect("queued").0;
                 }
             }
         }

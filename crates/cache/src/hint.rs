@@ -22,6 +22,18 @@
 //! delivered holder set gave it; the caller keeps that set once per object
 //! and resolves the location at lookup.
 //!
+//! A delivered change lands at the front of every node's ways, so after a
+//! broadcast every node holds the same slot at way 0, and a second change
+//! of the same object finds nothing to move. The bank keeps one *shared
+//! word* per set for that case. **Invariant:** a nonzero shared word is the
+//! slot every node holds at way 0 of the set (so the set has a row); 0
+//! claims nothing. A `broadcast_insert` of the slot the word names returns
+//! without walking the row, which is exactly what the walk would do: each
+//! node finds the slot at way 0 and changes neither its ways nor its
+//! counters. A walking `broadcast_insert` sets the word; a `lookup`,
+//! `remove` or `broadcast_remove` clears it only when it changes some
+//! node's way 0.
+//!
 //! Both keep their rows in fixed-size chunks. A set gets a row when it is
 //! written, and a removal that walks the whole row and leaves it empty
 //! hands the row back for the next new set; a set without a row reads as a
@@ -358,7 +370,13 @@ impl Counters {
 #[derive(Debug, Clone)]
 pub struct HintBank {
     store: Store<u32, Vec<HashSet<u32>>>,
+    /// The bounded array's shared word per set: the slot every node holds
+    /// at way 0, or 0 (see the [module docs](self)). Empty for the
+    /// unbounded stores.
+    shared: Vec<u32>,
     counters: Vec<Counters>,
+    /// Broadcasts that walked every node's entries for their key.
+    row_walks: u64,
 }
 
 impl HintBank {
@@ -378,9 +396,16 @@ impl HintBank {
     ///
     /// Panics if `nodes == 0` or `ways == 0`.
     pub fn with_ways(nodes: usize, capacity: ByteSize, ways: usize) -> Self {
+        let store = Store::new(nodes, capacity, ways, || vec![HashSet::new(); nodes]);
+        let shared = match &store {
+            Store::SetAssoc(rows) => vec![0; rows.sets],
+            Store::Unbounded(_) => Vec::new(),
+        };
         HintBank {
-            store: Store::new(nodes, capacity, ways, || vec![HashSet::new(); nodes]),
+            store,
+            shared,
             counters: vec![Counters::default(); nodes],
+            row_walks: 0,
         }
     }
 
@@ -424,6 +449,14 @@ impl HintBank {
         self.counters[node].displacements
     }
 
+    /// Broadcasts so far that walked every node's entries for their key: a
+    /// `broadcast_insert` the shared word did not answer, a
+    /// `broadcast_remove` that reached a row (every one, for the unbounded
+    /// stores).
+    pub fn row_walk_count(&self) -> u64 {
+        self.row_walks
+    }
+
     /// Whether `node` holds a hint for the object `slot` (key `key`),
     /// promoting it within its set.
     ///
@@ -431,10 +464,19 @@ impl HintBank {
     pub fn lookup(&mut self, node: usize, key: u64, slot: u32) -> bool {
         let found = match &mut self.store {
             _ if slot == 0 => false,
-            Store::SetAssoc(rows) => rows
-                .get_mut(rows.set_of(key), node)
-                .and_then(|set| set_lookup(set, slot.id()))
-                .is_some(),
+            Store::SetAssoc(rows) => {
+                let set = rows.set_of(key);
+                let found = rows
+                    .get_mut(set, node)
+                    .and_then(|ways| set_lookup(ways, slot.id()))
+                    .is_some();
+                // A hit on a slot the word does not name was behind way 0
+                // and has just moved to the front.
+                if found && self.shared[set] != slot {
+                    self.shared[set] = 0;
+                }
+                found
+            }
             Store::Unbounded(sets) => sets[node].contains(&slot),
         };
         self.counters[node].looked_up(found);
@@ -446,10 +488,16 @@ impl HintBank {
     pub fn remove(&mut self, node: usize, key: u64, slot: u32) -> bool {
         let removed = match &mut self.store {
             _ if slot == 0 => false,
-            Store::SetAssoc(rows) => rows
-                .get_mut(rows.set_of(key), node)
-                .and_then(|set| set_remove(set, slot.id()))
-                .is_some(),
+            Store::SetAssoc(rows) => {
+                let set = rows.set_of(key);
+                // The slot the word names is at this node's way 0.
+                if self.shared[set] == slot {
+                    self.shared[set] = 0;
+                }
+                rows.get_mut(set, node)
+                    .and_then(|ways| set_remove(ways, slot.id()))
+                    .is_some()
+            }
             Store::Unbounded(sets) => sets[node].remove(&slot),
         };
         if removed {
@@ -461,7 +509,8 @@ impl HintBank {
     /// Delivers a holder change that leaves copies of the object `slot`
     /// (key `key`) to every node: each node's hint moves to the front of
     /// its set, displacing the set's LRU hint if the set is full. One pass
-    /// over the key's row, which is allocated here if the set has none.
+    /// over the key's row, which is allocated here if the set has none —
+    /// or none at all if the set's shared word already names the slot.
     ///
     /// # Panics
     ///
@@ -470,13 +519,23 @@ impl HintBank {
         assert_ne!(slot, 0, "hint slot 0 is reserved");
         match &mut self.store {
             Store::SetAssoc(rows) => {
-                let ways = rows.ways;
-                let row = rows.row_or_allocate(rows.set_of(key));
-                for (set, counters) in row.chunks_exact_mut(ways).zip(&mut self.counters) {
-                    counters.placed(set_insert(set, slot));
+                let (ways, set) = (rows.ways, rows.set_of(key));
+                if self.shared[set] == slot {
+                    debug_assert!(
+                        (0..rows.nodes).all(|n| rows.get(set, n).is_some_and(|w| w[0] == slot)),
+                        "the shared word names slot {slot}, which a node lacks at way 0"
+                    );
+                    return;
                 }
+                self.row_walks += 1;
+                let row = rows.row_or_allocate(set);
+                for (entries, counters) in row.chunks_exact_mut(ways).zip(&mut self.counters) {
+                    counters.placed(set_insert(entries, slot));
+                }
+                self.shared[set] = slot;
             }
             Store::Unbounded(sets) => {
+                self.row_walks += 1;
                 for (set, counters) in sets.iter_mut().zip(&mut self.counters) {
                     if set.insert(slot) {
                         counters.len += 1;
@@ -497,6 +556,10 @@ impl HintBank {
                 let Some(row) = rows.row_mut(set) else {
                     return;
                 };
+                self.row_walks += 1;
+                if self.shared[set] == slot {
+                    self.shared[set] = 0;
+                }
                 let mut held = false;
                 for (entries, counters) in row.chunks_exact_mut(ways).zip(&mut self.counters) {
                     if set_remove(entries, slot.id()).is_some() {
@@ -509,6 +572,7 @@ impl HintBank {
                 }
             }
             Store::Unbounded(sets) => {
+                self.row_walks += 1;
                 for (set, counters) in sets.iter_mut().zip(&mut self.counters) {
                     if set.remove(&slot) {
                         counters.len -= 1;
@@ -1016,6 +1080,33 @@ mod tests {
         }
     }
 
+    #[test]
+    fn a_change_every_node_already_holds_at_way_0_walks_no_row() {
+        // 64 nodes × 64 sets × 4 ways; keys 1 and 65 share set 1.
+        let mut bank = HintBank::new(64, ByteSize::from_kb(4));
+        bank.broadcast_insert(1, 1);
+        bank.broadcast_insert(1, 1);
+        assert_eq!(bank.row_walk_count(), 1);
+        bank.broadcast_insert(65, 2);
+        assert_eq!(bank.row_walk_count(), 2);
+        // Node 5 moves slot 1 to its way 0: slot 2 must be walked again.
+        assert!(bank.lookup(5, 1, 1));
+        bank.broadcast_insert(65, 2);
+        assert_eq!(bank.row_walk_count(), 3);
+        bank.broadcast_insert(65, 2);
+        assert_eq!(bank.row_walk_count(), 3);
+        // Node 7 drops slot 2 from its way 0, then every node drops it.
+        assert!(bank.remove(7, 65, 2));
+        bank.broadcast_insert(65, 2);
+        assert_eq!(bank.row_walk_count(), 4);
+        bank.broadcast_remove(65, 2);
+        bank.broadcast_insert(65, 2);
+        assert_eq!(bank.row_walk_count(), 6);
+        for node in 0..64 {
+            assert_eq!(slots(&bank, node), [2, 1], "node {node}");
+        }
+    }
+
     mod props {
         use super::*;
         use proptest::prelude::*;
@@ -1185,14 +1276,17 @@ mod tests {
             /// nearest holder of every holder change: every lookup resolves
             /// to the same location, and every node ends with the same
             /// objects in the same LRU order and the same counters. Sets 0
-            /// stands for the unbounded stores.
+            /// stands for the unbounded stores. Half the ops repeat the key
+            /// of the last broadcast, so a key is broadcast again after
+            /// lookups, removes and removal broadcasts that moved it from
+            /// some node's way 0 — each a change the shared word must see.
             #[test]
             fn bank_equals_independent_witness_stores(
                 nodes_pick in 0usize..3,
                 ways in 1usize..=8,
                 sets in 0usize..=5,
                 ops in proptest::collection::vec(
-                    (0u8..3, 0usize..64, 1u64..40, any::<u64>()),
+                    (0u8..6, 0usize..64, 1u64..40, any::<u64>()),
                     1..250,
                 ),
             ) {
@@ -1212,7 +1306,13 @@ mod tests {
                 let mut slot_of: HashMap<u64, u32> = HashMap::new();
                 let mut delivered: HashMap<u64, Vec<u32>> = HashMap::new();
                 let mut rows_written = std::collections::HashSet::new();
+                let mut last = None;
                 for (op, node, key, mask) in ops {
+                    // Ops 3–5 are ops 0–2 on the last broadcast key.
+                    let (op, key) = match op {
+                        3.. => (op - 3, last.unwrap_or(key)),
+                        _ => (op, key),
+                    };
                     let next = slot_of.len() as u32 + 1;
                     let slot = *slot_of.entry(key).or_insert(next);
                     match op {
@@ -1241,6 +1341,7 @@ mod tests {
                                 }
                             }
                             delivered.insert(key, holders);
+                            last = Some(key);
                         }
                         1 => {
                             let node = node % nodes;

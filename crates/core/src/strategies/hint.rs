@@ -39,7 +39,8 @@ use bh_cache::{HintBank, LruCache, PreMixed};
 use bh_netmodel::RemoteDistance;
 use bh_simcore::rng::Xoshiro256;
 use bh_simcore::{ByteSize, EventQueue, SimDuration, SimTime};
-use std::collections::{HashMap, HashSet};
+use std::cell::Cell;
+use std::collections::HashMap;
 
 /// Configuration of a [`HintHierarchy`].
 #[derive(Debug, Clone, Copy)]
@@ -96,10 +97,14 @@ enum HintStores {
     Oracle,
     /// Real per-node stores, all in one bank, with delayed propagation.
     Real {
-        bank: HintBank,
+        bank: Box<HintBank>,
         pending: EventQueue<HintEvent>,
     },
 }
+
+/// An L1 data cache. Each entry carries whether a push put the copy there
+/// and no request has used it yet, so the flag leaves with the copy.
+pub type L1Cache = LruCache<PreMixed, Cell<bool>>;
 
 /// The hint-hierarchy strategy. See the docs of its module,
 /// `strategies::hint`.
@@ -107,7 +112,7 @@ enum HintStores {
 pub struct HintHierarchy {
     topo: Topology,
     config: HintConfig,
-    caches: Vec<LruCache<PreMixed>>,
+    caches: Vec<L1Cache>,
     /// Index into `objs` of every object seen. A request hashes its key
     /// here once and reaches the state by index from then on.
     slots: HashMap<u64, usize, PreMixed>,
@@ -125,10 +130,13 @@ pub struct HintHierarchy {
     pushed_used: u64,
     pushed_used_bytes: u64,
     demand_bytes: u64,
-    pushed_pending: HashSet<(NodeIdx, u64)>,
     /// Keys one data-cache insert evicted, kept between inserts so that an
     /// evicting insert allocates nothing.
     evicted: Vec<u64>,
+    /// One hierarchical push's targets and one L2 group's candidates, kept
+    /// between pushes so that a push allocates nothing.
+    push_targets: Vec<NodeIdx>,
+    push_members: Vec<NodeIdx>,
 }
 
 impl HintHierarchy {
@@ -139,7 +147,10 @@ impl HintHierarchy {
             HintStores::Oracle
         } else {
             HintStores::Real {
-                bank: HintBank::new(topo.l1_count() as usize, config.store_capacity),
+                bank: Box::new(HintBank::new(
+                    topo.l1_count() as usize,
+                    config.store_capacity,
+                )),
                 pending: EventQueue::new(),
             }
         };
@@ -162,8 +173,9 @@ impl HintHierarchy {
             pushed_used: 0,
             pushed_used_bytes: 0,
             demand_bytes: 0,
-            pushed_pending: HashSet::new(),
             evicted: Vec::new(),
+            push_targets: Vec::new(),
+            push_members: Vec::new(),
         }
     }
 
@@ -178,7 +190,7 @@ impl HintHierarchy {
     }
 
     /// Read access to an L1 data cache.
-    pub fn l1_cache(&self, idx: usize) -> &LruCache<PreMixed> {
+    pub fn l1_cache(&self, idx: usize) -> &L1Cache {
         &self.caches[idx]
     }
 
@@ -196,6 +208,15 @@ impl HintHierarchy {
         match &self.hints {
             HintStores::Oracle => 0,
             HintStores::Real { bank, .. } => bank.allocated_bytes(),
+        }
+    }
+
+    /// Holder changes so far whose delivery walked the bank's row of the
+    /// key (0 on the oracle path); see [`HintBank::row_walk_count`].
+    pub fn hint_row_walks(&self) -> u64 {
+        match &self.hints {
+            HintStores::Oracle => 0,
+            HintStores::Real { bank, .. } => bank.row_walk_count(),
         }
     }
 
@@ -262,25 +283,29 @@ impl HintHierarchy {
         }
     }
 
-    fn note_pushed_use(&mut self, node: NodeIdx, key: u64, size: ByteSize) {
-        if self.pushed_pending.remove(&(node, key)) {
-            self.pushed_used += 1;
-            self.pushed_used_bytes += size.as_bytes();
-        }
+    /// Credits the first use of a pushed copy of `size`.
+    fn note_pushed_use(&mut self, size: ByteSize) {
+        self.pushed_used += 1;
+        self.pushed_used_bytes += size.as_bytes();
     }
 
     /// A remote hit on `peer`'s copy of `key`: credits the copy if it got
     /// there by a push.
     fn note_remote_use(&mut self, peer: NodeIdx, key: u64) {
-        let size = self.caches[peer as usize]
-            .peek(key)
-            .map(|(s, _)| s)
-            .unwrap_or(ByteSize::ZERO);
-        self.note_pushed_use(peer, key, size);
+        let cache = &self.caches[peer as usize];
+        if cache
+            .peek_value(key)
+            .is_some_and(|pushed| pushed.replace(false))
+        {
+            let size = cache.peek(key).map_or(ByteSize::ZERO, |(s, _)| s);
+            self.note_pushed_use(size);
+        }
     }
 
     /// Stores a copy of `key` (state slot `obj`) in its current version at
-    /// `node`, maintaining holder state and hint traffic.
+    /// `node`, flagged as `pushed` or not, maintaining holder state and hint
+    /// traffic. Returns whether the copy was stored (it is not if larger
+    /// than the whole cache).
     fn insert_copy(
         &mut self,
         node: NodeIdx,
@@ -288,23 +313,23 @@ impl HintHierarchy {
         obj: usize,
         size: ByteSize,
         at: SimTime,
-        aged: bool,
-    ) {
+        pushed: bool,
+    ) -> bool {
         let version = self.objs[obj].version;
         let mut evicted = std::mem::take(&mut self.evicted);
-        self.caches[node as usize].insert_value(key, size, version, (), |e| evicted.push(e.key));
+        let cache = &mut self.caches[node as usize];
+        let stored = cache.insert_value(key, size, version, Cell::new(pushed), |e| {
+            evicted.push(e.key)
+        });
         for &gone in &evicted {
-            self.pushed_pending.remove(&(node, gone));
             self.remove_holder(gone, node, at);
         }
         evicted.clear();
         self.evicted = evicted;
-        if self.caches[node as usize].peek(key).is_some() {
-            if aged {
-                self.caches[node as usize].demote(key);
-            }
+        if stored {
             self.add_holder(key, obj, node, at);
         }
+        stored
     }
 
     /// Consults the requesting node's hints for `key` (state slot `obj`);
@@ -381,9 +406,9 @@ impl HintHierarchy {
         distance: RemoteDistance,
         fraction: PushFraction,
     ) {
+        let mut targets = std::mem::take(&mut self.push_targets);
         let holders = &self.objs[obj].holders;
         let wanted = |n: &NodeIdx| *n != ctx.l1 && !holders.contains(*n);
-        let mut targets: Vec<NodeIdx> = Vec::new();
         match distance {
             RemoteDistance::SameL2 => {
                 // Level-1 subtrees under our L2 parent are single nodes:
@@ -393,30 +418,35 @@ impl HintHierarchy {
             RemoteDistance::SameL3 => {
                 // One (push-1) / half / all random node(s) in each level-2
                 // subtree under the root (Figure 9, object A).
+                let members = &mut self.push_members;
                 for g in 0..self.topo.l2_count() {
                     let first = g * self.topo.l1s_per_l2();
-                    let members: Vec<NodeIdx> = (first
-                        ..(first + self.topo.l1s_per_l2()).min(self.topo.l1_count()))
-                        .filter(wanted)
-                        .collect();
+                    members.clear();
+                    members.extend(
+                        (first..(first + self.topo.l1s_per_l2()).min(self.topo.l1_count()))
+                            .filter(wanted),
+                    );
                     let want = fraction.targets(members.len());
-                    targets.extend(pick_random(&members, want, &mut self.rng));
+                    pick_random(members, want, &mut self.rng, &mut targets);
                 }
             }
         }
-        for t in targets {
+        for &t in &targets {
             self.push_copy(t, obj, ctx, false);
         }
+        targets.clear();
+        self.push_targets = targets;
     }
 
     /// Pushes the requested object to `target`, aged to the cold end of
     /// its LRU list if `aged`.
     fn push_copy(&mut self, target: NodeIdx, obj: usize, ctx: &RequestCtx, aged: bool) {
-        self.insert_copy(target, ctx.key, obj, ctx.size, ctx.time, aged);
-        if self.caches[target as usize].peek(ctx.key).is_some() {
+        if self.insert_copy(target, ctx.key, obj, ctx.size, ctx.time, true) {
+            if aged {
+                self.caches[target as usize].demote(ctx.key);
+            }
             self.pushes += 1;
             self.pushed_bytes += ctx.size.as_bytes();
-            self.pushed_pending.insert((target, ctx.key));
         }
     }
 }
@@ -433,18 +463,19 @@ fn deliver(bank: &mut HintBank, objs: &mut [ObjState], ev: HintEvent) {
     objs[ev.slot as usize - 1].delivered = ev.holders;
 }
 
-fn pick_random(members: &[NodeIdx], want: usize, rng: &mut Xoshiro256) -> Vec<NodeIdx> {
-    if want >= members.len() {
-        return members.to_vec();
+/// Moves `want` of `pool`'s nodes, drawn at random, to the end of `out`
+/// in draw order; all of them, in order and without a draw, if `want`
+/// covers the pool. What is left in `pool` is scratch.
+fn pick_random(pool: &mut Vec<NodeIdx>, want: usize, rng: &mut Xoshiro256, out: &mut Vec<NodeIdx>) {
+    if want >= pool.len() {
+        out.append(pool);
+        return;
     }
-    // Partial Fisher–Yates over a scratch copy.
-    let mut pool = members.to_vec();
-    let mut out = Vec::with_capacity(want);
+    // Partial Fisher–Yates.
     for _ in 0..want {
         let i = rng.below(pool.len() as u64) as usize;
         out.push(pool.swap_remove(i));
     }
-    out
 }
 
 impl Strategy for HintHierarchy {
@@ -469,7 +500,6 @@ impl Strategy for HintHierarchy {
                 self.root_updates += 1; // last-copy-gone reaches the root
                 for h in stale.iter() {
                     self.caches[h as usize].remove(ctx.key);
-                    self.pushed_pending.remove(&(h, ctx.key));
                 }
                 self.holders_changed(ctx.key, obj, ctx.time);
                 update_push_candidates = stale;
@@ -478,8 +508,10 @@ impl Strategy for HintHierarchy {
 
         // Local hit?
         let version = self.objs[obj].version;
-        if self.caches[ctx.l1 as usize].get(ctx.key, version).is_some() {
-            self.note_pushed_use(ctx.l1, ctx.key, ctx.size);
+        if let Some((_, pushed)) = self.caches[ctx.l1 as usize].get_value(ctx.key, version) {
+            if pushed.replace(false) {
+                self.note_pushed_use(ctx.size);
+            }
             return AccessPath::L1Hit;
         }
 
@@ -906,29 +938,57 @@ mod tests {
         );
     }
 
-    /// The delayed hint cell of the repo benchmark's `sim_sweep` (DEC ×
-    /// 0.002, space-constrained, 30 s delay) on its first seed-1 trace
-    /// holds its slots in exactly this many bytes: whole 1 MB chunks of
-    /// 1 KB rows. A layout change moves it on any host.
-    #[test]
-    fn delayed_dec_cell_hint_store_bytes() {
+    /// A space-constrained DEC × 0.002 cell with hint delay `delay_secs`
+    /// and `push`, run over the repo benchmark's first seed-1 trace (seed
+    /// 2); returns the strategy and the trace's record count.
+    fn dec_cell(delay_secs: u64, push: PushPolicy) -> (HintHierarchy, usize) {
         let spec = WorkloadSpec::dec().scaled(0.002);
         let trace = bh_trace::MaterializedTrace::generate(&spec, 2);
-        let config =
-            crate::sim::SimConfig::constrained(&spec).with_hint_delay(SimDuration::from_secs(30));
+        let config = crate::sim::SimConfig::constrained(&spec)
+            .with_hint_delay(SimDuration::from_secs(delay_secs));
         let mut h = HintHierarchy::new(
             Topology::from_spec(&spec),
             HintConfig {
                 data_capacity: config.space.hint_node_capacity,
                 store_capacity: config.space.hint_store_capacity,
                 delay: config.hint_delay,
-                push: PushPolicy::None,
+                push,
             },
             trace.seed(),
         );
         crate::sim::Simulator::new(config).run_with_trace(&trace, &mut h, &[], false);
+        (h, trace.len())
+    }
+
+    /// The delayed hint cell of the repo benchmark's `sim_sweep` (30 s
+    /// delay) holds its slots in exactly this many bytes: whole 1 MB
+    /// chunks of 1 KB rows. A layout change moves it on any host.
+    #[test]
+    fn delayed_dec_cell_hint_store_bytes() {
+        let (h, _) = dec_cell(30, PushPolicy::None);
         // 6,145–7,168 rows of 64 nodes × 4 ways × 4 bytes, 1,024 to a chunk.
         assert_eq!(h.hint_store_bytes(), 7 << 20);
+    }
+
+    /// Row walks of the same trace's delayed hint cell and push-all cell
+    /// (zero delay, as Figures 10 and 11 run it): a holder change whose
+    /// key every node already holds at way 0 walks no row. Of the trace's
+    /// 44,200 records, 0.200 and 0.420 per record; every holder change
+    /// walked one, 20,815 (0.471) and 575,523 (13.02), before the bank
+    /// kept its shared word.
+    #[test]
+    fn dec_cells_row_walks_per_record() {
+        let walks = |(h, records): (HintHierarchy, usize)| {
+            let walks = h.hint_row_walks();
+            println!(
+                "{walks} row walks, {:.3} per record",
+                walks as f64 / records as f64
+            );
+            walks
+        };
+        assert_eq!(walks(dec_cell(30, PushPolicy::None)), 8_858);
+        let push_all = PushPolicy::Hierarchical(PushFraction::All);
+        assert_eq!(walks(dec_cell(0, push_all)), 18_577);
     }
 
     #[test]

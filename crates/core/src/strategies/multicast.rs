@@ -47,10 +47,11 @@ impl IcpMulticast {
     }
 
     fn poll_siblings(&mut self, l1: NodeIdx, key: u64, version: u32) -> Option<NodeIdx> {
-        let siblings: Vec<NodeIdx> = self.topo.l2_siblings(l1).filter(|&s| s != l1).collect();
-        self.queries_sent += siblings.len() as u64;
+        // The range holds `l1` itself, which is not queried.
+        let siblings = self.topo.l2_siblings(l1);
+        self.queries_sent += siblings.len() as u64 - 1;
         siblings
-            .into_iter()
+            .filter(|&s| s != l1)
             .find(|&s| self.caches[s as usize].contains_fresh(key, version))
     }
 }
