@@ -1,39 +1,42 @@
-//! Runs the complete experiment suite (every table and figure).
+//! Runs the experiment suite: every table and figure, or the ones named.
 //!
-//! The suite runs **in-process**: every experiment's job plan is flattened
-//! onto one shared work-stealing queue (`--jobs N` workers, default: CPU
-//! count), materialized trace arenas are shared through the
+//! The suite runs **in-process**: every selected experiment's job plan is
+//! flattened onto one shared work-stealing queue (`--jobs N` workers,
+//! default: CPU count), materialized trace arenas are shared through the
 //! process-wide cache, and the per-experiment output sections are printed
 //! sequentially in the canonical order — so stdout and the JSON artifacts
 //! are byte-identical for any `--jobs` value.
 //!
 //! ```text
 //! cargo run --release -p bh-bench --bin all -- --scale 0.05 --jobs 4
+//! cargo run --release -p bh-bench --bin all -- fig2 table3 --scale 0.05
 //! ```
+//!
+//! Named experiments run once each, in registry order; each keeps its
+//! own default scale unless `--scale` is given. An unknown name exits 2
+//! and runs nothing.
 
 use bh_bench::report::write_obs_dump;
-use bh_bench::suite::{obs_registry, registry, run_suite};
-use bh_bench::Args;
+use bh_bench::suite::{obs_registry, run_suite, select};
 use std::time::Instant;
 
 fn main() {
-    let passthrough: Vec<String> = std::env::args().skip(1).collect();
-    let experiments = registry();
-
-    // Each experiment parses the same flag list but keeps its historical
-    // per-binary scale default when --scale is absent.
-    let per_args: Vec<Args> = experiments
-        .iter()
-        .map(|e| Args::parse_from(passthrough.iter().cloned(), e.default_scale()))
-        .collect();
-    let jobs = per_args[0].jobs;
+    let runs = select(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("all: {e}");
+        std::process::exit(2);
+    });
+    let args = &runs[0].1;
+    let jobs = args.jobs;
 
     // bh-lint: allow(no-wall-clock, reason = "reports suite wall time to the operator; never feeds results")
     let start = Instant::now();
-    let timings = run_suite(&experiments, &per_args, jobs);
+    let timings = run_suite(&runs, jobs);
     let wall = start.elapsed();
 
-    eprintln!("\nall experiments completed; JSON artifacts in target/experiments/");
+    eprintln!(
+        "\nall experiments completed; JSON artifacts in {}/",
+        args.out.display()
+    );
     eprintln!("\nSuite timing (--jobs {jobs}):");
     eprintln!(
         "{:<12} {:>6} {:>12} {:>12}",
@@ -58,5 +61,5 @@ fn main() {
 
     // Deterministic obs dump for the whole suite run (jobs-per-experiment
     // counters only; the measured timings stay in the table above).
-    write_obs_dump(&per_args[0], &obs_registry(&timings));
+    write_obs_dump(args, &obs_registry(&timings));
 }

@@ -4,8 +4,8 @@
 //! replays a synthetic `bh-trace` workload through it from M concurrent
 //! closed-loop clients (`bh_proto::replay::replay_concurrent`). Reports
 //! aggregate throughput, hit/probe/false-positive counts, and p50/p95/p99
-//! request latency, and writes the same JSON-artifact format as the other
-//! experiment binaries to `<out>/loadgen.json`.
+//! request latency, and writes the same JSON-artifact format as the suite's
+//! experiments to `<out>/loadgen.json`.
 //!
 //! ```text
 //! loadgen [--nodes n] [--clients m] [--requests r]
@@ -75,7 +75,7 @@ struct LoadgenArgs {
 }
 
 impl LoadgenArgs {
-    fn parse() -> LoadgenArgs {
+    fn from_env() -> LoadgenArgs {
         let mut args = LoadgenArgs {
             nodes: 4,
             clients: 16,
@@ -304,7 +304,7 @@ fn print_run(run: &LoadgenRun) {
 }
 
 fn main() {
-    let args = LoadgenArgs::parse();
+    let args = LoadgenArgs::from_env();
     let harness = args.harness();
     bh_bench::banner(
         "loadgen",

@@ -22,7 +22,6 @@ use crate::report::{metric_values, write_obs_dump, MetricValue};
 use crate::Args;
 use bh_obs::{Determinism, Registry, Unit};
 use bh_proto::chaos::{FaultKind, FaultPlan};
-use bh_proto::liveness::PeerHealth;
 use bh_proto::mesh::{Mesh, Topology};
 use bh_proto::node::{NodeConfig, NodeStats};
 use bh_proto::origin::OriginServer;
@@ -31,7 +30,7 @@ use bh_trace::{TraceGenerator, TraceRecord, WorkloadSpec};
 use serde::Serialize;
 use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Mesh and client shape for a chaos run.
 #[derive(Debug, Clone)]
@@ -249,28 +248,6 @@ fn print_segment(seg: &ChaosSegment) {
     );
 }
 
-/// Drives heartbeats until every survivor has confirmed `dead` dead (so
-/// stale-hint GC and Plaxton repair have fired), bounded by a wall-clock
-/// deadline. Returns whether confirmation was reached.
-fn await_confirmed_death(mesh: &Mesh, dead: usize) -> bool {
-    let addr = mesh.addrs()[dead];
-    // bh-lint: allow(no-wall-clock, reason = "deadline-bounded wait on a live mesh; failure detection is inherently wall-clock here")
-    let deadline = Instant::now() + Duration::from_secs(10);
-    // bh-lint: allow(no-wall-clock, reason = "loop bound against the same live-mesh deadline")
-    while Instant::now() < deadline {
-        mesh.heartbeat_all();
-        let confirmed = (0..mesh.addrs().len())
-            .filter(|&i| i != dead)
-            .filter_map(|i| mesh.node(i))
-            .all(|n| n.peer_health(addr) == PeerHealth::Dead);
-        if confirmed {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(25));
-    }
-    false
-}
-
 /// Fast failure-detector settings for the fault harnesses: crash windows
 /// must reach confirmed death (suspicion + confirmation window) inside
 /// the run.
@@ -370,7 +347,7 @@ pub(crate) fn run_windows(
         };
         let out = replay(mesh, "hold", w.hold, crashed);
         if let Some(dead) = crashed {
-            if !await_confirmed_death(mesh, dead) {
+            if !mesh.await_confirmed_death(dead) {
                 eprintln!("window {i}: survivors never confirmed node {dead} dead");
                 recovered = false;
             } else if !death_confirmed(mesh, i, dead, &baseline) {

@@ -1,12 +1,14 @@
-//! Shared harness for the experiment binaries.
+//! Experiment harness: every table and figure of the paper (see
+//! `DESIGN.md` §3), run by the `all` binary, plus the live-mesh chaos and
+//! scenario harnesses behind `loadgen`.
 //!
-//! Every binary regenerates one table or figure of the paper (see
-//! `DESIGN.md` §3). They share a tiny CLI:
+//! `all` takes experiment names (none means every one, see
+//! [`suite::select`]) and then a tiny CLI:
 //!
 //! ```text
-//! --scale <f>    workload scale factor in (0,1]; default per binary
+//! --scale <f>    workload scale factor in (0,1]; default per experiment
 //! --seed <n>     PRNG seed (default 42)
-//! --trace <t>    dec | berkeley | prodigy | all (default all or dec)
+//! --trace <t>    dec | berkeley | prodigy | all (default all)
 //! --out <dir>    JSON output directory (default target/experiments)
 //! --jobs <n>     worker threads for the job sweep (default: CPU count)
 //! ```
@@ -30,6 +32,13 @@ pub mod suite;
 use bh_trace::WorkloadSpec;
 use std::path::PathBuf;
 
+/// What `all --help` prints, and what a malformed `--trace` panics with.
+const USAGE: &str = "usage: all [NAME...] [--scale f] [--seed n] \
+                         [--trace dec|berkeley|prodigy|all] [--out dir] [--jobs n]";
+
+/// The values `--trace` accepts.
+const TRACES: [&str; 4] = ["dec", "berkeley", "prodigy", "all"];
+
 /// Parsed harness CLI arguments.
 #[derive(Debug, Clone)]
 pub struct Args {
@@ -46,19 +55,9 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parses `std::env::args`, with `default_scale` as the scale default.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a usage message on malformed arguments.
-    pub fn parse(default_scale: f64) -> Args {
-        Args::parse_from(std::env::args().skip(1), default_scale)
-    }
-
-    /// Parses an explicit argument list (flags only, no program name) —
-    /// the `all` binary uses this to build each experiment's `Args` from
-    /// one shared passthrough list while keeping per-binary scale
-    /// defaults.
+    /// Parses a flag list (no program name, no experiment names), with
+    /// `default_scale` as the scale default — [`suite::select`] builds
+    /// each experiment's `Args` from one shared list this way.
     ///
     /// # Panics
     ///
@@ -86,16 +85,21 @@ impl Args {
                     );
                 }
                 "--seed" => args.seed = value("number").parse().expect("--seed takes an integer"),
-                "--trace" => args.trace = value("name").to_lowercase(),
+                "--trace" => {
+                    args.trace = value("name").to_lowercase();
+                    assert!(
+                        TRACES.contains(&args.trace.as_str()),
+                        "unknown trace {}; {USAGE}",
+                        args.trace
+                    );
+                }
                 "--out" => args.out = PathBuf::from(value("path")),
                 "--jobs" => {
                     args.jobs = value("number").parse().expect("--jobs takes an integer");
                     assert!(args.jobs >= 1, "--jobs must be at least 1");
                 }
                 "--help" | "-h" => {
-                    println!(
-                        "usage: [--scale f] [--seed n] [--trace dec|berkeley|prodigy|all] [--out dir] [--jobs n]"
-                    );
+                    println!("{USAGE}");
                     std::process::exit(0);
                 }
                 other => panic!("unknown flag {other}; try --help"),
@@ -198,6 +202,21 @@ mod tests {
         let args = Args::parse_from(std::iter::empty(), 0.1);
         assert_eq!(args.scale, 0.1);
         assert!(args.jobs >= 1);
+    }
+
+    #[test]
+    fn parse_from_accepts_each_trace_name_in_any_case() {
+        for name in ["dec", "Berkeley", "PRODIGY", "all"] {
+            let flags = ["--trace", name].map(String::from);
+            let args = Args::parse_from(flags, 0.1);
+            assert_eq!(args.trace, name.to_lowercase());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown trace berkley; usage: all [NAME...]")]
+    fn parse_from_rejects_a_misspelt_trace() {
+        Args::parse_from(["--trace", "berkley"].map(String::from), 0.1);
     }
 
     #[test]

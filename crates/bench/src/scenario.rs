@@ -348,7 +348,7 @@ pub struct ScenarioMetrics {
 ///
 /// One snapshot suffices: a node counts its repair and re-points its
 /// parent before it releases the membership guard under which it turned
-/// the peer `Dead`, so whoever has read `Dead` (`await_confirmed_death`)
+/// the peer `Dead`, so whoever has read `Dead` (`Mesh::await_confirmed_death`)
 /// reads the repaired state too.
 fn check_hierarchy_recovery(
     mesh: &Mesh,

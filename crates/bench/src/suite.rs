@@ -1,17 +1,17 @@
 //! The in-process experiment suite: experiments as job plans.
 //!
-//! Every experiment binary used to be a monolithic `main` that computed
-//! and printed as it went. The suite splits each experiment into
+//! Each experiment is split into
 //!
 //! * [`Experiment::plan`] — a list of independent, silent [`Job`]s (one
 //!   per grid cell / strategy / workload), and
 //! * [`Experiment::finish`] — the sequential tail that downcasts the job
 //!   results, prints the paper-format tables, and archives the JSON.
 //!
-//! Standalone binaries run their own plan through [`run_standalone`]. The
-//! `all` binary flattens *every* experiment's plan into one shared queue
-//! and feeds it to [`bh_simcore::par::sweep`], so a long job at the tail
-//! of one experiment overlaps with the next experiment's grid instead of
+//! The `all` binary is the one way to run them: [`select`] turns its
+//! command line into the experiments it names (every one when it names
+//! none), and [`run_suite`] flattens their plans into one shared queue
+//! fed to [`bh_simcore::par::sweep`], so a long job at the tail of one
+//! experiment overlaps with the next experiment's grid instead of
 //! serializing the suite. Finishes then run in canonical order, which
 //! keeps stdout and artifact contents independent of `--jobs`.
 
@@ -46,10 +46,10 @@ pub fn take<T: Any>(output: JobOutput) -> T {
 /// One table or figure of the paper, as a parallel job plan plus a
 /// sequential finish.
 pub trait Experiment: Sync {
-    /// The experiment's (and its binary's) name, e.g. `"fig2"`.
+    /// The experiment's name, e.g. `"fig2"`: what `all` takes to run it.
     fn name(&self) -> &'static str;
     /// The workload scale this experiment defaults to when `--scale` is
-    /// not given (matches the historical per-binary defaults).
+    /// not given.
     fn default_scale(&self) -> f64;
     /// Builds the list of independent jobs for `args`.
     fn plan(&self, args: &Args) -> Vec<Job>;
@@ -59,31 +59,65 @@ pub trait Experiment: Sync {
 }
 
 /// Every suite experiment, in the canonical (paper) order.
-pub fn registry() -> Vec<Box<dyn Experiment>> {
-    vec![
-        Box::new(crate::runners::fig1::Fig1),
-        Box::new(crate::runners::table3::Table3),
-        Box::new(crate::runners::table4::Table4),
-        Box::new(crate::runners::fig2::Fig2),
-        Box::new(crate::runners::fig3::Fig3),
-        Box::new(crate::runners::fig5::Fig5),
-        Box::new(crate::runners::fig6::Fig6),
-        Box::new(crate::runners::table5::Table5),
-        Box::new(crate::runners::fig8::Fig8),
-        Box::new(crate::runners::fig10::Fig10),
-        Box::new(crate::runners::fig11::Fig11),
-        Box::new(crate::runners::ablations::Ablations),
-        Box::new(crate::runners::scenario::ScenarioLag),
-    ]
-}
+const REGISTRY: [&dyn Experiment; 12] = [
+    &crate::runners::fig1::Fig1,
+    &crate::runners::table3::Table3,
+    &crate::runners::table4::Table4,
+    &crate::runners::fig2::Fig2,
+    &crate::runners::fig3::Fig3,
+    &crate::runners::fig5::Fig5,
+    &crate::runners::fig6::Fig6,
+    &crate::runners::table5::Table5,
+    &crate::runners::fig8::Fig8,
+    &crate::runners::push::Push,
+    &crate::runners::ablations::Ablations,
+    &crate::runners::scenario::ScenarioLag,
+];
 
-/// Runs one experiment end to end: plan, sweep the jobs over `args.jobs`
-/// workers, finish. This is each standalone binary's `main`.
-pub fn run_standalone(exp: &dyn Experiment) {
-    let args = Args::parse(exp.default_scale());
-    let jobs = exp.plan(&args);
-    let results = bh_simcore::par::sweep(args.jobs, jobs, |_, j| j());
-    exp.finish(&args, results);
+/// One experiment of a suite run and the flags it runs under.
+pub type Run = (&'static dyn Experiment, Args);
+
+/// Resolves `all`'s command line — experiment names, then flags — into
+/// the runs it asks for: the named experiments once each, in registry
+/// order, or every experiment when no name is given. Each run parses the
+/// same flags but keeps its own [`Experiment::default_scale`] unless
+/// `--scale` is given.
+///
+/// # Errors
+///
+/// An unknown name, with a message listing the valid ones.
+///
+/// # Panics
+///
+/// Panics with a usage message on malformed flags (see
+/// [`Args::parse_from`]).
+pub fn select(raw: impl IntoIterator<Item = String>) -> Result<Vec<Run>, String> {
+    let mut raw = raw.into_iter().peekable();
+    let mut names = Vec::new();
+    while let Some(name) = raw.next_if(|a| !a.starts_with('-')) {
+        names.push(name);
+    }
+    let flags: Vec<String> = raw.collect();
+    if let Some(unknown) = names
+        .iter()
+        .find(|n| REGISTRY.iter().all(|e| e.name() != n.as_str()))
+    {
+        let valid: Vec<&str> = REGISTRY.iter().map(|e| e.name()).collect();
+        return Err(format!(
+            "unknown experiment {unknown}; valid names: {}",
+            valid.join(" ")
+        ));
+    }
+    Ok(REGISTRY
+        .into_iter()
+        .filter(|e| names.is_empty() || names.iter().any(|n| n == e.name()))
+        .map(|e| {
+            (
+                e,
+                Args::parse_from(flags.iter().cloned(), e.default_scale()),
+            )
+        })
+        .collect())
 }
 
 /// Per-experiment accounting from a suite run.
@@ -100,20 +134,16 @@ pub struct SuiteTiming {
     pub finish_time: Duration,
 }
 
-/// Runs the whole suite in one process over a single shared job queue.
+/// Runs `runs` in one process over a single shared job queue of `jobs`
+/// workers.
 ///
 /// All experiments' plans are flattened into one `sweep` call, so the
 /// queue is topped up across experiment boundaries; finishes then run
-/// sequentially in registry order. Returns per-experiment timings.
-pub fn run_suite(
-    experiments: &[Box<dyn Experiment>],
-    per_args: &[Args],
-    jobs: usize,
-) -> Vec<SuiteTiming> {
-    assert_eq!(experiments.len(), per_args.len());
+/// sequentially in the order given. Returns per-experiment timings.
+pub fn run_suite(runs: &[Run], jobs: usize) -> Vec<SuiteTiming> {
     let mut flat: Vec<Job> = Vec::new();
     let mut spans = Vec::new(); // (start, len) into `flat` per experiment
-    for (exp, args) in experiments.iter().zip(per_args) {
+    for (exp, args) in runs {
         let plan = exp.plan(args);
         spans.push((flat.len(), plan.len()));
         // Wrap each job to record its duration for the timing table.
@@ -132,7 +162,7 @@ pub fn run_suite(
         .collect();
 
     let mut timings = Vec::new();
-    for ((exp, args), (start, len)) in experiments.iter().zip(per_args).zip(spans) {
+    for ((exp, args), (start, len)) in runs.iter().zip(spans) {
         let mut job_time = Duration::ZERO;
         let mut outputs = Vec::with_capacity(len);
         for slot in &mut results[start..start + len] {
@@ -198,6 +228,50 @@ mod tests {
     fn job_round_trips_through_any() {
         let j = job(|| vec![1u64, 2, 3]);
         assert_eq!(take::<Vec<u64>>(j()), vec![1, 2, 3]);
+    }
+
+    fn names(raw: &[&str]) -> Vec<&'static str> {
+        let runs = select(raw.iter().map(|s| s.to_string())).expect("known names");
+        runs.iter().map(|(e, _)| e.name()).collect()
+    }
+
+    #[test]
+    fn no_name_selects_the_whole_registry() {
+        let all: Vec<&str> = REGISTRY.iter().map(|e| e.name()).collect();
+        assert_eq!(names(&[]), all);
+        assert_eq!(names(&["--jobs", "1"]), all);
+    }
+
+    #[test]
+    fn named_experiments_run_once_each_in_registry_order() {
+        assert_eq!(
+            names(&["push", "table3", "fig1", "table3"]),
+            ["fig1", "table3", "push"]
+        );
+        assert_eq!(names(&["fig2", "fig2", "--seed", "7"]), ["fig2"]);
+    }
+
+    #[test]
+    fn each_run_keeps_its_default_scale_unless_scale_is_given() {
+        let raw = |r: &[&str]| r.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let runs = select(raw(&["fig1", "fig2", "--seed", "9"])).expect("known names");
+        let scales: Vec<f64> = runs.iter().map(|(_, a)| a.scale).collect();
+        assert_eq!(scales, [1.0, 0.1]);
+        assert!(runs.iter().all(|(_, a)| a.seed == 9));
+        let runs = select(raw(&["fig1", "fig2", "--scale", "0.005"])).expect("known names");
+        assert!(runs.iter().all(|(_, a)| a.scale == 0.005));
+    }
+
+    #[test]
+    fn an_unknown_name_is_an_error_listing_the_valid_ones() {
+        let err = select(["fig2", "fig10"].map(String::from))
+            .map(|_| ())
+            .unwrap_err();
+        assert!(
+            err.starts_with("unknown experiment fig10; valid names: fig1 table3"),
+            "{err}"
+        );
+        assert!(err.ends_with("push ablations scenario"), "{err}");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! long-resident objects age out. The paper lists "more aggressive
 //! techniques for using cache space" as future work (§2.2); this module
 //! provides the era's standard candidate for the ablation in
-//! `bh-bench --bin ablations`.
+//! `all ablations` (`bh-bench`).
 
 use bh_simcore::ByteSize;
 use std::cmp::Reverse;

@@ -1,8 +1,8 @@
 //! Reproductions of every simulation experiment in the paper's evaluation.
 //!
 //! Each function regenerates one table or figure and returns a serializable
-//! result; the `bh-bench` experiment binaries print them in the paper's
-//! format and archive them as JSON. See `DESIGN.md` §3 for the index.
+//! result; the `bh-bench` experiment suite (`all`) prints them in the
+//! paper's format and archives them as JSON. See `DESIGN.md` §3 for the index.
 
 use crate::metrics::Metrics;
 
@@ -14,8 +14,6 @@ use bh_netmodel::CostModel;
 use bh_simcore::{ByteSize, SimDuration};
 use bh_trace::{MaterializedTrace, TraceCache, WorkloadSpec};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
 
 /// Serializes a sweep-axis value: finite numbers as floats, the
 /// unlimited/infinite point as the string `"inf"` (JSON has no infinity).
@@ -475,37 +473,6 @@ pub fn push_row(
             m.l1_hits as f64 / m.cacheable as f64
         },
     }
-}
-
-/// [`push_row`] with a process-wide memo, priced under the canonical
-/// Max / Min / Testbed model set.
-///
-/// Figures 10 and 11 run the *same* seven push simulations on the same
-/// space-constrained configuration — only the cost-model set differs, and
-/// cost models are pure observers priced in one pass (`sim.rs`), so the
-/// superset row serves both. Keyed by `(spec fingerprint, seed, kind)`;
-/// concurrent requests for the same key compute once and share the result.
-/// The memo holds a handful of small rows per (workload, seed), so it is
-/// unbounded.
-pub fn push_row_cached(trace: &MaterializedTrace, kind: StrategyKind) -> Arc<PushComparisonRow> {
-    type Slot = Arc<OnceLock<Arc<PushComparisonRow>>>;
-    type SlotMap = HashMap<(u64, u64, StrategyKind), Slot>;
-    static CACHE: OnceLock<Mutex<SlotMap>> = OnceLock::new();
-    let key = (trace.spec().fingerprint(), trace.seed(), kind);
-    let slot = {
-        let mut map = CACHE
-            .get_or_init(|| Mutex::new(HashMap::new()))
-            .lock()
-            .expect("push-row cache poisoned");
-        Arc::clone(map.entry(key).or_insert_with(|| Arc::new(OnceLock::new())))
-    };
-    Arc::clone(slot.get_or_init(|| {
-        let max = bh_netmodel::RousskovModel::max();
-        let min = bh_netmodel::RousskovModel::min();
-        let tb = bh_netmodel::TestbedModel::new();
-        let models: Vec<&dyn CostModel> = vec![&max, &min, &tb];
-        Arc::new(push_row(trace, kind, &models))
-    }))
 }
 
 /// §3.3's configuration comparison: proxy-level hints (Figure 4-a) vs

@@ -34,10 +34,12 @@
 //!   outbound send drops from the switch's seeded drop stream.
 
 use crate::client::Connection;
+use crate::liveness::PeerHealth;
 use crate::mesh::{Mesh, Topology};
 use crate::node::{mesh_tree_for, CacheNode};
 use std::io;
 use std::net::SocketAddr;
+use std::time::{Duration, Instant};
 
 /// One fault to inject into a running mesh. Node indices refer to the
 /// mesh's spawn order.
@@ -321,6 +323,28 @@ impl Mesh {
         Ok(recovered)
     }
 
+    /// Drives heartbeat rounds until every survivor has confirmed node
+    /// `dead` dead (so stale-hint GC and Plaxton repair have fired), for at
+    /// most 10 seconds. Returns whether confirmation was reached.
+    pub fn await_confirmed_death(&self, dead: usize) -> bool {
+        let addr = self.addrs()[dead];
+        // bh-lint: allow(no-wall-clock, reason = "deadline-bounded wait on a live mesh; failure detection is wall-clock here")
+        let deadline = Instant::now() + Duration::from_secs(10);
+        // bh-lint: allow(no-wall-clock, reason = "loop bound against the same live-mesh deadline")
+        while Instant::now() < deadline {
+            self.heartbeat_all();
+            let confirmed = (0..self.addrs().len())
+                .filter(|&i| i != dead)
+                .filter_map(|i| self.node(i))
+                .all(|n| n.peer_health(addr) == PeerHealth::Dead);
+            if confirmed {
+                return true;
+            }
+            std::thread::sleep(Duration::from_millis(25));
+        }
+        false
+    }
+
     /// Sends one control-plane write to the node at `index` over the
     /// wire. Crashed slots are skipped (there is nothing to configure
     /// and nothing listening).
@@ -474,7 +498,7 @@ fn resync_over_wire(addr: SocketAddr) -> io::Result<usize> {
             let learned = read_counter(&mut conn, "mesh/nodes/self/control/resync/learned")?;
             return Ok(learned as usize);
         }
-        std::thread::sleep(std::time::Duration::from_millis(2));
+        std::thread::sleep(Duration::from_millis(2));
     }
     Err(io::Error::other(format!(
         "scheduled resync on {addr} did not complete"

@@ -309,10 +309,11 @@ impl Link {
     }
 }
 
-/// The pool's one clock read: [`ConnectionPool::request_run`] stamps every
-/// step with it.
+/// The pool's one clock read: the pool's epoch (`ConnectionPool::new`),
+/// [`ConnectionPool::request_run`]'s step stamps, and the quarantine
+/// checks an operator scrapes (`is_quarantined`, `quarantined_peer_count`).
 fn now() -> Instant {
-    // bh-lint: allow(no-wall-clock, reason = "request_run's one clock read; every pool step takes its time as a parameter")
+    // bh-lint: allow(no-wall-clock, reason = "the pool's epoch, request_run's step stamps and the quarantine scrapes read it; every other pool step takes its time as a parameter")
     Instant::now()
 }
 

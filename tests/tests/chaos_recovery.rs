@@ -2,14 +2,13 @@
 //! recovery, partitions degrading to the origin and healing, and live
 //! Plaxton-table repair matching the analytic reconfiguration count.
 
+use bh_integration::tuned;
 use bh_plaxton::NodeSpec;
 use bh_proto::chaos::{analytic_churn_for, FaultKind};
 use bh_proto::client::Source;
-use bh_proto::liveness::PeerHealth;
 use bh_proto::mesh::{Mesh, Topology};
-use bh_proto::node::{mesh_tree_for, NodeConfig};
+use bh_proto::node::mesh_tree_for;
 use bh_proto::origin::OriginServer;
-use std::time::{Duration, Instant};
 
 /// A flat mesh of `n` nodes with fast failure detection, manual
 /// flush/heartbeat driving and bounded teardown — the tuning every test
@@ -17,41 +16,6 @@ use std::time::{Duration, Instant};
 fn tuned_mesh(n: usize) -> Mesh {
     let origin = OriginServer::spawn("127.0.0.1:0").expect("origin");
     Mesh::spawn(origin, Topology::Flat { nodes: n }, |_, c| tuned(c)).expect("mesh")
-}
-
-fn tuned(c: NodeConfig) -> NodeConfig {
-    let mut c = c
-        .with_flush_max(Duration::from_secs(3600))
-        .with_heartbeat_interval(Duration::from_secs(3600))
-        .with_suspicion_threshold(2)
-        .with_confirm_death_after(Duration::from_millis(100))
-        .with_shutdown_deadline(Duration::from_secs(2));
-    c.io_timeout = Duration::from_millis(500);
-    c
-}
-
-/// Drives heartbeat rounds until every survivor has confirmed `dead`
-/// dead, panicking if that takes more than 10 seconds.
-fn drive_to_death(mesh: &Mesh, dead: usize) {
-    let addr = mesh.addrs()[dead];
-    // bh-lint: allow(no-wall-clock, reason = "deadline-bounded wait on a live mesh; failure detection is wall-clock here")
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        mesh.heartbeat_all();
-        let confirmed = (0..mesh.addrs().len())
-            .filter(|&i| i != dead)
-            .filter_map(|i| mesh.node(i))
-            .all(|n| n.peer_health(addr) == PeerHealth::Dead);
-        if confirmed {
-            return;
-        }
-        assert!(
-            // bh-lint: allow(no-wall-clock, reason = "loop bound against the same live-mesh deadline")
-            Instant::now() < deadline,
-            "survivors never confirmed node {dead} dead"
-        );
-        std::thread::sleep(Duration::from_millis(25));
-    }
 }
 
 /// A node that crash-stops (hint table lost, no goodbye) and warm-restarts
@@ -231,7 +195,11 @@ fn live_plaxton_repair_matches_analytic_churn() {
     let removed = analytic_churn_for(&addrs, 2);
 
     mesh.crash(2);
-    drive_to_death(&mesh, 2);
+    assert!(
+        mesh.await_confirmed_death(2),
+        "survivors never confirmed node {} dead",
+        2
+    );
     for i in [0usize, 1, 3] {
         let s = mesh.node(i).expect("survivor").stats();
         assert_eq!(s.peers_confirmed_dead, 1, "node {i} confirmed one death");

@@ -4,8 +4,9 @@
 //! are independent deterministic simulations and the work-stealing sweep
 //! preserves submission order. These tests pin that contract:
 //!
-//! * the fig2, fig5, and fig8 grids produce **byte-identical** JSON
-//!   artifacts at `--jobs 1` and `--jobs 8`;
+//! * the fig2, fig5 and fig8 grids and the push experiment (Figures 10
+//!   and 11) produce **byte-identical** JSON artifacts at `--jobs 1` and
+//!   `--jobs 8`;
 //! * replaying a [`MaterializedTrace`] arena yields exactly the record
 //!   stream a fresh [`TraceGenerator`] produces, for all three workloads;
 //! * two chaos runs of the same seeded plan produce byte-identical
@@ -22,7 +23,7 @@
 //!   slice of the obs registry — is byte-identical at `--jobs 1` and
 //!   `--jobs 8`.
 
-use bh_bench::suite::Experiment;
+use bh_bench::suite::{run_suite, Experiment};
 use bh_bench::Args;
 use std::path::PathBuf;
 
@@ -35,9 +36,10 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// Plans, sweeps (over `jobs` workers), and finishes one experiment, then
-/// returns the raw bytes of its JSON artifact.
-fn artifact_bytes(exp: &dyn Experiment, jobs: usize, out: PathBuf) -> Vec<u8> {
+/// Runs one experiment through the suite runner at `--scale 0.002` over
+/// `jobs` workers, then returns the raw bytes of each named artifact.
+fn artifacts(exp: &'static dyn Experiment, jobs: usize, files: &[&str]) -> Vec<Vec<u8>> {
+    let out = scratch(&format!("{}-j{jobs}", exp.name()));
     let args = Args {
         scale: 0.002,
         seed: 42,
@@ -45,37 +47,47 @@ fn artifact_bytes(exp: &dyn Experiment, jobs: usize, out: PathBuf) -> Vec<u8> {
         out: out.clone(),
         jobs,
     };
-    let plan = exp.plan(&args);
-    let results = bh_simcore::par::sweep(jobs, plan, |_, j| j());
-    exp.finish(&args, results);
-    std::fs::read(out.join(format!("{}.json", exp.name()))).expect("read artifact")
+    run_suite(&[(exp, args)], jobs);
+    files
+        .iter()
+        .map(|f| std::fs::read(out.join(f)).expect("read artifact"))
+        .collect()
 }
 
-fn assert_jobs_invisible(exp: &dyn Experiment) {
-    let serial = artifact_bytes(exp, 1, scratch(&format!("{}-j1", exp.name())));
-    let parallel = artifact_bytes(exp, 8, scratch(&format!("{}-j8", exp.name())));
-    assert!(!serial.is_empty(), "{}: empty artifact", exp.name());
-    assert_eq!(
-        serial,
-        parallel,
-        "{}: --jobs 1 and --jobs 8 artifacts differ",
-        exp.name()
-    );
+/// Asserts that each artifact in `files` is non-empty and byte-identical
+/// at `--jobs 1` and `--jobs 8`.
+fn assert_jobs_invisible(exp: &'static dyn Experiment, files: &[&str]) {
+    let serial = artifacts(exp, 1, files);
+    let parallel = artifacts(exp, 8, files);
+    for ((file, s), p) in files.iter().zip(&serial).zip(&parallel) {
+        assert!(!s.is_empty(), "{file}: empty artifact");
+        assert_eq!(s, p, "{file}: --jobs 1 and --jobs 8 artifacts differ");
+    }
 }
 
 #[test]
 fn fig2_artifact_is_identical_at_jobs_1_and_8() {
-    assert_jobs_invisible(&bh_bench::runners::fig2::Fig2);
+    assert_jobs_invisible(&bh_bench::runners::fig2::Fig2, &["fig2.json"]);
 }
 
 #[test]
 fn fig5_artifact_is_identical_at_jobs_1_and_8() {
-    assert_jobs_invisible(&bh_bench::runners::fig5::Fig5);
+    assert_jobs_invisible(&bh_bench::runners::fig5::Fig5, &["fig5.json"]);
 }
 
 #[test]
 fn fig8_artifact_is_identical_at_jobs_1_and_8() {
-    assert_jobs_invisible(&bh_bench::runners::fig8::Fig8);
+    assert_jobs_invisible(&bh_bench::runners::fig8::Fig8, &["fig8.json"]);
+}
+
+/// The push cells are the suite's heaviest jobs, and one experiment
+/// writes both figures from them.
+#[test]
+fn push_artifacts_are_identical_at_jobs_1_and_8() {
+    assert_jobs_invisible(
+        &bh_bench::runners::push::Push,
+        &["fig10.json", "fig11.json"],
+    );
 }
 
 /// Runs the chaos harness once into a scratch dir and returns the bytes
@@ -186,30 +198,12 @@ fn scenario_artifacts_are_byte_identical_across_runs() {
 }
 
 /// The scenario lag experiment writes `scenario_flash_crowd_lag.json`
-/// (not `<name>.json`), so it gets its own jobs-invisibility pin.
+/// (not `<name>.json`).
 #[test]
 fn scenario_lag_artifact_is_identical_at_jobs_1_and_8() {
-    let exp = bh_bench::runners::scenario::ScenarioLag;
-    let bytes_at = |jobs: usize, tag: &str| {
-        let out = scratch(tag);
-        let args = Args {
-            scale: 0.002,
-            seed: 42,
-            trace: "all".to_string(),
-            out: out.clone(),
-            jobs,
-        };
-        let plan = exp.plan(&args);
-        let results = bh_simcore::par::sweep(jobs, plan, |_, j| j());
-        exp.finish(&args, results);
-        std::fs::read(out.join("scenario_flash_crowd_lag.json")).expect("read artifact")
-    };
-    let serial = bytes_at(1, "scenlag-j1");
-    let parallel = bytes_at(8, "scenlag-j8");
-    assert!(!serial.is_empty(), "empty scenario lag artifact");
-    assert_eq!(
-        serial, parallel,
-        "scenario_flash_crowd_lag.json differs between --jobs 1 and --jobs 8"
+    assert_jobs_invisible(
+        &bh_bench::runners::scenario::ScenarioLag,
+        &["scenario_flash_crowd_lag.json"],
     );
 }
 
@@ -218,7 +212,7 @@ fn scenario_lag_artifact_is_identical_at_jobs_1_and_8() {
 /// of the suite registry — job counts, not timings).
 fn suite_obs_dump_bytes(jobs: usize, tag: &str) -> Vec<u8> {
     use bh_bench::report::write_obs_dump;
-    use bh_bench::suite::{obs_registry, run_suite};
+    use bh_bench::suite::obs_registry;
 
     let out = scratch(tag);
     let args = Args {
@@ -228,8 +222,7 @@ fn suite_obs_dump_bytes(jobs: usize, tag: &str) -> Vec<u8> {
         out: out.clone(),
         jobs,
     };
-    let experiments: Vec<Box<dyn Experiment>> = vec![Box::new(bh_bench::runners::fig2::Fig2)];
-    let timings = run_suite(&experiments, std::slice::from_ref(&args), jobs);
+    let timings = run_suite(&[(&bh_bench::runners::fig2::Fig2, args.clone())], jobs);
     write_obs_dump(&args, &obs_registry(&timings));
     std::fs::read(out.join("obs_dump.json")).expect("read obs dump")
 }

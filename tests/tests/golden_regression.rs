@@ -227,16 +227,13 @@ struct Table3Envelope {
     payload: Vec<Table3Artifact>,
 }
 
-/// Table 3 through the suite engine end-to-end: plan → 8-worker sweep →
+/// Table 3 through the suite runner end-to-end: plan → 8-worker sweep →
 /// finish → JSON artifact, then assert the artifact carries the paper's
 /// 24 totals digit for digit.
 #[test]
 fn table3_artifact_from_suite_engine_matches_paper() {
-    use bh_bench::suite::Experiment;
-
     let out = std::env::temp_dir().join(format!("bh-golden-table3-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&out);
-    let exp = bh_bench::runners::table3::Table3;
     let args = bh_bench::Args {
         scale: 1.0,
         seed: 42,
@@ -244,9 +241,7 @@ fn table3_artifact_from_suite_engine_matches_paper() {
         out: out.clone(),
         jobs: 8,
     };
-    let plan = exp.plan(&args);
-    let results = bh_simcore::par::sweep(args.jobs, plan, |_, j| j());
-    exp.finish(&args, results);
+    bh_bench::suite::run_suite(&[(&bh_bench::runners::table3::Table3, args)], 8);
 
     let json = std::fs::read_to_string(out.join("table3.json")).expect("table3 artifact");
     let envelope: Table3Envelope = serde_json::from_str(&json).expect("parse table3 artifact");

@@ -5,55 +5,17 @@
 //! match the analytic churn model (including revival), the same
 //! live-vs-analytic parity the flat-mesh chaos tests pin.
 
+use bh_integration::tuned;
 use bh_plaxton::NodeSpec;
 use bh_proto::chaos::{analytic_churn_for, FaultKind};
 use bh_proto::client::Source;
-use bh_proto::liveness::PeerHealth;
 use bh_proto::mesh::{Mesh, Topology};
-use bh_proto::node::{mesh_tree_for, NodeConfig};
+use bh_proto::node::mesh_tree_for;
 use bh_proto::origin::OriginServer;
 use bh_proto::replay::{replay_concurrent, ReplayConfig};
 use bh_trace::scenario::FlashCrowdSpec;
 use bh_trace::{TraceRecord, WorkloadSpec};
 use std::net::SocketAddr;
-use std::time::{Duration, Instant};
-
-/// Fast failure detection, manual flush/heartbeat driving, bounded
-/// teardown — the same tuning the flat-mesh chaos tests use.
-fn tuned(c: NodeConfig) -> NodeConfig {
-    let mut c = c
-        .with_flush_max(Duration::from_secs(3600))
-        .with_heartbeat_interval(Duration::from_secs(3600))
-        .with_suspicion_threshold(2)
-        .with_confirm_death_after(Duration::from_millis(100))
-        .with_shutdown_deadline(Duration::from_secs(2));
-    c.io_timeout = Duration::from_millis(500);
-    c
-}
-
-/// Drives heartbeat rounds until every survivor has confirmed `dead`
-/// dead, panicking if that takes more than 10 seconds.
-fn drive_to_death(mesh: &Mesh, dead: usize) {
-    let addr = mesh.addrs()[dead];
-    // bh-lint: allow(no-wall-clock, reason = "deadline-bounded wait on a live mesh; failure detection is wall-clock here")
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        mesh.heartbeat_all();
-        let confirmed = (0..mesh.addrs().len())
-            .filter(|&i| i != dead)
-            .filter_map(|i| mesh.node(i))
-            .all(|n| n.peer_health(addr) == PeerHealth::Dead);
-        if confirmed {
-            return;
-        }
-        assert!(
-            // bh-lint: allow(no-wall-clock, reason = "loop bound against the same live-mesh deadline")
-            Instant::now() < deadline,
-            "survivors never confirmed node {dead} dead"
-        );
-        std::thread::sleep(Duration::from_millis(25));
-    }
-}
 
 /// Replays `records[start..end]` against the mesh from 8 closed-loop
 /// clients, asserting zero client errors. While `crashed` names a down
@@ -125,7 +87,11 @@ fn parent_crash_mid_replay_rehomes_children_and_matches_analytic_churn() {
 
     mesh.inject(FaultKind::CrashParent { level: 0 })
         .expect("inject parent crash");
-    drive_to_death(&mesh, dead);
+    assert!(
+        mesh.await_confirmed_death(dead),
+        "survivors never confirmed node {} dead",
+        dead
+    );
 
     // The rest of the replay rides through the dead parent's window with
     // its clients rerouted — still zero errors.
